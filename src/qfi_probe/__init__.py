@@ -1,11 +1,12 @@
 """Quantum Fisher information and fidelity for one- and two-qubit probes
 coupled to a photon-number cavity field, a thermal reservoir, or a squeezed
-vacuum reservoir."""
+vacuum reservoir.
+
+The names imported below are the package's top-level API."""
 
 from .lindblad import (
     LindbladGenerator,
     StepUnderflow,
-    TwoQubitReservoirParams,
     integrate,
     squeezed_generator,
     thermal_generator,
@@ -18,21 +19,24 @@ from .probe_models import (
     SqueezedParams,
     ThermalParams,
     TwoQubitFockParams,
+    TwoQubitReservoirParams,
     fock1_channel,
-    fock1_state,
+    fock1_states,
     fock2_channel,
-    fock2_state,
+    fock2_states,
     reduce_A,
+    reservoir_pair_channel,
+    reservoir_pair_states,
     squeezed1_channel,
-    squeezed1_state,
+    squeezed1_states,
     thermal1_channel,
-    thermal1_state,
+    thermal1_states,
 )
 from .qfi_engine import (
     CramerRaoInput,
     QfiResult,
     cramer_rao,
-    d_rho,
+    d_rho_grid,
     fd_step,
     occupation_from_temperature,
     occupation_slope,
@@ -55,6 +59,7 @@ from .qstate import (
     fidelity_bloch,
     fidelity_uhlmann_oracle,
     partial_trace_B,
+    trace_out_B,
     validate_density,
 )
 from .scan_repro import (
@@ -66,60 +71,3 @@ from .scan_repro import (
     reproduce_figure,
     scan,
 )
-
-__all__ = [
-    "BlochVector",
-    "ChannelModel",
-    "ConvergenceFailure",
-    "CramerRaoInput",
-    "DensityMatrix",
-    "FockParams",
-    "LindbladGenerator",
-    "NegativeEigenvalue",
-    "NotHermitian",
-    "QfiResult",
-    "ScanConfig",
-    "ScanDataset",
-    "SqueezedParams",
-    "StateValidationError",
-    "StepUnderflow",
-    "ThermalParams",
-    "TraceNotOne",
-    "TwoQubitFockParams",
-    "TwoQubitReservoirParams",
-    "backflow_intervals",
-    "bloch_vector",
-    "cramer_rao",
-    "d_rho",
-    "discrepancy_report",
-    "eig_hermitian",
-    "fd_step",
-    "fidelity_bloch",
-    "fidelity_uhlmann_oracle",
-    "find_max",
-    "fock1_channel",
-    "fock1_state",
-    "fock2_channel",
-    "fock2_state",
-    "integrate",
-    "occupation_from_temperature",
-    "occupation_slope",
-    "partial_trace_B",
-    "qfi_pure_oracle",
-    "qfi_sld_oracle",
-    "qfi_spectral",
-    "qfi_temperature",
-    "reduce_A",
-    "reproduce_figure",
-    "scan",
-    "squeezed1_channel",
-    "squeezed1_state",
-    "squeezed_generator",
-    "temperature_from_occupation",
-    "thermal1_channel",
-    "thermal1_state",
-    "thermal_generator",
-    "trajectory",
-    "two_qubit_generator",
-    "validate_density",
-]

@@ -1,8 +1,9 @@
 """Master-equation generators and a step-halving Runge-Kutta integrator.
 
-The integrator is the oracle for the analytic reservoir solutions and the
-sole implementation of the two-qubit reservoir dynamics (two independent,
-identical single-qubit dissipators; no qubit-qubit coupling).
+The integrator is an accuracy oracle only: the tests check the one- and
+two-qubit reservoir closed forms of probe_models against it (two
+independent, identical single-qubit dissipators; no qubit-qubit coupling).
+No scan or point query integrates.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .probe_models import TwoQubitReservoirParams
 from .qstate import DensityMatrix, validate_density
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -75,38 +77,6 @@ class LindbladGenerator:
             sup[:, k] = self.apply(unit).reshape(-1)
             unit[i, j] = 0.0
         return sup
-
-
-@dataclass(frozen=True)
-class TwoQubitReservoirParams:
-    """Two identical qubits, each coupled to its own reservoir.
-
-    Attributes:
-        kind: "thermal" or "squeezed".
-        strength: mean occupation (thermal) or squeezing strength (squeezed),
-            shared by both reservoirs.
-        gamma: common decay rate of both qubits.
-        dipole: direct qubit-qubit coupling, fixed at 0.
-        phase: squeezing reference phase, fixed at 0.
-    """
-
-    kind: str
-    strength: float
-    gamma: float
-    dipole: float = 0.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("thermal", "squeezed"):
-            raise ValueError(f"unsupported reservoir kind {self.kind!r}")
-        if self.strength < 0.0:
-            raise ValueError("reservoir strength must be nonnegative")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.dipole != 0.0:
-            raise ValueError("only uncoupled qubits (dipole = 0) are supported")
-        if self.phase != 0.0:
-            raise ValueError("only reference phase 0 is supported")
 
 
 def thermal_generator(mean_occupation: float, gamma: float) -> LindbladGenerator:

@@ -1,25 +1,40 @@
 """Closed-form evolved probe states for the cavity-field and reservoir models.
 
-Each model maps (parameters, time) to a validated density matrix. Time is
-dimensionless: coupling units for the cavity models (coupling defaults to
-1), decay-rate units for the reservoir models.
+Every model maps (parameters, times[N]) to a raw stack of density matrices
+of shape (N, d, d); validation happens once per stack, where the stack is
+used. Time is dimensionless: coupling units for the cavity models
+(coupling defaults to 1), decay-rate units for the reservoir models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from .qstate import DensityMatrix, partial_trace_B, validate_density
+from .qstate import DensityMatrix, partial_trace_B
 
 _HALF_PI = 0.5 * np.pi
+
+
+def require_finite(params) -> None:
+    """Reject a dataclass instance carrying a NaN or infinite number."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{f.name} = {value} is not finite")
 
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= _HALF_PI:
         raise ValueError(f"alpha = {alpha} outside [0, pi/2]")
+
+
+def _grid(times) -> np.ndarray:
+    return np.atleast_1d(np.asarray(times, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -39,6 +54,7 @@ class FockParams:
     alpha: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.coupling <= 0.0:
             raise ValueError("coupling must be positive")
         if self.photons < 0:
@@ -74,6 +90,7 @@ class ThermalParams:
     freq_scale: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.mean_occupation < 0.0:
             raise ValueError("mean occupation must be nonnegative")
         if self.gamma <= 0.0:
@@ -100,6 +117,7 @@ class SqueezedParams:
     phase: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.squeezing < 0.0:
             raise ValueError("squeezing strength must be nonnegative")
         if self.gamma <= 0.0:
@@ -134,6 +152,7 @@ class TwoQubitFockParams:
     photons: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.coupling <= 0.0:
             raise ValueError("coupling must be positive")
         if self.photons != 0:
@@ -146,8 +165,54 @@ class TwoQubitFockParams:
         return float(np.sqrt(8.0 * self.coupling**2 + self.detuning**2))
 
 
-def fock1_amplitudes(p: FockParams, t: float) -> tuple[complex, complex]:
-    """Excited/ground amplitudes of the single-excitation sector at time t."""
+@dataclass(frozen=True)
+class TwoQubitReservoirParams:
+    """Two identical qubits, each coupled to its own reservoir, starting in
+    the Bell state (|eg> + |ge>) / sqrt(2).
+
+    Attributes:
+        kind: "thermal" or "squeezed".
+        strength: mean occupation (thermal) or squeezing strength (squeezed),
+            shared by both reservoirs.
+        gamma: common decay rate of both qubits.
+        dipole: direct qubit-qubit coupling, fixed at 0.
+        phase: squeezing reference phase, fixed at 0.
+    """
+
+    kind: str
+    strength: float
+    gamma: float
+    dipole: float = 0.0
+    phase: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.kind not in ("thermal", "squeezed"):
+            raise ValueError(f"unsupported reservoir kind {self.kind!r}")
+        if self.strength < 0.0:
+            raise ValueError("reservoir strength must be nonnegative")
+        if self.gamma <= 0.0:
+            raise ValueError("gamma must be positive")
+        if self.dipole != 0.0:
+            raise ValueError("only uncoupled qubits (dipole = 0) are supported")
+        if self.phase != 0.0:
+            raise ValueError("only reference phase 0 is supported")
+
+
+def _qubit_stack(r11, r12, r22) -> np.ndarray:
+    """(N, 2, 2) stack [[r11, r12], [conj(r12), r22]]."""
+    out = np.empty(np.shape(r11) + (2, 2), dtype=complex)
+    out[..., 0, 0] = r11
+    out[..., 0, 1] = r12
+    out[..., 1, 0] = np.conj(r12)
+    out[..., 1, 1] = r22
+    return out
+
+
+def fock1_amplitudes(p: FockParams, times) -> tuple[np.ndarray, np.ndarray]:
+    """Excited/ground amplitudes of the single-excitation sector at the
+    given time(s)."""
+    t = np.asarray(times, dtype=float)
     wd = p.dressed_rate
     half = 0.5 * wd * t
     c, s = np.cos(half), np.sin(half)
@@ -157,81 +222,84 @@ def fock1_amplitudes(p: FockParams, t: float) -> tuple[complex, complex]:
     phase = np.exp(0.5j * p.detuning * t)
     b1 = phase * (ca * (c - 1j * ratio_d * s) - 1j * sa * ratio_x * s)
     b2 = np.conj(phase) * (sa * (c + 1j * ratio_d * s) - 1j * ca * ratio_x * s)
-    return complex(b1), complex(b2)
+    return b1, b2
 
 
-def fock1_state(p: FockParams, t: float) -> DensityMatrix:
-    """Reduced qubit state diag(|b1|^2, |b2|^2) after tracing the cavity."""
-    b1, b2 = fock1_amplitudes(p, t)
-    return validate_density(np.diag([abs(b1) ** 2, abs(b2) ** 2]).astype(complex))
+def fock1_states(p: FockParams, times) -> np.ndarray:
+    """Reduced qubit states diag(|b1|^2, |b2|^2) after tracing the cavity."""
+    b1, b2 = fock1_amplitudes(p, _grid(times))
+    return _qubit_stack(np.abs(b1) ** 2, 0.0, np.abs(b2) ** 2)
 
 
 def _reservoir_elements(
-    occupation: float, gamma: float, coherence_rate: float, alpha: float, t: float
+    occupation: float, gamma: float, coherence_rate: float, alpha: float, times
 ) -> np.ndarray:
     """Shared reservoir solution: populations relax toward
     occupation/(2 occupation + 1) at rate gamma (2 occupation + 1) while
     coherences decay at coherence_rate."""
+    t = _grid(times)
     steady = occupation / (2.0 * occupation + 1.0)
     pop_env = np.exp(-gamma * (2.0 * occupation + 1.0) * t)
     r11 = steady + (np.cos(alpha) ** 2 - steady) * pop_env
     r12 = np.cos(alpha) * np.sin(alpha) * np.exp(-coherence_rate * t)
-    return np.array([[r11, r12], [r12, 1.0 - r11]], dtype=complex)
+    return _qubit_stack(r11, r12, 1.0 - r11)
 
 
-def thermal1_state(p: ThermalParams, t: float) -> DensityMatrix:
-    """Qubit state in a thermal reservoir; coherences decay at gamma (m + 1/2)."""
+def _reservoir_derivative(
+    occupation: float, d_occupation: float, gamma: float, coherence_rate: float,
+    d_rate: float, alpha: float, times,
+) -> np.ndarray:
+    """Derivative of _reservoir_elements along a parameter that moves the
+    occupation at d_occupation and the coherence rate at d_rate."""
+    t = _grid(times)
+    width = 2.0 * occupation + 1.0
+    steady = occupation / width
+    pop_env = np.exp(-gamma * width * t)
+    d11_docc = (1.0 / width**2) * (1.0 - pop_env) + (
+        np.cos(alpha) ** 2 - steady
+    ) * (-2.0 * gamma * t) * pop_env
+    d11 = d_occupation * d11_docc
+    coh = np.cos(alpha) * np.sin(alpha) * np.exp(-coherence_rate * t)
+    return _qubit_stack(d11, -d_rate * t * coh, -d11)
+
+
+def thermal1_states(p: ThermalParams, times) -> np.ndarray:
+    """Qubit states in a thermal reservoir; coherences decay at gamma (m + 1/2)."""
     m = p.mean_occupation
     rate = p.gamma * (m + 0.5)
-    return validate_density(_reservoir_elements(m, p.gamma, rate, p.alpha, t))
+    return _reservoir_elements(m, p.gamma, rate, p.alpha, times)
 
 
-def thermal1_doccupation(p: ThermalParams, t: float) -> np.ndarray:
+def thermal1_doccupation(p: ThermalParams, times) -> np.ndarray:
     """Analytic derivative of the thermal solution w.r.t. the mean occupation."""
     m, g = p.mean_occupation, p.gamma
-    width = 2.0 * m + 1.0
-    steady = m / width
-    d_steady = 1.0 / width**2
-    pop_env = np.exp(-g * width * t)
-    d11 = d_steady * (1.0 - pop_env) + (np.cos(p.alpha) ** 2 - steady) * (
-        -2.0 * g * t
-    ) * pop_env
-    coh = np.cos(p.alpha) * np.sin(p.alpha) * np.exp(-g * (m + 0.5) * t)
-    d12 = -g * t * coh
-    return np.array([[d11, d12], [d12, -d11]], dtype=complex)
+    return _reservoir_derivative(m, 1.0, g, g * (m + 0.5), g, p.alpha, times)
 
 
-def squeezed1_state(p: SqueezedParams, t: float) -> DensityMatrix:
-    """Qubit state in a squeezed reservoir; coherences decay at
+def squeezed1_states(p: SqueezedParams, times) -> np.ndarray:
+    """Qubit states in a squeezed reservoir; coherences decay at
     gamma (occupation + pair_correlation + 1/2)."""
     occ = p.occupation
     rate = p.gamma * (occ + p.pair_correlation + 0.5)
-    return validate_density(_reservoir_elements(occ, p.gamma, rate, p.alpha, t))
+    return _reservoir_elements(occ, p.gamma, rate, p.alpha, times)
 
 
-def squeezed1_dsqueezing(p: SqueezedParams, t: float) -> np.ndarray:
+def squeezed1_dsqueezing(p: SqueezedParams, times) -> np.ndarray:
     """Analytic derivative of the squeezed solution w.r.t. the squeezing strength.
 
     Uses d(occupation)/dr = 2 pair_correlation and
     d(pair_correlation)/dr = 2 occupation + 1.
     """
     occ, pair, g = p.occupation, p.pair_correlation, p.gamma
-    d_occ = 2.0 * pair
-    d_pair = 2.0 * occ + 1.0
-    width = 2.0 * occ + 1.0
-    steady = occ / width
-    pop_env = np.exp(-g * width * t)
-    d11_docc = (1.0 / width**2) * (1.0 - pop_env) + (
-        np.cos(p.alpha) ** 2 - steady
-    ) * (-2.0 * g * t) * pop_env
-    d11 = d_occ * d11_docc
-    coh = np.cos(p.alpha) * np.sin(p.alpha) * np.exp(-g * (occ + pair + 0.5) * t)
-    d12 = -g * t * (d_occ + d_pair) * coh
-    return np.array([[d11, d12], [d12, -d11]], dtype=complex)
+    d_occ, d_pair = 2.0 * pair, 2.0 * occ + 1.0
+    rate = g * (occ + pair + 0.5)
+    return _reservoir_derivative(occ, d_occ, g, rate, g * (d_occ + d_pair), p.alpha, times)
 
 
-def fock2_amplitudes(p: TwoQubitFockParams, t: float) -> tuple[complex, complex, complex]:
-    """Amplitudes (C_eg, C_ge, C_gg) of the two-qubit single-excitation sector."""
+def fock2_amplitudes(p: TwoQubitFockParams, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitudes (C_eg, C_ge, C_gg) of the two-qubit single-excitation
+    sector at the given time(s)."""
+    t = np.asarray(times, dtype=float)
     wd = p.dressed_rate
     half = 0.5 * wd * t
     c, s = np.cos(half), np.sin(half)
@@ -248,50 +316,82 @@ def fock2_amplitudes(p: TwoQubitFockParams, t: float) -> tuple[complex, complex,
         * s
         * np.exp(-0.5j * p.detuning * t)
     )
-    return complex(c_eg), complex(c_ge), complex(c_gg)
+    return c_eg, c_ge, c_gg
 
 
-def fock2_state(p: TwoQubitFockParams, t: float) -> DensityMatrix:
-    """Two-qubit state after tracing the cavity: support on |eg>, |ge>, |gg>."""
-    c_eg, c_ge, c_gg = fock2_amplitudes(p, t)
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[1, 1] = abs(c_eg) ** 2
-    mat[1, 2] = c_eg * np.conj(c_ge)
-    mat[2, 1] = np.conj(mat[1, 2])
-    mat[2, 2] = abs(c_ge) ** 2
-    mat[3, 3] = abs(c_gg) ** 2
-    return validate_density(mat)
+def fock2_states(p: TwoQubitFockParams, times) -> np.ndarray:
+    """Two-qubit states after tracing the cavity: support on |eg>, |ge>, |gg>."""
+    c_eg, c_ge, c_gg = fock2_amplitudes(p, _grid(times))
+    out = np.zeros(c_eg.shape + (4, 4), dtype=complex)
+    out[:, 1, 1] = np.abs(c_eg) ** 2
+    out[:, 1, 2] = c_eg * np.conj(c_ge)
+    out[:, 2, 1] = np.conj(out[:, 1, 2])
+    out[:, 2, 2] = np.abs(c_ge) ** 2
+    out[:, 3, 3] = np.abs(c_gg) ** 2
+    return out
+
+
+def reservoir_pair_states(p: TwoQubitReservoirParams, times) -> np.ndarray:
+    """Exact two-qubit states (Lambda_t x Lambda_t)(Bell) for independent,
+    identical reservoirs, with Lambda_t the one-qubit closed form.
+
+    Each Lambda_t relaxes the excited population toward
+    occupation/(2 occupation + 1) and damps the sigma_x and sigma_y Bloch
+    components at gamma (occupation +- pair + 1/2), pair = cosh(r) sinh(r)
+    for squeezing and 0 for a thermal reservoir. The Bell state's
+    sigma_x sigma_x and sigma_y sigma_y parts therefore decay at twice
+    those rates; they set the |eg><ge| and |ee><gg| coherences.
+    """
+    t = _grid(times)
+    if p.kind == "thermal":
+        occupation, pair = p.strength, 0.0
+    else:
+        occupation = float(np.sinh(p.strength) ** 2)
+        pair = float(np.cosh(p.strength) * np.sinh(p.strength))
+    steady = occupation / (2.0 * occupation + 1.0)
+    pop_env = np.exp(-p.gamma * (2.0 * occupation + 1.0) * t)
+    up_from_e = steady + (1.0 - steady) * pop_env
+    up_from_g = steady * (1.0 - pop_env)
+    x_decay = np.exp(-2.0 * p.gamma * (occupation + pair + 0.5) * t)
+    y_decay = np.exp(-2.0 * p.gamma * (occupation - pair + 0.5) * t)
+    out = np.zeros(t.shape + (4, 4), dtype=complex)
+    out[:, 0, 0] = up_from_e * up_from_g
+    out[:, 1, 1] = 0.5 * (up_from_e * (1.0 - up_from_g) + up_from_g * (1.0 - up_from_e))
+    out[:, 2, 2] = out[:, 1, 1]
+    out[:, 3, 3] = (1.0 - up_from_e) * (1.0 - up_from_g)
+    out[:, 1, 2] = out[:, 2, 1] = 0.25 * (x_decay + y_decay)
+    out[:, 0, 3] = out[:, 3, 0] = 0.25 * (x_decay - y_decay)
+    return out
 
 
 def reduce_A(state) -> DensityMatrix:
-    """Reduced state of qubit A; diagonal for the block-structured two-qubit
-    states this package produces."""
+    """Validated reduced state of qubit A; diagonal for the block-structured
+    two-qubit states this package produces."""
     mat = np.asarray(getattr(state, "matrix", state), dtype=complex)
-    if mat.shape != (4, 4):
+    if mat.shape[-2:] != (4, 4):
         raise ValueError(f"reduce_A expects a 4x4 matrix, got shape {mat.shape}")
     reduced = partial_trace_B(mat)
-    block_structured = max(abs(mat[0, 2]), abs(mat[1, 3])) <= 5e-11
-    if block_structured and abs(reduced.matrix[0, 1]) > 1e-10:
+    block = np.maximum(np.abs(mat[..., 0, 2]), np.abs(mat[..., 1, 3])) <= 5e-11
+    if np.any(block & (np.abs(reduced.matrix[..., 0, 1]) > 1e-10)):
         raise AssertionError("reduced state of a block-structured input is not diagonal")
     return reduced
 
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """A named map from (estimand value, time) to a density matrix.
+    """A named map from (estimand value, times[N]) to a stack of raw states
+    of shape (N, d, d).
 
     Attributes:
         model_id: identifier such as "fock1" or "thermal2".
         parameter: physical parameter the estimand differentiates
-            ("detuning", "mean_occupation" or "squeezing").
+            ("detuning", "mean_occupation", "squeezing" or "strength").
         value: nominal parameter value.
         floor: lower domain edge for finite differences (None if unbounded).
         dim: state dimension, 2 or 4.
-        state_fn: (value, t) -> raw state matrix.
-        deriv_fn: optional analytic derivative (value, t) -> matrix.
-        grid_fn: optional batch evaluator (value, times) -> stacked states;
-            trajectory-based models override this to integrate incrementally.
-        psd_tol: positivity tolerance the model's outputs are validated at.
+        states_fn: (value, times[N]) -> states[N, d, d], a fresh array on
+            every call (the derivative stencil scales it in place).
+        deriv_fn: optional analytic derivative (value, times[N]) -> [N, d, d].
     """
 
     model_id: str
@@ -299,66 +399,58 @@ class ChannelModel:
     value: float
     floor: float | None
     dim: int
-    state_fn: Callable[[float, float], np.ndarray]
-    deriv_fn: Callable[[float, float], np.ndarray] | None = None
-    grid_fn: Callable[[float, np.ndarray], np.ndarray] | None = None
-    psd_tol: float = 1e-10
+    states_fn: Callable[[float, np.ndarray], np.ndarray]
+    deriv_fn: Callable[[float, np.ndarray], np.ndarray] | None = None
 
-    def state(self, value: float, t: float) -> np.ndarray:
-        return self.state_fn(value, t)
+    def states(self, value: float, times) -> np.ndarray:
+        return self.states_fn(value, _grid(times))
 
-    def states_over(self, value: float, times: np.ndarray) -> np.ndarray:
-        if self.grid_fn is not None:
-            return self.grid_fn(value, np.asarray(times, dtype=float))
-        return np.stack([self.state_fn(value, float(t)) for t in times])
-
-    def analytic_derivative(self, value: float, t: float) -> np.ndarray:
+    def analytic_derivative(self, value: float, times) -> np.ndarray:
         if self.deriv_fn is None:
             raise ValueError(f"model {self.model_id!r} has no analytic derivative")
-        return self.deriv_fn(value, t)
+        return self.deriv_fn(value, _grid(times))
+
+
+def _channel(model_id, params, states_fn, deriv_fn=None, *, parameter, floor, dim):
+    """Channel over `parameter` of `params`, evaluated through states_fn."""
+
+    def at(fn):
+        return lambda value, times: fn(replace(params, **{parameter: value}), times)
+
+    return ChannelModel(
+        model_id, parameter, getattr(params, parameter), floor, dim,
+        at(states_fn), None if deriv_fn is None else at(deriv_fn),
+    )
 
 
 def fock1_channel(p: FockParams) -> ChannelModel:
     """Detuning-parameterized channel for the one-qubit cavity model."""
-
-    def state(value, t):
-        return fock1_state(replace(p, detuning=value), t).matrix
-
-    return ChannelModel("fock1", "detuning", p.detuning, None, 2, state)
+    return _channel("fock1", p, fock1_states, parameter="detuning", floor=None, dim=2)
 
 
 def thermal1_channel(p: ThermalParams) -> ChannelModel:
     """Occupation-parameterized channel for the thermal reservoir model."""
-
-    def state(value, t):
-        return thermal1_state(replace(p, mean_occupation=value), t).matrix
-
-    def deriv(value, t):
-        return thermal1_doccupation(replace(p, mean_occupation=value), t)
-
-    return ChannelModel(
-        "thermal1", "mean_occupation", p.mean_occupation, 0.0, 2, state, deriv
+    return _channel(
+        "thermal1", p, thermal1_states, thermal1_doccupation,
+        parameter="mean_occupation", floor=0.0, dim=2,
     )
 
 
 def squeezed1_channel(p: SqueezedParams) -> ChannelModel:
     """Squeezing-parameterized channel for the squeezed reservoir model."""
-
-    def state(value, t):
-        return squeezed1_state(replace(p, squeezing=value), t).matrix
-
-    def deriv(value, t):
-        return squeezed1_dsqueezing(replace(p, squeezing=value), t)
-
-    return ChannelModel(
-        "squeezed1", "squeezing", p.squeezing, 0.0, 2, state, deriv
+    return _channel(
+        "squeezed1", p, squeezed1_states, squeezed1_dsqueezing,
+        parameter="squeezing", floor=0.0, dim=2,
     )
 
 
 def fock2_channel(p: TwoQubitFockParams) -> ChannelModel:
     """Detuning-parameterized channel for the two-qubit cavity model."""
+    return _channel("fock2", p, fock2_states, parameter="detuning", floor=None, dim=4)
 
-    def state(value, t):
-        return fock2_state(replace(p, detuning=value), t).matrix
 
-    return ChannelModel("fock2", "detuning", p.detuning, None, 4, state)
+def reservoir_pair_channel(p: TwoQubitReservoirParams) -> ChannelModel:
+    """Strength-parameterized channel for the two-qubit reservoir models."""
+    return _channel(
+        p.kind + "2", p, reservoir_pair_states, parameter="strength", floor=0.0, dim=4
+    )

@@ -9,7 +9,7 @@ from math import log1p
 import numpy as np
 
 from .probe_models import ChannelModel
-from .qstate import eig_hermitian
+from .qstate import DensityMatrix, eig_hermitian, validate_density
 
 EIGENSUM_FLOOR = 1e-12
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
@@ -20,7 +20,8 @@ class QfiResult:
     """QFI value with diagnostics.
 
     Attributes:
-        value: the Fisher information, >= 0, in 1/estimand^2 units.
+        value: the Fisher information, >= 0, in 1/estimand^2 units; one
+            value per state, so an array for a stack of states.
         discarded_pairs: eigenvalue pairs excluded because p_i + p_j fell
             at or below the 1e-12 floor.
         derivative_step: finite-difference step used to build the
@@ -51,82 +52,74 @@ def fd_step(value: float) -> float:
     return _FD_SCALE * max(1.0, abs(value))
 
 
-def _unit_trace(mat: np.ndarray) -> np.ndarray:
-    # Dividing out the trace keeps the differenced result traceless even
-    # when the states carry integrator dust on their traces.
-    return mat / mat.trace().real
+def stencil(value: float, floor: float | None) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """Step h and (offset in steps, weight) taps of the second-order
+    derivative stencil at value; the derivative is sum(weight * rho(value +
+    offset h)) / (2 h).
 
-
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
-
-
-def d_rho(model: ChannelModel, value: float, t: float) -> np.ndarray:
-    """Derivative of the model state with respect to the estimand.
-
-    Central second-order stencil with step fd_step(value); falls back to
-    the one-sided second-order stencil when value - step would cross the
-    model's domain floor. The result is symmetrized and traceless to 1e-9.
+    Central, or one-sided forward when value - h would cross the domain
+    floor.
     """
     h = fd_step(value)
-
-    def at(v: float) -> np.ndarray:
-        return _unit_trace(np.asarray(model.state(v, t), dtype=complex))
-
-    if model.floor is not None and value - h < model.floor:
-        diff = (-3.0 * at(value) + 4.0 * at(value + h) - at(value + 2.0 * h)) / (2.0 * h)
-    else:
-        diff = (at(value + h) - at(value - h)) / (2.0 * h)
-    return _hermitize(diff)
+    if floor is not None and value - h < floor:
+        return h, ((0.0, -3.0), (1.0, 4.0), (2.0, -1.0))
+    return h, ((1.0, 1.0), (-1.0, -1.0))
 
 
 def d_rho_grid(model: ChannelModel, value: float, times) -> np.ndarray:
-    """Vectorized d_rho over a time grid, reusing batched state evaluation."""
+    """Derivative of the model states with respect to the estimand over a
+    time grid, shape (N, d, d).
+
+    Each stencil state is divided by its trace, which keeps the result
+    traceless; the result is symmetrized. Only the running sum and one
+    stencil stack are held at a time.
+    """
     times = np.asarray(times, dtype=float)
-    h = fd_step(value)
-
-    def at(v: float) -> np.ndarray:
-        states = np.asarray(model.states_over(v, times), dtype=complex)
-        traces = np.einsum("kii->k", states).real
-        return states / traces[:, None, None]
-
-    if model.floor is not None and value - h < model.floor:
-        diff = (-3.0 * at(value) + 4.0 * at(value + h) - at(value + 2.0 * h)) / (2.0 * h)
-    else:
-        diff = (at(value + h) - at(value - h)) / (2.0 * h)
-    return 0.5 * (diff + diff.conj().transpose(0, 2, 1))
-
-
-def d_rho_analytic(model: ChannelModel, value: float, t: float) -> np.ndarray:
-    """Analytic derivative where the model provides one (the reservoir
-    solutions are elementary in their parameters); must agree with the
-    stencil to 1e-6."""
-    return model.analytic_derivative(value, t)
+    h, taps = stencil(value, model.floor)
+    diff = None
+    for offset, weight in taps:
+        term = model.states(value + offset * h, times)
+        term /= np.einsum("kii->k", term).real[:, None, None]
+        term *= weight
+        if diff is None:
+            diff = term
+        else:
+            diff += term
+        del term
+    diff /= 2.0 * h
+    diff += np.conj(diff).swapaxes(-1, -2)
+    diff *= 0.5
+    return diff
 
 
 def qfi_spectral(rho, drho: np.ndarray, derivative_step: float = float("nan")) -> QfiResult:
-    """QFI from the spectral decomposition of rho.
+    """QFI of a state, or of every state in a stack, from its spectral
+    decomposition.
 
     Computed in the matrix-element form
     F = sum_{i,j} 2 |<psi_i| drho |psi_j>|^2 / (p_i + p_j)
     over pairs with p_i + p_j > 1e-12; diagonal terms reproduce the
     classical sum (dp_i)^2 / p_i and off-diagonal terms the eigenvector
-    contribution, without differentiating eigenvectors. Discarded pairs
-    are counted in the result.
+    contribution, without differentiating eigenvectors. A DensityMatrix
+    is used as validated, with its eigen-decomposition; anything else is
+    validated first. The value has the leading shape of rho; discarded
+    pairs are counted over the whole stack.
     """
-    values, vectors = eig_hermitian(rho)
+    state = rho if isinstance(rho, DensityMatrix) else validate_density(rho)
     drho = np.asarray(drho, dtype=complex)
-    if drho.shape != (values.size, values.size):
+    if drho.shape != state.matrix.shape:
         raise ValueError(
-            f"drho shape {drho.shape} does not match state dimension {values.size}"
+            f"drho shape {drho.shape} does not match state shape {state.matrix.shape}"
+            f" (dimension {state.dim})"
         )
-    elements = vectors.conj().T @ drho @ vectors
-    pair_sums = values[:, None] + values[None, :]
+    values, vectors = state.eigenvalues, state.eigenvectors
+    elements = np.conj(vectors).swapaxes(-1, -2) @ drho @ vectors
+    pair_sums = values[..., :, None] + values[..., None, :]
     supported = pair_sums > EIGENSUM_FLOOR
     weights = 2.0 * np.abs(elements) ** 2 / np.where(supported, pair_sums, 1.0)
-    value = float(weights[supported].sum())
+    value = np.where(supported, weights, 0.0).sum(axis=(-2, -1))
     return QfiResult(
-        value=max(value, 0.0),
+        value=np.maximum(value, 0.0),
         discarded_pairs=int(np.count_nonzero(~supported)),
         derivative_step=derivative_step,
     )
@@ -140,14 +133,14 @@ def qfi_sld_oracle(rho, drho: np.ndarray) -> float:
     in the original basis and returns tr(rho L^2). Independent code path
     from qfi_spectral; the two agree to 1e-8 whenever nothing is discarded.
     """
-    values, vectors = eig_hermitian(rho)
+    mat = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    values, vectors = eig_hermitian(mat)
     drho = np.asarray(drho, dtype=complex)
     elements = vectors.conj().T @ drho @ vectors
     pair_sums = values[:, None] + values[None, :]
     supported = pair_sums > EIGENSUM_FLOOR
     sld_eigen = np.where(supported, 2.0 * elements / np.where(supported, pair_sums, 1.0), 0.0)
     sld = vectors @ sld_eigen @ vectors.conj().T
-    mat = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
     return float(np.trace(mat @ sld @ sld).real)
 
 

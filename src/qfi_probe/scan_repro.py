@@ -9,28 +9,28 @@ from typing import Callable
 
 import numpy as np
 
-from .lindblad import TwoQubitReservoirParams, trajectory, two_qubit_generator
 from .probe_models import (
     ChannelModel,
     FockParams,
     SqueezedParams,
     ThermalParams,
     TwoQubitFockParams,
+    TwoQubitReservoirParams,
     fock1_channel,
     fock2_channel,
-    reduce_A,
+    require_finite,
+    reservoir_pair_channel,
     squeezed1_channel,
     thermal1_channel,
 )
 from .qfi_engine import (
-    d_rho,
     d_rho_grid,
     fd_step,
     occupation_slope,
     qfi_spectral,
     temperature_from_occupation,
 )
-from .qstate import DensityMatrix, fidelity_bloch, validate_density
+from .qstate import DensityMatrix, fidelity_bloch, trace_out_B, validate_density
 
 MODEL_IDS = ("fock1", "thermal1", "squeezed1", "fock2", "thermal2", "squeezed2")
 ESTIMANDS = ("detuning", "temperature", "squeezing")
@@ -43,9 +43,10 @@ MODEL_ESTIMAND = {
     "squeezed2": "squeezing",
 }
 FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b", "5c")
-
-_BELL = np.zeros((4, 4), dtype=complex)
-_BELL[1:3, 1:3] = 0.5
+# One stack of states per evaluation block (1024 one-qubit or 256 two-qubit
+# rows) stays in cache and below the allocator's mmap threshold, so blocks
+# reuse heap memory instead of faulting in fresh pages on every scan.
+BLOCK_BYTES = 64 * 1024
 
 
 def _fmt(x: float) -> str:
@@ -57,8 +58,9 @@ class ScanConfig:
     """One sweep configuration.
 
     The time grid starts strictly after zero because the QFI of every
-    estimand vanishes at t = 0. alpha is given in radians and is ignored
-    by the two-qubit models, whose initial state is the fixed Bell state.
+    estimand vanishes at t = 0. Every number must be finite. alpha is
+    given in radians and is not used by the two-qubit models, whose
+    initial state is fixed; it is then left out of the metadata.
     """
 
     model_id: str
@@ -74,7 +76,6 @@ class ScanConfig:
     gamma: float = 1.0
     squeezing: float = 0.1
     freq_scale: float = 1.0
-    tol: float = 1e-10
     figure: str = ""
     series: str = ""
 
@@ -88,6 +89,7 @@ class ScanConfig:
             raise ValueError(
                 f"model {self.model_id!r} estimates {expected!r}, not {self.estimand!r}"
             )
+        require_finite(self)
         if self.t_min <= 0.0:
             raise ValueError("t_min must be positive (QFI vanishes at t = 0)")
         if self.t_max <= self.t_min:
@@ -115,34 +117,6 @@ def time_grid(config: ScanConfig) -> np.ndarray:
     return np.linspace(config.t_min, config.t_max, config.points)
 
 
-def _reservoir_pair_channel(
-    kind: str, strength: float, gamma: float, tol: float
-) -> ChannelModel:
-    """Two-qubit reservoir channel: Bell initial state integrated under two
-    independent single-qubit dissipators."""
-
-    def generator(value):
-        return two_qubit_generator(TwoQubitReservoirParams(kind, value, gamma))
-
-    def state(value, t):
-        return trajectory(generator(value), _BELL, [t], tol)[-1]
-
-    def grid(value, times):
-        return trajectory(generator(value), _BELL, times, tol)
-
-    parameter = "mean_occupation" if kind == "thermal" else "squeezing"
-    return ChannelModel(
-        model_id=kind + "2",
-        parameter=parameter,
-        value=strength,
-        floor=0.0,
-        dim=4,
-        state_fn=state,
-        grid_fn=grid,
-        psd_tol=1e-8,
-    )
-
-
 def build_channel(config: ScanConfig) -> ChannelModel:
     if config.model_id == "fock1":
         return fock1_channel(
@@ -159,13 +133,15 @@ def build_channel(config: ScanConfig) -> ChannelModel:
             SqueezedParams(config.squeezing, config.gamma, config.alpha)
         )
     if config.model_id == "fock2":
-        return fock2_channel(TwoQubitFockParams(config.detuning, config.coupling))
-    if config.model_id == "thermal2":
-        return _reservoir_pair_channel(
-            "thermal", config.mean_occupation, config.gamma, config.tol
+        return fock2_channel(
+            TwoQubitFockParams(config.detuning, config.coupling, photons=config.photons)
         )
-    return _reservoir_pair_channel(
-        "squeezed", config.squeezing, config.gamma, config.tol
+    if config.model_id == "thermal2":
+        return reservoir_pair_channel(
+            TwoQubitReservoirParams("thermal", config.mean_occupation, config.gamma)
+        )
+    return reservoir_pair_channel(
+        TwoQubitReservoirParams("squeezed", config.squeezing, config.gamma)
     )
 
 
@@ -173,77 +149,78 @@ def _chain_factor(config: ScanConfig) -> float:
     """Squared occupation-temperature slope for temperature estimation."""
     if config.estimand != "temperature":
         return 1.0
-    if config.mean_occupation == 0.0:
-        # zero-temperature limit: d(occupation)/dT vanishes faster than any
-        # power, so the temperature QFI is identically zero
+    m = config.mean_occupation
+    temperature = temperature_from_occupation(m, config.freq_scale) if m > 0.0 else 0.0
+    if temperature == 0.0:
+        # zero-temperature limit (also reached when 1/m overflows):
+        # d(occupation)/dT vanishes faster than any power, so the
+        # temperature QFI is identically zero
         return 0.0
-    temperature = temperature_from_occupation(config.mean_occupation, config.freq_scale)
     return occupation_slope(temperature, config.freq_scale) ** 2
 
 
-def _atomic_state(channel: ChannelModel, raw: np.ndarray) -> DensityMatrix:
-    state = validate_density(raw, psd_tol=channel.psd_tol)
-    return reduce_A(state) if channel.dim == 4 else state
+def _atomic(channel: ChannelModel, state: DensityMatrix) -> np.ndarray:
+    return trace_out_B(state.matrix) if channel.dim == 4 else state.matrix
+
+
+def _evaluate(config: ScanConfig, times, qfi: bool = True, fidelity: bool = True):
+    """QFI of the configured estimand over a time grid and the fidelity of
+    the (reduced) atomic states against their t = 0 counterpart, each
+    None when not asked for. The single path behind scans, point queries
+    and maxima refinement. Rows are independent, so evaluating the grid
+    in blocks of BLOCK_BYTES of states leaves every value unchanged."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise ValueError("times must be finite and nonnegative")
+    channel = build_channel(config)
+    chain = _chain_factor(config) if qfi else None
+    if fidelity:
+        reference = _atomic(channel, validate_density(channel.states(channel.value, [0.0])))
+    rows = max(1, BLOCK_BYTES // (16 * channel.dim**2))
+    qfi_parts, fidelity_parts = [], []
+    for k in range(0, times.size, rows):
+        block = times[k:k + rows]
+        states = validate_density(channel.states(channel.value, block))
+        if qfi:
+            derivs = d_rho_grid(channel, channel.value, block)
+            step = fd_step(channel.value)
+            qfi_parts.append(qfi_spectral(states, derivs, step).value * chain)
+        if fidelity:
+            fidelity_parts.append(fidelity_bloch(reference, _atomic(channel, states)))
+    return (np.concatenate(qfi_parts) if qfi else None,
+            np.concatenate(fidelity_parts) if fidelity else None)
 
 
 def scan(config: ScanConfig) -> ScanDataset:
     """Sweep the time grid, computing the estimand QFI and the fidelity of
     the (reduced) atomic state against its t = 0 counterpart."""
     times = time_grid(config)
-    channel = build_channel(config)
-    chain = _chain_factor(config)
-    step = fd_step(channel.value)
-    states = np.asarray(channel.states_over(channel.value, times), dtype=complex)
-    derivs = d_rho_grid(channel, channel.value, times)
-    reference = _atomic_state(channel, channel.state(channel.value, 0.0))
-    qfi = np.empty(times.size)
-    fidelity = np.empty(times.size)
-    for k in range(times.size):
-        state = validate_density(states[k], psd_tol=channel.psd_tol)
-        qfi[k] = qfi_spectral(state, derivs[k], derivative_step=step).value * chain
-        atomic = reduce_A(state) if channel.dim == 4 else state
-        fidelity[k] = fidelity_bloch(reference, atomic)
+    qfi, fidelity = _evaluate(config, times)
     metadata = _metadata(config, times, qfi)
-    qfi_fn = _point_evaluator(channel, chain) if channel.grid_fn is None else None
     for arr in (times, qfi, fidelity):
         arr.flags.writeable = False
-    return ScanDataset(times, qfi, fidelity, metadata, qfi_fn)
-
-
-def _point_evaluator(channel: ChannelModel, chain: float) -> Callable[[float], float]:
-    def qfi_at(t: float) -> float:
-        state = validate_density(
-            channel.state(channel.value, float(t)), psd_tol=channel.psd_tol
-        )
-        deriv = d_rho(channel, channel.value, float(t))
-        return qfi_spectral(state, deriv).value * chain
-
-    return qfi_at
+    return ScanDataset(times, qfi, fidelity, metadata, lambda t: point_qfi(config, t))
 
 
 def point_qfi(config: ScanConfig, t: float) -> float:
-    """Single-point QFI of the configured estimand."""
-    channel = build_channel(config)
-    return _point_evaluator(channel, _chain_factor(config))(t)
+    """Single-point QFI of the configured estimand (a grid of length 1)."""
+    return float(_evaluate(config, [t], fidelity=False)[0][0])
 
 
 def point_fidelity(config: ScanConfig, t: float) -> float:
     """Single-point fidelity between the initial and evolved atomic state."""
-    channel = build_channel(config)
-    reference = _atomic_state(channel, channel.state(channel.value, 0.0))
-    evolved = _atomic_state(channel, channel.state(channel.value, float(t)))
-    return fidelity_bloch(reference, evolved)
+    return float(_evaluate(config, [t], qfi=False)[1][0])
 
 
 def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[str, str]:
-    md = {
-        "model": config.model_id,
-        "estimand": config.estimand,
-        "alpha_deg": _fmt(math.degrees(config.alpha)),
+    md = {"model": config.model_id, "estimand": config.estimand}
+    if config.model_id.endswith("1"):
+        md["alpha_deg"] = _fmt(math.degrees(config.alpha))
+    md.update({
         "t_min": _fmt(config.t_min),
         "t_max": _fmt(config.t_max),
         "points": str(config.points),
-    }
+    })
     if config.model_id in ("fock1", "fock2"):
         md["detuning"] = _fmt(config.detuning)
         md["coupling"] = _fmt(config.coupling)

@@ -10,6 +10,11 @@ import numpy as np
 from qfi_probe.qstate import BlochVector, density_from_bloch, validate_density
 
 
+def state_at(states_fn, params, t):
+    """One validated state of a batched model function: a grid of length 1."""
+    return validate_density(states_fn(params, [t])[0])
+
+
 def random_qubit_state(rng, pure=False):
     """Uniformly random valid qubit state via a random Bloch vector."""
     direction = rng.normal(size=3)

@@ -16,9 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import ptrace_a_bruteforce, random_density, random_hermitian_traceless
+from helpers import ptrace_a_bruteforce, random_density, random_hermitian_traceless, state_at
 from qfi_probe.lindblad import (
-    TwoQubitReservoirParams,
     integrate,
     thermal_generator,
     squeezed_generator,
@@ -29,15 +28,16 @@ from qfi_probe.probe_models import (
     SqueezedParams,
     ThermalParams,
     TwoQubitFockParams,
+    TwoQubitReservoirParams,
     fock1_amplitudes,
     fock2_amplitudes,
     reduce_A,
-    squeezed1_state,
+    squeezed1_states,
     thermal1_channel,
-    thermal1_state,
+    thermal1_states,
 )
 from qfi_probe.qfi_engine import (
-    d_rho,
+    d_rho_grid,
     qfi_pure_oracle,
     qfi_sld_oracle,
     qfi_spectral,
@@ -100,14 +100,14 @@ def test_criterion2_analytic_vs_ode():
         m, gamma = rng.uniform(0.0, 1.2), rng.uniform(0.5, 2.0)
         alpha, t = rng.uniform(0.0, np.pi / 2), rng.uniform(0.1, 3.0)
         p = ThermalParams(m, gamma, alpha)
-        out = integrate(thermal_generator(m, gamma), thermal1_state(p, 0.0), t)
-        assert np.abs(out.matrix - thermal1_state(p, t).matrix).max() <= 1e-8
+        out = integrate(thermal_generator(m, gamma), state_at(thermal1_states, p, 0.0), t)
+        assert np.abs(out.matrix - state_at(thermal1_states, p, t).matrix).max() <= 1e-8
     for _ in range(50):
         r, gamma = rng.uniform(0.0, 0.8), rng.uniform(0.5, 2.0)
         alpha, t = rng.uniform(0.0, np.pi / 2), rng.uniform(0.1, 3.0)
         p = SqueezedParams(r, gamma, alpha)
-        out = integrate(squeezed_generator(r, gamma), squeezed1_state(p, 0.0), t)
-        assert np.abs(out.matrix - squeezed1_state(p, t).matrix).max() <= 1e-8
+        out = integrate(squeezed_generator(r, gamma), state_at(squeezed1_states, p, 0.0), t)
+        assert np.abs(out.matrix - state_at(squeezed1_states, p, t).matrix).max() <= 1e-8
     # two-qubit marginals of product states against the one-qubit analytics
     def qubit(a):
         c, s = np.cos(a), np.sin(a)
@@ -121,9 +121,9 @@ def test_criterion2_analytic_vs_ode():
             gen = two_qubit_generator(TwoQubitReservoirParams(kind, strength, gamma))
             evolved = integrate(gen, np.kron(qubit(a_a), qubit(a_b)), t)
             if kind == "thermal":
-                one = lambda a: thermal1_state(ThermalParams(strength, gamma, a), t)
+                one = lambda a: state_at(thermal1_states, ThermalParams(strength, gamma, a), t)
             else:
-                one = lambda a: squeezed1_state(SqueezedParams(strength, gamma, a), t)
+                one = lambda a: state_at(squeezed1_states, SqueezedParams(strength, gamma, a), t)
             assert np.abs(reduce_A(evolved).matrix - one(a_a).matrix).max() <= 1e-8
             assert np.abs(ptrace_a_bruteforce(evolved.matrix) - one(a_b).matrix).max() <= 1e-8
     elapsed = time.perf_counter() - start
@@ -134,8 +134,8 @@ def test_criterion2_analytic_vs_ode():
 def test_criterion3_thermal_steady_state_benchmark():
     # full engine pipeline at gamma t = 50, deep in the steady state
     channel = thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4))
-    state = validate_density(channel.state(0.1, 50.0))
-    fq_m = qfi_spectral(state, d_rho(channel, 0.1, 50.0)).value
+    state = validate_density(channel.states(0.1, [50.0])[0])
+    fq_m = qfi_spectral(state, d_rho_grid(channel, 0.1, [50.0])[0]).value
     assert fq_m == pytest.approx(6.3131, abs=1e-3)
     temperature = temperature_from_occupation(0.1, 1.0)
     fq_t = qfi_temperature(fq_m, 0.1, temperature, 1.0)

@@ -87,6 +87,22 @@ class TestScanCommand:
         assert err.count("\n") == 1  # single-line diagnostic
         assert "gamma" in err
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--m", "--alpha", "--tmax"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_value_exits_2(self, capsys, flag, bad):
+        assert run(["scan", "--model", "thermal1", "--points", "3", flag, bad]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_photons_on_two_qubit_model_exits_2(self, capsys):
+        assert run(["scan", "--model", "fock2", "--photons", "3", "--points", "3"]) == 2
+        assert "photons" in capsys.readouterr().err
+
+    def test_tol_flag_removed(self, capsys):
+        # nothing integrates any more, so an integrator tolerance would be
+        # accepted and then ignored
+        assert run(["scan", "--model", "thermal2", "--points", "3", "--tol", "1e-9"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_unwritable_path_exits_1(self, capsys):
         code = run(
             ["scan", "--model", "thermal1", "--points", "2", "--tmax", "1",
@@ -143,3 +159,13 @@ class TestPointCommands:
     def test_nonpositive_time_rejected(self, capsys):
         assert run(["qfi", "--model", "thermal1", "--t", "0"]) == 2
         assert "--t" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["qfi", "--model", "fock1", "--delta", "inf", "--t", "1"],
+        ["fidelity", "--model", "thermal2", "--gamma", "nan", "--t", "1"],
+        ["qfi", "--model", "squeezed1", "--t", "nan"],
+        ["qfi", "--model", "squeezed1", "--t", "inf"],
+    ])
+    def test_nonfinite_point_input_exits_2(self, capsys, argv):
+        assert run(argv) == 2
+        assert "finite" in capsys.readouterr().err

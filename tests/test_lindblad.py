@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_density, random_hermitian_traceless
+from helpers import random_density, random_hermitian_traceless, state_at
 from qfi_probe.lindblad import (
     LindbladGenerator,
     StepUnderflow,
-    TwoQubitReservoirParams,
     integrate,
     squeezed_generator,
     thermal_generator,
@@ -17,9 +16,11 @@ from qfi_probe.lindblad import (
 from qfi_probe.probe_models import (
     SqueezedParams,
     ThermalParams,
+    TwoQubitReservoirParams,
     reduce_A,
-    squeezed1_state,
-    thermal1_state,
+    reservoir_pair_states,
+    squeezed1_states,
+    thermal1_states,
 )
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -174,21 +175,21 @@ class TestTwoQubitGenerator:
 class TestIntegrate:
     def test_zero_generator_is_identity(self):
         gen = LindbladGenerator(dim=2)
-        rho0 = thermal1_state(ThermalParams(0.1, 1.0, np.pi / 4), 0.0)
+        rho0 = state_at(thermal1_states, ThermalParams(0.1, 1.0, np.pi / 4), 0.0)
         out = integrate(gen, rho0, 3.0)
         assert np.abs(out.matrix - rho0.matrix).max() <= 1e-14
 
     def test_thermal_against_analytic(self):
         p = ThermalParams(0.1, 1.0, np.pi / 4)
         gen = thermal_generator(0.1, 1.0)
-        out = integrate(gen, thermal1_state(p, 0.0), 1.0)
-        assert np.abs(out.matrix - thermal1_state(p, 1.0).matrix).max() <= 1e-8
+        out = integrate(gen, state_at(thermal1_states, p, 0.0), 1.0)
+        assert np.abs(out.matrix - state_at(thermal1_states, p, 1.0).matrix).max() <= 1e-8
 
     def test_squeezed_against_analytic(self):
         p = SqueezedParams(0.1, 1.0, np.pi / 4)
         gen = squeezed_generator(0.1, 1.0)
-        out = integrate(gen, squeezed1_state(p, 0.0), 1.0)
-        assert np.abs(out.matrix - squeezed1_state(p, 1.0).matrix).max() <= 1e-8
+        out = integrate(gen, state_at(squeezed1_states, p, 0.0), 1.0)
+        assert np.abs(out.matrix - state_at(squeezed1_states, p, 1.0).matrix).max() <= 1e-8
 
     def test_random_tuples_against_analytic(self):
         rng = np.random.default_rng(53)
@@ -198,8 +199,8 @@ class TestIntegrate:
             alpha = rng.uniform(0.0, np.pi / 2)
             t = rng.uniform(0.1, 3.0)
             p = ThermalParams(m, gamma, alpha)
-            out = integrate(thermal_generator(m, gamma), thermal1_state(p, 0.0), t)
-            assert np.abs(out.matrix - thermal1_state(p, t).matrix).max() <= 1e-8
+            out = integrate(thermal_generator(m, gamma), state_at(thermal1_states, p, 0.0), t)
+            assert np.abs(out.matrix - state_at(thermal1_states, p, t).matrix).max() <= 1e-8
 
     def test_superoperator_consistent_with_apply(self):
         rng = np.random.default_rng(59)
@@ -217,7 +218,7 @@ class TestIntegrate:
     def test_trajectory_matches_one_shot(self):
         p = ThermalParams(0.2, 1.0, np.pi / 3)
         gen = thermal_generator(0.2, 1.0)
-        rho0 = thermal1_state(p, 0.0)
+        rho0 = state_at(thermal1_states, p, 0.0)
         times = np.linspace(0.0, 2.0, 9)
         states = trajectory(gen, rho0, times)
         for t, state in zip(times, states):
@@ -233,7 +234,7 @@ class TestIntegrate:
 
     def test_tolerance_range_enforced(self):
         gen = thermal_generator(0.1, 1.0)
-        rho0 = thermal1_state(ThermalParams(0.1, 1.0, 0.0), 0.0)
+        rho0 = state_at(thermal1_states, ThermalParams(0.1, 1.0, 0.0), 0.0)
         with pytest.raises(ValueError, match="tol"):
             integrate(gen, rho0, 1.0, tol=1e-5)
         with pytest.raises(ValueError, match="tol"):
@@ -243,7 +244,7 @@ class TestIntegrate:
         # an absurd rate keeps the step-halving controller from ever
         # meeting the tolerance
         gen = thermal_generator(0.0, 1e16)
-        rho0 = thermal1_state(ThermalParams(0.0, 1.0, np.pi / 4), 0.0)
+        rho0 = state_at(thermal1_states, ThermalParams(0.0, 1.0, np.pi / 4), 0.0)
         with pytest.raises(StepUnderflow):
             integrate(gen, rho0, 1.0, tol=1e-12)
 
@@ -261,5 +262,28 @@ class TestIntegrate:
         rho0 = np.kron(qubit(alpha_a), qubit(alpha_b))
         gen = two_qubit_generator(TwoQubitReservoirParams("thermal", 0.1, 1.0))
         evolved = integrate(gen, rho0, 1.5)
-        expected_a = thermal1_state(ThermalParams(0.1, 1.0, alpha_a), 1.5)
+        expected_a = state_at(thermal1_states, ThermalParams(0.1, 1.0, alpha_a), 1.5)
         assert np.abs(reduce_A(evolved).matrix - expected_a.matrix).max() <= 1e-8
+
+
+class TestClosedFormPairOracle:
+    """The two-qubit reservoir closed form (probe_models) against the
+    integrator oracle."""
+
+    @pytest.mark.parametrize("kind", ["thermal", "squeezed"])
+    def test_closed_form_matches_trajectory(self, kind):
+        rng = np.random.default_rng(101 if kind == "thermal" else 103)
+        for _ in range(8):
+            p = TwoQubitReservoirParams(kind, rng.uniform(0.0, 1.0), rng.uniform(0.2, 2.0))
+            times = np.sort(rng.uniform(0.0, 50.0, size=6))
+            integrated = trajectory(two_qubit_generator(p), BELL, times)
+            assert np.abs(reservoir_pair_states(p, times) - integrated).max() <= 1e-9
+
+    def test_closed_form_is_product_channel(self):
+        # marginals of the closed form follow the one-qubit solutions from
+        # |e> and |g>, averaged by the Bell state
+        p = TwoQubitReservoirParams("squeezed", 0.3, 1.2)
+        t = 0.7
+        reduced = reduce_A(reservoir_pair_states(p, [t])[0]).matrix
+        one = lambda a: state_at(squeezed1_states, SqueezedParams(0.3, 1.2, a), t).matrix
+        np.testing.assert_allclose(reduced, 0.5 * (one(0.0) + one(np.pi / 2)), atol=1e-14)

@@ -4,34 +4,36 @@ independent fixed-step integrations of the underlying amplitude equations."""
 import numpy as np
 import pytest
 
-from helpers import fock1_amplitudes_ode, fock2_amplitudes_ode, ptrace_b_bruteforce
+from helpers import fock1_amplitudes_ode, fock2_amplitudes_ode, ptrace_b_bruteforce, state_at
 from qfi_probe.probe_models import (
     FockParams,
     SqueezedParams,
     ThermalParams,
     TwoQubitFockParams,
+    TwoQubitReservoirParams,
     fock1_amplitudes,
     fock1_channel,
-    fock1_state,
+    fock1_states,
     fock2_amplitudes,
-    fock2_state,
+    fock2_states,
     reduce_A,
     squeezed1_channel,
-    squeezed1_state,
+    squeezed1_states,
     thermal1_channel,
-    thermal1_state,
+    thermal1_states,
 )
 
 
 class TestFockOneQubit:
     def test_initial_state(self):
-        state = fock1_state(FockParams(detuning=5.0, alpha=0.0), 0.0)
+        state = state_at(fock1_states, FockParams(detuning=5.0, alpha=0.0), 0.0)
         np.testing.assert_allclose(state.matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_half_oscillation_resonant(self):
         # detuning 0, coupling 1, zero photons: full population transfer at
         # half the oscillation period
-        state = fock1_state(FockParams(detuning=0.0, coupling=1.0, alpha=0.0), np.pi / 2)
+        p = FockParams(detuning=0.0, coupling=1.0, alpha=0.0)
+        state = state_at(fock1_states, p, np.pi / 2)
         np.testing.assert_allclose(state.matrix, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_against_amplitude_ode(self):
@@ -55,7 +57,7 @@ class TestFockOneQubit:
 
     def test_purity_identity(self):
         p = FockParams(detuning=5.0, alpha=np.pi / 4)
-        state = fock1_state(p, 1.3)
+        state = state_at(fock1_states, p, 1.3)
         b1, b2 = fock1_amplitudes(p, 1.3)
         purity = np.trace(state.matrix @ state.matrix).real
         assert purity == pytest.approx(abs(b1) ** 4 + abs(b2) ** 4, abs=1e-12)
@@ -71,17 +73,17 @@ class TestFockOneQubit:
 
 class TestThermalOneQubit:
     def test_initial_superposition(self):
-        state = thermal1_state(ThermalParams(0.1, 1.0, np.pi / 4), 0.0)
+        state = state_at(thermal1_states, ThermalParams(0.1, 1.0, np.pi / 4), 0.0)
         np.testing.assert_allclose(state.matrix, 0.5 * np.ones((2, 2)), atol=1e-14)
 
     def test_reference_point(self):
-        state = thermal1_state(ThermalParams(0.1, 1.0, np.pi / 4), 1.0)
+        state = state_at(thermal1_states, ThermalParams(0.1, 1.0, np.pi / 4), 1.0)
         assert state.matrix[0, 0].real == pytest.approx(0.20883, abs=1e-5)
         assert state.matrix[0, 1].real == pytest.approx(0.27441, abs=1e-5)
 
     def test_steady_state(self):
         for alpha in (0.0, np.pi / 4, np.pi / 2):
-            state = thermal1_state(ThermalParams(0.1, 1.0, alpha), 50.0)
+            state = state_at(thermal1_states, ThermalParams(0.1, 1.0, alpha), 50.0)
             np.testing.assert_allclose(
                 state.matrix, np.diag([1.0 / 12.0, 11.0 / 12.0]), atol=1e-10
             )
@@ -91,21 +93,21 @@ class TestThermalOneQubit:
         for _ in range(50):
             alpha = rng.uniform(0.0, np.pi / 2)
             t = rng.uniform(0.0, 5.0)
-            thermal = thermal1_state(ThermalParams(0.0, 1.0, alpha), t)
-            squeezed = squeezed1_state(SqueezedParams(0.0, 1.0, alpha), t)
+            thermal = state_at(thermal1_states, ThermalParams(0.0, 1.0, alpha), t)
+            squeezed = state_at(squeezed1_states, SqueezedParams(0.0, 1.0, alpha), t)
             assert np.abs(thermal.matrix - squeezed.matrix).max() <= 1e-12
 
 
 class TestSqueezedOneQubit:
     def test_vacuum_decay(self):
         for t in (0.3, 1.0, 2.5):
-            state = squeezed1_state(SqueezedParams(0.0, 1.0, 0.0), t)
+            state = state_at(squeezed1_states, SqueezedParams(0.0, 1.0, 0.0), t)
             assert state.matrix[0, 0].real == pytest.approx(np.exp(-t), abs=1e-12)
             assert abs(state.matrix[0, 1]) <= 1e-14
 
     def test_steady_state(self):
         occ = np.sinh(0.1) ** 2
-        state = squeezed1_state(SqueezedParams(0.1, 1.0, np.pi / 4), 50.0)
+        state = state_at(squeezed1_states, SqueezedParams(0.1, 1.0, np.pi / 4), 50.0)
         expected = np.diag([occ / (2 * occ + 1), (occ + 1) / (2 * occ + 1)])
         np.testing.assert_allclose(state.matrix, expected, atol=1e-10)
 
@@ -115,8 +117,8 @@ class TestSqueezedOneQubit:
         p = SqueezedParams(0.4, 1.0, np.pi / 4)
         occ, pair = p.occupation, p.pair_correlation
         for t in (0.5, 1.0, 2.0):
-            squeezed = squeezed1_state(p, t).matrix
-            thermal = thermal1_state(ThermalParams(occ, 1.0, np.pi / 4), t).matrix
+            squeezed = state_at(squeezed1_states, p, t).matrix
+            thermal = state_at(thermal1_states, ThermalParams(occ, 1.0, np.pi / 4), t).matrix
             assert abs(squeezed[0, 0] - thermal[0, 0]) <= 1e-12
             assert abs(squeezed[1, 1] - thermal[1, 1]) <= 1e-12
             ratio = squeezed[0, 1].real / thermal[0, 1].real
@@ -129,7 +131,7 @@ class TestSqueezedOneQubit:
 
 class TestFockTwoQubit:
     def test_initial_bell_state(self):
-        state = fock2_state(TwoQubitFockParams(detuning=5.0), 0.0)
+        state = state_at(fock2_states, TwoQubitFockParams(detuning=5.0), 0.0)
         expected = np.zeros((4, 4), dtype=complex)
         expected[1:3, 1:3] = 0.5
         np.testing.assert_allclose(state.matrix, expected, atol=1e-14)
@@ -138,7 +140,7 @@ class TestFockTwoQubit:
         # detuning 0, coupling 1: the collective oscillation completes a half
         # period at t = pi / (2 sqrt(2)), moving all weight onto |gg>
         p = TwoQubitFockParams(detuning=0.0, coupling=1.0)
-        state = fock2_state(p, np.pi / (2.0 * np.sqrt(2.0)))
+        state = state_at(fock2_states, p, np.pi / (2.0 * np.sqrt(2.0)))
         assert state.matrix[3, 3].real == pytest.approx(1.0, abs=1e-12)
 
     def test_against_amplitude_ode(self):
@@ -162,13 +164,34 @@ class TestFockTwoQubit:
             TwoQubitFockParams(detuning=0.0, photons=1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: FockParams(detuning=bad),
+        lambda bad: FockParams(detuning=5.0, coupling=bad),
+        lambda bad: ThermalParams(bad, 1.0),
+        lambda bad: ThermalParams(0.1, bad),
+        lambda bad: ThermalParams(0.1, 1.0, freq_scale=bad),
+        lambda bad: SqueezedParams(bad, 1.0),
+        lambda bad: SqueezedParams(0.1, 1.0, alpha=bad),
+        lambda bad: TwoQubitFockParams(detuning=bad),
+        lambda bad: TwoQubitReservoirParams("thermal", bad, 1.0),
+        lambda bad: TwoQubitReservoirParams("squeezed", 0.1, bad),
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_parameter_rejected(build, bad):
+    with pytest.raises(ValueError, match="not finite"):
+        build(bad)
+
+
 class TestReduceA:
     def test_initial_bell_reduces_to_mixed(self):
-        state = fock2_state(TwoQubitFockParams(detuning=5.0), 0.0)
+        state = state_at(fock2_states, TwoQubitFockParams(detuning=5.0), 0.0)
         np.testing.assert_allclose(reduce_A(state).matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_matches_bruteforce(self):
-        state = fock2_state(TwoQubitFockParams(detuning=5.0), 0.5)
+        state = state_at(fock2_states, TwoQubitFockParams(detuning=5.0), 0.5)
         np.testing.assert_allclose(
             reduce_A(state).matrix, ptrace_b_bruteforce(state.matrix), atol=1e-14
         )
@@ -183,20 +206,20 @@ class TestChannels:
         p = FockParams(detuning=5.0, alpha=np.pi / 4)
         channel = fock1_channel(p)
         np.testing.assert_allclose(
-            channel.state(5.0, 0.7), fock1_state(p, 0.7).matrix, atol=1e-15
+            channel.states(5.0, [0.7])[0], state_at(fock1_states, p, 0.7).matrix, atol=1e-15
         )
 
-    def test_states_over_matches_pointwise(self):
+    def test_grid_matches_length_one_grids(self):
         channel = thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4))
         times = np.linspace(0.1, 2.0, 7)
-        stack = channel.states_over(0.1, times)
+        stack = channel.states(0.1, times)
         for k, t in enumerate(times):
-            np.testing.assert_allclose(stack[k], channel.state(0.1, t), atol=1e-15)
+            np.testing.assert_allclose(stack[k], channel.states(0.1, [t])[0], atol=1e-15)
 
     def test_analytic_derivative_absent_for_fock(self):
         channel = fock1_channel(FockParams(detuning=5.0))
         with pytest.raises(ValueError, match="analytic"):
-            channel.analytic_derivative(5.0, 1.0)
+            channel.analytic_derivative(5.0, [1.0])
 
     def test_squeezed_channel_floor(self):
         channel = squeezed1_channel(SqueezedParams(0.1, 1.0, 0.0))

@@ -20,8 +20,6 @@ from qfi_probe.probe_models import (
 from qfi_probe.qfi_engine import (
     CramerRaoInput,
     cramer_rao,
-    d_rho,
-    d_rho_analytic,
     d_rho_grid,
     fd_step,
     occupation_from_temperature,
@@ -40,36 +38,39 @@ SQUEEZED_CHANNEL = squeezed1_channel(SqueezedParams(0.1, 1.0, np.pi / 4))
 
 def constant_channel():
     state = 0.5 * np.ones((2, 2), dtype=complex)
-    return ChannelModel("constant", "detuning", 1.0, None, 2, lambda v, t: state)
+    return ChannelModel(
+        "constant", "detuning", 1.0, None, 2,
+        lambda v, times: np.repeat(state[None], len(times), axis=0),
+    )
 
 
 class TestDerivativeStencil:
     def test_constant_model_gives_zero(self):
-        deriv = d_rho(constant_channel(), 1.0, 2.0)
+        deriv = d_rho_grid(constant_channel(), 1.0, [2.0])[0]
         assert np.abs(deriv).max() <= 1e-10
 
     def test_thermal_coherence_derivative(self):
         # d(rho_12)/dm = -gamma t cos(a) sin(a) exp(-gamma (m + 1/2) t)
-        deriv = d_rho(THERMAL_CHANNEL, 0.1, 1.0)
+        deriv = d_rho_grid(THERMAL_CHANNEL, 0.1, [1.0])[0]
         assert deriv[0, 1].real == pytest.approx(-0.27441, abs=1e-5)
-        analytic = d_rho_analytic(THERMAL_CHANNEL, 0.1, 1.0)
+        analytic = THERMAL_CHANNEL.analytic_derivative(0.1, [1.0])[0]
         assert np.abs(deriv - analytic).max() <= 1e-6
 
     def test_squeezed_dual_path(self):
         for t in (0.3, 1.0, 2.5):
-            stencil = d_rho(SQUEEZED_CHANNEL, 0.1, t)
-            analytic = d_rho_analytic(SQUEEZED_CHANNEL, 0.1, t)
+            stencil = d_rho_grid(SQUEEZED_CHANNEL, 0.1, [t])[0]
+            analytic = SQUEEZED_CHANNEL.analytic_derivative(0.1, [t])[0]
             assert np.abs(stencil - analytic).max() <= 1e-6
 
     def test_one_sided_stencil_at_domain_edge(self):
         channel = thermal1_channel(ThermalParams(0.0, 1.0, np.pi / 4))
-        stencil = d_rho(channel, 0.0, 1.0)
-        analytic = d_rho_analytic(channel, 0.0, 1.0)
+        stencil = d_rho_grid(channel, 0.0, [1.0])[0]
+        analytic = channel.analytic_derivative(0.0, [1.0])[0]
         assert np.abs(stencil - analytic).max() <= 1e-6
 
     def test_traceless_and_hermitian(self):
         for t in (0.5, 1.0, 3.0):
-            deriv = d_rho(THERMAL_CHANNEL, 0.1, t)
+            deriv = d_rho_grid(THERMAL_CHANNEL, 0.1, [t])[0]
             assert abs(np.trace(deriv)) <= 1e-9
             assert np.abs(deriv - deriv.conj().T).max() == 0.0
 
@@ -77,7 +78,8 @@ class TestDerivativeStencil:
         times = np.linspace(0.2, 2.0, 5)
         stack = d_rho_grid(THERMAL_CHANNEL, 0.1, times)
         for k, t in enumerate(times):
-            np.testing.assert_allclose(stack[k], d_rho(THERMAL_CHANNEL, 0.1, float(t)), atol=1e-14)
+            pointwise = d_rho_grid(THERMAL_CHANNEL, 0.1, [t])[0]
+            np.testing.assert_allclose(stack[k], pointwise, atol=1e-14)
 
 
 class TestQfiSpectral:
@@ -195,8 +197,8 @@ class TestQfiVanishesAtTimeZero:
         ids=["fock1", "thermal1", "squeezed1", "fock2"],
     )
     def test_zero_at_t0(self, channel):
-        rho = validate_density(channel.state(channel.value, 0.0))
-        drho = d_rho(channel, channel.value, 0.0)
+        rho = validate_density(channel.states(channel.value, [0.0])[0])
+        drho = d_rho_grid(channel, channel.value, [0.0])[0]
         assert qfi_spectral(rho, drho).value <= 1e-9
 
 

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from helpers import eig2_closed_form, ptrace_b_bruteforce, random_density, random_qubit_state
-from qfi_probe.probe_models import ThermalParams, TwoQubitFockParams, fock2_state, thermal1_state
+from helpers import (
+    eig2_closed_form,
+    ptrace_b_bruteforce,
+    random_density,
+    random_qubit_state,
+    state_at,
+)
+from qfi_probe.probe_models import ThermalParams, TwoQubitFockParams, fock2_states, thermal1_states
 from qfi_probe.qstate import (
     NegativeEigenvalue,
     NotHermitian,
+    StateValidationError,
     TraceNotOne,
     bloch_vector,
     density_from_bloch,
@@ -49,6 +56,32 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="dimension"):
             validate_density(np.eye(3, dtype=complex) / 3)
 
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(StateValidationError):
+            validate_density(np.full((2, 2), np.nan, dtype=complex))
+
+    def test_infinite_entry_rejected(self):
+        mat = np.diag([np.inf, 0.0]).astype(complex)
+        with pytest.raises(StateValidationError):
+            validate_density(mat)
+
+    def test_stack_rejected_by_one_bad_matrix(self):
+        stack = np.repeat((np.eye(2, dtype=complex) / 2)[None], 5, axis=0)
+        stack[3] = np.nan
+        with pytest.raises(StateValidationError):
+            validate_density(stack)
+
+    def test_stack_keeps_per_matrix_spectra(self):
+        stack = np.array([EXCITED, np.eye(2, dtype=complex) / 2, GROUND])
+        state = validate_density(stack)
+        np.testing.assert_allclose(
+            state.eigenvalues, [[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]], atol=1e-14
+        )
+        for k in range(3):
+            vectors, values = state.eigenvectors[k], state.eigenvalues[k]
+            reconstruction = (vectors * values) @ vectors.conj().T
+            assert np.abs(reconstruction - stack[k]).max() <= 1e-10
+
     def test_matrix_immutable(self):
         state = validate_density(EXCITED)
         with pytest.raises(ValueError):
@@ -70,7 +103,7 @@ class TestEigHermitian:
 
     def test_thermal_state_against_closed_form(self):
         # relaxed reservoir state at m=0.1, gamma t = 1, alpha = 45 degrees
-        state = thermal1_state(ThermalParams(0.1, 1.0, np.pi / 4), 1.0)
+        state = state_at(thermal1_states, ThermalParams(0.1, 1.0, np.pi / 4), 1.0)
         values, vectors = eig_hermitian(state)
         np.testing.assert_allclose(values, eig2_closed_form(state.matrix), atol=1e-12)
         reconstruction = (vectors * values) @ vectors.conj().T
@@ -98,7 +131,7 @@ class TestPartialTrace:
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_two_qubit_cavity_state_vs_bruteforce(self):
-        state = fock2_state(TwoQubitFockParams(detuning=5.0, coupling=1.0), 0.5)
+        state = state_at(fock2_states, TwoQubitFockParams(detuning=5.0, coupling=1.0), 0.5)
         expected = ptrace_b_bruteforce(state.matrix)
         np.testing.assert_allclose(partial_trace_B(state).matrix, expected, atol=1e-14)
         assert abs(expected[0, 1]) < 1e-14  # block structure leaves A diagonal
@@ -122,7 +155,7 @@ class TestBlochVector:
         assert bloch_vector(EXCITED) == (0.0, 0.0, 1.0)
 
     def test_thermal_state_components(self):
-        state = thermal1_state(ThermalParams(0.1, 1.0, np.pi / 4), 1.0)
+        state = state_at(thermal1_states, ThermalParams(0.1, 1.0, np.pi / 4), 1.0)
         vec = bloch_vector(state)
         assert vec.ax == pytest.approx(0.54882, abs=1e-5)
         assert vec.ay == pytest.approx(0.0, abs=1e-12)

@@ -5,9 +5,11 @@ in the acceptance suite."""
 import numpy as np
 import pytest
 
+from qfi_probe import scan_repro
 from qfi_probe.qfi_engine import occupation_slope, temperature_from_occupation
 from qfi_probe.qstate import validate_density
 from qfi_probe.scan_repro import (
+    MODEL_IDS,
     ScanConfig,
     ScanDataset,
     backflow_intervals,
@@ -46,6 +48,24 @@ class TestScanConfig:
         with pytest.raises(ValueError, match="unknown model"):
             ScanConfig("nosuch")
 
+    @pytest.mark.parametrize(
+        "field", ["t_min", "t_max", "alpha", "detuning", "coupling",
+                  "mean_occupation", "gamma", "squeezing", "freq_scale"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_field_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            ScanConfig("thermal1", points=3, **{field: bad})
+
+    def test_nonfinite_point_time_raises(self):
+        with pytest.raises(ValueError):
+            point_qfi(ScanConfig("thermal1"), np.nan)
+
+    def test_photons_rejected_for_two_qubit_cavity(self):
+        # the two-qubit closed form needs an empty cavity
+        with pytest.raises(ValueError, match="photons"):
+            scan(ScanConfig("fock2", photons=3, points=3))
+
 
 class TestScan:
     def test_two_point_contract(self):
@@ -61,7 +81,7 @@ class TestScan:
 
         channel = build_channel(config)
         for t in time_grid(config):
-            validate_density(channel.state(channel.value, float(t)))
+            validate_density(channel.states(channel.value, [t]))
 
     def test_temperature_chain_rule_applied(self):
         config = ScanConfig("thermal1", alpha=0.0, t_min=40.0, t_max=50.0, points=3)
@@ -79,6 +99,28 @@ class TestScan:
         assert md["mean_occupation"] == "0.10000000000000001"
         assert int(md["max_index"]) == int(np.argmax(dataset.qfi))
 
+    @pytest.mark.parametrize("model", MODEL_IDS)
+    def test_rows_independent_of_block_size(self, model, monkeypatch):
+        config = ScanConfig(model, points=300, t_max=20.0)
+        monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 10**9)
+        whole = scan(config)
+        # 7 two-qubit or 28 one-qubit rows per block
+        monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 7 * 16 * 16)
+        blocked = scan(config)
+        np.testing.assert_array_equal(blocked.qfi, whole.qfi)
+        np.testing.assert_array_equal(blocked.fidelity, whole.fidelity)
+
+    @pytest.mark.parametrize("model", ["fock2", "thermal2", "squeezed2"])
+    def test_two_qubit_metadata_omits_alpha(self, model):
+        md = scan(ScanConfig(model, points=3, t_max=1.0)).metadata
+        assert "alpha_deg" not in md
+        assert md["model"] == model
+
+    @pytest.mark.parametrize("model", ["fock1", "thermal1", "squeezed1"])
+    def test_one_qubit_metadata_keeps_alpha(self, model):
+        md = scan(ScanConfig(model, points=3, t_max=1.0, alpha=0.3)).metadata
+        assert md["alpha_deg"] == format(np.degrees(0.3), ".17g")
+
     def test_deterministic(self):
         a = scan(fock_config(points=50))
         b = scan(fock_config(points=50))
@@ -95,6 +137,19 @@ class TestScan:
             float(dataset.qfi[k]), rel=1e-12
         )
         assert point_fidelity(config, float(dataset.t[k])) == pytest.approx(
+            float(dataset.fidelity[k]), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_point_queries_equal_scan_rows(model):
+    # a point query is a grid of length 1 through the scan's own path
+    config = ScanConfig(model, t_min=0.5, t_max=40.0, points=50, alpha=0.6)
+    dataset = scan(config)
+    for k in (0, 7, 23, 49):
+        t = float(dataset.t[k])
+        assert point_qfi(config, t) == pytest.approx(float(dataset.qfi[k]), rel=1e-12)
+        assert point_fidelity(config, t) == pytest.approx(
             float(dataset.fidelity[k]), rel=1e-12
         )
 
@@ -128,6 +183,15 @@ class TestFindMax:
     def test_reproducible(self):
         dataset = scan(fock_config(points=200))
         assert find_max(dataset) == find_max(dataset)
+
+    @pytest.mark.parametrize("model", MODEL_IDS)
+    def test_every_model_refines(self, model):
+        config = ScanConfig(model, t_max=30.0, points=60)
+        dataset = scan(config)
+        assert dataset.qfi_fn is not None
+        t_star, q_star = find_max(dataset)
+        assert q_star >= dataset.qfi.max()
+        assert q_star == pytest.approx(point_qfi(config, t_star), rel=1e-12)
 
 
 class TestBackflowIntervals:
