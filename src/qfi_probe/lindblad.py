@@ -228,8 +228,8 @@ def integrate(
     """Evolve rho0 to t_end and validate the result.
 
     The output is validated with the positivity tolerance relaxed to
-    -1e-8 (integration error can leave tiny negative eigenvalues, which
-    the validation reports clamped to [0, 1]).
+    -1e-8: integration error can leave tiny negative eigenvalues, which
+    the validated state keeps as computed.
 
     Raises:
         StepUnderflow: if error control drives the step below

@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .qstate import DensityMatrix, partial_trace_B
-
 _HALF_PI = 0.5 * np.pi
 
 
@@ -108,13 +106,11 @@ class SqueezedParams:
         squeezing: squeezing strength r, >= 0.
         gamma: qubit decay rate, > 0.
         alpha: initial-state mixing angle in radians.
-        phase: reservoir reference phase, fixed at 0.
     """
 
     squeezing: float
     gamma: float = 1.0
     alpha: float = 0.0
-    phase: float = 0.0
 
     def __post_init__(self):
         require_finite(self)
@@ -122,8 +118,6 @@ class SqueezedParams:
             raise ValueError("squeezing strength must be nonnegative")
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
-        if self.phase != 0.0:
-            raise ValueError("only reference phase 0 is supported")
         _check_alpha(self.alpha)
 
     @property
@@ -167,23 +161,20 @@ class TwoQubitFockParams:
 
 @dataclass(frozen=True)
 class TwoQubitReservoirParams:
-    """Two identical qubits, each coupled to its own reservoir, starting in
-    the Bell state (|eg> + |ge>) / sqrt(2).
+    """Two identical, uncoupled qubits, each coupled to its own reservoir
+    (squeezing at reference phase 0), starting in the Bell state
+    (|eg> + |ge>) / sqrt(2).
 
     Attributes:
         kind: "thermal" or "squeezed".
         strength: mean occupation (thermal) or squeezing strength (squeezed),
             shared by both reservoirs.
         gamma: common decay rate of both qubits.
-        dipole: direct qubit-qubit coupling, fixed at 0.
-        phase: squeezing reference phase, fixed at 0.
     """
 
     kind: str
     strength: float
     gamma: float
-    dipole: float = 0.0
-    phase: float = 0.0
 
     def __post_init__(self):
         require_finite(self)
@@ -193,10 +184,6 @@ class TwoQubitReservoirParams:
             raise ValueError("reservoir strength must be nonnegative")
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
-        if self.dipole != 0.0:
-            raise ValueError("only uncoupled qubits (dipole = 0) are supported")
-        if self.phase != 0.0:
-            raise ValueError("only reference phase 0 is supported")
 
 
 def _qubit_stack(r11, r12, r22) -> np.ndarray:
@@ -245,35 +232,11 @@ def _reservoir_elements(
     return _qubit_stack(r11, r12, 1.0 - r11)
 
 
-def _reservoir_derivative(
-    occupation: float, d_occupation: float, gamma: float, coherence_rate: float,
-    d_rate: float, alpha: float, times,
-) -> np.ndarray:
-    """Derivative of _reservoir_elements along a parameter that moves the
-    occupation at d_occupation and the coherence rate at d_rate."""
-    t = _grid(times)
-    width = 2.0 * occupation + 1.0
-    steady = occupation / width
-    pop_env = np.exp(-gamma * width * t)
-    d11_docc = (1.0 / width**2) * (1.0 - pop_env) + (
-        np.cos(alpha) ** 2 - steady
-    ) * (-2.0 * gamma * t) * pop_env
-    d11 = d_occupation * d11_docc
-    coh = np.cos(alpha) * np.sin(alpha) * np.exp(-coherence_rate * t)
-    return _qubit_stack(d11, -d_rate * t * coh, -d11)
-
-
 def thermal1_states(p: ThermalParams, times) -> np.ndarray:
     """Qubit states in a thermal reservoir; coherences decay at gamma (m + 1/2)."""
     m = p.mean_occupation
     rate = p.gamma * (m + 0.5)
     return _reservoir_elements(m, p.gamma, rate, p.alpha, times)
-
-
-def thermal1_doccupation(p: ThermalParams, times) -> np.ndarray:
-    """Analytic derivative of the thermal solution w.r.t. the mean occupation."""
-    m, g = p.mean_occupation, p.gamma
-    return _reservoir_derivative(m, 1.0, g, g * (m + 0.5), g, p.alpha, times)
 
 
 def squeezed1_states(p: SqueezedParams, times) -> np.ndarray:
@@ -282,18 +245,6 @@ def squeezed1_states(p: SqueezedParams, times) -> np.ndarray:
     occ = p.occupation
     rate = p.gamma * (occ + p.pair_correlation + 0.5)
     return _reservoir_elements(occ, p.gamma, rate, p.alpha, times)
-
-
-def squeezed1_dsqueezing(p: SqueezedParams, times) -> np.ndarray:
-    """Analytic derivative of the squeezed solution w.r.t. the squeezing strength.
-
-    Uses d(occupation)/dr = 2 pair_correlation and
-    d(pair_correlation)/dr = 2 occupation + 1.
-    """
-    occ, pair, g = p.occupation, p.pair_correlation, p.gamma
-    d_occ, d_pair = 2.0 * pair, 2.0 * occ + 1.0
-    rate = g * (occ + pair + 0.5)
-    return _reservoir_derivative(occ, d_occ, g, rate, g * (d_occ + d_pair), p.alpha, times)
 
 
 def fock2_amplitudes(p: TwoQubitFockParams, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -364,93 +315,57 @@ def reservoir_pair_states(p: TwoQubitReservoirParams, times) -> np.ndarray:
     return out
 
 
-def reduce_A(state) -> DensityMatrix:
-    """Validated reduced state of qubit A; diagonal for the block-structured
-    two-qubit states this package produces."""
-    mat = np.asarray(getattr(state, "matrix", state), dtype=complex)
-    if mat.shape[-2:] != (4, 4):
-        raise ValueError(f"reduce_A expects a 4x4 matrix, got shape {mat.shape}")
-    reduced = partial_trace_B(mat)
-    block = np.maximum(np.abs(mat[..., 0, 2]), np.abs(mat[..., 1, 3])) <= 5e-11
-    if np.any(block & (np.abs(reduced.matrix[..., 0, 1]) > 1e-10)):
-        raise AssertionError("reduced state of a block-structured input is not diagonal")
-    return reduced
-
-
 @dataclass(frozen=True)
 class ChannelModel:
-    """A named map from (estimand value, times[N]) to a stack of raw states
-    of shape (N, d, d).
+    """A map from (estimand value, times[N]) to a stack of raw states of
+    shape (N, d, d).
 
     Attributes:
-        model_id: identifier such as "fock1" or "thermal2".
-        parameter: physical parameter the estimand differentiates
-            ("detuning", "mean_occupation", "squeezing" or "strength").
         value: nominal parameter value.
         floor: lower domain edge for finite differences (None if unbounded).
         dim: state dimension, 2 or 4.
         states_fn: (value, times[N]) -> states[N, d, d], a fresh array on
             every call (the derivative stencil scales it in place).
-        deriv_fn: optional analytic derivative (value, times[N]) -> [N, d, d].
     """
 
-    model_id: str
-    parameter: str
     value: float
     floor: float | None
     dim: int
     states_fn: Callable[[float, np.ndarray], np.ndarray]
-    deriv_fn: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def states(self, value: float, times) -> np.ndarray:
         return self.states_fn(value, _grid(times))
 
-    def analytic_derivative(self, value: float, times) -> np.ndarray:
-        if self.deriv_fn is None:
-            raise ValueError(f"model {self.model_id!r} has no analytic derivative")
-        return self.deriv_fn(value, _grid(times))
 
-
-def _channel(model_id, params, states_fn, deriv_fn=None, *, parameter, floor, dim):
+def _channel(params, states_fn, *, parameter, floor, dim):
     """Channel over `parameter` of `params`, evaluated through states_fn."""
 
-    def at(fn):
-        return lambda value, times: fn(replace(params, **{parameter: value}), times)
+    def at(value, times):
+        return states_fn(replace(params, **{parameter: value}), times)
 
-    return ChannelModel(
-        model_id, parameter, getattr(params, parameter), floor, dim,
-        at(states_fn), None if deriv_fn is None else at(deriv_fn),
-    )
+    return ChannelModel(getattr(params, parameter), floor, dim, at)
 
 
 def fock1_channel(p: FockParams) -> ChannelModel:
     """Detuning-parameterized channel for the one-qubit cavity model."""
-    return _channel("fock1", p, fock1_states, parameter="detuning", floor=None, dim=2)
+    return _channel(p, fock1_states, parameter="detuning", floor=None, dim=2)
 
 
 def thermal1_channel(p: ThermalParams) -> ChannelModel:
     """Occupation-parameterized channel for the thermal reservoir model."""
-    return _channel(
-        "thermal1", p, thermal1_states, thermal1_doccupation,
-        parameter="mean_occupation", floor=0.0, dim=2,
-    )
+    return _channel(p, thermal1_states, parameter="mean_occupation", floor=0.0, dim=2)
 
 
 def squeezed1_channel(p: SqueezedParams) -> ChannelModel:
     """Squeezing-parameterized channel for the squeezed reservoir model."""
-    return _channel(
-        "squeezed1", p, squeezed1_states, squeezed1_dsqueezing,
-        parameter="squeezing", floor=0.0, dim=2,
-    )
+    return _channel(p, squeezed1_states, parameter="squeezing", floor=0.0, dim=2)
 
 
 def fock2_channel(p: TwoQubitFockParams) -> ChannelModel:
     """Detuning-parameterized channel for the two-qubit cavity model."""
-    return _channel("fock2", p, fock2_states, parameter="detuning", floor=None, dim=4)
+    return _channel(p, fock2_states, parameter="detuning", floor=None, dim=4)
 
 
 def reservoir_pair_channel(p: TwoQubitReservoirParams) -> ChannelModel:
     """Strength-parameterized channel for the two-qubit reservoir models."""
-    return _channel(
-        p.kind + "2", p, reservoir_pair_states, parameter="strength", floor=0.0, dim=4
-    )
+    return _channel(p, reservoir_pair_states, parameter="strength", floor=0.0, dim=4)

@@ -1,5 +1,6 @@
-"""Quantum Fisher information: parameter derivatives, the spectral formula,
-independent oracles, the temperature chain rule, and the Cramer-Rao bound."""
+"""Quantum Fisher information: the parameter-derivative stencil, the
+spectral formula, the occupation-temperature relations, and the Cramer-Rao
+bound."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from math import log1p
 import numpy as np
 
 from .probe_models import ChannelModel
-from .qstate import DensityMatrix, eig_hermitian, validate_density
+from .qstate import DensityMatrix, validate_density
 
 EIGENSUM_FLOOR = 1e-12
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
@@ -24,13 +25,10 @@ class QfiResult:
             value per state, so an array for a stack of states.
         discarded_pairs: eigenvalue pairs excluded because p_i + p_j fell
             at or below the 1e-12 floor.
-        derivative_step: finite-difference step used to build the
-            derivative, NaN when not applicable.
     """
 
-    value: float
+    value: float | np.ndarray
     discarded_pairs: int
-    derivative_step: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def d_rho_grid(model: ChannelModel, value: float, times) -> np.ndarray:
     return diff
 
 
-def qfi_spectral(rho, drho: np.ndarray, derivative_step: float = float("nan")) -> QfiResult:
+def qfi_spectral(rho, drho: np.ndarray) -> QfiResult:
     """QFI of a state, or of every state in a stack, from its spectral
     decomposition.
 
@@ -121,40 +119,7 @@ def qfi_spectral(rho, drho: np.ndarray, derivative_step: float = float("nan")) -
     return QfiResult(
         value=np.maximum(value, 0.0),
         discarded_pairs=int(np.count_nonzero(~supported)),
-        derivative_step=derivative_step,
     )
-
-
-def qfi_sld_oracle(rho, drho: np.ndarray) -> float:
-    """QFI via the symmetric logarithmic derivative.
-
-    Solves drho = (L rho + rho L) / 2 in the eigenbasis of rho
-    (L_ij = 2 drho_ij / (p_i + p_j) on the supported subspace), rebuilds L
-    in the original basis and returns tr(rho L^2). Independent code path
-    from qfi_spectral; the two agree to 1e-8 whenever nothing is discarded.
-    """
-    mat = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    values, vectors = eig_hermitian(mat)
-    drho = np.asarray(drho, dtype=complex)
-    elements = vectors.conj().T @ drho @ vectors
-    pair_sums = values[:, None] + values[None, :]
-    supported = pair_sums > EIGENSUM_FLOOR
-    sld_eigen = np.where(supported, 2.0 * elements / np.where(supported, pair_sums, 1.0), 0.0)
-    sld = vectors @ sld_eigen @ vectors.conj().T
-    return float(np.trace(mat @ sld @ sld).real)
-
-
-def qfi_pure_oracle(psi: np.ndarray, dpsi: np.ndarray) -> float:
-    """Pure-state QFI, F = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2).
-
-    For a normalized family Re<psi|dpsi> = 0, and the value agrees with
-    qfi_spectral applied to the rank-1 density matrix.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    dpsi = np.asarray(dpsi, dtype=complex)
-    overlap = np.vdot(psi, dpsi)
-    value = 4.0 * (np.vdot(dpsi, dpsi).real - abs(overlap) ** 2)
-    return float(max(value, 0.0))
 
 
 def occupation_from_temperature(temperature: float, freq_scale: float = 1.0) -> float:
@@ -181,23 +146,6 @@ def occupation_slope(temperature: float, freq_scale: float = 1.0) -> float:
         raise ValueError("temperature must be positive")
     m = occupation_from_temperature(temperature, freq_scale)
     return (freq_scale / temperature**2) * m * (m + 1.0)
-
-
-def qfi_temperature(
-    fq_occupation: float, occupation: float, temperature: float, freq_scale: float = 1.0
-) -> float:
-    """Chain rule F(T) = F(m) (dm/dT)^2.
-
-    Args:
-        fq_occupation: QFI with respect to the mean occupation.
-        occupation: mean occupation consistent with the temperature.
-        temperature: reservoir temperature, > 0.
-        freq_scale: transition-frequency scale in temperature units.
-    """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    slope = (freq_scale / temperature**2) * occupation * (occupation + 1.0)
-    return fq_occupation * slope**2
 
 
 def cramer_rao(bound_input: CramerRaoInput) -> float:

@@ -23,10 +23,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 class StateValidationError(ValueError):
     """A candidate density matrix violates one of the state invariants."""
@@ -181,11 +177,6 @@ def trace_out_B(state) -> np.ndarray:
     return np.trace(mat.reshape(mat.shape[:-2] + (2, 2, 2, 2)), axis1=-3, axis2=-1)
 
 
-def partial_trace_B(state) -> DensityMatrix:
-    """Validated reduced state of qubit A after tracing out qubit B."""
-    return validate_density(trace_out_B(state))
-
-
 def bloch_vector(state) -> BlochVector:
     """Bloch components of a qubit state (or a stack) under the package
     convention; components are arrays for stacked input."""
@@ -218,36 +209,3 @@ def fidelity_bloch(state0, state1) -> np.ndarray:
         raise ValueError(f"radicand {np.min(radicand):.3e} below -1e-12; inputs invalid")
     value = 0.5 * (1.0 + a0.dot(a1) + np.sqrt(np.maximum(radicand, 0.0)))
     return np.clip(value, 0.0, 1.0)
-
-
-def fidelity_uhlmann_oracle(state0, state1) -> float:
-    """Qubit fidelity via tr(rho0 rho1) + 2 sqrt(det rho0 det rho1).
-
-    Independent of the Bloch-vector route; the two must agree to 1e-10
-    on every valid qubit pair.
-    """
-    m0 = _as_matrix(state0)
-    m1 = _as_matrix(state1)
-    if m0.shape != (2, 2) or m1.shape != (2, 2):
-        raise ValueError("Uhlmann oracle expects two 2x2 matrices")
-    overlap = float(np.trace(m0 @ m1).real)
-    dets = []
-    for mat in (m0, m1):
-        det = float(np.linalg.det(mat).real)
-        if det < 0.0:
-            if det < -1e-12:
-                raise ValueError(f"determinant {det:.3e} below -1e-12; input invalid")
-            det = 0.0
-        dets.append(det)
-    value = overlap + 2.0 * np.sqrt(dets[0] * dets[1])
-    return float(min(max(value, 0.0), 1.0))
-
-
-def density_from_bloch(vec: BlochVector) -> np.ndarray:
-    """Inverse of bloch_vector: (identity + a.sigma) / 2."""
-    return 0.5 * (
-        np.eye(2, dtype=complex)
-        + vec.ax * PAULI_X
-        + vec.ay * PAULI_Y
-        + vec.az * PAULI_Z
-    )

@@ -25,7 +25,6 @@ from .probe_models import (
 )
 from .qfi_engine import (
     d_rho_grid,
-    fd_step,
     occupation_slope,
     qfi_spectral,
     temperature_from_occupation,
@@ -47,6 +46,9 @@ FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b",
 # rows) stays in cache and below the allocator's mmap threshold, so blocks
 # reuse heap memory instead of faulting in fresh pages on every scan.
 BLOCK_BYTES = 64 * 1024
+# 500 times the 2000-point figure grid; a larger count is rejected before
+# the grid is allocated.
+MAX_POINTS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -96,6 +98,8 @@ class ScanConfig:
             raise ValueError("t_max must exceed t_min")
         if self.points < 2:
             raise ValueError("a scan needs at least 2 grid points")
+        if self.points > MAX_POINTS:
+            raise ValueError(f"points = {self.points} exceeds the limit of {MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,7 @@ def _evaluate(config: ScanConfig, times, qfi: bool = True, fidelity: bool = True
         states = validate_density(channel.states(channel.value, block))
         if qfi:
             derivs = d_rho_grid(channel, channel.value, block)
-            step = fd_step(channel.value)
-            qfi_parts.append(qfi_spectral(states, derivs, step).value * chain)
+            qfi_parts.append(qfi_spectral(states, derivs).value * chain)
         if fidelity:
             fidelity_parts.append(fidelity_bloch(reference, _atomic(channel, states)))
     return (np.concatenate(qfi_parts) if qfi else None,
@@ -244,25 +247,23 @@ def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[st
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# width of the time bracket at which golden-section refinement stops
+T_TOL = 1e-6
 
 
-def find_max(
-    dataset: ScanDataset,
-    qfi_fn: Callable[[float], float] | None = None,
-    t_tol: float = 1e-6,
-) -> tuple[float, float]:
+def find_max(dataset: ScanDataset) -> tuple[float, float]:
     """Grid argmax refined by golden-section search in the bracketing interval.
 
-    The refinement uses qfi_fn (or the dataset's attached evaluator); with
-    no evaluator the grid maximum is returned. The refined value is never
-    below the grid value.
+    The refinement uses the dataset's attached evaluator, qfi_fn; without
+    one the grid maximum is returned. The refined value is never below the
+    grid value.
     """
     if dataset.t.size == 0:
         raise ValueError("empty dataset")
     peak = int(np.argmax(dataset.qfi))
     best_t = float(dataset.t[peak])
     best_q = float(dataset.qfi[peak])
-    fn = qfi_fn if qfi_fn is not None else dataset.qfi_fn
+    fn = dataset.qfi_fn
     if fn is None or dataset.t.size < 2:
         return best_t, best_q
     lo = float(dataset.t[peak - 1]) if peak > 0 else best_t
@@ -270,7 +271,7 @@ def find_max(
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    while hi - lo > t_tol:
+    while hi - lo > T_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_GOLDEN * (hi - lo)
@@ -378,21 +379,11 @@ def reproduce_figure(tag: str, points: int = 2000) -> list[ScanDataset]:
     return [scan(config) for config in _figure_configs(tag, points)]
 
 
-_REFERENCE_MAXIMA = {
-    # Externally quoted peak QFI values for these configurations. Apart
-    # from the two-qubit temperature entry, this model does not reproduce
-    # them (unit conventions behind the quoted numbers are unclear), so
-    # they are compared, never asserted.
-    "temperature, one qubit, alpha=45deg": 80.0,
-    "temperature, two qubit": 5.0,
-    "squeezing, two-qubit quote A": 5.41e2,
-    "squeezing, two-qubit quote B": 1.21e3,
-}
-
-
 def discrepancy_report(points: int = 2000) -> str:
-    """Computed temperature and squeezing maxima next to the quoted
-    reference values, most of which this model does not match."""
+    """Computed temperature and squeezing maxima next to externally quoted
+    peak QFI values. Apart from the two-qubit temperature value, this model
+    does not reproduce them (the unit conventions behind the quotes are
+    unclear), so they are compared, never asserted."""
     window = dict(t_min=_RESERVOIR_WINDOW[0], t_max=_RESERVOIR_WINDOW[1], points=points)
     thermal1 = scan(
         ScanConfig("thermal1", alpha=math.pi / 4.0, mean_occupation=0.1, gamma=1.0, **window)
@@ -411,11 +402,10 @@ def discrepancy_report(points: int = 2000) -> str:
         f"  temperature QFI, two-qubit: computed {q_th2:.5g} at t={t_th2:.4g}"
         f" vs quoted 5 (ratio {q_th2 / 5.0:.3g}; this one matches)"
     )
-    for label in ("squeezing, two-qubit quote A", "squeezing, two-qubit quote B"):
-        target = _REFERENCE_MAXIMA[label]
+    for quote, target in (("A", 541.0), ("B", 1210.0)):
         lines.append(
             f"  squeezing QFI, two-qubit: computed {q_sq2:.5g} at t={t_sq2:.4g}"
-            f" vs quoted {target:g} ({label.split(', ')[-1]},"
+            f" vs quoted {target:g} (two-qubit quote {quote},"
             f" ratio {q_sq2 / target:.3g})"
         )
     lines.append(

@@ -16,7 +16,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import ptrace_a_bruteforce, random_density, random_hermitian_traceless, state_at
+from helpers import (
+    ptrace_a_bruteforce,
+    qfi_pure_oracle,
+    qfi_sld_oracle,
+    random_density,
+    random_hermitian_traceless,
+    reduce_A,
+    state_at,
+)
 from qfi_probe.lindblad import (
     integrate,
     thermal_generator,
@@ -31,17 +39,14 @@ from qfi_probe.probe_models import (
     TwoQubitReservoirParams,
     fock1_amplitudes,
     fock2_amplitudes,
-    reduce_A,
     squeezed1_states,
     thermal1_channel,
     thermal1_states,
 )
 from qfi_probe.qfi_engine import (
     d_rho_grid,
-    qfi_pure_oracle,
-    qfi_sld_oracle,
+    occupation_slope,
     qfi_spectral,
-    qfi_temperature,
     temperature_from_occupation,
 )
 from qfi_probe.qstate import validate_density
@@ -138,7 +143,7 @@ def test_criterion3_thermal_steady_state_benchmark():
     fq_m = qfi_spectral(state, d_rho_grid(channel, 0.1, [50.0])[0]).value
     assert fq_m == pytest.approx(6.3131, abs=1e-3)
     temperature = temperature_from_occupation(0.1, 1.0)
-    fq_t = qfi_temperature(fq_m, 0.1, temperature, 1.0)
+    fq_t = fq_m * occupation_slope(temperature, 1.0) ** 2
     assert fq_t == pytest.approx(2.5256, abs=1e-3)
     print(f"criterion 3 PASS: F(m)={fq_m:.5f} (target 6.3131), F(T)={fq_t:.5f} (target 2.5256)")
 

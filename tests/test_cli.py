@@ -87,6 +87,15 @@ class TestScanCommand:
         assert err.count("\n") == 1  # single-line diagnostic
         assert "gamma" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--model", "thermal1", "--points", "1000000000000"],
+        ["figure", "--tag", "2a", "--points", "1000001", "--out", "never-written.csv"],
+    ])
+    def test_too_many_points_exits_2(self, capsys, argv):
+        # rejected by ScanConfig before the time grid is allocated
+        assert run(argv) == 2
+        assert "points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--gamma", "--m", "--alpha", "--tmax"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_nonfinite_value_exits_2(self, capsys, flag, bad):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_density, random_hermitian_traceless, state_at
+from helpers import random_density, random_hermitian_traceless, reduce_A, state_at
 from qfi_probe.lindblad import (
     LindbladGenerator,
     StepUnderflow,
@@ -17,7 +17,6 @@ from qfi_probe.probe_models import (
     SqueezedParams,
     ThermalParams,
     TwoQubitReservoirParams,
-    reduce_A,
     reservoir_pair_states,
     squeezed1_states,
     thermal1_states,
@@ -164,12 +163,6 @@ class TestTwoQubitGenerator:
     def test_unsupported_kind(self):
         with pytest.raises(ValueError, match="kind"):
             TwoQubitReservoirParams("depolarizing", 0.1, 1.0)
-
-    def test_coupling_and_phase_pinned(self):
-        with pytest.raises(ValueError):
-            TwoQubitReservoirParams("thermal", 0.1, 1.0, dipole=0.5)
-        with pytest.raises(ValueError):
-            TwoQubitReservoirParams("squeezed", 0.1, 1.0, phase=0.1)
 
 
 class TestIntegrate:

@@ -4,7 +4,13 @@ independent fixed-step integrations of the underlying amplitude equations."""
 import numpy as np
 import pytest
 
-from helpers import fock1_amplitudes_ode, fock2_amplitudes_ode, ptrace_b_bruteforce, state_at
+from helpers import (
+    fock1_amplitudes_ode,
+    fock2_amplitudes_ode,
+    ptrace_b_bruteforce,
+    reduce_A,
+    state_at,
+)
 from qfi_probe.probe_models import (
     FockParams,
     SqueezedParams,
@@ -16,7 +22,6 @@ from qfi_probe.probe_models import (
     fock1_states,
     fock2_amplitudes,
     fock2_states,
-    reduce_A,
     squeezed1_channel,
     squeezed1_states,
     thermal1_channel,
@@ -124,10 +129,6 @@ class TestSqueezedOneQubit:
             ratio = squeezed[0, 1].real / thermal[0, 1].real
             assert ratio == pytest.approx(np.exp(-pair * t), rel=1e-10)
 
-    def test_phase_fixed_at_zero(self):
-        with pytest.raises(ValueError):
-            SqueezedParams(0.1, 1.0, 0.0, phase=0.3)
-
 
 class TestFockTwoQubit:
     def test_initial_bell_state(self):
@@ -215,11 +216,6 @@ class TestChannels:
         stack = channel.states(0.1, times)
         for k, t in enumerate(times):
             np.testing.assert_allclose(stack[k], channel.states(0.1, [t])[0], atol=1e-15)
-
-    def test_analytic_derivative_absent_for_fock(self):
-        channel = fock1_channel(FockParams(detuning=5.0))
-        with pytest.raises(ValueError, match="analytic"):
-            channel.analytic_derivative(5.0, [1.0])
 
     def test_squeezed_channel_floor(self):
         channel = squeezed1_channel(SqueezedParams(0.1, 1.0, 0.0))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import qfi_sld_oracle, squeezed1_dsqueezing, thermal1_doccupation
 from qfi_probe.probe_models import (
     SqueezedParams,
     ThermalParams,
@@ -19,7 +20,6 @@ from qfi_probe.probe_models import (
 from qfi_probe.qfi_engine import (
     d_rho_grid,
     fd_step,
-    qfi_sld_oracle,
     qfi_spectral,
     stencil,
 )
@@ -108,11 +108,12 @@ def test_stencil_near_zero_stays_in_domain_and_matches_analytic(kind, steps, alp
     # parameter classes for a negative occupation or squeezing and raise
     value = steps * fd_step(0.0)
     if kind == "thermal":
-        channel = thermal1_channel(ThermalParams(value, gamma, alpha))
+        params = ThermalParams(value, gamma, alpha)
+        channel, analytic = thermal1_channel(params), thermal1_doccupation(params, times)
     else:
-        channel = squeezed1_channel(SqueezedParams(value, gamma, alpha))
+        params = SqueezedParams(value, gamma, alpha)
+        channel, analytic = squeezed1_channel(params), squeezed1_dsqueezing(params, times)
     stencil_deriv = d_rho_grid(channel, value, times)
-    analytic = channel.analytic_derivative(value, times)
     assert np.abs(stencil_deriv - analytic).max() <= 1e-6
 
 

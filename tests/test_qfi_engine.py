@@ -1,10 +1,20 @@
 """Tests for derivative stencils, the spectral QFI and its oracles, the
 temperature chain rule, and the Cramer-Rao bound."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import random_density, random_hermitian_traceless, random_unitary
+from helpers import (
+    qfi_pure_oracle,
+    qfi_sld_oracle,
+    random_density,
+    random_hermitian_traceless,
+    random_unitary,
+    squeezed1_dsqueezing,
+    thermal1_doccupation,
+)
 from qfi_probe.probe_models import (
     ChannelModel,
     FockParams,
@@ -24,23 +34,21 @@ from qfi_probe.qfi_engine import (
     fd_step,
     occupation_from_temperature,
     occupation_slope,
-    qfi_pure_oracle,
-    qfi_sld_oracle,
     qfi_spectral,
-    qfi_temperature,
     temperature_from_occupation,
 )
 from qfi_probe.qstate import validate_density
 
-THERMAL_CHANNEL = thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4))
-SQUEEZED_CHANNEL = squeezed1_channel(SqueezedParams(0.1, 1.0, np.pi / 4))
+THERMAL = ThermalParams(0.1, 1.0, np.pi / 4)
+SQUEEZED = SqueezedParams(0.1, 1.0, np.pi / 4)
+THERMAL_CHANNEL = thermal1_channel(THERMAL)
+SQUEEZED_CHANNEL = squeezed1_channel(SQUEEZED)
 
 
 def constant_channel():
     state = 0.5 * np.ones((2, 2), dtype=complex)
     return ChannelModel(
-        "constant", "detuning", 1.0, None, 2,
-        lambda v, times: np.repeat(state[None], len(times), axis=0),
+        1.0, None, 2, lambda v, times: np.repeat(state[None], len(times), axis=0)
     )
 
 
@@ -53,19 +61,19 @@ class TestDerivativeStencil:
         # d(rho_12)/dm = -gamma t cos(a) sin(a) exp(-gamma (m + 1/2) t)
         deriv = d_rho_grid(THERMAL_CHANNEL, 0.1, [1.0])[0]
         assert deriv[0, 1].real == pytest.approx(-0.27441, abs=1e-5)
-        analytic = THERMAL_CHANNEL.analytic_derivative(0.1, [1.0])[0]
+        analytic = thermal1_doccupation(THERMAL, [1.0])[0]
         assert np.abs(deriv - analytic).max() <= 1e-6
 
     def test_squeezed_dual_path(self):
         for t in (0.3, 1.0, 2.5):
             stencil = d_rho_grid(SQUEEZED_CHANNEL, 0.1, [t])[0]
-            analytic = SQUEEZED_CHANNEL.analytic_derivative(0.1, [t])[0]
+            analytic = squeezed1_dsqueezing(SQUEEZED, [t])[0]
             assert np.abs(stencil - analytic).max() <= 1e-6
 
     def test_one_sided_stencil_at_domain_edge(self):
-        channel = thermal1_channel(ThermalParams(0.0, 1.0, np.pi / 4))
-        stencil = d_rho_grid(channel, 0.0, [1.0])[0]
-        analytic = channel.analytic_derivative(0.0, [1.0])[0]
+        params = ThermalParams(0.0, 1.0, np.pi / 4)
+        stencil = d_rho_grid(thermal1_channel(params), 0.0, [1.0])[0]
+        analytic = thermal1_doccupation(params, [1.0])[0]
         assert np.abs(stencil - analytic).max() <= 1e-6
 
     def test_traceless_and_hermitian(self):
@@ -161,8 +169,6 @@ class TestPureOracle:
         t = 0.8
         h = fd_step(5.0)
         psi = np.array(fock1_amplitudes(p, t))
-        from dataclasses import replace
-
         up = np.array(fock1_amplitudes(replace(p, detuning=5.0 + h), t))
         down = np.array(fock1_amplitudes(replace(p, detuning=5.0 - h), t))
         dpsi = (up - down) / (2.0 * h)
@@ -216,12 +222,12 @@ class TestTemperatureChainRule:
 
     def test_chain_rule_product(self):
         t = temperature_from_occupation(0.1, 1.0)
-        value = qfi_temperature(6.3131, 0.1, t, 1.0)
+        value = 6.3131 * occupation_slope(t, 1.0) ** 2
         assert value == pytest.approx(2.5256, abs=1e-3)
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
-            qfi_temperature(1.0, 0.1, 0.0, 1.0)
+            occupation_slope(0.0, 1.0)
         with pytest.raises(ValueError):
             occupation_from_temperature(-1.0, 1.0)
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    density_from_bloch,
     eig2_closed_form,
+    fidelity_uhlmann_oracle,
     ptrace_b_bruteforce,
     random_density,
     random_qubit_state,
@@ -17,11 +19,9 @@ from qfi_probe.qstate import (
     StateValidationError,
     TraceNotOne,
     bloch_vector,
-    density_from_bloch,
     eig_hermitian,
     fidelity_bloch,
-    fidelity_uhlmann_oracle,
-    partial_trace_B,
+    trace_out_B,
     validate_density,
 )
 
@@ -121,29 +121,30 @@ class TestEigHermitian:
 class TestPartialTrace:
     def test_product_state(self):
         product = np.kron(EXCITED, GROUND)
-        reduced = partial_trace_B(product)
+        reduced = validate_density(trace_out_B(product))
         np.testing.assert_allclose(reduced.matrix, EXCITED, atol=1e-14)
 
     def test_bell_state(self):
         bell = np.zeros((4, 4), dtype=complex)
         bell[1:3, 1:3] = 0.5
-        reduced = partial_trace_B(bell)
+        reduced = validate_density(trace_out_B(bell))
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_two_qubit_cavity_state_vs_bruteforce(self):
         state = state_at(fock2_states, TwoQubitFockParams(detuning=5.0, coupling=1.0), 0.5)
         expected = ptrace_b_bruteforce(state.matrix)
-        np.testing.assert_allclose(partial_trace_B(state).matrix, expected, atol=1e-14)
+        reduced = validate_density(trace_out_B(state))
+        np.testing.assert_allclose(reduced.matrix, expected, atol=1e-14)
         assert abs(expected[0, 1]) < 1e-14  # block structure leaves A diagonal
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="4x4"):
-            partial_trace_B(EXCITED)
+            trace_out_B(EXCITED)
 
     def test_reduction_of_random_states_is_valid(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            reduced = partial_trace_B(random_density(rng, 4))
+            reduced = validate_density(trace_out_B(random_density(rng, 4)))
             assert reduced.dim == 2  # validate_density already ran
 
 

@@ -43,6 +43,8 @@ class TestScanConfig:
             ScanConfig("fock1", t_min=1.0, t_max=1.0)
         with pytest.raises(ValueError, match="points"):
             ScanConfig("fock1", points=1)
+        with pytest.raises(ValueError, match="points"):
+            ScanConfig("fock1", points=10**12)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -164,8 +166,8 @@ class TestFindMax:
         parabola = lambda t: -((t - 3.0) ** 2) + 9.0
         t = np.linspace(0.0, 6.0, 11)  # vertex falls between grid points
         t = t + 0.13
-        dataset = ScanDataset(t, parabola(t), np.ones_like(t), {})
-        t_star, q_star = find_max(dataset, qfi_fn=parabola)
+        dataset = ScanDataset(t, parabola(t), np.ones_like(t), {}, qfi_fn=parabola)
+        t_star, q_star = find_max(dataset)
         assert t_star == pytest.approx(3.0, abs=1e-6)
         assert q_star == pytest.approx(9.0, abs=1e-9)
         assert q_star >= dataset.qfi.max()
