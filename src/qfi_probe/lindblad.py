@@ -227,9 +227,11 @@ def integrate(
 ) -> DensityMatrix:
     """Evolve rho0 to t_end and validate the result.
 
-    The output is validated with the positivity tolerance relaxed to
-    -1e-8: integration error can leave tiny negative eigenvalues, which
-    the validated state keeps as computed.
+    The output is validated on the default blocks, which are the X-state
+    blocks for a qubit pair: RK4 keeps the entries outside them exactly
+    zero, and any other two-qubit state is rejected. The positivity
+    tolerance is relaxed to -1e-8: integration error can leave tiny
+    negative eigenvalues, which the validated state keeps as computed.
 
     Raises:
         StepUnderflow: if error control drives the step below

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .qstate import QUBIT_BLOCKS, X_BLOCKS
+
 _HALF_PI = 0.5 * np.pi
 
 
@@ -323,49 +325,57 @@ class ChannelModel:
     Attributes:
         value: nominal parameter value.
         floor: lower domain edge for finite differences (None if unbounded).
-        dim: state dimension, 2 or 4.
+        blocks: the index sets of size 1 or 2 that carry every state and
+            derivative of the model (see qstate.validate_density).
         states_fn: (value, times[N]) -> states[N, d, d], a fresh array on
             every call (the derivative stencil scales it in place).
     """
 
     value: float
     floor: float | None
-    dim: int
+    blocks: tuple[tuple[int, ...], ...]
     states_fn: Callable[[float, np.ndarray], np.ndarray]
+
+    @property
+    def dim(self) -> int:
+        return sum(len(block) for block in self.blocks)
 
     def states(self, value: float, times) -> np.ndarray:
         return self.states_fn(value, _grid(times))
 
 
-def _channel(params, states_fn, *, parameter, floor, dim):
+def _channel(params, states_fn, *, parameter, floor, blocks):
     """Channel over `parameter` of `params`, evaluated through states_fn."""
 
     def at(value, times):
         return states_fn(replace(params, **{parameter: value}), times)
 
-    return ChannelModel(getattr(params, parameter), floor, dim, at)
+    return ChannelModel(getattr(params, parameter), floor, blocks, at)
 
 
 def fock1_channel(p: FockParams) -> ChannelModel:
     """Detuning-parameterized channel for the one-qubit cavity model."""
-    return _channel(p, fock1_states, parameter="detuning", floor=None, dim=2)
+    return _channel(p, fock1_states, parameter="detuning", floor=None, blocks=QUBIT_BLOCKS)
 
 
 def thermal1_channel(p: ThermalParams) -> ChannelModel:
     """Occupation-parameterized channel for the thermal reservoir model."""
-    return _channel(p, thermal1_states, parameter="mean_occupation", floor=0.0, dim=2)
+    return _channel(p, thermal1_states, parameter="mean_occupation", floor=0.0,
+                    blocks=QUBIT_BLOCKS)
 
 
 def squeezed1_channel(p: SqueezedParams) -> ChannelModel:
     """Squeezing-parameterized channel for the squeezed reservoir model."""
-    return _channel(p, squeezed1_states, parameter="squeezing", floor=0.0, dim=2)
+    return _channel(p, squeezed1_states, parameter="squeezing", floor=0.0, blocks=QUBIT_BLOCKS)
 
 
 def fock2_channel(p: TwoQubitFockParams) -> ChannelModel:
-    """Detuning-parameterized channel for the two-qubit cavity model."""
-    return _channel(p, fock2_states, parameter="detuning", floor=None, dim=4)
+    """Detuning-parameterized channel for the two-qubit cavity model,
+    carried by {|eg>, |ge>} + {|gg>} + {|ee>}."""
+    return _channel(p, fock2_states, parameter="detuning", floor=None, blocks=((1, 2), (3,), (0,)))
 
 
 def reservoir_pair_channel(p: TwoQubitReservoirParams) -> ChannelModel:
-    """Strength-parameterized channel for the two-qubit reservoir models."""
-    return _channel(p, reservoir_pair_states, parameter="strength", floor=0.0, dim=4)
+    """Strength-parameterized channel for the two-qubit reservoir models,
+    X-states on {|eg>, |ge>} + {|ee>, |gg>}."""
+    return _channel(p, reservoir_pair_states, parameter="strength", floor=0.0, blocks=X_BLOCKS)

@@ -1,6 +1,6 @@
 """Quantum Fisher information: the parameter-derivative stencil, the
-spectral formula, the occupation-temperature relations, and the Cramer-Rao
-bound."""
+closed-form QFI over the blocks of a state, the occupation-temperature
+relations, and the Cramer-Rao bound."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from math import log1p
 import numpy as np
 
 from .probe_models import ChannelModel
-from .qstate import DensityMatrix, validate_density
+from .qstate import DensityMatrix, off_block, pair_block, validate_density
 
 EIGENSUM_FLOOR = 1e-12
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
@@ -23,8 +23,10 @@ class QfiResult:
     Attributes:
         value: the Fisher information, >= 0, in 1/estimand^2 units; one
             value per state, so an array for a stack of states.
-        discarded_pairs: eigenvalue pairs excluded because p_i + p_j fell
-            at or below the 1e-12 floor.
+        discarded_pairs: ordered eigenvalue pairs (i, j) within a block
+            that were excluded because p_i + p_j fell at or below the
+            1e-12 floor, counted over the whole stack. Pairs across blocks
+            carry no derivative and are not counted.
     """
 
     value: float | np.ndarray
@@ -90,36 +92,49 @@ def d_rho_grid(model: ChannelModel, value: float, times) -> np.ndarray:
     return diff
 
 
-def qfi_spectral(rho, drho: np.ndarray) -> QfiResult:
-    """QFI of a state, or of every state in a stack, from its spectral
-    decomposition.
+def qfi_blocks(rho, drho: np.ndarray) -> QfiResult:
+    """QFI of a state, or of every state in a stack, summed over its blocks.
 
-    Computed in the matrix-element form
-    F = sum_{i,j} 2 |<psi_i| drho |psi_j>|^2 / (p_i + p_j)
-    over pairs with p_i + p_j > 1e-12; diagonal terms reproduce the
-    classical sum (dp_i)^2 / p_i and off-diagonal terms the eigenvector
-    contribution, without differentiating eigenvectors. A DensityMatrix
-    is used as validated, with its eigen-decomposition; anything else is
-    validated first. The value has the leading shape of rho; discarded
-    pairs are counted over the whole stack.
+    F = sum_{i,j} 2 |<psi_i| drho |psi_j>|^2 / (p_i + p_j) splits into one
+    closed form per block, since rho and drho share the blocks. A 1-block
+    w gives (dw)^2 / w. A 2-block (w + r.sigma) / 2 with eigenvalues p_+,
+    p_- and axis n = r / |r| gives, with d_pm = (dw +- dr.n) / 2,
+    d_+^2 / p_+ + d_-^2 / p_- + (|dr|^2 - (dr.n)^2) / w: the eigenvalue-pair
+    form of the Bloch QFI (Zhong et al., PRA 87, 022337 (2013)). Pairs with
+    p_i + p_j <= 1e-12 are left out, which keeps the pure limit finite. A
+    DensityMatrix is used as validated, anything else is validated first;
+    the value has the leading shape of rho. Raises ValueError if drho does
+    not match the state's shape or has a nonzero entry outside its blocks.
     """
     state = rho if isinstance(rho, DensityMatrix) else validate_density(rho)
     drho = np.asarray(drho, dtype=complex)
     if drho.shape != state.matrix.shape:
-        raise ValueError(
-            f"drho shape {drho.shape} does not match state shape {state.matrix.shape}"
-            f" (dimension {state.dim})"
-        )
-    values, vectors = state.eigenvalues, state.eigenvectors
-    elements = np.conj(vectors).swapaxes(-1, -2) @ drho @ vectors
-    pair_sums = values[..., :, None] + values[..., None, :]
-    supported = pair_sums > EIGENSUM_FLOOR
-    weights = 2.0 * np.abs(elements) ** 2 / np.where(supported, pair_sums, 1.0)
-    value = np.where(supported, weights, 0.0).sum(axis=(-2, -1))
-    return QfiResult(
-        value=np.maximum(value, 0.0),
-        discarded_pairs=int(np.count_nonzero(~supported)),
-    )
+        raise ValueError(f"drho shape {drho.shape} does not match state dimension {state.dim}")
+    if off_block(drho, state.blocks) != 0.0:
+        raise ValueError(f"drho has a nonzero entry outside the blocks {state.blocks}")
+    mat = state.matrix
+    # per eigenvalue pair (p_i, p_j): 2 |drho_ij|^2 (twice that for i != j,
+    # covering both orders), p_i + p_j, and the number of ordered pairs
+    rows = []
+    for block in state.blocks:
+        i, j = block[0], block[-1]
+        if len(block) == 1:
+            rows.append((2.0 * drho[..., i, i].real ** 2, 2.0 * mat[..., i, i].real, 1))
+            continue
+        w, bloch, norm, upper, lower = pair_block(mat, block)
+        da, db, dc = drho[..., i, i].real, drho[..., j, j].real, drho[..., i, j]
+        dbloch = (da - db, 2.0 * dc.real, 2.0 * dc.imag)
+        dot = sum(r * dr for r, dr in zip(bloch, dbloch))
+        along = np.where(norm > 0.0, dot / np.where(norm > 0.0, norm, 1.0), 0.0)
+        across = sum(dr**2 for dr in dbloch) - along**2
+        rows += [(0.5 * (da + db + along) ** 2, 2.0 * upper, 1),
+                 (0.5 * (da + db - along) ** 2, 2.0 * lower, 1), (across, w, 2)]
+    numerators, pair_sums, pairs = zip(*rows)
+    pair_sums = np.array(pair_sums)
+    kept = pair_sums > EIGENSUM_FLOOR
+    terms = np.where(kept, np.array(numerators) / np.where(kept, pair_sums, 1.0), 0.0)
+    dropped = (~kept).reshape(len(pairs), -1).sum(axis=1)
+    return QfiResult(np.maximum(terms.sum(axis=0), 0.0), int(np.dot(pairs, dropped)))
 
 
 def occupation_from_temperature(temperature: float, freq_scale: float = 1.0) -> float:

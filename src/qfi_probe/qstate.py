@@ -40,13 +40,15 @@ class NegativeEigenvalue(StateValidationError):
     pass
 
 
-class ConvergenceFailure(RuntimeError):
-    """The eigensolver exceeded its accuracy budget."""
-
-
 def _as_matrix(state) -> np.ndarray:
     """Accept either a DensityMatrix or a plain complex array."""
     return np.asarray(getattr(state, "matrix", state), dtype=complex)
+
+
+# Block supports: one qubit is a single block; every two-qubit state the
+# models produce is an X-state on {|eg>, |ge>} + {|ee>, |gg>}.
+QUBIT_BLOCKS = ((0, 1),)
+X_BLOCKS = ((1, 2), (0, 3))
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,12 @@ class DensityMatrix:
 
     Attributes:
         matrix: read-only complex array of shape (..., d, d), d = 2 or 4.
-        eigenvalues: spectrum of each matrix in descending order, shape
-            (..., d), as computed (entries down to -psd_tol are kept).
-        eigenvectors: matching orthonormal eigenvectors as matrix columns,
-            shape (..., d, d).
+        blocks: the index sets of size 1 or 2 that partition the basis and
+            carry the state; every entry outside them is exactly zero.
     """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    blocks: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -88,15 +87,48 @@ def _adjoint(mat: np.ndarray) -> np.ndarray:
     return np.conj(mat).swapaxes(-1, -2)
 
 
-def validate_density(matrix, psd_tol: float = PSD_TOL) -> DensityMatrix:
-    """Check the three state invariants of a matrix or a stack of matrices
-    and wrap it together with its eigen-decomposition.
+def off_block(matrix: np.ndarray, blocks) -> float:
+    """Largest magnitude of the entries outside the blocks, over a matrix
+    or a stack of them; 0.0 when every such entry is exactly zero."""
+    outside = np.ones(matrix.shape[-2:], dtype=bool)
+    for block in blocks:
+        for i in block:
+            outside[i, block] = False
+    entries = matrix[..., outside]
+    return float(np.abs(entries).max()) if np.count_nonzero(entries) else 0.0
+
+
+def pair_block(matrix: np.ndarray, block: tuple[int, int]):
+    """(w, r, |r|, upper, lower) of the 2x2 block B = (w + r.sigma) / 2 of
+    each matrix on an index pair: its trace, Bloch vector (three arrays,
+    r_y with its sign flipped), length and eigenvalues (w +- |r|) / 2. The
+    lower eigenvalue is det B / upper, which stays accurate where it is
+    tiny and (w - |r|) / 2 cancels; only where upper <= 0 is it w - upper."""
+    i, j = block
+    a, b, c = matrix[..., i, i].real, matrix[..., j, j].real, matrix[..., i, j]
+    weight = a + b
+    bloch = (a - b, 2.0 * c.real, 2.0 * c.imag)
+    norm = np.sqrt(sum(r**2 for r in bloch))
+    upper = 0.5 * (weight + norm)
+    det = a * b - (c.real**2 + c.imag**2)
+    positive = upper > 0.0
+    lower = np.where(positive, det / np.where(positive, upper, 1.0), weight - upper)
+    return weight, bloch, norm, upper, lower
+
+
+def validate_density(matrix, blocks=None, psd_tol: float = PSD_TOL) -> DensityMatrix:
+    """Check the state invariants of a matrix or a stack of matrices that
+    is a direct sum of blocks of size 2 or less, without an eigensolver.
 
     A non-finite entry is rejected before any check runs, and every
-    comparison is written so that a NaN fails it.
+    comparison is written so that a NaN fails it. Positivity is checked
+    per block: the entry of a 1-block, the lower eigenvalue of a 2-block.
 
     Args:
         matrix: complex array of shape (..., d, d) with d = 2 or 4.
+        blocks: index sets of size 1 or 2 partitioning range(d); every
+            entry outside them must be exactly zero. The default is the
+            whole qubit for d = 2 and the X-state blocks for d = 4.
         psd_tol: eigenvalues are accepted down to ``-psd_tol``; the
             integrator oracle relaxes this to 1e-8 to absorb integration
             dust.
@@ -105,19 +137,27 @@ def validate_density(matrix, psd_tol: float = PSD_TOL) -> DensityMatrix:
         The validated DensityMatrix (a read-only copy of the input).
 
     Raises:
-        StateValidationError: for a NaN or infinite entry.
+        StateValidationError: for a NaN or infinite entry, or a nonzero
+            entry outside the blocks.
         NotHermitian, TraceNotOne, NegativeEigenvalue: naming the bound
             and the worst offending magnitude over the stack.
-        ConvergenceFailure: see eig_hermitian.
-        ValueError: for a non-square input or an unsupported dimension.
+        ValueError: for a non-square input, an unsupported dimension, or
+            blocks that do not partition the basis.
     """
     mat = np.array(getattr(matrix, "matrix", matrix), dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[-1] not in (2, 4):
-        raise ValueError(f"unsupported dimension {mat.shape[-1]}, expected 2 or 4")
+    dim = mat.shape[-1]
+    if dim not in (2, 4):
+        raise ValueError(f"unsupported dimension {dim}, expected 2 or 4")
+    blocks = (QUBIT_BLOCKS if dim == 2 else X_BLOCKS) if blocks is None else blocks
+    if sorted(sum(blocks, ())) != list(range(dim)) or not all(len(b) in (1, 2) for b in blocks):
+        raise ValueError(f"blocks {blocks} do not partition range({dim}) into sizes 1 and 2")
     if not np.isfinite(mat).all():
         raise StateValidationError("matrix has a NaN or infinite entry")
+    outside = off_block(mat, blocks)
+    if outside != 0.0:
+        raise StateValidationError(f"entry of magnitude {outside:.3e} outside the blocks {blocks}")
     herm_dev = float(np.abs(mat - _adjoint(mat)).max(initial=0.0))
     if not herm_dev <= HERMITICITY_TOL:
         raise NotHermitian(
@@ -126,42 +166,12 @@ def validate_density(matrix, psd_tol: float = PSD_TOL) -> DensityMatrix:
     trace_dev = float(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if not trace_dev <= TRACE_TOL:
         raise TraceNotOne(f"|tr(rho) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
-    values, vectors = eig_hermitian(mat)
-    smallest = float(values[..., -1].min(initial=np.inf))
+    lowest = [mat[..., b[0], b[0]].real if len(b) == 1 else pair_block(mat, b)[4] for b in blocks]
+    smallest = min(float(low.min(initial=np.inf)) for low in lowest)
     if not smallest >= -psd_tol:
-        raise NegativeEigenvalue(
-            f"smallest eigenvalue {smallest:.3e} below -{psd_tol:.0e}"
-        )
-    for arr in (mat, values, vectors):
-        arr.flags.writeable = False
-    return DensityMatrix(matrix=mat, eigenvalues=values, eigenvectors=vectors)
-
-
-def eig_hermitian(state) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a density matrix or a stack of them.
-
-    Returns:
-        (eigenvalues, eigenvectors): eigenvalues in descending order along
-        the last axis and the matching orthonormal eigenvectors as matrix
-        columns, with ``rho = sum_i p_i |psi_i><psi_i|`` reconstructed to
-        1e-10 for every matrix.
-
-    Raises:
-        ConvergenceFailure: if the solver fails or a reconstruction error
-            exceeds 1e-10.
-    """
-    mat = _as_matrix(state)
-    try:
-        values, vectors = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    values = values[..., ::-1].copy()
-    vectors = vectors[..., ::-1].copy()
-    reconstruction = (vectors * values[..., None, :]) @ _adjoint(vectors)
-    err = float(np.abs(reconstruction - mat).max(initial=0.0))
-    if not err <= 1e-10:
-        raise ConvergenceFailure(f"reconstruction error {err:.3e} exceeds 1e-10")
-    return values, vectors
+        raise NegativeEigenvalue(f"smallest eigenvalue {smallest:.3e} below -{psd_tol:.0e}")
+    mat.flags.writeable = False
+    return DensityMatrix(matrix=mat, blocks=blocks)
 
 
 def trace_out_B(state) -> np.ndarray:

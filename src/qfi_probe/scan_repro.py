@@ -4,6 +4,7 @@ detection, and regeneration of the standard figure datasets (tags 1a-5c)."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -26,7 +27,7 @@ from .probe_models import (
 from .qfi_engine import (
     d_rho_grid,
     occupation_slope,
-    qfi_spectral,
+    qfi_blocks,
     temperature_from_occupation,
 )
 from .qstate import DensityMatrix, fidelity_bloch, trace_out_B, validate_density
@@ -42,10 +43,11 @@ MODEL_ESTIMAND = {
     "squeezed2": "squeezing",
 }
 FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b", "5c")
-# One stack of states per evaluation block (1024 one-qubit or 256 two-qubit
-# rows) stays in cache and below the allocator's mmap threshold, so blocks
-# reuse heap memory instead of faulting in fresh pages on every scan.
-BLOCK_BYTES = 64 * 1024
+# One stack of states per evaluation block (2048 one-qubit or 512 two-qubit
+# rows). Each block has a fixed cost of about 0.4 ms of small numpy calls;
+# blocks bound the temporaries of a large grid (a 100,000-point two-qubit
+# scan peaks at 4 MB instead of 103 MB) and keep them in reused heap memory.
+BLOCK_BYTES = 128 * 1024
 # 500 times the 2000-point figure grid; a larger count is rejected before
 # the grid is allocated.
 MAX_POINTS = 1_000_000
@@ -96,6 +98,8 @@ class ScanConfig:
             raise ValueError("t_min must be positive (QFI vanishes at t = 0)")
         if self.t_max <= self.t_min:
             raise ValueError("t_max must exceed t_min")
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"points = {self.points!r} is not an integer")
         if self.points < 2:
             raise ValueError("a scan needs at least 2 grid points")
         if self.points > MAX_POINTS:
@@ -106,15 +110,18 @@ class ScanConfig:
 class ScanDataset:
     """Rows of (t, qfi, fidelity) plus string metadata identifying the scan.
 
-    qfi_fn, when present, evaluates the same QFI pipeline at an arbitrary
-    time and backs the golden-section refinement in find_max.
+    qfi_fn, when present, maps times[N] to qfi[N] through the same QFI
+    pipeline, one row per time evaluated independently, and backs the
+    golden-section refinement in find_max.
     """
 
     t: np.ndarray
     qfi: np.ndarray
     fidelity: np.ndarray
     metadata: dict[str, str]
-    qfi_fn: Callable[[float], float] | None = field(default=None, repr=False, compare=False)
+    qfi_fn: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def time_grid(config: ScanConfig) -> np.ndarray:
@@ -179,15 +186,17 @@ def _evaluate(config: ScanConfig, times, qfi: bool = True, fidelity: bool = True
     channel = build_channel(config)
     chain = _chain_factor(config) if qfi else None
     if fidelity:
-        reference = _atomic(channel, validate_density(channel.states(channel.value, [0.0])))
+        reference = _atomic(
+            channel, validate_density(channel.states(channel.value, [0.0]), channel.blocks)
+        )
     rows = max(1, BLOCK_BYTES // (16 * channel.dim**2))
     qfi_parts, fidelity_parts = [], []
     for k in range(0, times.size, rows):
         block = times[k:k + rows]
-        states = validate_density(channel.states(channel.value, block))
+        states = validate_density(channel.states(channel.value, block), channel.blocks)
         if qfi:
             derivs = d_rho_grid(channel, channel.value, block)
-            qfi_parts.append(qfi_spectral(states, derivs).value * chain)
+            qfi_parts.append(qfi_blocks(states, derivs).value * chain)
         if fidelity:
             fidelity_parts.append(fidelity_bloch(reference, _atomic(channel, states)))
     return (np.concatenate(qfi_parts) if qfi else None,
@@ -202,7 +211,9 @@ def scan(config: ScanConfig) -> ScanDataset:
     metadata = _metadata(config, times, qfi)
     for arr in (times, qfi, fidelity):
         arr.flags.writeable = False
-    return ScanDataset(times, qfi, fidelity, metadata, lambda t: point_qfi(config, t))
+    return ScanDataset(
+        times, qfi, fidelity, metadata, lambda ts: _evaluate(config, ts, fidelity=False)[0]
+    )
 
 
 def point_qfi(config: ScanConfig, t: float) -> float:
@@ -249,14 +260,37 @@ def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[st
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # width of the time bracket at which golden-section refinement stops
 T_TOL = 1e-6
+# golden-section steps per evaluator call: the new points of both outcomes
+# of each of the next REFINE_STEPS comparisons, 2^(REFINE_STEPS + 1) - 2
+REFINE_STEPS = 4
+
+
+def _speculate(bracket) -> dict[tuple[bool, ...], tuple[float, float, float, float]]:
+    """The brackets (lo, hi, x1, x2) that every outcome path of up to
+    REFINE_STEPS golden-section steps reaches, keyed by the path of
+    comparisons f(x1) < f(x2); a converged bracket is not stepped."""
+    reached, frontier = {(): bracket}, [()]
+    for _ in range(REFINE_STEPS):
+        frontier = [path + (rise,) for path in frontier for rise in (True, False)
+                    if reached[path][1] - reached[path][0] > T_TOL]
+        for path in frontier:
+            lo, hi, x1, x2 = reached[path[:-1]]
+            if path[-1]:  # the lower end moves up to x1; x2 is new
+                reached[path] = (x1, hi, x2, x1 + _INV_GOLDEN * (hi - x1))
+            else:  # the upper end moves down to x2; x1 is new
+                reached[path] = (lo, x2, x2 - _INV_GOLDEN * (x2 - lo), x1)
+    return reached
 
 
 def find_max(dataset: ScanDataset) -> tuple[float, float]:
     """Grid argmax refined by golden-section search in the bracketing interval.
 
     The refinement uses the dataset's attached evaluator, qfi_fn; without
-    one the grid maximum is returned. The refined value is never below the
-    grid value.
+    one the grid maximum is returned. Each evaluator call takes the new
+    points of the next REFINE_STEPS steps for both outcomes of every
+    comparison, and the search walks the path its comparisons take, so the
+    result is that of one evaluation per step. The refined value is never
+    below the grid value.
     """
     if dataset.t.size == 0:
         raise ValueError("empty dataset")
@@ -268,21 +302,25 @@ def find_max(dataset: ScanDataset) -> tuple[float, float]:
         return best_t, best_q
     lo = float(dataset.t[peak - 1]) if peak > 0 else best_t
     hi = float(dataset.t[peak + 1]) if peak + 1 < dataset.t.size else best_t
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > T_TOL:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = fn(x1)
-        for xc, fc in ((x1, f1), (x2, f2)):
-            if fc > best_q:
-                best_t, best_q = xc, fc
+    bracket = (lo, hi, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
+    f1 = f2 = None
+    while f1 is None or bracket[1] - bracket[0] > T_TOL:
+        reached = _speculate(bracket)
+        paths = list(reached)[1:]
+        points = [reached[path][3 if path[-1] else 2] for path in paths]
+        first = [] if f1 is not None else [bracket[2], bracket[3]]
+        values = [float(v) for v in fn(np.array(first + points))]
+        if f1 is None:
+            f1, f2 = values[0], values[1]
+        new_value = dict(zip(paths, values[len(first):]))
+        path = (f1 < f2,)
+        while path in reached:
+            bracket = reached[path]
+            f1, f2 = (f2, new_value[path]) if path[-1] else (new_value[path], f1)
+            for xc, fc in ((bracket[2], f1), (bracket[3], f2)):
+                if fc > best_q:
+                    best_t, best_q = xc, fc
+            path += (f1 < f2,)
     return best_t, best_q
 
 

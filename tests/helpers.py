@@ -1,16 +1,20 @@
 """Shared test utilities: random state factories and independent oracles.
 
 The oracles here (closed-form 2x2 diagonalization, brute-force partial
-traces, fixed-step amplitude integration, the SLD and pure-state QFI, the
-Uhlmann fidelity, analytic reservoir derivatives) deliberately avoid the
-package code paths they check.
+traces, fixed-step amplitude integration, the spectral, SLD and pure-state
+QFI, the Uhlmann fidelity, analytic reservoir derivatives, the sequential
+golden-section search) deliberately avoid the package code paths they
+check.
 """
+
+import math
 
 import numpy as np
 
 from qfi_probe.probe_models import SqueezedParams, ThermalParams
-from qfi_probe.qfi_engine import EIGENSUM_FLOOR
+from qfi_probe.qfi_engine import EIGENSUM_FLOOR, QfiResult
 from qfi_probe.qstate import BlochVector, trace_out_B, validate_density
+from qfi_probe.scan_repro import T_TOL
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -48,6 +52,33 @@ def fidelity_uhlmann_oracle(state0, state1):
         dets.append(det)
     value = overlap + 2.0 * np.sqrt(dets[0] * dets[1])
     return float(min(max(value, 0.0), 1.0))
+
+
+def qfi_spectral(rho, drho):
+    """QFI of a state, or of every state in a stack, from a full
+    eigendecomposition of the matrix, with no block structure assumed.
+
+    Computed in the matrix-element form
+    F = sum_{i,j} 2 |<psi_i| drho |psi_j>|^2 / (p_i + p_j)
+    over pairs with p_i + p_j > 1e-12; diagonal terms reproduce the
+    classical sum (dp_i)^2 / p_i and off-diagonal terms the eigenvector
+    contribution. discarded_pairs counts every ordered pair at or below
+    the floor over the whole stack, across blocks too.
+    """
+    mat = _as_matrix(rho)
+    drho = np.asarray(drho, dtype=complex)
+    if drho.shape != mat.shape:
+        raise ValueError(f"drho shape {drho.shape} does not match state shape {mat.shape}")
+    values, vectors = np.linalg.eigh(mat)
+    elements = np.conj(vectors).swapaxes(-1, -2) @ drho @ vectors
+    pair_sums = values[..., :, None] + values[..., None, :]
+    supported = pair_sums > EIGENSUM_FLOOR
+    weights = 2.0 * np.abs(elements) ** 2 / np.where(supported, pair_sums, 1.0)
+    value = np.where(supported, weights, 0.0).sum(axis=(-2, -1))
+    return QfiResult(
+        value=np.maximum(value, 0.0),
+        discarded_pairs=int(np.count_nonzero(~supported)),
+    )
 
 
 def qfi_sld_oracle(rho, drho):
@@ -134,6 +165,35 @@ def state_at(states_fn, params, t):
     return validate_density(states_fn(params, [t])[0])
 
 
+def find_max_sequential(dataset):
+    """Golden-section refinement with one evaluator call per step: the
+    loop find_max ran before it evaluated the steps in batches."""
+    peak = int(np.argmax(dataset.qfi))
+    best_t, best_q = float(dataset.t[peak]), float(dataset.qfi[peak])
+    fn = lambda t: float(dataset.qfi_fn(np.array([t]))[0])
+    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+    lo = float(dataset.t[peak - 1]) if peak > 0 else best_t
+    hi = float(dataset.t[peak + 1]) if peak + 1 < dataset.t.size else best_t
+    x1 = hi - inv_golden * (hi - lo)
+    x2 = lo + inv_golden * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    steps = 0
+    while hi - lo > T_TOL:
+        steps += 1
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_golden * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_golden * (hi - lo)
+            f1 = fn(x1)
+        for xc, fc in ((x1, f1), (x2, f2)):
+            if fc > best_q:
+                best_t, best_q = xc, fc
+    return (best_t, best_q), steps
+
+
 def random_qubit_state(rng, pure=False):
     """Uniformly random valid qubit state via a random Bloch vector."""
     direction = rng.normal(size=3)
@@ -144,10 +204,11 @@ def random_qubit_state(rng, pure=False):
 
 
 def random_density(rng, dim):
-    """Random full-support density matrix from a Wishart-style draw."""
+    """Random full-support density matrix from a Wishart-style draw, as a
+    plain array: for dim 4 it has no block structure."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = a @ a.conj().T + 0.05 * np.eye(dim)
-    return validate_density(mat / mat.trace())
+    return mat / mat.trace()
 
 
 def random_hermitian_traceless(rng, dim):

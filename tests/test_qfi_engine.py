@@ -1,4 +1,4 @@
-"""Tests for derivative stencils, the spectral QFI and its oracles, the
+"""Tests for derivative stencils, the block QFI and its oracles, the
 temperature chain rule, and the Cramer-Rao bound."""
 
 from dataclasses import replace
@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     qfi_pure_oracle,
     qfi_sld_oracle,
+    qfi_spectral,
     random_density,
     random_hermitian_traceless,
     random_unitary,
@@ -34,10 +35,11 @@ from qfi_probe.qfi_engine import (
     fd_step,
     occupation_from_temperature,
     occupation_slope,
-    qfi_spectral,
+    qfi_blocks,
     temperature_from_occupation,
 )
-from qfi_probe.qstate import validate_density
+from qfi_probe.qstate import QUBIT_BLOCKS, validate_density
+from qfi_probe.scan_repro import ScanConfig, build_channel, time_grid
 
 THERMAL = ThermalParams(0.1, 1.0, np.pi / 4)
 SQUEEZED = SqueezedParams(0.1, 1.0, np.pi / 4)
@@ -48,7 +50,7 @@ SQUEEZED_CHANNEL = squeezed1_channel(SQUEEZED)
 def constant_channel():
     state = 0.5 * np.ones((2, 2), dtype=complex)
     return ChannelModel(
-        1.0, None, 2, lambda v, times: np.repeat(state[None], len(times), axis=0)
+        1.0, None, QUBIT_BLOCKS, lambda v, times: np.repeat(state[None], len(times), axis=0)
     )
 
 
@@ -90,7 +92,79 @@ class TestDerivativeStencil:
             np.testing.assert_allclose(stack[k], pointwise, atol=1e-14)
 
 
+class TestQfiBlocks:
+    def test_zero_derivative(self):
+        rho = validate_density(np.diag([0.3, 0.7]).astype(complex))
+        result = qfi_blocks(rho, np.zeros((2, 2), dtype=complex))
+        assert result.value == 0.0
+        assert result.discarded_pairs == 0
+
+    def test_classical_binomial_family(self):
+        rho = validate_density(np.eye(2, dtype=complex) / 2)
+        drho = np.diag([1.0, -1.0]).astype(complex)
+        assert qfi_blocks(rho, drho).value == pytest.approx(4.0, abs=1e-12)
+
+    def test_thermal_steady_state_benchmark(self):
+        m = 0.1
+        width = 2.0 * m + 1.0
+        rho = np.diag([m / width, (m + 1.0) / width]).astype(complex)
+        drho = np.diag([1.0 / width**2, -1.0 / width**2]).astype(complex)
+        result = qfi_blocks(rho, drho)
+        assert result.value == pytest.approx(1.0 / (width**2 * m * (m + 1.0)), rel=1e-12)
+
+    def test_discarded_pairs_are_within_blocks(self):
+        # one qubit: the (g, g) pair; two-qubit cavity blocks at t = 0:
+        # the pure {|eg>, |ge>} block drops (-, -), each empty 1-block its
+        # own pair, and no pair across blocks is counted
+        rho = validate_density(np.diag([1.0, 0.0]).astype(complex))
+        assert qfi_blocks(rho, np.zeros((2, 2), dtype=complex)).discarded_pairs == 1
+        channel = fock2_channel(TwoQubitFockParams(detuning=5.0))
+        state = validate_density(channel.states(5.0, [0.0]), channel.blocks)
+        assert qfi_blocks(state, np.zeros((1, 4, 4), dtype=complex)).discarded_pairs == 3
+
+    def test_dimension_mismatch(self):
+        rho = validate_density(np.eye(2, dtype=complex) / 2)
+        with pytest.raises(ValueError, match="dimension"):
+            qfi_blocks(rho, np.zeros((4, 4), dtype=complex))
+
+    def test_derivative_outside_blocks_rejected(self):
+        channel = fock2_channel(TwoQubitFockParams(detuning=5.0))
+        state = validate_density(channel.states(5.0, [1.0]), channel.blocks)
+        drho = d_rho_grid(channel, 5.0, [1.0])
+        drho[0, 0, 3] = drho[0, 3, 0] = 1e-3
+        with pytest.raises(ValueError, match="outside the blocks"):
+            qfi_blocks(state, drho)
+
+    def test_matches_spectral_oracle_at_fock1_tiny_population(self):
+        # figure 1a, alpha = 0: a population dips to about 6e-9, where the
+        # lower eigenvalue as (w - |r|) / 2 is off by 4.5e-9 of the peak
+        config = ScanConfig("fock1", alpha=0.0, t_min=0.01, t_max=100.0, points=2000)
+        channel = build_channel(config)
+        times = time_grid(config)
+        states = channel.states(channel.value, times)
+        assert np.abs(states[:, 1, 1]).min() < 1e-8
+        derivs = d_rho_grid(channel, channel.value, times)
+        block = qfi_blocks(validate_density(states, channel.blocks), derivs).value
+        spectral = qfi_spectral(states, derivs).value
+        assert np.abs(block - spectral).max() <= 1e-12 * spectral.max()
+
+    def test_matches_spectral_oracle_across_fock2_rank_drop(self):
+        # the |gg> population of fock2 passes through zero at
+        # t = 2 pi k / sqrt(8 + detuning^2); k = 45 sits near t = 49.22
+        channel = fock2_channel(TwoQubitFockParams(detuning=5.0))
+        t_drop = 2.0 * np.pi * 45 / np.sqrt(33.0)
+        times = t_drop + np.linspace(-1e-3, 1e-3, 20001)
+        states = channel.states(5.0, times)
+        assert states[:, 3, 3].real.min() < 1e-20
+        derivs = d_rho_grid(channel, 5.0, times)
+        block = qfi_blocks(validate_density(states, channel.blocks), derivs).value
+        spectral = qfi_spectral(states, derivs).value
+        assert np.abs(block - spectral).max() <= 1e-12 * spectral.max()
+
+
 class TestQfiSpectral:
+    """The eigendecomposition oracle in tests/helpers."""
+
     def test_zero_derivative(self):
         rho = validate_density(np.diag([0.3, 0.7]).astype(complex))
         result = qfi_spectral(rho, np.zeros((2, 2), dtype=complex))
@@ -120,7 +194,7 @@ class TestQfiSpectral:
 
     def test_dimension_mismatch(self):
         rho = validate_density(np.eye(2, dtype=complex) / 2)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="does not match"):
             qfi_spectral(rho, np.zeros((4, 4), dtype=complex))
 
     def test_unitary_invariance(self):
@@ -130,7 +204,7 @@ class TestQfiSpectral:
                 rho = random_density(rng, dim)
                 drho = random_hermitian_traceless(rng, dim)
                 u = random_unitary(rng, dim)
-                rotated = validate_density(u @ rho.matrix @ u.conj().T)
+                rotated = u @ rho @ u.conj().T
                 direct = qfi_spectral(rho, drho).value
                 conjugated = qfi_spectral(rotated, u @ drho @ u.conj().T).value
                 assert direct == pytest.approx(conjugated, rel=1e-8, abs=1e-10)
@@ -175,8 +249,8 @@ class TestPureOracle:
         rho = validate_density(np.outer(psi, psi.conj()))
         drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
         pure = qfi_pure_oracle(psi, dpsi)
-        spectral = qfi_spectral(rho, drho).value
-        assert abs(pure - spectral) <= 1e-8
+        assert abs(pure - qfi_spectral(rho, drho).value) <= 1e-8
+        assert abs(pure - qfi_blocks(rho, drho).value) <= 1e-8
 
     def test_agreement_on_random_rank_one_states(self):
         rng = np.random.default_rng(71)
@@ -186,9 +260,12 @@ class TestPureOracle:
                 psi /= np.linalg.norm(psi)
                 dpsi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
                 dpsi -= psi * np.vdot(psi, dpsi).real  # normalized family
-                rho = validate_density(np.outer(psi, psi.conj()))
+                rho = np.outer(psi, psi.conj())
                 drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
-                assert abs(qfi_pure_oracle(psi, dpsi) - qfi_spectral(rho, drho).value) <= 1e-8
+                pure = qfi_pure_oracle(psi, dpsi)
+                assert abs(pure - qfi_spectral(rho, drho).value) <= 1e-8
+                if dim == 2:
+                    assert abs(pure - qfi_blocks(rho, drho).value) <= 1e-8
 
 
 class TestQfiVanishesAtTimeZero:
@@ -203,9 +280,9 @@ class TestQfiVanishesAtTimeZero:
         ids=["fock1", "thermal1", "squeezed1", "fock2"],
     )
     def test_zero_at_t0(self, channel):
-        rho = validate_density(channel.states(channel.value, [0.0])[0])
+        rho = validate_density(channel.states(channel.value, [0.0])[0], channel.blocks)
         drho = d_rho_grid(channel, channel.value, [0.0])[0]
-        assert qfi_spectral(rho, drho).value <= 1e-9
+        assert qfi_blocks(rho, drho).value <= 1e-9
 
 
 class TestTemperatureChainRule:

@@ -14,13 +14,14 @@ from helpers import (
 )
 from qfi_probe.probe_models import ThermalParams, TwoQubitFockParams, fock2_states, thermal1_states
 from qfi_probe.qstate import (
+    X_BLOCKS,
     NegativeEigenvalue,
     NotHermitian,
     StateValidationError,
     TraceNotOne,
     bloch_vector,
-    eig_hermitian,
     fidelity_bloch,
+    pair_block,
     trace_out_B,
     validate_density,
 )
@@ -29,19 +30,62 @@ EXCITED = np.diag([1.0, 0.0]).astype(complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
 
 
+def qubit_eigenvalues(mat):
+    """(upper, lower) eigenvalues of a qubit state or stack."""
+    return np.stack(pair_block(np.asarray(mat), (0, 1))[3:], axis=-1)
+
+
 class TestValidateDensity:
     def test_maximally_mixed(self):
         state = validate_density(np.eye(2, dtype=complex) / 2)
-        np.testing.assert_allclose(state.eigenvalues, [0.5, 0.5], atol=1e-14)
+        np.testing.assert_allclose(qubit_eigenvalues(state.matrix), [0.5, 0.5], atol=1e-14)
 
     def test_pure_excited(self):
         state = validate_density(EXCITED)
         assert state.dim == 2
-        np.testing.assert_allclose(state.eigenvalues, [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(qubit_eigenvalues(state.matrix), [1.0, 0.0], atol=1e-14)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NegativeEigenvalue, match="-1.0"):
             validate_density(np.diag([1.1, -0.1]).astype(complex))
+
+    def test_negative_block_eigenvalue_rejected(self):
+        # unit trace and nonnegative diagonal, but the coherence is too
+        # large: eigenvalues 1.1 and -0.1, in a 2-block and in a 1-block
+        qubit = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
+        with pytest.raises(NegativeEigenvalue, match="-1.0"):
+            validate_density(qubit)
+        pair = np.zeros((4, 4), dtype=complex)
+        pair[1:3, 1:3] = qubit
+        with pytest.raises(NegativeEigenvalue, match="-1.0"):
+            validate_density(pair)
+        fock = np.diag([-0.1, 0.55, 0.55, 0.0]).astype(complex)
+        with pytest.raises(NegativeEigenvalue, match="-1.0"):
+            validate_density(fock, ((1, 2), (3,), (0,)))
+
+    def test_entry_outside_blocks_rejected(self):
+        bell = np.zeros((4, 4), dtype=complex)
+        bell[1:3, 1:3] = 0.5
+        validate_density(bell, X_BLOCKS)
+        stray = bell.copy()
+        stray[0, 1] = stray[1, 0] = 1e-13
+        with pytest.raises(StateValidationError, match="outside the blocks"):
+            validate_density(stray, X_BLOCKS)
+        # an {|ee>, |gg>} coherence is inside the X-state blocks but outside
+        # the two-qubit cavity blocks
+        coherent = bell * 0.5
+        coherent[0, 0] = coherent[3, 3] = 0.25
+        coherent[0, 3] = coherent[3, 0] = 0.1
+        validate_density(coherent, X_BLOCKS)
+        with pytest.raises(StateValidationError, match="outside the blocks"):
+            validate_density(coherent, ((1, 2), (3,), (0,)))
+
+    def test_blocks_must_partition_the_basis(self):
+        bell = np.zeros((4, 4), dtype=complex)
+        bell[1:3, 1:3] = 0.5
+        for blocks in (((1, 2), (0,)), ((1, 2), (0, 3), (3,)), ((0, 1, 2), (3,))):
+            with pytest.raises(ValueError, match="partition"):
+                validate_density(bell, blocks)
 
     def test_non_hermitian_rejected(self):
         mat = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
@@ -75,12 +119,11 @@ class TestValidateDensity:
         stack = np.array([EXCITED, np.eye(2, dtype=complex) / 2, GROUND])
         state = validate_density(stack)
         np.testing.assert_allclose(
-            state.eigenvalues, [[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]], atol=1e-14
+            qubit_eigenvalues(state.matrix), [[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]], atol=1e-14
         )
-        for k in range(3):
-            vectors, values = state.eigenvectors[k], state.eigenvalues[k]
-            reconstruction = (vectors * values) @ vectors.conj().T
-            assert np.abs(reconstruction - stack[k]).max() <= 1e-10
+        # one bad matrix in a stack is named by its eigenvalue
+        with pytest.raises(NegativeEigenvalue, match="-1.0"):
+            validate_density(np.array([EXCITED, np.diag([1.1, -0.1]), GROUND]))
 
     def test_matrix_immutable(self):
         state = validate_density(EXCITED)
@@ -88,34 +131,41 @@ class TestValidateDensity:
             state.matrix[0, 0] = 0.0
 
 
-class TestEigHermitian:
+class TestPairBlock:
     def test_already_diagonal(self):
-        values, vectors = eig_hermitian(validate_density(np.diag([0.3, 0.7]).astype(complex)))
-        np.testing.assert_allclose(values, [0.7, 0.3], atol=1e-14)
-        assert abs(abs(vectors[1, 0]) - 1.0) < 1e-12  # leading eigenvector is |g>
+        np.testing.assert_allclose(qubit_eigenvalues(np.diag([0.3, 0.7])), [0.7, 0.3],
+                                   atol=1e-14)
 
     def test_pure_superposition(self):
-        state = validate_density(0.5 * np.ones((2, 2), dtype=complex))
-        values, vectors = eig_hermitian(state)
-        np.testing.assert_allclose(values, [1.0, 0.0], atol=1e-12)
-        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert abs(abs(np.vdot(plus, vectors[:, 0])) - 1.0) < 1e-12
+        weight, bloch, norm, upper, lower = pair_block(0.5 * np.ones((2, 2), dtype=complex),
+                                                       (0, 1))
+        assert (upper, lower) == pytest.approx((1.0, 0.0), abs=1e-12)
+        # the Bloch axis is the |+> direction
+        assert (weight, norm) == pytest.approx((1.0, 1.0), abs=1e-12)
+        assert (bloch[0], bloch[1]) == pytest.approx((0.0, 1.0), abs=1e-12)
 
     def test_thermal_state_against_closed_form(self):
         # relaxed reservoir state at m=0.1, gamma t = 1, alpha = 45 degrees
         state = state_at(thermal1_states, ThermalParams(0.1, 1.0, np.pi / 4), 1.0)
-        values, vectors = eig_hermitian(state)
-        np.testing.assert_allclose(values, eig2_closed_form(state.matrix), atol=1e-12)
-        reconstruction = (vectors * values) @ vectors.conj().T
-        assert np.abs(reconstruction - state.matrix).max() <= 1e-10
+        np.testing.assert_allclose(
+            qubit_eigenvalues(state.matrix), eig2_closed_form(state.matrix), atol=1e-12
+        )
 
-    def test_orthonormality_random(self):
+    def test_tiny_eigenvalue_keeps_relative_accuracy(self):
+        # a population of 6e-9, as fock1 reaches at alpha = 0: det / upper
+        # keeps it to an ulp, where (w - |r|) / 2 loses half its digits
+        small = 6.123456789e-9
+        _, _, norm, upper, lower = pair_block(np.diag([1.0 - small, small]), (0, 1))
+        assert lower == pytest.approx(small, rel=1e-15)
+        assert abs(0.5 * ((1.0 - small + small) - norm) - small) > 1e-10 * small
+
+    def test_random_pairs_against_eigvalsh(self):
         rng = np.random.default_rng(7)
-        for dim in (2, 4):
-            for _ in range(25):
-                _, vectors = eig_hermitian(random_density(rng, dim))
-                gram = vectors.conj().T @ vectors
-                assert np.abs(gram - np.eye(dim)).max() <= 1e-10
+        for _ in range(50):
+            mat = random_density(rng, 2)
+            np.testing.assert_allclose(
+                qubit_eigenvalues(mat), np.linalg.eigvalsh(mat)[::-1], atol=1e-14
+            )
 
 
 class TestPartialTrace:

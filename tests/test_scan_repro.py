@@ -2,14 +2,20 @@
 dataset builders. Grids are kept small here; the full-resolution runs live
 in the acceptance suite."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from helpers import find_max_sequential
 from qfi_probe import scan_repro
 from qfi_probe.qfi_engine import occupation_slope, temperature_from_occupation
 from qfi_probe.qstate import validate_density
 from qfi_probe.scan_repro import (
+    FIGURE_TAGS,
     MODEL_IDS,
+    REFINE_STEPS,
     ScanConfig,
     ScanDataset,
     backflow_intervals,
@@ -45,6 +51,18 @@ class TestScanConfig:
             ScanConfig("fock1", points=1)
         with pytest.raises(ValueError, match="points"):
             ScanConfig("fock1", points=10**12)
+
+    @pytest.mark.parametrize("bad", [2.5, True, 50.0])
+    def test_points_must_be_an_integer(self, bad):
+        # a float used to pass and fail later inside np.linspace; True
+        # passed the type and was caught only as "below 2"
+        with pytest.raises(ValueError, match="not an integer"):
+            ScanConfig("fock1", points=bad)
+
+    def test_numpy_integer_points_accepted(self):
+        dataset = scan(ScanConfig("fock1", points=np.int64(50)))
+        assert dataset.t.size == 50
+        assert dataset.metadata["points"] == "50"
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -186,6 +204,42 @@ class TestFindMax:
         dataset = scan(fock_config(points=200))
         assert find_max(dataset) == find_max(dataset)
 
+    @staticmethod
+    def assert_matches_sequential(dataset):
+        calls = []
+
+        def counted(times, fn=dataset.qfi_fn):
+            calls.append(len(times))
+            return fn(times)
+
+        expected, steps = find_max_sequential(dataset)
+        assert find_max(replace(dataset, qfi_fn=counted)) == expected
+        assert len(calls) <= math.ceil(steps / REFINE_STEPS) + 1
+
+    def test_batched_search_equals_sequential_on_figure_series(self):
+        for tag in FIGURE_TAGS:
+            for dataset in reproduce_figure(tag):
+                self.assert_matches_sequential(dataset)
+
+    def test_batched_search_equals_sequential_on_a_plateau(self):
+        # equal values at x1 and x2 must step the way the sequential
+        # search does (the upper end moves down)
+        t = np.linspace(0.0, 1.0, 11)
+        flat = lambda times: np.where(np.abs(np.asarray(times) - 0.5) < 0.08, 2.0, 1.0)
+        self.assert_matches_sequential(ScanDataset(t, flat(t) - 0.5, np.ones_like(t), {},
+                                                   qfi_fn=flat))
+
+    @pytest.mark.parametrize("model", ["thermal2", "squeezed2"])
+    def test_batched_search_equals_sequential_on_seeded_scans(self, model):
+        rng = np.random.default_rng(31 if model == "thermal2" else 37)
+        key, top = ("mean_occupation", 1.0) if model == "thermal2" else ("squeezing", 0.5)
+        for _ in range(8):
+            config = ScanConfig(
+                model, points=500, gamma=rng.uniform(0.5, 2.0), t_max=rng.uniform(10.0, 50.0),
+                **{key: rng.uniform(0.02, top)},
+            )
+            self.assert_matches_sequential(scan(config))
+
     @pytest.mark.parametrize("model", MODEL_IDS)
     def test_every_model_refines(self, model):
         config = ScanConfig(model, t_max=30.0, points=60)
@@ -259,6 +313,19 @@ class TestReproduceFigure:
     def test_two_qubit_reservoir_fidelity_dominates(self):
         one, two = reproduce_figure("5b", points=60)
         assert np.all(two.fidelity >= one.fidelity)
+
+
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_no_eigensolver_in_the_hot_path(model, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    config = ScanConfig(model, points=200, t_max=20.0)
+    find_max(scan(config))
+    point_qfi(config, 3.0)
+    point_fidelity(config, 3.0)
 
 
 def test_discrepancy_report_mentions_targets():
