@@ -30,8 +30,8 @@ def emit_csv(dataset: ScanDataset, path) -> None:
     header and one full-precision row per grid point (LF line endings)."""
     lines = [f"# {key}={value}" for key, value in dataset.metadata.items()]
     lines.append(CSV_HEADER)
-    for t, q, f in zip(dataset.t, dataset.qfi, dataset.fidelity):
-        lines.append(f"{t:.17g},{q:.17g},{f:.17g}")
+    rows = zip(dataset.t.tolist(), dataset.qfi.tolist(), dataset.fidelity.tolist())
+    lines += map("%.17g,%.17g,%.17g".__mod__, rows)
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)

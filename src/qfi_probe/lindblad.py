@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .probe_models import TwoQubitReservoirParams
-from .qstate import DensityMatrix, validate_density
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -22,7 +21,6 @@ TOL_MIN = 1e-12
 TOL_MAX = 1e-6
 DEFAULT_TOL = 1e-10
 TRACE_DRIFT_LIMIT = 1e-9
-INTEGRATION_PSD_TOL = 1e-8
 
 
 class StepUnderflow(RuntimeError):
@@ -186,7 +184,8 @@ def trajectory(
 
     Args:
         generator: constant Lindblad generator.
-        rho0: initial state (DensityMatrix or matrix), trace 1.
+        rho0: initial state (a matrix, or an object with a .matrix),
+            trace 1.
         times: nondecreasing, nonnegative sample times.
         tol: per-step discrepancy bound, within [1e-12, 1e-6].
 
@@ -224,14 +223,11 @@ def integrate(
     rho0,
     t_end: float,
     tol: float = DEFAULT_TOL,
-) -> DensityMatrix:
-    """Evolve rho0 to t_end and validate the result.
-
-    The output is validated on the default blocks, which are the X-state
-    blocks for a qubit pair: RK4 keeps the entries outside them exactly
-    zero, and any other two-qubit state is rejected. The positivity
-    tolerance is relaxed to -1e-8: integration error can leave tiny
-    negative eigenvalues, which the validated state keeps as computed.
+) -> np.ndarray:
+    """Evolve rho0 (a matrix, or an object with a .matrix) to t_end and
+    return the raw (unvalidated) final matrix. Integration error can leave
+    tiny negative eigenvalues, so a caller that validates the result
+    relaxes the positivity tolerance.
 
     Raises:
         StepUnderflow: if error control drives the step below
@@ -240,7 +236,5 @@ def integrate(
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     if t_end == 0.0:
-        mat0 = np.asarray(getattr(rho0, "matrix", rho0), dtype=complex)
-        return validate_density(mat0, psd_tol=INTEGRATION_PSD_TOL)
-    final = trajectory(generator, rho0, [t_end], tol)[-1]
-    return validate_density(final, psd_tol=INTEGRATION_PSD_TOL)
+        return np.array(getattr(rho0, "matrix", rho0), dtype=complex)
+    return trajectory(generator, rho0, [t_end], tol)[-1]

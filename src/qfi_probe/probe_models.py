@@ -1,8 +1,12 @@
 """Closed-form evolved probe states for the cavity-field and reservoir models.
 
-Every model maps (parameters, times[N]) to a raw stack of density matrices
-of shape (N, d, d); validation happens once per stack, where the stack is
-used. Time is dimensionless: coupling units for the cavity models
+Each model is a channel: its parameter dataclass is validated once, and
+the channel maps (estimand value, times[N]) to a BlockState, the real rows
+of the 2-blocks and 1-blocks that carry every state of the model (one
+2-block for a qubit, the X-state or cavity blocks for two qubits). The
+closed forms take raw floats, so the derivative stencil evaluates them
+without rebuilding the dataclass. Validation happens once per record,
+where it is used. Time is dimensionless: coupling units for the cavity models
 (coupling defaults to 1), decay-rate units for the reservoir models.
 """
 
@@ -10,14 +14,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .qstate import QUBIT_BLOCKS, X_BLOCKS
+from .qstate import QUBIT_BLOCKS, X_BLOCKS, BlockState, block_state
 
 _HALF_PI = 0.5 * np.pi
+# the two-qubit cavity states: {|eg>, |ge>} + {|gg>} + an empty {|ee>}
+FOCK2_BLOCKS = ((1, 2), (3,), (0,))
 
 
 def require_finite(params) -> None:
@@ -26,6 +32,14 @@ def require_finite(params) -> None:
         value = getattr(params, f.name)
         if isinstance(value, numbers.Real) and not math.isfinite(value):
             raise ValueError(f"{f.name} = {value} is not finite")
+
+
+def require_count(name: str, value) -> None:
+    """Reject anything but a nonnegative integer (a bool is no count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    if value < 0:
+        raise ValueError(f"{name} = {value} is negative")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -57,19 +71,8 @@ class FockParams:
         require_finite(self)
         if self.coupling <= 0.0:
             raise ValueError("coupling must be positive")
-        if self.photons < 0:
-            raise ValueError("photon number must be nonnegative")
+        require_count("photons", self.photons)
         _check_alpha(self.alpha)
-
-    @property
-    def exchange_rate(self) -> float:
-        """Resonant oscillation frequency 2 * coupling * sqrt(photons + 1)."""
-        return 2.0 * self.coupling * np.sqrt(self.photons + 1.0)
-
-    @property
-    def dressed_rate(self) -> float:
-        """Off-resonant oscillation frequency sqrt(exchange_rate^2 + detuning^2)."""
-        return float(np.hypot(self.exchange_rate, self.detuning))
 
 
 @dataclass(frozen=True)
@@ -122,16 +125,6 @@ class SqueezedParams:
             raise ValueError("gamma must be positive")
         _check_alpha(self.alpha)
 
-    @property
-    def occupation(self) -> float:
-        """Effective reservoir occupation sinh^2(r)."""
-        return float(np.sinh(self.squeezing) ** 2)
-
-    @property
-    def pair_correlation(self) -> float:
-        """Two-photon correlation cosh(r) sinh(r)."""
-        return float(np.cosh(self.squeezing) * np.sinh(self.squeezing))
-
 
 @dataclass(frozen=True)
 class TwoQubitFockParams:
@@ -151,14 +144,10 @@ class TwoQubitFockParams:
         require_finite(self)
         if self.coupling <= 0.0:
             raise ValueError("coupling must be positive")
+        require_count("photons", self.photons)
         if self.photons != 0:
             raise ValueError("the two-qubit closed form requires zero cavity photons")
         _check_alpha(self.alpha)
-
-    @property
-    def dressed_rate(self) -> float:
-        """Collective oscillation frequency sqrt(8 coupling^2 + detuning^2)."""
-        return float(np.sqrt(8.0 * self.coupling**2 + self.detuning**2))
 
 
 @dataclass(frozen=True)
@@ -188,103 +177,89 @@ class TwoQubitReservoirParams:
             raise ValueError("gamma must be positive")
 
 
-def _qubit_stack(r11, r12, r22) -> np.ndarray:
-    """(N, 2, 2) stack [[r11, r12], [conj(r12), r22]]."""
-    out = np.empty(np.shape(r11) + (2, 2), dtype=complex)
-    out[..., 0, 0] = r11
-    out[..., 0, 1] = r12
-    out[..., 1, 0] = np.conj(r12)
-    out[..., 1, 1] = r22
-    return out
+def _squeezed_rates(squeezing: float) -> tuple[float, float]:
+    """Effective occupation sinh^2(r) and pair correlation cosh(r) sinh(r)
+    of a squeezed vacuum reservoir."""
+    return float(np.sinh(squeezing) ** 2), float(np.cosh(squeezing) * np.sinh(squeezing))
 
 
-def fock1_amplitudes(p: FockParams, times) -> tuple[np.ndarray, np.ndarray]:
+def _fock1_amplitudes(times, detuning, coupling, photons, alpha):
     """Excited/ground amplitudes of the single-excitation sector at the
-    given time(s)."""
+    given time(s). They oscillate at the dressed rate
+    sqrt((2 coupling sqrt(photons + 1))^2 + detuning^2)."""
     t = np.asarray(times, dtype=float)
-    wd = p.dressed_rate
+    exchange = 2.0 * coupling * np.sqrt(photons + 1.0)
+    wd = float(np.hypot(exchange, detuning))
     half = 0.5 * wd * t
     c, s = np.cos(half), np.sin(half)
-    ca, sa = np.cos(p.alpha), np.sin(p.alpha)
-    ratio_d = p.detuning / wd
-    ratio_x = p.exchange_rate / wd
-    phase = np.exp(0.5j * p.detuning * t)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    ratio_d = detuning / wd
+    ratio_x = exchange / wd
+    phase = np.exp(0.5j * detuning * t)
     b1 = phase * (ca * (c - 1j * ratio_d * s) - 1j * sa * ratio_x * s)
     b2 = np.conj(phase) * (sa * (c + 1j * ratio_d * s) - 1j * ca * ratio_x * s)
     return b1, b2
 
 
-def fock1_states(p: FockParams, times) -> np.ndarray:
+def _fock1(times, detuning, coupling, photons, alpha) -> BlockState:
     """Reduced qubit states diag(|b1|^2, |b2|^2) after tracing the cavity."""
-    b1, b2 = fock1_amplitudes(p, _grid(times))
-    return _qubit_stack(np.abs(b1) ** 2, 0.0, np.abs(b2) ** 2)
+    b1, b2 = _fock1_amplitudes(times, detuning, coupling, photons, alpha)
+    return block_state(QUBIT_BLOCKS, times, [(np.abs(b1) ** 2, np.abs(b2) ** 2, 0.0, 0.0)])
 
 
-def _reservoir_elements(
-    occupation: float, gamma: float, coherence_rate: float, alpha: float, times
-) -> np.ndarray:
+def _reservoir_qubit(times, occupation, gamma, coherence_rate, alpha) -> BlockState:
     """Shared reservoir solution: populations relax toward
     occupation/(2 occupation + 1) at rate gamma (2 occupation + 1) while
     coherences decay at coherence_rate."""
-    t = _grid(times)
     steady = occupation / (2.0 * occupation + 1.0)
-    pop_env = np.exp(-gamma * (2.0 * occupation + 1.0) * t)
+    pop_env = np.exp(-gamma * (2.0 * occupation + 1.0) * times)
     r11 = steady + (np.cos(alpha) ** 2 - steady) * pop_env
-    r12 = np.cos(alpha) * np.sin(alpha) * np.exp(-coherence_rate * t)
-    return _qubit_stack(r11, r12, 1.0 - r11)
+    r12 = np.cos(alpha) * np.sin(alpha) * np.exp(-coherence_rate * times)
+    return block_state(QUBIT_BLOCKS, times, [(r11, 1.0 - r11, r12, 0.0)])
 
 
-def thermal1_states(p: ThermalParams, times) -> np.ndarray:
-    """Qubit states in a thermal reservoir; coherences decay at gamma (m + 1/2)."""
-    m = p.mean_occupation
-    rate = p.gamma * (m + 0.5)
-    return _reservoir_elements(m, p.gamma, rate, p.alpha, times)
-
-
-def squeezed1_states(p: SqueezedParams, times) -> np.ndarray:
+def _squeezed1(times, squeezing, gamma, alpha) -> BlockState:
     """Qubit states in a squeezed reservoir; coherences decay at
     gamma (occupation + pair_correlation + 1/2)."""
-    occ = p.occupation
-    rate = p.gamma * (occ + p.pair_correlation + 0.5)
-    return _reservoir_elements(occ, p.gamma, rate, p.alpha, times)
+    occupation, pair = _squeezed_rates(squeezing)
+    return _reservoir_qubit(times, occupation, gamma, gamma * (occupation + pair + 0.5), alpha)
 
 
-def fock2_amplitudes(p: TwoQubitFockParams, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fock2_amplitudes(times, detuning, coupling, alpha):
     """Amplitudes (C_eg, C_ge, C_gg) of the two-qubit single-excitation
-    sector at the given time(s)."""
+    sector at the given time(s). They oscillate at the collective rate
+    sqrt(8 coupling^2 + detuning^2)."""
     t = np.asarray(times, dtype=float)
-    wd = p.dressed_rate
+    wd = float(np.sqrt(8.0 * coupling**2 + detuning**2))
     half = 0.5 * wd * t
     c, s = np.cos(half), np.sin(half)
-    ca, sa = np.cos(p.alpha), np.sin(p.alpha)
-    symmetric = 0.5 * (ca + sa) * (c - 1j * (p.detuning / wd) * s) * np.exp(
-        0.5j * p.detuning * t
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    symmetric = 0.5 * (ca + sa) * (c - 1j * (detuning / wd) * s) * np.exp(
+        0.5j * detuning * t
     )
     antisymmetric = 0.5 * (ca - sa)
     c_eg = symmetric + antisymmetric
     c_ge = symmetric - antisymmetric
     c_gg = (
         -(ca + sa)
-        * (2.0j * p.coupling / wd)
+        * (2.0j * coupling / wd)
         * s
-        * np.exp(-0.5j * p.detuning * t)
+        * np.exp(-0.5j * detuning * t)
     )
     return c_eg, c_ge, c_gg
 
 
-def fock2_states(p: TwoQubitFockParams, times) -> np.ndarray:
-    """Two-qubit states after tracing the cavity: support on |eg>, |ge>, |gg>."""
-    c_eg, c_ge, c_gg = fock2_amplitudes(p, _grid(times))
-    out = np.zeros(c_eg.shape + (4, 4), dtype=complex)
-    out[:, 1, 1] = np.abs(c_eg) ** 2
-    out[:, 1, 2] = c_eg * np.conj(c_ge)
-    out[:, 2, 1] = np.conj(out[:, 1, 2])
-    out[:, 2, 2] = np.abs(c_ge) ** 2
-    out[:, 3, 3] = np.abs(c_gg) ** 2
-    return out
+def _fock2(times, detuning, coupling, alpha) -> BlockState:
+    """Two-qubit states after tracing the cavity: {|eg>, |ge>} + {|gg>},
+    and an empty {|ee>}."""
+    c_eg, c_ge, c_gg = _fock2_amplitudes(times, detuning, coupling, alpha)
+    coherence = c_eg * np.conj(c_ge)
+    return block_state(FOCK2_BLOCKS, times, [
+        (np.abs(c_eg) ** 2, np.abs(c_ge) ** 2, coherence.real, coherence.imag),
+        (np.abs(c_gg) ** 2,), (0.0,)])
 
 
-def reservoir_pair_states(p: TwoQubitReservoirParams, times) -> np.ndarray:
+def _reservoir_pair(times, kind, strength, gamma) -> BlockState:
     """Exact two-qubit states (Lambda_t x Lambda_t)(Bell) for independent,
     identical reservoirs, with Lambda_t the one-qubit closed form.
 
@@ -295,87 +270,73 @@ def reservoir_pair_states(p: TwoQubitReservoirParams, times) -> np.ndarray:
     sigma_x sigma_x and sigma_y sigma_y parts therefore decay at twice
     those rates; they set the |eg><ge| and |ee><gg| coherences.
     """
-    t = _grid(times)
-    if p.kind == "thermal":
-        occupation, pair = p.strength, 0.0
-    else:
-        occupation = float(np.sinh(p.strength) ** 2)
-        pair = float(np.cosh(p.strength) * np.sinh(p.strength))
+    occupation, pair = (strength, 0.0) if kind == "thermal" else _squeezed_rates(strength)
     steady = occupation / (2.0 * occupation + 1.0)
-    pop_env = np.exp(-p.gamma * (2.0 * occupation + 1.0) * t)
+    pop_env = np.exp(-gamma * (2.0 * occupation + 1.0) * times)
     up_from_e = steady + (1.0 - steady) * pop_env
     up_from_g = steady * (1.0 - pop_env)
-    x_decay = np.exp(-2.0 * p.gamma * (occupation + pair + 0.5) * t)
-    y_decay = np.exp(-2.0 * p.gamma * (occupation - pair + 0.5) * t)
-    out = np.zeros(t.shape + (4, 4), dtype=complex)
-    out[:, 0, 0] = up_from_e * up_from_g
-    out[:, 1, 1] = 0.5 * (up_from_e * (1.0 - up_from_g) + up_from_g * (1.0 - up_from_e))
-    out[:, 2, 2] = out[:, 1, 1]
-    out[:, 3, 3] = (1.0 - up_from_e) * (1.0 - up_from_g)
-    out[:, 1, 2] = out[:, 2, 1] = 0.25 * (x_decay + y_decay)
-    out[:, 0, 3] = out[:, 3, 0] = 0.25 * (x_decay - y_decay)
-    return out
+    x_decay = np.exp(-2.0 * gamma * (occupation + pair + 0.5) * times)
+    y_decay = np.exp(-2.0 * gamma * (occupation - pair + 0.5) * times)
+    one_up = 0.5 * (up_from_e * (1.0 - up_from_g) + up_from_g * (1.0 - up_from_e))
+    return block_state(X_BLOCKS, times, [
+        (one_up, one_up, 0.25 * (x_decay + y_decay), 0.0),
+        (up_from_e * up_from_g, (1.0 - up_from_e) * (1.0 - up_from_g),
+         0.25 * (x_decay - y_decay), 0.0)])
 
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """A map from (estimand value, times[N]) to a stack of raw states of
-    shape (N, d, d).
+    """A map from (estimand value, times[N]) to a BlockState of N raw
+    states on fixed blocks.
 
     Attributes:
         value: nominal parameter value.
         floor: lower domain edge for finite differences (None if unbounded).
-        blocks: the index sets of size 1 or 2 that carry every state and
-            derivative of the model (see qstate.validate_density).
-        states_fn: (value, times[N]) -> states[N, d, d], a fresh array on
-            every call (the derivative stencil scales it in place).
+        support: the blocks that carry every state and derivative of the
+            model (see qstate.BlockState).
+        states_fn: (value, times[N]) -> BlockState from raw floats, with a
+            fresh values array on every call (the derivative stencil scales
+            it in place). The parameters were validated once, when the
+            channel was built.
     """
 
     value: float
     floor: float | None
-    blocks: tuple[tuple[int, ...], ...]
-    states_fn: Callable[[float, np.ndarray], np.ndarray]
+    support: tuple[tuple[int, ...], ...]
+    states_fn: Callable[[float, np.ndarray], BlockState]
 
-    @property
-    def dim(self) -> int:
-        return sum(len(block) for block in self.blocks)
-
-    def states(self, value: float, times) -> np.ndarray:
+    def states(self, value: float, times) -> BlockState:
         return self.states_fn(value, _grid(times))
-
-
-def _channel(params, states_fn, *, parameter, floor, blocks):
-    """Channel over `parameter` of `params`, evaluated through states_fn."""
-
-    def at(value, times):
-        return states_fn(replace(params, **{parameter: value}), times)
-
-    return ChannelModel(getattr(params, parameter), floor, blocks, at)
 
 
 def fock1_channel(p: FockParams) -> ChannelModel:
     """Detuning-parameterized channel for the one-qubit cavity model."""
-    return _channel(p, fock1_states, parameter="detuning", floor=None, blocks=QUBIT_BLOCKS)
+    return ChannelModel(p.detuning, None, QUBIT_BLOCKS,
+                        lambda v, t: _fock1(t, v, p.coupling, p.photons, p.alpha))
 
 
 def thermal1_channel(p: ThermalParams) -> ChannelModel:
-    """Occupation-parameterized channel for the thermal reservoir model."""
-    return _channel(p, thermal1_states, parameter="mean_occupation", floor=0.0,
-                    blocks=QUBIT_BLOCKS)
+    """Occupation-parameterized channel for the thermal reservoir model;
+    coherences decay at gamma (m + 1/2)."""
+    return ChannelModel(p.mean_occupation, 0.0, QUBIT_BLOCKS,
+                        lambda v, t: _reservoir_qubit(t, v, p.gamma, p.gamma * (v + 0.5), p.alpha))
 
 
 def squeezed1_channel(p: SqueezedParams) -> ChannelModel:
     """Squeezing-parameterized channel for the squeezed reservoir model."""
-    return _channel(p, squeezed1_states, parameter="squeezing", floor=0.0, blocks=QUBIT_BLOCKS)
+    return ChannelModel(p.squeezing, 0.0, QUBIT_BLOCKS,
+                        lambda v, t: _squeezed1(t, v, p.gamma, p.alpha))
 
 
 def fock2_channel(p: TwoQubitFockParams) -> ChannelModel:
     """Detuning-parameterized channel for the two-qubit cavity model,
     carried by {|eg>, |ge>} + {|gg>} + {|ee>}."""
-    return _channel(p, fock2_states, parameter="detuning", floor=None, blocks=((1, 2), (3,), (0,)))
+    return ChannelModel(p.detuning, None, FOCK2_BLOCKS,
+                        lambda v, t: _fock2(t, v, p.coupling, p.alpha))
 
 
 def reservoir_pair_channel(p: TwoQubitReservoirParams) -> ChannelModel:
     """Strength-parameterized channel for the two-qubit reservoir models,
     X-states on {|eg>, |ge>} + {|ee>, |gg>}."""
-    return _channel(p, reservoir_pair_states, parameter="strength", floor=0.0, blocks=X_BLOCKS)
+    return ChannelModel(p.strength, 0.0, X_BLOCKS,
+                        lambda v, t: _reservoir_pair(t, p.kind, v, p.gamma))

@@ -10,7 +10,7 @@ from math import log1p
 import numpy as np
 
 from .probe_models import ChannelModel
-from .qstate import DensityMatrix, off_block, pair_block, validate_density
+from .qstate import BlockState, validate_blocks
 
 EIGENSUM_FLOOR = 1e-12
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
@@ -21,11 +21,11 @@ class QfiResult:
     """QFI value with diagnostics.
 
     Attributes:
-        value: the Fisher information, >= 0, in 1/estimand^2 units; one
-            value per state, so an array for a stack of states.
+        value: the Fisher information, >= 0, in 1/estimand^2 units; an
+            array with one value per state.
         discarded_pairs: ordered eigenvalue pairs (i, j) within a block
             that were excluded because p_i + p_j fell at or below the
-            1e-12 floor, counted over the whole stack. Pairs across blocks
+            1e-12 floor, counted over all states. Pairs across blocks
             carry no derivative and are not counted.
     """
 
@@ -66,34 +66,34 @@ def stencil(value: float, floor: float | None) -> tuple[float, tuple[tuple[float
     return h, ((1.0, 1.0), (-1.0, -1.0))
 
 
-def d_rho_grid(model: ChannelModel, value: float, times) -> np.ndarray:
+def d_rho_grid(model: ChannelModel, value: float, times) -> BlockState:
     """Derivative of the model states with respect to the estimand over a
-    time grid, shape (N, d, d).
+    time grid, as a record on the model's blocks.
 
-    Each stencil state is divided by its trace, which keeps the result
-    traceless; the result is symmetrized. Only the running sum and one
-    stencil stack are held at a time.
+    Each stencil record is divided by its trace, summed in basis order,
+    which keeps the result traceless. The divisions by the trace and by
+    2 h are multiplications by the reciprocal. Only the running sum and one
+    stencil record are held at a time.
     """
     times = np.asarray(times, dtype=float)
     h, taps = stencil(value, model.floor)
     diff = None
     for offset, weight in taps:
         term = model.states(value + offset * h, times)
-        term /= np.einsum("kii->k", term).real[:, None, None]
-        term *= weight
+        values = term.values
+        values *= 1.0 / term.trace()
+        values *= weight
         if diff is None:
-            diff = term
+            diff = values
         else:
-            diff += term
-        del term
-    diff /= 2.0 * h
-    diff += np.conj(diff).swapaxes(-1, -2)
-    diff *= 0.5
-    return diff
+            diff += values
+        del values
+    diff *= 1.0 / (2.0 * h)
+    return BlockState(term.support, diff)
 
 
-def qfi_blocks(rho, drho: np.ndarray) -> QfiResult:
-    """QFI of a state, or of every state in a stack, summed over its blocks.
+def qfi_blocks(rho: BlockState, drho: BlockState) -> QfiResult:
+    """QFI of each of N states, summed over its blocks.
 
     F = sum_{i,j} 2 |<psi_i| drho |psi_j>|^2 / (p_i + p_j) splits into one
     closed form per block, since rho and drho share the blocks. A 1-block
@@ -101,40 +101,40 @@ def qfi_blocks(rho, drho: np.ndarray) -> QfiResult:
     p_- and axis n = r / |r| gives, with d_pm = (dw +- dr.n) / 2,
     d_+^2 / p_+ + d_-^2 / p_- + (|dr|^2 - (dr.n)^2) / w: the eigenvalue-pair
     form of the Bloch QFI (Zhong et al., PRA 87, 022337 (2013)). Pairs with
-    p_i + p_j <= 1e-12 are left out, which keeps the pure limit finite. A
-    DensityMatrix is used as validated, anything else is validated first;
-    the value has the leading shape of rho. Raises ValueError if drho does
-    not match the state's shape or has a nonzero entry outside its blocks.
+    p_i + p_j <= 1e-12 are left out, which keeps the pure limit finite.
+    The spectra of a validated rho are reused; any other rho is validated
+    first. Raises ValueError if drho is not on the blocks and grid of rho.
     """
-    state = rho if isinstance(rho, DensityMatrix) else validate_density(rho)
-    drho = np.asarray(drho, dtype=complex)
-    if drho.shape != state.matrix.shape:
-        raise ValueError(f"drho shape {drho.shape} does not match state dimension {state.dim}")
-    if off_block(drho, state.blocks) != 0.0:
-        raise ValueError(f"drho has a nonzero entry outside the blocks {state.blocks}")
-    mat = state.matrix
-    # per eigenvalue pair (p_i, p_j): 2 |drho_ij|^2 (twice that for i != j,
-    # covering both orders), p_i + p_j, and the number of ordered pairs
-    rows = []
-    for block in state.blocks:
-        i, j = block[0], block[-1]
-        if len(block) == 1:
-            rows.append((2.0 * drho[..., i, i].real ** 2, 2.0 * mat[..., i, i].real, 1))
-            continue
-        w, bloch, norm, upper, lower = pair_block(mat, block)
-        da, db, dc = drho[..., i, i].real, drho[..., j, j].real, drho[..., i, j]
-        dbloch = (da - db, 2.0 * dc.real, 2.0 * dc.imag)
-        dot = sum(r * dr for r, dr in zip(bloch, dbloch))
-        along = np.where(norm > 0.0, dot / np.where(norm > 0.0, norm, 1.0), 0.0)
-        across = sum(dr**2 for dr in dbloch) - along**2
-        rows += [(0.5 * (da + db + along) ** 2, 2.0 * upper, 1),
-                 (0.5 * (da + db - along) ** 2, 2.0 * lower, 1), (across, w, 2)]
-    numerators, pair_sums, pairs = zip(*rows)
-    pair_sums = np.array(pair_sums)
+    state = rho if rho.spectra is not None else validate_blocks(rho)
+    if drho.support != state.support or drho.values.shape != state.values.shape:
+        raise ValueError(f"drho on blocks {drho.support} with shape {drho.values.shape}"
+                         f" does not match the state on {state.support}"
+                         f" with shape {state.values.shape}")
+    weight, bloch, norm, upper, lower = state.spectra
+    da, db, dre, dimag = drho.pairs()
+    dbloch = (da - db, 2.0 * dre, 2.0 * dimag)
+    dot = sum(r * dr for r, dr in zip(bloch, dbloch))
+    along = np.where(norm > 0.0, dot / np.where(norm > 0.0, norm, 1.0), 0.0)
+    across = sum(dr**2 for dr in dbloch) - along**2
+    # per eigenvalue pair (p_i, p_j), block by block: 2 |drho_ij|^2 (twice
+    # that for i != j, covering both orders), p_i + p_j, and the number of
+    # ordered pairs; the 2-blocks first, each giving (+, +), (-, -), (+, -)
+    npairs, singles = len(weight), state.singles()
+    numerators = np.empty((3 * npairs + len(singles), weight.shape[-1]))
+    pair_sums = np.empty_like(numerators)
+    numerators[0:3 * npairs:3] = 0.5 * (da + db + along) ** 2
+    numerators[1:3 * npairs:3] = 0.5 * (da + db - along) ** 2
+    numerators[2:3 * npairs:3] = across
+    numerators[3 * npairs:] = 2.0 * drho.singles() ** 2
+    pair_sums[0:3 * npairs:3] = 2.0 * upper
+    pair_sums[1:3 * npairs:3] = 2.0 * lower
+    pair_sums[2:3 * npairs:3] = weight
+    pair_sums[3 * npairs:] = 2.0 * singles
+    counts = [1, 1, 2] * npairs + [1] * len(singles)
     kept = pair_sums > EIGENSUM_FLOOR
-    terms = np.where(kept, np.array(numerators) / np.where(kept, pair_sums, 1.0), 0.0)
-    dropped = (~kept).reshape(len(pairs), -1).sum(axis=1)
-    return QfiResult(np.maximum(terms.sum(axis=0), 0.0), int(np.dot(pairs, dropped)))
+    terms = np.where(kept, numerators / np.where(kept, pair_sums, 1.0), 0.0)
+    dropped = (~kept).sum(axis=1)
+    return QfiResult(np.maximum(terms.sum(axis=0), 0.0), int(np.dot(counts, dropped)))
 
 
 def occupation_from_temperature(temperature: float, freq_scale: float = 1.0) -> float:

@@ -4,7 +4,6 @@ detection, and regeneration of the standard figure datasets (tags 1a-5c)."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -19,6 +18,7 @@ from .probe_models import (
     TwoQubitReservoirParams,
     fock1_channel,
     fock2_channel,
+    require_count,
     require_finite,
     reservoir_pair_channel,
     squeezed1_channel,
@@ -30,7 +30,7 @@ from .qfi_engine import (
     qfi_blocks,
     temperature_from_occupation,
 )
-from .qstate import DensityMatrix, fidelity_bloch, trace_out_B, validate_density
+from .qstate import fidelity_bloch, reduced_bloch, validate_blocks
 
 MODEL_IDS = ("fock1", "thermal1", "squeezed1", "fock2", "thermal2", "squeezed2")
 ESTIMANDS = ("detuning", "temperature", "squeezing")
@@ -43,11 +43,13 @@ MODEL_ESTIMAND = {
     "squeezed2": "squeezing",
 }
 FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b", "5c")
-# One stack of states per evaluation block (2048 one-qubit or 512 two-qubit
-# rows). Each block has a fixed cost of about 0.4 ms of small numpy calls;
-# blocks bound the temporaries of a large grid (a 100,000-point two-qubit
-# scan peaks at 4 MB instead of 103 MB) and keep them in reused heap memory.
-BLOCK_BYTES = 128 * 1024
+# Bound on the records of one evaluation block: the state and up to three
+# stencil taps, 8 bytes per entry, 4 (one qubit), 6 (fock2) or 8 (X-state)
+# entries per row, so 2048, 1365 or 1024 rows. Blocks bound the temporaries
+# of a large grid (a 2000-point thermal2 scan peaks at 0.56 MB) and keep
+# them in reused heap memory.
+BLOCK_BYTES = 256 * 1024
+_RECORDS_PER_ROW = 4
 # 500 times the 2000-point figure grid; a larger count is rejected before
 # the grid is allocated.
 MAX_POINTS = 1_000_000
@@ -98,8 +100,8 @@ class ScanConfig:
             raise ValueError("t_min must be positive (QFI vanishes at t = 0)")
         if self.t_max <= self.t_min:
             raise ValueError("t_max must exceed t_min")
-        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
-            raise ValueError(f"points = {self.points!r} is not an integer")
+        require_count("points", self.points)
+        require_count("photons", self.photons)
         if self.points < 2:
             raise ValueError("a scan needs at least 2 grid points")
         if self.points > MAX_POINTS:
@@ -170,60 +172,64 @@ def _chain_factor(config: ScanConfig) -> float:
     return occupation_slope(temperature, config.freq_scale) ** 2
 
 
-def _atomic(channel: ChannelModel, state: DensityMatrix) -> np.ndarray:
-    return trace_out_B(state.matrix) if channel.dim == 4 else state.matrix
-
-
-def _evaluate(config: ScanConfig, times, qfi: bool = True, fidelity: bool = True):
-    """QFI of the configured estimand over a time grid and the fidelity of
-    the (reduced) atomic states against their t = 0 counterpart, each
-    None when not asked for. The single path behind scans, point queries
-    and maxima refinement. Rows are independent, so evaluating the grid
-    in blocks of BLOCK_BYTES of states leaves every value unchanged."""
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times) & (times >= 0.0)):
-        raise ValueError("times must be finite and nonnegative")
+def _evaluator(config: ScanConfig):
+    """The single path behind scans, point queries and maxima refinement:
+    a function of (times, qfi=True, fidelity=True) giving the QFI of the
+    configured estimand over a time grid and the fidelity of the (reduced)
+    atomic states against their t = 0 counterpart, each None when not
+    asked for. The channel and the chain factor are built once, and the
+    t = 0 reference once it is first needed. Rows are independent, so
+    evaluating the grid in blocks of BLOCK_BYTES leaves every value
+    unchanged."""
     channel = build_channel(config)
-    chain = _chain_factor(config) if qfi else None
-    if fidelity:
-        reference = _atomic(
-            channel, validate_density(channel.states(channel.value, [0.0]), channel.blocks)
-        )
-    rows = max(1, BLOCK_BYTES // (16 * channel.dim**2))
-    qfi_parts, fidelity_parts = [], []
-    for k in range(0, times.size, rows):
-        block = times[k:k + rows]
-        states = validate_density(channel.states(channel.value, block), channel.blocks)
-        if qfi:
-            derivs = d_rho_grid(channel, channel.value, block)
-            qfi_parts.append(qfi_blocks(states, derivs).value * chain)
-        if fidelity:
-            fidelity_parts.append(fidelity_bloch(reference, _atomic(channel, states)))
-    return (np.concatenate(qfi_parts) if qfi else None,
-            np.concatenate(fidelity_parts) if fidelity else None)
+    chain = _chain_factor(config)
+    reference = None
+    entries = sum(4 if len(block) == 2 else 1 for block in channel.support)
+    rows = max(1, BLOCK_BYTES // (8 * entries * _RECORDS_PER_ROW))
+
+    def evaluate(times, qfi: bool = True, fidelity: bool = True):
+        nonlocal reference
+        times = np.asarray(times, dtype=float)
+        if not np.all(np.isfinite(times) & (times >= 0.0)):
+            raise ValueError("times must be finite and nonnegative")
+        if fidelity and reference is None:
+            reference = reduced_bloch(validate_blocks(channel.states(channel.value, [0.0])))
+        qfi_parts, fidelity_parts = [], []
+        for k in range(0, times.size, rows):
+            block = times[k:k + rows]
+            states = validate_blocks(channel.states(channel.value, block))
+            if qfi:
+                derivs = d_rho_grid(channel, channel.value, block)
+                qfi_parts.append(qfi_blocks(states, derivs).value * chain)
+            if fidelity:
+                fidelity_parts.append(fidelity_bloch(reference, reduced_bloch(states)))
+        return (np.concatenate(qfi_parts) if qfi else None,
+                np.concatenate(fidelity_parts) if fidelity else None)
+
+    return evaluate
 
 
 def scan(config: ScanConfig) -> ScanDataset:
     """Sweep the time grid, computing the estimand QFI and the fidelity of
     the (reduced) atomic state against its t = 0 counterpart."""
     times = time_grid(config)
-    qfi, fidelity = _evaluate(config, times)
+    evaluate = _evaluator(config)
+    qfi, fidelity = evaluate(times)
     metadata = _metadata(config, times, qfi)
     for arr in (times, qfi, fidelity):
         arr.flags.writeable = False
-    return ScanDataset(
-        times, qfi, fidelity, metadata, lambda ts: _evaluate(config, ts, fidelity=False)[0]
-    )
+    return ScanDataset(times, qfi, fidelity, metadata,
+                       lambda ts: evaluate(ts, fidelity=False)[0])
 
 
 def point_qfi(config: ScanConfig, t: float) -> float:
     """Single-point QFI of the configured estimand (a grid of length 1)."""
-    return float(_evaluate(config, [t], fidelity=False)[0][0])
+    return float(_evaluator(config)([t], fidelity=False)[0][0])
 
 
 def point_fidelity(config: ScanConfig, t: float) -> float:
     """Single-point fidelity between the initial and evolved atomic state."""
-    return float(_evaluate(config, [t], qfi=False)[1][0])
+    return float(_evaluator(config)([t], qfi=False)[1][0])
 
 
 def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[str, str]:
@@ -329,30 +335,21 @@ def backflow_intervals(dataset: ScanDataset) -> list[tuple[float, float]]:
     falling stretch (information backflow); empty for monotone datasets.
 
     Forward differences within 1e-9 of the dataset's peak QFI (relative)
-    count as flat, so plateau round-off does not register as revivals.
+    count as flat, so plateau round-off does not register as revivals. A
+    run of rising steps counts when the last nonflat step before it falls;
+    it ends at the point where the rise stops.
     """
     diffs = np.diff(dataset.qfi)
-    t = dataset.t
     floor = 1e-9 * float(np.abs(dataset.qfi).max(initial=0.0))
-    intervals: list[tuple[float, float]] = []
-    run_start: int | None = None
-    last_nonzero = 0
-    for k, d in enumerate(diffs):
-        if abs(d) <= floor:
-            d = 0.0
-        if d > 0.0:
-            if run_start is None and last_nonzero < 0:
-                run_start = k
-            last_nonzero = 1
-        else:
-            if run_start is not None:
-                intervals.append((float(t[run_start]), float(t[k])))
-                run_start = None
-            if d < 0.0:
-                last_nonzero = -1
-    if run_start is not None:
-        intervals.append((float(t[run_start]), float(t[-1])))
-    return intervals
+    rising = diffs > floor
+    falling = diffs < -floor
+    starts = np.flatnonzero(rising & ~np.concatenate(([False], rising[:-1])))
+    ends = np.flatnonzero(rising & ~np.concatenate((rising[1:], [False]))) + 1
+    nonflat = np.flatnonzero(rising | falling)
+    before = np.searchsorted(nonflat, starts) - 1
+    counted = (before >= 0) & falling[nonflat[np.maximum(before, 0)]]
+    t = dataset.t
+    return list(zip(t[starts[counted]].tolist(), t[ends[counted]].tolist()))
 
 
 _FOCK_WINDOW = (0.01, 100.0)

@@ -1,28 +1,203 @@
-"""Shared test utilities: random state factories and independent oracles.
+"""Shared test utilities: random state factories, dense matrices built
+from block records, and independent oracles.
 
-The oracles here (closed-form 2x2 diagonalization, brute-force partial
-traces, fixed-step amplitude integration, the spectral, SLD and pure-state
-QFI, the Uhlmann fidelity, analytic reservoir derivatives, the sequential
-golden-section search) deliberately avoid the package code paths they
-check.
+The oracles here (the dense density-matrix validator, closed-form 2x2
+diagonalization, brute-force partial traces, fixed-step amplitude
+integration, the spectral, SLD and pure-state QFI, the Uhlmann fidelity,
+analytic reservoir derivatives, the sequential golden-section search, the
+loop form of the backflow detector, per-row f-string CSV formatting)
+deliberately avoid the package code paths they check.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from qfi_probe.probe_models import SqueezedParams, ThermalParams
-from qfi_probe.qfi_engine import EIGENSUM_FLOOR, QfiResult
-from qfi_probe.qstate import BlochVector, trace_out_B, validate_density
+from qfi_probe.lindblad import DEFAULT_TOL, integrate
+from qfi_probe.probe_models import (
+    FockParams,
+    SqueezedParams,
+    ThermalParams,
+    TwoQubitFockParams,
+    _fock1_amplitudes,
+    _fock2_amplitudes,
+)
+from qfi_probe.qfi_engine import EIGENSUM_FLOOR, QfiResult, stencil
+from qfi_probe.qstate import (
+    PSD_TOL,
+    QUBIT_BLOCKS,
+    TRACE_TOL,
+    X_BLOCKS,
+    BlochVector,
+    BlockState,
+    NegativeEigenvalue,
+    StateValidationError,
+    TraceNotOne,
+    block_state,
+    pair_block,
+)
 from qfi_probe.scan_repro import T_TOL
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+HERMITICITY_TOL = 1e-10
+# integration error can leave tiny negative eigenvalues in lindblad output
+INTEGRATION_PSD_TOL = 1e-8
+
+
+class NotHermitian(StateValidationError):
+    pass
+
 
 def _as_matrix(state):
     return np.asarray(getattr(state, "matrix", state), dtype=complex)
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """One validated dense state, or a stack of them along leading axes.
+
+    Attributes:
+        matrix: read-only complex array of shape (..., d, d), d = 2 or 4.
+        blocks: the index sets of size 1 or 2 that partition the basis and
+            carry the state; every entry outside them is exactly zero.
+    """
+
+    matrix: np.ndarray
+    blocks: tuple[tuple[int, ...], ...]
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[-1]
+
+
+def off_block(matrix, blocks) -> float:
+    """Largest magnitude of the entries outside the blocks, over a matrix
+    or a stack of them; 0.0 when every such entry is exactly zero."""
+    outside = np.ones(matrix.shape[-2:], dtype=bool)
+    for block in blocks:
+        for i in block:
+            outside[i, block] = False
+    entries = matrix[..., outside]
+    return float(np.abs(entries).max()) if np.count_nonzero(entries) else 0.0
+
+
+def validate_density(matrix, blocks=None, psd_tol: float = PSD_TOL) -> DensityMatrix:
+    """Check the state invariants of a dense matrix or a stack of them that
+    is a direct sum of blocks of size 2 or less: finite entries, no entry
+    outside the blocks, Hermiticity, unit trace, and per-block positivity.
+    The default blocks are the whole qubit for d = 2 and the X-state blocks
+    for d = 4. Returns a read-only copy."""
+    mat = np.array(getattr(matrix, "matrix", matrix), dtype=complex)
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    dim = mat.shape[-1]
+    if dim not in (2, 4):
+        raise ValueError(f"unsupported dimension {dim}, expected 2 or 4")
+    blocks = (QUBIT_BLOCKS if dim == 2 else X_BLOCKS) if blocks is None else blocks
+    if sorted(sum(blocks, ())) != list(range(dim)) or not all(len(b) in (1, 2) for b in blocks):
+        raise ValueError(f"blocks {blocks} do not partition range({dim}) into sizes 1 and 2")
+    if not np.isfinite(mat).all():
+        raise StateValidationError("matrix has a NaN or infinite entry")
+    outside = off_block(mat, blocks)
+    if outside != 0.0:
+        raise StateValidationError(f"entry of magnitude {outside:.3e} outside the blocks {blocks}")
+    herm_dev = float(np.abs(mat - np.conj(mat).swapaxes(-1, -2)).max(initial=0.0))
+    if not herm_dev <= HERMITICITY_TOL:
+        raise NotHermitian(
+            f"max |rho_ij - conj(rho_ji)| = {herm_dev:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+    trace_dev = float(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
+    if not trace_dev <= TRACE_TOL:
+        raise TraceNotOne(f"|tr(rho) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
+    lowest = [mat[..., b[0], b[0]].real if len(b) == 1 else pair_block(*_pair_entries(mat, b))[4]
+              for b in blocks]
+    smallest = min(float(low.min(initial=np.inf)) for low in lowest)
+    if not smallest >= -psd_tol:
+        raise NegativeEigenvalue(f"smallest eigenvalue {smallest:.3e} below -{psd_tol:.0e}")
+    mat.flags.writeable = False
+    return DensityMatrix(matrix=mat, blocks=blocks)
+
+
+def _pair_entries(mat, block):
+    i, j = block
+    return mat[..., i, i].real, mat[..., j, j].real, mat[..., i, j].real, mat[..., i, j].imag
+
+
+def dense(state: BlockState) -> np.ndarray:
+    """The (N, d, d) complex matrices of a block record."""
+    values = state.values
+    out = np.zeros((values.shape[-1], state.dim, state.dim), dtype=complex)
+    a, b, re, im = state.pairs()
+    singles = state.singles()
+    for k, block in enumerate(state.support):
+        if len(block) == 2:
+            i, j = block
+            out[:, i, i], out[:, j, j] = a[k], b[k]
+            out[:, i, j].real, out[:, i, j].imag = re[k], im[k]
+            out[:, j, i] = np.conj(out[:, i, j])
+        else:
+            out[:, block[0], block[0]] = singles[k - len(a)]
+    return out
+
+
+def record(matrix, support=None) -> BlockState:
+    """Block record of a dense matrix, or a stack of them, on the given
+    blocks (2-blocks first; the qubit or X-state blocks by default).
+    Raises ValueError for an entry outside the blocks or a non-Hermitian
+    input, which the record could not represent."""
+    mat = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
+    stack = mat.reshape((-1,) + mat.shape[-2:])
+    support = (QUBIT_BLOCKS if mat.shape[-1] == 2 else X_BLOCKS) if support is None else support
+    outside = off_block(stack, support)
+    if outside != 0.0:
+        raise ValueError(f"entry of magnitude {outside:.3e} outside the blocks {support}")
+    if np.abs(stack - np.conj(stack).swapaxes(-1, -2)).max() > HERMITICITY_TOL:
+        raise NotHermitian("a record holds Hermitian matrices only")
+    blocks = [_pair_entries(stack, block) if len(block) == 2 else (stack[:, block[0], block[0]].real,)
+              for block in support]
+    return block_state(support, np.zeros(len(stack)), blocks)
+
+
+def trace_out_B(state) -> np.ndarray:
+    """Raw reduced matrices of qubit A, shape (..., 2, 2), for two-qubit
+    input of shape (..., 4, 4).
+
+    With the A-major basis order, rho^A_ee = rho_11 + rho_22,
+    rho^A_gg = rho_33 + rho_44 and rho^A_eg = rho_13 + rho_24.
+    """
+    mat = _as_matrix(state)
+    if mat.shape[-2:] != (4, 4):
+        raise ValueError(f"partial trace expects a 4x4 matrix, got shape {mat.shape}")
+    return np.trace(mat.reshape(mat.shape[:-2] + (2, 2, 2, 2)), axis1=-3, axis2=-1)
+
+
+def bloch_vector(state) -> BlochVector:
+    """Bloch components of a dense qubit state (or a stack) under the
+    package convention; components are arrays for stacked input."""
+    mat = _as_matrix(state)
+    if mat.shape[-2:] != (2, 2):
+        raise ValueError(f"Bloch vector expects a 2x2 matrix, got shape {mat.shape}")
+    return BlochVector(
+        ax=2.0 * mat[..., 0, 1].real,
+        ay=-2.0 * mat[..., 0, 1].imag,
+        az=(mat[..., 0, 0] - mat[..., 1, 1]).real,
+    )
+
+
+def state_at(channel, t) -> DensityMatrix:
+    """One validated dense state of a channel at its nominal value: a grid
+    of length 1."""
+    return validate_density(dense(channel.states(channel.value, [t]))[0], channel.support)
+
+
+def integrated(generator, rho0, t_end, tol=DEFAULT_TOL) -> DensityMatrix:
+    """lindblad.integrate, validated on the default blocks with the
+    positivity tolerance relaxed for integration dust."""
+    return validate_density(integrate(generator, rho0, t_end, tol), psd_tol=INTEGRATION_PSD_TOL)
 
 
 def density_from_bloch(vec: BlochVector):
@@ -123,6 +298,23 @@ def reduce_A(state):
     return reduced
 
 
+def fock1_amplitudes(p: FockParams, times):
+    """The package's one-qubit cavity amplitudes (b1, b2) at the fields of p."""
+    return _fock1_amplitudes(times, p.detuning, p.coupling, p.photons, p.alpha)
+
+
+def fock2_amplitudes(p: TwoQubitFockParams, times):
+    """The package's two-qubit cavity amplitudes (C_eg, C_ge, C_gg) at the
+    fields of p."""
+    return _fock2_amplitudes(times, p.detuning, p.coupling, p.alpha)
+
+
+def squeezed_rates(p: SqueezedParams):
+    """Effective occupation sinh^2(r) and pair correlation cosh(r) sinh(r)
+    of a squeezed vacuum reservoir."""
+    return math.sinh(p.squeezing) ** 2, math.cosh(p.squeezing) * math.sinh(p.squeezing)
+
+
 def _reservoir_derivative(occupation, d_occupation, gamma, coherence_rate, d_rate, alpha,
                           times):
     """Derivative of the one-qubit reservoir solution along a parameter that
@@ -154,15 +346,10 @@ def squeezed1_dsqueezing(p: SqueezedParams, times):
     Uses d(occupation)/dr = 2 pair_correlation and
     d(pair_correlation)/dr = 2 occupation + 1.
     """
-    occ, pair, g = p.occupation, p.pair_correlation, p.gamma
+    (occ, pair), g = squeezed_rates(p), p.gamma
     d_occ, d_pair = 2.0 * pair, 2.0 * occ + 1.0
     rate = g * (occ + pair + 0.5)
     return _reservoir_derivative(occ, d_occ, g, rate, g * (d_occ + d_pair), p.alpha, times)
-
-
-def state_at(states_fn, params, t):
-    """One validated state of a batched model function: a grid of length 1."""
-    return validate_density(states_fn(params, [t])[0])
 
 
 def find_max_sequential(dataset):
@@ -289,3 +476,54 @@ def fock2_amplitudes_ode(detuning, coupling, alpha, t, steps=4000):
 
     y0 = [np.cos(alpha), np.sin(alpha), 0.0]
     return _rk4_fixed(rhs, y0, t, steps)
+
+
+def backflow_intervals_loop(dataset):
+    """The step-by-step backflow detector that backflow_intervals
+    vectorises."""
+    diffs = np.diff(dataset.qfi)
+    t = dataset.t
+    floor = 1e-9 * float(np.abs(dataset.qfi).max(initial=0.0))
+    intervals = []
+    run_start = None
+    last_nonzero = 0
+    for k, d in enumerate(diffs):
+        if abs(d) <= floor:
+            d = 0.0
+        if d > 0.0:
+            if run_start is None and last_nonzero < 0:
+                run_start = k
+            last_nonzero = 1
+        else:
+            if run_start is not None:
+                intervals.append((float(t[run_start]), float(t[k])))
+                run_start = None
+            if d < 0.0:
+                last_nonzero = -1
+    if run_start is not None:
+        intervals.append((float(t[run_start]), float(t[-1])))
+    return intervals
+
+
+def csv_fstring(dataset, header="t,qfi,fidelity"):
+    """CSV text with one f-string per row, the formatting emit_csv
+    replaced."""
+    lines = [f"# {key}={value}" for key, value in dataset.metadata.items()]
+    lines.append(header)
+    for t, q, f in zip(dataset.t, dataset.qfi, dataset.fidelity):
+        lines.append(f"{t:.17g},{q:.17g},{f:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def d_rho_dense(channel, value, times):
+    """The stencil derivative on dense complex matrices, the way it ran
+    before the models emitted records: each stencil state divided by its
+    trace, weighted, summed, divided by 2 h and symmetrized."""
+    h, taps = stencil(value, channel.floor)
+    diff = 0.0
+    for offset, weight in taps:
+        term = dense(channel.states(value + offset * h, times))
+        term /= np.einsum("kii->k", term).real[:, None, None]
+        diff = diff + term * weight
+    diff /= 2.0 * h
+    return 0.5 * (diff + np.conj(diff).swapaxes(-1, -2))

@@ -17,17 +17,20 @@ import numpy as np
 import pytest
 
 from helpers import (
+    fock1_amplitudes,
+    fock2_amplitudes,
+    integrated,
     ptrace_a_bruteforce,
     qfi_pure_oracle,
     qfi_sld_oracle,
     qfi_spectral,
     random_density,
     random_hermitian_traceless,
+    record,
     reduce_A,
     state_at,
 )
 from qfi_probe.lindblad import (
-    integrate,
     thermal_generator,
     squeezed_generator,
     trajectory,
@@ -39,11 +42,8 @@ from qfi_probe.probe_models import (
     ThermalParams,
     TwoQubitFockParams,
     TwoQubitReservoirParams,
-    fock1_amplitudes,
-    fock2_amplitudes,
-    squeezed1_states,
+    squeezed1_channel,
     thermal1_channel,
-    thermal1_states,
 )
 from qfi_probe.qfi_engine import (
     d_rho_grid,
@@ -51,7 +51,7 @@ from qfi_probe.qfi_engine import (
     qfi_blocks,
     temperature_from_occupation,
 )
-from qfi_probe.qstate import validate_density
+from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     ScanConfig,
     backflow_intervals,
@@ -87,7 +87,7 @@ def test_criterion1_oracle_equivalence():
             assert spectral.discarded_pairs == 0
             assert abs(spectral.value - qfi_sld_oracle(rho, drho)) <= 1e-8
             if dim == 2:
-                block = qfi_blocks(rho, drho)
+                block = qfi_blocks(record(rho), record(drho))
                 assert block.discarded_pairs == 0
                 assert abs(block.value - spectral.value) <= 1e-8
     # rank-1 states: spectral formula against the pure-state limit
@@ -101,7 +101,8 @@ def test_criterion1_oracle_equivalence():
             drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
             assert abs(qfi_pure_oracle(psi, dpsi) - qfi_spectral(rho, drho).value) <= 1e-8
             if dim == 2:
-                assert abs(qfi_pure_oracle(psi, dpsi) - qfi_blocks(rho, drho).value) <= 1e-8
+                block = qfi_blocks(record(rho), record(drho)).value
+                assert abs(qfi_pure_oracle(psi, dpsi) - block) <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"criterion 1 PASS: 1000 full-rank + 500 rank-1 oracle agreements in {elapsed:.2f}s")
@@ -114,14 +115,16 @@ def test_criterion2_analytic_vs_ode():
         m, gamma = rng.uniform(0.0, 1.2), rng.uniform(0.5, 2.0)
         alpha, t = rng.uniform(0.0, np.pi / 2), rng.uniform(0.1, 3.0)
         p = ThermalParams(m, gamma, alpha)
-        out = integrate(thermal_generator(m, gamma), state_at(thermal1_states, p, 0.0), t)
-        assert np.abs(out.matrix - state_at(thermal1_states, p, t).matrix).max() <= 1e-8
+        channel = thermal1_channel(p)
+        out = integrated(thermal_generator(m, gamma), state_at(channel, 0.0), t)
+        assert np.abs(out.matrix - state_at(channel, t).matrix).max() <= 1e-8
     for _ in range(50):
         r, gamma = rng.uniform(0.0, 0.8), rng.uniform(0.5, 2.0)
         alpha, t = rng.uniform(0.0, np.pi / 2), rng.uniform(0.1, 3.0)
         p = SqueezedParams(r, gamma, alpha)
-        out = integrate(squeezed_generator(r, gamma), state_at(squeezed1_states, p, 0.0), t)
-        assert np.abs(out.matrix - state_at(squeezed1_states, p, t).matrix).max() <= 1e-8
+        channel = squeezed1_channel(p)
+        out = integrated(squeezed_generator(r, gamma), state_at(channel, 0.0), t)
+        assert np.abs(out.matrix - state_at(channel, t).matrix).max() <= 1e-8
     # two-qubit marginals of product states against the one-qubit analytics
     def qubit(a):
         c, s = np.cos(a), np.sin(a)
@@ -137,9 +140,9 @@ def test_criterion2_analytic_vs_ode():
             # integrated raw; reduce_A validates each marginal
             evolved = trajectory(gen, np.kron(qubit(a_a), qubit(a_b)), [t])[-1]
             if kind == "thermal":
-                one = lambda a: state_at(thermal1_states, ThermalParams(strength, gamma, a), t)
+                one = lambda a: state_at(thermal1_channel(ThermalParams(strength, gamma, a)), t)
             else:
-                one = lambda a: state_at(squeezed1_states, SqueezedParams(strength, gamma, a), t)
+                one = lambda a: state_at(squeezed1_channel(SqueezedParams(strength, gamma, a)), t)
             assert np.abs(reduce_A(evolved).matrix - one(a_a).matrix).max() <= 1e-8
             assert np.abs(ptrace_a_bruteforce(evolved) - one(a_b).matrix).max() <= 1e-8
     elapsed = time.perf_counter() - start
@@ -150,8 +153,8 @@ def test_criterion2_analytic_vs_ode():
 def test_criterion3_thermal_steady_state_benchmark():
     # full engine pipeline at gamma t = 50, deep in the steady state
     channel = thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4))
-    state = validate_density(channel.states(0.1, [50.0])[0])
-    fq_m = qfi_blocks(state, d_rho_grid(channel, 0.1, [50.0])[0]).value
+    state = validate_blocks(channel.states(0.1, [50.0]))
+    fq_m = qfi_blocks(state, d_rho_grid(channel, 0.1, [50.0])).value[0]
     assert fq_m == pytest.approx(6.3131, abs=1e-3)
     temperature = temperature_from_occupation(0.1, 1.0)
     fq_t = fq_m * occupation_slope(temperature, 1.0) ** 2

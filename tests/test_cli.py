@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers import csv_fstring
 from qfi_probe.cli import build_parser, emit_csv, parse_csv, run
-from qfi_probe.scan_repro import ScanConfig, scan
+from qfi_probe.scan_repro import MODEL_IDS, ScanConfig, ScanDataset, scan
 
 
 def read_lines(path):
@@ -41,6 +42,22 @@ class TestEmitParse:
         assert np.array_equal(back.qfi, dataset.qfi)
         assert np.array_equal(back.fidelity, dataset.fidelity)
         assert back.metadata == dataset.metadata
+
+    @pytest.mark.parametrize("model", MODEL_IDS)
+    def test_bytes_equal_per_row_fstrings(self, tmp_path, model):
+        dataset = scan(ScanConfig(model, points=200, t_max=30.0))
+        out = tmp_path / "rows.csv"
+        emit_csv(dataset, out)
+        assert out.read_text(encoding="utf-8") == csv_fstring(dataset)
+
+    def test_bytes_equal_per_row_fstrings_on_edge_values(self, tmp_path):
+        values = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 0.1, 1.0 / 3.0])
+        dataset = ScanDataset(values, values[::-1].copy(), np.abs(values), {"model": "x"})
+        out = tmp_path / "edge.csv"
+        emit_csv(dataset, out)
+        text = out.read_text(encoding="utf-8")
+        assert text == csv_fstring(dataset)
+        assert "\n-0,0.10000000000000001,0\n" in text and "4.9406564584124654e-324" in text
 
     def test_max_comment_consistent_with_rows(self, tmp_path):
         dataset = scan(ScanConfig("squeezed1", points=40, t_max=5.0))

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import random_density, random_hermitian_traceless, reduce_A, state_at
+from helpers import (
+    dense,
+    integrated,
+    random_density,
+    random_hermitian_traceless,
+    reduce_A,
+    squeezed_rates,
+    state_at,
+)
 from qfi_probe.lindblad import (
     LindbladGenerator,
     StepUnderflow,
@@ -17,9 +25,9 @@ from qfi_probe.probe_models import (
     SqueezedParams,
     ThermalParams,
     TwoQubitReservoirParams,
-    reservoir_pair_states,
-    squeezed1_states,
-    thermal1_states,
+    reservoir_pair_channel,
+    squeezed1_channel,
+    thermal1_channel,
 )
 from qfi_probe.qstate import StateValidationError
 
@@ -118,7 +126,7 @@ class TestSqueezedGenerator:
         p = SqueezedParams(0.1, 1.0)
         gen = squeezed_generator(0.1, 1.0)
         symmetric = np.array([[0, 1], [1, 0]], dtype=complex)
-        rate = 1.0 * (p.occupation + p.pair_correlation + 0.5)
+        rate = 1.0 * (sum(squeezed_rates(p)) + 0.5)
         np.testing.assert_allclose(gen.apply(symmetric), -rate * symmetric, atol=1e-14)
 
     def test_trace_preservation(self):
@@ -139,12 +147,12 @@ class TestTwoQubitGenerator:
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 1.0
         for t in (0.5, 1.0):
-            marginal = reduce_A(integrate(gen, rho0, t))
+            marginal = reduce_A(integrated(gen, rho0, t))
             assert marginal.matrix[0, 0].real == pytest.approx(np.exp(-t), abs=1e-8)
 
     def test_thermal_pattern_from_bell_state(self):
         gen = two_qubit_generator(TwoQubitReservoirParams("thermal", 0.1, 1.0))
-        evolved = integrate(gen, BELL, 1.0).matrix
+        evolved = integrated(gen, BELL, 1.0).matrix
         allowed = np.zeros((4, 4), dtype=bool)
         allowed[np.arange(4), np.arange(4)] = True
         allowed[1, 2] = allowed[2, 1] = True
@@ -153,7 +161,7 @@ class TestTwoQubitGenerator:
 
     def test_squeezed_pattern_from_bell_state(self):
         gen = two_qubit_generator(TwoQubitReservoirParams("squeezed", 0.1, 1.0))
-        evolved = integrate(gen, BELL, 1.0).matrix
+        evolved = integrated(gen, BELL, 1.0).matrix
         allowed = np.zeros((4, 4), dtype=bool)
         allowed[np.arange(4), np.arange(4)] = True
         allowed[1, 2] = allowed[2, 1] = True
@@ -169,21 +177,21 @@ class TestTwoQubitGenerator:
 class TestIntegrate:
     def test_zero_generator_is_identity(self):
         gen = LindbladGenerator(dim=2)
-        rho0 = state_at(thermal1_states, ThermalParams(0.1, 1.0, np.pi / 4), 0.0)
+        rho0 = state_at(thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4)), 0.0)
         out = integrate(gen, rho0, 3.0)
-        assert np.abs(out.matrix - rho0.matrix).max() <= 1e-14
+        assert np.abs(out - rho0.matrix).max() <= 1e-14
 
     def test_thermal_against_analytic(self):
         p = ThermalParams(0.1, 1.0, np.pi / 4)
         gen = thermal_generator(0.1, 1.0)
-        out = integrate(gen, state_at(thermal1_states, p, 0.0), 1.0)
-        assert np.abs(out.matrix - state_at(thermal1_states, p, 1.0).matrix).max() <= 1e-8
+        out = integrated(gen, state_at(thermal1_channel(p), 0.0), 1.0)
+        assert np.abs(out.matrix - state_at(thermal1_channel(p), 1.0).matrix).max() <= 1e-8
 
     def test_squeezed_against_analytic(self):
         p = SqueezedParams(0.1, 1.0, np.pi / 4)
         gen = squeezed_generator(0.1, 1.0)
-        out = integrate(gen, state_at(squeezed1_states, p, 0.0), 1.0)
-        assert np.abs(out.matrix - state_at(squeezed1_states, p, 1.0).matrix).max() <= 1e-8
+        out = integrated(gen, state_at(squeezed1_channel(p), 0.0), 1.0)
+        assert np.abs(out.matrix - state_at(squeezed1_channel(p), 1.0).matrix).max() <= 1e-8
 
     def test_random_tuples_against_analytic(self):
         rng = np.random.default_rng(53)
@@ -193,8 +201,8 @@ class TestIntegrate:
             alpha = rng.uniform(0.0, np.pi / 2)
             t = rng.uniform(0.1, 3.0)
             p = ThermalParams(m, gamma, alpha)
-            out = integrate(thermal_generator(m, gamma), state_at(thermal1_states, p, 0.0), t)
-            assert np.abs(out.matrix - state_at(thermal1_states, p, t).matrix).max() <= 1e-8
+            out = integrated(thermal_generator(m, gamma), state_at(thermal1_channel(p), 0.0), t)
+            assert np.abs(out.matrix - state_at(thermal1_channel(p), t).matrix).max() <= 1e-8
 
     def test_superoperator_consistent_with_apply(self):
         rng = np.random.default_rng(59)
@@ -212,12 +220,12 @@ class TestIntegrate:
     def test_trajectory_matches_one_shot(self):
         p = ThermalParams(0.2, 1.0, np.pi / 3)
         gen = thermal_generator(0.2, 1.0)
-        rho0 = state_at(thermal1_states, p, 0.0)
+        rho0 = state_at(thermal1_channel(p), 0.0)
         times = np.linspace(0.0, 2.0, 9)
         states = trajectory(gen, rho0, times)
         for t, state in zip(times, states):
             one_shot = integrate(gen, rho0, float(t))
-            assert np.abs(state - one_shot.matrix).max() <= 1e-10
+            assert np.abs(state - one_shot).max() <= 1e-10
 
     def test_trajectory_conserves_trace_and_hermiticity(self):
         gen = two_qubit_generator(TwoQubitReservoirParams("squeezed", 0.1, 1.0))
@@ -228,7 +236,7 @@ class TestIntegrate:
 
     def test_tolerance_range_enforced(self):
         gen = thermal_generator(0.1, 1.0)
-        rho0 = state_at(thermal1_states, ThermalParams(0.1, 1.0, 0.0), 0.0)
+        rho0 = state_at(thermal1_channel(ThermalParams(0.1, 1.0, 0.0)), 0.0)
         with pytest.raises(ValueError, match="tol"):
             integrate(gen, rho0, 1.0, tol=1e-5)
         with pytest.raises(ValueError, match="tol"):
@@ -238,7 +246,7 @@ class TestIntegrate:
         # an absurd rate keeps the step-halving controller from ever
         # meeting the tolerance
         gen = thermal_generator(0.0, 1e16)
-        rho0 = state_at(thermal1_states, ThermalParams(0.0, 1.0, np.pi / 4), 0.0)
+        rho0 = state_at(thermal1_channel(ThermalParams(0.0, 1.0, np.pi / 4)), 0.0)
         with pytest.raises(StepUnderflow):
             integrate(gen, rho0, 1.0, tol=1e-12)
 
@@ -255,12 +263,13 @@ class TestIntegrate:
         )
         rho0 = np.kron(qubit(alpha_a), qubit(alpha_b))
         gen = two_qubit_generator(TwoQubitReservoirParams("thermal", 0.1, 1.0))
-        # a product of superposed qubits is no X-state: integrate rejects
-        # it, so the raw trajectory is reduced and validated per qubit
+        # a product of superposed qubits is no X-state, so validating the
+        # integrated state on the X-state blocks rejects it; the raw
+        # trajectory is reduced and validated per qubit instead
         with pytest.raises(StateValidationError, match="outside the blocks"):
-            integrate(gen, rho0, 1.5)
+            integrated(gen, rho0, 1.5)
         evolved = trajectory(gen, rho0, [1.5])[-1]
-        expected_a = state_at(thermal1_states, ThermalParams(0.1, 1.0, alpha_a), 1.5)
+        expected_a = state_at(thermal1_channel(ThermalParams(0.1, 1.0, alpha_a)), 1.5)
         assert np.abs(reduce_A(evolved).matrix - expected_a.matrix).max() <= 1e-8
 
 
@@ -275,13 +284,14 @@ class TestClosedFormPairOracle:
             p = TwoQubitReservoirParams(kind, rng.uniform(0.0, 1.0), rng.uniform(0.2, 2.0))
             times = np.sort(rng.uniform(0.0, 50.0, size=6))
             integrated = trajectory(two_qubit_generator(p), BELL, times)
-            assert np.abs(reservoir_pair_states(p, times) - integrated).max() <= 1e-9
+            closed = dense(reservoir_pair_channel(p).states(p.strength, times))
+            assert np.abs(closed - integrated).max() <= 1e-9
 
     def test_closed_form_is_product_channel(self):
         # marginals of the closed form follow the one-qubit solutions from
         # |e> and |g>, averaged by the Bell state
         p = TwoQubitReservoirParams("squeezed", 0.3, 1.2)
         t = 0.7
-        reduced = reduce_A(reservoir_pair_states(p, [t])[0]).matrix
-        one = lambda a: state_at(squeezed1_states, SqueezedParams(0.3, 1.2, a), t).matrix
+        reduced = reduce_A(dense(reservoir_pair_channel(p).states(p.strength, [t]))[0]).matrix
+        one = lambda a: state_at(squeezed1_channel(SqueezedParams(0.3, 1.2, a)), t).matrix
         np.testing.assert_allclose(reduced, 0.5 * (one(0.0) + one(np.pi / 2)), atol=1e-14)

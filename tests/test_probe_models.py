@@ -4,11 +4,17 @@ independent fixed-step integrations of the underlying amplitude equations."""
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from helpers import (
+    dense,
+    fock1_amplitudes,
     fock1_amplitudes_ode,
+    fock2_amplitudes,
     fock2_amplitudes_ode,
     ptrace_b_bruteforce,
     reduce_A,
+    squeezed_rates,
     state_at,
 )
 from qfi_probe.probe_models import (
@@ -17,28 +23,24 @@ from qfi_probe.probe_models import (
     ThermalParams,
     TwoQubitFockParams,
     TwoQubitReservoirParams,
-    fock1_amplitudes,
     fock1_channel,
-    fock1_states,
-    fock2_amplitudes,
-    fock2_states,
+    fock2_channel,
+    reservoir_pair_channel,
     squeezed1_channel,
-    squeezed1_states,
     thermal1_channel,
-    thermal1_states,
 )
 
 
 class TestFockOneQubit:
     def test_initial_state(self):
-        state = state_at(fock1_states, FockParams(detuning=5.0, alpha=0.0), 0.0)
+        state = state_at(fock1_channel(FockParams(detuning=5.0, alpha=0.0)), 0.0)
         np.testing.assert_allclose(state.matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_half_oscillation_resonant(self):
         # detuning 0, coupling 1, zero photons: full population transfer at
         # half the oscillation period
         p = FockParams(detuning=0.0, coupling=1.0, alpha=0.0)
-        state = state_at(fock1_states, p, np.pi / 2)
+        state = state_at(fock1_channel(p), np.pi / 2)
         np.testing.assert_allclose(state.matrix, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_against_amplitude_ode(self):
@@ -62,7 +64,7 @@ class TestFockOneQubit:
 
     def test_purity_identity(self):
         p = FockParams(detuning=5.0, alpha=np.pi / 4)
-        state = state_at(fock1_states, p, 1.3)
+        state = state_at(fock1_channel(p), 1.3)
         b1, b2 = fock1_amplitudes(p, 1.3)
         purity = np.trace(state.matrix @ state.matrix).real
         assert purity == pytest.approx(abs(b1) ** 4 + abs(b2) ** 4, abs=1e-12)
@@ -78,17 +80,17 @@ class TestFockOneQubit:
 
 class TestThermalOneQubit:
     def test_initial_superposition(self):
-        state = state_at(thermal1_states, ThermalParams(0.1, 1.0, np.pi / 4), 0.0)
+        state = state_at(thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4)), 0.0)
         np.testing.assert_allclose(state.matrix, 0.5 * np.ones((2, 2)), atol=1e-14)
 
     def test_reference_point(self):
-        state = state_at(thermal1_states, ThermalParams(0.1, 1.0, np.pi / 4), 1.0)
+        state = state_at(thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4)), 1.0)
         assert state.matrix[0, 0].real == pytest.approx(0.20883, abs=1e-5)
         assert state.matrix[0, 1].real == pytest.approx(0.27441, abs=1e-5)
 
     def test_steady_state(self):
         for alpha in (0.0, np.pi / 4, np.pi / 2):
-            state = state_at(thermal1_states, ThermalParams(0.1, 1.0, alpha), 50.0)
+            state = state_at(thermal1_channel(ThermalParams(0.1, 1.0, alpha)), 50.0)
             np.testing.assert_allclose(
                 state.matrix, np.diag([1.0 / 12.0, 11.0 / 12.0]), atol=1e-10
             )
@@ -98,21 +100,21 @@ class TestThermalOneQubit:
         for _ in range(50):
             alpha = rng.uniform(0.0, np.pi / 2)
             t = rng.uniform(0.0, 5.0)
-            thermal = state_at(thermal1_states, ThermalParams(0.0, 1.0, alpha), t)
-            squeezed = state_at(squeezed1_states, SqueezedParams(0.0, 1.0, alpha), t)
+            thermal = state_at(thermal1_channel(ThermalParams(0.0, 1.0, alpha)), t)
+            squeezed = state_at(squeezed1_channel(SqueezedParams(0.0, 1.0, alpha)), t)
             assert np.abs(thermal.matrix - squeezed.matrix).max() <= 1e-12
 
 
 class TestSqueezedOneQubit:
     def test_vacuum_decay(self):
         for t in (0.3, 1.0, 2.5):
-            state = state_at(squeezed1_states, SqueezedParams(0.0, 1.0, 0.0), t)
+            state = state_at(squeezed1_channel(SqueezedParams(0.0, 1.0, 0.0)), t)
             assert state.matrix[0, 0].real == pytest.approx(np.exp(-t), abs=1e-12)
             assert abs(state.matrix[0, 1]) <= 1e-14
 
     def test_steady_state(self):
         occ = np.sinh(0.1) ** 2
-        state = state_at(squeezed1_states, SqueezedParams(0.1, 1.0, np.pi / 4), 50.0)
+        state = state_at(squeezed1_channel(SqueezedParams(0.1, 1.0, np.pi / 4)), 50.0)
         expected = np.diag([occ / (2 * occ + 1), (occ + 1) / (2 * occ + 1)])
         np.testing.assert_allclose(state.matrix, expected, atol=1e-10)
 
@@ -120,10 +122,10 @@ class TestSqueezedOneQubit:
         # same populations under occupation matching; coherence decay rates
         # differ by the pair correlation
         p = SqueezedParams(0.4, 1.0, np.pi / 4)
-        occ, pair = p.occupation, p.pair_correlation
+        occ, pair = squeezed_rates(p)
         for t in (0.5, 1.0, 2.0):
-            squeezed = state_at(squeezed1_states, p, t).matrix
-            thermal = state_at(thermal1_states, ThermalParams(occ, 1.0, np.pi / 4), t).matrix
+            squeezed = state_at(squeezed1_channel(p), t).matrix
+            thermal = state_at(thermal1_channel(ThermalParams(occ, 1.0, np.pi / 4)), t).matrix
             assert abs(squeezed[0, 0] - thermal[0, 0]) <= 1e-12
             assert abs(squeezed[1, 1] - thermal[1, 1]) <= 1e-12
             ratio = squeezed[0, 1].real / thermal[0, 1].real
@@ -132,7 +134,7 @@ class TestSqueezedOneQubit:
 
 class TestFockTwoQubit:
     def test_initial_bell_state(self):
-        state = state_at(fock2_states, TwoQubitFockParams(detuning=5.0), 0.0)
+        state = state_at(fock2_channel(TwoQubitFockParams(detuning=5.0)), 0.0)
         expected = np.zeros((4, 4), dtype=complex)
         expected[1:3, 1:3] = 0.5
         np.testing.assert_allclose(state.matrix, expected, atol=1e-14)
@@ -141,7 +143,7 @@ class TestFockTwoQubit:
         # detuning 0, coupling 1: the collective oscillation completes a half
         # period at t = pi / (2 sqrt(2)), moving all weight onto |gg>
         p = TwoQubitFockParams(detuning=0.0, coupling=1.0)
-        state = state_at(fock2_states, p, np.pi / (2.0 * np.sqrt(2.0)))
+        state = state_at(fock2_channel(p), np.pi / (2.0 * np.sqrt(2.0)))
         assert state.matrix[3, 3].real == pytest.approx(1.0, abs=1e-12)
 
     def test_against_amplitude_ode(self):
@@ -163,6 +165,22 @@ class TestFockTwoQubit:
     def test_photons_fixed_at_zero(self):
         with pytest.raises(ValueError):
             TwoQubitFockParams(detuning=0.0, photons=1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: FockParams(detuning=5.0, photons=n),
+    lambda n: TwoQubitFockParams(detuning=5.0, photons=n),
+])
+@pytest.mark.parametrize("bad", [2.5, 0.5, True, 0.0])
+def test_photons_must_be_an_integer(build, bad):
+    # 2.5 photons used to be accepted and gave a plausible QFI
+    with pytest.raises(ValueError, match="not an integer"):
+        build(bad)
+
+
+def test_numpy_integer_photons_accepted():
+    assert FockParams(detuning=5.0, photons=np.int64(2)).photons == 2
+    assert TwoQubitFockParams(detuning=5.0, photons=np.int64(0)).photons == 0
 
 
 @pytest.mark.parametrize(
@@ -188,11 +206,11 @@ def test_nonfinite_parameter_rejected(build, bad):
 
 class TestReduceA:
     def test_initial_bell_reduces_to_mixed(self):
-        state = state_at(fock2_states, TwoQubitFockParams(detuning=5.0), 0.0)
+        state = state_at(fock2_channel(TwoQubitFockParams(detuning=5.0)), 0.0)
         np.testing.assert_allclose(reduce_A(state).matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_matches_bruteforce(self):
-        state = state_at(fock2_states, TwoQubitFockParams(detuning=5.0), 0.5)
+        state = state_at(fock2_channel(TwoQubitFockParams(detuning=5.0)), 0.5)
         np.testing.assert_allclose(
             reduce_A(state).matrix, ptrace_b_bruteforce(state.matrix), atol=1e-14
         )
@@ -204,18 +222,33 @@ class TestReduceA:
 
 class TestChannels:
     def test_fock_channel_matches_state(self):
-        p = FockParams(detuning=5.0, alpha=np.pi / 4)
-        channel = fock1_channel(p)
-        np.testing.assert_allclose(
-            channel.states(5.0, [0.7])[0], state_at(fock1_states, p, 0.7).matrix, atol=1e-15
-        )
+        # the stencil calls the closed form with a raw value; that equals
+        # the channel of the validated parameters at that value, bit for
+        # bit, for every model
+        times = np.linspace(0.0, 30.0, 11)
+        for params, build, field in (
+            (FockParams(detuning=5.0, coupling=1.3, photons=2, alpha=np.pi / 4), fock1_channel,
+             "detuning"),
+            (ThermalParams(0.1, 1.2, np.pi / 5), thermal1_channel, "mean_occupation"),
+            (SqueezedParams(0.1, 0.8, np.pi / 3), squeezed1_channel, "squeezing"),
+            (TwoQubitFockParams(detuning=5.0, coupling=0.7, alpha=0.4), fock2_channel,
+             "detuning"),
+            (TwoQubitReservoirParams("thermal", 0.1, 1.5), reservoir_pair_channel, "strength"),
+            (TwoQubitReservoirParams("squeezed", 0.2, 0.9), reservoir_pair_channel, "strength"),
+        ):
+            channel = build(params)
+            for value in (getattr(params, field), 0.37):
+                shifted = build(replace(params, **{field: value}))
+                assert shifted.support == channel.support
+                np.testing.assert_array_equal(channel.states(value, times).values,
+                                              shifted.states(value, times).values)
 
     def test_grid_matches_length_one_grids(self):
         channel = thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4))
         times = np.linspace(0.1, 2.0, 7)
-        stack = channel.states(0.1, times)
+        stack = dense(channel.states(0.1, times))
         for k, t in enumerate(times):
-            np.testing.assert_allclose(stack[k], channel.states(0.1, [t])[0], atol=1e-15)
+            np.testing.assert_allclose(stack[k], dense(channel.states(0.1, [t]))[0], atol=1e-15)
 
     def test_squeezed_channel_floor(self):
         channel = squeezed1_channel(SqueezedParams(0.1, 1.0, 0.0))

@@ -1,7 +1,8 @@
 """Property-based tests of the batched evaluation path over the valid
 parameter domain of every probe model: state invariants, the ranges of
 QFI and fidelity, agreement of the block QFI with the spectral and SLD
-oracles, and the stencil choice at the domain floor."""
+oracles on dense matrices built from the records, and the stencil choice
+at the domain floor."""
 
 from dataclasses import replace
 
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import qfi_sld_oracle, qfi_spectral, squeezed1_dsqueezing, thermal1_doccupation
+from helpers import (
+    dense,
+    qfi_sld_oracle,
+    qfi_spectral,
+    squeezed1_dsqueezing,
+    thermal1_doccupation,
+)
 from qfi_probe.probe_models import (
     SqueezedParams,
     ThermalParams,
@@ -23,7 +30,7 @@ from qfi_probe.qfi_engine import (
     qfi_blocks,
     stencil,
 )
-from qfi_probe.qstate import validate_density
+from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import ScanConfig, build_channel, scan
 
 # Derandomized so the suite gives the same verdict on every run; no example
@@ -61,11 +68,12 @@ def configs(draw):
 def test_stacked_states_are_density_matrices(config, times):
     channel = build_channel(config)
     states = channel.states(channel.value, times)
-    assert states.shape == (times.size, channel.dim, channel.dim)
-    assert np.abs(states - np.conj(states).swapaxes(-1, -2)).max() <= 1e-10
-    assert np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0).max() <= 1e-10
-    assert np.linalg.eigvalsh(states).min() >= -1e-10
-    validate_density(states, channel.blocks)
+    mats = dense(states)
+    assert states.support == channel.support
+    assert mats.shape == (times.size, states.dim, states.dim)
+    assert np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0).max() <= 1e-10
+    assert np.linalg.eigvalsh(mats).min() >= -1e-10
+    validate_blocks(states)
 
 
 @PROPERTY
@@ -83,13 +91,14 @@ def test_batched_spectral_qfi_matches_sld_oracle_per_row(config, times):
     # SLD solve, row by row; t = 0 and short times give near-pure states
     times = np.concatenate([times, [0.0, 1e-9, 1e-5]])
     channel = build_channel(config)
-    states = validate_density(channel.states(channel.value, times), channel.blocks)
+    states = validate_blocks(channel.states(channel.value, times))
     derivs = d_rho_grid(channel, channel.value, times)
     batched = qfi_blocks(states, derivs).value
-    spectral = qfi_spectral(states, derivs).value
+    mats, dmats = dense(states), dense(derivs)
+    spectral = qfi_spectral(mats, dmats).value
     assert batched.shape == times.shape
     for k in range(times.size):
-        oracle = qfi_sld_oracle(states.matrix[k], derivs[k])
+        oracle = qfi_sld_oracle(mats[k], dmats[k])
         assert abs(batched[k] - spectral[k]) <= 1e-8 * max(1.0, abs(spectral[k]))
         assert abs(batched[k] - oracle) <= 1e-8 * max(1.0, abs(oracle))
 
@@ -118,7 +127,7 @@ def test_stencil_near_zero_stays_in_domain_and_matches_analytic(kind, steps, alp
     else:
         params = SqueezedParams(value, gamma, alpha)
         channel, analytic = squeezed1_channel(params), squeezed1_dsqueezing(params, times)
-    stencil_deriv = d_rho_grid(channel, value, times)
+    stencil_deriv = dense(d_rho_grid(channel, value, times))
     assert np.abs(stencil_deriv - analytic).max() <= 1e-6
 
 

@@ -7,22 +7,27 @@ import numpy as np
 import pytest
 
 from helpers import (
+    d_rho_dense,
+    dense,
+    fock1_amplitudes,
     qfi_pure_oracle,
     qfi_sld_oracle,
     qfi_spectral,
     random_density,
     random_hermitian_traceless,
     random_unitary,
+    record,
     squeezed1_dsqueezing,
     thermal1_doccupation,
+    validate_density,
 )
 from qfi_probe.probe_models import (
+    FOCK2_BLOCKS,
     ChannelModel,
     FockParams,
     SqueezedParams,
     ThermalParams,
     TwoQubitFockParams,
-    fock1_amplitudes,
     fock1_channel,
     fock2_channel,
     squeezed1_channel,
@@ -38,7 +43,7 @@ from qfi_probe.qfi_engine import (
     qfi_blocks,
     temperature_from_occupation,
 )
-from qfi_probe.qstate import QUBIT_BLOCKS, validate_density
+from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, block_state, validate_blocks
 from qfi_probe.scan_repro import ScanConfig, build_channel, time_grid
 
 THERMAL = ThermalParams(0.1, 1.0, np.pi / 4)
@@ -48,67 +53,87 @@ SQUEEZED_CHANNEL = squeezed1_channel(SQUEEZED)
 
 
 def constant_channel():
-    state = 0.5 * np.ones((2, 2), dtype=complex)
     return ChannelModel(
-        1.0, None, QUBIT_BLOCKS, lambda v, times: np.repeat(state[None], len(times), axis=0)
+        1.0, None, QUBIT_BLOCKS,
+        lambda v, times: block_state(QUBIT_BLOCKS, times, [(0.5, 0.5, 0.5, 0.0)]),
     )
+
+
+def derivative(channel, value, times):
+    """The stencil derivative as dense matrices."""
+    return dense(d_rho_grid(channel, value, times))
 
 
 class TestDerivativeStencil:
     def test_constant_model_gives_zero(self):
-        deriv = d_rho_grid(constant_channel(), 1.0, [2.0])[0]
+        deriv = derivative(constant_channel(), 1.0, [2.0])[0]
         assert np.abs(deriv).max() <= 1e-10
 
     def test_thermal_coherence_derivative(self):
         # d(rho_12)/dm = -gamma t cos(a) sin(a) exp(-gamma (m + 1/2) t)
-        deriv = d_rho_grid(THERMAL_CHANNEL, 0.1, [1.0])[0]
+        deriv = derivative(THERMAL_CHANNEL, 0.1, [1.0])[0]
         assert deriv[0, 1].real == pytest.approx(-0.27441, abs=1e-5)
         analytic = thermal1_doccupation(THERMAL, [1.0])[0]
         assert np.abs(deriv - analytic).max() <= 1e-6
 
     def test_squeezed_dual_path(self):
         for t in (0.3, 1.0, 2.5):
-            stencil = d_rho_grid(SQUEEZED_CHANNEL, 0.1, [t])[0]
+            stencil = derivative(SQUEEZED_CHANNEL, 0.1, [t])[0]
             analytic = squeezed1_dsqueezing(SQUEEZED, [t])[0]
             assert np.abs(stencil - analytic).max() <= 1e-6
 
     def test_one_sided_stencil_at_domain_edge(self):
         params = ThermalParams(0.0, 1.0, np.pi / 4)
-        stencil = d_rho_grid(thermal1_channel(params), 0.0, [1.0])[0]
+        stencil = derivative(thermal1_channel(params), 0.0, [1.0])[0]
         analytic = thermal1_doccupation(params, [1.0])[0]
         assert np.abs(stencil - analytic).max() <= 1e-6
 
     def test_traceless_and_hermitian(self):
         for t in (0.5, 1.0, 3.0):
-            deriv = d_rho_grid(THERMAL_CHANNEL, 0.1, [t])[0]
+            deriv = derivative(THERMAL_CHANNEL, 0.1, [t])[0]
             assert abs(np.trace(deriv)) <= 1e-9
             assert np.abs(deriv - deriv.conj().T).max() == 0.0
 
+    @pytest.mark.parametrize("model", ["fock1", "thermal1", "squeezed1", "fock2", "thermal2",
+                                       "squeezed2"])
+    def test_bit_identical_to_dense_stencil(self, model):
+        # dividing by the trace and by 2 h as multiplications by the
+        # reciprocal, with the trace summed in basis order, is what the
+        # dense complex path did; plain division moves reservoir rows by
+        # up to 1e-10 of the peak
+        for value in (0.1, 0.0):
+            config = ScanConfig(model, mean_occupation=value, squeezing=value)
+            channel = build_channel(config)
+            times = np.linspace(0.0, 40.0, 101)
+            np.testing.assert_array_equal(
+                dense(d_rho_grid(channel, channel.value, times)),
+                d_rho_dense(channel, channel.value, times))
+
     def test_grid_matches_pointwise(self):
         times = np.linspace(0.2, 2.0, 5)
-        stack = d_rho_grid(THERMAL_CHANNEL, 0.1, times)
+        stack = derivative(THERMAL_CHANNEL, 0.1, times)
         for k, t in enumerate(times):
-            pointwise = d_rho_grid(THERMAL_CHANNEL, 0.1, [t])[0]
+            pointwise = derivative(THERMAL_CHANNEL, 0.1, [t])[0]
             np.testing.assert_allclose(stack[k], pointwise, atol=1e-14)
 
 
 class TestQfiBlocks:
     def test_zero_derivative(self):
-        rho = validate_density(np.diag([0.3, 0.7]).astype(complex))
-        result = qfi_blocks(rho, np.zeros((2, 2), dtype=complex))
+        rho = validate_blocks(record(np.diag([0.3, 0.7])))
+        result = qfi_blocks(rho, record(np.zeros((2, 2))))
         assert result.value == 0.0
         assert result.discarded_pairs == 0
 
     def test_classical_binomial_family(self):
-        rho = validate_density(np.eye(2, dtype=complex) / 2)
-        drho = np.diag([1.0, -1.0]).astype(complex)
+        rho = record(np.eye(2) / 2)
+        drho = record(np.diag([1.0, -1.0]))
         assert qfi_blocks(rho, drho).value == pytest.approx(4.0, abs=1e-12)
 
     def test_thermal_steady_state_benchmark(self):
         m = 0.1
         width = 2.0 * m + 1.0
-        rho = np.diag([m / width, (m + 1.0) / width]).astype(complex)
-        drho = np.diag([1.0 / width**2, -1.0 / width**2]).astype(complex)
+        rho = record(np.diag([m / width, (m + 1.0) / width]))
+        drho = record(np.diag([1.0 / width**2, -1.0 / width**2]))
         result = qfi_blocks(rho, drho)
         assert result.value == pytest.approx(1.0 / (width**2 * m * (m + 1.0)), rel=1e-12)
 
@@ -116,24 +141,32 @@ class TestQfiBlocks:
         # one qubit: the (g, g) pair; two-qubit cavity blocks at t = 0:
         # the pure {|eg>, |ge>} block drops (-, -), each empty 1-block its
         # own pair, and no pair across blocks is counted
-        rho = validate_density(np.diag([1.0, 0.0]).astype(complex))
-        assert qfi_blocks(rho, np.zeros((2, 2), dtype=complex)).discarded_pairs == 1
+        rho = record(np.diag([1.0, 0.0]))
+        assert qfi_blocks(rho, record(np.zeros((2, 2)))).discarded_pairs == 1
         channel = fock2_channel(TwoQubitFockParams(detuning=5.0))
-        state = validate_density(channel.states(5.0, [0.0]), channel.blocks)
-        assert qfi_blocks(state, np.zeros((1, 4, 4), dtype=complex)).discarded_pairs == 3
+        state = validate_blocks(channel.states(5.0, [0.0]))
+        zero = record(np.zeros((1, 4, 4)), FOCK2_BLOCKS)
+        assert qfi_blocks(state, zero).discarded_pairs == 3
 
     def test_dimension_mismatch(self):
-        rho = validate_density(np.eye(2, dtype=complex) / 2)
-        with pytest.raises(ValueError, match="dimension"):
-            qfi_blocks(rho, np.zeros((4, 4), dtype=complex))
+        rho = record(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="does not match"):
+            qfi_blocks(rho, record(np.zeros((4, 4))))
+        with pytest.raises(ValueError, match="does not match"):
+            qfi_blocks(rho, record(np.zeros((3, 2, 2))))
 
     def test_derivative_outside_blocks_rejected(self):
+        # a derivative with an {|ee>, |gg>} coherence lies outside the
+        # two-qubit cavity blocks: it has no record on them, and a record on
+        # the X-state blocks does not match the state
         channel = fock2_channel(TwoQubitFockParams(detuning=5.0))
-        state = validate_density(channel.states(5.0, [1.0]), channel.blocks)
-        drho = d_rho_grid(channel, 5.0, [1.0])
+        state = validate_blocks(channel.states(5.0, [1.0]))
+        drho = derivative(channel, 5.0, [1.0])
         drho[0, 0, 3] = drho[0, 3, 0] = 1e-3
         with pytest.raises(ValueError, match="outside the blocks"):
-            qfi_blocks(state, drho)
+            record(drho, FOCK2_BLOCKS)
+        with pytest.raises(ValueError, match="does not match"):
+            qfi_blocks(state, record(drho, X_BLOCKS))
 
     def test_matches_spectral_oracle_at_fock1_tiny_population(self):
         # figure 1a, alpha = 0: a population dips to about 6e-9, where the
@@ -142,10 +175,11 @@ class TestQfiBlocks:
         channel = build_channel(config)
         times = time_grid(config)
         states = channel.states(channel.value, times)
-        assert np.abs(states[:, 1, 1]).min() < 1e-8
+        mats = dense(states)
+        assert np.abs(mats[:, 1, 1]).min() < 1e-8
         derivs = d_rho_grid(channel, channel.value, times)
-        block = qfi_blocks(validate_density(states, channel.blocks), derivs).value
-        spectral = qfi_spectral(states, derivs).value
+        block = qfi_blocks(validate_blocks(states), derivs).value
+        spectral = qfi_spectral(mats, dense(derivs)).value
         assert np.abs(block - spectral).max() <= 1e-12 * spectral.max()
 
     def test_matches_spectral_oracle_across_fock2_rank_drop(self):
@@ -155,10 +189,11 @@ class TestQfiBlocks:
         t_drop = 2.0 * np.pi * 45 / np.sqrt(33.0)
         times = t_drop + np.linspace(-1e-3, 1e-3, 20001)
         states = channel.states(5.0, times)
-        assert states[:, 3, 3].real.min() < 1e-20
+        mats = dense(states)
+        assert mats[:, 3, 3].real.min() < 1e-20
         derivs = d_rho_grid(channel, 5.0, times)
-        block = qfi_blocks(validate_density(states, channel.blocks), derivs).value
-        spectral = qfi_spectral(states, derivs).value
+        block = qfi_blocks(validate_blocks(states), derivs).value
+        spectral = qfi_spectral(mats, dense(derivs)).value
         assert np.abs(block - spectral).max() <= 1e-12 * spectral.max()
 
 
@@ -250,7 +285,7 @@ class TestPureOracle:
         drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
         pure = qfi_pure_oracle(psi, dpsi)
         assert abs(pure - qfi_spectral(rho, drho).value) <= 1e-8
-        assert abs(pure - qfi_blocks(rho, drho).value) <= 1e-8
+        assert abs(pure - qfi_blocks(record(rho), record(drho)).value) <= 1e-8
 
     def test_agreement_on_random_rank_one_states(self):
         rng = np.random.default_rng(71)
@@ -265,7 +300,7 @@ class TestPureOracle:
                 pure = qfi_pure_oracle(psi, dpsi)
                 assert abs(pure - qfi_spectral(rho, drho).value) <= 1e-8
                 if dim == 2:
-                    assert abs(pure - qfi_blocks(rho, drho).value) <= 1e-8
+                    assert abs(pure - qfi_blocks(record(rho), record(drho)).value) <= 1e-8
 
 
 class TestQfiVanishesAtTimeZero:
@@ -280,9 +315,9 @@ class TestQfiVanishesAtTimeZero:
         ids=["fock1", "thermal1", "squeezed1", "fock2"],
     )
     def test_zero_at_t0(self, channel):
-        rho = validate_density(channel.states(channel.value, [0.0])[0], channel.blocks)
-        drho = d_rho_grid(channel, channel.value, [0.0])[0]
-        assert qfi_blocks(rho, drho).value <= 1e-9
+        rho = validate_blocks(channel.states(channel.value, [0.0]))
+        drho = d_rho_grid(channel, channel.value, [0.0])
+        assert qfi_blocks(rho, drho).value[0] <= 1e-9
 
 
 class TestTemperatureChainRule:

@@ -8,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import find_max_sequential
+from helpers import backflow_intervals_loop, find_max_sequential
 from qfi_probe import scan_repro
 from qfi_probe.qfi_engine import occupation_slope, temperature_from_occupation
-from qfi_probe.qstate import validate_density
+from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     FIGURE_TAGS,
     MODEL_IDS,
@@ -59,6 +59,18 @@ class TestScanConfig:
         with pytest.raises(ValueError, match="not an integer"):
             ScanConfig("fock1", points=bad)
 
+    @pytest.mark.parametrize("bad", [2.5, 0.5, True])
+    def test_photons_must_be_an_integer(self, bad):
+        # photons=2.5 used to scan fock1 and write photons=2.5 to the CSV
+        with pytest.raises(ValueError, match="not an integer"):
+            ScanConfig("fock1", photons=bad)
+
+    def test_numpy_integer_photons_accepted(self):
+        dataset = scan(ScanConfig("fock1", photons=np.int64(2), points=5))
+        assert dataset.metadata["photons"] == "2"
+        with pytest.raises(ValueError, match="negative"):
+            ScanConfig("fock1", photons=-1)
+
     def test_numpy_integer_points_accepted(self):
         dataset = scan(ScanConfig("fock1", points=np.int64(50)))
         assert dataset.t.size == 50
@@ -101,7 +113,7 @@ class TestScan:
 
         channel = build_channel(config)
         for t in time_grid(config):
-            validate_density(channel.states(channel.value, [t]))
+            validate_blocks(channel.states(channel.value, [t]))
 
     def test_temperature_chain_rule_applied(self):
         config = ScanConfig("thermal1", alpha=0.0, t_min=40.0, t_max=50.0, points=3)
@@ -124,7 +136,8 @@ class TestScan:
         config = ScanConfig(model, points=300, t_max=20.0)
         monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 10**9)
         whole = scan(config)
-        # 7 two-qubit or 28 one-qubit rows per block
+        # 7 X-state, 9 fock2 or 14 one-qubit rows per block: 300 rows end
+        # in a ragged block
         monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 7 * 16 * 16)
         blocked = scan(config)
         np.testing.assert_array_equal(blocked.qfi, whole.qfi)
@@ -282,6 +295,45 @@ class TestBackflowIntervals:
     def test_squeezed_nonsuperposed_early_revival(self):
         dataset = scan(ScanConfig("squeezed1", alpha=0.0, t_max=5.0, points=400))
         assert len(backflow_intervals(dataset)) >= 1
+
+    @pytest.mark.parametrize("qfi, expected", [
+        ([1.0, 1.0, 1.0, 1.0], []),  # all flat
+        ([0.0, 1.0, 0.5, 0.7], [(2.0, 3.0)]),  # a rise at index 0 is no revival
+        ([2.0, 1.0, 1.0, 1.5], [(2.0, 3.0)]),  # fall, flat, rise counts
+        ([0.0, 1.0, 1.0, 1.5], []),  # rise, flat, rise does not
+        ([2.0, 1.0, 1.5, 2.5, 3.0], [(1.0, 4.0)]),  # a rise to the last point
+        ([3.0, 2.0, 2.5, 1.0, 1.5, 1.2, 1.2, 1.9], [(1.0, 2.0), (3.0, 4.0), (6.0, 7.0)]),
+        ([1.0], []),
+    ])
+    def test_edge_cases_match_the_loop(self, qfi, expected):
+        t = np.arange(float(len(qfi)))
+        dataset = ScanDataset(t, np.array(qfi), np.ones_like(t), {})
+        assert backflow_intervals(dataset) == expected
+        assert backflow_intervals_loop(dataset) == expected
+
+    def test_flat_floor_matches_the_loop(self):
+        # steps within 1e-9 of the peak count as flat, beyond it they count
+        t = np.arange(5.0)
+        for step in (0.5e-9, 2e-9):
+            qfi = np.array([1.0, 1.0 - step, 1.0 - step, 1.0, 1.0])
+            dataset = ScanDataset(t, qfi, np.ones_like(t), {})
+            assert backflow_intervals(dataset) == backflow_intervals_loop(dataset)
+        assert backflow_intervals(dataset) == [(2.0, 3.0)]
+
+    def test_figure_series_match_the_loop(self):
+        for tag in FIGURE_TAGS:
+            for dataset in reproduce_figure(tag):
+                assert backflow_intervals(dataset) == backflow_intervals_loop(dataset)
+
+    @pytest.mark.parametrize("model", ["thermal2", "squeezed2"])
+    def test_seeded_scans_match_the_loop(self, model):
+        rng = np.random.default_rng(41 if model == "thermal2" else 43)
+        key = "mean_occupation" if model == "thermal2" else "squeezing"
+        for _ in range(8):
+            config = ScanConfig(model, points=500, gamma=rng.uniform(0.5, 2.0),
+                                t_max=rng.uniform(10.0, 50.0), **{key: rng.uniform(0.02, 0.5)})
+            dataset = scan(config)
+            assert backflow_intervals(dataset) == backflow_intervals_loop(dataset)
 
 
 class TestReproduceFigure:
