@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from .scan_repro import (
-    ESTIMANDS,
     FIGURE_TAGS,
     MODEL_IDS,
     ScanConfig,
@@ -63,45 +62,39 @@ def parse_csv(path) -> ScanDataset:
     return ScanDataset(data[:, 0], data[:, 1], data[:, 2], metadata)
 
 
-def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
+def _degrees(text: str) -> float:
+    return math.radians(float(text))
+
+
+# (flag, ScanConfig field, type, help) of every model parameter; a flag the
+# model does not read exits 2, and ScanConfig supplies every default
+MODEL_FLAGS = (
+    ("--delta", "detuning", float, "detuning (cavity models)"),
+    ("--coupling", "coupling", float, "cavity coupling rate"),
+    ("--photons", "photons", int, "cavity photon number"),
+    ("--m", "mean_occupation", float, "reservoir mean occupation"),
+    ("--gamma", "gamma", float, "decay rate"),
+    ("--r", "squeezing", float, "squeezing strength"),
+    ("--alpha", "alpha", _degrees, "initial-state angle in degrees"),
+    ("--freq-scale", "freq_scale", float, "transition frequency in temperature units"),
+)
+_GRID_FLAGS = (
+    ("--tmin", "t_min", float, "first grid time"),
+    ("--tmax", "t_max", float, "last grid time"),
+    ("--points", "points", int, "grid points"),
+)
+
+
+def _add_model_flags(parser: argparse.ArgumentParser, flags=MODEL_FLAGS) -> None:
     parser.add_argument("--model", required=True, choices=MODEL_IDS)
-    parser.add_argument(
-        "--estimand",
-        choices=ESTIMANDS,
-        default="",
-        help="defaults to the estimand the model supports",
-    )
-    parser.add_argument("--delta", type=float, default=5.0, help="detuning (cavity models)")
-    parser.add_argument("--coupling", type=float, default=1.0, help="cavity coupling rate")
-    parser.add_argument("--photons", type=int, default=0, help="cavity photon number")
-    parser.add_argument("--m", type=float, default=0.1, help="reservoir mean occupation")
-    parser.add_argument("--gamma", type=float, default=1.0, help="decay rate")
-    parser.add_argument("--r", type=float, default=0.1, help="squeezing strength")
-    parser.add_argument(
-        "--alpha", type=float, default=45.0, help="initial-state angle in degrees"
-    )
-    parser.add_argument(
-        "--freq-scale", type=float, default=1.0,
-        help="transition frequency in temperature units",
-    )
+    for flag, name, kind, text in flags:
+        parser.add_argument(flag, dest=name, type=kind, default=argparse.SUPPRESS, help=text)
 
 
-def _config_from_args(args, t_min=None, t_max=None, points=None) -> ScanConfig:
-    return ScanConfig(
-        model_id=args.model,
-        estimand=args.estimand,
-        t_min=args.tmin if t_min is None else t_min,
-        t_max=args.tmax if t_max is None else t_max,
-        points=args.points if points is None else points,
-        alpha=math.radians(args.alpha),
-        detuning=args.delta,
-        coupling=args.coupling,
-        photons=args.photons,
-        mean_occupation=args.m,
-        gamma=args.gamma,
-        squeezing=args.r,
-        freq_scale=args.freq_scale,
-    )
+def _config_from_args(args, **grid) -> ScanConfig:
+    given = {name: getattr(args, name)
+             for _, name, _, _ in MODEL_FLAGS + _GRID_FLAGS if name in args}
+    return ScanConfig(args.model, **given, **grid)
 
 
 def _handle_scan(args) -> int:
@@ -146,16 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan_p = sub.add_parser("scan", help="sweep a time grid and emit CSV")
-    _add_model_arguments(scan_p)
-    scan_p.add_argument("--tmin", type=float, default=0.01)
-    scan_p.add_argument("--tmax", type=float, default=50.0)
-    scan_p.add_argument("--points", type=int, default=2000)
+    _add_model_flags(scan_p, MODEL_FLAGS + _GRID_FLAGS)
     scan_p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     scan_p.set_defaults(handler=_handle_scan)
 
     fig_p = sub.add_parser("figure", help="regenerate a figure dataset")
     fig_p.add_argument("--tag", required=True, choices=FIGURE_TAGS)
-    fig_p.add_argument("--points", type=int, default=2000)
+    fig_p.add_argument("--points", type=int, default=ScanConfig.points)
     fig_p.add_argument(
         "--out", required=True,
         help="base CSV path; the series name is inserted before the suffix",
@@ -163,12 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.set_defaults(handler=_handle_figure)
 
     qfi_p = sub.add_parser("qfi", help="single-point QFI evaluation")
-    _add_model_arguments(qfi_p)
+    _add_model_flags(qfi_p)
     qfi_p.add_argument("--t", type=float, required=True)
     qfi_p.set_defaults(handler=_handle_qfi)
 
     fid_p = sub.add_parser("fidelity", help="single-point fidelity evaluation")
-    _add_model_arguments(fid_p)
+    _add_model_flags(fid_p)
     fid_p.add_argument("--t", type=float, required=True)
     fid_p.set_defaults(handler=_handle_fidelity)
 

@@ -4,7 +4,7 @@ detection, and regeneration of the standard figure datasets (tags 1a-5c)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -32,16 +32,28 @@ from .qfi_engine import (
 )
 from .qstate import fidelity_bloch, reduced_bloch, validate_blocks
 
-MODEL_IDS = ("fock1", "thermal1", "squeezed1", "fock2", "thermal2", "squeezed2")
-ESTIMANDS = ("detuning", "temperature", "squeezing")
-MODEL_ESTIMAND = {
-    "fock1": "detuning",
-    "fock2": "detuning",
-    "thermal1": "temperature",
-    "thermal2": "temperature",
-    "squeezed1": "squeezing",
-    "squeezed2": "squeezing",
+# model id: (estimand, the ScanConfig fields the model reads in metadata
+# order, the channel builder). A scan reads nothing else of the model.
+MODELS = {
+    "fock1": ("detuning", ("alpha", "detuning", "coupling", "photons"),
+              lambda c: fock1_channel(FockParams(c.detuning, c.coupling, c.photons, c.alpha))),
+    "thermal1": ("temperature", ("alpha", "mean_occupation", "gamma", "freq_scale"),
+                 lambda c: thermal1_channel(
+                     ThermalParams(c.mean_occupation, c.gamma, c.alpha, c.freq_scale))),
+    "squeezed1": ("squeezing", ("alpha", "squeezing", "gamma"),
+                  lambda c: squeezed1_channel(SqueezedParams(c.squeezing, c.gamma, c.alpha))),
+    "fock2": ("detuning", ("alpha", "detuning", "coupling", "photons"),
+              lambda c: fock2_channel(
+                  TwoQubitFockParams(c.detuning, c.coupling, c.alpha, c.photons))),
+    "thermal2": ("temperature", ("mean_occupation", "gamma", "freq_scale"),
+                 lambda c: reservoir_pair_channel(
+                     TwoQubitReservoirParams("thermal", c.mean_occupation, c.gamma))),
+    "squeezed2": ("squeezing", ("squeezing", "gamma"),
+                  lambda c: reservoir_pair_channel(
+                      TwoQubitReservoirParams("squeezed", c.squeezing, c.gamma))),
 }
+MODEL_IDS = tuple(MODELS)
+_MODEL_FIELDS = {name for _, names, _ in MODELS.values() for name in names}
 FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b", "5c")
 # Bound on the records of one evaluation block: the state and up to three
 # stencil taps, 8 bytes per entry, 4 (one qubit), 6 (fock2) or 8 (X-state)
@@ -65,12 +77,12 @@ class ScanConfig:
 
     The time grid starts strictly after zero because the QFI of every
     estimand vanishes at t = 0. Every number must be finite. alpha is
-    given in radians and is not used by the two-qubit models, whose
-    initial state is fixed; it is then left out of the metadata.
+    given in radians. The model fixes the estimand, and MODELS lists the
+    model fields it reads; a model field it does not read must keep its
+    default, and the metadata names only the fields read.
     """
 
     model_id: str
-    estimand: str = ""
     t_min: float = 0.01
     t_max: float = 50.0
     points: int = 2000
@@ -86,16 +98,13 @@ class ScanConfig:
     series: str = ""
 
     def __post_init__(self):
-        if self.model_id not in MODEL_IDS:
+        if self.model_id not in MODELS:
             raise ValueError(f"unknown model {self.model_id!r}")
-        expected = MODEL_ESTIMAND[self.model_id]
-        if self.estimand == "":
-            object.__setattr__(self, "estimand", expected)
-        elif self.estimand != expected:
-            raise ValueError(
-                f"model {self.model_id!r} estimates {expected!r}, not {self.estimand!r}"
-            )
         require_finite(self)
+        unread = _MODEL_FIELDS.difference(MODELS[self.model_id][1])
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ValueError(f"model {self.model_id!r} does not read {f.name}")
         if self.t_min <= 0.0:
             raise ValueError("t_min must be positive (QFI vanishes at t = 0)")
         if self.t_max <= self.t_min:
@@ -106,6 +115,10 @@ class ScanConfig:
             raise ValueError("a scan needs at least 2 grid points")
         if self.points > MAX_POINTS:
             raise ValueError(f"points = {self.points} exceeds the limit of {MAX_POINTS}")
+
+    @property
+    def estimand(self) -> str:
+        return MODELS[self.model_id][0]
 
 
 @dataclass(frozen=True)
@@ -131,31 +144,7 @@ def time_grid(config: ScanConfig) -> np.ndarray:
 
 
 def build_channel(config: ScanConfig) -> ChannelModel:
-    if config.model_id == "fock1":
-        return fock1_channel(
-            FockParams(config.detuning, config.coupling, config.photons, config.alpha)
-        )
-    if config.model_id == "thermal1":
-        return thermal1_channel(
-            ThermalParams(
-                config.mean_occupation, config.gamma, config.alpha, config.freq_scale
-            )
-        )
-    if config.model_id == "squeezed1":
-        return squeezed1_channel(
-            SqueezedParams(config.squeezing, config.gamma, config.alpha)
-        )
-    if config.model_id == "fock2":
-        return fock2_channel(
-            TwoQubitFockParams(config.detuning, config.coupling, photons=config.photons)
-        )
-    if config.model_id == "thermal2":
-        return reservoir_pair_channel(
-            TwoQubitReservoirParams("thermal", config.mean_occupation, config.gamma)
-        )
-    return reservoir_pair_channel(
-        TwoQubitReservoirParams("squeezed", config.squeezing, config.gamma)
-    )
+    return MODELS[config.model_id][2](config)
 
 
 def _chain_factor(config: ScanConfig) -> float:
@@ -233,25 +222,19 @@ def point_fidelity(config: ScanConfig, t: float) -> float:
 
 
 def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[str, str]:
+    read = MODELS[config.model_id][1]
     md = {"model": config.model_id, "estimand": config.estimand}
-    if config.model_id.endswith("1"):
+    if "alpha" in read:
         md["alpha_deg"] = _fmt(math.degrees(config.alpha))
     md.update({
         "t_min": _fmt(config.t_min),
         "t_max": _fmt(config.t_max),
         "points": str(config.points),
     })
-    if config.model_id in ("fock1", "fock2"):
-        md["detuning"] = _fmt(config.detuning)
-        md["coupling"] = _fmt(config.coupling)
-        md["photons"] = str(config.photons)
-    elif config.model_id in ("thermal1", "thermal2"):
-        md["mean_occupation"] = _fmt(config.mean_occupation)
-        md["gamma"] = _fmt(config.gamma)
-        md["freq_scale"] = _fmt(config.freq_scale)
-    else:
-        md["squeezing"] = _fmt(config.squeezing)
-        md["gamma"] = _fmt(config.gamma)
+    for name in read:
+        if name != "alpha":
+            value = getattr(config, name)
+            md[name] = str(value) if name == "photons" else _fmt(value)
     if config.figure:
         md["figure"] = config.figure
     if config.series:
@@ -352,59 +335,25 @@ def backflow_intervals(dataset: ScanDataset) -> list[tuple[float, float]]:
     return list(zip(t[starts[counted]].tolist(), t[ends[counted]].tolist()))
 
 
-_FOCK_WINDOW = (0.01, 100.0)
-_RESERVOIR_WINDOW = (0.01, 50.0)
-
-
 def _figure_configs(tag: str, points: int) -> list[ScanConfig]:
-    alpha0 = 0.0
-    alpha45 = math.pi / 4.0
-    if tag in ("1a", "1b"):
-        base = ScanConfig(
-            "fock1", t_min=_FOCK_WINDOW[0], t_max=_FOCK_WINDOW[1], points=points,
-            detuning=5.0, figure=tag,
-        )
-        return [
-            replace(base, alpha=alpha0, series="alpha0"),
-            replace(base, alpha=alpha45, series="alpha45"),
-        ]
-    if tag in ("2a", "2b"):
-        base = ScanConfig(
-            "thermal1", t_min=_RESERVOIR_WINDOW[0], t_max=_RESERVOIR_WINDOW[1],
-            points=points, mean_occupation=0.1, gamma=1.0, figure=tag,
-        )
-        return [
-            replace(base, alpha=alpha0, series="alpha0"),
-            replace(base, alpha=alpha45, series="alpha45"),
-        ]
-    if tag in ("3a", "3b"):
-        base = ScanConfig(
-            "squeezed1", t_min=_RESERVOIR_WINDOW[0], t_max=_RESERVOIR_WINDOW[1],
-            points=points, squeezing=0.1, gamma=1.0, figure=tag,
-        )
-        return [
-            replace(base, alpha=alpha0, series="alpha0"),
-            replace(base, alpha=alpha45, series="alpha45"),
-        ]
-    pair = {
-        "4a": ("fock1", "fock2", _FOCK_WINDOW),
-        "5a": ("fock1", "fock2", _FOCK_WINDOW),
-        "4b": ("thermal1", "thermal2", _RESERVOIR_WINDOW),
-        "5b": ("thermal1", "thermal2", _RESERVOIR_WINDOW),
-        "4c": ("squeezed1", "squeezed2", _RESERVOIR_WINDOW),
-        "5c": ("squeezed1", "squeezed2", _RESERVOIR_WINDOW),
-    }
-    if tag not in pair:
+    """Figures 1-3 show the one-qubit probe of kind 1, 2 or 3 (cavity,
+    thermal, squeezed) at alpha 0 and 45 degrees, figures 4-5 the one- and
+    two-qubit probes of kind a, b or c. Cavity series run to t = 100,
+    reservoir series to 50; every other parameter is a ScanConfig default."""
+    if tag not in FIGURE_TAGS:
         raise ValueError(f"unknown figure tag {tag!r}")
-    one, two, window = pair[tag]
-    base = ScanConfig(
-        one, t_min=window[0], t_max=window[1], points=points, alpha=alpha45,
-        figure=tag, series="one_qubit",
-    )
-    return [base, replace(base, model_id=two, estimand="", series="two_qubit")]
+    kinds = ("fock", "thermal", "squeezed")
+    pair = tag[0] in "45"
+    kind = kinds["abc".index(tag[1])] if pair else kinds[int(tag[0]) - 1]
+    base = dict(points=points, figure=tag, t_max=100.0 if kind == "fock" else 50.0)
+    if not pair:
+        return [ScanConfig(kind + "1", alpha=0.0, series="alpha0", **base),
+                ScanConfig(kind + "1", series="alpha45", **base)]
+    return [ScanConfig(kind + "1", series="one_qubit", **base),
+            ScanConfig(kind + "2", series="two_qubit", **base)]
 
 
-def reproduce_figure(tag: str, points: int = 2000) -> list[ScanDataset]:
+def reproduce_figure(tag: str, points: int = ScanConfig.points) -> list[ScanDataset]:
     """Regenerate the dataset(s) behind one figure tag.
 
     Two-curve figures (1a-3b) return the alpha = 0 and alpha = 45 degree
@@ -414,17 +363,14 @@ def reproduce_figure(tag: str, points: int = 2000) -> list[ScanDataset]:
     return [scan(config) for config in _figure_configs(tag, points)]
 
 
-def discrepancy_report(points: int = 2000) -> str:
+def discrepancy_report(points: int = ScanConfig.points) -> str:
     """Computed temperature and squeezing maxima next to externally quoted
     peak QFI values. Apart from the two-qubit temperature value, this model
     does not reproduce them (the unit conventions behind the quotes are
     unclear), so they are compared, never asserted."""
-    window = dict(t_min=_RESERVOIR_WINDOW[0], t_max=_RESERVOIR_WINDOW[1], points=points)
-    thermal1 = scan(
-        ScanConfig("thermal1", alpha=math.pi / 4.0, mean_occupation=0.1, gamma=1.0, **window)
-    )
-    thermal2 = scan(ScanConfig("thermal2", mean_occupation=0.1, gamma=1.0, **window))
-    squeezed2 = scan(ScanConfig("squeezed2", squeezing=0.1, gamma=1.0, **window))
+    thermal1 = scan(ScanConfig("thermal1", points=points))
+    thermal2 = scan(ScanConfig("thermal2", points=points))
+    squeezed2 = scan(ScanConfig("squeezed2", points=points))
     t_th1, q_th1 = find_max(thermal1)
     t_th2, q_th2 = find_max(thermal2)
     t_sq2, q_sq2 = find_max(squeezed2)

@@ -4,8 +4,26 @@ import numpy as np
 import pytest
 
 from helpers import csv_fstring
-from qfi_probe.cli import build_parser, emit_csv, parse_csv, run
-from qfi_probe.scan_repro import MODEL_IDS, ScanConfig, ScanDataset, scan
+from qfi_probe.cli import MODEL_FLAGS, build_parser, emit_csv, parse_csv, run
+from qfi_probe.scan_repro import MODEL_IDS, MODELS, ScanConfig, ScanDataset, scan
+
+GRID = ["t_min=0.01", "t_max=50", "points=2000"]
+# the metadata lines of each model's default scan, in order; the max_index,
+# max_t and max_qfi lines follow
+DEFAULT_METADATA = {
+    "fock1": ["model=fock1", "estimand=detuning", "alpha_deg=45", *GRID,
+              "detuning=5", "coupling=1", "photons=0"],
+    "thermal1": ["model=thermal1", "estimand=temperature", "alpha_deg=45", *GRID,
+                 "mean_occupation=0.10000000000000001", "gamma=1", "freq_scale=1"],
+    "squeezed1": ["model=squeezed1", "estimand=squeezing", "alpha_deg=45", *GRID,
+                  "squeezing=0.10000000000000001", "gamma=1"],
+    "fock2": ["model=fock2", "estimand=detuning", "alpha_deg=45", *GRID,
+              "detuning=5", "coupling=1", "photons=0"],
+    "thermal2": ["model=thermal2", "estimand=temperature", *GRID,
+                 "mean_occupation=0.10000000000000001", "gamma=1", "freq_scale=1"],
+    "squeezed2": ["model=squeezed2", "estimand=squeezing", *GRID,
+                  "squeezing=0.10000000000000001", "gamma=1"],
+}
 
 
 def read_lines(path):
@@ -59,6 +77,15 @@ class TestEmitParse:
         assert text == csv_fstring(dataset)
         assert "\n-0,0.10000000000000001,0\n" in text and "4.9406564584124654e-324" in text
 
+    @pytest.mark.parametrize("model", MODEL_IDS)
+    def test_default_metadata_lines(self, tmp_path, model):
+        out = tmp_path / "default.csv"
+        emit_csv(scan(ScanConfig(model)), out)
+        comments = [l for l in read_lines(out) if l.startswith("#")]
+        assert comments[:-3] == [f"# {line}" for line in DEFAULT_METADATA[model]]
+        assert [l.partition("=")[0] for l in comments[-3:]] == [
+            "# max_index", "# max_t", "# max_qfi"]
+
     def test_max_comment_consistent_with_rows(self, tmp_path):
         dataset = scan(ScanConfig("squeezed1", points=40, t_max=5.0))
         out = tmp_path / "maxrow.csv"
@@ -74,7 +101,7 @@ class TestScanCommand:
         out = tmp_path / "scan.csv"
         code = run(
             [
-                "scan", "--model", "thermal1", "--estimand", "temperature",
+                "scan", "--model", "thermal1",
                 "--m", "0.1", "--gamma", "1", "--alpha", "45",
                 "--tmin", "0.01", "--tmax", "50", "--points", "8",
                 "--out", str(out),
@@ -122,6 +149,30 @@ class TestScanCommand:
     def test_photons_on_two_qubit_model_exits_2(self, capsys):
         assert run(["scan", "--model", "fock2", "--photons", "3", "--points", "3"]) == 2
         assert "photons" in capsys.readouterr().err
+
+    def test_unread_flag_exits_2(self, capsys):
+        # the two-qubit reservoir pairs start in a fixed Bell state
+        assert run(["scan", "--model", "thermal2", "--alpha", "30"]) == 2
+        assert "alpha" in capsys.readouterr().err
+
+    def test_estimand_flag_removed(self, capsys):
+        # the model fixes the estimand
+        argv = ["scan", "--model", "thermal1", "--estimand", "temperature", "--points", "3"]
+        assert run(argv) == 2
+        assert "--estimand" in capsys.readouterr().err
+
+    def test_model_flags_map_onto_model_fields(self):
+        flags = [flag for flag, _, _, _ in MODEL_FLAGS]
+        names = [name for _, name, _, _ in MODEL_FLAGS]
+        assert len(set(flags)) == len(flags) and len(set(names)) == len(names)
+        assert set(names) == {name for _, read, _ in MODELS.values() for name in read}
+        parser = build_parser()
+        # an absent flag leaves the ScanConfig default in place
+        args = parser.parse_args(["qfi", "--model", "fock1", "--t", "1"])
+        assert not any(name in args for name in names)
+        for flag, name, _, _ in MODEL_FLAGS:
+            args = parser.parse_args(["qfi", "--model", "fock1", flag, "0", "--t", "1"])
+            assert getattr(args, name) == 0
 
     def test_tol_flag_removed(self, capsys):
         # nothing integrates any more, so an integrator tolerance would be

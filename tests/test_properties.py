@@ -31,7 +31,7 @@ from qfi_probe.qfi_engine import (
     stencil,
 )
 from qfi_probe.qstate import validate_blocks
-from qfi_probe.scan_repro import ScanConfig, build_channel, scan
+from qfi_probe.scan_repro import MODEL_IDS, MODELS, ScanConfig, build_channel, scan
 
 # Derandomized so the suite gives the same verdict on every run; no example
 # database is written.
@@ -46,21 +46,21 @@ SQUEEZING = st.floats(0.0, 1.0)
 TIMES = st.lists(st.floats(0.0, 100.0), min_size=1, max_size=12).map(np.array)
 
 
+# the valid domain of every model field; freq_scale only rescales the
+# temperature QFI and keeps its default
+FIELDS = {"alpha": ALPHA, "detuning": DETUNING, "coupling": COUPLING,
+          "mean_occupation": OCCUPATION, "gamma": GAMMA, "squeezing": SQUEEZING}
+
+
 @st.composite
 def configs(draw):
-    """A ScanConfig anywhere in the valid domain of a drawn model."""
-    model = draw(st.sampled_from(["fock1", "thermal1", "squeezed1", "fock2", "thermal2",
-                                  "squeezed2"]))
-    kwargs = {"alpha": draw(ALPHA)}
-    if model.startswith("fock"):
-        kwargs.update(detuning=draw(DETUNING), coupling=draw(COUPLING))
-        if model == "fock1":
-            kwargs["photons"] = draw(st.integers(0, 4))
-    elif model.startswith("thermal"):
-        kwargs.update(mean_occupation=draw(OCCUPATION), gamma=draw(GAMMA))
-    else:
-        kwargs.update(squeezing=draw(SQUEEZING), gamma=draw(GAMMA))
-    return ScanConfig(model, **kwargs)
+    """A ScanConfig anywhere in the valid domain of a drawn model, setting
+    exactly the fields that the model reads."""
+    model = draw(st.sampled_from(MODEL_IDS))
+    # the two-qubit closed form needs an empty cavity
+    domain = dict(FIELDS, photons=st.integers(0, 0 if model == "fock2" else 4))
+    return ScanConfig(model, **{name: draw(domain[name])
+                                for name in MODELS[model][1] if name in domain})
 
 
 @PROPERTY

@@ -44,7 +44,7 @@ from qfi_probe.qfi_engine import (
     temperature_from_occupation,
 )
 from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, block_state, validate_blocks
-from qfi_probe.scan_repro import ScanConfig, build_channel, time_grid
+from qfi_probe.scan_repro import MODELS, ScanConfig, build_channel, time_grid
 
 THERMAL = ThermalParams(0.1, 1.0, np.pi / 4)
 SQUEEZED = SqueezedParams(0.1, 1.0, np.pi / 4)
@@ -101,8 +101,9 @@ class TestDerivativeStencil:
         # reciprocal, with the trace summed in basis order, is what the
         # dense complex path did; plain division moves reservoir rows by
         # up to 1e-10 of the peak
+        strengths = {"mean_occupation", "squeezing"}.intersection(MODELS[model][1])
         for value in (0.1, 0.0):
-            config = ScanConfig(model, mean_occupation=value, squeezing=value)
+            config = ScanConfig(model, **dict.fromkeys(strengths, value))
             channel = build_channel(config)
             times = np.linspace(0.0, 40.0, 101)
             np.testing.assert_array_equal(

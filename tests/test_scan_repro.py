@@ -3,18 +3,20 @@ dataset builders. Grids are kept small here; the full-resolution runs live
 in the acceptance suite."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from helpers import backflow_intervals_loop, find_max_sequential
 from qfi_probe import scan_repro
+from qfi_probe.probe_models import TwoQubitFockParams, fock2_channel
 from qfi_probe.qfi_engine import occupation_slope, temperature_from_occupation
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     FIGURE_TAGS,
     MODEL_IDS,
+    MODELS,
     REFINE_STEPS,
     ScanConfig,
     ScanDataset,
@@ -28,6 +30,10 @@ from qfi_probe.scan_repro import (
 )
 
 
+# every ScanConfig field that some model reads
+MODEL_FIELDS = {name for _, names, _ in MODELS.values() for name in names}
+
+
 def fock_config(alpha=np.pi / 4, points=400):
     return ScanConfig(
         "fock1", alpha=alpha, t_min=0.01, t_max=100.0, points=points, detuning=5.0
@@ -39,8 +45,25 @@ class TestScanConfig:
         assert ScanConfig("thermal1").estimand == "temperature"
 
     def test_incompatible_estimand_rejected(self):
-        with pytest.raises(ValueError, match="estimates"):
-            ScanConfig("fock1", estimand="temperature")
+        # the model fixes the estimand, so no estimand argument is taken
+        for estimand in ("temperature", "detuning"):
+            with pytest.raises(TypeError, match="estimand"):
+                ScanConfig("fock1", estimand=estimand)
+
+    def test_model_fields_are_the_scan_config_parameters(self):
+        grid_and_labels = {"model_id", "t_min", "t_max", "points", "figure", "series"}
+        assert MODEL_FIELDS == {f.name for f in fields(ScanConfig)} - grid_and_labels
+
+    @pytest.mark.parametrize("model, name", [
+        (model, name) for model in MODEL_IDS
+        for name in sorted(MODEL_FIELDS.difference(MODELS[model][1]))])
+    def test_unread_field_rejected(self, model, name):
+        default = getattr(ScanConfig, name)
+        assert ScanConfig(model, **{name: default}).model_id == model
+        with pytest.raises(ValueError, match=rf"does not read {name}$"):
+            ScanConfig(model, **{name: 1 if name == "photons" else default / 2})
+        with pytest.raises(ValueError, match=f"{name} = nan is not finite"):
+            ScanConfig(model, **{name: math.nan})
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -143,16 +166,27 @@ class TestScan:
         np.testing.assert_array_equal(blocked.qfi, whole.qfi)
         np.testing.assert_array_equal(blocked.fidelity, whole.fidelity)
 
-    @pytest.mark.parametrize("model", ["fock2", "thermal2", "squeezed2"])
+    @pytest.mark.parametrize("model", ["thermal2", "squeezed2"])
     def test_two_qubit_metadata_omits_alpha(self, model):
         md = scan(ScanConfig(model, points=3, t_max=1.0)).metadata
         assert "alpha_deg" not in md
         assert md["model"] == model
 
-    @pytest.mark.parametrize("model", ["fock1", "thermal1", "squeezed1"])
-    def test_one_qubit_metadata_keeps_alpha(self, model):
+    @pytest.mark.parametrize("model", ["fock1", "thermal1", "squeezed1", "fock2"])
+    def test_metadata_keeps_alpha_where_read(self, model):
         md = scan(ScanConfig(model, points=3, t_max=1.0, alpha=0.3)).metadata
         assert md["alpha_deg"] == format(np.degrees(0.3), ".17g")
+
+    def test_fock2_honours_alpha(self, monkeypatch):
+        config = ScanConfig("fock2", t_max=20.0, points=200, alpha=0.4)
+        honoured = scan(config)
+        bell = scan(replace(config, alpha=math.pi / 4))
+        channel = fock2_channel(TwoQubitFockParams(5.0, 1.0, 0.4))
+        monkeypatch.setattr(scan_repro, "build_channel", lambda _: channel)
+        direct = scan(replace(config, alpha=math.pi / 4))
+        for name in ("qfi", "fidelity"):
+            np.testing.assert_array_equal(getattr(honoured, name), getattr(direct, name))
+            assert not np.array_equal(getattr(honoured, name), getattr(bell, name))
 
     def test_deterministic(self):
         a = scan(fock_config(points=50))
@@ -177,7 +211,8 @@ class TestScan:
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_point_queries_equal_scan_rows(model):
     # a point query is a grid of length 1 through the scan's own path
-    config = ScanConfig(model, t_min=0.5, t_max=40.0, points=50, alpha=0.6)
+    alpha = {"alpha": 0.6} if "alpha" in MODELS[model][1] else {}
+    config = ScanConfig(model, t_min=0.5, t_max=40.0, points=50, **alpha)
     dataset = scan(config)
     for k in (0, 7, 23, 49):
         t = float(dataset.t[k])
