@@ -15,6 +15,7 @@ from .scan_repro import (
     MODEL_IDS,
     ScanConfig,
     ScanDataset,
+    UnreadField,
     point_fidelity,
     point_qfi,
     reproduce_figure,
@@ -94,7 +95,11 @@ def _add_model_flags(parser: argparse.ArgumentParser, flags=MODEL_FLAGS) -> None
 def _config_from_args(args, **grid) -> ScanConfig:
     given = {name: getattr(args, name)
              for _, name, _, _ in MODEL_FLAGS + _GRID_FLAGS if name in args}
-    return ScanConfig(args.model, **given, **grid)
+    try:
+        return ScanConfig(args.model, **given, **grid)
+    except UnreadField as exc:
+        flag = next(flag for flag, name, _, _ in MODEL_FLAGS if name == exc.name)
+        raise ValueError(f"model {args.model!r} does not read {flag}") from None
 
 
 def _handle_scan(args) -> int:
@@ -121,13 +126,8 @@ def _point_config(args) -> ScanConfig:
     return _config_from_args(args, t_min=min(args.t, 0.01), t_max=t_max, points=2)
 
 
-def _handle_qfi(args) -> int:
-    print(f"{point_qfi(_point_config(args), args.t):.17g}")
-    return 0
-
-
-def _handle_fidelity(args) -> int:
-    print(f"{point_fidelity(_point_config(args), args.t):.17g}")
+def _handle_point(args) -> int:
+    print(f"{args.point(_point_config(args), args.t):.17g}")
     return 0
 
 
@@ -152,15 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig_p.set_defaults(handler=_handle_figure)
 
-    qfi_p = sub.add_parser("qfi", help="single-point QFI evaluation")
-    _add_model_flags(qfi_p)
-    qfi_p.add_argument("--t", type=float, required=True)
-    qfi_p.set_defaults(handler=_handle_qfi)
-
-    fid_p = sub.add_parser("fidelity", help="single-point fidelity evaluation")
-    _add_model_flags(fid_p)
-    fid_p.add_argument("--t", type=float, required=True)
-    fid_p.set_defaults(handler=_handle_fidelity)
+    for name, text, point in (("qfi", "QFI", point_qfi), ("fidelity", "fidelity", point_fidelity)):
+        point_p = sub.add_parser(name, help=f"single-point {text} evaluation")
+        _add_model_flags(point_p)
+        point_p.add_argument("--t", type=float, required=True)
+        point_p.set_defaults(handler=_handle_point, point=point)
 
     return parser
 

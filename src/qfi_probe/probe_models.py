@@ -1,29 +1,43 @@
 """Closed-form evolved probe states for the cavity-field and reservoir models.
 
 Each model is a channel: its parameter dataclass is validated once, and
-the channel maps (estimand value, times[N]) to a BlockState, the real rows
-of the 2-blocks and 1-blocks that carry every state of the model (one
-2-block for a qubit, the X-state or cavity blocks for two qubits). The
-closed forms take raw floats, so the derivative stencil evaluates them
+the channel maps an estimand value to a kernel, which gives the BlockState
+of the model at times[N] (the qubit block, or the X-state blocks of two
+qubits). A kernel does the work that depends only on the parameters when
+it is built, from raw floats, so the derivative stencil builds its kernels
 without rebuilding the dataclass. Validation happens once per record,
-where it is used. Time is dimensionless: coupling units for the cavity models
-(coupling defaults to 1), decay-rate units for the reservoir models.
+where it is used. Time is dimensionless: coupling units for the cavity
+models (coupling defaults to 1), decay-rate units for the reservoir models.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .qstate import QUBIT_BLOCKS, X_BLOCKS, BlockState, block_state
+from .qstate import QUBIT_BLOCKS, X_BLOCKS, BlockState
 
 _HALF_PI = 0.5 * np.pi
-# the two-qubit cavity states: {|eg>, |ge>} + {|gg>} + an empty {|ee>}
-FOCK2_BLOCKS = ((1, 2), (3,), (0,))
+# a model's states over a time grid: times[N] -> BlockState
+Kernel = Callable[[np.ndarray], BlockState]
+# the domain of each model parameter as (comparison, bound) pairs, checked
+# by the parameter classes and by scan_repro.ScanConfig; detuning takes any
+# finite value
+FIELD_DOMAINS = {
+    "alpha": ((">=", 0.0), ("<=", _HALF_PI)),
+    "coupling": ((">", 0.0),),
+    "photons": ((">=", 0),),
+    "mean_occupation": ((">=", 0.0),),
+    "gamma": ((">", 0.0),),
+    "squeezing": ((">=", 0.0),),
+    "freq_scale": ((">", 0.0),),
+}
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def require_finite(params) -> None:
@@ -34,21 +48,22 @@ def require_finite(params) -> None:
             raise ValueError(f"{f.name} = {value} is not finite")
 
 
+def require_domains(params) -> None:
+    """Reject a dataclass instance with a field outside its FIELD_DOMAINS
+    entry."""
+    for f in fields(params):
+        for comparison, bound in FIELD_DOMAINS.get(f.name, ()):
+            value = getattr(params, f.name)
+            if not _COMPARISONS[comparison](value, bound):
+                raise ValueError(f"{f.name} = {value!r} is not {comparison} {bound!r}")
+
+
 def require_count(name: str, value) -> None:
     """Reject anything but a nonnegative integer (a bool is no count)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} = {value!r} is not an integer")
     if value < 0:
         raise ValueError(f"{name} = {value} is negative")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= _HALF_PI:
-        raise ValueError(f"alpha = {alpha} outside [0, pi/2]")
-
-
-def _grid(times) -> np.ndarray:
-    return np.atleast_1d(np.asarray(times, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -69,10 +84,8 @@ class FockParams:
 
     def __post_init__(self):
         require_finite(self)
-        if self.coupling <= 0.0:
-            raise ValueError("coupling must be positive")
         require_count("photons", self.photons)
-        _check_alpha(self.alpha)
+        require_domains(self)
 
 
 @dataclass(frozen=True)
@@ -83,8 +96,8 @@ class ThermalParams:
         mean_occupation: mean boson number of the reservoir, >= 0.
         gamma: qubit decay rate, > 0.
         alpha: initial-state mixing angle in radians.
-        freq_scale: transition-frequency scale in temperature units; the
-            occupation at temperature T is 1 / (exp(freq_scale / T) - 1).
+        freq_scale: transition-frequency scale in temperature units, > 0;
+            the occupation at temperature T is 1 / (exp(freq_scale / T) - 1).
     """
 
     mean_occupation: float
@@ -94,13 +107,7 @@ class ThermalParams:
 
     def __post_init__(self):
         require_finite(self)
-        if self.mean_occupation < 0.0:
-            raise ValueError("mean occupation must be nonnegative")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.freq_scale <= 0.0:
-            raise ValueError("freq_scale must be positive")
-        _check_alpha(self.alpha)
+        require_domains(self)
 
 
 @dataclass(frozen=True)
@@ -119,11 +126,7 @@ class SqueezedParams:
 
     def __post_init__(self):
         require_finite(self)
-        if self.squeezing < 0.0:
-            raise ValueError("squeezing strength must be nonnegative")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        _check_alpha(self.alpha)
+        require_domains(self)
 
 
 @dataclass(frozen=True)
@@ -142,12 +145,10 @@ class TwoQubitFockParams:
 
     def __post_init__(self):
         require_finite(self)
-        if self.coupling <= 0.0:
-            raise ValueError("coupling must be positive")
         require_count("photons", self.photons)
         if self.photons != 0:
             raise ValueError("the two-qubit closed form requires zero cavity photons")
-        _check_alpha(self.alpha)
+        require_domains(self)
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,7 @@ class TwoQubitReservoirParams:
             raise ValueError(f"unsupported reservoir kind {self.kind!r}")
         if self.strength < 0.0:
             raise ValueError("reservoir strength must be nonnegative")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        require_domains(self)
 
 
 def _squeezed_rates(squeezing: float) -> tuple[float, float]:
@@ -183,83 +183,101 @@ def _squeezed_rates(squeezing: float) -> tuple[float, float]:
     return float(np.sinh(squeezing) ** 2), float(np.cosh(squeezing) * np.sinh(squeezing))
 
 
-def _fock1_amplitudes(times, detuning, coupling, photons, alpha):
-    """Excited/ground amplitudes of the single-excitation sector at the
-    given time(s). They oscillate at the dressed rate
+def _fock1_amplitudes(detuning, coupling, photons, alpha):
+    """times -> the excited/ground amplitudes (b1, b2) of the
+    single-excitation sector. They oscillate at the dressed rate
     sqrt((2 coupling sqrt(photons + 1))^2 + detuning^2)."""
-    t = np.asarray(times, dtype=float)
     exchange = 2.0 * coupling * np.sqrt(photons + 1.0)
     wd = float(np.hypot(exchange, detuning))
-    half = 0.5 * wd * t
-    c, s = np.cos(half), np.sin(half)
     ca, sa = np.cos(alpha), np.sin(alpha)
-    ratio_d = detuning / wd
-    ratio_x = exchange / wd
-    phase = np.exp(0.5j * detuning * t)
-    b1 = phase * (ca * (c - 1j * ratio_d * s) - 1j * sa * ratio_x * s)
-    b2 = np.conj(phase) * (sa * (c + 1j * ratio_d * s) - 1j * ca * ratio_x * s)
-    return b1, b2
+    i_ratio_d, half_detuning = 1j * (detuning / wd), 0.5j * detuning
+    i_sa_ratio_x, i_ca_ratio_x = 1j * sa * (exchange / wd), 1j * ca * (exchange / wd)
+
+    def amplitudes(t):
+        half = 0.5 * wd * t
+        c, s = np.cos(half), np.sin(half)
+        phase = np.exp(half_detuning * t)
+        b1 = phase * (ca * (c - i_ratio_d * s) - i_sa_ratio_x * s)
+        b2 = np.conj(phase) * (sa * (c + i_ratio_d * s) - i_ca_ratio_x * s)
+        return b1, b2
+
+    return amplitudes
 
 
-def _fock1(times, detuning, coupling, photons, alpha) -> BlockState:
+def _fock1_kernel(detuning, coupling, photons, alpha) -> Kernel:
     """Reduced qubit states diag(|b1|^2, |b2|^2) after tracing the cavity."""
-    b1, b2 = _fock1_amplitudes(times, detuning, coupling, photons, alpha)
-    return block_state(QUBIT_BLOCKS, times, [(np.abs(b1) ** 2, np.abs(b2) ** 2, 0.0, 0.0)])
+    amplitudes = _fock1_amplitudes(detuning, coupling, photons, alpha)
+
+    def states(times):
+        values = np.zeros((4, len(times)))
+        values[0], values[1] = (np.abs(b) ** 2 for b in amplitudes(times))
+        return BlockState(QUBIT_BLOCKS, values)
+
+    return states
 
 
-def _reservoir_qubit(times, occupation, gamma, coherence_rate, alpha) -> BlockState:
+def _reservoir_qubit_kernel(occupation, gamma, coherence_rate, alpha) -> Kernel:
     """Shared reservoir solution: populations relax toward
     occupation/(2 occupation + 1) at rate gamma (2 occupation + 1) while
     coherences decay at coherence_rate."""
     steady = occupation / (2.0 * occupation + 1.0)
-    pop_env = np.exp(-gamma * (2.0 * occupation + 1.0) * times)
-    r11 = steady + (np.cos(alpha) ** 2 - steady) * pop_env
-    r12 = np.cos(alpha) * np.sin(alpha) * np.exp(-coherence_rate * times)
-    return block_state(QUBIT_BLOCKS, times, [(r11, 1.0 - r11, r12, 0.0)])
+    pop_rate, coherence_decay = -gamma * (2.0 * occupation + 1.0), -coherence_rate
+    excess, coherence = np.cos(alpha) ** 2 - steady, np.cos(alpha) * np.sin(alpha)
+
+    def states(times):
+        values = np.zeros((4, len(times)))
+        values[0] = steady + excess * np.exp(pop_rate * times)
+        values[1] = 1.0 - values[0]
+        values[2] = coherence * np.exp(coherence_decay * times)
+        return BlockState(QUBIT_BLOCKS, values)
+
+    return states
 
 
-def _squeezed1(times, squeezing, gamma, alpha) -> BlockState:
+def _squeezed1_kernel(squeezing, gamma, alpha) -> Kernel:
     """Qubit states in a squeezed reservoir; coherences decay at
     gamma (occupation + pair_correlation + 1/2)."""
     occupation, pair = _squeezed_rates(squeezing)
-    return _reservoir_qubit(times, occupation, gamma, gamma * (occupation + pair + 0.5), alpha)
+    return _reservoir_qubit_kernel(occupation, gamma, gamma * (occupation + pair + 0.5), alpha)
 
 
-def _fock2_amplitudes(times, detuning, coupling, alpha):
-    """Amplitudes (C_eg, C_ge, C_gg) of the two-qubit single-excitation
-    sector at the given time(s). They oscillate at the collective rate
+def _fock2_amplitudes(detuning, coupling, alpha):
+    """times -> the amplitudes (C_eg, C_ge, C_gg) of the two-qubit
+    single-excitation sector. They oscillate at the collective rate
     sqrt(8 coupling^2 + detuning^2)."""
-    t = np.asarray(times, dtype=float)
     wd = float(np.sqrt(8.0 * coupling**2 + detuning**2))
-    half = 0.5 * wd * t
-    c, s = np.cos(half), np.sin(half)
     ca, sa = np.cos(alpha), np.sin(alpha)
-    symmetric = 0.5 * (ca + sa) * (c - 1j * (detuning / wd) * s) * np.exp(
-        0.5j * detuning * t
-    )
-    antisymmetric = 0.5 * (ca - sa)
-    c_eg = symmetric + antisymmetric
-    c_ge = symmetric - antisymmetric
-    c_gg = (
-        -(ca + sa)
-        * (2.0j * coupling / wd)
-        * s
-        * np.exp(-0.5j * detuning * t)
-    )
-    return c_eg, c_ge, c_gg
+    symmetric_weight, antisymmetric = 0.5 * (ca + sa), 0.5 * (ca - sa)
+    i_ratio_d, half_detuning = 1j * (detuning / wd), 0.5j * detuning
+    gg_weight, gg_detuning = -(ca + sa) * (2.0j * coupling / wd), -0.5j * detuning
+
+    def amplitudes(t):
+        half = 0.5 * wd * t
+        c, s = np.cos(half), np.sin(half)
+        symmetric = symmetric_weight * (c - i_ratio_d * s) * np.exp(half_detuning * t)
+        c_gg = gg_weight * s * np.exp(gg_detuning * t)
+        return symmetric + antisymmetric, symmetric - antisymmetric, c_gg
+
+    return amplitudes
 
 
-def _fock2(times, detuning, coupling, alpha) -> BlockState:
-    """Two-qubit states after tracing the cavity: {|eg>, |ge>} + {|gg>},
-    and an empty {|ee>}."""
-    c_eg, c_ge, c_gg = _fock2_amplitudes(times, detuning, coupling, alpha)
-    coherence = c_eg * np.conj(c_ge)
-    return block_state(FOCK2_BLOCKS, times, [
-        (np.abs(c_eg) ** 2, np.abs(c_ge) ** 2, coherence.real, coherence.imag),
-        (np.abs(c_gg) ** 2,), (0.0,)])
+def _fock2_kernel(detuning, coupling, alpha) -> Kernel:
+    """Two-qubit states after tracing the cavity: {|eg>, |ge>} carries the
+    excitation, {|ee>, |gg>} holds |gg> and an empty |ee>."""
+    amplitudes = _fock2_amplitudes(detuning, coupling, alpha)
+
+    def states(times):
+        c_eg, c_ge, c_gg = amplitudes(times)
+        coherence = c_eg * np.conj(c_ge)
+        values = np.zeros((8, len(times)))
+        values[0], values[2], values[3] = np.abs(c_eg) ** 2, np.abs(c_ge) ** 2, np.abs(c_gg) ** 2
+        values[4], values[6] = coherence.real, coherence.imag
+        return BlockState(X_BLOCKS, values)
+
+    return states
 
 
-def _reservoir_pair(times, kind, strength, gamma) -> BlockState:
+def _reservoir_pair_kernel(kind, strength, gamma) -> Kernel:
     """Exact two-qubit states (Lambda_t x Lambda_t)(Bell) for independent,
     identical reservoirs, with Lambda_t the one-qubit closed form.
 
@@ -272,71 +290,74 @@ def _reservoir_pair(times, kind, strength, gamma) -> BlockState:
     """
     occupation, pair = (strength, 0.0) if kind == "thermal" else _squeezed_rates(strength)
     steady = occupation / (2.0 * occupation + 1.0)
-    pop_env = np.exp(-gamma * (2.0 * occupation + 1.0) * times)
-    up_from_e = steady + (1.0 - steady) * pop_env
-    up_from_g = steady * (1.0 - pop_env)
-    x_decay = np.exp(-2.0 * gamma * (occupation + pair + 0.5) * times)
-    y_decay = np.exp(-2.0 * gamma * (occupation - pair + 0.5) * times)
-    one_up = 0.5 * (up_from_e * (1.0 - up_from_g) + up_from_g * (1.0 - up_from_e))
-    return block_state(X_BLOCKS, times, [
-        (one_up, one_up, 0.25 * (x_decay + y_decay), 0.0),
-        (up_from_e * up_from_g, (1.0 - up_from_e) * (1.0 - up_from_g),
-         0.25 * (x_decay - y_decay), 0.0)])
+    pop_rate, excited = -gamma * (2.0 * occupation + 1.0), 1.0 - steady
+    x_rate = -2.0 * gamma * (occupation + pair + 0.5)
+    y_rate = -2.0 * gamma * (occupation - pair + 0.5)
+
+    def states(times):
+        pop_env = np.exp(pop_rate * times)
+        up_from_e, up_from_g = steady + excited * pop_env, steady * (1.0 - pop_env)
+        down_from_e, down_from_g = 1.0 - up_from_e, 1.0 - up_from_g
+        x_decay, y_decay = np.exp(x_rate * times), np.exp(y_rate * times)
+        values = np.zeros((8, len(times)))
+        values[0] = values[2] = 0.5 * (up_from_e * down_from_g + up_from_g * down_from_e)
+        values[1], values[3] = up_from_e * up_from_g, down_from_e * down_from_g
+        values[4], values[5] = 0.25 * (x_decay + y_decay), 0.25 * (x_decay - y_decay)
+        return BlockState(X_BLOCKS, values)
+
+    return states
 
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """A map from (estimand value, times[N]) to a BlockState of N raw
-    states on fixed blocks.
+    """A map from an estimand value to the Kernel of its raw states.
 
     Attributes:
         value: nominal parameter value.
         floor: lower domain edge for finite differences (None if unbounded).
-        support: the blocks that carry every state and derivative of the
-            model (see qstate.BlockState).
-        states_fn: (value, times[N]) -> BlockState from raw floats, with a
-            fresh values array on every call (the derivative stencil scales
-            it in place). The parameters were validated once, when the
-            channel was built.
+        support: QUBIT_BLOCKS or X_BLOCKS, the blocks that carry every
+            state and derivative of the model (see qstate.BlockState).
+        kernel: value -> Kernel. Every kernel call returns a fresh values
+            array, which the derivative stencil scales in place.
     """
 
     value: float
     floor: float | None
-    support: tuple[tuple[int, ...], ...]
-    states_fn: Callable[[float, np.ndarray], BlockState]
+    support: tuple[tuple[int, int], ...]
+    kernel: Callable[[float], Kernel]
 
     def states(self, value: float, times) -> BlockState:
-        return self.states_fn(value, _grid(times))
+        return self.kernel(value)(np.atleast_1d(np.asarray(times, dtype=float)))
 
 
 def fock1_channel(p: FockParams) -> ChannelModel:
     """Detuning-parameterized channel for the one-qubit cavity model."""
     return ChannelModel(p.detuning, None, QUBIT_BLOCKS,
-                        lambda v, t: _fock1(t, v, p.coupling, p.photons, p.alpha))
+                        lambda v: _fock1_kernel(v, p.coupling, p.photons, p.alpha))
 
 
 def thermal1_channel(p: ThermalParams) -> ChannelModel:
     """Occupation-parameterized channel for the thermal reservoir model;
     coherences decay at gamma (m + 1/2)."""
     return ChannelModel(p.mean_occupation, 0.0, QUBIT_BLOCKS,
-                        lambda v, t: _reservoir_qubit(t, v, p.gamma, p.gamma * (v + 0.5), p.alpha))
+                        lambda v: _reservoir_qubit_kernel(v, p.gamma, p.gamma * (v + 0.5), p.alpha))
 
 
 def squeezed1_channel(p: SqueezedParams) -> ChannelModel:
     """Squeezing-parameterized channel for the squeezed reservoir model."""
     return ChannelModel(p.squeezing, 0.0, QUBIT_BLOCKS,
-                        lambda v, t: _squeezed1(t, v, p.gamma, p.alpha))
+                        lambda v: _squeezed1_kernel(v, p.gamma, p.alpha))
 
 
 def fock2_channel(p: TwoQubitFockParams) -> ChannelModel:
-    """Detuning-parameterized channel for the two-qubit cavity model,
-    carried by {|eg>, |ge>} + {|gg>} + {|ee>}."""
-    return ChannelModel(p.detuning, None, FOCK2_BLOCKS,
-                        lambda v, t: _fock2(t, v, p.coupling, p.alpha))
+    """Detuning-parameterized channel for the two-qubit cavity model, on
+    the X-state blocks."""
+    return ChannelModel(p.detuning, None, X_BLOCKS,
+                        lambda v: _fock2_kernel(v, p.coupling, p.alpha))
 
 
 def reservoir_pair_channel(p: TwoQubitReservoirParams) -> ChannelModel:
     """Strength-parameterized channel for the two-qubit reservoir models,
     X-states on {|eg>, |ge>} + {|ee>, |gg>}."""
     return ChannelModel(p.strength, 0.0, X_BLOCKS,
-                        lambda v, t: _reservoir_pair(t, p.kind, v, p.gamma))
+                        lambda v: _reservoir_pair_kernel(p.kind, v, p.gamma))

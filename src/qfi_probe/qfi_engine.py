@@ -1,6 +1,6 @@
 """Quantum Fisher information: the parameter-derivative stencil, the
-closed-form QFI over the blocks of a state, the occupation-temperature
-relations, and the Cramer-Rao bound."""
+closed-form QFI over the 2-blocks of a state, and the occupation-temperature
+relations."""
 
 from __future__ import annotations
 
@@ -33,20 +33,6 @@ class QfiResult:
     discarded_pairs: int
 
 
-@dataclass(frozen=True)
-class CramerRaoInput:
-    """QFI plus the number of repeated experiments."""
-
-    qfi: float
-    experiments: int = 1
-
-    def __post_init__(self):
-        if self.qfi <= 0.0:
-            raise ValueError("qfi must be positive")
-        if self.experiments < 1:
-            raise ValueError("experiment count must be at least 1")
-
-
 def fd_step(value: float) -> float:
     """Central-difference step cbrt(machine epsilon) * max(1, |value|)."""
     return _FD_SCALE * max(1.0, abs(value))
@@ -66,29 +52,36 @@ def stencil(value: float, floor: float | None) -> tuple[float, tuple[tuple[float
     return h, ((1.0, 1.0), (-1.0, -1.0))
 
 
-def d_rho_grid(model: ChannelModel, value: float, times) -> BlockState:
-    """Derivative of the model states with respect to the estimand over a
-    time grid, as a record on the model's blocks.
+def derivative_taps(channel: ChannelModel, value: float) -> tuple[tuple, float]:
+    """The stencil derivative at value, built once: the (state Kernel,
+    weight) of each tap, and the factor 1 / (2 h)."""
+    h, taps = stencil(value, channel.floor)
+    kernels = tuple((channel.kernel(value + offset * h), weight) for offset, weight in taps)
+    return kernels, 1.0 / (2.0 * h)
 
-    Each stencil record is divided by its trace, summed in basis order,
-    which keeps the result traceless. The divisions by the trace and by
-    2 h are multiplications by the reciprocal. Only the running sum and one
-    stencil record are held at a time.
+
+def derivative(taps, scale: float, times: np.ndarray) -> BlockState:
+    """Derivative of the model states with respect to the estimand over a
+    time grid, from the taps and scale of derivative_taps, as a record on
+    the model's blocks.
+
+    Each tap record is divided by its trace, summed in basis order, which
+    keeps the result traceless. The divisions by the trace and by 2 h are
+    multiplications by the reciprocal. Only the running sum and one tap
+    record are held at a time.
     """
-    times = np.asarray(times, dtype=float)
-    h, taps = stencil(value, model.floor)
     diff = None
-    for offset, weight in taps:
-        term = model.states(value + offset * h, times)
+    for kernel, weight in taps:
+        term = kernel(times)
         values = term.values
         values *= 1.0 / term.trace()
-        values *= weight
+        if weight != 1.0:
+            values *= weight
         if diff is None:
             diff = values
         else:
             diff += values
-        del values
-    diff *= 1.0 / (2.0 * h)
+    diff *= scale
     return BlockState(term.support, diff)
 
 
@@ -96,14 +89,15 @@ def qfi_blocks(rho: BlockState, drho: BlockState) -> QfiResult:
     """QFI of each of N states, summed over its blocks.
 
     F = sum_{i,j} 2 |<psi_i| drho |psi_j>|^2 / (p_i + p_j) splits into one
-    closed form per block, since rho and drho share the blocks. A 1-block
-    w gives (dw)^2 / w. A 2-block (w + r.sigma) / 2 with eigenvalues p_+,
-    p_- and axis n = r / |r| gives, with d_pm = (dw +- dr.n) / 2,
+    closed form per block, since rho and drho share the blocks. A block
+    (w + r.sigma) / 2 with eigenvalues p_+, p_- and axis n = r / |r| gives,
+    with d_pm = (dw +- dr.n) / 2,
     d_+^2 / p_+ + d_-^2 / p_- + (|dr|^2 - (dr.n)^2) / w: the eigenvalue-pair
     form of the Bloch QFI (Zhong et al., PRA 87, 022337 (2013)). Pairs with
     p_i + p_j <= 1e-12 are left out, which keeps the pure limit finite.
-    The spectra of a validated rho are reused; any other rho is validated
-    first. Raises ValueError if drho is not on the blocks and grid of rho.
+    The terms are summed block by block. The spectra of a validated rho are
+    reused; any other rho is validated first. Raises ValueError if drho is
+    not on the blocks and grid of rho.
     """
     state = rho if rho.spectra is not None else validate_blocks(rho)
     if drho.support != state.support or drho.values.shape != state.values.shape:
@@ -113,28 +107,25 @@ def qfi_blocks(rho: BlockState, drho: BlockState) -> QfiResult:
     weight, bloch, norm, upper, lower = state.spectra
     da, db, dre, dimag = drho.pairs()
     dbloch = (da - db, 2.0 * dre, 2.0 * dimag)
-    dot = sum(r * dr for r, dr in zip(bloch, dbloch))
-    along = np.where(norm > 0.0, dot / np.where(norm > 0.0, norm, 1.0), 0.0)
-    across = sum(dr**2 for dr in dbloch) - along**2
-    # per eigenvalue pair (p_i, p_j), block by block: 2 |drho_ij|^2 (twice
-    # that for i != j, covering both orders), p_i + p_j, and the number of
-    # ordered pairs; the 2-blocks first, each giving (+, +), (-, -), (+, -)
-    npairs, singles = len(weight), state.singles()
-    numerators = np.empty((3 * npairs + len(singles), weight.shape[-1]))
-    pair_sums = np.empty_like(numerators)
-    numerators[0:3 * npairs:3] = 0.5 * (da + db + along) ** 2
-    numerators[1:3 * npairs:3] = 0.5 * (da + db - along) ** 2
-    numerators[2:3 * npairs:3] = across
-    numerators[3 * npairs:] = 2.0 * drho.singles() ** 2
-    pair_sums[0:3 * npairs:3] = 2.0 * upper
-    pair_sums[1:3 * npairs:3] = 2.0 * lower
-    pair_sums[2:3 * npairs:3] = weight
-    pair_sums[3 * npairs:] = 2.0 * singles
-    counts = [1, 1, 2] * npairs + [1] * len(singles)
-    kept = pair_sums > EIGENSUM_FLOOR
-    terms = np.where(kept, numerators / np.where(kept, pair_sums, 1.0), 0.0)
-    dropped = (~kept).sum(axis=1)
-    return QfiResult(np.maximum(terms.sum(axis=0), 0.0), int(np.dot(counts, dropped)))
+    dot = bloch[0] * dbloch[0] + bloch[1] * dbloch[1] + bloch[2] * dbloch[2]
+    along = np.divide(dot, norm, out=np.zeros(dot.shape), where=norm > 0.0)
+    across = dbloch[0] ** 2 + dbloch[1] ** 2 + dbloch[2] ** 2 - along**2
+    dw = da + db
+    # per eigenvalue pair (p_i, p_j) of the blocks, (+, +), (-, -), (+, -):
+    # 2 |drho_ij|^2 (twice that for i != j, covering both orders),
+    # p_i + p_j, and the number of ordered pairs
+    terms, discarded = [], 0
+    for numerator, pair_sum, count in ((0.5 * (dw + along) ** 2, 2.0 * upper, 1),
+                                       (0.5 * (dw - along) ** 2, 2.0 * lower, 1),
+                                       (across, weight, 2)):
+        kept = pair_sum > EIGENSUM_FLOOR
+        terms.append(np.divide(numerator, pair_sum, out=np.zeros(kept.shape), where=kept))
+        discarded += count * (kept.size - np.count_nonzero(kept))
+    rows = [term[k] for k in range(len(weight)) for term in terms]
+    total = rows[0] + rows[1]
+    for row in rows[2:]:
+        total += row
+    return QfiResult(np.maximum(total, 0.0, out=total), discarded)
 
 
 def occupation_from_temperature(temperature: float, freq_scale: float = 1.0) -> float:
@@ -162,7 +153,3 @@ def occupation_slope(temperature: float, freq_scale: float = 1.0) -> float:
     m = occupation_from_temperature(temperature, freq_scale)
     return (freq_scale / temperature**2) * m * (m + 1.0)
 
-
-def cramer_rao(bound_input: CramerRaoInput) -> float:
-    """Best attainable uncertainty 1 / sqrt(experiments * qfi)."""
-    return 1.0 / np.sqrt(bound_input.experiments * bound_input.qfi)

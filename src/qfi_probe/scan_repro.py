@@ -19,13 +19,15 @@ from .probe_models import (
     fock1_channel,
     fock2_channel,
     require_count,
+    require_domains,
     require_finite,
     reservoir_pair_channel,
     squeezed1_channel,
     thermal1_channel,
 )
 from .qfi_engine import (
-    d_rho_grid,
+    derivative,
+    derivative_taps,
     occupation_slope,
     qfi_blocks,
     temperature_from_occupation,
@@ -56,8 +58,8 @@ MODEL_IDS = tuple(MODELS)
 _MODEL_FIELDS = {name for _, names, _ in MODELS.values() for name in names}
 FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b", "5c")
 # Bound on the records of one evaluation block: the state and up to three
-# stencil taps, 8 bytes per entry, 4 (one qubit), 6 (fock2) or 8 (X-state)
-# entries per row, so 2048, 1365 or 1024 rows. Blocks bound the temporaries
+# stencil taps, 8 bytes per entry, 4 (one qubit) or 8 (two qubits) entries
+# per row, so 2048 or 1024 rows. Blocks bound the temporaries
 # of a large grid (a 2000-point thermal2 scan peaks at 0.56 MB) and keep
 # them in reused heap memory.
 BLOCK_BYTES = 256 * 1024
@@ -71,6 +73,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class UnreadField(ValueError):
+    """A model field set away from its default that the model does not read."""
+
+    def __init__(self, model_id: str, name: str):
+        super().__init__(f"model {model_id!r} does not read {name}")
+        self.name = name
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """One sweep configuration.
@@ -79,7 +89,8 @@ class ScanConfig:
     estimand vanishes at t = 0. Every number must be finite. alpha is
     given in radians. The model fixes the estimand, and MODELS lists the
     model fields it reads; a model field it does not read must keep its
-    default, and the metadata names only the fields read.
+    default (UnreadField), and the metadata names only the fields read.
+    Every model field must lie in its probe_models.FIELD_DOMAINS entry.
     """
 
     model_id: str
@@ -104,13 +115,14 @@ class ScanConfig:
         unread = _MODEL_FIELDS.difference(MODELS[self.model_id][1])
         for f in fields(self):
             if f.name in unread and getattr(self, f.name) != f.default:
-                raise ValueError(f"model {self.model_id!r} does not read {f.name}")
+                raise UnreadField(self.model_id, f.name)
         if self.t_min <= 0.0:
             raise ValueError("t_min must be positive (QFI vanishes at t = 0)")
         if self.t_max <= self.t_min:
             raise ValueError("t_max must exceed t_min")
         require_count("points", self.points)
         require_count("photons", self.photons)
+        require_domains(self)
         if self.points < 2:
             raise ValueError("a scan needs at least 2 grid points")
         if self.points > MAX_POINTS:
@@ -148,7 +160,8 @@ def build_channel(config: ScanConfig) -> ChannelModel:
 
 
 def _chain_factor(config: ScanConfig) -> float:
-    """Squared occupation-temperature slope for temperature estimation."""
+    """Squared occupation-temperature slope for temperature estimation;
+    ValueError where it is not finite, as where T^2 under- or overflows."""
     if config.estimand != "temperature":
         return 1.0
     m = config.mean_occupation
@@ -158,7 +171,15 @@ def _chain_factor(config: ScanConfig) -> float:
         # d(occupation)/dT vanishes faster than any power, so the
         # temperature QFI is identically zero
         return 0.0
-    return occupation_slope(temperature, config.freq_scale) ** 2
+    try:
+        with np.errstate(over="ignore"):
+            factor = float(occupation_slope(temperature, config.freq_scale) ** 2)
+    except ArithmeticError:  # a Python float T^2 that under- or overflows
+        factor = math.inf
+    if not math.isfinite(factor):
+        raise ValueError(f"the temperature chain factor at freq_scale = {config.freq_scale!r}"
+                         f" and mean_occupation = {m!r} is not finite")
+    return factor
 
 
 def _evaluator(config: ScanConfig):
@@ -166,36 +187,41 @@ def _evaluator(config: ScanConfig):
     a function of (times, qfi=True, fidelity=True) giving the QFI of the
     configured estimand over a time grid and the fidelity of the (reduced)
     atomic states against their t = 0 counterpart, each None when not
-    asked for. The channel and the chain factor are built once, and the
-    t = 0 reference once it is first needed. Rows are independent, so
-    evaluating the grid in blocks of BLOCK_BYTES leaves every value
-    unchanged."""
+    asked for. The channel, the chain factor, the state kernel and the
+    stencil taps are built once per evaluator, and the t = 0 reference once
+    it is first needed. Rows are independent, so evaluating the grid in
+    blocks of BLOCK_BYTES leaves every value unchanged."""
     channel = build_channel(config)
     chain = _chain_factor(config)
+    states_at = channel.kernel(channel.value)
+    taps, scale = derivative_taps(channel, channel.value)
     reference = None
-    entries = sum(4 if len(block) == 2 else 1 for block in channel.support)
-    rows = max(1, BLOCK_BYTES // (8 * entries * _RECORDS_PER_ROW))
+    rows = BLOCK_BYTES // (8 * 4 * len(channel.support) * _RECORDS_PER_ROW)
 
     def evaluate(times, qfi: bool = True, fidelity: bool = True):
         nonlocal reference
         times = np.asarray(times, dtype=float)
-        if not np.all(np.isfinite(times) & (times >= 0.0)):
+        if not (np.isfinite(times) & (times >= 0.0)).all():
             raise ValueError("times must be finite and nonnegative")
         if fidelity and reference is None:
-            reference = reduced_bloch(validate_blocks(channel.states(channel.value, [0.0])))
+            reference = reduced_bloch(validate_blocks(states_at(np.zeros(1))))
         qfi_parts, fidelity_parts = [], []
         for k in range(0, times.size, rows):
             block = times[k:k + rows]
-            states = validate_blocks(channel.states(channel.value, block))
+            states = validate_blocks(states_at(block))
             if qfi:
-                derivs = d_rho_grid(channel, channel.value, block)
-                qfi_parts.append(qfi_blocks(states, derivs).value * chain)
+                value = qfi_blocks(states, derivative(taps, scale, block)).value
+                qfi_parts.append(value if chain == 1.0 else value * chain)
             if fidelity:
                 fidelity_parts.append(fidelity_bloch(reference, reduced_bloch(states)))
-        return (np.concatenate(qfi_parts) if qfi else None,
-                np.concatenate(fidelity_parts) if fidelity else None)
+        return (_joined(qfi_parts) if qfi else None,
+                _joined(fidelity_parts) if fidelity else None)
 
     return evaluate
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def scan(config: ScanConfig) -> ScanDataset:
@@ -226,11 +252,7 @@ def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[st
     md = {"model": config.model_id, "estimand": config.estimand}
     if "alpha" in read:
         md["alpha_deg"] = _fmt(math.degrees(config.alpha))
-    md.update({
-        "t_min": _fmt(config.t_min),
-        "t_max": _fmt(config.t_max),
-        "points": str(config.points),
-    })
+    md.update(t_min=_fmt(config.t_min), t_max=_fmt(config.t_max), points=str(config.points))
     for name in read:
         if name != "alpha":
             value = getattr(config, name)
@@ -240,9 +262,7 @@ def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[st
     if config.series:
         md["series"] = config.series
     peak = int(np.argmax(qfi))
-    md["max_index"] = str(peak)
-    md["max_t"] = _fmt(times[peak])
-    md["max_qfi"] = _fmt(qfi[peak])
+    md.update(max_index=str(peak), max_t=_fmt(times[peak]), max_qfi=_fmt(qfi[peak]))
     return md
 
 
@@ -254,21 +274,21 @@ T_TOL = 1e-6
 REFINE_STEPS = 4
 
 
-def _speculate(bracket) -> dict[tuple[bool, ...], tuple[float, float, float, float]]:
+def _speculate(bracket) -> list[tuple[float, float, float, float] | None]:
     """The brackets (lo, hi, x1, x2) that every outcome path of up to
-    REFINE_STEPS golden-section steps reaches, keyed by the path of
-    comparisons f(x1) < f(x2); a converged bracket is not stepped."""
-    reached, frontier = {(): bracket}, [()]
-    for _ in range(REFINE_STEPS):
-        frontier = [path + (rise,) for path in frontier for rise in (True, False)
-                    if reached[path][1] - reached[path][0] > T_TOL]
-        for path in frontier:
-            lo, hi, x1, x2 = reached[path[:-1]]
-            if path[-1]:  # the lower end moves up to x1; x2 is new
-                reached[path] = (x1, hi, x2, x1 + _INV_GOLDEN * (hi - x1))
-            else:  # the upper end moves down to x2; x1 is new
-                reached[path] = (lo, x2, x2 - _INV_GOLDEN * (x2 - lo), x1)
-    return reached
+    REFINE_STEPS golden-section steps reaches, as a heap: node k steps to
+    node 2 k + 1 when f(x1) < f(x2) and to 2 k + 2 otherwise. A converged
+    bracket is not stepped, and its children are None."""
+    tree = [bracket] + [None] * (2 ** (REFINE_STEPS + 1) - 2)
+    for k in range(2 ** REFINE_STEPS - 1):
+        if tree[k] is None or tree[k][1] - tree[k][0] <= T_TOL:
+            continue
+        lo, hi, x1, x2 = tree[k]
+        # a rise moves the lower end up to x1, and x2 is new; a fall moves
+        # the upper end down to x2, and x1 is new
+        tree[2 * k + 1] = (x1, hi, x2, x1 + _INV_GOLDEN * (hi - x1))
+        tree[2 * k + 2] = (lo, x2, x2 - _INV_GOLDEN * (x2 - lo), x1)
+    return tree
 
 
 def find_max(dataset: ScanDataset) -> tuple[float, float]:
@@ -294,22 +314,21 @@ def find_max(dataset: ScanDataset) -> tuple[float, float]:
     bracket = (lo, hi, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
     f1 = f2 = None
     while f1 is None or bracket[1] - bracket[0] > T_TOL:
-        reached = _speculate(bracket)
-        paths = list(reached)[1:]
-        points = [reached[path][3 if path[-1] else 2] for path in paths]
+        tree = _speculate(bracket)
+        nodes = [k for k in range(1, len(tree)) if tree[k] is not None]
         first = [] if f1 is not None else [bracket[2], bracket[3]]
-        values = [float(v) for v in fn(np.array(first + points))]
+        values = fn(np.array(first + [tree[k][3 if k % 2 else 2] for k in nodes])).tolist()
         if f1 is None:
             f1, f2 = values[0], values[1]
-        new_value = dict(zip(paths, values[len(first):]))
-        path = (f1 < f2,)
-        while path in reached:
-            bracket = reached[path]
-            f1, f2 = (f2, new_value[path]) if path[-1] else (new_value[path], f1)
+        new_value = dict(zip(nodes, values[len(first):]))
+        k = 1 if f1 < f2 else 2
+        while k < len(tree) and tree[k] is not None:
+            bracket = tree[k]
+            f1, f2 = (f2, new_value[k]) if k % 2 else (new_value[k], f1)
             for xc, fc in ((bracket[2], f1), (bracket[3], f2)):
                 if fc > best_q:
                     best_t, best_q = xc, fc
-            path += (f1 < f2,)
+            k = 2 * k + (1 if f1 < f2 else 2)
     return best_t, best_q
 
 

@@ -6,7 +6,9 @@ diagonalization, brute-force partial traces, fixed-step amplitude
 integration, the spectral, SLD and pure-state QFI, the Uhlmann fidelity,
 analytic reservoir derivatives, the sequential golden-section search, the
 loop form of the backflow detector, per-row f-string CSV formatting)
-deliberately avoid the package code paths they check.
+deliberately avoid the package code paths they check. The record builder
+block_state, the grid wrapper d_rho_grid and the Cramer-Rao bound serve
+only the tests.
 """
 
 import math
@@ -23,7 +25,13 @@ from qfi_probe.probe_models import (
     _fock1_amplitudes,
     _fock2_amplitudes,
 )
-from qfi_probe.qfi_engine import EIGENSUM_FLOOR, QfiResult, stencil
+from qfi_probe.qfi_engine import (
+    EIGENSUM_FLOOR,
+    QfiResult,
+    derivative,
+    derivative_taps,
+    stencil,
+)
 from qfi_probe.qstate import (
     PSD_TOL,
     QUBIT_BLOCKS,
@@ -34,7 +42,7 @@ from qfi_probe.qstate import (
     NegativeEigenvalue,
     StateValidationError,
     TraceNotOne,
-    block_state,
+    _diagonal_rows,
     pair_block,
 )
 from qfi_probe.scan_repro import T_TOL
@@ -132,21 +140,31 @@ def dense(state: BlockState) -> np.ndarray:
     values = state.values
     out = np.zeros((values.shape[-1], state.dim, state.dim), dtype=complex)
     a, b, re, im = state.pairs()
-    singles = state.singles()
-    for k, block in enumerate(state.support):
-        if len(block) == 2:
-            i, j = block
-            out[:, i, i], out[:, j, j] = a[k], b[k]
-            out[:, i, j].real, out[:, i, j].imag = re[k], im[k]
-            out[:, j, i] = np.conj(out[:, i, j])
-        else:
-            out[:, block[0], block[0]] = singles[k - len(a)]
+    for k, (i, j) in enumerate(state.support):
+        out[:, i, i], out[:, j, j] = a[k], b[k]
+        out[:, i, j].real, out[:, i, j].imag = re[k], im[k]
+        out[:, j, i] = np.conj(out[:, i, j])
     return out
+
+
+def block_state(support, times, blocks) -> BlockState:
+    """Record of N = len(times) states from the entries (a, b, Re c, Im c)
+    of each block in support order, each an array of length N or a scalar.
+    Raises ValueError for a support other than the qubit and X-state
+    blocks, or entries that do not give four per block."""
+    npairs = len(_diagonal_rows(support)) // 2
+    values = np.empty((4 * npairs, len(times)))
+    for k, (block, entries) in enumerate(zip(support, blocks, strict=True)):
+        if len(entries) != 4:
+            raise ValueError(f"block {block} takes 4 entries, got {len(entries)}")
+        for row, entry in zip(range(k, 4 * npairs, npairs), entries):
+            values[row] = entry
+    return BlockState(support, values)
 
 
 def record(matrix, support=None) -> BlockState:
     """Block record of a dense matrix, or a stack of them, on the given
-    blocks (2-blocks first; the qubit or X-state blocks by default).
+    blocks (the qubit or X-state blocks by default).
     Raises ValueError for an entry outside the blocks or a non-Hermitian
     input, which the record could not represent."""
     mat = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
@@ -157,8 +175,7 @@ def record(matrix, support=None) -> BlockState:
         raise ValueError(f"entry of magnitude {outside:.3e} outside the blocks {support}")
     if np.abs(stack - np.conj(stack).swapaxes(-1, -2)).max() > HERMITICITY_TOL:
         raise NotHermitian("a record holds Hermitian matrices only")
-    blocks = [_pair_entries(stack, block) if len(block) == 2 else (stack[:, block[0], block[0]].real,)
-              for block in support]
+    blocks = [_pair_entries(stack, block) for block in support]
     return block_state(support, np.zeros(len(stack)), blocks)
 
 
@@ -300,13 +317,40 @@ def reduce_A(state):
 
 def fock1_amplitudes(p: FockParams, times):
     """The package's one-qubit cavity amplitudes (b1, b2) at the fields of p."""
-    return _fock1_amplitudes(times, p.detuning, p.coupling, p.photons, p.alpha)
+    amplitudes = _fock1_amplitudes(p.detuning, p.coupling, p.photons, p.alpha)
+    return amplitudes(np.asarray(times, dtype=float))
 
 
 def fock2_amplitudes(p: TwoQubitFockParams, times):
     """The package's two-qubit cavity amplitudes (C_eg, C_ge, C_gg) at the
     fields of p."""
-    return _fock2_amplitudes(times, p.detuning, p.coupling, p.alpha)
+    return _fock2_amplitudes(p.detuning, p.coupling, p.alpha)(np.asarray(times, dtype=float))
+
+
+def d_rho_grid(channel, value, times) -> BlockState:
+    """The stencil derivative of a channel's states at value over a time
+    grid, as the evaluator composes it: derivative_taps, then derivative."""
+    return derivative(*derivative_taps(channel, value),
+                      np.atleast_1d(np.asarray(times, dtype=float)))
+
+
+@dataclass(frozen=True)
+class CramerRaoInput:
+    """QFI plus the number of repeated experiments."""
+
+    qfi: float
+    experiments: int = 1
+
+    def __post_init__(self):
+        if self.qfi <= 0.0:
+            raise ValueError("qfi must be positive")
+        if self.experiments < 1:
+            raise ValueError("experiment count must be at least 1")
+
+
+def cramer_rao(bound_input: CramerRaoInput) -> float:
+    """Best attainable uncertainty 1 / sqrt(experiments * qfi)."""
+    return 1.0 / np.sqrt(bound_input.experiments * bound_input.qfi)
 
 
 def squeezed_rates(p: SqueezedParams):

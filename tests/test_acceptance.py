@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    d_rho_grid,
     fock1_amplitudes,
     fock2_amplitudes,
     integrated,
@@ -46,7 +47,6 @@ from qfi_probe.probe_models import (
     thermal1_channel,
 )
 from qfi_probe.qfi_engine import (
-    d_rho_grid,
     occupation_slope,
     qfi_blocks,
     temperature_from_occupation,

@@ -155,6 +155,34 @@ class TestScanCommand:
         assert run(["scan", "--model", "thermal2", "--alpha", "30"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, flag", [("fock1", "--m"), ("fock1", "--r"),
+                                             ("thermal1", "--delta")])
+    def test_unread_flag_is_named(self, capsys, model, flag):
+        # the flag as typed, not the ScanConfig field behind it
+        assert run(["scan", "--model", model, flag, "0.2", "--points", "3"]) == 2
+        assert capsys.readouterr().err.endswith(f"model {model!r} does not read {flag}\n")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--model", "thermal2", "--freq-scale", "0"], "freq_scale"),
+        (["--model", "thermal2", "--freq-scale", "-1"], "freq_scale"),
+        (["--model", "thermal2", "--freq-scale", "1e-300"], "chain factor"),
+        (["--model", "thermal1", "--freq-scale", "1e300"], "chain factor"),
+        (["--model", "thermal1", "--gamma", "0"], "gamma"),
+        (["--model", "fock2", "--coupling", "0"], "coupling"),
+        (["--model", "fock1", "--photons", "-1"], "photons"),
+        (["--model", "thermal1", "--m", "-0.1"], "mean_occupation"),
+        (["--model", "squeezed2", "--r", "-0.1"], "squeezing"),
+        (["--model", "fock1", "--alpha", "120"], "alpha"),
+        (["--model", "squeezed1", "--alpha", "-1"], "alpha"),
+    ])
+    @pytest.mark.parametrize("command", ["qfi", "fidelity"])
+    def test_out_of_domain_value_exits_2(self, capsys, command, argv, name):
+        # both commands build the whole evaluator, chain factor included
+        code = run([command, *argv, "--t", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert name in err and err.count("\n") == 1
+
     def test_estimand_flag_removed(self, capsys):
         # the model fixes the estimand
         argv = ["scan", "--model", "thermal1", "--estimand", "temperature", "--points", "3"]

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    d_rho_grid,
     dense,
     qfi_sld_oracle,
     qfi_spectral,
@@ -25,7 +26,6 @@ from qfi_probe.probe_models import (
     thermal1_channel,
 )
 from qfi_probe.qfi_engine import (
-    d_rho_grid,
     fd_step,
     qfi_blocks,
     stencil,

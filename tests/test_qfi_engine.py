@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    CramerRaoInput,
+    block_state,
+    cramer_rao,
     d_rho_dense,
+    d_rho_grid,
     dense,
     fock1_amplitudes,
     qfi_pure_oracle,
@@ -22,7 +26,6 @@ from helpers import (
     validate_density,
 )
 from qfi_probe.probe_models import (
-    FOCK2_BLOCKS,
     ChannelModel,
     FockParams,
     SqueezedParams,
@@ -34,16 +37,13 @@ from qfi_probe.probe_models import (
     thermal1_channel,
 )
 from qfi_probe.qfi_engine import (
-    CramerRaoInput,
-    cramer_rao,
-    d_rho_grid,
     fd_step,
     occupation_from_temperature,
     occupation_slope,
     qfi_blocks,
     temperature_from_occupation,
 )
-from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, block_state, validate_blocks
+from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, validate_blocks
 from qfi_probe.scan_repro import MODELS, ScanConfig, build_channel, time_grid
 
 THERMAL = ThermalParams(0.1, 1.0, np.pi / 4)
@@ -55,7 +55,7 @@ SQUEEZED_CHANNEL = squeezed1_channel(SQUEEZED)
 def constant_channel():
     return ChannelModel(
         1.0, None, QUBIT_BLOCKS,
-        lambda v, times: block_state(QUBIT_BLOCKS, times, [(0.5, 0.5, 0.5, 0.0)]),
+        lambda v: lambda times: block_state(QUBIT_BLOCKS, times, [(0.5, 0.5, 0.5, 0.0)]),
     )
 
 
@@ -140,14 +140,15 @@ class TestQfiBlocks:
 
     def test_discarded_pairs_are_within_blocks(self):
         # one qubit: the (g, g) pair; two-qubit cavity blocks at t = 0:
-        # the pure {|eg>, |ge>} block drops (-, -), each empty 1-block its
-        # own pair, and no pair across blocks is counted
+        # the pure {|eg>, |ge>} block drops (-, -), the empty {|ee>, |gg>}
+        # block all four of its ordered pairs, and no pair across blocks is
+        # counted
         rho = record(np.diag([1.0, 0.0]))
         assert qfi_blocks(rho, record(np.zeros((2, 2)))).discarded_pairs == 1
         channel = fock2_channel(TwoQubitFockParams(detuning=5.0))
         state = validate_blocks(channel.states(5.0, [0.0]))
-        zero = record(np.zeros((1, 4, 4)), FOCK2_BLOCKS)
-        assert qfi_blocks(state, zero).discarded_pairs == 3
+        zero = record(np.zeros((1, 4, 4)), X_BLOCKS)
+        assert qfi_blocks(state, zero).discarded_pairs == 5
 
     def test_dimension_mismatch(self):
         rho = record(np.eye(2) / 2)
@@ -157,17 +158,18 @@ class TestQfiBlocks:
             qfi_blocks(rho, record(np.zeros((3, 2, 2))))
 
     def test_derivative_outside_blocks_rejected(self):
-        # a derivative with an {|ee>, |gg>} coherence lies outside the
-        # two-qubit cavity blocks: it has no record on them, and a record on
-        # the X-state blocks does not match the state
+        # a derivative with an {|ee>, |eg>} coherence lies outside the
+        # X-state blocks: it has no record on them, and a record of its
+        # {|eg>, |ge>} block alone, on the qubit blocks, does not match the
+        # state
         channel = fock2_channel(TwoQubitFockParams(detuning=5.0))
         state = validate_blocks(channel.states(5.0, [1.0]))
         drho = derivative(channel, 5.0, [1.0])
-        drho[0, 0, 3] = drho[0, 3, 0] = 1e-3
+        drho[0, 0, 1] = drho[0, 1, 0] = 1e-3
         with pytest.raises(ValueError, match="outside the blocks"):
-            record(drho, FOCK2_BLOCKS)
+            record(drho, X_BLOCKS)
         with pytest.raises(ValueError, match="does not match"):
-            qfi_blocks(state, record(drho, X_BLOCKS))
+            qfi_blocks(state, record(drho[:, 1:3, 1:3], QUBIT_BLOCKS))
 
     def test_matches_spectral_oracle_at_fock1_tiny_population(self):
         # figure 1a, alpha = 0: a population dips to about 6e-9, where the

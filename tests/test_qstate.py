@@ -8,6 +8,8 @@ import pytest
 from helpers import (
     NotHermitian,
     bloch_vector,
+    block_state,
+    d_rho_grid,
     dense,
     density_from_bloch,
     eig2_closed_form,
@@ -22,7 +24,6 @@ from helpers import (
 )
 from qfi_probe import qfi_engine
 from qfi_probe.probe_models import (
-    FOCK2_BLOCKS,
     ThermalParams,
     TwoQubitFockParams,
     TwoQubitReservoirParams,
@@ -36,7 +37,6 @@ from qfi_probe.qstate import (
     NegativeEigenvalue,
     StateValidationError,
     TraceNotOne,
-    block_state,
     fidelity_bloch,
     pair_block,
     reduced_bloch,
@@ -84,8 +84,9 @@ class TestValidateBlocks:
             validate_blocks(qubit(0.5, 0.5, 0.0, np.inf))
 
     def test_negative_single_weight_rejected(self):
-        # unit trace, a valid 2-block, and an {|ee>} weight of -0.1
-        bad = block_state(FOCK2_BLOCKS, np.zeros(1), [(0.55, 0.55, 0.0, 0.0), (0.0,), (-0.1,)])
+        # unit trace, a valid {|eg>, |ge>} block, and an {|ee>, |gg>} block
+        # holding a lone |ee> weight of -0.1
+        bad = block_state(X_BLOCKS, np.zeros(1), [(0.55, 0.55, 0.0, 0.0), (-0.1, 0.0, 0.0, 0.0)])
         with pytest.raises(NegativeEigenvalue, match="-1.0"):
             validate_blocks(bad)
 
@@ -126,8 +127,9 @@ class TestValidateBlocks:
             validate_blocks(record(states))
 
     def test_support_must_partition_the_basis(self):
+        # the qubit and X-state blocks are the only supports
         for support in (((1, 2), (0,)), ((1, 2), (0, 3), (3,)), ((0,), (1, 2), (3,)),
-                        ((0, 1, 2), (3,))):
+                        ((0, 1, 2), (3,)), ((1, 2),), ((0, 3), (1, 2)), ((1, 0),)):
             with pytest.raises(ValueError, match="partition"):
                 validate_blocks(block_state(support, np.zeros(1), []))
 
@@ -137,8 +139,8 @@ class TestValidateBlocks:
             state.values[2] = 0.6
 
     def test_entries_must_fit_the_blocks(self):
-        for support, blocks in ((QUBIT_BLOCKS, [(1.0,)]), (FOCK2_BLOCKS, [(0.5, 0.5, 0.0, 0.0), (0.0,)]),
-                                (FOCK2_BLOCKS, [(0.5, 0.5, 0.0, 0.0), (0.0,), (0.0, 0.0)]),
+        for support, blocks in ((QUBIT_BLOCKS, [(1.0,)]), (X_BLOCKS, [(0.5, 0.5, 0.0, 0.0), (0.0,)]),
+                                (X_BLOCKS, [(0.5, 0.5, 0.0, 0.0)]),
                                 (X_BLOCKS, [(0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), ()])):
             with pytest.raises(ValueError):
                 block_state(support, np.zeros(1), blocks)
@@ -150,7 +152,7 @@ class TestValidateBlocks:
 
     def test_qfi_reuses_the_spectra(self, monkeypatch):
         state = validate_blocks(THERMAL_CHANNEL.states(0.1, [1.0, 2.0]))
-        derivs = qfi_engine.d_rho_grid(THERMAL_CHANNEL, 0.1, [1.0, 2.0])
+        derivs = d_rho_grid(THERMAL_CHANNEL, 0.1, [1.0, 2.0])
         expected = qfi_engine.qfi_blocks(state, derivs).value
 
         def forbidden(*args, **kwargs):
@@ -372,12 +374,11 @@ class TestReducedBloch:
             assert np.abs(np.asarray(g) - e).max() <= 1e-15
 
     def test_two_qubit_coherence_on_qubit_a_rejected(self):
-        # blocks pairing |ee> with |ge> give qubit A a coherence, which the
-        # diagonal map does not cover
-        state = block_state(((0, 2), (1, 3)), np.zeros(1),
-                            [(0.5, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0)])
-        with pytest.raises(ValueError, match="coherence"):
-            reduced_bloch(state)
+        # blocks pairing |ee> with |ge> would give qubit A a coherence, which
+        # the diagonal map does not cover; no record holds them
+        with pytest.raises(ValueError, match="partition"):
+            block_state(((0, 2), (1, 3)), np.zeros(1),
+                        [(0.5, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0)])
 
 
 class TestFidelity:

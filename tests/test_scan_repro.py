@@ -10,7 +10,7 @@ import pytest
 
 from helpers import backflow_intervals_loop, find_max_sequential
 from qfi_probe import scan_repro
-from qfi_probe.probe_models import TwoQubitFockParams, fock2_channel
+from qfi_probe.probe_models import FIELD_DOMAINS, TwoQubitFockParams, fock2_channel
 from qfi_probe.qfi_engine import occupation_slope, temperature_from_occupation
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
@@ -32,6 +32,10 @@ from qfi_probe.scan_repro import (
 
 # every ScanConfig field that some model reads
 MODEL_FIELDS = {name for _, names, _ in MODELS.values() for name in names}
+# values just outside each field's domain
+OUT_OF_DOMAIN = {"alpha": (-1e-9, np.pi / 2 + 1e-9, 2.0), "coupling": (0.0, -1.0),
+                 "photons": (-1,), "mean_occupation": (-1e-9, -1.0), "gamma": (0.0, -1.0),
+                 "squeezing": (-1e-9,), "freq_scale": (0.0, -1.0)}
 
 
 def fock_config(alpha=np.pi / 4, points=400):
@@ -64,6 +68,32 @@ class TestScanConfig:
             ScanConfig(model, **{name: 1 if name == "photons" else default / 2})
         with pytest.raises(ValueError, match=f"{name} = nan is not finite"):
             ScanConfig(model, **{name: math.nan})
+
+    def test_every_field_but_detuning_has_a_domain(self):
+        assert set(FIELD_DOMAINS) == MODEL_FIELDS - {"detuning"} == set(OUT_OF_DOMAIN)
+
+    @pytest.mark.parametrize("model, name, bad", [
+        (model, name, bad) for model in MODEL_IDS for name in MODELS[model][1]
+        for bad in OUT_OF_DOMAIN.get(name, ())])
+    def test_out_of_domain_field_rejected_at_construction(self, model, name, bad):
+        with pytest.raises(ValueError, match=name):
+            ScanConfig(model, **{name: bad})
+
+    @pytest.mark.parametrize("name, edge", [("alpha", 0.0), ("alpha", np.pi / 2),
+                                            ("mean_occupation", 0.0), ("squeezing", 0.0),
+                                            ("photons", 0)])
+    def test_closed_domain_edges_accepted(self, name, edge):
+        model = next(model for model in MODEL_IDS if name in MODELS[model][1])
+        assert np.all(np.isfinite(scan(ScanConfig(model, points=3, **{name: edge})).qfi))
+
+    @pytest.mark.parametrize("model", ["thermal1", "thermal2"])
+    @pytest.mark.parametrize("freq_scale", [1e-300, 1e-155, 1e300])
+    def test_chain_factor_not_finite_raises(self, model, freq_scale):
+        # T^2 underflows (1e-300), the factor overflows (1e-155) or T^2
+        # overflows (1e300): no QFI is a plausible number there
+        config = ScanConfig(model, freq_scale=freq_scale)
+        with pytest.raises(ValueError, match="chain factor"):
+            point_qfi(config, 1.0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="positive"):
