@@ -141,13 +141,9 @@ class TwoQubitFockParams:
     detuning: float
     coupling: float = 1.0
     alpha: float = _HALF_PI / 2.0
-    photons: int = 0
 
     def __post_init__(self):
         require_finite(self)
-        require_count("photons", self.photons)
-        if self.photons != 0:
-            raise ValueError("the two-qubit closed form requires zero cavity photons")
         require_domains(self)
 
 

@@ -44,9 +44,8 @@ MODELS = {
                      ThermalParams(c.mean_occupation, c.gamma, c.alpha, c.freq_scale))),
     "squeezed1": ("squeezing", ("alpha", "squeezing", "gamma"),
                   lambda c: squeezed1_channel(SqueezedParams(c.squeezing, c.gamma, c.alpha))),
-    "fock2": ("detuning", ("alpha", "detuning", "coupling", "photons"),
-              lambda c: fock2_channel(
-                  TwoQubitFockParams(c.detuning, c.coupling, c.alpha, c.photons))),
+    "fock2": ("detuning", ("alpha", "detuning", "coupling"),
+              lambda c: fock2_channel(TwoQubitFockParams(c.detuning, c.coupling, c.alpha))),
     "thermal2": ("temperature", ("mean_occupation", "gamma", "freq_scale"),
                  lambda c: reservoir_pair_channel(
                      TwoQubitReservoirParams("thermal", c.mean_occupation, c.gamma))),
@@ -71,6 +70,18 @@ MAX_POINTS = 1_000_000
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _typed_degrees(alpha: float) -> float:
+    """The degree value with the fewest significant digits that
+    math.radians maps to alpha, so that an angle given in degrees is echoed
+    as given; math.degrees(alpha) where no such value exists."""
+    degrees = math.degrees(alpha)
+    for digits in range(1, 18):
+        shortest = float(f"{degrees:.{digits}g}")
+        if math.radians(shortest) == alpha:
+            return shortest
+    return degrees
 
 
 class UnreadField(ValueError):
@@ -251,7 +262,7 @@ def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[st
     read = MODELS[config.model_id][1]
     md = {"model": config.model_id, "estimand": config.estimand}
     if "alpha" in read:
-        md["alpha_deg"] = _fmt(math.degrees(config.alpha))
+        md["alpha_deg"] = _fmt(_typed_degrees(config.alpha))
     md.update(t_min=_fmt(config.t_min), t_max=_fmt(config.t_max), points=str(config.points))
     for name in read:
         if name != "alpha":

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfi_probe.lindblad import DEFAULT_TOL, integrate
 from qfi_probe.probe_models import (
     FockParams,
     SqueezedParams,
@@ -52,8 +51,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-10
-# integration error can leave tiny negative eigenvalues in lindblad output
-INTEGRATION_PSD_TOL = 1e-8
 
 
 class NotHermitian(StateValidationError):
@@ -209,12 +206,6 @@ def state_at(channel, t) -> DensityMatrix:
     """One validated dense state of a channel at its nominal value: a grid
     of length 1."""
     return validate_density(dense(channel.states(channel.value, [t]))[0], channel.support)
-
-
-def integrated(generator, rho0, t_end, tol=DEFAULT_TOL) -> DensityMatrix:
-    """lindblad.integrate, validated on the default blocks with the
-    positivity tolerance relaxed for integration dust."""
-    return validate_density(integrate(generator, rho0, t_end, tol), psd_tol=INTEGRATION_PSD_TOL)
 
 
 def density_from_bloch(vec: BlochVector):
@@ -461,16 +452,6 @@ def ptrace_b_bruteforce(mat):
         for ja in range(2):
             for b in range(2):
                 out[ia, ja] += mat[2 * ia + b, 2 * ja + b]
-    return out
-
-
-def ptrace_a_bruteforce(mat):
-    """Index-sum partial trace over qubit A."""
-    out = np.zeros((2, 2), dtype=complex)
-    for ib in range(2):
-        for jb in range(2):
-            for a in range(2):
-                out[ib, jb] += mat[2 * a + ib, 2 * a + jb]
     return out
 
 

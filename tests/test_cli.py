@@ -1,5 +1,10 @@
 """Tests for the command-line interface and CSV serialization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +23,7 @@ DEFAULT_METADATA = {
     "squeezed1": ["model=squeezed1", "estimand=squeezing", "alpha_deg=45", *GRID,
                   "squeezing=0.10000000000000001", "gamma=1"],
     "fock2": ["model=fock2", "estimand=detuning", "alpha_deg=45", *GRID,
-              "detuning=5", "coupling=1", "photons=0"],
+              "detuning=5", "coupling=1"],
     "thermal2": ["model=thermal2", "estimand=temperature", *GRID,
                  "mean_occupation=0.10000000000000001", "gamma=1", "freq_scale=1"],
     "squeezed2": ["model=squeezed2", "estimand=squeezing", *GRID,
@@ -148,7 +153,7 @@ class TestScanCommand:
 
     def test_photons_on_two_qubit_model_exits_2(self, capsys):
         assert run(["scan", "--model", "fock2", "--photons", "3", "--points", "3"]) == 2
-        assert "photons" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith("model 'fock2' does not read --photons\n")
 
     def test_unread_flag_exits_2(self, capsys):
         # the two-qubit reservoir pairs start in a fixed Bell state
@@ -156,7 +161,8 @@ class TestScanCommand:
         assert "alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, flag", [("fock1", "--m"), ("fock1", "--r"),
-                                             ("thermal1", "--delta")])
+                                             ("thermal1", "--delta"), ("fock2", "--gamma"),
+                                             ("thermal2", "--alpha"), ("squeezed2", "--delta")])
     def test_unread_flag_is_named(self, capsys, model, flag):
         # the flag as typed, not the ScanConfig field behind it
         assert run(["scan", "--model", model, flag, "0.2", "--points", "3"]) == 2
@@ -274,3 +280,18 @@ class TestPointCommands:
     def test_nonfinite_point_input_exits_2(self, capsys, argv):
         assert run(argv) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["qfi", "fidelity"])
+    def test_unread_flag_is_named(self, capsys, command):
+        assert run([command, "--model", "fock2", "--photons", "3", "--t", "1"]) == 2
+        assert capsys.readouterr().err.endswith("model 'fock2' does not read --photons\n")
+
+
+def test_package_imports_numpy_only():
+    # sympy, scipy, mpmath and hypothesis serve the tests only
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, qfi_probe, qfi_probe.cli; "
+            "print(sorted({'sympy', 'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "[]\n"

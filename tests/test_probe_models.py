@@ -162,25 +162,44 @@ class TestFockTwoQubit:
             c2, c3, c4 = fock2_amplitudes(p, rng.uniform(0.0, 20.0))
             assert abs(abs(c2) ** 2 + abs(c3) ** 2 + abs(c4) ** 2 - 1.0) <= 1e-12
 
-    def test_photons_fixed_at_zero(self):
-        with pytest.raises(ValueError):
-            TwoQubitFockParams(detuning=0.0, photons=1)
+    def test_no_photon_field(self):
+        # the closed form holds for an empty cavity only, so the photon
+        # number is no parameter; the benchmark builds it positionally
+        assert TwoQubitFockParams(5.0, 1.0) == TwoQubitFockParams(detuning=5.0, coupling=1.0)
+        with pytest.raises(TypeError, match="photons"):
+            TwoQubitFockParams(detuning=5.0, photons=0)
 
 
-@pytest.mark.parametrize("build", [
-    lambda n: FockParams(detuning=5.0, photons=n),
-    lambda n: TwoQubitFockParams(detuning=5.0, photons=n),
-])
+class TestReservoirPair:
+    def test_unsupported_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            TwoQubitReservoirParams("depolarizing", 0.1, 1.0)
+
+    def test_closed_form_is_product_channel(self):
+        # marginals of the closed form follow the one-qubit solutions from
+        # |e> and |g>, averaged by the Bell state
+        p = TwoQubitReservoirParams("squeezed", 0.3, 1.2)
+        t = 0.7
+        reduced = reduce_A(dense(reservoir_pair_channel(p).states(p.strength, [t]))[0]).matrix
+        one = lambda a: state_at(squeezed1_channel(SqueezedParams(0.3, 1.2, a)), t).matrix
+        np.testing.assert_allclose(reduced, 0.5 * (one(0.0) + one(np.pi / 2)), atol=1e-14)
+
+    def test_lindblad_module_reexports_params_only(self):
+        from qfi_probe import lindblad
+
+        assert lindblad.__all__ == ["TwoQubitReservoirParams"]
+        assert lindblad.TwoQubitReservoirParams is TwoQubitReservoirParams
+
+
 @pytest.mark.parametrize("bad", [2.5, 0.5, True, 0.0])
-def test_photons_must_be_an_integer(build, bad):
+def test_photons_must_be_an_integer(bad):
     # 2.5 photons used to be accepted and gave a plausible QFI
     with pytest.raises(ValueError, match="not an integer"):
-        build(bad)
+        FockParams(detuning=5.0, photons=bad)
 
 
 def test_numpy_integer_photons_accepted():
     assert FockParams(detuning=5.0, photons=np.int64(2)).photons == 2
-    assert TwoQubitFockParams(detuning=5.0, photons=np.int64(0)).photons == 0
 
 
 @pytest.mark.parametrize(

@@ -57,8 +57,7 @@ def configs(draw):
     """A ScanConfig anywhere in the valid domain of a drawn model, setting
     exactly the fields that the model reads."""
     model = draw(st.sampled_from(MODEL_IDS))
-    # the two-qubit closed form needs an empty cavity
-    domain = dict(FIELDS, photons=st.integers(0, 0 if model == "fock2" else 4))
+    domain = dict(FIELDS, photons=st.integers(0, 4))
     return ScanConfig(model, **{name: draw(domain[name])
                                 for name in MODELS[model][1] if name in domain})
 

@@ -146,11 +146,6 @@ class TestScanConfig:
         with pytest.raises(ValueError):
             point_qfi(ScanConfig("thermal1"), np.nan)
 
-    def test_photons_rejected_for_two_qubit_cavity(self):
-        # the two-qubit closed form needs an empty cavity
-        with pytest.raises(ValueError, match="photons"):
-            scan(ScanConfig("fock2", photons=3, points=3))
-
 
 class TestScan:
     def test_two_point_contract(self):
@@ -206,6 +201,26 @@ class TestScan:
     def test_metadata_keeps_alpha_where_read(self, model):
         md = scan(ScanConfig(model, points=3, t_max=1.0, alpha=0.3)).metadata
         assert md["alpha_deg"] == format(np.degrees(0.3), ".17g")
+        # an angle given in degrees (as --alpha takes it) is echoed as given,
+        # at the 17 significant digits of every metadata number
+        for given, echoed in (("30", "30"), ("12.5", "12.5"), ("89.99", "89.989999999999995")):
+            config = ScanConfig(model, points=3, t_max=1.0, alpha=math.radians(float(given)))
+            assert scan(config).metadata["alpha_deg"] == echoed
+
+    @pytest.mark.parametrize("alpha, degrees", [
+        (math.radians(30), 30.0), (math.radians(12.5), 12.5), (math.radians(89.99), 89.99),
+        (math.radians(1e-3), 1e-3), (0.0, 0.0), (math.pi / 4, 45.0), (math.pi / 2, 90.0),
+        # no shorter degree value maps to 0.3 rad
+        (0.3, math.degrees(0.3))])
+    def test_typed_degrees(self, alpha, degrees):
+        assert scan_repro._typed_degrees(alpha) == degrees
+
+    def test_typed_degrees_round_trips_two_decimals(self):
+        # every angle in [0, 90] typed with at most two decimals comes back
+        # as typed, where math.degrees would give 29.999999999999996 for 30
+        for hundredths in range(9001):
+            typed = float(f"{hundredths / 100:.2f}")
+            assert scan_repro._typed_degrees(math.radians(typed)) == typed
 
     def test_fock2_honours_alpha(self, monkeypatch):
         config = ScanConfig("fock2", t_max=20.0, points=200, alpha=0.4)

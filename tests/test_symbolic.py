@@ -1,0 +1,167 @@
+"""Exact checks of the reservoir master equation in tests/symbolic.py: its
+generator against the hand-written element-wise equations, the invariants
+it preserves, its coherence decay rates, jump operators and steady state,
+and the structure of the closed forms. Acceptance criterion 2 proves the
+closed forms against it."""
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from symbolic import (
+    ALPHA,
+    GAMMA,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    M,
+    N,
+    generic_matrix,
+    lambdified,
+    pair_generator,
+    pair_state,
+    qubit_generator,
+    qubit_state,
+    vanishes,
+)
+
+HALF = sp.S.Half
+# the entries of a two-qubit X state: the {|eg>, |ge>} and {|ee>, |gg>}
+# blocks of the pair kernel
+X_PATTERN = {(i, i) for i in range(4)} | {(1, 2), (2, 1), (0, 3), (3, 0)}
+
+
+def thermal_rhs(rho):
+    """Hand-written element-wise right-hand side of the thermal master
+    equation at occupation N."""
+    down, up, coherence = GAMMA * (N + 1), GAMMA * N, -GAMMA * (N + HALF)
+    return sp.Matrix([[-down * rho[0, 0] + up * rho[1, 1], coherence * rho[0, 1]],
+                      [coherence * rho[1, 0], down * rho[0, 0] - up * rho[1, 1]]])
+
+
+def squeezed_rhs(rho):
+    """Hand-written element-wise right-hand side for the squeezed reservoir
+    with occupation N and pair correlation M."""
+    down, up, coherence = GAMMA * (N + 1), GAMMA * N, -GAMMA * (N + HALF)
+    return sp.Matrix([
+        [-down * rho[0, 0] + up * rho[1, 1], coherence * rho[0, 1] - GAMMA * M * rho[1, 0]],
+        [coherence * rho[1, 0] - GAMMA * M * rho[0, 1], down * rho[0, 0] - up * rho[1, 1]],
+    ])
+
+
+@pytest.mark.parametrize("kind", ["thermal", "squeezed"])
+def test_generator_matches_elementwise_rhs(kind):
+    rho = generic_matrix("r")
+    if kind == "thermal":
+        assert vanishes(qubit_generator(rho).subs(M, 0) - thermal_rhs(rho))
+    else:
+        assert vanishes(qubit_generator(rho) - squeezed_rhs(rho))
+
+
+@pytest.mark.parametrize("generator, dim", [(qubit_generator, 2), (pair_generator, 4)])
+def test_generator_preserves_trace_and_hermiticity(generator, dim):
+    rho = generic_matrix("r", dim)
+    assert sp.expand(generator(rho).trace()) == 0
+    assert vanishes(generator(rho).H - generator(rho.H))
+
+
+def test_coherence_eigenrates():
+    # the symmetric coherence combination (sigma_x) decays at
+    # gamma (N + M + 1/2), the antisymmetric one (i sigma_y) at
+    # gamma (N - M + 1/2)
+    symmetric = sp.Matrix([[0, 1], [1, 0]])
+    antisymmetric = sp.Matrix([[0, 1], [-1, 0]])
+    assert vanishes(qubit_generator(symmetric) + GAMMA * (N + M + HALF) * symmetric)
+    assert vanishes(qubit_generator(antisymmetric) + GAMMA * (N - M + HALF) * antisymmetric)
+
+
+
+def _decay(jump, rho):
+    return jump * rho * jump.H - (jump.H * jump * rho + rho * jump.H * jump) / 2
+
+
+def _steady_qubit():
+    return sp.diag(N / (2 * N + 1), (N + 1) / (2 * N + 1))
+
+
+def test_vacuum_has_single_downward_term():
+    rho = generic_matrix("x")
+    assert vanishes(qubit_generator(rho).subs({N: 0, M: 0}) - GAMMA * _decay(SIGMA_MINUS, rho))
+
+
+def test_squeezed_vacuum_has_one_jump_operator():
+    # with N = sinh(r)^2 and M = cosh(r) sinh(r), as the squeezed kernels
+    # take them, M^2 = N (N + 1) and the two rates and the two-photon terms
+    # merge into the one jump operator cosh(r) sigma_- - sinh(r) sigma_+
+    r = sp.Symbol("r", nonnegative=True)
+    rho = generic_matrix("x")
+    jump = sp.cosh(r) * SIGMA_MINUS - sp.sinh(r) * SIGMA_PLUS
+    squeezed = qubit_generator(rho).subs({N: sp.sinh(r) ** 2, M: sp.cosh(r) * sp.sinh(r)})
+    assert vanishes(squeezed - GAMMA * _decay(jump, rho))
+
+
+def test_populations_and_coherences_decouple():
+    populations = sp.diag(*sp.symbols("p0 p1"))
+    coherences = sp.Matrix([[0, sp.Symbol("c01")], [sp.Symbol("c10"), 0]])
+    assert qubit_generator(populations).is_diagonal()
+    assert vanishes(sp.diag(*qubit_generator(coherences).diagonal()))
+
+
+@pytest.mark.parametrize("generator, form, steady", [
+    (qubit_generator, qubit_state, _steady_qubit),
+    (pair_generator, pair_state, lambda: sp.kronecker_product(_steady_qubit(), _steady_qubit())),
+], ids=["qubit", "pair"])
+def test_steady_state(generator, form, steady):
+    # the generator annihilates the thermal populations N / (2 N + 1) and
+    # (N + 1) / (2 N + 1) (squeezing leaves them), and each closed form
+    # tends to them once its decaying exponentials are gone
+    assert vanishes(generator(steady()))
+    assert vanishes(form().replace(sp.exp, lambda _: 0) - steady())
+
+
+def test_x_states_stay_x_states():
+    # the pair kernel's two 2-blocks are closed under the generator
+    rho = sp.Matrix(4, 4, lambda i, j: sp.Symbol(f"x{i}{j}") if (i, j) in X_PATTERN else 0)
+    out = pair_generator(rho)
+    assert vanishes(sp.Matrix([out[i, j] for i in range(4) for j in range(4)
+                               if (i, j) not in X_PATTERN]))
+
+
+def test_only_squeezing_couples_ee_and_gg():
+    # a state in the {|eg>, |ge>} block feeds the |ee><gg| coherence at
+    # -gamma M times its coherences, so a thermal pair keeps it at 0
+    a, b, c, d = sp.symbols("a b c d")
+    rho = sp.zeros(4, 4)
+    rho[1, 1], rho[2, 2], rho[1, 2], rho[2, 1] = a, b, c, d
+    out = pair_generator(rho)
+    assert vanishes(sp.Matrix([out[0, 3], out[3, 0]]) + GAMMA * M * (c + d) * sp.ones(2, 1))
+
+
+def test_pair_marginal_follows_qubit_form():
+    # each qubit of the Bell-state pair evolves as the one-qubit form from
+    # |e> and from |g>, averaged
+    rho = pair_state()
+    reduced = sp.Matrix(2, 2, lambda i, j: rho[2 * i, 2 * j] + rho[2 * i + 1, 2 * j + 1])
+    one = qubit_state()
+    assert vanishes(reduced - (one.subs(ALPHA, 0) + one.subs(ALPHA, sp.pi / 2)) / 2)
+
+
+def test_pair_state_is_swap_symmetric():
+    swap = sp.Matrix(4, 4, lambda i, j: 1 if (i, j) in {(0, 0), (1, 2), (2, 1), (3, 3)} else 0)
+    rho = pair_state()
+    assert vanishes(swap * rho * swap - rho)
+
+
+@pytest.mark.parametrize("form", [qubit_state, pair_state], ids=["qubit", "pair"])
+def test_closed_form_is_a_density_matrix(form):
+    # across the physical domain M^2 <= N (N + 1), its boundary (a squeezed
+    # vacuum) included, at times from 0 to 50
+    rng = np.random.default_rng(2024)
+    states = lambdified(form())
+    times = np.concatenate(([0.0, 50.0], rng.uniform(0.0, 5.0, size=20)))
+    for share in np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=10))):
+        occupation = rng.uniform(0.0, 2.0)
+        pair = share * np.sqrt(occupation * (occupation + 1.0))
+        rows = states(occupation, pair, rng.uniform(0.5, 2.0), rng.uniform(0.0, np.pi / 2), times)
+        np.testing.assert_allclose(np.trace(rows, axis1=1, axis2=2), 1.0, atol=1e-14)
+        np.testing.assert_array_equal(rows, rows.conj().transpose(0, 2, 1))
+        assert np.linalg.eigvalsh(rows).min() >= -1e-14
