@@ -4,6 +4,7 @@ single-point QFI/fidelity evaluation, all emitted as deterministic CSV."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -127,7 +128,8 @@ def _point_config(args) -> ScanConfig:
 
 
 def _handle_point(args) -> int:
-    print(f"{args.point(_point_config(args), args.t):.17g}")
+    point = point_qfi if args.command == "qfi" else point_fidelity
+    print(f"{point(_point_config(args), args.t):.17g}")
     return 0
 
 
@@ -152,13 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig_p.set_defaults(handler=_handle_figure)
 
-    for name, text, point in (("qfi", "QFI", point_qfi), ("fidelity", "fidelity", point_fidelity)):
+    for name, text in (("qfi", "QFI"), ("fidelity", "fidelity")):
         point_p = sub.add_parser(name, help=f"single-point {text} evaluation")
         _add_model_flags(point_p)
         point_p.add_argument("--t", type=float, required=True)
-        point_p.set_defaults(handler=_handle_point, point=point)
+        point_p.set_defaults(handler=_handle_point)
 
     return parser
+
+
+# one parser per process, built on the first run, not at import; it holds
+# only private handlers, so _handle_point finds the point functions per call
+_parser = functools.cache(build_parser)
 
 
 def run(argv=None) -> int:
@@ -167,9 +174,8 @@ def run(argv=None) -> int:
     Unknown flags or invalid parameters exit 2 with a one-line diagnostic
     on stderr; I/O failures exit 1.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

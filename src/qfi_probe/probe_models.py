@@ -173,10 +173,16 @@ class TwoQubitReservoirParams:
         require_domains(self)
 
 
-def _squeezed_rates(squeezing: float) -> tuple[float, float]:
-    """Effective occupation sinh^2(r) and pair correlation cosh(r) sinh(r)
-    of a squeezed vacuum reservoir."""
-    return float(np.sinh(squeezing) ** 2), float(np.cosh(squeezing) * np.sinh(squeezing))
+def _squeezed_rates(squeezing: float, gamma: float) -> tuple[float, float, float]:
+    """Occupation N = sinh^2(r) of a squeezed vacuum, and gamma exp(+-2r),
+    the exact 2 gamma (N +- M + 1/2) with M = cosh(r) sinh(r): twice the
+    sigma_x and sigma_y Bloch decay rates. N - M + 1/2 itself loses every
+    digit to cancellation at large r. ValueError where a rate overflows."""
+    with np.errstate(over="ignore"):
+        x_rate = gamma * float(np.exp(2.0 * squeezing))
+    if not math.isfinite(x_rate):
+        raise ValueError(f"squeezing = {squeezing!r} at gamma = {gamma!r} overflows the decay rate")
+    return float(np.sinh(squeezing) ** 2), x_rate, gamma * float(np.exp(-2.0 * squeezing))
 
 
 def _fock1_amplitudes(detuning, coupling, photons, alpha):
@@ -231,10 +237,10 @@ def _reservoir_qubit_kernel(occupation, gamma, coherence_rate, alpha) -> Kernel:
 
 
 def _squeezed1_kernel(squeezing, gamma, alpha) -> Kernel:
-    """Qubit states in a squeezed reservoir; coherences decay at
-    gamma (occupation + pair_correlation + 1/2)."""
-    occupation, pair = _squeezed_rates(squeezing)
-    return _reservoir_qubit_kernel(occupation, gamma, gamma * (occupation + pair + 0.5), alpha)
+    """Qubit states in a squeezed reservoir; the real coherences of the
+    initial state decay at the sigma_x rate gamma exp(2r) / 2."""
+    occupation, x_rate, _ = _squeezed_rates(squeezing, gamma)
+    return _reservoir_qubit_kernel(occupation, gamma, 0.5 * x_rate, alpha)
 
 
 def _fock2_amplitudes(detuning, coupling, alpha):
@@ -280,21 +286,21 @@ def _reservoir_pair_kernel(kind, strength, gamma) -> Kernel:
     Each Lambda_t relaxes the excited population toward
     occupation/(2 occupation + 1) and damps the sigma_x and sigma_y Bloch
     components at gamma (occupation +- pair + 1/2), pair = cosh(r) sinh(r)
-    for squeezing and 0 for a thermal reservoir. The Bell state's
-    sigma_x sigma_x and sigma_y sigma_y parts therefore decay at twice
-    those rates; they set the |eg><ge| and |ee><gg| coherences.
+    for squeezing (see _squeezed_rates) and 0 for a thermal reservoir. The
+    Bell state's sigma_x sigma_x and sigma_y sigma_y parts therefore decay
+    at twice those rates; they set the |eg><ge| and |ee><gg| coherences.
     """
-    occupation, pair = (strength, 0.0) if kind == "thermal" else _squeezed_rates(strength)
+    thermal = 2.0 * gamma * (strength + 0.5)
+    occupation, x_rate, y_rate = ((strength, thermal, thermal) if kind == "thermal"
+                                  else _squeezed_rates(strength, gamma))
     steady = occupation / (2.0 * occupation + 1.0)
     pop_rate, excited = -gamma * (2.0 * occupation + 1.0), 1.0 - steady
-    x_rate = -2.0 * gamma * (occupation + pair + 0.5)
-    y_rate = -2.0 * gamma * (occupation - pair + 0.5)
 
     def states(times):
         pop_env = np.exp(pop_rate * times)
         up_from_e, up_from_g = steady + excited * pop_env, steady * (1.0 - pop_env)
         down_from_e, down_from_g = 1.0 - up_from_e, 1.0 - up_from_g
-        x_decay, y_decay = np.exp(x_rate * times), np.exp(y_rate * times)
+        x_decay, y_decay = np.exp(-x_rate * times), np.exp(-y_rate * times)
         values = np.zeros((8, len(times)))
         values[0] = values[2] = 0.5 * (up_from_e * down_from_g + up_from_g * down_from_e)
         values[1], values[3] = up_from_e * up_from_g, down_from_e * down_from_g

@@ -11,6 +11,7 @@ reservoir has M = 0. Basis orders follow qfi_probe.qstate: (|e>, |g>) for
 one qubit, A-major products for two.
 """
 
+import mpmath
 import numpy as np
 import sympy as sp
 
@@ -109,5 +110,23 @@ def lambdified(rho):
         values = entries(occupation, pair, gamma, alpha, times)
         stack = np.array([np.broadcast_to(v, times.shape) for v in values], dtype=complex)
         return np.moveaxis(stack.reshape(rho.shape + times.shape), -1, 0)
+
+    return states
+
+
+def squeezed_states(rho, digits=40):
+    """rho for a squeezed vacuum, N = sinh(r)^2 and M = cosh(r) sinh(r), as
+    a function of (r, gamma, alpha, times[K]) giving the complex array of
+    shape (K, d, d). mpmath evaluates it at `digits` significant digits,
+    since in floats N - M + 1/2 loses every digit from r of about 10."""
+    r = sp.Symbol("r", nonnegative=True)
+    form = rho.subs({N: sp.sinh(r) ** 2, M: sp.cosh(r) * sp.sinh(r)})
+    entries = sp.lambdify((r, GAMMA, ALPHA, T), list(form), "mpmath")
+
+    def states(squeezing, gamma, alpha, times):
+        with mpmath.workdps(digits):
+            rows = [[complex(v) for v in entries(*map(mpmath.mpf, (squeezing, gamma, alpha, t)))]
+                    for t in times]
+        return np.array(rows).reshape((len(rows),) + rho.shape)
 
     return states

@@ -1,16 +1,27 @@
 """Tests for the command-line interface and CSV serialization."""
 
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import csv_fstring
+from qfi_probe import cli
 from qfi_probe.cli import MODEL_FLAGS, build_parser, emit_csv, parse_csv, run
-from qfi_probe.scan_repro import MODEL_IDS, MODELS, ScanConfig, ScanDataset, scan
+from qfi_probe.scan_repro import (
+    MODEL_IDS,
+    MODELS,
+    ScanConfig,
+    ScanDataset,
+    point_fidelity,
+    point_qfi,
+    scan,
+)
 
 GRID = ["t_min=0.01", "t_max=50", "points=2000"]
 # the metadata lines of each model's default scan, in order; the max_index,
@@ -29,6 +40,36 @@ DEFAULT_METADATA = {
     "squeezed2": ["model=squeezed2", "estimand=squeezing", *GRID,
                   "squeezing=0.10000000000000001", "gamma=1"],
 }
+
+# what the point commands printed for seeded_queries() before the parser
+# was built once per process: "argv<TAB>stdout" per line
+POINT_OUTPUTS = Path(__file__).with_name("cli_point_outputs.tsv")
+# the range each model flag is drawn from (alpha in degrees, photons an
+# integer)
+FLAG_RANGES = {"detuning": (-10.0, 10.0), "coupling": (0.2, 3.0), "photons": (0, 5),
+               "mean_occupation": (0.0, 1.0), "gamma": (0.5, 2.0), "squeezing": (0.0, 0.5),
+               "alpha": (0.0, 90.0), "freq_scale": (0.5, 2.0)}
+
+
+def seeded_queries(count=60, seed=19):
+    """count point queries as (argv, command, config, t): the six models
+    and both commands in turn, t in [0.01, 50], and each flag the model
+    reads given with probability 3/4 (else its ScanConfig default)."""
+    rng = np.random.default_rng(seed)
+    queries = []
+    for k in range(count):
+        model, command = MODEL_IDS[k % 6], ("qfi", "fidelity")[k // 6 % 2]
+        t = float(rng.uniform(0.01, 50.0))
+        argv, given = [command, "--model", model], {}
+        for flag, name, _, _ in MODEL_FLAGS:
+            if name not in MODELS[model][1] or rng.random() >= 0.75:
+                continue
+            lo, hi = FLAG_RANGES[name]
+            value = int(rng.integers(lo, hi)) if name == "photons" else float(rng.uniform(lo, hi))
+            argv += [flag, repr(value)]
+            given[name] = math.radians(value) if name == "alpha" else value
+        queries.append((argv + ["--t", repr(t)], command, ScanConfig(model, **given), t))
+    return queries
 
 
 def read_lines(path):
@@ -180,14 +221,21 @@ class TestScanCommand:
         (["--model", "squeezed2", "--r", "-0.1"], "squeezing"),
         (["--model", "fock1", "--alpha", "120"], "alpha"),
         (["--model", "squeezed1", "--alpha", "-1"], "alpha"),
+        (["--model", "squeezed1", "--r", "400"], "squeezing"),
+        (["--model", "squeezed2", "--r", "400"], "squeezing"),
+        (["--model", "squeezed2", "--r", "20", "--gamma", "1e300"], "squeezing"),
     ])
     @pytest.mark.parametrize("command", ["qfi", "fidelity"])
     def test_out_of_domain_value_exits_2(self, capsys, command, argv, name):
-        # both commands build the whole evaluator, chain factor included
-        code = run([command, *argv, "--t", "1"])
+        # both commands build the whole evaluator, chain factor and decay
+        # rates included, and reject the value before numpy can overflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([command, *argv, "--t", "1"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert name in err and err.count("\n") == 1
+        assert caught == []
 
     def test_estimand_flag_removed(self, capsys):
         # the model fixes the estimand
@@ -285,6 +333,72 @@ class TestPointCommands:
     def test_unread_flag_is_named(self, capsys, command):
         assert run([command, "--model", "fock2", "--photons", "3", "--t", "1"]) == 2
         assert capsys.readouterr().err.endswith("model 'fock2' does not read --photons\n")
+
+    def test_prints_what_the_library_computes(self, capsys):
+        for argv, command, config, t in seeded_queries():
+            point = point_qfi if command == "qfi" else point_fidelity
+            assert run(argv) == 0
+            assert capsys.readouterr() == (f"{point(config, t):.17g}\n", "")
+
+    def test_prints_the_recorded_bytes(self, capsys):
+        # squeezed2 QFI moved when its decay rates became exact, by at most
+        # 1e-12 relative on these draws; every other output is unchanged
+        recorded = [line.split("\t") for line in POINT_OUTPUTS.read_text().splitlines()]
+        queries = seeded_queries()
+        assert [" ".join(argv) for argv, *_ in queries] == [argv for argv, _ in recorded]
+        for (argv, command, config, _), (_, expected) in zip(queries, recorded):
+            assert run(argv) == 0
+            out = capsys.readouterr().out
+            if command == "qfi" and config.model_id == "squeezed2":
+                assert float(out) == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+            else:
+                assert out == expected + "\n"
+
+
+class TestParserReuse:
+    """run parses every call with one parser per process."""
+
+    VALID = ["qfi", "--model", "thermal2", "--m", "0.3", "--gamma", "1.5", "--t", "2.5"]
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["qfi", "--model", "fock1", "--bogus", "1", "--t", "1"], 2, "--bogus"),
+        (["qfi", "--model", "fock1", "--gamma", "0.5", "--t", "1"], 2, "does not read --gamma"),
+        (["fidelity", "--model", "squeezed1", "--r", "nan", "--t", "1"], 2, "finite"),
+        (["qfi", "--help"], 0, "usage: qfi-probe qfi"),
+    ])
+    def test_no_state_carried_between_calls(self, capsys, argv, code, text):
+        assert run(self.VALID) == 0
+        first = capsys.readouterr()
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        assert text in (out if code == 0 else err)
+        if code == 0:
+            # the same help a fresh parser prints
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            assert capsys.readouterr().out == out
+        assert run(self.VALID) == 0
+        assert capsys.readouterr() == first and first.err == ""
+
+    def test_point_functions_looked_up_per_call(self, capsys, monkeypatch):
+        # the parser holds no library function, so a rebinding after the
+        # first run (a tracer's wrapper, say) serves the next query
+        assert run(self.VALID) == 0
+        calls = []
+        monkeypatch.setattr(cli, "point_qfi", lambda config, t: calls.append("qfi") or 1.5)
+        monkeypatch.setattr(cli, "point_fidelity",
+                            lambda config, t: calls.append("fidelity") or 0.25)
+        assert run(self.VALID) == 0
+        assert run(["fidelity", *self.VALID[1:]]) == 0
+        assert calls == ["qfi", "fidelity"]
+        assert capsys.readouterr().out.splitlines()[1:] == ["1.5", "0.25"]
+
+    def test_no_parser_built_at_import(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import qfi_probe.cli as c; print(c._parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out == "0\n"
 
 
 def test_package_imports_numpy_only():

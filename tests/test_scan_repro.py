@@ -267,6 +267,19 @@ def test_point_queries_equal_scan_rows(model):
         )
 
 
+@pytest.mark.parametrize("squeezing", [5.0, 10.0, 20.0])
+def test_large_squeezing_scans_are_finite(squeezing):
+    # 2 gamma (N - M + 1/2) computed from N and M loses every digit here;
+    # once the populations have relaxed, the QFI is 4 e^2 / (exp(2 e) - 1)
+    # with e = gamma exp(-2r) t. At r = 20, exp(-e) rounds to 1 and the
+    # QFI reads 0, within 1e-15 of that value.
+    dataset = scan(ScanConfig("squeezed2", squeezing=squeezing, points=200))
+    assert np.isfinite(dataset.qfi).all() and (dataset.qfi >= 0.0).all()
+    assert ((dataset.fidelity >= 0.0) & (dataset.fidelity <= 1.0)).all()
+    e = math.exp(-2.0 * squeezing) * dataset.t[-1]
+    assert dataset.qfi[-1] == pytest.approx(4.0 * e**2 / math.expm1(2.0 * e), rel=1e-4, abs=1e-15)
+
+
 class TestFindMax:
     def test_monotone_dataset_returns_last_point(self):
         t = np.linspace(1.0, 2.0, 10)

@@ -8,6 +8,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from helpers import dense
+from qfi_probe.probe_models import (
+    SqueezedParams,
+    TwoQubitReservoirParams,
+    reservoir_pair_channel,
+    squeezed1_channel,
+)
 from symbolic import (
     ALPHA,
     GAMMA,
@@ -21,6 +28,7 @@ from symbolic import (
     pair_state,
     qubit_generator,
     qubit_state,
+    squeezed_states,
     vanishes,
 )
 
@@ -73,6 +81,27 @@ def test_coherence_eigenrates():
     assert vanishes(qubit_generator(symmetric) + GAMMA * (N + M + HALF) * symmetric)
     assert vanishes(qubit_generator(antisymmetric) + GAMMA * (N - M + HALF) * antisymmetric)
 
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_squeezed_rate_identity(sign):
+    # N +- M + 1/2 = exp(+-2r) / 2 for a squeezed vacuum: the kernels take
+    # the exponentials, which stay exact where the sum cancels
+    r = sp.Symbol("r", nonnegative=True)
+    total = sp.sinh(r) ** 2 + sign * sp.cosh(r) * sp.sinh(r) + HALF
+    assert sp.simplify((total - sp.exp(2 * sign * r) / 2).rewrite(sp.exp)) == 0
+
+
+@pytest.mark.parametrize("form, channel", [
+    (qubit_state, lambda r: squeezed1_channel(SqueezedParams(r, 1.3, 0.4))),
+    (pair_state, lambda r: reservoir_pair_channel(TwoQubitReservoirParams("squeezed", r, 1.3))),
+], ids=["qubit", "pair"])
+def test_squeezed_kernels_at_large_squeezing(form, channel):
+    # at r = 10, gamma exp(-2r) t reaches 1.4e-7 by t = 50, which a
+    # cancelled N - M + 1/2 reads as 0; the smallest times resolve the
+    # fast gamma exp(2r) decay
+    r, times = 10.0, [0.0, 1e-10, 1e-9, 3e-9, 1e-3, 0.5, 5.0, 50.0]
+    expected = squeezed_states(form())(r, 1.3, 0.4, times)
+    np.testing.assert_allclose(dense(channel(r).states(r, times)), expected, rtol=0, atol=1e-13)
 
 
 def _decay(jump, rho):
