@@ -93,11 +93,11 @@ def _add_model_flags(parser: argparse.ArgumentParser, flags=MODEL_FLAGS) -> None
         parser.add_argument(flag, dest=name, type=kind, default=argparse.SUPPRESS, help=text)
 
 
-def _config_from_args(args, **grid) -> ScanConfig:
+def _config_from_args(args) -> ScanConfig:
     given = {name: getattr(args, name)
              for _, name, _, _ in MODEL_FLAGS + _GRID_FLAGS if name in args}
     try:
-        return ScanConfig(args.model, **given, **grid)
+        return ScanConfig(args.model, **given)
     except UnreadField as exc:
         flag = next(flag for flag, name, _, _ in MODEL_FLAGS if name == exc.name)
         raise ValueError(f"model {args.model!r} does not read {flag}") from None
@@ -118,18 +118,12 @@ def _handle_figure(args) -> int:
     return 0
 
 
-def _point_config(args) -> ScanConfig:
-    # Single-point commands reuse ScanConfig; the grid fields are unused
-    # beyond validation, so pick a window that always contains t.
+def _handle_point(args) -> int:
+    # a point value reads no grid field, so the default grid stands
     if not 0.0 < args.t < math.inf:
         raise ValueError("--t must be positive and finite")
-    t_max = max(2.0 * args.t, 1.0)
-    return _config_from_args(args, t_min=min(args.t, 0.01), t_max=t_max, points=2)
-
-
-def _handle_point(args) -> int:
     point = point_qfi if args.command == "qfi" else point_fidelity
-    print(f"{point(_point_config(args), args.t):.17g}")
+    print(f"{point(_config_from_args(args), args.t):.17g}")
     return 0
 
 

@@ -96,14 +96,11 @@ class ThermalParams:
         mean_occupation: mean boson number of the reservoir, >= 0.
         gamma: qubit decay rate, > 0.
         alpha: initial-state mixing angle in radians.
-        freq_scale: transition-frequency scale in temperature units, > 0;
-            the occupation at temperature T is 1 / (exp(freq_scale / T) - 1).
     """
 
     mean_occupation: float
     gamma: float = 1.0
     alpha: float = 0.0
-    freq_scale: float = 1.0
 
     def __post_init__(self):
         require_finite(self)
@@ -173,16 +170,28 @@ class TwoQubitReservoirParams:
         require_domains(self)
 
 
-def _squeezed_rates(squeezing: float, gamma: float) -> tuple[float, float, float]:
-    """Occupation N = sinh^2(r) of a squeezed vacuum, and gamma exp(+-2r),
-    the exact 2 gamma (N +- M + 1/2) with M = cosh(r) sinh(r): twice the
-    sigma_x and sigma_y Bloch decay rates. N - M + 1/2 itself loses every
-    digit to cancellation at large r. ValueError where a rate overflows."""
-    with np.errstate(over="ignore"):
-        x_rate = gamma * float(np.exp(2.0 * squeezing))
-    if not math.isfinite(x_rate):
-        raise ValueError(f"squeezing = {squeezing!r} at gamma = {gamma!r} overflows the decay rate")
-    return float(np.sinh(squeezing) ** 2), x_rate, gamma * float(np.exp(-2.0 * squeezing))
+def _reservoir_rates(kind, strength, gamma) -> tuple[float, float, float, float]:
+    """(steady, pop_rate, x_rate, y_rate) of one qubit in a reservoir of
+    occupation N: the excited population relaxes toward steady =
+    N/(2N + 1) at pop_rate = gamma (2N + 1), and x_rate and y_rate are
+    twice the sigma_x and sigma_y Bloch decay rates, 2 gamma (N +- M + 1/2).
+    A thermal reservoir has N = m and M = 0. A squeezed vacuum has
+    N = sinh^2(r), M = cosh(r) sinh(r) and the exact rates gamma exp(+-2r);
+    N - M + 1/2 itself loses every digit to cancellation at large r.
+    ValueError where a rate overflows."""
+    strength, gamma = float(strength), float(gamma)  # Python floats overflow silently
+    if kind == "thermal":
+        occupation, name = strength, "mean_occupation"
+        x_rate = y_rate = 2.0 * gamma * (strength + 0.5)
+    else:
+        with np.errstate(over="ignore"):
+            occupation = float(np.sinh(strength) ** 2)
+            x_rate = gamma * float(np.exp(2.0 * strength))
+        name, y_rate = "squeezing", gamma * float(np.exp(-2.0 * strength))
+    pop_rate = gamma * (2.0 * occupation + 1.0)
+    if not (math.isfinite(pop_rate) and math.isfinite(x_rate) and math.isfinite(y_rate)):
+        raise ValueError(f"{name} = {strength!r} at gamma = {gamma!r} overflows the decay rate")
+    return occupation / (2.0 * occupation + 1.0), pop_rate, x_rate, y_rate
 
 
 def _fock1_amplitudes(detuning, coupling, photons, alpha):
@@ -218,29 +227,22 @@ def _fock1_kernel(detuning, coupling, photons, alpha) -> Kernel:
     return states
 
 
-def _reservoir_qubit_kernel(occupation, gamma, coherence_rate, alpha) -> Kernel:
-    """Shared reservoir solution: populations relax toward
-    occupation/(2 occupation + 1) at rate gamma (2 occupation + 1) while
-    coherences decay at coherence_rate."""
-    steady = occupation / (2.0 * occupation + 1.0)
-    pop_rate, coherence_decay = -gamma * (2.0 * occupation + 1.0), -coherence_rate
+def _reservoir_qubit_kernel(kind, strength, gamma, alpha) -> Kernel:
+    """Qubit states in a reservoir (see _reservoir_rates): populations
+    relax toward the steady state, and the real coherences of the initial
+    state decay at the sigma_x rate, half of x_rate."""
+    steady, pop_rate, x_rate, _ = _reservoir_rates(kind, strength, gamma)
+    pop_decay, coherence_decay = -pop_rate, -0.5 * x_rate
     excess, coherence = np.cos(alpha) ** 2 - steady, np.cos(alpha) * np.sin(alpha)
 
     def states(times):
         values = np.zeros((4, len(times)))
-        values[0] = steady + excess * np.exp(pop_rate * times)
+        values[0] = steady + excess * np.exp(pop_decay * times)
         values[1] = 1.0 - values[0]
         values[2] = coherence * np.exp(coherence_decay * times)
         return BlockState(QUBIT_BLOCKS, values)
 
     return states
-
-
-def _squeezed1_kernel(squeezing, gamma, alpha) -> Kernel:
-    """Qubit states in a squeezed reservoir; the real coherences of the
-    initial state decay at the sigma_x rate gamma exp(2r) / 2."""
-    occupation, x_rate, _ = _squeezed_rates(squeezing, gamma)
-    return _reservoir_qubit_kernel(occupation, gamma, 0.5 * x_rate, alpha)
 
 
 def _fock2_amplitudes(detuning, coupling, alpha):
@@ -283,21 +285,17 @@ def _reservoir_pair_kernel(kind, strength, gamma) -> Kernel:
     """Exact two-qubit states (Lambda_t x Lambda_t)(Bell) for independent,
     identical reservoirs, with Lambda_t the one-qubit closed form.
 
-    Each Lambda_t relaxes the excited population toward
-    occupation/(2 occupation + 1) and damps the sigma_x and sigma_y Bloch
-    components at gamma (occupation +- pair + 1/2), pair = cosh(r) sinh(r)
-    for squeezing (see _squeezed_rates) and 0 for a thermal reservoir. The
-    Bell state's sigma_x sigma_x and sigma_y sigma_y parts therefore decay
-    at twice those rates; they set the |eg><ge| and |ee><gg| coherences.
+    Each Lambda_t relaxes the excited population toward the steady state
+    and damps the sigma_x and sigma_y Bloch components at half of x_rate
+    and y_rate (see _reservoir_rates). The Bell state's sigma_x sigma_x and
+    sigma_y sigma_y parts therefore decay at x_rate and y_rate; they set
+    the |eg><ge| and |ee><gg| coherences.
     """
-    thermal = 2.0 * gamma * (strength + 0.5)
-    occupation, x_rate, y_rate = ((strength, thermal, thermal) if kind == "thermal"
-                                  else _squeezed_rates(strength, gamma))
-    steady = occupation / (2.0 * occupation + 1.0)
-    pop_rate, excited = -gamma * (2.0 * occupation + 1.0), 1.0 - steady
+    steady, pop_rate, x_rate, y_rate = _reservoir_rates(kind, strength, gamma)
+    pop_decay, excited = -pop_rate, 1.0 - steady
 
     def states(times):
-        pop_env = np.exp(pop_rate * times)
+        pop_env = np.exp(pop_decay * times)
         up_from_e, up_from_g = steady + excited * pop_env, steady * (1.0 - pop_env)
         down_from_e, down_from_g = 1.0 - up_from_e, 1.0 - up_from_g
         x_decay, y_decay = np.exp(-x_rate * times), np.exp(-y_rate * times)
@@ -339,16 +337,15 @@ def fock1_channel(p: FockParams) -> ChannelModel:
 
 
 def thermal1_channel(p: ThermalParams) -> ChannelModel:
-    """Occupation-parameterized channel for the thermal reservoir model;
-    coherences decay at gamma (m + 1/2)."""
+    """Occupation-parameterized channel for the thermal reservoir model."""
     return ChannelModel(p.mean_occupation, 0.0, QUBIT_BLOCKS,
-                        lambda v: _reservoir_qubit_kernel(v, p.gamma, p.gamma * (v + 0.5), p.alpha))
+                        lambda v: _reservoir_qubit_kernel("thermal", v, p.gamma, p.alpha))
 
 
 def squeezed1_channel(p: SqueezedParams) -> ChannelModel:
     """Squeezing-parameterized channel for the squeezed reservoir model."""
     return ChannelModel(p.squeezing, 0.0, QUBIT_BLOCKS,
-                        lambda v: _squeezed1_kernel(v, p.gamma, p.alpha))
+                        lambda v: _reservoir_qubit_kernel("squeezed", v, p.gamma, p.alpha))
 
 
 def fock2_channel(p: TwoQubitFockParams) -> ChannelModel:

@@ -1,11 +1,9 @@
-"""Quantum Fisher information: the parameter-derivative stencil, the
-closed-form QFI over the 2-blocks of a state, and the occupation-temperature
-relations."""
+"""Quantum Fisher information: the parameter-derivative stencil and the
+closed-form QFI over the 2-blocks of a state."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log1p
 
 import numpy as np
 
@@ -126,30 +124,4 @@ def qfi_blocks(rho: BlockState, drho: BlockState) -> QfiResult:
     for row in rows[2:]:
         total += row
     return QfiResult(np.maximum(total, 0.0, out=total), discarded)
-
-
-def occupation_from_temperature(temperature: float, freq_scale: float = 1.0) -> float:
-    """Bose occupation 1 / (exp(freq_scale / temperature) - 1)."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    return 1.0 / np.expm1(freq_scale / temperature)
-
-
-def temperature_from_occupation(occupation: float, freq_scale: float = 1.0) -> float:
-    """Inverse map T = freq_scale / ln(1 + 1/occupation)."""
-    if occupation <= 0.0:
-        raise ValueError("occupation must be positive to invert")
-    return freq_scale / log1p(1.0 / occupation)
-
-
-def occupation_slope(temperature: float, freq_scale: float = 1.0) -> float:
-    """d(occupation)/d(temperature) at the given temperature.
-
-    Evaluated as (freq_scale / T^2) m (m + 1), the overflow-safe form of
-    (freq_scale / T^2) exp(s/T) / (exp(s/T) - 1)^2.
-    """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    m = occupation_from_temperature(temperature, freq_scale)
-    return (freq_scale / temperature**2) * m * (m + 1.0)
 

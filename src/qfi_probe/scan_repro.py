@@ -25,13 +25,7 @@ from .probe_models import (
     squeezed1_channel,
     thermal1_channel,
 )
-from .qfi_engine import (
-    derivative,
-    derivative_taps,
-    occupation_slope,
-    qfi_blocks,
-    temperature_from_occupation,
-)
+from .qfi_engine import derivative, derivative_taps, qfi_blocks
 from .qstate import fidelity_bloch, reduced_bloch, validate_blocks
 
 # model id: (estimand, the ScanConfig fields the model reads in metadata
@@ -40,8 +34,7 @@ MODELS = {
     "fock1": ("detuning", ("alpha", "detuning", "coupling", "photons"),
               lambda c: fock1_channel(FockParams(c.detuning, c.coupling, c.photons, c.alpha))),
     "thermal1": ("temperature", ("alpha", "mean_occupation", "gamma", "freq_scale"),
-                 lambda c: thermal1_channel(
-                     ThermalParams(c.mean_occupation, c.gamma, c.alpha, c.freq_scale))),
+                 lambda c: thermal1_channel(ThermalParams(c.mean_occupation, c.gamma, c.alpha))),
     "squeezed1": ("squeezing", ("alpha", "squeezing", "gamma"),
                   lambda c: squeezed1_channel(SqueezedParams(c.squeezing, c.gamma, c.alpha))),
     "fock2": ("detuning", ("alpha", "detuning", "coupling"),
@@ -171,25 +164,25 @@ def build_channel(config: ScanConfig) -> ChannelModel:
 
 
 def _chain_factor(config: ScanConfig) -> float:
-    """Squared occupation-temperature slope for temperature estimation;
-    ValueError where it is not finite, as where T^2 under- or overflows."""
+    """(dm/dT)^2 for temperature estimation, where the occupation at
+    temperature T is m = 1 / (exp(s/T) - 1) and s is freq_scale. Taken
+    from m and s without forming T: dm/dT = g / s with
+    g = m (m + 1) ln^2(1 + 1/m), which lies in [0, 1). ValueError where
+    (g / s)^2 under- or overflows."""
     if config.estimand != "temperature":
         return 1.0
-    m = config.mean_occupation
-    temperature = temperature_from_occupation(m, config.freq_scale) if m > 0.0 else 0.0
-    if temperature == 0.0:
-        # zero-temperature limit (also reached when 1/m overflows):
-        # d(occupation)/dT vanishes faster than any power, so the
-        # temperature QFI is identically zero
+    m, s = config.mean_occupation, config.freq_scale
+    log = math.log1p(1.0 / m) if m > 0.0 else math.inf
+    g = (m * log) * ((m + 1.0) * log) if log < math.inf else 0.0
+    if g * g == 0.0:
+        # zero-temperature limit (also where 1/m overflows): dm/dT vanishes
+        # faster than any power of T, so the temperature QFI is zero
         return 0.0
-    try:
-        with np.errstate(over="ignore"):
-            factor = float(occupation_slope(temperature, config.freq_scale) ** 2)
-    except ArithmeticError:  # a Python float T^2 that under- or overflows
-        factor = math.inf
-    if not math.isfinite(factor):
-        raise ValueError(f"the temperature chain factor at freq_scale = {config.freq_scale!r}"
-                         f" and mean_occupation = {m!r} is not finite")
+    slope = g / s
+    factor = slope * slope  # not slope ** 2, which raises OverflowError
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise ValueError(f"the temperature chain factor at freq_scale = {s!r}"
+                         f" and mean_occupation = {m!r} under- or overflows")
     return factor
 
 

@@ -4,8 +4,9 @@ from block records, and independent oracles.
 The oracles here (the dense density-matrix validator, closed-form 2x2
 diagonalization, brute-force partial traces, fixed-step amplitude
 integration, the spectral, SLD and pure-state QFI, the Uhlmann fidelity,
-analytic reservoir derivatives, the sequential golden-section search, the
-loop form of the backflow detector, per-row f-string CSV formatting)
+analytic reservoir derivatives, the occupation-temperature relations, the
+sequential golden-section search, the loop form of the backflow detector,
+per-row f-string CSV formatting)
 deliberately avoid the package code paths they check. The record builder
 block_state, the grid wrapper d_rho_grid and the Cramer-Rao bound serve
 only the tests.
@@ -385,6 +386,28 @@ def squeezed1_dsqueezing(p: SqueezedParams, times):
     d_occ, d_pair = 2.0 * pair, 2.0 * occ + 1.0
     rate = g * (occ + pair + 0.5)
     return _reservoir_derivative(occ, d_occ, g, rate, g * (d_occ + d_pair), p.alpha, times)
+
+
+def occupation_from_temperature(temperature: float, freq_scale: float = 1.0) -> float:
+    """Bose occupation 1 / (exp(freq_scale / temperature) - 1)."""
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
+    return 1.0 / np.expm1(freq_scale / temperature)
+
+
+def temperature_from_occupation(occupation: float, freq_scale: float = 1.0) -> float:
+    """Inverse map T = freq_scale / ln(1 + 1/occupation)."""
+    if occupation <= 0.0:
+        raise ValueError("occupation must be positive to invert")
+    return freq_scale / math.log1p(1.0 / occupation)
+
+
+def occupation_slope(temperature: float, freq_scale: float = 1.0) -> float:
+    """d(occupation)/d(temperature) through the temperature:
+    (freq_scale / T^2) m (m + 1), the overflow-safe form of
+    (freq_scale / T^2) exp(s/T) / (exp(s/T) - 1)^2."""
+    m = occupation_from_temperature(temperature, freq_scale)
+    return (freq_scale / temperature**2) * m * (m + 1.0)
 
 
 def find_max_sequential(dataset):

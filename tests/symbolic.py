@@ -1,10 +1,13 @@
-"""Exact sympy forms of the reservoir models: the qubit master equation, its
-extension to two independent qubits, and the closed forms that
-probe_models evaluates, written out symbolically.
+"""Exact sympy forms of the probe models: the qubit master equation, its
+extension to two independent qubits, the interaction-picture Hamiltonians
+of the cavity models in their single-excitation sectors, and the closed
+forms that probe_models evaluates, written out symbolically.
 
 The tests prove, for symbolic occupation N, pair correlation M, decay rate
-gamma, angle alpha and time t >= 0, that each closed form solves its master
-equation identically and starts from the right state, and then check the
+gamma, angle alpha and time t >= 0, that each reservoir closed form solves
+its master equation identically and starts from the right state; and, for
+symbolic detuning and coupling, that each cavity closed form solves
+i d/dt C = H(t) C and starts from the right state. They then check the
 package's kernels against these forms lambdified to numpy. A squeezed
 vacuum of strength r has N = sinh(r)^2 and M = cosh(r) sinh(r); a thermal
 reservoir has M = 0. Basis orders follow qfi_probe.qstate: (|e>, |g>) for
@@ -19,6 +22,8 @@ N, M = sp.symbols("N M", nonnegative=True)
 GAMMA = sp.symbols("gamma", positive=True)
 ALPHA = sp.symbols("alpha", real=True)
 T = sp.symbols("t", nonnegative=True)
+DETUNING = sp.symbols("Delta", real=True)
+COUPLING, EXCHANGE = sp.symbols("g x", positive=True)
 
 SIGMA_MINUS = sp.Matrix([[0, 0], [1, 0]])
 SIGMA_PLUS = SIGMA_MINUS.T
@@ -82,6 +87,52 @@ def pair_state():
     return rho
 
 
+def fock1_hamiltonian():
+    """H(t) = (x/2)(exp(i Delta t)|e,n><g,n+1| + h.c.) on (|e,n>, |g,n+1>),
+    with x = 2 g sqrt(n + 1)."""
+    phase = sp.exp(sp.I * DETUNING * T)
+    return EXCHANGE / 2 * sp.Matrix([[0, phase], [1 / phase, 0]])
+
+
+def fock1_amplitudes():
+    """The closed form of probe_models._fock1_amplitudes, the column
+    (b1, b2) on (|e,n>, |g,n+1>) from cos(alpha)|e,n> + sin(alpha)|g,n+1>;
+    it oscillates at w = sqrt(x^2 + Delta^2)."""
+    w = sp.sqrt(EXCHANGE**2 + DETUNING**2)
+    c, s = sp.cos(w * T / 2), sp.sin(w * T / 2)
+    ca, sa = sp.cos(ALPHA), sp.sin(ALPHA)
+    half = sp.exp(sp.I * DETUNING * T / 2)
+    return sp.Matrix([half * (ca * (c - sp.I * DETUNING / w * s) - sp.I * sa * EXCHANGE / w * s),
+                      (sa * (c + sp.I * DETUNING / w * s) - sp.I * ca * EXCHANGE / w * s) / half])
+
+
+def fock2_hamiltonian():
+    """H(t) = g exp(i Delta t)(|eg,0> + |ge,0>)<gg,1| + h.c. on
+    (|eg,0>, |ge,0>, |gg,1>)."""
+    phase = sp.exp(sp.I * DETUNING * T)
+    return COUPLING * sp.Matrix([[0, 0, phase], [0, 0, phase], [1 / phase, 1 / phase, 0]])
+
+
+def fock2_amplitudes():
+    """The closed form of probe_models._fock2_amplitudes, the column
+    (C_eg, C_ge, C_gg) from cos(alpha)|eg,0> + sin(alpha)|ge,0>: the
+    antisymmetric part is dark, and the symmetric part exchanges with
+    |gg,1> at w = sqrt(8 g^2 + Delta^2)."""
+    w = sp.sqrt(8 * COUPLING**2 + DETUNING**2)
+    c, s = sp.cos(w * T / 2), sp.sin(w * T / 2)
+    ca, sa = sp.cos(ALPHA), sp.sin(ALPHA)
+    half = sp.exp(sp.I * DETUNING * T / 2)
+    symmetric = (ca + sa) / 2 * (c - sp.I * DETUNING / w * s) * half
+    antisymmetric = (ca - sa) / 2
+    gg = -(ca + sa) * 2 * sp.I * COUPLING / w * s / half
+    return sp.Matrix([symmetric + antisymmetric, symmetric - antisymmetric, gg])
+
+
+def evolves(amplitudes, hamiltonian) -> bool:
+    """Whether i d/dt C - H(t) C is identically 0."""
+    return vanishes(sp.I * amplitudes.diff(T) - hamiltonian * amplitudes)
+
+
 def generic_matrix(name, dim=2):
     """A dim x dim matrix of independent complex symbols."""
     return sp.Matrix(dim, dim, lambda i, j: sp.Symbol(f"{name}{i}{j}"))
@@ -112,6 +163,20 @@ def lambdified(rho):
         return np.moveaxis(stack.reshape(rho.shape + times.shape), -1, 0)
 
     return states
+
+
+def lambdified_amplitudes(column, rate):
+    """An amplitude column as a numpy function of (detuning, rate, alpha,
+    times[K]) giving the complex array of shape (K, d); rate is the symbol
+    EXCHANGE (fock1) or COUPLING (fock2)."""
+    entries = sp.lambdify((DETUNING, rate, ALPHA, T), list(column), "numpy")
+
+    def amplitudes(detuning, value, alpha, times):
+        times = np.asarray(times, dtype=float)
+        values = entries(detuning, value, alpha, times)
+        return np.stack([np.broadcast_to(v, times.shape) for v in values], axis=-1).astype(complex)
+
+    return amplitudes
 
 
 def squeezed_states(rho, digits=40):

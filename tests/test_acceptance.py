@@ -23,12 +23,14 @@ from helpers import (
     dense,
     fock1_amplitudes,
     fock2_amplitudes,
+    occupation_slope,
     qfi_pure_oracle,
     qfi_sld_oracle,
     qfi_spectral,
     random_density,
     random_hermitian_traceless,
     record,
+    temperature_from_occupation,
 )
 from qfi_probe.probe_models import (
     FockParams,
@@ -40,11 +42,7 @@ from qfi_probe.probe_models import (
     squeezed1_channel,
     thermal1_channel,
 )
-from qfi_probe.qfi_engine import (
-    occupation_slope,
-    qfi_blocks,
-    temperature_from_occupation,
-)
+from qfi_probe.qfi_engine import qfi_blocks
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     ScanConfig,

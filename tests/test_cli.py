@@ -41,8 +41,8 @@ DEFAULT_METADATA = {
                   "squeezing=0.10000000000000001", "gamma=1"],
 }
 
-# what the point commands printed for seeded_queries() before the parser
-# was built once per process: "argv<TAB>stdout" per line
+# what the point commands printed for seeded_queries(), "argv<TAB>stdout"
+# per line; test_prints_the_recorded_bytes names the lines that moved
 POINT_OUTPUTS = Path(__file__).with_name("cli_point_outputs.tsv")
 # the range each model flag is drawn from (alpha in degrees, photons an
 # integer)
@@ -224,6 +224,8 @@ class TestScanCommand:
         (["--model", "squeezed1", "--r", "400"], "squeezing"),
         (["--model", "squeezed2", "--r", "400"], "squeezing"),
         (["--model", "squeezed2", "--r", "20", "--gamma", "1e300"], "squeezing"),
+        (["--model", "thermal1", "--m", "1", "--gamma", "1e308"], "mean_occupation"),
+        (["--model", "thermal2", "--m", "1", "--gamma", "1e308"], "mean_occupation"),
     ])
     @pytest.mark.parametrize("command", ["qfi", "fidelity"])
     def test_out_of_domain_value_exits_2(self, capsys, command, argv, name):
@@ -342,7 +344,10 @@ class TestPointCommands:
 
     def test_prints_the_recorded_bytes(self, capsys):
         # squeezed2 QFI moved when its decay rates became exact, by at most
-        # 1e-12 relative on these draws; every other output is unchanged
+        # 1e-12 relative on these draws; the thermal QFI lines were
+        # re-recorded when the chain factor stopped forming the temperature
+        # (7 lines moved, by at most 1.4e-15 relative); every other output
+        # is unchanged
         recorded = [line.split("\t") for line in POINT_OUTPUTS.read_text().splitlines()]
         queries = seeded_queries()
         assert [" ".join(argv) for argv, *_ in queries] == [argv for argv, _ in recorded]

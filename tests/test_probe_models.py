@@ -95,6 +95,15 @@ class TestThermalOneQubit:
                 state.matrix, np.diag([1.0 / 12.0, 11.0 / 12.0]), atol=1e-10
             )
 
+    def test_no_freq_scale_field(self):
+        # the states do not depend on the frequency scale, which only the
+        # temperature chain factor of scan_repro reads; the benchmark builds
+        # the class positionally
+        assert ThermalParams(0.1, 1.0, 0.3) == ThermalParams(
+            mean_occupation=0.1, gamma=1.0, alpha=0.3)
+        with pytest.raises(TypeError, match="freq_scale"):
+            ThermalParams(0.1, 1.0, freq_scale=1.0)
+
     def test_vacuum_limit_equals_squeezed_vacuum(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
@@ -209,7 +218,6 @@ def test_numpy_integer_photons_accepted():
         lambda bad: FockParams(detuning=5.0, coupling=bad),
         lambda bad: ThermalParams(bad, 1.0),
         lambda bad: ThermalParams(0.1, bad),
-        lambda bad: ThermalParams(0.1, 1.0, freq_scale=bad),
         lambda bad: SqueezedParams(bad, 1.0),
         lambda bad: SqueezedParams(0.1, 1.0, alpha=bad),
         lambda bad: TwoQubitFockParams(detuning=bad),

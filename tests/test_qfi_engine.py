@@ -14,6 +14,8 @@ from helpers import (
     d_rho_grid,
     dense,
     fock1_amplitudes,
+    occupation_from_temperature,
+    occupation_slope,
     qfi_pure_oracle,
     qfi_sld_oracle,
     qfi_spectral,
@@ -22,6 +24,7 @@ from helpers import (
     random_unitary,
     record,
     squeezed1_dsqueezing,
+    temperature_from_occupation,
     thermal1_doccupation,
     validate_density,
 )
@@ -36,13 +39,7 @@ from qfi_probe.probe_models import (
     squeezed1_channel,
     thermal1_channel,
 )
-from qfi_probe.qfi_engine import (
-    fd_step,
-    occupation_from_temperature,
-    occupation_slope,
-    qfi_blocks,
-    temperature_from_occupation,
-)
+from qfi_probe.qfi_engine import fd_step, qfi_blocks
 from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, validate_blocks
 from qfi_probe.scan_repro import MODELS, ScanConfig, build_channel, time_grid
 

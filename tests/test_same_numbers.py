@@ -27,31 +27,31 @@ FIGURE_MAXIMA = {
     "1a/alpha45": ("0x1.9000000000000p+6", "0x1.278bf8a2167bdp+10"),
     "1b/alpha0": ("0x1.8cb2a277aea8dp+6", "0x1.2617aba738e87p+10"),
     "1b/alpha45": ("0x1.9000000000000p+6", "0x1.278bf8a2167bdp+10"),
-    "2a/alpha0": ("0x1.f0b580a9d2ba2p+4", "0x1.4344485b36d9fp+1"),
-    "2a/alpha45": ("0x1.634be318e02c7p+3", "0x1.43448b41c9414p+1"),
-    "2b/alpha0": ("0x1.f0b580a9d2ba2p+4", "0x1.4344485b36d9fp+1"),
-    "2b/alpha45": ("0x1.634be318e02c7p+3", "0x1.43448b41c9414p+1"),
+    "2a/alpha0": ("0x1.f0b580a9d2ba2p+4", "0x1.4344485b36da1p+1"),
+    "2a/alpha45": ("0x1.634be318e02c7p+3", "0x1.43448b41c9416p+1"),
+    "2b/alpha0": ("0x1.f0b580a9d2ba2p+4", "0x1.4344485b36da1p+1"),
+    "2b/alpha45": ("0x1.634be318e02c7p+3", "0x1.43448b41c9416p+1"),
     "3a/alpha0": ("0x1.322bfe182b121p+5", "0x1.ec0dd369dc9d4p+1"),
     "3a/alpha45": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d4p+1"),
     "3b/alpha0": ("0x1.322bfe182b121p+5", "0x1.ec0dd369dc9d4p+1"),
     "3b/alpha45": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d4p+1"),
     "4a/one_qubit": ("0x1.9000000000000p+6", "0x1.278bf8a2167bdp+10"),
     "4a/two_qubit": ("0x1.8e21ce5bbb6b7p+6", "0x1.c6d9113be5c2ap+10"),
-    "4b/one_qubit": ("0x1.634be318e02c7p+3", "0x1.43448b41c9414p+1"),
-    "4b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a945p+2"),
+    "4b/one_qubit": ("0x1.634be318e02c7p+3", "0x1.43448b41c9416p+1"),
+    "4b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a946p+2"),
     "4c/one_qubit": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d4p+1"),
     "4c/two_qubit": ("0x1.1529c3a55f243p+5", "0x1.ec0dd369e15adp+2"),
     "5a/one_qubit": ("0x1.9000000000000p+6", "0x1.278bf8a2167bdp+10"),
     "5a/two_qubit": ("0x1.8e21ce5bbb6b7p+6", "0x1.c6d9113be5c2ap+10"),
-    "5b/one_qubit": ("0x1.634be318e02c7p+3", "0x1.43448b41c9414p+1"),
-    "5b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a945p+2"),
+    "5b/one_qubit": ("0x1.634be318e02c7p+3", "0x1.43448b41c9416p+1"),
+    "5b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a946p+2"),
     "5c/one_qubit": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d4p+1"),
     "5c/two_qubit": ("0x1.1529c3a55f243p+5", "0x1.ec0dd369e15adp+2"),
 }
 # find_max (t, qfi) of the scans of seeded_reservoir_configs, as float.hex
 SEEDED_MAXIMA = {
-    0: ("0x1.6231a830e658ap+4", "0x1.26fb5a2bbc37ap+2"),  # thermal2
-    1: ("0x1.e8d9fa5278ed7p+4", "0x1.fdd8d39a1ce61p+2"),  # thermal2
+    0: ("0x1.6231a830e658ap+4", "0x1.26fb5a2bbc37ep+2"),  # thermal2
+    1: ("0x1.e8d9fa5278ed7p+4", "0x1.fdd8d39a1ce68p+2"),  # thermal2
     2: ("0x1.44a6030ca29e9p+4", "0x1.fc873c91a60e0p+2"),  # squeezed2
     3: ("0x1.3dada6e59f90cp+2", "0x1.422cdd320d2d1p+2"),  # squeezed2
 }

@@ -5,13 +5,18 @@ in the acceptance suite."""
 import math
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 
-from helpers import backflow_intervals_loop, find_max_sequential
+from helpers import (
+    backflow_intervals_loop,
+    find_max_sequential,
+    occupation_slope,
+    temperature_from_occupation,
+)
 from qfi_probe import scan_repro
 from qfi_probe.probe_models import FIELD_DOMAINS, TwoQubitFockParams, fock2_channel
-from qfi_probe.qfi_engine import occupation_slope, temperature_from_occupation
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     FIGURE_TAGS,
@@ -89,8 +94,8 @@ class TestScanConfig:
     @pytest.mark.parametrize("model", ["thermal1", "thermal2"])
     @pytest.mark.parametrize("freq_scale", [1e-300, 1e-155, 1e300])
     def test_chain_factor_not_finite_raises(self, model, freq_scale):
-        # T^2 underflows (1e-300), the factor overflows (1e-155) or T^2
-        # overflows (1e300): no QFI is a plausible number there
+        # (g/s)^2 overflows (1e-300, 1e-155) or underflows to 0 (1e300):
+        # no QFI is a plausible number there
         config = ScanConfig(model, freq_scale=freq_scale)
         with pytest.raises(ValueError, match="chain factor"):
             point_qfi(config, 1.0)
@@ -145,6 +150,48 @@ class TestScanConfig:
     def test_nonfinite_point_time_raises(self):
         with pytest.raises(ValueError):
             point_qfi(ScanConfig("thermal1"), np.nan)
+
+
+class TestChainFactor:
+    """scan_repro._chain_factor, (dm/dT)^2 from m and s = freq_scale."""
+
+    def test_against_mpmath_derivative(self):
+        # dm/dT of m(T) = 1 / (exp(s/T) - 1), differentiated numerically at
+        # 50 digits at T = s / ln(1 + 1/m). The factor is within 1.1e-15 of
+        # it; the round trip through T (helpers.occupation_slope) is off by
+        # up to 4.9e-15
+        rng = np.random.default_rng(20)
+        draws = zip(10.0 ** rng.uniform(-6.0, 3.0, 1000), 10.0 ** rng.uniform(-3.0, 3.0, 1000))
+        worst = 0.0
+        with mpmath.workdps(50):
+            for k, (m, s) in enumerate(draws):
+                config = ScanConfig(("thermal1", "thermal2")[k % 2], mean_occupation=float(m),
+                                    freq_scale=float(s))
+                big_m, big_s = mpmath.mpf(float(m)), mpmath.mpf(float(s))
+                slope = mpmath.diff(lambda t: 1 / (mpmath.exp(big_s / t) - 1),
+                                    big_s / mpmath.log(1 + 1 / big_m))
+                worst = max(worst, abs(float(scan_repro._chain_factor(config) / slope**2) - 1.0))
+        assert worst <= 2e-15
+
+    @pytest.mark.parametrize("model", ["thermal1", "thermal2"])
+    @pytest.mark.parametrize("m", [0.0, 2.2e-311, 1e-300])
+    def test_zero_temperature_limit(self, model, m):
+        # m = 0, 1/m overflowing (2.2e-311) and g^2 underflowing (1e-300)
+        assert scan_repro._chain_factor(ScanConfig(model, mean_occupation=m)) == 0.0
+
+    @pytest.mark.parametrize("model", ["fock1", "squeezed1", "fock2", "squeezed2"])
+    def test_one_for_other_estimands(self, model):
+        assert scan_repro._chain_factor(ScanConfig(model)) == 1.0
+
+    @pytest.mark.parametrize("freq_scale", [3.5e154, 1e157, 2.9e161])
+    def test_tiny_factor_where_the_temperature_square_overflowed(self, freq_scale):
+        # T^2 = (s / ln(1 + 1/m))^2 overflows here, so no factor formed
+        # through T exists; (g/s)^2 is a subnormal number, and the QFI a
+        # tiny nonnegative one
+        config = ScanConfig("thermal1", freq_scale=freq_scale)
+        factor = scan_repro._chain_factor(config)
+        assert 0.0 < factor < 1e-300
+        assert 0.0 <= point_qfi(config, 1.0) < 1e-300
 
 
 class TestScan:

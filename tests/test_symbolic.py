@@ -1,29 +1,42 @@
-"""Exact checks of the reservoir master equation in tests/symbolic.py: its
-generator against the hand-written element-wise equations, the invariants
-it preserves, its coherence decay rates, jump operators and steady state,
-and the structure of the closed forms. Acceptance criterion 2 proves the
-closed forms against it."""
+"""Exact checks of the forms in tests/symbolic.py. For the reservoir master
+equation: its generator against the hand-written element-wise equations,
+the invariants it preserves, its coherence decay rates, jump operators and
+steady state, and the structure of the closed forms; acceptance criterion 2
+proves the closed forms against it. For the cavity models: proofs that the
+closed-form amplitudes solve the Schrodinger equation of their
+single-excitation sector, and the package's amplitudes against them."""
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from helpers import dense
+from helpers import dense, fock1_amplitudes, fock2_amplitudes
 from qfi_probe.probe_models import (
+    FockParams,
     SqueezedParams,
+    TwoQubitFockParams,
     TwoQubitReservoirParams,
     reservoir_pair_channel,
     squeezed1_channel,
 )
 from symbolic import (
     ALPHA,
+    COUPLING,
+    EXCHANGE,
     GAMMA,
     SIGMA_MINUS,
     SIGMA_PLUS,
     M,
     N,
+    T,
+    evolves,
+    fock1_amplitudes as fock1_form,
+    fock1_hamiltonian,
+    fock2_amplitudes as fock2_form,
+    fock2_hamiltonian,
     generic_matrix,
     lambdified,
+    lambdified_amplitudes,
     pair_generator,
     pair_state,
     qubit_generator,
@@ -194,3 +207,36 @@ def test_closed_form_is_a_density_matrix(form):
         np.testing.assert_allclose(np.trace(rows, axis1=1, axis2=2), 1.0, atol=1e-14)
         np.testing.assert_array_equal(rows, rows.conj().transpose(0, 2, 1))
         assert np.linalg.eigvalsh(rows).min() >= -1e-14
+
+
+@pytest.mark.parametrize("form, hamiltonian", [(fock1_form, fock1_hamiltonian),
+                                               (fock2_form, fock2_hamiltonian)],
+                         ids=["fock1", "fock2"])
+def test_cavity_amplitudes_solve_schrodinger(form, hamiltonian):
+    # for symbolic detuning, coupling, alpha and t: i dC/dt = H(t) C
+    # identically, from cos(alpha) and sin(alpha) on the first two states
+    amplitudes = form()
+    assert evolves(amplitudes, hamiltonian())
+    initial = [sp.cos(ALPHA), sp.sin(ALPHA), 0][:amplitudes.rows]
+    assert vanishes(amplitudes.subs(T, 0) - sp.Matrix(initial))
+
+
+def test_cavity_amplitude_kernels_match_forms():
+    # seeded parameters over the ranges of the other fock tests, times to 50
+    rng = np.random.default_rng(20)
+    times = np.concatenate(([0.0, 50.0], rng.uniform(0.0, 50.0, size=30)))
+    one = lambdified_amplitudes(fock1_form(), EXCHANGE)
+    two = lambdified_amplitudes(fock2_form(), COUPLING)
+    worst = 0.0
+    for _ in range(10):
+        detuning, coupling = rng.uniform(-10.0, 10.0), rng.uniform(0.2, 3.0)
+        alpha, photons = rng.uniform(0.0, np.pi / 2), int(rng.integers(0, 5))
+        exchange = 2.0 * coupling * np.sqrt(photons + 1.0)
+        for got, want in (
+            (fock1_amplitudes(FockParams(detuning, coupling, photons, alpha), times),
+             one(detuning, exchange, alpha, times)),
+            (fock2_amplitudes(TwoQubitFockParams(detuning, coupling, alpha), times),
+             two(detuning, coupling, alpha, times)),
+        ):
+            worst = max(worst, float(np.abs(np.stack(got, axis=-1) - want).max()))
+    assert worst <= 1e-13
