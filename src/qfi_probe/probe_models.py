@@ -237,9 +237,10 @@ def _reservoir_qubit_kernel(kind, strength, gamma, alpha) -> Kernel:
 
     def states(times):
         values = np.zeros((4, len(times)))
-        values[0] = steady + excess * np.exp(pop_decay * times)
+        with np.errstate(over="ignore"):  # rate * t past the double range: exp(-inf) = 0
+            values[0] = steady + excess * np.exp(pop_decay * times)
+            values[2] = coherence * np.exp(coherence_decay * times)
         values[1] = 1.0 - values[0]
-        values[2] = coherence * np.exp(coherence_decay * times)
         return BlockState(QUBIT_BLOCKS, values)
 
     return states
@@ -295,10 +296,11 @@ def _reservoir_pair_kernel(kind, strength, gamma) -> Kernel:
     pop_decay, excited = -pop_rate, 1.0 - steady
 
     def states(times):
-        pop_env = np.exp(pop_decay * times)
+        with np.errstate(over="ignore"):  # rate * t past the double range: exp(-inf) = 0
+            pop_env = np.exp(pop_decay * times)
+            x_decay, y_decay = np.exp(-x_rate * times), np.exp(-y_rate * times)
         up_from_e, up_from_g = steady + excited * pop_env, steady * (1.0 - pop_env)
         down_from_e, down_from_g = 1.0 - up_from_e, 1.0 - up_from_g
-        x_decay, y_decay = np.exp(-x_rate * times), np.exp(-y_rate * times)
         values = np.zeros((8, len(times)))
         values[0] = values[2] = 0.5 * (up_from_e * down_from_g + up_from_g * down_from_e)
         values[1], values[3] = up_from_e * up_from_g, down_from_e * down_from_g

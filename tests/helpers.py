@@ -554,8 +554,8 @@ def backflow_intervals_loop(dataset):
 
 
 def csv_fstring(dataset, header="t,qfi,fidelity"):
-    """CSV text with one f-string per row, the formatting emit_csv
-    replaced."""
+    """CSV text with one f-string per row: the reference for the bytes
+    emit_csv writes, which must match it exactly."""
     lines = [f"# {key}={value}" for key, value in dataset.metadata.items()]
     lines.append(header)
     for t, q, f in zip(dataset.t, dataset.qfi, dataset.fidelity):

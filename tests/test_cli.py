@@ -1,5 +1,8 @@
 """Tests for the command-line interface and CSV serialization."""
 
+import contextlib
+import decimal
+import io
 import math
 import os
 import subprocess
@@ -9,17 +12,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import csv_fstring
 from qfi_probe import cli
 from qfi_probe.cli import MODEL_FLAGS, build_parser, emit_csv, parse_csv, run
 from qfi_probe.scan_repro import (
+    FIGURE_TAGS,
     MODEL_IDS,
     MODELS,
     ScanConfig,
     ScanDataset,
     point_fidelity,
     point_qfi,
+    reproduce_figure,
     scan,
 )
 
@@ -76,6 +83,31 @@ def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
 
 
+def emitted(t, qfi, fidelity):
+    """What emit_csv writes to stdout for these columns."""
+    dataset = ScanDataset(*(np.asarray(c, dtype=float) for c in (t, qfi, fidelity)), {"model": "x"})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit_csv(dataset, None)
+    return out.getvalue(), csv_fstring(dataset)
+
+
+def exact_ties(count_per_k=200, seed=23):
+    """Doubles a = j / 2**(k + 1), j odd, k = 1..20, whose exact decimal
+    has 18 significant digits ending in 5: %.17g rounds a tie, half to
+    even. Each k fills the decade [10**(16 - k), 10**(17 - k)), so the
+    integer and the k + 1 fraction digits make 18; j < 2**53 is exact."""
+    rng = np.random.default_rng(seed)
+    ties = []
+    for k in range(1, 21):
+        scale = 2 ** (k + 1)
+        first = -(-scale * 10 ** 16 // 10 ** k)  # ceil(scale * 10**(16 - k))
+        stop = min(scale * 10 ** 17 // 10 ** k, 2 ** 53)
+        for half in rng.integers(first // 2, (stop - 1) // 2, count_per_k).tolist():
+            ties.append((2 * half + 1) / scale)
+    return np.array(ties)
+
+
 class TestEmitParse:
     def test_layout(self, tmp_path):
         dataset = scan(ScanConfig("thermal1", points=2, t_max=1.0))
@@ -122,6 +154,46 @@ class TestEmitParse:
         text = out.read_text(encoding="utf-8")
         assert text == csv_fstring(dataset)
         assert "\n-0,0.10000000000000001,0\n" in text and "4.9406564584124654e-324" in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(st.floats(), st.floats(-1e16, 1e16))] * 3),
+                    max_size=40))
+    def test_rows_are_17g_on_any_doubles(self, rows):
+        # nan, inf, -0.0 and subnormals take the per-cell path, the rest the
+        # vectorised one; both must print what %.17g prints
+        text, expected = emitted(*np.array(rows).reshape(-1, 3).T)
+        assert text == expected
+
+    def test_rows_round_exact_ties_half_to_even(self):
+        ties = exact_ties()
+        assert len(ties) == 4000
+        for a in ties.tolist():
+            digits = decimal.Decimal(a).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        text, expected = emitted(ties, -ties, ties[::-1])
+        assert text == expected
+
+    def test_rows_at_powers_of_ten(self):
+        # each 10**e and its two neighbouring doubles, both signs, across
+        # the fixed-notation range of %.17g and past both of its ends
+        tens = np.array([float(f"1e{e}") for e in range(-6, 18)])
+        values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        text, expected = emitted(values, -values, values[::-1])
+        assert text == expected
+
+    def test_rows_that_carry_into_the_next_decade(self):
+        # doubles just below 10**e that %.17g rounds up to 10**e (all lie
+        # outside [1e-4, 1e16)), and the largest double below each 10**e
+        # inside it, which keeps its seventeen 9s
+        exponents = (-305, -243, -176, -79, -73, -14, 98, 129, 153)
+        carry = np.array([float(f"1e{e}") for e in exponents])
+        assert all(decimal.Decimal(v) < 10 ** decimal.Decimal(e)
+                   for v, e in zip(carry.tolist(), exponents))
+        below = np.nextafter(np.array([float(f"1e{e}") for e in range(-3, 17)]), 0.0)
+        text, expected = emitted(np.concatenate([carry, below]), np.concatenate([below, carry]),
+                                 -np.concatenate([carry, below]))
+        assert text == expected
+        assert "\n1e-14," in text and "\n0.099999999999999992," in text
 
     @pytest.mark.parametrize("model", MODEL_IDS)
     def test_default_metadata_lines(self, tmp_path, model):
@@ -300,6 +372,14 @@ class TestFigureCommand:
         assert run(["figure", "--tag", "7q", "--out", "x.csv"]) == 2
         assert "--tag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tag", FIGURE_TAGS)
+    def test_files_are_17g_rows(self, tmp_path, tag):
+        # fig 1a's QFI column near t_min prints in scientific notation
+        assert run(["figure", "--tag", tag, "--out", str(tmp_path / "fig.csv")]) == 0
+        for dataset in reproduce_figure(tag):
+            path = tmp_path / f"fig_{dataset.metadata['series']}.csv"
+            assert path.read_bytes() == csv_fstring(dataset).encode("utf-8")
+
 
 class TestPointCommands:
     def test_qfi_single_point(self, capsys):
@@ -316,6 +396,21 @@ class TestPointCommands:
         value = float(capsys.readouterr().out.strip())
         # pure reference state: f = (1 + 2 rho_12) / 2
         assert value == pytest.approx(0.5 * (1.0 + np.exp(-0.6)), abs=1e-10)
+
+    @pytest.mark.parametrize("argv, steady", [
+        (["qfi", "--model", "thermal1"], "2.5255213208507441\n"),
+        (["fidelity", "--model", "thermal2"], "0.77638539919628347\n"),
+    ])
+    def test_decay_exponent_past_the_double_range(self, capsys, argv, steady):
+        # rate * t = 1e310 overflows to inf, and exp(-inf) = 0 is the
+        # steady state; t = 1 reaches it without overflowing
+        argv = argv + ["--gamma", "1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--t", "1e10"]) == 0
+            assert capsys.readouterr() == (steady, "")
+            assert run(argv + ["--t", "1"]) == 0
+            assert capsys.readouterr() == (steady, "")
 
     def test_nonpositive_time_rejected(self, capsys):
         assert run(["qfi", "--model", "thermal1", "--t", "0"]) == 2

@@ -506,6 +506,19 @@ class TestReproduceFigure:
         one, two = reproduce_figure("5b", points=60)
         assert np.all(two.fidelity >= one.fidelity)
 
+    def test_series_that_share_data(self):
+        # the 24 series hold 9 distinct scans: 1a = 1b, 2a = 2b, 3a = 3b,
+        # 5x = 4x, and the one_qubit series of 4a-4c are the alpha45
+        # series of 1a-3a; only the figure metadata tells them apart
+        figures = {tag: reproduce_figure(tag, points=50) for tag in FIGURE_TAGS}
+        same = [(f"{n}a", f"{n}b") for n in "123"] + [(f"4{k}", f"5{k}") for k in "abc"]
+        pairs = [(a, b, i, i) for a, b in same for i in (0, 1)]
+        pairs += [(f"{n}a", f"4{k}", 1, 0) for n, k in zip("123", "abc")]
+        for a, b, i, j in pairs:
+            first, second = figures[a][i], figures[b][j]
+            for name in ("t", "qfi", "fidelity"):
+                assert np.array_equal(getattr(first, name), getattr(second, name)), (a, b, name)
+
 
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_no_eigensolver_in_the_hot_path(model, monkeypatch):
