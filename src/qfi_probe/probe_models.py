@@ -12,9 +12,11 @@ models (coupling defaults to 1), decay-rate units for the reservoir models.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -41,10 +43,10 @@ _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def require_finite(params) -> None:
-    """Reject a dataclass instance carrying a NaN or infinite number."""
+    """Reject a dataclass instance carrying a NaN, an infinity or an int past the doubles."""
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
+        if isinstance(value, numbers.Real) and not abs(value) <= sys.float_info.max:
             raise ValueError(f"{f.name} = {value} is not finite")
 
 
@@ -194,20 +196,29 @@ def _reservoir_rates(kind, strength, gamma) -> tuple[float, float, float, float]
     return occupation / (2.0 * occupation + 1.0), pop_rate, x_rate, y_rate
 
 
+def _dressed_rate(rate, detuning, coupling) -> float:
+    """rate(), the dressed rate of a cavity kernel, or ValueError where it overflows."""
+    with contextlib.suppress(OverflowError):  # from a Python float's **; x * x moves last bits
+        if math.isfinite(value := float(rate())):
+            return value
+    raise ValueError(f"detuning = {detuning!r} at coupling = {coupling!r} overflows the rate")
+
+
 def _fock1_amplitudes(detuning, coupling, photons, alpha):
     """times -> the excited/ground amplitudes (b1, b2) of the
     single-excitation sector. They oscillate at the dressed rate
     sqrt((2 coupling sqrt(photons + 1))^2 + detuning^2)."""
-    exchange = 2.0 * coupling * np.sqrt(photons + 1.0)
-    wd = float(np.hypot(exchange, detuning))
+    exchange = 2.0 * coupling * math.sqrt(photons + 1.0)  # Python floats overflow silently
+    wd = _dressed_rate(lambda: np.hypot(exchange, detuning), detuning, coupling)
     ca, sa = np.cos(alpha), np.sin(alpha)
     i_ratio_d, half_detuning = 1j * (detuning / wd), 0.5j * detuning
     i_sa_ratio_x, i_ca_ratio_x = 1j * sa * (exchange / wd), 1j * ca * (exchange / wd)
 
     def amplitudes(t):
-        half = 0.5 * wd * t
-        c, s = np.cos(half), np.sin(half)
-        phase = np.exp(half_detuning * t)
+        with np.errstate(over="ignore", invalid="ignore"):  # a phase past the double range: NaN
+            half = 0.5 * wd * t
+            c, s = np.cos(half), np.sin(half)
+            phase = np.exp(half_detuning * t)
         b1 = phase * (ca * (c - i_ratio_d * s) - i_sa_ratio_x * s)
         b2 = np.conj(phase) * (sa * (c + i_ratio_d * s) - i_ca_ratio_x * s)
         return b1, b2
@@ -250,17 +261,18 @@ def _fock2_amplitudes(detuning, coupling, alpha):
     """times -> the amplitudes (C_eg, C_ge, C_gg) of the two-qubit
     single-excitation sector. They oscillate at the collective rate
     sqrt(8 coupling^2 + detuning^2)."""
-    wd = float(np.sqrt(8.0 * coupling**2 + detuning**2))
+    wd = _dressed_rate(lambda: np.sqrt(8.0 * coupling**2 + detuning**2), detuning, coupling)
     ca, sa = np.cos(alpha), np.sin(alpha)
     symmetric_weight, antisymmetric = 0.5 * (ca + sa), 0.5 * (ca - sa)
     i_ratio_d, half_detuning = 1j * (detuning / wd), 0.5j * detuning
     gg_weight, gg_detuning = -(ca + sa) * (2.0j * coupling / wd), -0.5j * detuning
 
     def amplitudes(t):
-        half = 0.5 * wd * t
-        c, s = np.cos(half), np.sin(half)
-        symmetric = symmetric_weight * (c - i_ratio_d * s) * np.exp(half_detuning * t)
-        c_gg = gg_weight * s * np.exp(gg_detuning * t)
+        with np.errstate(over="ignore", invalid="ignore"):  # a phase past the double range: NaN
+            half = 0.5 * wd * t
+            c, s = np.cos(half), np.sin(half)
+            symmetric = symmetric_weight * (c - i_ratio_d * s) * np.exp(half_detuning * t)
+            c_gg = gg_weight * s * np.exp(gg_detuning * t)
         return symmetric + antisymmetric, symmetric - antisymmetric, c_gg
 
     return amplitudes

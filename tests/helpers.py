@@ -2,14 +2,15 @@
 from block records, and independent oracles.
 
 The oracles here (the dense density-matrix validator, closed-form 2x2
-diagonalization, brute-force partial traces, fixed-step amplitude
-integration, the spectral, SLD and pure-state QFI, the Uhlmann fidelity,
-analytic reservoir derivatives, the occupation-temperature relations, the
-sequential golden-section search, the loop form of the backflow detector,
-per-row f-string CSV formatting)
-deliberately avoid the package code paths they check. The record builder
-block_state, the grid wrapper d_rho_grid and the Cramer-Rao bound serve
-only the tests.
+diagonalization, brute-force partial traces, the spectral, SLD and
+pure-state QFI of arbitrary states, the Uhlmann fidelity, the
+sequential golden-section search,
+the loop form of the backflow detector, per-row f-string CSV formatting,
+and the dense stencil that pins the record stencil's bits) deliberately
+avoid the package code paths they check. The models' states, derivatives,
+QFI and fidelity have one exact oracle, symbolic.exact. The record
+builder block_state, the grid wrapper d_rho_grid and the Cramer-Rao bound
+serve only the tests.
 """
 
 import math
@@ -19,8 +20,6 @@ import numpy as np
 
 from qfi_probe.probe_models import (
     FockParams,
-    SqueezedParams,
-    ThermalParams,
     TwoQubitFockParams,
     _fock1_amplitudes,
     _fock2_amplitudes,
@@ -345,71 +344,6 @@ def cramer_rao(bound_input: CramerRaoInput) -> float:
     return 1.0 / np.sqrt(bound_input.experiments * bound_input.qfi)
 
 
-def squeezed_rates(p: SqueezedParams):
-    """Effective occupation sinh^2(r) and pair correlation cosh(r) sinh(r)
-    of a squeezed vacuum reservoir."""
-    return math.sinh(p.squeezing) ** 2, math.cosh(p.squeezing) * math.sinh(p.squeezing)
-
-
-def _reservoir_derivative(occupation, d_occupation, gamma, coherence_rate, d_rate, alpha,
-                          times):
-    """Derivative of the one-qubit reservoir solution along a parameter that
-    moves the occupation at d_occupation and the coherence rate at d_rate."""
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    width = 2.0 * occupation + 1.0
-    steady = occupation / width
-    pop_env = np.exp(-gamma * width * t)
-    d11_docc = (1.0 / width**2) * (1.0 - pop_env) + (
-        np.cos(alpha) ** 2 - steady
-    ) * (-2.0 * gamma * t) * pop_env
-    d11 = d_occupation * d11_docc
-    coh = np.cos(alpha) * np.sin(alpha) * np.exp(-coherence_rate * t)
-    d12 = -d_rate * t * coh
-    out = np.empty(t.shape + (2, 2), dtype=complex)
-    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = d11, d12, np.conj(d12), -d11
-    return out
-
-
-def thermal1_doccupation(p: ThermalParams, times):
-    """Analytic derivative of the thermal solution w.r.t. the mean occupation."""
-    m, g = p.mean_occupation, p.gamma
-    return _reservoir_derivative(m, 1.0, g, g * (m + 0.5), g, p.alpha, times)
-
-
-def squeezed1_dsqueezing(p: SqueezedParams, times):
-    """Analytic derivative of the squeezed solution w.r.t. the squeezing strength.
-
-    Uses d(occupation)/dr = 2 pair_correlation and
-    d(pair_correlation)/dr = 2 occupation + 1.
-    """
-    (occ, pair), g = squeezed_rates(p), p.gamma
-    d_occ, d_pair = 2.0 * pair, 2.0 * occ + 1.0
-    rate = g * (occ + pair + 0.5)
-    return _reservoir_derivative(occ, d_occ, g, rate, g * (d_occ + d_pair), p.alpha, times)
-
-
-def occupation_from_temperature(temperature: float, freq_scale: float = 1.0) -> float:
-    """Bose occupation 1 / (exp(freq_scale / temperature) - 1)."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    return 1.0 / np.expm1(freq_scale / temperature)
-
-
-def temperature_from_occupation(occupation: float, freq_scale: float = 1.0) -> float:
-    """Inverse map T = freq_scale / ln(1 + 1/occupation)."""
-    if occupation <= 0.0:
-        raise ValueError("occupation must be positive to invert")
-    return freq_scale / math.log1p(1.0 / occupation)
-
-
-def occupation_slope(temperature: float, freq_scale: float = 1.0) -> float:
-    """d(occupation)/d(temperature) through the temperature:
-    (freq_scale / T^2) m (m + 1), the overflow-safe form of
-    (freq_scale / T^2) exp(s/T) / (exp(s/T) - 1)^2."""
-    m = occupation_from_temperature(temperature, freq_scale)
-    return (freq_scale / temperature**2) * m * (m + 1.0)
-
-
 def find_max_sequential(dataset):
     """Golden-section refinement with one evaluator call per step: the
     loop find_max ran before it evaluated the steps in batches."""
@@ -484,46 +418,6 @@ def eig2_closed_form(mat):
     mean = 0.5 * (a + b)
     split = np.sqrt((0.5 * (a - b)) ** 2 + abs(c) ** 2)
     return np.array([mean + split, mean - split])
-
-
-def _rk4_fixed(rhs, y0, t_end, steps):
-    y = np.array(y0, dtype=complex)
-    h = t_end / steps
-    t = 0.0
-    for _ in range(steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        t += h
-    return y
-
-
-def fock1_amplitudes_ode(detuning, coupling, photons, alpha, t, steps=4000):
-    """Rotating-frame amplitude equations for the one-qubit cavity model,
-    integrated with fixed-step RK4."""
-    g = coupling * np.sqrt(photons + 1.0)
-
-    def rhs(time, y):
-        phase = np.exp(1j * detuning * time)
-        return np.array([-1j * g * phase * y[1], -1j * g * np.conj(phase) * y[0]])
-
-    return _rk4_fixed(rhs, [np.cos(alpha), np.sin(alpha)], t, steps)
-
-
-def fock2_amplitudes_ode(detuning, coupling, alpha, t, steps=4000):
-    """Amplitude equations in the two-qubit single-excitation sector."""
-
-    def rhs(time, y):
-        phase = np.exp(1j * detuning * time)
-        d2 = -1j * coupling * phase * y[2]
-        d3 = -1j * coupling * phase * y[2]
-        d4 = -1j * coupling * np.conj(phase) * (y[0] + y[1])
-        return np.array([d2, d3, d4])
-
-    y0 = [np.cos(alpha), np.sin(alpha), 0.0]
-    return _rk4_fixed(rhs, y0, t, steps)
 
 
 def backflow_intervals_loop(dataset):

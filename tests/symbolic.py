@@ -8,11 +8,16 @@ gamma, angle alpha and time t >= 0, that each reservoir closed form solves
 its master equation identically and starts from the right state; and, for
 symbolic detuning and coupling, that each cavity closed form solves
 i d/dt C = H(t) C and starts from the right state. They then check the
-package's kernels against these forms lambdified to numpy. A squeezed
-vacuum of strength r has N = sinh(r)^2 and M = cosh(r) sinh(r); a thermal
+package's kernels against these forms lambdified to numpy, and exact()
+evaluates them at 50 digits: the tests' one oracle for the state, its
+derivative, the QFI and the fidelity of all six models. A squeezed vacuum
+of strength r has N = sinh(r)^2 and M = cosh(r) sinh(r); a thermal
 reservoir has M = 0. Basis orders follow qfi_probe.qstate: (|e>, |g>) for
 one qubit, A-major products for two.
 """
+
+import collections
+import functools
 
 import mpmath
 import numpy as np
@@ -179,19 +184,114 @@ def lambdified_amplitudes(column, rate):
     return amplitudes
 
 
-def squeezed_states(rho, digits=40):
-    """rho for a squeezed vacuum, N = sinh(r)^2 and M = cosh(r) sinh(r), as
-    a function of (r, gamma, alpha, times[K]) giving the complex array of
-    shape (K, d, d). mpmath evaluates it at `digits` significant digits,
-    since in floats N - M + 1/2 loses every digit from r of about 10."""
-    r = sp.Symbol("r", nonnegative=True)
-    form = rho.subs({N: sp.sinh(r) ** 2, M: sp.cosh(r) * sp.sinh(r)})
-    entries = sp.lambdify((r, GAMMA, ALPHA, T), list(form), "mpmath")
+# ---------------------------------------------------------------- the oracle
 
-    def states(squeezing, gamma, alpha, times):
-        with mpmath.workdps(digits):
-            rows = [[complex(v) for v in entries(*map(mpmath.mpf, (squeezing, gamma, alpha, t)))]
-                    for t in times]
-        return np.array(rows).reshape((len(rows),) + rho.shape)
+DIGITS = 50
+# an eigenvalue pair summing below this is an identically empty level, such
+# as fock2's |ee> or the zero eigenvalue of a pure block, at 50 digits
+EMPTY_PAIR = mpmath.mpf("1e-40")
+R = sp.Symbol("r", nonnegative=True)
+SQUEEZED_VACUUM = {N: sp.sinh(R) ** 2, M: sp.cosh(R) * sp.sinh(R)}
+# rho and drho as complex (d, d) arrays; qfi, fidelity and every block
+# eigenvalue as 50-digit mpmath numbers
+Exact = collections.namedtuple("Exact", "rho drho qfi fidelity eigenvalues")
 
-    return states
+
+def fock2_state():
+    """The two-qubit state of the fock2 amplitudes after tracing the
+    cavity: C_eg and C_ge share the empty cavity and stay coherent, C_gg
+    holds one photon, and |ee> is empty."""
+    c_eg, c_ge, c_gg = fock2_amplitudes()
+    pair = sp.Matrix([0, c_eg, c_ge, 0])
+    return pair * pair.H + sp.diag(0, 0, 0, c_gg * sp.conjugate(c_gg))
+
+
+# model id: (its closed form, its 2-blocks, the symbols it reads with the
+# channel value's first, and their values from a ScanConfig). |e,n> and
+# |g,n+1> hold different photon numbers, so fock1's qubit state is diagonal.
+_FORMS = {
+    "fock1": (lambda: sp.diag(*(b * sp.conjugate(b) for b in fock1_amplitudes())), ((0, 1),),
+              (DETUNING, EXCHANGE, ALPHA),
+              lambda c: (c.detuning, 2 * mpmath.sqrt(c.photons + 1) * c.coupling, c.alpha)),
+    "thermal1": (lambda: qubit_state().subs(M, 0), ((0, 1),), (N, GAMMA, ALPHA),
+                 lambda c: (c.mean_occupation, c.gamma, c.alpha)),
+    "squeezed1": (lambda: qubit_state().subs(SQUEEZED_VACUUM), ((0, 1),), (R, GAMMA, ALPHA),
+                  lambda c: (c.squeezing, c.gamma, c.alpha)),
+    "fock2": (fock2_state, ((1, 2), (0, 3)), (DETUNING, COUPLING, ALPHA),
+              lambda c: (c.detuning, c.coupling, c.alpha)),
+    "thermal2": (lambda: pair_state().subs(M, 0), ((1, 2), (0, 3)), (N, GAMMA),
+                 lambda c: (c.mean_occupation, c.gamma)),
+    "squeezed2": (lambda: pair_state().subs(SQUEEZED_VACUUM), ((1, 2), (0, 3)), (R, GAMMA),
+                  lambda c: (c.squeezing, c.gamma)),
+}
+
+
+@functools.cache
+def _lambdified(model_id):
+    """mpmath functions of the form's symbols: with t, the row-major entries
+    of rho, of its derivative in the channel value and of qubit A's state
+    (traced over B); alone, the entries of A's state at t = 0."""
+    form, _, symbols, _ = _FORMS[model_id]
+    rho = form()
+    reduced = rho if rho.rows == 2 else sp.Matrix(
+        2, 2, lambda i, j: rho[2 * i, 2 * j] + rho[2 * i + 1, 2 * j + 1])
+    return (sp.lambdify(symbols + (T,), [*rho, *rho.diff(symbols[0]), *reduced], "mpmath",
+                        cse=True),
+            sp.lambdify(symbols, list(reduced.subs(T, 0)), "mpmath"))
+
+
+@functools.cache
+def occupation_slope(m, s):
+    """dm/dT of m(T) = 1 / (exp(s/T) - 1) at T = s / ln(1 + 1/m), by
+    mpmath.diff. At m = 0 (T = 0) every derivative of m(T) vanishes."""
+    if m == 0.0:
+        return mpmath.mpf(0)
+    with mpmath.workdps(DIGITS):
+        return mpmath.diff(lambda temperature: 1 / (mpmath.exp(s / temperature) - 1),
+                           s / mpmath.log(1 + 1 / mpmath.mpf(m)))
+
+
+def _eigh(a, b, c):
+    """The eigenvalues p_+, p_- of the Hermitian block [[a, c], [c*, b]]
+    and orthonormal eigenvectors: (h + r, c*) or (c, r - h) for p_+, with
+    h = (a - b) / 2 and r = sqrt(h^2 + |c|^2), whichever cancels less."""
+    h, r = (a - b) / 2, mpmath.hypot((a - b) / 2, abs(c))
+    if r == 0:
+        return (a, b), ((1, 0), (0, 1))
+    x, y = (h + r, mpmath.conj(c)) if h >= 0 else (c, r - h)
+    x, y = (v / mpmath.hypot(abs(x), abs(y)) for v in (x, y))
+    return ((a + b) / 2 + r, (a + b) / 2 - r), ((x, y), (-mpmath.conj(y), mpmath.conj(x)))
+
+
+def exact(config, t):
+    """rho, its derivative in the channel value (detuning, m or r), the
+    estimand QFI and the fidelity of qubit A against t = 0 for a ScanConfig
+    at time t >= 0: the forms above, differentiated symbolically (one-sided
+    at m = 0 or r = 0, where they are analytic), at 50 digits. The QFI sums
+    2 |<i|drho|j>|^2 / (p_i + p_j) over each 2-block's eigenvalue pairs with
+    p_i + p_j >= 1e-40, times (dm/dT)^2 for the temperature. The fidelity,
+    tr(rho0 rho) + 2 sqrt(det rho0 det rho), is exact to 25 digits where
+    rho0 is pure (det rho0 = 0 to 50). No qfi_probe code runs."""
+    _, blocks, _, arguments = _FORMS[config.model_id]
+    evaluate, initial = _lambdified(config.model_id)
+    dim = 2 * len(blocks)
+    with mpmath.workdps(DIGITS):
+        fields = [mpmath.mpf(value) for value in arguments(config)]
+        values = evaluate(*fields, mpmath.mpf(t))
+        states, derivatives = values[:dim * dim], values[dim * dim:2 * dim * dim]
+        qfi, eigenvalues = mpmath.mpf(0), ()
+        for i, j in blocks:
+            p, u = _eigh(*(mpmath.re(states[k * dim + k]) for k in (i, j)), states[i * dim + j])
+            dblock = [[derivatives[k * dim + n] for n in (i, j)] for k in (i, j)]
+            qfi += mpmath.fsum(
+                2 * abs(mpmath.fsum(mpmath.conj(u[x][k]) * dblock[k][n] * u[y][n]
+                                    for k in range(2) for n in range(2))) ** 2 / (p[x] + p[y])
+                for x in range(2) for y in range(2) if p[x] + p[y] >= EMPTY_PAIR)
+            eigenvalues += p
+        if config.model_id.startswith("thermal"):
+            qfi *= occupation_slope(config.mean_occupation, config.freq_scale) ** 2
+        (a0, c0, d0, b0), (a, c, d, b) = initial(*fields), values[2 * dim * dim:]
+        root = mpmath.sqrt((a0 * b0 - c0 * d0) * (a * b - c * d))
+        fidelity = mpmath.re(a0 * a + c0 * d + d0 * c + b0 * b + 2 * root)
+        rho, drho = (np.array(v, dtype=complex).reshape(dim, dim) for v in (states, derivatives))
+        return Exact(rho, drho, qfi, fidelity, eigenvalues)

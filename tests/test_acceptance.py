@@ -23,14 +23,12 @@ from helpers import (
     dense,
     fock1_amplitudes,
     fock2_amplitudes,
-    occupation_slope,
     qfi_pure_oracle,
     qfi_sld_oracle,
     qfi_spectral,
     random_density,
     random_hermitian_traceless,
     record,
-    temperature_from_occupation,
 )
 from qfi_probe.probe_models import (
     FockParams,
@@ -49,6 +47,7 @@ from qfi_probe.scan_repro import (
     backflow_intervals,
     discrepancy_report,
     find_max,
+    point_qfi,
     reproduce_figure,
     scan,
 )
@@ -165,8 +164,7 @@ def test_criterion3_thermal_steady_state_benchmark():
     state = validate_blocks(channel.states(0.1, [50.0]))
     fq_m = qfi_blocks(state, d_rho_grid(channel, 0.1, [50.0])).value[0]
     assert fq_m == pytest.approx(6.3131, abs=1e-3)
-    temperature = temperature_from_occupation(0.1, 1.0)
-    fq_t = fq_m * occupation_slope(temperature, 1.0) ** 2
+    fq_t = point_qfi(ScanConfig("thermal1"), 50.0)  # times the library's (dm/dT)^2
     assert fq_t == pytest.approx(2.5256, abs=1e-3)
     print(f"criterion 3 PASS: F(m)={fq_m:.5f} (target 6.3131), F(T)={fq_t:.5f} (target 2.5256)")
 

@@ -252,11 +252,14 @@ class TestScanCommand:
     @pytest.mark.parametrize("argv", [
         ["scan", "--model", "thermal1", "--points", "1000000000000"],
         ["figure", "--tag", "2a", "--points", "1000001", "--out", "never-written.csv"],
+        ["scan", "--model", "thermal1", "--points", str(10**400)],  # no double holds it
+        ["figure", "--tag", "2a", "--points", str(10**400), "--out", "never-written.csv"],
     ])
     def test_too_many_points_exits_2(self, capsys, argv):
         # rejected by ScanConfig before the time grid is allocated
         assert run(argv) == 2
-        assert "points" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "points" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--gamma", "--m", "--alpha", "--tmax"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -298,14 +301,22 @@ class TestScanCommand:
         (["--model", "squeezed2", "--r", "20", "--gamma", "1e300"], "squeezing"),
         (["--model", "thermal1", "--m", "1", "--gamma", "1e308"], "mean_occupation"),
         (["--model", "thermal2", "--m", "1", "--gamma", "1e308"], "mean_occupation"),
+        (["--model", "fock1", "--photons", str(10**400)], "photons"),
+        (["--model", "fock1", "--coupling", "1e308"], "coupling = 1e+308"),
+        (["--model", "fock2", "--coupling", "1e160"], "coupling = 1e+160"),
+        (["--model", "fock2", "--delta", "1e308", "--t", "10"], "detuning = 1e+308"),
+        (["--model", "fock1", "--delta", "1e308", "--t", "10"], "NaN"),
+        (["--model", "fock1", "--delta", "1e200", "--t", "1e200"], "NaN"),
+        (["--model", "fock2", "--delta", "1e100", "--t", "1e300"], "NaN"),
     ])
     @pytest.mark.parametrize("command", ["qfi", "fidelity"])
     def test_out_of_domain_value_exits_2(self, capsys, command, argv, name):
         # both commands build the whole evaluator, chain factor and decay
-        # rates included, and reject the value before numpy can overflow
+        # or dressed rates included, and reject the value before numpy can
+        # overflow; a phase rate * t past the double range is a NaN state
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run([command, *argv, "--t", "1"])
+            code = run([command, "--t", "1", *argv])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert name in err and err.count("\n") == 1

@@ -1,5 +1,6 @@
-"""Tests for the closed-form probe models against trivial limits and
-independent fixed-step integrations of the underlying amplitude equations."""
+"""Tests for the closed-form probe models against trivial limits, known
+values and each other; tests/test_symbolic.py proves the closed forms and
+holds the kernels to them."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,9 @@ from dataclasses import replace
 from helpers import (
     dense,
     fock1_amplitudes,
-    fock1_amplitudes_ode,
     fock2_amplitudes,
-    fock2_amplitudes_ode,
     ptrace_b_bruteforce,
     reduce_A,
-    squeezed_rates,
     state_at,
 )
 from qfi_probe.probe_models import (
@@ -29,27 +27,11 @@ from qfi_probe.probe_models import (
     squeezed1_channel,
     thermal1_channel,
 )
+from qfi_probe.scan_repro import ScanConfig, build_channel
+from symbolic import exact
 
 
 class TestFockOneQubit:
-    def test_initial_state(self):
-        state = state_at(fock1_channel(FockParams(detuning=5.0, alpha=0.0)), 0.0)
-        np.testing.assert_allclose(state.matrix, np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_half_oscillation_resonant(self):
-        # detuning 0, coupling 1, zero photons: full population transfer at
-        # half the oscillation period
-        p = FockParams(detuning=0.0, coupling=1.0, alpha=0.0)
-        state = state_at(fock1_channel(p), np.pi / 2)
-        np.testing.assert_allclose(state.matrix, np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_against_amplitude_ode(self):
-        p = FockParams(detuning=5.0, coupling=1.0, photons=0, alpha=np.pi / 4)
-        b1, b2 = fock1_amplitudes(p, 0.3)
-        o1, o2 = fock1_amplitudes_ode(5.0, 1.0, 0, np.pi / 4, 0.3)
-        assert abs(abs(b1) ** 2 - abs(o1) ** 2) <= 1e-8
-        assert abs(abs(b2) ** 2 - abs(o2) ** 2) <= 1e-8
-
     def test_normalization_random_grid(self):
         rng = np.random.default_rng(17)
         for _ in range(500):
@@ -78,23 +60,25 @@ class TestFockOneQubit:
             FockParams(detuning=0.0, alpha=2.0)
 
 
+@pytest.mark.parametrize("config, t", [
+    (ScanConfig("fock1", alpha=0.0), 0.0),
+    # resonant: full transfer at half the period, pi / 2 and pi / (2 sqrt(2))
+    (ScanConfig("fock1", detuning=0.0, alpha=0.0), np.pi / 2),
+    (ScanConfig("fock2"), 0.0),  # the Bell state
+    (ScanConfig("fock2", detuning=0.0), np.pi / (2.0 * np.sqrt(2.0))),
+    (ScanConfig("thermal1"), 0.0),  # the initial superposition
+    (ScanConfig("thermal1"), 1.0),
+    *((ScanConfig("thermal1", alpha=alpha), 50.0) for alpha in (0.0, np.pi / 4, np.pi / 2)),
+    *((ScanConfig("squeezed1", squeezing=0.0, alpha=0.0), t) for t in (0.3, 1.0, 2.5)),
+    (ScanConfig("squeezed1"), 50.0),
+])
+def test_states_equal_exact(config, t):
+    # steady states at t = 50, and the squeezed vacuum's decay exp(-t)
+    state = state_at(build_channel(config), t).matrix
+    np.testing.assert_allclose(state, exact(config, t).rho, rtol=0, atol=1e-14)
+
+
 class TestThermalOneQubit:
-    def test_initial_superposition(self):
-        state = state_at(thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4)), 0.0)
-        np.testing.assert_allclose(state.matrix, 0.5 * np.ones((2, 2)), atol=1e-14)
-
-    def test_reference_point(self):
-        state = state_at(thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4)), 1.0)
-        assert state.matrix[0, 0].real == pytest.approx(0.20883, abs=1e-5)
-        assert state.matrix[0, 1].real == pytest.approx(0.27441, abs=1e-5)
-
-    def test_steady_state(self):
-        for alpha in (0.0, np.pi / 4, np.pi / 2):
-            state = state_at(thermal1_channel(ThermalParams(0.1, 1.0, alpha)), 50.0)
-            np.testing.assert_allclose(
-                state.matrix, np.diag([1.0 / 12.0, 11.0 / 12.0]), atol=1e-10
-            )
-
     def test_no_freq_scale_field(self):
         # the states do not depend on the frequency scale, which only the
         # temperature chain factor of scan_repro reads; the benchmark builds
@@ -115,23 +99,11 @@ class TestThermalOneQubit:
 
 
 class TestSqueezedOneQubit:
-    def test_vacuum_decay(self):
-        for t in (0.3, 1.0, 2.5):
-            state = state_at(squeezed1_channel(SqueezedParams(0.0, 1.0, 0.0)), t)
-            assert state.matrix[0, 0].real == pytest.approx(np.exp(-t), abs=1e-12)
-            assert abs(state.matrix[0, 1]) <= 1e-14
-
-    def test_steady_state(self):
-        occ = np.sinh(0.1) ** 2
-        state = state_at(squeezed1_channel(SqueezedParams(0.1, 1.0, np.pi / 4)), 50.0)
-        expected = np.diag([occ / (2 * occ + 1), (occ + 1) / (2 * occ + 1)])
-        np.testing.assert_allclose(state.matrix, expected, atol=1e-10)
-
     def test_populations_match_thermal_coherences_do_not(self):
         # same populations under occupation matching; coherence decay rates
         # differ by the pair correlation
         p = SqueezedParams(0.4, 1.0, np.pi / 4)
-        occ, pair = squeezed_rates(p)
+        occ, pair = np.sinh(0.4) ** 2, np.cosh(0.4) * np.sinh(0.4)
         for t in (0.5, 1.0, 2.0):
             squeezed = state_at(squeezed1_channel(p), t).matrix
             thermal = state_at(thermal1_channel(ThermalParams(occ, 1.0, np.pi / 4)), t).matrix
@@ -142,26 +114,6 @@ class TestSqueezedOneQubit:
 
 
 class TestFockTwoQubit:
-    def test_initial_bell_state(self):
-        state = state_at(fock2_channel(TwoQubitFockParams(detuning=5.0)), 0.0)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[1:3, 1:3] = 0.5
-        np.testing.assert_allclose(state.matrix, expected, atol=1e-14)
-
-    def test_full_transfer_resonant(self):
-        # detuning 0, coupling 1: the collective oscillation completes a half
-        # period at t = pi / (2 sqrt(2)), moving all weight onto |gg>
-        p = TwoQubitFockParams(detuning=0.0, coupling=1.0)
-        state = state_at(fock2_channel(p), np.pi / (2.0 * np.sqrt(2.0)))
-        assert state.matrix[3, 3].real == pytest.approx(1.0, abs=1e-12)
-
-    def test_against_amplitude_ode(self):
-        p = TwoQubitFockParams(detuning=5.0, coupling=1.0)
-        got = fock2_amplitudes(p, 0.5)
-        want = fock2_amplitudes_ode(5.0, 1.0, np.pi / 4, 0.5)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-8
-
     def test_trace_random_grid(self):
         rng = np.random.default_rng(29)
         for _ in range(500):

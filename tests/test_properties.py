@@ -16,14 +16,6 @@ from helpers import (
     dense,
     qfi_sld_oracle,
     qfi_spectral,
-    squeezed1_dsqueezing,
-    thermal1_doccupation,
-)
-from qfi_probe.probe_models import (
-    SqueezedParams,
-    ThermalParams,
-    squeezed1_channel,
-    thermal1_channel,
 )
 from qfi_probe.qfi_engine import (
     fd_step,
@@ -32,6 +24,7 @@ from qfi_probe.qfi_engine import (
 )
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import MODEL_IDS, MODELS, ScanConfig, build_channel, scan
+from symbolic import exact
 
 # Derandomized so the suite gives the same verdict on every run; no example
 # database is written.
@@ -121,12 +114,11 @@ def test_stencil_near_zero_stays_in_domain_and_matches_analytic(kind, steps, alp
     # parameter classes for a negative occupation or squeezing and raise
     value = steps * fd_step(0.0)
     if kind == "thermal":
-        params = ThermalParams(value, gamma, alpha)
-        channel, analytic = thermal1_channel(params), thermal1_doccupation(params, times)
+        config = ScanConfig("thermal1", mean_occupation=value, gamma=gamma, alpha=alpha)
     else:
-        params = SqueezedParams(value, gamma, alpha)
-        channel, analytic = squeezed1_channel(params), squeezed1_dsqueezing(params, times)
-    stencil_deriv = dense(d_rho_grid(channel, value, times))
+        config = ScanConfig("squeezed1", squeezing=value, gamma=gamma, alpha=alpha)
+    stencil_deriv = dense(d_rho_grid(build_channel(config), value, times))
+    analytic = np.array([exact(config, t).drho for t in times])
     assert np.abs(stencil_deriv - analytic).max() <= 1e-6
 
 

@@ -1,5 +1,5 @@
-"""Tests for derivative stencils, the block QFI and its oracles, the
-temperature chain rule, and the Cramer-Rao bound."""
+"""Tests for derivative stencils, the block QFI and its oracles, and the
+Cramer-Rao bound."""
 
 from dataclasses import replace
 
@@ -14,8 +14,6 @@ from helpers import (
     d_rho_grid,
     dense,
     fock1_amplitudes,
-    occupation_from_temperature,
-    occupation_slope,
     qfi_pure_oracle,
     qfi_sld_oracle,
     qfi_spectral,
@@ -23,9 +21,6 @@ from helpers import (
     random_hermitian_traceless,
     random_unitary,
     record,
-    squeezed1_dsqueezing,
-    temperature_from_occupation,
-    thermal1_doccupation,
     validate_density,
 )
 from qfi_probe.probe_models import (
@@ -42,6 +37,7 @@ from qfi_probe.probe_models import (
 from qfi_probe.qfi_engine import fd_step, qfi_blocks
 from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, validate_blocks
 from qfi_probe.scan_repro import MODELS, ScanConfig, build_channel, time_grid
+from symbolic import exact
 
 THERMAL = ThermalParams(0.1, 1.0, np.pi / 4)
 SQUEEZED = SqueezedParams(0.1, 1.0, np.pi / 4)
@@ -70,19 +66,17 @@ class TestDerivativeStencil:
         # d(rho_12)/dm = -gamma t cos(a) sin(a) exp(-gamma (m + 1/2) t)
         deriv = derivative(THERMAL_CHANNEL, 0.1, [1.0])[0]
         assert deriv[0, 1].real == pytest.approx(-0.27441, abs=1e-5)
-        analytic = thermal1_doccupation(THERMAL, [1.0])[0]
-        assert np.abs(deriv - analytic).max() <= 1e-6
+        assert np.abs(deriv - exact(ScanConfig("thermal1"), 1.0).drho).max() <= 1e-6
 
     def test_squeezed_dual_path(self):
         for t in (0.3, 1.0, 2.5):
             stencil = derivative(SQUEEZED_CHANNEL, 0.1, [t])[0]
-            analytic = squeezed1_dsqueezing(SQUEEZED, [t])[0]
-            assert np.abs(stencil - analytic).max() <= 1e-6
+            assert np.abs(stencil - exact(ScanConfig("squeezed1"), t).drho).max() <= 1e-6
 
     def test_one_sided_stencil_at_domain_edge(self):
         params = ThermalParams(0.0, 1.0, np.pi / 4)
         stencil = derivative(thermal1_channel(params), 0.0, [1.0])[0]
-        analytic = thermal1_doccupation(params, [1.0])[0]
+        analytic = exact(ScanConfig("thermal1", mean_occupation=0.0), 1.0).drho
         assert np.abs(stencil - analytic).max() <= 1e-6
 
     def test_traceless_and_hermitian(self):
@@ -318,30 +312,6 @@ class TestQfiVanishesAtTimeZero:
         rho = validate_blocks(channel.states(channel.value, [0.0]))
         drho = d_rho_grid(channel, channel.value, [0.0])
         assert qfi_blocks(rho, drho).value[0] <= 1e-9
-
-
-class TestTemperatureChainRule:
-    def test_inverse_bose_relation(self):
-        assert temperature_from_occupation(0.1, 1.0) == pytest.approx(0.41703, abs=1e-5)
-        t = temperature_from_occupation(0.1, 1.0)
-        assert occupation_from_temperature(t, 1.0) == pytest.approx(0.1, rel=1e-12)
-
-    def test_slope_value(self):
-        t = temperature_from_occupation(0.1, 1.0)
-        slope = occupation_slope(t, 1.0)
-        assert slope == pytest.approx(np.log(11.0) ** 2 * 11.0 / 100.0, rel=1e-12)
-        assert slope == pytest.approx(0.63252, abs=1e-4)
-
-    def test_chain_rule_product(self):
-        t = temperature_from_occupation(0.1, 1.0)
-        value = 6.3131 * occupation_slope(t, 1.0) ** 2
-        assert value == pytest.approx(2.5256, abs=1e-3)
-
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            occupation_slope(0.0, 1.0)
-        with pytest.raises(ValueError):
-            occupation_from_temperature(-1.0, 1.0)
 
 
 class TestCramerRao:
