@@ -1,13 +1,13 @@
 """Closed-form evolved probe states for the cavity-field and reservoir models.
 
-Each model is a channel: its parameter dataclass is validated once, and
-the channel maps an estimand value to a kernel, which gives the BlockState
-of the model at times[N] (the qubit block, or the X-state blocks of two
-qubits). A kernel does the work that depends only on the parameters when
-it is built, from raw floats, so the derivative stencil builds its kernels
-without rebuilding the dataclass. Validation happens once per record,
-where it is used. Time is dimensionless: coupling units for the cavity
-models (coupling defaults to 1), decay-rate units for the reservoir models.
+Each *_kernel function does the work that depends only on its raw float
+parameters and returns a Kernel, which gives the BlockState of the model at
+times[N] (the qubit block, or the X-state blocks of two qubits). A
+ChannelModel maps an estimand value to a kernel; scan_repro.build_channel
+makes one from a validated ScanConfig. The five parameter classes repeat
+the ScanConfig checks and stay only for the benchmark tests (ROADMAP item
+8). Time is dimensionless: coupling units for the cavity models (coupling
+defaults to 1), decay-rate units for the reservoir models.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _HALF_PI = 0.5 * np.pi
 # a model's states over a time grid: times[N] -> BlockState
 Kernel = Callable[[np.ndarray], BlockState]
 # the domain of each model parameter as (comparison, bound) pairs, checked
-# by the parameter classes and by scan_repro.ScanConfig; detuning takes any
+# by scan_repro.ScanConfig (and the parameter classes); detuning takes any
 # finite value
 FIELD_DOMAINS = {
     "alpha": ((">=", 0.0), ("<=", _HALF_PI)),
@@ -71,6 +71,7 @@ def require_count(name: str, value) -> None:
 @dataclass(frozen=True)
 class FockParams:
     """One qubit exchanging a single excitation with a photon-number cavity mode.
+    Kept only for the benchmark tests; ROADMAP item 8 deletes it.
 
     Attributes:
         detuning: qubit-cavity frequency difference.
@@ -93,6 +94,7 @@ class FockParams:
 @dataclass(frozen=True)
 class ThermalParams:
     """One qubit immersed in a thermal reservoir.
+    Kept only for the benchmark tests; ROADMAP item 8 deletes it.
 
     Attributes:
         mean_occupation: mean boson number of the reservoir, >= 0.
@@ -112,6 +114,7 @@ class ThermalParams:
 @dataclass(frozen=True)
 class SqueezedParams:
     """One qubit immersed in a squeezed vacuum reservoir (reference phase 0).
+    Kept only for the benchmark tests; ROADMAP item 8 deletes it.
 
     Attributes:
         squeezing: squeezing strength r, >= 0.
@@ -131,6 +134,7 @@ class SqueezedParams:
 @dataclass(frozen=True)
 class TwoQubitFockParams:
     """Two qubits sharing one excitation with an empty cavity mode.
+    Kept only for the benchmark tests; ROADMAP item 8 deletes it.
 
     The closed form holds for zero cavity photons and no direct
     qubit-qubit coupling; the initial qubit state is
@@ -151,6 +155,7 @@ class TwoQubitReservoirParams:
     """Two identical, uncoupled qubits, each coupled to its own reservoir
     (squeezing at reference phase 0), starting in the Bell state
     (|eg> + |ge>) / sqrt(2).
+    Kept only for the benchmark tests; ROADMAP item 8 deletes it.
 
     Attributes:
         kind: "thermal" or "squeezed".
@@ -226,7 +231,7 @@ def _fock1_amplitudes(detuning, coupling, photons, alpha):
     return amplitudes
 
 
-def _fock1_kernel(detuning, coupling, photons, alpha) -> Kernel:
+def fock1_kernel(detuning, coupling, photons, alpha) -> Kernel:
     """Reduced qubit states diag(|b1|^2, |b2|^2) after tracing the cavity."""
     amplitudes = _fock1_amplitudes(detuning, coupling, photons, alpha)
 
@@ -238,7 +243,7 @@ def _fock1_kernel(detuning, coupling, photons, alpha) -> Kernel:
     return states
 
 
-def _reservoir_qubit_kernel(kind, strength, gamma, alpha) -> Kernel:
+def reservoir_qubit_kernel(kind, strength, gamma, alpha) -> Kernel:
     """Qubit states in a reservoir (see _reservoir_rates): populations
     relax toward the steady state, and the real coherences of the initial
     state decay at the sigma_x rate, half of x_rate."""
@@ -278,7 +283,7 @@ def _fock2_amplitudes(detuning, coupling, alpha):
     return amplitudes
 
 
-def _fock2_kernel(detuning, coupling, alpha) -> Kernel:
+def fock2_kernel(detuning, coupling, alpha) -> Kernel:
     """Two-qubit states after tracing the cavity: {|eg>, |ge>} carries the
     excitation, {|ee>, |gg>} holds |gg> and an empty |ee>."""
     amplitudes = _fock2_amplitudes(detuning, coupling, alpha)
@@ -294,7 +299,7 @@ def _fock2_kernel(detuning, coupling, alpha) -> Kernel:
     return states
 
 
-def _reservoir_pair_kernel(kind, strength, gamma) -> Kernel:
+def reservoir_pair_kernel(kind, strength, gamma) -> Kernel:
     """Exact two-qubit states (Lambda_t x Lambda_t)(Bell) for independent,
     identical reservoirs, with Lambda_t the one-qubit closed form.
 
@@ -328,7 +333,7 @@ class ChannelModel:
 
     Attributes:
         value: nominal parameter value.
-        floor: lower domain edge for finite differences (None if unbounded).
+        floor: stencil domain edge, the FIELD_DOMAINS ">=" bound or None.
         support: QUBIT_BLOCKS or X_BLOCKS, the blocks that carry every
             state and derivative of the model (see qstate.BlockState).
         kernel: value -> Kernel. Every kernel call returns a fresh values
@@ -342,35 +347,3 @@ class ChannelModel:
 
     def states(self, value: float, times) -> BlockState:
         return self.kernel(value)(np.atleast_1d(np.asarray(times, dtype=float)))
-
-
-def fock1_channel(p: FockParams) -> ChannelModel:
-    """Detuning-parameterized channel for the one-qubit cavity model."""
-    return ChannelModel(p.detuning, None, QUBIT_BLOCKS,
-                        lambda v: _fock1_kernel(v, p.coupling, p.photons, p.alpha))
-
-
-def thermal1_channel(p: ThermalParams) -> ChannelModel:
-    """Occupation-parameterized channel for the thermal reservoir model."""
-    return ChannelModel(p.mean_occupation, 0.0, QUBIT_BLOCKS,
-                        lambda v: _reservoir_qubit_kernel("thermal", v, p.gamma, p.alpha))
-
-
-def squeezed1_channel(p: SqueezedParams) -> ChannelModel:
-    """Squeezing-parameterized channel for the squeezed reservoir model."""
-    return ChannelModel(p.squeezing, 0.0, QUBIT_BLOCKS,
-                        lambda v: _reservoir_qubit_kernel("squeezed", v, p.gamma, p.alpha))
-
-
-def fock2_channel(p: TwoQubitFockParams) -> ChannelModel:
-    """Detuning-parameterized channel for the two-qubit cavity model, on
-    the X-state blocks."""
-    return ChannelModel(p.detuning, None, X_BLOCKS,
-                        lambda v: _fock2_kernel(v, p.coupling, p.alpha))
-
-
-def reservoir_pair_channel(p: TwoQubitReservoirParams) -> ChannelModel:
-    """Strength-parameterized channel for the two-qubit reservoir models,
-    X-states on {|eg>, |ge>} + {|ee>, |gg>}."""
-    return ChannelModel(p.strength, 0.0, X_BLOCKS,
-                        lambda v: _reservoir_pair_kernel(p.kind, v, p.gamma))

@@ -10,44 +10,41 @@ from typing import Callable
 import numpy as np
 
 from .probe_models import (
+    FIELD_DOMAINS,
     ChannelModel,
-    FockParams,
-    SqueezedParams,
-    ThermalParams,
-    TwoQubitFockParams,
-    TwoQubitReservoirParams,
-    fock1_channel,
-    fock2_channel,
+    fock1_kernel,
+    fock2_kernel,
     require_count,
     require_domains,
     require_finite,
-    reservoir_pair_channel,
-    squeezed1_channel,
-    thermal1_channel,
+    reservoir_pair_kernel,
+    reservoir_qubit_kernel,
 )
 from .qfi_engine import derivative, derivative_taps, qfi_blocks
-from .qstate import fidelity_bloch, reduced_bloch, validate_blocks
+from .qstate import QUBIT_BLOCKS, X_BLOCKS, fidelity_bloch, reduced_bloch, validate_blocks
 
 # model id: (estimand, the ScanConfig fields the model reads in metadata
-# order, the channel builder). A scan reads nothing else of the model.
+# order, its blocks, its kernel(value, config)). A scan reads nothing else.
 MODELS = {
-    "fock1": ("detuning", ("alpha", "detuning", "coupling", "photons"),
-              lambda c: fock1_channel(FockParams(c.detuning, c.coupling, c.photons, c.alpha))),
-    "thermal1": ("temperature", ("alpha", "mean_occupation", "gamma", "freq_scale"),
-                 lambda c: thermal1_channel(ThermalParams(c.mean_occupation, c.gamma, c.alpha))),
-    "squeezed1": ("squeezing", ("alpha", "squeezing", "gamma"),
-                  lambda c: squeezed1_channel(SqueezedParams(c.squeezing, c.gamma, c.alpha))),
-    "fock2": ("detuning", ("alpha", "detuning", "coupling"),
-              lambda c: fock2_channel(TwoQubitFockParams(c.detuning, c.coupling, c.alpha))),
-    "thermal2": ("temperature", ("mean_occupation", "gamma", "freq_scale"),
-                 lambda c: reservoir_pair_channel(
-                     TwoQubitReservoirParams("thermal", c.mean_occupation, c.gamma))),
-    "squeezed2": ("squeezing", ("squeezing", "gamma"),
-                  lambda c: reservoir_pair_channel(
-                      TwoQubitReservoirParams("squeezed", c.squeezing, c.gamma))),
+    "fock1": ("detuning", ("alpha", "detuning", "coupling", "photons"), QUBIT_BLOCKS,
+              lambda v, c: fock1_kernel(v, c.coupling, c.photons, c.alpha)),
+    "thermal1": ("temperature", ("alpha", "mean_occupation", "gamma", "freq_scale"), QUBIT_BLOCKS,
+                 lambda v, c: reservoir_qubit_kernel("thermal", v, c.gamma, c.alpha)),
+    "squeezed1": ("squeezing", ("alpha", "squeezing", "gamma"), QUBIT_BLOCKS,
+                  lambda v, c: reservoir_qubit_kernel("squeezed", v, c.gamma, c.alpha)),
+    "fock2": ("detuning", ("alpha", "detuning", "coupling"), X_BLOCKS,
+              lambda v, c: fock2_kernel(v, c.coupling, c.alpha)),
+    "thermal2": ("temperature", ("mean_occupation", "gamma", "freq_scale"), X_BLOCKS,
+                 lambda v, c: reservoir_pair_kernel("thermal", v, c.gamma)),
+    "squeezed2": ("squeezing", ("squeezing", "gamma"), X_BLOCKS,
+                  lambda v, c: reservoir_pair_kernel("squeezed", v, c.gamma)),
 }
 MODEL_IDS = tuple(MODELS)
-_MODEL_FIELDS = {name for _, names, _ in MODELS.values() for name in names}
+_MODEL_FIELDS = {name for _, names, _, _ in MODELS.values() for name in names}
+# estimand: (its ScanConfig field, and the stencil floor: its ">=" bound or None)
+_ESTIMAND_FIELDS = {estimand: (name, dict(FIELD_DOMAINS.get(name, ())).get(">="))
+                    for estimand, name in (("detuning", "detuning"), ("squeezing", "squeezing"),
+                                           ("temperature", "mean_occupation"))}
 FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b", "5c")
 # Bound on the records of one evaluation block: the state and up to three
 # stencil taps, 8 bytes per entry, 4 (one qubit) or 8 (two qubits) entries
@@ -109,8 +106,6 @@ class ScanConfig:
     gamma: float = 1.0
     squeezing: float = 0.1
     freq_scale: float = 1.0
-    figure: str = ""
-    series: str = ""
 
     def __post_init__(self):
         if self.model_id not in MODELS:
@@ -160,7 +155,10 @@ def time_grid(config: ScanConfig) -> np.ndarray:
 
 
 def build_channel(config: ScanConfig) -> ChannelModel:
-    return MODELS[config.model_id][2](config)
+    """The channel of the configured model at the config's estimand value."""
+    estimand, _, blocks, kernel = MODELS[config.model_id]
+    name, floor = _ESTIMAND_FIELDS[estimand]
+    return ChannelModel(getattr(config, name), floor, blocks, lambda v: kernel(v, config))
 
 
 def _chain_factor(config: ScanConfig) -> float:
@@ -261,10 +259,6 @@ def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[st
         if name != "alpha":
             value = getattr(config, name)
             md[name] = str(value) if name == "photons" else _fmt(value)
-    if config.figure:
-        md["figure"] = config.figure
-    if config.series:
-        md["series"] = config.series
     peak = int(np.argmax(qfi))
     md.update(max_index=str(peak), max_t=_fmt(times[peak]), max_qfi=_fmt(qfi[peak]))
     return md
@@ -358,22 +352,22 @@ def backflow_intervals(dataset: ScanDataset) -> list[tuple[float, float]]:
     return list(zip(t[starts[counted]].tolist(), t[ends[counted]].tolist()))
 
 
-def _figure_configs(tag: str, points: int) -> list[ScanConfig]:
-    """Figures 1-3 show the one-qubit probe of kind 1, 2 or 3 (cavity,
-    thermal, squeezed) at alpha 0 and 45 degrees, figures 4-5 the one- and
-    two-qubit probes of kind a, b or c. Cavity series run to t = 100,
-    reservoir series to 50; every other parameter is a ScanConfig default."""
+def _figure_configs(tag: str, points: int) -> list[tuple[str, ScanConfig]]:
+    """(series, config) pairs: figures 1-3 show the one-qubit probe of kind
+    1, 2 or 3 (cavity, thermal, squeezed) at alpha 0 and 45 degrees, figures
+    4-5 the one- and two-qubit probes of kind a, b or c. Cavity series run to
+    t = 100, reservoir series to 50; all else is a ScanConfig default."""
     if tag not in FIGURE_TAGS:
         raise ValueError(f"unknown figure tag {tag!r}")
     kinds = ("fock", "thermal", "squeezed")
     pair = tag[0] in "45"
     kind = kinds["abc".index(tag[1])] if pair else kinds[int(tag[0]) - 1]
-    base = dict(points=points, figure=tag, t_max=100.0 if kind == "fock" else 50.0)
+    base = dict(points=points, t_max=100.0 if kind == "fock" else 50.0)
     if not pair:
-        return [ScanConfig(kind + "1", alpha=0.0, series="alpha0", **base),
-                ScanConfig(kind + "1", series="alpha45", **base)]
-    return [ScanConfig(kind + "1", series="one_qubit", **base),
-            ScanConfig(kind + "2", series="two_qubit", **base)]
+        return [("alpha0", ScanConfig(kind + "1", alpha=0.0, **base)),
+                ("alpha45", ScanConfig(kind + "1", **base))]
+    return [("one_qubit", ScanConfig(kind + "1", **base)),
+            ("two_qubit", ScanConfig(kind + "2", **base))]
 
 
 def reproduce_figure(tag: str, points: int = ScanConfig.points) -> list[ScanDataset]:
@@ -381,9 +375,15 @@ def reproduce_figure(tag: str, points: int = ScanConfig.points) -> list[ScanData
 
     Two-curve figures (1a-3b) return the alpha = 0 and alpha = 45 degree
     series; the probe-comparison figures (4a-5c) return the one-qubit
-    (alpha = 45 degrees) and two-qubit series on matched time grids.
+    (alpha = 45 degrees) and two-qubit series on matched time grids. The
+    metadata names the figure and the series before the maximum.
     """
-    return [scan(config) for config in _figure_configs(tag, points)]
+    datasets = []
+    for series, config in _figure_configs(tag, points):
+        datasets.append(dataset := scan(config))
+        peak = {key: dataset.metadata.pop(key) for key in ("max_index", "max_t", "max_qfi")}
+        dataset.metadata.update(figure=tag, series=series, **peak)
+    return datasets
 
 
 def discrepancy_report(points: int = ScanConfig.points) -> str:

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfi_probe.probe_models import (
-    FockParams,
-    TwoQubitFockParams,
-    _fock1_amplitudes,
-    _fock2_amplitudes,
-)
+from qfi_probe.probe_models import _fock1_amplitudes, _fock2_amplitudes
 from qfi_probe.qfi_engine import (
     EIGENSUM_FLOOR,
     QfiResult,
@@ -44,7 +39,7 @@ from qfi_probe.qstate import (
     _diagonal_rows,
     pair_block,
 )
-from qfi_probe.scan_repro import T_TOL
+from qfi_probe.scan_repro import T_TOL, ScanConfig
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -306,16 +301,17 @@ def reduce_A(state):
     return reduced
 
 
-def fock1_amplitudes(p: FockParams, times):
-    """The package's one-qubit cavity amplitudes (b1, b2) at the fields of p."""
-    amplitudes = _fock1_amplitudes(p.detuning, p.coupling, p.photons, p.alpha)
+def fock1_amplitudes(c: ScanConfig, times):
+    """The package's one-qubit cavity amplitudes (b1, b2) at the fields of
+    a fock1 config."""
+    amplitudes = _fock1_amplitudes(c.detuning, c.coupling, c.photons, c.alpha)
     return amplitudes(np.asarray(times, dtype=float))
 
 
-def fock2_amplitudes(p: TwoQubitFockParams, times):
+def fock2_amplitudes(c: ScanConfig, times):
     """The package's two-qubit cavity amplitudes (C_eg, C_ge, C_gg) at the
-    fields of p."""
-    return _fock2_amplitudes(p.detuning, p.coupling, p.alpha)(np.asarray(times, dtype=float))
+    fields of a fock2 config."""
+    return _fock2_amplitudes(c.detuning, c.coupling, c.alpha)(np.asarray(times, dtype=float))
 
 
 def d_rho_grid(channel, value, times) -> BlockState:

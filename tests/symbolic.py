@@ -69,7 +69,7 @@ def _relaxation(excited0):
 
 
 def qubit_state():
-    """The qubit closed form of probe_models._reservoir_qubit_kernel, from
+    """The qubit closed form of probe_models.reservoir_qubit_kernel, from
     cos(alpha)|e> + sin(alpha)|g>; its coherence decays at
     gamma (N + M + 1/2)."""
     excited = _relaxation(sp.cos(ALPHA) ** 2)
@@ -78,7 +78,7 @@ def qubit_state():
 
 
 def pair_state():
-    """The X-state closed form of probe_models._reservoir_pair_kernel,
+    """The X-state closed form of probe_models.reservoir_pair_kernel,
     from the Bell state (|eg> + |ge>) / sqrt(2)."""
     up_e, up_g = _relaxation(1), _relaxation(0)
     down_e, down_g = 1 - up_e, 1 - up_g

@@ -30,21 +30,12 @@ from helpers import (
     random_hermitian_traceless,
     record,
 )
-from qfi_probe.probe_models import (
-    FockParams,
-    SqueezedParams,
-    ThermalParams,
-    TwoQubitFockParams,
-    TwoQubitReservoirParams,
-    reservoir_pair_channel,
-    squeezed1_channel,
-    thermal1_channel,
-)
 from qfi_probe.qfi_engine import qfi_blocks
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     ScanConfig,
     backflow_intervals,
+    build_channel,
     discrepancy_report,
     find_max,
     point_qfi,
@@ -140,16 +131,16 @@ def test_criterion2_analytic_vs_ode():
     for strength in np.concatenate(([0.0], rng.uniform(0.0, 1.2, size=7))):
         gamma, alpha = rng.uniform(0.5, 2.0), rng.uniform(0.0, np.pi / 2)
         occupation, correlation = np.sinh(strength) ** 2, np.cosh(strength) * np.sinh(strength)
-        for channel, form, n, m in (
-            (thermal1_channel(ThermalParams(strength, gamma, alpha)), one, strength, 0.0),
-            (squeezed1_channel(SqueezedParams(strength, gamma, alpha)), one, occupation,
-             correlation),
-            (reservoir_pair_channel(TwoQubitReservoirParams("thermal", strength, gamma)), two,
+        for config, form, n, m in (
+            (ScanConfig("thermal1", mean_occupation=strength, gamma=gamma, alpha=alpha), one,
              strength, 0.0),
-            (reservoir_pair_channel(TwoQubitReservoirParams("squeezed", strength, gamma)), two,
+            (ScanConfig("squeezed1", squeezing=strength, gamma=gamma, alpha=alpha), one,
              occupation, correlation),
+            (ScanConfig("thermal2", mean_occupation=strength, gamma=gamma), two, strength, 0.0),
+            (ScanConfig("squeezed2", squeezing=strength, gamma=gamma), two, occupation,
+             correlation),
         ):
-            rows = dense(channel.states(strength, times))
+            rows = dense(build_channel(config).states(strength, times))
             worst = max(worst, float(np.abs(rows - form(n, m, gamma, alpha, times)).max()))
     assert worst <= 1e-13
     elapsed = time.perf_counter() - start
@@ -160,7 +151,7 @@ def test_criterion2_analytic_vs_ode():
 
 def test_criterion3_thermal_steady_state_benchmark():
     # full engine pipeline at gamma t = 50, deep in the steady state
-    channel = thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4))
+    channel = build_channel(ScanConfig("thermal1", alpha=np.pi / 4))
     state = validate_blocks(channel.states(0.1, [50.0]))
     fq_m = qfi_blocks(state, d_rho_grid(channel, 0.1, [50.0])).value[0]
     assert fq_m == pytest.approx(6.3131, abs=1e-3)
@@ -173,21 +164,22 @@ def test_criterion4_closed_system_normalization():
     rng = np.random.default_rng(4242)
     worst1 = 0.0
     for _ in range(10_000):
-        p = FockParams(
+        config = ScanConfig(
+            "fock1",
             detuning=rng.uniform(-10.0, 10.0),
             coupling=rng.uniform(0.2, 3.0),
             photons=int(rng.integers(0, 5)),
             alpha=rng.uniform(0.0, np.pi / 2),
         )
-        b1, b2 = fock1_amplitudes(p, rng.uniform(0.0, 50.0))
+        b1, b2 = fock1_amplitudes(config, rng.uniform(0.0, 50.0))
         worst1 = max(worst1, abs(abs(b1) ** 2 + abs(b2) ** 2 - 1.0))
     assert worst1 <= 1e-12
     worst2 = 0.0
     for _ in range(10_000):
-        p = TwoQubitFockParams(
-            detuning=rng.uniform(-10.0, 10.0), coupling=rng.uniform(0.2, 3.0)
+        config = ScanConfig(
+            "fock2", detuning=rng.uniform(-10.0, 10.0), coupling=rng.uniform(0.2, 3.0)
         )
-        c2, c3, c4 = fock2_amplitudes(p, rng.uniform(0.0, 50.0))
+        c2, c3, c4 = fock2_amplitudes(config, rng.uniform(0.0, 50.0))
         worst2 = max(worst2, abs(abs(c2) ** 2 + abs(c3) ** 2 + abs(c4) ** 2 - 1.0))
     assert worst2 <= 1e-12
     print(f"criterion 4 PASS: worst one-qubit drift {worst1:.2e}, two-qubit {worst2:.2e}")

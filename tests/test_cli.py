@@ -332,7 +332,7 @@ class TestScanCommand:
         flags = [flag for flag, _, _, _ in MODEL_FLAGS]
         names = [name for _, name, _, _ in MODEL_FLAGS]
         assert len(set(flags)) == len(flags) and len(set(names)) == len(names)
-        assert set(names) == {name for _, read, _ in MODELS.values() for name in read}
+        assert set(names) == {name for _, read, *_ in MODELS.values() for name in read}
         parser = build_parser()
         # an absent flag leaves the ScanConfig default in place
         args = parser.parse_args(["qfi", "--model", "fock1", "--t", "1"])

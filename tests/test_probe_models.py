@@ -16,18 +16,14 @@ from helpers import (
     state_at,
 )
 from qfi_probe.probe_models import (
+    FIELD_DOMAINS,
     FockParams,
     SqueezedParams,
     ThermalParams,
     TwoQubitFockParams,
     TwoQubitReservoirParams,
-    fock1_channel,
-    fock2_channel,
-    reservoir_pair_channel,
-    squeezed1_channel,
-    thermal1_channel,
 )
-from qfi_probe.scan_repro import ScanConfig, build_channel
+from qfi_probe.scan_repro import MODEL_IDS, ScanConfig, build_channel
 from symbolic import exact
 
 
@@ -35,19 +31,20 @@ class TestFockOneQubit:
     def test_normalization_random_grid(self):
         rng = np.random.default_rng(17)
         for _ in range(500):
-            p = FockParams(
+            config = ScanConfig(
+                "fock1",
                 detuning=rng.uniform(-10.0, 10.0),
                 coupling=rng.uniform(0.2, 3.0),
                 photons=int(rng.integers(0, 4)),
                 alpha=rng.uniform(0.0, np.pi / 2),
             )
-            b1, b2 = fock1_amplitudes(p, rng.uniform(0.0, 20.0))
+            b1, b2 = fock1_amplitudes(config, rng.uniform(0.0, 20.0))
             assert abs(abs(b1) ** 2 + abs(b2) ** 2 - 1.0) <= 1e-12
 
     def test_purity_identity(self):
-        p = FockParams(detuning=5.0, alpha=np.pi / 4)
-        state = state_at(fock1_channel(p), 1.3)
-        b1, b2 = fock1_amplitudes(p, 1.3)
+        config = ScanConfig("fock1", alpha=np.pi / 4)
+        state = state_at(build_channel(config), 1.3)
+        b1, b2 = fock1_amplitudes(config, 1.3)
         purity = np.trace(state.matrix @ state.matrix).real
         assert purity == pytest.approx(abs(b1) ** 4 + abs(b2) ** 4, abs=1e-12)
 
@@ -93,8 +90,10 @@ class TestThermalOneQubit:
         for _ in range(50):
             alpha = rng.uniform(0.0, np.pi / 2)
             t = rng.uniform(0.0, 5.0)
-            thermal = state_at(thermal1_channel(ThermalParams(0.0, 1.0, alpha)), t)
-            squeezed = state_at(squeezed1_channel(SqueezedParams(0.0, 1.0, alpha)), t)
+            thermal = state_at(build_channel(
+                ScanConfig("thermal1", mean_occupation=0.0, alpha=alpha)), t)
+            squeezed = state_at(build_channel(
+                ScanConfig("squeezed1", squeezing=0.0, alpha=alpha)), t)
             assert np.abs(thermal.matrix - squeezed.matrix).max() <= 1e-12
 
 
@@ -102,11 +101,13 @@ class TestSqueezedOneQubit:
     def test_populations_match_thermal_coherences_do_not(self):
         # same populations under occupation matching; coherence decay rates
         # differ by the pair correlation
-        p = SqueezedParams(0.4, 1.0, np.pi / 4)
+        channel = build_channel(ScanConfig("squeezed1", squeezing=0.4, alpha=np.pi / 4))
         occ, pair = np.sinh(0.4) ** 2, np.cosh(0.4) * np.sinh(0.4)
+        thermal_channel = build_channel(
+            ScanConfig("thermal1", mean_occupation=occ, alpha=np.pi / 4))
         for t in (0.5, 1.0, 2.0):
-            squeezed = state_at(squeezed1_channel(p), t).matrix
-            thermal = state_at(thermal1_channel(ThermalParams(occ, 1.0, np.pi / 4)), t).matrix
+            squeezed = state_at(channel, t).matrix
+            thermal = state_at(thermal_channel, t).matrix
             assert abs(squeezed[0, 0] - thermal[0, 0]) <= 1e-12
             assert abs(squeezed[1, 1] - thermal[1, 1]) <= 1e-12
             ratio = squeezed[0, 1].real / thermal[0, 1].real
@@ -117,10 +118,10 @@ class TestFockTwoQubit:
     def test_trace_random_grid(self):
         rng = np.random.default_rng(29)
         for _ in range(500):
-            p = TwoQubitFockParams(
-                detuning=rng.uniform(-10.0, 10.0), coupling=rng.uniform(0.2, 3.0)
+            config = ScanConfig(
+                "fock2", detuning=rng.uniform(-10.0, 10.0), coupling=rng.uniform(0.2, 3.0)
             )
-            c2, c3, c4 = fock2_amplitudes(p, rng.uniform(0.0, 20.0))
+            c2, c3, c4 = fock2_amplitudes(config, rng.uniform(0.0, 20.0))
             assert abs(abs(c2) ** 2 + abs(c3) ** 2 + abs(c4) ** 2 - 1.0) <= 1e-12
 
     def test_no_photon_field(self):
@@ -139,10 +140,11 @@ class TestReservoirPair:
     def test_closed_form_is_product_channel(self):
         # marginals of the closed form follow the one-qubit solutions from
         # |e> and |g>, averaged by the Bell state
-        p = TwoQubitReservoirParams("squeezed", 0.3, 1.2)
         t = 0.7
-        reduced = reduce_A(dense(reservoir_pair_channel(p).states(p.strength, [t]))[0]).matrix
-        one = lambda a: state_at(squeezed1_channel(SqueezedParams(0.3, 1.2, a)), t).matrix
+        pair = build_channel(ScanConfig("squeezed2", squeezing=0.3, gamma=1.2))
+        reduced = reduce_A(dense(pair.states(0.3, [t]))[0]).matrix
+        one = lambda a: state_at(build_channel(
+            ScanConfig("squeezed1", squeezing=0.3, gamma=1.2, alpha=a)), t).matrix
         np.testing.assert_allclose(reduced, 0.5 * (one(0.0) + one(np.pi / 2)), atol=1e-14)
 
     def test_lindblad_module_reexports_params_only(self):
@@ -185,11 +187,11 @@ def test_nonfinite_parameter_rejected(build, bad):
 
 class TestReduceA:
     def test_initial_bell_reduces_to_mixed(self):
-        state = state_at(fock2_channel(TwoQubitFockParams(detuning=5.0)), 0.0)
+        state = state_at(build_channel(ScanConfig("fock2")), 0.0)
         np.testing.assert_allclose(reduce_A(state).matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_matches_bruteforce(self):
-        state = state_at(fock2_channel(TwoQubitFockParams(detuning=5.0)), 0.5)
+        state = state_at(build_channel(ScanConfig("fock2")), 0.5)
         np.testing.assert_allclose(
             reduce_A(state).matrix, ptrace_b_bruteforce(state.matrix), atol=1e-14
         )
@@ -202,33 +204,40 @@ class TestReduceA:
 class TestChannels:
     def test_fock_channel_matches_state(self):
         # the stencil calls the closed form with a raw value; that equals
-        # the channel of the validated parameters at that value, bit for
-        # bit, for every model
+        # the channel of the validated config at that value, bit for bit,
+        # for every model
         times = np.linspace(0.0, 30.0, 11)
-        for params, build, field in (
-            (FockParams(detuning=5.0, coupling=1.3, photons=2, alpha=np.pi / 4), fock1_channel,
-             "detuning"),
-            (ThermalParams(0.1, 1.2, np.pi / 5), thermal1_channel, "mean_occupation"),
-            (SqueezedParams(0.1, 0.8, np.pi / 3), squeezed1_channel, "squeezing"),
-            (TwoQubitFockParams(detuning=5.0, coupling=0.7, alpha=0.4), fock2_channel,
-             "detuning"),
-            (TwoQubitReservoirParams("thermal", 0.1, 1.5), reservoir_pair_channel, "strength"),
-            (TwoQubitReservoirParams("squeezed", 0.2, 0.9), reservoir_pair_channel, "strength"),
+        for config, field in (
+            (ScanConfig("fock1", coupling=1.3, photons=2, alpha=np.pi / 4), "detuning"),
+            (ScanConfig("thermal1", gamma=1.2, alpha=np.pi / 5), "mean_occupation"),
+            (ScanConfig("squeezed1", gamma=0.8, alpha=np.pi / 3), "squeezing"),
+            (ScanConfig("fock2", coupling=0.7, alpha=0.4), "detuning"),
+            (ScanConfig("thermal2", gamma=1.5), "mean_occupation"),
+            (ScanConfig("squeezed2", squeezing=0.2, gamma=0.9), "squeezing"),
         ):
-            channel = build(params)
-            for value in (getattr(params, field), 0.37):
-                shifted = build(replace(params, **{field: value}))
+            channel = build_channel(config)
+            for value in (getattr(config, field), 0.37):
+                shifted = build_channel(replace(config, **{field: value}))
                 assert shifted.support == channel.support
                 np.testing.assert_array_equal(channel.states(value, times).values,
                                               shifted.states(value, times).values)
 
     def test_grid_matches_length_one_grids(self):
-        channel = thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4))
+        channel = build_channel(ScanConfig("thermal1", alpha=np.pi / 4))
         times = np.linspace(0.1, 2.0, 7)
         stack = dense(channel.states(0.1, times))
         for k, t in enumerate(times):
             np.testing.assert_allclose(stack[k], dense(channel.states(0.1, [t]))[0], atol=1e-15)
 
-    def test_squeezed_channel_floor(self):
-        channel = squeezed1_channel(SqueezedParams(0.1, 1.0, 0.0))
-        assert channel.floor == 0.0
+    @pytest.mark.parametrize("model", MODEL_IDS)
+    def test_floor_is_the_domain_bound(self, model):
+        # the channel perturbs the estimand's field, and the stencil stops
+        # at that field's ">=" bound; detuning is unbounded
+        config = ScanConfig(model)
+        name = {"detuning": "detuning", "temperature": "mean_occupation",
+                "squeezing": "squeezing"}[config.estimand]
+        bounds = [bound for comparison, bound in FIELD_DOMAINS.get(name, ()) if comparison == ">="]
+        channel = build_channel(config)
+        assert channel.value == getattr(config, name)
+        assert channel.floor == (bounds[0] if bounds else None)
+        assert channel.floor == (None if model.startswith("fock") else 0.0)

@@ -23,26 +23,15 @@ from helpers import (
     record,
     validate_density,
 )
-from qfi_probe.probe_models import (
-    ChannelModel,
-    FockParams,
-    SqueezedParams,
-    ThermalParams,
-    TwoQubitFockParams,
-    fock1_channel,
-    fock2_channel,
-    squeezed1_channel,
-    thermal1_channel,
-)
+from qfi_probe.probe_models import ChannelModel
 from qfi_probe.qfi_engine import fd_step, qfi_blocks
 from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, validate_blocks
 from qfi_probe.scan_repro import MODELS, ScanConfig, build_channel, time_grid
 from symbolic import exact
 
-THERMAL = ThermalParams(0.1, 1.0, np.pi / 4)
-SQUEEZED = SqueezedParams(0.1, 1.0, np.pi / 4)
-THERMAL_CHANNEL = thermal1_channel(THERMAL)
-SQUEEZED_CHANNEL = squeezed1_channel(SQUEEZED)
+THERMAL_CHANNEL = build_channel(ScanConfig("thermal1", alpha=np.pi / 4))
+SQUEEZED_CHANNEL = build_channel(ScanConfig("squeezed1", alpha=np.pi / 4))
+FOCK2_CHANNEL = build_channel(ScanConfig("fock2", alpha=np.pi / 4))
 
 
 def constant_channel():
@@ -74,9 +63,9 @@ class TestDerivativeStencil:
             assert np.abs(stencil - exact(ScanConfig("squeezed1"), t).drho).max() <= 1e-6
 
     def test_one_sided_stencil_at_domain_edge(self):
-        params = ThermalParams(0.0, 1.0, np.pi / 4)
-        stencil = derivative(thermal1_channel(params), 0.0, [1.0])[0]
-        analytic = exact(ScanConfig("thermal1", mean_occupation=0.0), 1.0).drho
+        config = ScanConfig("thermal1", mean_occupation=0.0, alpha=np.pi / 4)
+        stencil = derivative(build_channel(config), 0.0, [1.0])[0]
+        analytic = exact(config, 1.0).drho
         assert np.abs(stencil - analytic).max() <= 1e-6
 
     def test_traceless_and_hermitian(self):
@@ -136,8 +125,7 @@ class TestQfiBlocks:
         # counted
         rho = record(np.diag([1.0, 0.0]))
         assert qfi_blocks(rho, record(np.zeros((2, 2)))).discarded_pairs == 1
-        channel = fock2_channel(TwoQubitFockParams(detuning=5.0))
-        state = validate_blocks(channel.states(5.0, [0.0]))
+        state = validate_blocks(FOCK2_CHANNEL.states(5.0, [0.0]))
         zero = record(np.zeros((1, 4, 4)), X_BLOCKS)
         assert qfi_blocks(state, zero).discarded_pairs == 5
 
@@ -153,9 +141,8 @@ class TestQfiBlocks:
         # X-state blocks: it has no record on them, and a record of its
         # {|eg>, |ge>} block alone, on the qubit blocks, does not match the
         # state
-        channel = fock2_channel(TwoQubitFockParams(detuning=5.0))
-        state = validate_blocks(channel.states(5.0, [1.0]))
-        drho = derivative(channel, 5.0, [1.0])
+        state = validate_blocks(FOCK2_CHANNEL.states(5.0, [1.0]))
+        drho = derivative(FOCK2_CHANNEL, 5.0, [1.0])
         drho[0, 0, 1] = drho[0, 1, 0] = 1e-3
         with pytest.raises(ValueError, match="outside the blocks"):
             record(drho, X_BLOCKS)
@@ -179,7 +166,7 @@ class TestQfiBlocks:
     def test_matches_spectral_oracle_across_fock2_rank_drop(self):
         # the |gg> population of fock2 passes through zero at
         # t = 2 pi k / sqrt(8 + detuning^2); k = 45 sits near t = 49.22
-        channel = fock2_channel(TwoQubitFockParams(detuning=5.0))
+        channel = FOCK2_CHANNEL
         t_drop = 2.0 * np.pi * 45 / np.sqrt(33.0)
         times = t_drop + np.linspace(-1e-3, 1e-3, 20001)
         states = channel.states(5.0, times)
@@ -268,12 +255,12 @@ class TestPureOracle:
 
     def test_cavity_amplitude_family_dual_path(self):
         # system-state amplitudes before tracing, differentiated in the detuning
-        p = FockParams(detuning=5.0, coupling=1.0, alpha=np.pi / 4)
+        config = ScanConfig("fock1", detuning=5.0, coupling=1.0, alpha=np.pi / 4)
         t = 0.8
         h = fd_step(5.0)
-        psi = np.array(fock1_amplitudes(p, t))
-        up = np.array(fock1_amplitudes(replace(p, detuning=5.0 + h), t))
-        down = np.array(fock1_amplitudes(replace(p, detuning=5.0 - h), t))
+        psi = np.array(fock1_amplitudes(config, t))
+        up = np.array(fock1_amplitudes(replace(config, detuning=5.0 + h), t))
+        down = np.array(fock1_amplitudes(replace(config, detuning=5.0 - h), t))
         dpsi = (up - down) / (2.0 * h)
         rho = validate_density(np.outer(psi, psi.conj()))
         drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
@@ -301,10 +288,10 @@ class TestQfiVanishesAtTimeZero:
     @pytest.mark.parametrize(
         "channel",
         [
-            fock1_channel(FockParams(detuning=5.0, alpha=np.pi / 4)),
+            build_channel(ScanConfig("fock1", alpha=np.pi / 4)),
             THERMAL_CHANNEL,
             SQUEEZED_CHANNEL,
-            fock2_channel(TwoQubitFockParams(detuning=5.0)),
+            FOCK2_CHANNEL,
         ],
         ids=["fock1", "thermal1", "squeezed1", "fock2"],
     )

@@ -23,14 +23,6 @@ from helpers import (
     validate_density,
 )
 from qfi_probe import qfi_engine
-from qfi_probe.probe_models import (
-    ThermalParams,
-    TwoQubitFockParams,
-    TwoQubitReservoirParams,
-    fock2_channel,
-    reservoir_pair_channel,
-    thermal1_channel,
-)
 from qfi_probe.qstate import (
     QUBIT_BLOCKS,
     X_BLOCKS,
@@ -46,7 +38,7 @@ from qfi_probe.scan_repro import MODEL_IDS, ScanConfig, build_channel
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
-THERMAL_CHANNEL = thermal1_channel(ThermalParams(0.1, 1.0, np.pi / 4))
+THERMAL_CHANNEL = build_channel(ScanConfig("thermal1", alpha=np.pi / 4))
 
 
 def qubit_eigenvalues(mat):
@@ -309,7 +301,7 @@ class TestPartialTrace:
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
 
     def test_two_qubit_cavity_state_vs_bruteforce(self):
-        state = state_at(fock2_channel(TwoQubitFockParams(detuning=5.0, coupling=1.0)), 0.5)
+        state = state_at(build_channel(ScanConfig("fock2", alpha=np.pi / 4)), 0.5)
         expected = ptrace_b_bruteforce(state.matrix)
         reduced = validate_density(trace_out_B(state))
         np.testing.assert_allclose(reduced.matrix, expected, atol=1e-14)
@@ -360,7 +352,7 @@ class TestReducedBloch:
         build_channel(ScanConfig("thermal1", alpha=0.6)),
         build_channel(ScanConfig("squeezed1", alpha=0.6)),
         # away from alpha = pi/4, |eg> and |ge> carry different weights
-        fock2_channel(TwoQubitFockParams(detuning=5.0, alpha=0.4)),
+        build_channel(ScanConfig("fock2", alpha=0.4)),
         build_channel(ScanConfig("thermal2")),
         build_channel(ScanConfig("squeezed2")),
     ], ids=MODEL_IDS)
@@ -427,8 +419,8 @@ class TestFidelity:
 
     def test_two_qubit_records_against_uhlmann(self):
         # the fidelity of qubit A, from records, against the dense oracle
-        for channel in (fock2_channel(TwoQubitFockParams(detuning=5.0, alpha=0.4)),
-                        reservoir_pair_channel(TwoQubitReservoirParams("squeezed", 0.3, 1.0))):
+        for channel in (build_channel(ScanConfig("fock2", alpha=0.4)),
+                        build_channel(ScanConfig("squeezed2", squeezing=0.3))):
             initial = channel.states(channel.value, [0.0])
             states = channel.states(channel.value, np.linspace(0.1, 30.0, 25))
             got = fidelity_bloch(reduced_bloch(initial), reduced_bloch(states))

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from helpers import backflow_intervals_loop, find_max_sequential
-from qfi_probe import scan_repro
-from qfi_probe.probe_models import FIELD_DOMAINS, TwoQubitFockParams, fock2_channel
-from qfi_probe.qstate import validate_blocks
+from qfi_probe import cli, probe_models, scan_repro
+from qfi_probe.probe_models import FIELD_DOMAINS, ChannelModel, fock2_kernel
+from qfi_probe.qstate import X_BLOCKS, validate_blocks
 from qfi_probe.scan_repro import (
     FIGURE_TAGS,
     MODEL_IDS,
@@ -31,7 +31,7 @@ from symbolic import exact, occupation_slope
 
 
 # every ScanConfig field that some model reads
-MODEL_FIELDS = {name for _, names, _ in MODELS.values() for name in names}
+MODEL_FIELDS = {name for _, names, *_ in MODELS.values() for name in names}
 # values just outside each field's domain
 OUT_OF_DOMAIN = {"alpha": (-1e-9, np.pi / 2 + 1e-9, 2.0), "coupling": (0.0, -1.0),
                  "photons": (-1,), "mean_occupation": (-1e-9, -1.0), "gamma": (0.0, -1.0),
@@ -55,8 +55,8 @@ class TestScanConfig:
                 ScanConfig("fock1", estimand=estimand)
 
     def test_model_fields_are_the_scan_config_parameters(self):
-        grid_and_labels = {"model_id", "t_min", "t_max", "points", "figure", "series"}
-        assert MODEL_FIELDS == {f.name for f in fields(ScanConfig)} - grid_and_labels
+        grid = {"model_id", "t_min", "t_max", "points"}
+        assert MODEL_FIELDS == {f.name for f in fields(ScanConfig)} - grid
 
     @pytest.mark.parametrize("model, name", [
         (model, name) for model in MODEL_IDS
@@ -267,7 +267,7 @@ class TestScan:
         config = ScanConfig("fock2", t_max=20.0, points=200, alpha=0.4)
         honoured = scan(config)
         bell = scan(replace(config, alpha=math.pi / 4))
-        channel = fock2_channel(TwoQubitFockParams(5.0, 1.0, 0.4))
+        channel = ChannelModel(5.0, None, X_BLOCKS, lambda v: fock2_kernel(v, 1.0, 0.4))
         monkeypatch.setattr(scan_repro, "build_channel", lambda _: channel)
         direct = scan(replace(config, alpha=math.pi / 4))
         for name in ("qfi", "fidelity"):
@@ -480,6 +480,9 @@ class TestReproduceFigure:
         assert [d.metadata["series"] for d in datasets] == ["alpha0", "alpha45"]
         assert all(d.t.size == 40 for d in datasets)
         assert all(d.metadata["figure"] == "2a" for d in datasets)
+        # the labels sit where the CSV has always had them, before the maximum
+        assert [list(d.metadata)[-5:] for d in datasets] == 2 * [
+            ["figure", "series", "max_index", "max_t", "max_qfi"]]
 
     def test_probe_comparison_structure(self):
         datasets = reproduce_figure("5b", points=30)
@@ -504,6 +507,9 @@ class TestReproduceFigure:
         # the 24 series hold 9 distinct scans: 1a = 1b, 2a = 2b, 3a = 3b,
         # 5x = 4x, and the one_qubit series of 4a-4c are the alpha45
         # series of 1a-3a; only the figure metadata tells them apart
+        configs = {config for tag in FIGURE_TAGS
+                   for _, config in scan_repro._figure_configs(tag, 50)}
+        assert len(configs) == 9
         figures = {tag: reproduce_figure(tag, points=50) for tag in FIGURE_TAGS}
         same = [(f"{n}a", f"{n}b") for n in "123"] + [(f"4{k}", f"5{k}") for k in "abc"]
         pairs = [(a, b, i, i) for a, b in same for i in (0, 1)]
@@ -525,6 +531,38 @@ def test_no_eigensolver_in_the_hot_path(model, monkeypatch):
     find_max(scan(config))
     point_qfi(config, 3.0)
     point_fidelity(config, 3.0)
+
+
+@pytest.fixture
+def no_parameter_classes(monkeypatch):
+    # ScanConfig validates every field once; the five parameter classes of
+    # probe_models stay only for the benchmark tests, and no library path
+    # may build one
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} was constructed")
+
+    for name in ("FockParams", "ThermalParams", "SqueezedParams", "TwoQubitFockParams",
+                 "TwoQubitReservoirParams"):
+        monkeypatch.setattr(getattr(probe_models, name), "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="FockParams"):
+        probe_models.FockParams(5.0)
+
+
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_scans_build_no_parameter_class(model, no_parameter_classes):
+    config = ScanConfig(model, points=200, t_max=20.0)
+    t, qfi = find_max(scan(config))
+    assert qfi > 0.0
+    assert point_qfi(config, t) >= 0.0
+    assert 0.0 <= point_fidelity(config, t) <= 1.0
+
+
+@pytest.mark.parametrize("tag", ["4a", "4b", "4c"])
+def test_figures_build_no_parameter_class(tag, no_parameter_classes, tmp_path):
+    # 4a-4c cover all six models
+    assert cli.run(["figure", "--tag", tag, "--points", "50",
+                    "--out", str(tmp_path / "fig.csv")]) == 0
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_discrepancy_report_mentions_targets():

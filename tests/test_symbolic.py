@@ -8,7 +8,6 @@ single-excitation sector, and the package's amplitudes against them. Last,
 the library's QFI and fidelity against the exact oracle of every model."""
 
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -16,7 +15,6 @@ import pytest
 import sympy as sp
 
 from helpers import dense, fock1_amplitudes, fock2_amplitudes
-from qfi_probe.probe_models import FockParams, TwoQubitFockParams
 from qfi_probe.scan_repro import (
     FIGURE_TAGS,
     MODEL_IDS,
@@ -244,9 +242,11 @@ def test_cavity_amplitude_kernels_match_forms():
         alpha, photons = rng.uniform(0.0, np.pi / 2), int(rng.integers(0, 5))
         exchange = 2.0 * coupling * np.sqrt(photons + 1.0)
         for got, want in (
-            (fock1_amplitudes(FockParams(detuning, coupling, photons, alpha), times),
+            (fock1_amplitudes(ScanConfig("fock1", detuning=detuning, coupling=coupling,
+                                         photons=photons, alpha=alpha), times),
              one(detuning, exchange, alpha, times)),
-            (fock2_amplitudes(TwoQubitFockParams(detuning, coupling, alpha), times),
+            (fock2_amplitudes(ScanConfig("fock2", detuning=detuning, coupling=coupling,
+                                         alpha=alpha), times),
              two(detuning, coupling, alpha, times)),
         ):
             worst = max(worst, float(np.abs(np.stack(got, axis=-1) - want).max()))
@@ -278,8 +278,7 @@ def test_library_error_against_exact():
             config = ScanConfig(model, **{name: rng.uniform(*RANGES[name]) for name in names})
             t = rng.uniform(0.01, 50.0)
             rows.append((config, t, point_qfi(config, t), point_fidelity(config, t)))
-    for config in {replace(config, figure="", series="")
-                   for tag in FIGURE_TAGS for config in _figure_configs(tag, 2000)}:
+    for config in {config for tag in FIGURE_TAGS for _, config in _figure_configs(tag, 2000)}:
         dataset = scan(config)
         rows += [(config, *map(float, row))
                  for row in zip(dataset.t, dataset.qfi, dataset.fidelity)][::97]
