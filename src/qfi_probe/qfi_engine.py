@@ -21,14 +21,14 @@ class QfiResult:
     Attributes:
         value: the Fisher information, >= 0, in 1/estimand^2 units; an
             array with one value per state.
-        discarded_pairs: ordered eigenvalue pairs (i, j) within a block
-            that were excluded because p_i + p_j fell at or below the
-            1e-12 floor, counted over all states. Pairs across blocks
-            carry no derivative and are not counted.
+        floored: the block rows, over all blocks and states, whose
+            determinant term was left out: the block's lower eigenvalue
+            is at or below half the 1e-12 floor, as for a pure or empty
+            block.
     """
 
     value: float | np.ndarray
-    discarded_pairs: int
+    floored: int
 
 
 def fd_step(value: float) -> float:
@@ -88,40 +88,30 @@ def qfi_blocks(rho: BlockState, drho: BlockState) -> QfiResult:
 
     F = sum_{i,j} 2 |<psi_i| drho |psi_j>|^2 / (p_i + p_j) splits into one
     closed form per block, since rho and drho share the blocks. A block
-    (w + r.sigma) / 2 with eigenvalues p_+, p_- and axis n = r / |r| gives,
-    with d_pm = (dw +- dr.n) / 2,
-    d_+^2 / p_+ + d_-^2 / p_- + (|dr|^2 - (dr.n)^2) / w: the eigenvalue-pair
-    form of the Bloch QFI (Zhong et al., PRA 87, 022337 (2013)). Pairs with
-    p_i + p_j <= 1e-12 are left out, which keeps the pure limit finite.
-    The terms are summed block by block. The spectra of a validated rho are
-    reused; any other rho is validated first. Raises ValueError if drho is
-    not on the blocks and grid of rho.
+    [[a, c], [conj(c), b]] = (w + r.sigma) / 2 gives
+    F = (|dr|^2 + ddet^2 / det) / w, with |dr|^2 = (da - db)^2 + 4 |dc|^2,
+    det = a b - |c|^2 and ddet = a db + b da - 2 Re(conj(c) dc): the qubit
+    determinant form (Zhong et al., PRA 87, 022337 (2013)) for a block of
+    trace w. As the eigenvalue pairs' floor p_i + p_j > 1e-12 did, the
+    first term needs w > 5e-13 and the second det > 5e-13 w (a lower
+    eigenvalue det / p_+ above 5e-13, as p_+ ~ w), which keeps the pure
+    limit finite. The terms are summed block by block. The weights and
+    determinants of a validated rho are reused; any other rho is validated
+    first. Raises ValueError if drho is not on the blocks and grid of rho.
     """
     state = rho if rho.spectra is not None else validate_blocks(rho)
     if drho.support != state.support or drho.values.shape != state.values.shape:
         raise ValueError(f"drho on blocks {drho.support} with shape {drho.values.shape}"
                          f" does not match the state on {state.support}"
                          f" with shape {state.values.shape}")
-    weight, bloch, norm, upper, lower = state.spectra
-    da, db, dre, dimag = drho.pairs()
-    dbloch = (da - db, 2.0 * dre, 2.0 * dimag)
-    dot = bloch[0] * dbloch[0] + bloch[1] * dbloch[1] + bloch[2] * dbloch[2]
-    along = np.divide(dot, norm, out=np.zeros(dot.shape), where=norm > 0.0)
-    across = dbloch[0] ** 2 + dbloch[1] ** 2 + dbloch[2] ** 2 - along**2
-    dw = da + db
-    # per eigenvalue pair (p_i, p_j) of the blocks, (+, +), (-, -), (+, -):
-    # 2 |drho_ij|^2 (twice that for i != j, covering both orders),
-    # p_i + p_j, and the number of ordered pairs
-    terms, discarded = [], 0
-    for numerator, pair_sum, count in ((0.5 * (dw + along) ** 2, 2.0 * upper, 1),
-                                       (0.5 * (dw - along) ** 2, 2.0 * lower, 1),
-                                       (across, weight, 2)):
-        kept = pair_sum > EIGENSUM_FLOOR
-        terms.append(np.divide(numerator, pair_sum, out=np.zeros(kept.shape), where=kept))
-        discarded += count * (kept.size - np.count_nonzero(kept))
-    rows = [term[k] for k in range(len(weight)) for term in terms]
-    total = rows[0] + rows[1]
-    for row in rows[2:]:
-        total += row
-    return QfiResult(np.maximum(total, 0.0, out=total), discarded)
-
+    weight, det = state.spectra
+    a, b, re, im = state.pairs()
+    da, db, dre, dim = drho.pairs()
+    ddet = a * db + b * da - 2.0 * (re * dre + im * dim)
+    floor = 0.5 * EIGENSUM_FLOOR
+    heavy = weight > floor
+    kept = heavy & (det > floor * weight)
+    terms = np.divide((da - db) ** 2 + 4.0 * (dre * dre + dim * dim), weight,
+                      out=np.zeros(weight.shape), where=heavy)
+    terms += np.divide(ddet * ddet, weight * det, out=np.zeros(weight.shape), where=kept)
+    return QfiResult(terms.sum(axis=0), kept.size - int(np.count_nonzero(kept)))

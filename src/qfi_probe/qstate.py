@@ -65,8 +65,9 @@ class BlockState:
         values: real array of shape (4 P, N) for P blocks: the rows a, b,
             Re c and Im c of the blocks [[a, c], [conj(c), b]] (P rows
             each, in block order).
-        spectra: None, or pair_block of the blocks, as validate_blocks
-            computed it.
+        spectra: None, or the (weight, det) rows of the blocks, their
+            traces a + b and determinants a b - |c|^2, shape (P, N) each,
+            as validate_blocks computed them.
     """
 
     support: tuple[tuple[int, int], ...]
@@ -90,30 +91,17 @@ class BlockState:
         return total
 
 
-def pair_block(a, b, re, im):
-    """(w, r, |r|, upper, lower) of 2-blocks [[a, re + i im], [re - i im, b]]
-    = (w + r.sigma) / 2: the trace, the Bloch vector (three arrays, r_y with
-    its sign flipped), its length and the eigenvalues (w +- |r|) / 2. The
-    lower eigenvalue is det / upper, which stays accurate where it is tiny
-    and (w - |r|) / 2 cancels; only where upper <= 0 is it w - upper."""
-    weight = a + b
-    bloch = (a - b, 2.0 * re, 2.0 * im)
-    norm = np.sqrt(bloch[0] ** 2 + bloch[1] ** 2 + bloch[2] ** 2)
-    upper = 0.5 * (weight + norm)
-    det = a * b - (re**2 + im**2)
-    lower = np.divide(det, upper, out=np.asarray(weight - upper, dtype=float),
-                      where=upper > 0.0)
-    return weight, bloch, norm, upper, lower
-
-
 def validate_blocks(state: BlockState) -> BlockState:
     """Check the invariants of N block states and return them, read-only,
-    with the spectra of their blocks, without an eigensolver.
+    with the weight and determinant of their blocks, without an eigensolver.
 
     In order: every value is finite; the lower eigenvalue of every block
-    is at least -PSD_TOL; the trace is 1 to within TRACE_TOL. Every
-    comparison is written so that a NaN fails it. The values array is made
-    read-only in place, so the spectra cannot go stale.
+    is at least -PSD_TOL; the trace is 1 to within TRACE_TOL. A 2-block is
+    PSD exactly when its weight w and det are >= 0; only the others get a
+    lower eigenvalue, det / upper with upper = (w + |r|) / 2 (w - upper
+    where upper <= 0). Every comparison is written so that a NaN fails it.
+    The values array is made read-only in place, so the spectra cannot go
+    stale.
 
     Raises:
         StateValidationError: for a NaN or infinite value.
@@ -127,15 +115,22 @@ def validate_blocks(state: BlockState) -> BlockState:
         raise ValueError(f"values of shape {values.shape} do not fit the blocks {state.support}")
     if not np.isfinite(values).all():
         raise StateValidationError("a block entry is NaN or infinite")
-    spectra = pair_block(*state.pairs())
-    smallest = float(spectra[4].min(initial=np.inf))
-    if not smallest >= -PSD_TOL:
-        raise NegativeEigenvalue(f"smallest eigenvalue {smallest:.3e} below -{PSD_TOL:.0e}")
+    a, b, re, im = state.pairs()
+    weight = a + b
+    det = a * b - (re * re + im * im)
+    bad = ~((weight >= 0.0) & (det >= 0.0))
+    if bad.any():
+        a, b, re, im, w, d = (row[bad] for row in (a, b, re, im, weight, det))
+        upper = 0.5 * (w + np.sqrt((a - b) ** 2 + (2.0 * re) ** 2 + (2.0 * im) ** 2))
+        lower = np.divide(d, upper, out=w - upper, where=upper > 0.0)
+        smallest = float(lower.min())
+        if not smallest >= -PSD_TOL:
+            raise NegativeEigenvalue(f"smallest eigenvalue {smallest:.3e} below -{PSD_TOL:.0e}")
     trace_dev = float(np.abs(state.trace() - 1.0).max(initial=0.0))
     if not trace_dev <= TRACE_TOL:
         raise TraceNotOne(f"|tr(rho) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
     values.flags.writeable = False
-    return BlockState(state.support, values, spectra)
+    return BlockState(state.support, values, (weight, det))
 
 
 class BlochVector(NamedTuple):

@@ -1,8 +1,8 @@
 """Shared test utilities: random state factories, dense matrices built
 from block records, and independent oracles.
 
-The oracles here (the dense density-matrix validator, closed-form 2x2
-diagonalization, brute-force partial traces, the spectral, SLD and
+The oracles here (the dense density-matrix validator and its 2x2 lower
+eigenvalue, brute-force partial traces, the spectral, SLD and
 pure-state QFI of arbitrary states, the Uhlmann fidelity, the
 sequential golden-section search,
 the loop form of the backflow detector, per-row f-string CSV formatting,
@@ -15,13 +15,13 @@ serve only the tests.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from qfi_probe.probe_models import _fock1_amplitudes, _fock2_amplitudes
 from qfi_probe.qfi_engine import (
     EIGENSUM_FLOOR,
-    QfiResult,
     derivative,
     derivative_taps,
     stencil,
@@ -37,7 +37,6 @@ from qfi_probe.qstate import (
     StateValidationError,
     TraceNotOne,
     _diagonal_rows,
-    pair_block,
 )
 from qfi_probe.scan_repro import T_TOL, ScanConfig
 
@@ -113,13 +112,23 @@ def validate_density(matrix, blocks=None, psd_tol: float = PSD_TOL) -> DensityMa
     trace_dev = float(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if not trace_dev <= TRACE_TOL:
         raise TraceNotOne(f"|tr(rho) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
-    lowest = [mat[..., b[0], b[0]].real if len(b) == 1 else pair_block(*_pair_entries(mat, b))[4]
-              for b in blocks]
+    lowest = [mat[..., b[0], b[0]].real if len(b) == 1
+              else lower_eigenvalue(*_pair_entries(mat, b)) for b in blocks]
     smallest = min(float(low.min(initial=np.inf)) for low in lowest)
     if not smallest >= -psd_tol:
         raise NegativeEigenvalue(f"smallest eigenvalue {smallest:.3e} below -{psd_tol:.0e}")
     mat.flags.writeable = False
     return DensityMatrix(matrix=mat, blocks=blocks)
+
+
+def lower_eigenvalue(a, b, re, im):
+    """The lower eigenvalue of 2-blocks [[a, re + i im], [re - i im, b]]:
+    det / upper with upper = (w + |r|) / 2, which stays accurate where it is
+    tiny and (w - |r|) / 2 cancels; only where upper <= 0 is it w - upper."""
+    weight = a + b
+    upper = 0.5 * (weight + np.sqrt((a - b) ** 2 + 4.0 * (re**2 + im**2)))
+    det = a * b - (re**2 + im**2)
+    return np.divide(det, upper, out=np.asarray(weight - upper, dtype=float), where=upper > 0.0)
 
 
 def _pair_entries(mat, block):
@@ -232,6 +241,14 @@ def fidelity_uhlmann_oracle(state0, state1):
     return float(min(max(value, 0.0), 1.0))
 
 
+class SpectralQfi(NamedTuple):
+    """The QFI of qfi_spectral and the number of ordered eigenvalue pairs
+    it left out."""
+
+    value: float | np.ndarray
+    discarded_pairs: int
+
+
 def qfi_spectral(rho, drho):
     """QFI of a state, or of every state in a stack, from a full
     eigendecomposition of the matrix, with no block structure assumed.
@@ -253,7 +270,7 @@ def qfi_spectral(rho, drho):
     supported = pair_sums > EIGENSUM_FLOOR
     weights = 2.0 * np.abs(elements) ** 2 / np.where(supported, pair_sums, 1.0)
     value = np.where(supported, weights, 0.0).sum(axis=(-2, -1))
-    return QfiResult(
+    return SpectralQfi(
         value=np.maximum(value, 0.0),
         discarded_pairs=int(np.count_nonzero(~supported)),
     )
@@ -406,14 +423,6 @@ def ptrace_b_bruteforce(mat):
             for b in range(2):
                 out[ia, ja] += mat[2 * ia + b, 2 * ja + b]
     return out
-
-
-def eig2_closed_form(mat):
-    """Closed-form eigenvalues (descending) of a real-symmetric 2x2 matrix."""
-    a, b, c = mat[0, 0].real, mat[1, 1].real, mat[0, 1]
-    mean = 0.5 * (a + b)
-    split = np.sqrt((0.5 * (a - b)) ** 2 + abs(c) ** 2)
-    return np.array([mean + split, mean - split])
 
 
 def backflow_intervals_loop(dataset):

@@ -12,8 +12,10 @@ package's kernels against these forms lambdified to numpy, and exact()
 evaluates them at 50 digits: the tests' one oracle for the state, its
 derivative, the QFI and the fidelity of all six models. A squeezed vacuum
 of strength r has N = sinh(r)^2 and M = cosh(r) sinh(r); a thermal
-reservoir has M = 0. Basis orders follow qfi_probe.qstate: (|e>, |g>) for
-one qubit, A-major products for two.
+reservoir has M = 0. block_qfi_forms writes the 2-block QFI in its
+eigenvalue-pair and determinant forms, which the tests prove equal. Basis
+orders follow qfi_probe.qstate: (|e>, |g>) for one qubit, A-major products
+for two.
 """
 
 import collections
@@ -182,6 +184,29 @@ def lambdified_amplitudes(column, rate):
         return np.stack([np.broadcast_to(v, times.shape) for v in values], axis=-1).astype(complex)
 
     return amplitudes
+
+
+def block_qfi_forms():
+    """The QFI of a 2-block [[a, c], [conj(c), b]] = (w + r.sigma) / 2, for
+    symbolic entries and derivatives (dw free, since X-state blocks trade
+    weight), in two forms: the eigenvalue-pair form
+    d_+^2 / p_+ + d_-^2 / p_- + (|dr|^2 - (dr.r / n)^2) / w, with
+    p_pm = (w +- n) / 2 and d_pm = (dw +- dr.r / n) / 2, and the determinant
+    form (|dr|^2 + ddet^2 / det) / w that qfi_engine.qfi_blocks evaluates.
+    Returns (eigen-pair form, determinant form, n, |r|^2): the symbol n
+    stands for the norm |r| = sqrt(|r|^2)."""
+    a, b, re, im, da, db, dre, dim = sp.symbols("a b re im da db dre dim", real=True)
+    norm = sp.Symbol("n", positive=True)
+    weight, dweight = a + b, da + db
+    bloch, dbloch = (a - b, 2 * re, 2 * im), (da - db, 2 * dre, 2 * dim)
+    along = sum(x * dx for x, dx in zip(bloch, dbloch)) / norm
+    dnorm_sq = sum(dx * dx for dx in dbloch)
+    eigen_pairs = ((dweight + along) ** 2 / (2 * (weight + norm))
+                   + (dweight - along) ** 2 / (2 * (weight - norm))
+                   + (dnorm_sq - along**2) / weight)
+    det = a * b - (re**2 + im**2)
+    ddet = a * db + b * da - 2 * (re * dre + im * dim)
+    return eigen_pairs, (dnorm_sq + ddet**2 / det) / weight, norm, sum(x * x for x in bloch)
 
 
 # ---------------------------------------------------------------- the oracle

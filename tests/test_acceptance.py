@@ -82,7 +82,7 @@ def test_criterion1_oracle_equivalence():
             assert abs(spectral.value - qfi_sld_oracle(rho, drho)) <= 1e-8
             if dim == 2:
                 block = qfi_blocks(record(rho), record(drho))
-                assert block.discarded_pairs == 0
+                assert block.floored == 0
                 assert abs(block.value - spectral.value) <= 1e-8
     # rank-1 states: spectral formula against the pure-state limit
     for dim, count in ((2, 300), (4, 200)):

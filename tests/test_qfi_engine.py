@@ -103,7 +103,7 @@ class TestQfiBlocks:
         rho = validate_blocks(record(np.diag([0.3, 0.7])))
         result = qfi_blocks(rho, record(np.zeros((2, 2))))
         assert result.value == 0.0
-        assert result.discarded_pairs == 0
+        assert result.floored == 0
 
     def test_classical_binomial_family(self):
         rho = record(np.eye(2) / 2)
@@ -118,16 +118,32 @@ class TestQfiBlocks:
         result = qfi_blocks(rho, drho)
         assert result.value == pytest.approx(1.0 / (width**2 * m * (m + 1.0)), rel=1e-12)
 
-    def test_discarded_pairs_are_within_blocks(self):
-        # one qubit: the (g, g) pair; two-qubit cavity blocks at t = 0:
-        # the pure {|eg>, |ge>} block drops (-, -), the empty {|ee>, |gg>}
-        # block all four of its ordered pairs, and no pair across blocks is
-        # counted
+    def test_floored_counts_block_rows(self):
+        # a block row is floored when its determinant term is left out:
+        # |e> is one pure block; fock2 at t = 0 has a pure {|eg>, |ge>} block
+        # and an empty {|ee>, |gg>} block, one row each
         rho = record(np.diag([1.0, 0.0]))
-        assert qfi_blocks(rho, record(np.zeros((2, 2)))).discarded_pairs == 1
+        assert qfi_blocks(rho, record(np.zeros((2, 2)))).floored == 1
         state = validate_blocks(FOCK2_CHANNEL.states(5.0, [0.0]))
         zero = record(np.zeros((1, 4, 4)), X_BLOCKS)
-        assert qfi_blocks(state, zero).discarded_pairs == 5
+        assert qfi_blocks(state, zero).floored == 2
+        # counted over the grid: the mixed qubit rows keep theirs
+        rows = record(np.array([np.diag([1.0, 0.0]), np.eye(2) / 2, np.diag([0.0, 1.0])]))
+        assert qfi_blocks(rows, record(np.zeros((3, 2, 2)))).floored == 2
+
+    def test_block_of_negative_weight_adds_nothing(self):
+        # an {|ee>, |gg>} block of weight -1e-11 and det 2.5e-23 > 0 passes
+        # validation (its lower eigenvalue is -5e-12); its terms, which
+        # would divide by w < 0, are left out, as the eigenvalue pairs'
+        # floor left them out
+        rho = block_state(X_BLOCKS, np.zeros(1), [(0.5, 0.5 + 1e-11, 0.2, 0.0),
+                                                  (-0.5e-11, -0.5e-11, 0.0, 0.0)])
+        drho = block_state(X_BLOCKS, np.zeros(1), [(0.1, -0.3, 0.05, 0.02), (0.1, 0.1, 0.0, 0.0)])
+        rest = block_state(QUBIT_BLOCKS, np.zeros(1), [(0.5, 0.5 + 1e-11, 0.2, 0.0)])
+        drest = block_state(QUBIT_BLOCKS, np.zeros(1), [(0.1, -0.3, 0.05, 0.02)])
+        result = qfi_blocks(validate_blocks(rho), drho)
+        assert result.value == qfi_blocks(rest, drest).value
+        assert result.floored == 1
 
     def test_dimension_mismatch(self):
         rho = record(np.eye(2) / 2)

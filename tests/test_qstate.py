@@ -12,8 +12,8 @@ from helpers import (
     d_rho_grid,
     dense,
     density_from_bloch,
-    eig2_closed_form,
     fidelity_uhlmann_oracle,
+    lower_eigenvalue,
     ptrace_b_bruteforce,
     random_density,
     random_qubit_state,
@@ -24,13 +24,13 @@ from helpers import (
 )
 from qfi_probe import qfi_engine
 from qfi_probe.qstate import (
+    PSD_TOL,
     QUBIT_BLOCKS,
     X_BLOCKS,
     NegativeEigenvalue,
     StateValidationError,
     TraceNotOne,
     fidelity_bloch,
-    pair_block,
     reduced_bloch,
     validate_blocks,
 )
@@ -43,9 +43,7 @@ THERMAL_CHANNEL = build_channel(ScanConfig("thermal1", alpha=np.pi / 4))
 
 def qubit_eigenvalues(mat):
     """(upper, lower) eigenvalues of a qubit state or stack."""
-    mat = np.asarray(mat)
-    entries = (mat[..., 0, 0].real, mat[..., 1, 1].real, mat[..., 0, 1].real, mat[..., 0, 1].imag)
-    return np.stack(pair_block(*entries)[3:], axis=-1)
+    return np.linalg.eigvalsh(np.asarray(mat))[..., ::-1]
 
 
 def qubit(a, b, re, im=0.0):
@@ -64,9 +62,14 @@ class TestValidateBlocks:
     def test_model_records_pass_with_spectra(self, model):
         channel = build_channel(ScanConfig(model))
         state = validate_blocks(channel.states(channel.value, [0.0, 0.3, 7.0, 49.0]))
-        assert state.spectra is not None
-        weight, _, _, upper, lower = state.spectra
-        np.testing.assert_allclose(upper + lower, weight, rtol=0.0, atol=1e-15)
+        # each block's weight and determinant are the sum and product of
+        # its eigenvalues
+        weight, det = state.spectra
+        mats = dense(state)
+        for k, (i, j) in enumerate(state.support):
+            pairs = np.linalg.eigvalsh(mats[:, [i, j]][:, :, [i, j]])
+            np.testing.assert_allclose(weight[k], pairs.sum(axis=-1), rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(det[k], pairs.prod(axis=-1), rtol=0.0, atol=1e-15)
 
     def test_nan_rejected(self):
         with pytest.raises(StateValidationError, match="NaN") as info:
@@ -96,6 +99,25 @@ class TestValidateBlocks:
         validate_blocks(qubit(1.0 + 0.5e-10, -0.5e-10, 0.0))
         with pytest.raises(NegativeEigenvalue):
             validate_blocks(qubit(1.0 + 2e-10, -2e-10, 0.0))
+
+    def test_determinant_gate_accepts_what_the_eigenvalue_bound_accepts(self):
+        # unit-trace blocks whose lower eigenvalue lies within 3e-10 of 0,
+        # coherent or not: w >= 0 and det >= 0 admit every PSD block, and
+        # the rest are judged by the lower eigenvalue against -PSD_TOL
+        rng = np.random.default_rng(26)
+        for _ in range(400):
+            a = rng.uniform(-3e-10, 1.0)
+            bound = a * (1.0 - a) + rng.uniform(-3e-10, 3e-10)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            size = np.sqrt(max(bound, 0.0)) if rng.random() < 0.7 else 0.0
+            entries = (a, 1.0 - a, size * np.cos(phase), size * np.sin(phase))
+            accepted = bool(lower_eigenvalue(*entries) >= -PSD_TOL)
+            try:
+                validate_blocks(qubit(*entries))
+            except NegativeEigenvalue:
+                assert not accepted, entries
+            else:
+                assert accepted, entries
 
     def test_trace_off_rejected(self):
         validate_blocks(qubit(0.3 + 0.5e-10, 0.7, 0.0))
@@ -246,46 +268,25 @@ class TestValidateDensity:
         with pytest.raises(NegativeEigenvalue, match="-1.0"):
             validate_density(np.array([EXCITED, np.diag([1.1, -0.1]), GROUND]))
 
+    def test_tiny_block_eigenvalue_keeps_relative_accuracy(self):
+        # a population of 6e-9, as fock1 reaches at alpha = 0: det / upper
+        # keeps it to an ulp, where (w - |r|) / 2 loses half its digits
+        small = 6.123456789e-9
+        assert lower_eigenvalue(1.0 - small, small, 0.0, 0.0) == pytest.approx(small, rel=1e-15)
+        weight, norm = (1.0 - small) + small, abs((1.0 - small) - small)
+        assert abs(0.5 * (weight - norm) - small) > 1e-10 * small
+
+    def test_block_lower_eigenvalue_against_eigvalsh(self):
+        rng = np.random.default_rng(7)
+        mats = np.array([random_density(rng, 2) for _ in range(50)])
+        entries = (mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 0, 1].real, mats[:, 0, 1].imag)
+        np.testing.assert_allclose(lower_eigenvalue(*entries), np.linalg.eigvalsh(mats)[:, 0],
+                                   rtol=0.0, atol=1e-14)
+
     def test_matrix_immutable(self):
         state = validate_density(EXCITED)
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 0.0
-
-
-class TestPairBlock:
-    def test_already_diagonal(self):
-        np.testing.assert_allclose(qubit_eigenvalues(np.diag([0.3, 0.7])), [0.7, 0.3],
-                                   atol=1e-14)
-
-    def test_pure_superposition(self):
-        weight, bloch, norm, upper, lower = pair_block(0.5, 0.5, 0.5, 0.0)
-        assert (upper, lower) == pytest.approx((1.0, 0.0), abs=1e-12)
-        # the Bloch axis is the |+> direction
-        assert (weight, norm) == pytest.approx((1.0, 1.0), abs=1e-12)
-        assert (bloch[0], bloch[1]) == pytest.approx((0.0, 1.0), abs=1e-12)
-
-    def test_thermal_state_against_closed_form(self):
-        # relaxed reservoir state at m=0.1, gamma t = 1, alpha = 45 degrees
-        state = state_at(THERMAL_CHANNEL, 1.0)
-        np.testing.assert_allclose(
-            qubit_eigenvalues(state.matrix), eig2_closed_form(state.matrix), atol=1e-12
-        )
-
-    def test_tiny_eigenvalue_keeps_relative_accuracy(self):
-        # a population of 6e-9, as fock1 reaches at alpha = 0: det / upper
-        # keeps it to an ulp, where (w - |r|) / 2 loses half its digits
-        small = 6.123456789e-9
-        _, _, norm, upper, lower = pair_block(1.0 - small, small, 0.0, 0.0)
-        assert lower == pytest.approx(small, rel=1e-15)
-        assert abs(0.5 * ((1.0 - small + small) - norm) - small) > 1e-10 * small
-
-    def test_random_pairs_against_eigvalsh(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            mat = random_density(rng, 2)
-            np.testing.assert_allclose(
-                qubit_eigenvalues(mat), np.linalg.eigvalsh(mat)[::-1], atol=1e-14
-            )
 
 
 class TestPartialTrace:

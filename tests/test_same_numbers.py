@@ -26,73 +26,73 @@ from qfi_probe.scan_repro import (
 
 # find_max (t, qfi) of every figure series at 2000 points, as float.hex
 FIGURE_MAXIMA = {
-    "1a/alpha0": ("0x1.8cb2a277aea8dp+6", "0x1.2617aba738e87p+10"),
-    "1a/alpha45": ("0x1.9000000000000p+6", "0x1.278bf8a2167bdp+10"),
-    "1b/alpha0": ("0x1.8cb2a277aea8dp+6", "0x1.2617aba738e87p+10"),
-    "1b/alpha45": ("0x1.9000000000000p+6", "0x1.278bf8a2167bdp+10"),
+    "1a/alpha0": ("0x1.8cb2a277aea8dp+6", "0x1.2617aba738e88p+10"),
+    "1a/alpha45": ("0x1.9000000000000p+6", "0x1.278bf8a2167bep+10"),
+    "1b/alpha0": ("0x1.8cb2a277aea8dp+6", "0x1.2617aba738e88p+10"),
+    "1b/alpha45": ("0x1.9000000000000p+6", "0x1.278bf8a2167bep+10"),
     "2a/alpha0": ("0x1.f0b580a9d2ba2p+4", "0x1.4344485b36da1p+1"),
-    "2a/alpha45": ("0x1.634be318e02c7p+3", "0x1.43448b41c9416p+1"),
+    "2a/alpha45": ("0x1.634be318e02c7p+3", "0x1.43448b41c9418p+1"),
     "2b/alpha0": ("0x1.f0b580a9d2ba2p+4", "0x1.4344485b36da1p+1"),
-    "2b/alpha45": ("0x1.634be318e02c7p+3", "0x1.43448b41c9416p+1"),
-    "3a/alpha0": ("0x1.322bfe182b121p+5", "0x1.ec0dd369dc9d4p+1"),
-    "3a/alpha45": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d4p+1"),
-    "3b/alpha0": ("0x1.322bfe182b121p+5", "0x1.ec0dd369dc9d4p+1"),
-    "3b/alpha45": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d4p+1"),
-    "4a/one_qubit": ("0x1.9000000000000p+6", "0x1.278bf8a2167bdp+10"),
+    "2b/alpha45": ("0x1.634be318e02c7p+3", "0x1.43448b41c9418p+1"),
+    "3a/alpha0": ("0x1.322bfe182b121p+5", "0x1.ec0dd369dc9d5p+1"),
+    "3a/alpha45": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d6p+1"),
+    "3b/alpha0": ("0x1.322bfe182b121p+5", "0x1.ec0dd369dc9d5p+1"),
+    "3b/alpha45": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d6p+1"),
+    "4a/one_qubit": ("0x1.9000000000000p+6", "0x1.278bf8a2167bep+10"),
     "4a/two_qubit": ("0x1.8e21ce5bbb6b7p+6", "0x1.c6d9113be5c2ap+10"),
-    "4b/one_qubit": ("0x1.634be318e02c7p+3", "0x1.43448b41c9416p+1"),
-    "4b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a946p+2"),
-    "4c/one_qubit": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d4p+1"),
-    "4c/two_qubit": ("0x1.1529c3a55f243p+5", "0x1.ec0dd369e15adp+2"),
-    "5a/one_qubit": ("0x1.9000000000000p+6", "0x1.278bf8a2167bdp+10"),
+    "4b/one_qubit": ("0x1.634be318e02c7p+3", "0x1.43448b41c9418p+1"),
+    "4b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a945p+2"),
+    "4c/one_qubit": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d6p+1"),
+    "4c/two_qubit": ("0x1.1529c3a55f243p+5", "0x1.ec0dd369e15abp+2"),
+    "5a/one_qubit": ("0x1.9000000000000p+6", "0x1.278bf8a2167bep+10"),
     "5a/two_qubit": ("0x1.8e21ce5bbb6b7p+6", "0x1.c6d9113be5c2ap+10"),
-    "5b/one_qubit": ("0x1.634be318e02c7p+3", "0x1.43448b41c9416p+1"),
-    "5b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a946p+2"),
-    "5c/one_qubit": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d4p+1"),
-    "5c/two_qubit": ("0x1.1529c3a55f243p+5", "0x1.ec0dd369e15adp+2"),
+    "5b/one_qubit": ("0x1.634be318e02c7p+3", "0x1.43448b41c9418p+1"),
+    "5b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a945p+2"),
+    "5c/one_qubit": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d6p+1"),
+    "5c/two_qubit": ("0x1.1529c3a55f243p+5", "0x1.ec0dd369e15abp+2"),
 }
 # find_max (t, qfi) of the scans of seeded_reservoir_configs, as float.hex
 SEEDED_MAXIMA = {
-    0: ("0x1.6231a830e658ap+4", "0x1.26fb5a2bbc37ep+2"),  # thermal2
-    1: ("0x1.e8d9fa5278ed7p+4", "0x1.fdd8d39a1ce68p+2"),  # thermal2
-    2: ("0x1.44a6030ca29e9p+4", "0x1.fc873c91a60e0p+2"),  # squeezed2
+    0: ("0x1.5cf714ef77928p+4", "0x1.26fb5a2bbc37ep+2"),  # thermal2
+    1: ("0x1.e8ddf5130a019p+4", "0x1.fdd8d39a1ce67p+2"),  # thermal2
+    2: ("0x1.44a8646a73300p+4", "0x1.fc873c91a60e3p+2"),  # squeezed2
     3: ("0x1.3dada6e59f90cp+2", "0x1.422cdd320d2d1p+2"),  # squeezed2
 }
 # sha256 of the CSVs of `figure --tag <tag>`, at the default 2000 points, by file name
 FIGURE_CSV_SHA256 = {
-    "fig1a_alpha0.csv": "d470f4b054858b5ac8e178d05dcad4a9f3e48aaf0eff43db9f46364f75179d6d",
-    "fig1a_alpha45.csv": "99d4522da2035082d3231c939b640fddb6c89e9aa85b8d4e120313f376d09179",
-    "fig1b_alpha0.csv": "f65cb519838ee8233f0140c047e751bfe651248d757b400204a97998ce4c9815",
-    "fig1b_alpha45.csv": "f7a77faa69b0215ca97b73c71fc36b1ef3cb8affe1509f545da3452cbff31a27",
-    "fig2a_alpha0.csv": "892e65566682cc5f69e752fcef73b1431c35de379b7518e4b1d8a5d2d5a996c8",
-    "fig2a_alpha45.csv": "1532706653109e302899f2845b53bd6cc258792cb612aedd60c1d96eafa7f50c",
-    "fig2b_alpha0.csv": "a2d74c7574bab4c483a52ba535a46a481fcec0bbdeb3c26e7c95fc104020a187",
-    "fig2b_alpha45.csv": "65342b5d0fc03f71f0822544a2cfe27512c9de69112785655b4be175e2d16346",
-    "fig3a_alpha0.csv": "6f082643b23570c6157de196b9ceada45b98dcb53d746d39baea8a5788c197b7",
-    "fig3a_alpha45.csv": "c91805e3586ea0956c90246d92a4a6917b34aa9d2cbe8a5dd335373bee390bfd",
-    "fig3b_alpha0.csv": "284db8c816e61504bf23e4c7e9a4c88fbae9f56df6fa7ce16afbaa6ff6f31eee",
-    "fig3b_alpha45.csv": "cf5b4f72017d09f8292a520c289e9c1c25ef5ec2fe6a3ced5a378ab5a8bd836c",
-    "fig4a_one_qubit.csv": "b76d60ba8e27c2e51a121e2927e81cc525b60ab2d01138ec92db07677cf13a76",
-    "fig4a_two_qubit.csv": "ce48551f199a75425fc2d0b3c89849f4c2c02d8399c344b4ed5444bf9e538b23",
-    "fig4b_one_qubit.csv": "2f5b42460c39cb58d102e9e9e248ab82564b300d0e35d5b7a63bb161acce1b10",
-    "fig4b_two_qubit.csv": "1392453c51f4a5b686226d2d089f61646610e75e63df6611b6fe995112a5626c",
-    "fig4c_one_qubit.csv": "422679c4220c9088474c45cfc8dc6ee7e8c5ba982547b1ea9e6805fd22bc2515",
-    "fig4c_two_qubit.csv": "b7b990f71d4da9611fac4b7968263ec8560cff28b2c49d4ad9eb70c25d842e92",
-    "fig5a_one_qubit.csv": "1218a6f8a5638c65e34135e5c7e7ad0510d41a3066504f4f1b390a897358d0d8",
-    "fig5a_two_qubit.csv": "f197972c79338c9b4d56a36179701da451ec0de7e3d3be2cc7fe44cbe65b95ac",
-    "fig5b_one_qubit.csv": "14c01259762f6ee98a3e052bc20c302f91d8dbe33e54606bc15ccea40a1fa3b8",
-    "fig5b_two_qubit.csv": "dc0e82814ea08f7f51ad73a107ff3663d34c4292a01c367ae139b919061f8663",
-    "fig5c_one_qubit.csv": "52a0f60de4b6230d12f66039d05e1981e6b9a89042884b435ee1f0c97effd2a4",
-    "fig5c_two_qubit.csv": "b50da3fb65d0e00954ca4fe9fbf15744b7b525f2325431b790155cfa7dc2dfd5",
+    "fig1a_alpha0.csv": "38afdfc2e4bcfbb7eade338af827e9e1149d6a7508259aceeeddb76dbaf60144",
+    "fig1a_alpha45.csv": "2ba56e61617f2512689aa51a831f3f990083b0a841062b5cfbc565b564f68af6",
+    "fig1b_alpha0.csv": "b41439034c0739fda543d190cbfefd330828be61cc7ab61efbef64fc68304143",
+    "fig1b_alpha45.csv": "224516a2d9748cc67fe2c471ecac695347b3a0434e2021ea3c1dfbc194171ad1",
+    "fig2a_alpha0.csv": "32a47b4431d4fd054005ef501c307c26fb3c078251364d87c6fd9bae92429b92",
+    "fig2a_alpha45.csv": "0658f4c4be4a768a0b7fbb6840406b715a88d01dccc8019b4f352039925dc4be",
+    "fig2b_alpha0.csv": "4ed22d53ff350162ea0cf48eb42de740a74c4d1d3371682626e51c214727a040",
+    "fig2b_alpha45.csv": "1337d2b4bf937a691252101f4b0d2924434ba6fe1f70bc5b982530c92b27b341",
+    "fig3a_alpha0.csv": "8911e744a7e2266a55f97b433f78c7cce7bd977c701a806800a4653bf40b1810",
+    "fig3a_alpha45.csv": "750f04d1a1a741ae38db2fd33b81cc1dd402968a4f2f5677b5229b62466de91c",
+    "fig3b_alpha0.csv": "ac5b83f40851f243d38b9fdec70c32e54b9409e437b7dfafa9023ef3010ef420",
+    "fig3b_alpha45.csv": "8a7b6b68d67bb595113776f629b77f9b8048809846421a3ee95dee4f8ca5af18",
+    "fig4a_one_qubit.csv": "8a2e2b65435e0808fe7c33a9c2530db759037298b7c4fe63eeede6272779fad8",
+    "fig4a_two_qubit.csv": "71846843c85f85986fc512d834e6376493fdf6a3ea8670e5b7c04955b6788012",
+    "fig4b_one_qubit.csv": "ecf4735b27bc7701a26f7f9eb779a736461efdbafa7b14e31e8ef9b15d323a7a",
+    "fig4b_two_qubit.csv": "859550812c7910fe3a3843df607bef749798ee9222978f3a18b4d4ecfca8f66f",
+    "fig4c_one_qubit.csv": "679b34fcc0f45882ecab0332904af5a7e10501845490eac15958f3bb845e2ba0",
+    "fig4c_two_qubit.csv": "4b7dbba5895bf362352ea80382643396ae92335d883530b6506e279db2ed2939",
+    "fig5a_one_qubit.csv": "44d40e02ff80f80a69dec54d18541df93a37036b665fc2db6051fa79d68cb3ef",
+    "fig5a_two_qubit.csv": "f6ae66e057ce0071ee60d7db6ae833b8aab6feed24d1542295f7d132e227aba0",
+    "fig5b_one_qubit.csv": "2a1b4fbaf4b5f7ebfb561cc7e4455760f7d0ba1bb94f5524e9193df5d961f4ac",
+    "fig5b_two_qubit.csv": "2347414707483069f72a5c103c439f47ca9d9eb9f954c6ca64833f08d00d605a",
+    "fig5c_one_qubit.csv": "52dee43861d8017fc6b95b07fd79875c228c512c90213cdced21c4e9a130568d",
+    "fig5c_two_qubit.csv": "67323c862baa9d8b5c9276911f34302a7e5121c190b53b3fe688202141744eea",
 }
 # sha256 of the CSV of `scan --model <model>` at the defaults (2000 points)
 SCAN_CSV_SHA256 = {
-    "fock1": "671d9c6897fac9730606f3240e2d82abdae487f3e150a980cb6866125e5ff1aa",
-    "fock2": "0a67005483582177f2b5ac0c13387e5ce454dae7c599d9e560b367bb24c11f02",
-    "squeezed1": "8ca3c531853c79842e5a14edff6d9e466474594c3611f0f3f35dc54b719d4821",
-    "squeezed2": "130ae93b3b5931664cac3cf02333ec214257764630d766b1396f66ebdba6c9ae",
-    "thermal1": "a149fa6ec0b02f268f63a81ce4533bece27ffa6d9ea1f37dd8eb75802ce8d10a",
-    "thermal2": "8beae6b0b18a119a1651a090be623755ce23b1b00da69db285766eddc3328246",
+    "fock1": "99536d1ddd043f641f4a98ef964d8b631b5d54f8f317f736270a1553e8ea3283",
+    "fock2": "9788024c7c82f19c807e33abf55b84fe1db8032c5ef78eb60fbd07dea1d4fc1f",
+    "squeezed1": "8234e69a656cf5b5b6533219925a0411cb1bc26e929205b9c6e9b680af73b08f",
+    "squeezed2": "e95aad1b958edde64b501a10d4ccdc60fcd2039bba2e4027b06f8fe9a93456df",
+    "thermal1": "7fc2b03eb3fb04c84ab1761ddc30275905332703126640b7a53bef6baa42be02",
+    "thermal2": "a680396787d5be5149eebf80d322354e07c9da71107c06daa0004a1827918a59",
 }
 
 

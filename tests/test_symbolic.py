@@ -22,6 +22,7 @@ from qfi_probe.scan_repro import (
     ScanConfig,
     _figure_configs,
     build_channel,
+    find_max,
     point_fidelity,
     point_qfi,
     scan,
@@ -38,6 +39,7 @@ from symbolic import (
     M,
     N,
     T,
+    block_qfi_forms,
     evolves,
     exact,
     fock1_amplitudes as fock1_form,
@@ -253,6 +255,15 @@ def test_cavity_amplitude_kernels_match_forms():
     assert worst <= 1e-13
 
 
+def test_block_qfi_determinant_form_equals_eigen_pairs():
+    # the difference over a common denominator has a numerator polynomial
+    # in n that vanishes wherever n^2 = |r|^2: its remainder on division
+    # by n^2 - |r|^2 is identically 0
+    eigen_pairs, determinant, norm, norm_sq = block_qfi_forms()
+    numerator = sp.numer(sp.together(eigen_pairs - determinant))
+    assert sp.rem(sp.expand(numerator), norm**2 - norm_sq, norm) == 0
+
+
 # the benchmark's ranges (perfbench/workloads.py) of the fields its point
 # queries draw, alpha on one-qubit models only
 RANGES = {"detuning": (1.0, 10.0), "coupling": (0.5, 2.0), "mean_occupation": (0.02, 1.0),
@@ -301,6 +312,30 @@ def test_library_error_against_exact():
         assert fidelity_error <= EXACT_BOUNDS[model][1], model
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 1.2, 1.5])
+def test_fock2_near_pure_rows_against_exact(alpha):
+    # fock2's {|eg>, |ge>} block is pure, so its determinant is rounding
+    # dust that the QFI's floor must drop: divided into the stencil's
+    # ddet^2 it reads alpha = 1.5 at t = 42.1068 as 0.01535, not 3.0528e-5
+    config = ScanConfig("fock2", alpha=alpha, points=400)
+    dataset = scan(config)
+    with mpmath.workdps(DIGITS):
+        for t, qfi in list(zip(dataset.t, dataset.qfi))[::7]:
+            value = exact(config, float(t))
+            if any(EMPTY_PAIR <= 2 * p < 2e-8 for p in value.eigenvalues):
+                continue
+            error = float(abs(mpmath.mpf(float(qfi)) / value.qfi - 1))
+            assert error <= EXACT_BOUNDS["fock2"][0], t
+
+
+def test_fig1a_alpha0_maximum_against_exact():
+    # within 1% of exact at the returned t (0.59% high); a floor that keeps
+    # a dust determinant reads it 21% high
+    (_, config), = [pair for pair in _figure_configs("1a", 2000) if pair[0] == "alpha0"]
+    t, qfi = find_max(scan(config))
+    assert qfi == pytest.approx(float(exact(config, t).qfi), rel=1e-2)
+
+
 def test_exact_at_closed_form_values():
     # thermal1 deep in its steady state: F_m = 1 / ((2m + 1)^2 m (m + 1)),
     # and dm/dT = m (m + 1) ln^2(1 + 1/m) at s = 1
@@ -317,11 +352,11 @@ def test_exact_at_closed_form_values():
 
 
 @pytest.mark.xfail(strict=True, reason="the stencil step grows with |detuning| (ROADMAP item 3)"
-                                       " and the eigenvalue floor zeroes a rank drop (item 9)")
+                                       " and the determinant floor zeroes a rank drop (item 9)")
 @pytest.mark.parametrize("queries", [
     # 4.0213e-9 against 4.5509e-9, and 9.3e-31 against 3.45e-18
     [(ScanConfig("fock1", detuning=1e4), 10.0), (ScanConfig("fock1", detuning=1e10), 10.0)],
-    # 7.2e-15 against 4733.23
+    # 2.9e-14 against 4733.23
     [(ScanConfig("fock1", alpha=0.0, t_max=200.0), 199.5156557)],
 ], ids=["large_detuning", "rank_drop"])
 def test_known_qfi_defects_against_exact(queries):
