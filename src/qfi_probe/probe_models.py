@@ -1,11 +1,11 @@
 """Closed-form evolved probe states for the cavity-field and reservoir models.
 
-Each *_kernel function does the work that depends only on its raw float
-parameters and returns a Kernel, which gives the BlockState of the model at
-times[N] (the qubit block, or the X-state blocks of two qubits). A
-ChannelModel maps an estimand value to a kernel; scan_repro.build_channel
-makes one from a validated ScanConfig. The five parameter classes repeat
-the ScanConfig checks and stay only for the benchmark tests (ROADMAP item
+Each *_kernel function works out the parameter-only constants of each of
+K estimand points once and returns a Kernel, whose one call gives the
+records of all K points at times[N] (the qubit block, or the X-state
+blocks of two qubits). A ChannelModel maps points to a kernel;
+scan_repro.build_channel makes one from a validated ScanConfig. The five
+parameter classes repeat the ScanConfig checks and stay only for the benchmark tests (ROADMAP item
 8). Time is dimensionless: coupling units for the cavity models (coupling
 defaults to 1), decay-rate units for the reservoir models.
 """
@@ -18,15 +18,15 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .qstate import QUBIT_BLOCKS, X_BLOCKS, BlockState
+from .qstate import BlockState
 
 _HALF_PI = 0.5 * np.pi
-# a model's states over a time grid: times[N] -> BlockState
-Kernel = Callable[[np.ndarray], BlockState]
+# times[N] -> a fresh (K, 4 P, N) array: the BlockState values at K points
+Kernel = Callable[[np.ndarray], np.ndarray]
 # the domain of each model parameter as (comparison, bound) pairs, checked
 # by scan_repro.ScanConfig (and the parameter classes); detuning takes any
 # finite value
@@ -209,15 +209,23 @@ def _dressed_rate(rate, detuning, coupling) -> float:
     raise ValueError(f"detuning = {detuning!r} at coupling = {coupling!r} overflows the rate")
 
 
-def _fock1_amplitudes(detuning, coupling, photons, alpha):
-    """times -> the excited/ground amplitudes (b1, b2) of the
+def _columns(rows) -> list[np.ndarray]:
+    """One tuple of constants per point -> one (K, 1) column per constant."""
+    return [np.array(column)[:, None] for column in zip(*rows)]
+
+
+def _fock1_amplitudes(points, coupling, photons, alpha):
+    """times -> the excited/ground amplitudes (b1, b2)[K, N] of the
     single-excitation sector. They oscillate at the dressed rate
     sqrt((2 coupling sqrt(photons + 1))^2 + detuning^2)."""
     exchange = 2.0 * coupling * math.sqrt(photons + 1.0)  # Python floats overflow silently
-    wd = _dressed_rate(lambda: np.hypot(exchange, detuning), detuning, coupling)
     ca, sa = np.cos(alpha), np.sin(alpha)
-    i_ratio_d, half_detuning = 1j * (detuning / wd), 0.5j * detuning
-    i_sa_ratio_x, i_ca_ratio_x = 1j * sa * (exchange / wd), 1j * ca * (exchange / wd)
+    rows = []
+    for detuning in points:
+        wd = _dressed_rate(lambda: np.hypot(exchange, detuning), detuning, coupling)
+        rows.append((wd, 1j * (detuning / wd), 0.5j * detuning,
+                     1j * sa * (exchange / wd), 1j * ca * (exchange / wd)))
+    wd, i_ratio_d, half_detuning, i_sa_ratio_x, i_ca_ratio_x = _columns(rows)
 
     def amplitudes(t):
         with np.errstate(over="ignore", invalid="ignore"):  # a phase past the double range: NaN
@@ -231,46 +239,49 @@ def _fock1_amplitudes(detuning, coupling, photons, alpha):
     return amplitudes
 
 
-def fock1_kernel(detuning, coupling, photons, alpha) -> Kernel:
+def fock1_kernel(points, coupling, photons, alpha) -> Kernel:
     """Reduced qubit states diag(|b1|^2, |b2|^2) after tracing the cavity."""
-    amplitudes = _fock1_amplitudes(detuning, coupling, photons, alpha)
+    amplitudes = _fock1_amplitudes(points, coupling, photons, alpha)
 
     def states(times):
-        values = np.zeros((4, len(times)))
-        values[0], values[1] = (np.abs(b) ** 2 for b in amplitudes(times))
-        return BlockState(QUBIT_BLOCKS, values)
+        values = np.zeros((len(points), 4, len(times)))
+        values[:, 0], values[:, 1] = (np.abs(b) ** 2 for b in amplitudes(times))
+        return values
 
     return states
 
 
-def reservoir_qubit_kernel(kind, strength, gamma, alpha) -> Kernel:
+def reservoir_qubit_kernel(kind, points, gamma, alpha) -> Kernel:
     """Qubit states in a reservoir (see _reservoir_rates): populations
     relax toward the steady state, and the real coherences of the initial
     state decay at the sigma_x rate, half of x_rate."""
-    steady, pop_rate, x_rate, _ = _reservoir_rates(kind, strength, gamma)
+    steady, pop_rate, x_rate, _ = _columns(_reservoir_rates(kind, s, gamma) for s in points)
     pop_decay, coherence_decay = -pop_rate, -0.5 * x_rate
     excess, coherence = np.cos(alpha) ** 2 - steady, np.cos(alpha) * np.sin(alpha)
 
     def states(times):
-        values = np.zeros((4, len(times)))
+        values = np.zeros((len(points), 4, len(times)))
         with np.errstate(over="ignore"):  # rate * t past the double range: exp(-inf) = 0
-            values[0] = steady + excess * np.exp(pop_decay * times)
-            values[2] = coherence * np.exp(coherence_decay * times)
-        values[1] = 1.0 - values[0]
-        return BlockState(QUBIT_BLOCKS, values)
+            values[:, 0] = steady + excess * np.exp(pop_decay * times)
+            values[:, 2] = coherence * np.exp(coherence_decay * times)
+        values[:, 1] = 1.0 - values[:, 0]
+        return values
 
     return states
 
 
-def _fock2_amplitudes(detuning, coupling, alpha):
-    """times -> the amplitudes (C_eg, C_ge, C_gg) of the two-qubit
+def _fock2_amplitudes(points, coupling, alpha):
+    """times -> the amplitudes (C_eg, C_ge, C_gg)[K, N] of the two-qubit
     single-excitation sector. They oscillate at the collective rate
     sqrt(8 coupling^2 + detuning^2)."""
-    wd = _dressed_rate(lambda: np.sqrt(8.0 * coupling**2 + detuning**2), detuning, coupling)
     ca, sa = np.cos(alpha), np.sin(alpha)
     symmetric_weight, antisymmetric = 0.5 * (ca + sa), 0.5 * (ca - sa)
-    i_ratio_d, half_detuning = 1j * (detuning / wd), 0.5j * detuning
-    gg_weight, gg_detuning = -(ca + sa) * (2.0j * coupling / wd), -0.5j * detuning
+    rows = []
+    for detuning in points:
+        wd = _dressed_rate(lambda: np.sqrt(8.0 * coupling**2 + detuning**2), detuning, coupling)
+        rows.append((wd, 1j * (detuning / wd), 0.5j * detuning,
+                     -(ca + sa) * (2.0j * coupling / wd), -0.5j * detuning))
+    wd, i_ratio_d, half_detuning, gg_weight, gg_detuning = _columns(rows)
 
     def amplitudes(t):
         with np.errstate(over="ignore", invalid="ignore"):  # a phase past the double range: NaN
@@ -283,23 +294,23 @@ def _fock2_amplitudes(detuning, coupling, alpha):
     return amplitudes
 
 
-def fock2_kernel(detuning, coupling, alpha) -> Kernel:
+def fock2_kernel(points, coupling, alpha) -> Kernel:
     """Two-qubit states after tracing the cavity: {|eg>, |ge>} carries the
     excitation, {|ee>, |gg>} holds |gg> and an empty |ee>."""
-    amplitudes = _fock2_amplitudes(detuning, coupling, alpha)
+    amplitudes = _fock2_amplitudes(points, coupling, alpha)
 
     def states(times):
         c_eg, c_ge, c_gg = amplitudes(times)
         coherence = c_eg * np.conj(c_ge)
-        values = np.zeros((8, len(times)))
-        values[0], values[2], values[3] = np.abs(c_eg) ** 2, np.abs(c_ge) ** 2, np.abs(c_gg) ** 2
-        values[4], values[6] = coherence.real, coherence.imag
-        return BlockState(X_BLOCKS, values)
+        values = np.zeros((len(points), 8, len(times)))
+        values[:, 0], values[:, 2], values[:, 3] = (np.abs(c) ** 2 for c in (c_eg, c_ge, c_gg))
+        values[:, 4], values[:, 6] = coherence.real, coherence.imag
+        return values
 
     return states
 
 
-def reservoir_pair_kernel(kind, strength, gamma) -> Kernel:
+def reservoir_pair_kernel(kind, points, gamma) -> Kernel:
     """Exact two-qubit states (Lambda_t x Lambda_t)(Bell) for independent,
     identical reservoirs, with Lambda_t the one-qubit closed form.
 
@@ -309,7 +320,7 @@ def reservoir_pair_kernel(kind, strength, gamma) -> Kernel:
     sigma_y sigma_y parts therefore decay at x_rate and y_rate; they set
     the |eg><ge| and |ee><gg| coherences.
     """
-    steady, pop_rate, x_rate, y_rate = _reservoir_rates(kind, strength, gamma)
+    steady, pop_rate, x_rate, y_rate = _columns(_reservoir_rates(kind, s, gamma) for s in points)
     pop_decay, excited = -pop_rate, 1.0 - steady
 
     def states(times):
@@ -318,32 +329,33 @@ def reservoir_pair_kernel(kind, strength, gamma) -> Kernel:
             x_decay, y_decay = np.exp(-x_rate * times), np.exp(-y_rate * times)
         up_from_e, up_from_g = steady + excited * pop_env, steady * (1.0 - pop_env)
         down_from_e, down_from_g = 1.0 - up_from_e, 1.0 - up_from_g
-        values = np.zeros((8, len(times)))
-        values[0] = values[2] = 0.5 * (up_from_e * down_from_g + up_from_g * down_from_e)
-        values[1], values[3] = up_from_e * up_from_g, down_from_e * down_from_g
-        values[4], values[5] = 0.25 * (x_decay + y_decay), 0.25 * (x_decay - y_decay)
-        return BlockState(X_BLOCKS, values)
+        values = np.zeros((len(points), 8, len(times)))
+        values[:, 0] = values[:, 2] = 0.5 * (up_from_e * down_from_g + up_from_g * down_from_e)
+        values[:, 1], values[:, 3] = up_from_e * up_from_g, down_from_e * down_from_g
+        values[:, 4], values[:, 5] = 0.25 * (x_decay + y_decay), 0.25 * (x_decay - y_decay)
+        return values
 
     return states
 
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """A map from an estimand value to the Kernel of its raw states.
+    """A map from estimand values to the Kernel of their raw states.
 
     Attributes:
         value: nominal parameter value.
         floor: stencil domain edge, the FIELD_DOMAINS ">=" bound or None.
         support: QUBIT_BLOCKS or X_BLOCKS, the blocks that carry every
             state and derivative of the model (see qstate.BlockState).
-        kernel: value -> Kernel. Every kernel call returns a fresh values
-            array, which the derivative stencil scales in place.
+        kernel: points[K] -> Kernel of the states at the K estimand
+            values. Every kernel call returns a fresh record, whose
+            stencil taps the derivative scales in place.
     """
 
     value: float
     floor: float | None
     support: tuple[tuple[int, int], ...]
-    kernel: Callable[[float], Kernel]
+    kernel: Callable[[Sequence[float]], Kernel]
 
     def states(self, value: float, times) -> BlockState:
-        return self.kernel(value)(np.atleast_1d(np.asarray(times, dtype=float)))
+        return BlockState(self.support, self.kernel((value,))(np.ravel(times).astype(float))[0])

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probe_models import ChannelModel
 from .qstate import BlockState, validate_blocks
 
 EIGENSUM_FLOOR = 1e-12
@@ -50,29 +49,27 @@ def stencil(value: float, floor: float | None) -> tuple[float, tuple[tuple[float
     return h, ((1.0, 1.0), (-1.0, -1.0))
 
 
-def derivative_taps(channel: ChannelModel, value: float) -> tuple[tuple, float]:
-    """The stencil derivative at value, built once: the (state Kernel,
-    weight) of each tap, and the factor 1 / (2 h)."""
-    h, taps = stencil(value, channel.floor)
-    kernels = tuple((channel.kernel(value + offset * h), weight) for offset, weight in taps)
-    return kernels, 1.0 / (2.0 * h)
+def stencil_points(value: float, floor: float | None) -> tuple[tuple, tuple, float]:
+    """The kernel points (value, then value + offset h for each stencil
+    tap), the tap weights and 1 / (2 h) of the derivative at value."""
+    h, taps = stencil(value, floor)
+    points = (value,) + tuple(value + offset * h for offset, _ in taps)
+    return points, tuple(weight for _, weight in taps), 1.0 / (2.0 * h)
 
 
-def derivative(taps, scale: float, times: np.ndarray) -> BlockState:
+def derivative(support, taps: np.ndarray, weights, scale: float) -> BlockState:
     """Derivative of the model states with respect to the estimand over a
-    time grid, from the taps and scale of derivative_taps, as a record on
-    the model's blocks.
+    time grid, as a record on the model's blocks, from the taps[K - 1]
+    that follow the state in a kernel record and the weights and scale of
+    stencil_points.
 
     Each tap record is divided by its trace, summed in basis order, which
     keeps the result traceless. The divisions by the trace and by 2 h are
-    multiplications by the reciprocal. Only the running sum and one tap
-    record are held at a time.
+    multiplications by the reciprocal, in place on the taps.
     """
     diff = None
-    for kernel, weight in taps:
-        term = kernel(times)
-        values = term.values
-        values *= 1.0 / term.trace()
+    for values, weight in zip(taps, weights):
+        values *= 1.0 / BlockState(support, values).trace()
         if weight != 1.0:
             values *= weight
         if diff is None:
@@ -80,7 +77,7 @@ def derivative(taps, scale: float, times: np.ndarray) -> BlockState:
         else:
             diff += values
     diff *= scale
-    return BlockState(term.support, diff)
+    return BlockState(support, diff)
 
 
 def qfi_blocks(rho: BlockState, drho: BlockState) -> QfiResult:

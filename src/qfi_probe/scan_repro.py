@@ -20,11 +20,12 @@ from .probe_models import (
     reservoir_pair_kernel,
     reservoir_qubit_kernel,
 )
-from .qfi_engine import derivative, derivative_taps, qfi_blocks
-from .qstate import QUBIT_BLOCKS, X_BLOCKS, fidelity_bloch, reduced_bloch, validate_blocks
+from .qfi_engine import derivative, qfi_blocks, stencil_points
+from .qstate import QUBIT_BLOCKS, X_BLOCKS, BlockState, fidelity_bloch, reduced_bloch
+from .qstate import validate_blocks
 
 # model id: (estimand, the ScanConfig fields the model reads in metadata
-# order, its blocks, its kernel(value, config)). A scan reads nothing else.
+# order, its blocks, its kernel(points, config)). A scan reads nothing else.
 MODELS = {
     "fock1": ("detuning", ("alpha", "detuning", "coupling", "photons"), QUBIT_BLOCKS,
               lambda v, c: fock1_kernel(v, c.coupling, c.photons, c.alpha)),
@@ -46,13 +47,12 @@ _ESTIMAND_FIELDS = {estimand: (name, dict(FIELD_DOMAINS.get(name, ())).get(">=")
                     for estimand, name in (("detuning", "detuning"), ("squeezing", "squeezing"),
                                            ("temperature", "mean_occupation"))}
 FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b", "5c")
-# Bound on the records of one evaluation block: the state and up to three
-# stencil taps, 8 bytes per entry, 4 (one qubit) or 8 (two qubits) entries
-# per row, so 2048 or 1024 rows. Blocks bound the temporaries
-# of a large grid (a 2000-point thermal2 scan peaks at 0.56 MB) and keep
-# them in reused heap memory.
-BLOCK_BYTES = 256 * 1024
-_RECORDS_PER_ROW = 4
+# Bound on the kernel record of one evaluation block: K = 3 or 4 points
+# (the state and the stencil taps) of 4 (one qubit) or 8 (two qubits)
+# doubles per row, so 4096 to 5461 or 2048 to 2730 rows; a 2000-point scan
+# and its t = 0 reference take one block. It keeps fock1's complex
+# temporaries below numpy's 256 KiB temporary elision, which moves bits.
+BLOCK_BYTES = 512 * 1024
 # 500 times the 2000-point figure grid; a larger count is rejected before
 # the grid is allocated.
 MAX_POINTS = 1_000_000
@@ -136,9 +136,9 @@ class ScanConfig:
 class ScanDataset:
     """Rows of (t, qfi, fidelity) plus string metadata identifying the scan.
 
-    qfi_fn, when present, maps times[N] to qfi[N] through the same QFI
-    pipeline, one row per time evaluated independently, and backs the
-    golden-section refinement in find_max.
+    qfi_fn, when present, maps times[N] to qfi[N] through the scan's own
+    evaluator, one kernel call per block with every row independent, and
+    backs the golden-section refinement in find_max (one call per round).
     """
 
     t: np.ndarray
@@ -158,7 +158,7 @@ def build_channel(config: ScanConfig) -> ChannelModel:
     """The channel of the configured model at the config's estimand value."""
     estimand, _, blocks, kernel = MODELS[config.model_id]
     name, floor = _ESTIMAND_FIELDS[estimand]
-    return ChannelModel(getattr(config, name), floor, blocks, lambda v: kernel(v, config))
+    return ChannelModel(getattr(config, name), floor, blocks, lambda points: kernel(points, config))
 
 
 def _chain_factor(config: ScanConfig) -> float:
@@ -189,35 +189,36 @@ def _evaluator(config: ScanConfig):
     a function of (times, qfi=True, fidelity=True) giving the QFI of the
     configured estimand over a time grid and the fidelity of the (reduced)
     atomic states against their t = 0 counterpart, each None when not
-    asked for. The channel, the chain factor, the state kernel and the
-    stencil taps are built once per evaluator, and the t = 0 reference once
-    it is first needed. Rows are independent, so evaluating the grid in
-    blocks of BLOCK_BYTES leaves every value unchanged."""
+    asked for. The channel, the chain factor and the kernel at the stencil
+    points are built once per evaluator. A block of times is one kernel
+    call: the states in record[0], the stencil taps in record[1:]. The
+    first fidelity evaluation puts t = 0 in row 0 for the reference. Rows
+    are independent, so blocks of BLOCK_BYTES leave every value unchanged."""
     channel = build_channel(config)
     chain = _chain_factor(config)
-    states_at = channel.kernel(channel.value)
-    taps, scale = derivative_taps(channel, channel.value)
-    reference = None
-    rows = BLOCK_BYTES // (8 * 4 * len(channel.support) * _RECORDS_PER_ROW)
+    points, weights, scale = stencil_points(channel.value, channel.floor)
+    kernel, support, reference = channel.kernel(points), channel.support, None
+    rows = BLOCK_BYTES // (8 * len(points) * 4 * len(support))
 
     def evaluate(times, qfi: bool = True, fidelity: bool = True):
         nonlocal reference
         times = np.asarray(times, dtype=float)
         if not (np.isfinite(times) & (times >= 0.0)).all():
             raise ValueError("times must be finite and nonnegative")
-        if fidelity and reference is None:
-            reference = reduced_bloch(validate_blocks(states_at(np.zeros(1))))
+        skip = int(fidelity and reference is None)
+        times = np.concatenate((np.zeros(skip), times)) if skip else times
         qfi_parts, fidelity_parts = [], []
         for k in range(0, times.size, rows):
-            block = times[k:k + rows]
-            states = validate_blocks(states_at(block))
+            record = kernel(times[k:k + rows])
+            states = validate_blocks(BlockState(support, record[0]))
             if qfi:
-                value = qfi_blocks(states, derivative(taps, scale, block)).value
+                value = qfi_blocks(states, derivative(support, record[1:], weights, scale)).value
                 qfi_parts.append(value if chain == 1.0 else value * chain)
             if fidelity:
+                reference = reference or reduced_bloch(BlockState(support, states.values[:, :1]))
                 fidelity_parts.append(fidelity_bloch(reference, reduced_bloch(states)))
-        return (_joined(qfi_parts) if qfi else None,
-                _joined(fidelity_parts) if fidelity else None)
+        return (_joined(qfi_parts)[skip:] if qfi else None,
+                _joined(fidelity_parts)[skip:] if fidelity else None)
 
     return evaluate
 

@@ -9,8 +9,7 @@ the loop form of the backflow detector, per-row f-string CSV formatting,
 and the dense stencil that pins the record stencil's bits) deliberately
 avoid the package code paths they check. The models' states, derivatives,
 QFI and fidelity have one exact oracle, symbolic.exact. The record
-builder block_state, the grid wrapper d_rho_grid and the Cramer-Rao bound
-serve only the tests.
+builder block_state and the grid wrapper d_rho_grid serve only the tests.
 """
 
 import math
@@ -20,12 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qfi_probe.probe_models import _fock1_amplitudes, _fock2_amplitudes
-from qfi_probe.qfi_engine import (
-    EIGENSUM_FLOOR,
-    derivative,
-    derivative_taps,
-    stencil,
-)
+from qfi_probe.qfi_engine import EIGENSUM_FLOOR, derivative, stencil, stencil_points
 from qfi_probe.qstate import (
     PSD_TOL,
     QUBIT_BLOCKS,
@@ -318,43 +312,31 @@ def reduce_A(state):
     return reduced
 
 
+def _one_point(amplitudes, times):
+    """The amplitudes of a one-point kernel at times, in the shape of times."""
+    times = np.asarray(times, dtype=float)
+    return tuple(column[0].reshape(times.shape) for column in amplitudes(times))
+
+
 def fock1_amplitudes(c: ScanConfig, times):
     """The package's one-qubit cavity amplitudes (b1, b2) at the fields of
     a fock1 config."""
-    amplitudes = _fock1_amplitudes(c.detuning, c.coupling, c.photons, c.alpha)
-    return amplitudes(np.asarray(times, dtype=float))
+    return _one_point(_fock1_amplitudes((c.detuning,), c.coupling, c.photons, c.alpha), times)
 
 
 def fock2_amplitudes(c: ScanConfig, times):
     """The package's two-qubit cavity amplitudes (C_eg, C_ge, C_gg) at the
     fields of a fock2 config."""
-    return _fock2_amplitudes(c.detuning, c.coupling, c.alpha)(np.asarray(times, dtype=float))
+    return _one_point(_fock2_amplitudes((c.detuning,), c.coupling, c.alpha), times)
 
 
 def d_rho_grid(channel, value, times) -> BlockState:
     """The stencil derivative of a channel's states at value over a time
-    grid, as the evaluator composes it: derivative_taps, then derivative."""
-    return derivative(*derivative_taps(channel, value),
-                      np.atleast_1d(np.asarray(times, dtype=float)))
-
-
-@dataclass(frozen=True)
-class CramerRaoInput:
-    """QFI plus the number of repeated experiments."""
-
-    qfi: float
-    experiments: int = 1
-
-    def __post_init__(self):
-        if self.qfi <= 0.0:
-            raise ValueError("qfi must be positive")
-        if self.experiments < 1:
-            raise ValueError("experiment count must be at least 1")
-
-
-def cramer_rao(bound_input: CramerRaoInput) -> float:
-    """Best attainable uncertainty 1 / sqrt(experiments * qfi)."""
-    return 1.0 / np.sqrt(bound_input.experiments * bound_input.qfi)
+    grid, as the evaluator composes it: one kernel call at stencil_points,
+    then derivative of the taps."""
+    points, weights, scale = stencil_points(value, channel.floor)
+    record = channel.kernel(points)(np.atleast_1d(np.asarray(times, dtype=float)))
+    return derivative(channel.support, record[1:], weights, scale)
 
 
 def find_max_sequential(dataset):

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    CramerRaoInput,
     block_state,
-    cramer_rao,
     d_rho_dense,
     d_rho_grid,
     dense,
@@ -35,10 +33,9 @@ FOCK2_CHANNEL = build_channel(ScanConfig("fock2", alpha=np.pi / 4))
 
 
 def constant_channel():
-    return ChannelModel(
-        1.0, None, QUBIT_BLOCKS,
-        lambda v: lambda times: block_state(QUBIT_BLOCKS, times, [(0.5, 0.5, 0.5, 0.0)]),
-    )
+    state = lambda times: block_state(QUBIT_BLOCKS, times, [(0.5, 0.5, 0.5, 0.0)]).values
+    return ChannelModel(1.0, None, QUBIT_BLOCKS,
+                        lambda points: lambda times: np.array([state(times) for _ in points]))
 
 
 def derivative(channel, value, times):
@@ -316,19 +313,3 @@ class TestQfiVanishesAtTimeZero:
         drho = d_rho_grid(channel, channel.value, [0.0])
         assert qfi_blocks(rho, drho).value[0] <= 1e-9
 
-
-class TestCramerRao:
-    def test_simple_value(self):
-        assert cramer_rao(CramerRaoInput(100.0)) == pytest.approx(0.1, abs=1e-15)
-
-    def test_best_one_qubit_detuning_precision(self):
-        assert cramer_rao(CramerRaoInput(1.18e3)) == pytest.approx(0.02912, abs=1e-5)
-
-    def test_experiment_scaling(self):
-        assert cramer_rao(CramerRaoInput(4.0, experiments=4)) == pytest.approx(0.25)
-
-    def test_rejects_nonpositive_qfi(self):
-        with pytest.raises(ValueError):
-            CramerRaoInput(0.0)
-        with pytest.raises(ValueError):
-            CramerRaoInput(-1.0)

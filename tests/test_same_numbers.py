@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from qfi_probe import cli, scan_repro
-from qfi_probe.qfi_engine import derivative, derivative_taps, qfi_blocks
-from qfi_probe.qstate import fidelity_bloch, reduced_bloch, validate_blocks
+from qfi_probe.qfi_engine import derivative, qfi_blocks, stencil_points
+from qfi_probe.qstate import BlockState, fidelity_bloch, reduced_bloch, validate_blocks
 from qfi_probe.scan_repro import (
     FIGURE_TAGS,
     MODEL_IDS,
@@ -115,18 +115,22 @@ def hexes(maximum):
 
 
 @pytest.mark.parametrize("model", MODEL_IDS)
-def test_evaluator_rows_equal_the_public_composition(model):
-    # 3000 points: the evaluator splits the grid into blocks, the
-    # composition takes it whole
+def test_evaluator_rows_equal_the_public_composition(model, monkeypatch):
+    # 3000 points in blocks of 64 KiB: the evaluator splits the grid into
+    # blocks and folds the t = 0 reference into the first; the composition
+    # takes the grid whole and the reference from a call of its own
+    monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 64 * 1024)
     config = ScanConfig(model, points=3000)
     times = time_grid(config)
     qfi, fidelity = scan_repro._evaluator(config)(times)
     channel = build_channel(config)
-    kernel = channel.kernel(channel.value)
-    states = validate_blocks(kernel(times))
-    derivs = derivative(*derivative_taps(channel, channel.value), times)
+    points, weights, scale = stencil_points(channel.value, channel.floor)
+    kernel = channel.kernel(points)
+    record = kernel(times)
+    states = validate_blocks(BlockState(channel.support, record[0]))
+    derivs = derivative(channel.support, record[1:], weights, scale)
     expected = qfi_blocks(states, derivs).value * scan_repro._chain_factor(config)
-    reference = reduced_bloch(validate_blocks(kernel(np.zeros(1))))
+    reference = reduced_bloch(validate_blocks(BlockState(channel.support, kernel(np.zeros(1))[0])))
     np.testing.assert_array_equal(qfi, expected)
     np.testing.assert_array_equal(fidelity, fidelity_bloch(reference, reduced_bloch(states)))
 

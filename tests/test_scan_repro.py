@@ -189,6 +189,15 @@ class TestChainFactor:
         assert 0.0 <= point_qfi(config, 1.0) < 1e-300
 
 
+# every model at its defaults, and the reservoirs at strength 0, whose
+# one-sided stencil taps include the state's own point
+BLOCK_CASES = [ScanConfig(model, points=299, t_max=20.0) for model in MODEL_IDS] + [
+    ScanConfig(model, points=299, t_max=20.0, **{key: 0.0})
+    for model, key in (("thermal1", "mean_occupation"), ("squeezed1", "squeezing"),
+                       ("thermal2", "mean_occupation"), ("squeezed2", "squeezing"))]
+BLOCK_CASE_IDS = list(MODEL_IDS) + ["thermal1-0", "squeezed1-0", "thermal2-0", "squeezed2-0"]
+
+
 class TestScan:
     def test_two_point_contract(self):
         dataset = scan(ScanConfig("thermal1", t_min=1.0, t_max=1.001, points=2))
@@ -220,17 +229,29 @@ class TestScan:
         assert md["mean_occupation"] == "0.10000000000000001"
         assert int(md["max_index"]) == int(np.argmax(dataset.qfi))
 
-    @pytest.mark.parametrize("model", MODEL_IDS)
-    def test_rows_independent_of_block_size(self, model, monkeypatch):
-        config = ScanConfig(model, points=300, t_max=20.0)
+    @pytest.mark.parametrize("config", BLOCK_CASES, ids=BLOCK_CASE_IDS)
+    def test_rows_independent_of_block_size(self, config, monkeypatch):
+        times = scan_repro.time_grid(config)
+        one_row = scan_repro._evaluator(config)
+        rows = [one_row(times[k:k + 1]) for k in range(times.size)]
+        qfi_rows = np.concatenate([qfi for qfi, _ in rows])
+        fidelity_rows = np.concatenate([fidelity for _, fidelity in rows])
         monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 10**9)
         whole = scan(config)
-        # 7 X-state, 9 fock2 or 14 one-qubit rows per block: 300 rows end
-        # in a ragged block
+        # 7 to 18 rows per block: 299 rows, and 300 with the t = 0
+        # reference, end in a ragged block
         monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 7 * 16 * 16)
-        blocked = scan(config)
-        np.testing.assert_array_equal(blocked.qfi, whole.qfi)
-        np.testing.assert_array_equal(blocked.fidelity, whole.fidelity)
+        both = scan_repro._evaluator(config)(times)
+        fidelity_only = scan_repro._evaluator(config)(times, qfi=False)
+        # a qfi-only call first: the reference comes with the later call
+        later = scan_repro._evaluator(config)
+        qfi_first = later(times, fidelity=False)
+        fidelity_later = later(times, qfi=False)
+        assert fidelity_only[0] is None and qfi_first[1] is None and fidelity_later[0] is None
+        for qfi in (whole.qfi, both[0], qfi_first[0]):
+            np.testing.assert_array_equal(qfi, qfi_rows)
+        for fidelity in (whole.fidelity, both[1], fidelity_only[1], fidelity_later[1]):
+            np.testing.assert_array_equal(fidelity, fidelity_rows)
 
     @pytest.mark.parametrize("model", ["thermal2", "squeezed2"])
     def test_two_qubit_metadata_omits_alpha(self, model):
@@ -267,7 +288,7 @@ class TestScan:
         config = ScanConfig("fock2", t_max=20.0, points=200, alpha=0.4)
         honoured = scan(config)
         bell = scan(replace(config, alpha=math.pi / 4))
-        channel = ChannelModel(5.0, None, X_BLOCKS, lambda v: fock2_kernel(v, 1.0, 0.4))
+        channel = ChannelModel(5.0, None, X_BLOCKS, lambda points: fock2_kernel(points, 1.0, 0.4))
         monkeypatch.setattr(scan_repro, "build_channel", lambda _: channel)
         direct = scan(replace(config, alpha=math.pi / 4))
         for name in ("qfi", "fidelity"):
@@ -306,6 +327,32 @@ def test_point_queries_equal_scan_rows(model):
         assert point_fidelity(config, t) == pytest.approx(
             float(dataset.fidelity[k]), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_one_kernel_call_per_evaluation_block(model, monkeypatch):
+    # count the calls of the kernel that the model's MODELS row builds
+    calls = []
+    estimand, read, blocks, build = MODELS[model]
+
+    def counting(points, config):
+        kernel = build(points, config)
+        return lambda times: calls.append(len(times)) or kernel(times)
+
+    monkeypatch.setitem(MODELS, model, (estimand, read, blocks, counting))
+    config = ScanConfig(model)
+    dataset = scan(config)
+    # the 2000-point grid and its t = 0 reference in one block
+    assert calls == [2001]
+    calls.clear()
+    point_qfi(config, 3.0)
+    point_fidelity(config, 3.0)
+    assert calls == [1, 2]
+    calls.clear()
+    rounds = []
+    qfi_fn = lambda times: rounds.append(len(times)) or dataset.qfi_fn(times)
+    find_max(replace(dataset, qfi_fn=qfi_fn))
+    assert rounds and calls == rounds
 
 
 @pytest.mark.parametrize("squeezing", [5.0, 10.0, 20.0])
