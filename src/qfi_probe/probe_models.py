@@ -232,8 +232,8 @@ def _fock1_amplitudes(points, coupling, photons, alpha):
             half = 0.5 * wd * t
             c, s = np.cos(half), np.sin(half)
             phase = np.exp(half_detuning * t)
-        b1 = phase * (ca * (c - i_ratio_d * s) - i_sa_ratio_x * s)
-        b2 = np.conj(phase) * (sa * (c + i_ratio_d * s) - i_ca_ratio_x * s)
+        b1 = np.multiply(phase, ca * (c - i_ratio_d * s) - i_sa_ratio_x * s)
+        b2 = np.multiply(np.conj(phase), sa * (c + i_ratio_d * s) - i_ca_ratio_x * s)
         return b1, b2
 
     return amplitudes
@@ -275,7 +275,7 @@ def _fock2_amplitudes(points, coupling, alpha):
     single-excitation sector. They oscillate at the collective rate
     sqrt(8 coupling^2 + detuning^2)."""
     ca, sa = np.cos(alpha), np.sin(alpha)
-    symmetric_weight, antisymmetric = 0.5 * (ca + sa), 0.5 * (ca - sa)
+    sym, antisym = 0.5 * (ca + sa), 0.5 * (ca - sa)  # the |eg> +- |ge> weights
     rows = []
     for detuning in points:
         wd = _dressed_rate(lambda: np.sqrt(8.0 * coupling**2 + detuning**2), detuning, coupling)
@@ -287,9 +287,9 @@ def _fock2_amplitudes(points, coupling, alpha):
         with np.errstate(over="ignore", invalid="ignore"):  # a phase past the double range: NaN
             half = 0.5 * wd * t
             c, s = np.cos(half), np.sin(half)
-            symmetric = symmetric_weight * (c - i_ratio_d * s) * np.exp(half_detuning * t)
-            c_gg = gg_weight * s * np.exp(gg_detuning * t)
-        return symmetric + antisymmetric, symmetric - antisymmetric, c_gg
+            symmetric = np.multiply(sym * (c - i_ratio_d * s), np.exp(half_detuning * t))
+            c_gg = np.multiply(gg_weight * s, np.exp(gg_detuning * t))
+        return symmetric + antisym, symmetric - antisym, c_gg
 
     return amplitudes
 
@@ -301,7 +301,7 @@ def fock2_kernel(points, coupling, alpha) -> Kernel:
 
     def states(times):
         c_eg, c_ge, c_gg = amplitudes(times)
-        coherence = c_eg * np.conj(c_ge)
+        coherence = np.multiply(c_eg, np.conj(c_ge))
         values = np.zeros((len(points), 8, len(times)))
         values[:, 0], values[:, 2], values[:, 3] = (np.abs(c) ** 2 for c in (c_eg, c_ge, c_gg))
         values[:, 4], values[:, 6] = coherence.real, coherence.imag

@@ -50,8 +50,7 @@ FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b",
 # Bound on the kernel record of one evaluation block: K = 3 or 4 points
 # (the state and the stencil taps) of 4 (one qubit) or 8 (two qubits)
 # doubles per row, so 4096 to 5461 or 2048 to 2730 rows; a 2000-point scan
-# and its t = 0 reference take one block. It keeps fock1's complex
-# temporaries below numpy's 256 KiB temporary elision, which moves bits.
+# and its t = 0 reference take one block.
 BLOCK_BYTES = 512 * 1024
 # 500 times the 2000-point figure grid; a larger count is rejected before
 # the grid is allocated.

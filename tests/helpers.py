@@ -1,19 +1,19 @@
 """Shared test utilities: random state factories, dense matrices built
 from block records, and independent oracles.
 
-The oracles here (the dense density-matrix validator and its 2x2 lower
-eigenvalue, brute-force partial traces, the spectral, SLD and
-pure-state QFI of arbitrary states, the Uhlmann fidelity, the
-sequential golden-section search,
+The oracles here (the 2x2 lower eigenvalue, the dense partial trace and
+Bloch vector, the spectral, SLD and pure-state QFI of arbitrary states,
+the Uhlmann fidelity, the sequential golden-section search,
 the loop form of the backflow detector, per-row f-string CSV formatting,
 and the dense stencil that pins the record stencil's bits) deliberately
-avoid the package code paths they check. The models' states, derivatives,
-QFI and fidelity have one exact oracle, symbolic.exact. The record
-builder block_state and the grid wrapper d_rho_grid serve only the tests.
+avoid the package code paths they check. They take and return plain
+complex arrays; qstate.validate_blocks is the one state validator. The
+models' states, derivatives, QFI and fidelity have one exact oracle,
+symbolic.exact. The record builder block_state and the grid wrapper
+d_rho_grid serve only the tests.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,98 +21,16 @@ import numpy as np
 from qfi_probe.probe_models import _fock1_amplitudes, _fock2_amplitudes
 from qfi_probe.qfi_engine import EIGENSUM_FLOOR, derivative, stencil, stencil_points
 from qfi_probe.qstate import (
-    PSD_TOL,
     QUBIT_BLOCKS,
-    TRACE_TOL,
     X_BLOCKS,
     BlochVector,
     BlockState,
-    NegativeEigenvalue,
-    StateValidationError,
-    TraceNotOne,
     _diagonal_rows,
+    validate_blocks,
 )
 from qfi_probe.scan_repro import T_TOL, ScanConfig
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 HERMITICITY_TOL = 1e-10
-
-
-class NotHermitian(StateValidationError):
-    pass
-
-
-def _as_matrix(state):
-    return np.asarray(getattr(state, "matrix", state), dtype=complex)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """One validated dense state, or a stack of them along leading axes.
-
-    Attributes:
-        matrix: read-only complex array of shape (..., d, d), d = 2 or 4.
-        blocks: the index sets of size 1 or 2 that partition the basis and
-            carry the state; every entry outside them is exactly zero.
-    """
-
-    matrix: np.ndarray
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
-
-
-def off_block(matrix, blocks) -> float:
-    """Largest magnitude of the entries outside the blocks, over a matrix
-    or a stack of them; 0.0 when every such entry is exactly zero."""
-    outside = np.ones(matrix.shape[-2:], dtype=bool)
-    for block in blocks:
-        for i in block:
-            outside[i, block] = False
-    entries = matrix[..., outside]
-    return float(np.abs(entries).max()) if np.count_nonzero(entries) else 0.0
-
-
-def validate_density(matrix, blocks=None, psd_tol: float = PSD_TOL) -> DensityMatrix:
-    """Check the state invariants of a dense matrix or a stack of them that
-    is a direct sum of blocks of size 2 or less: finite entries, no entry
-    outside the blocks, Hermiticity, unit trace, and per-block positivity.
-    The default blocks are the whole qubit for d = 2 and the X-state blocks
-    for d = 4. Returns a read-only copy."""
-    mat = np.array(getattr(matrix, "matrix", matrix), dtype=complex)
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dim = mat.shape[-1]
-    if dim not in (2, 4):
-        raise ValueError(f"unsupported dimension {dim}, expected 2 or 4")
-    blocks = (QUBIT_BLOCKS if dim == 2 else X_BLOCKS) if blocks is None else blocks
-    if sorted(sum(blocks, ())) != list(range(dim)) or not all(len(b) in (1, 2) for b in blocks):
-        raise ValueError(f"blocks {blocks} do not partition range({dim}) into sizes 1 and 2")
-    if not np.isfinite(mat).all():
-        raise StateValidationError("matrix has a NaN or infinite entry")
-    outside = off_block(mat, blocks)
-    if outside != 0.0:
-        raise StateValidationError(f"entry of magnitude {outside:.3e} outside the blocks {blocks}")
-    herm_dev = float(np.abs(mat - np.conj(mat).swapaxes(-1, -2)).max(initial=0.0))
-    if not herm_dev <= HERMITICITY_TOL:
-        raise NotHermitian(
-            f"max |rho_ij - conj(rho_ji)| = {herm_dev:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    trace_dev = float(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
-    if not trace_dev <= TRACE_TOL:
-        raise TraceNotOne(f"|tr(rho) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
-    lowest = [mat[..., b[0], b[0]].real if len(b) == 1
-              else lower_eigenvalue(*_pair_entries(mat, b)) for b in blocks]
-    smallest = min(float(low.min(initial=np.inf)) for low in lowest)
-    if not smallest >= -psd_tol:
-        raise NegativeEigenvalue(f"smallest eigenvalue {smallest:.3e} below -{psd_tol:.0e}")
-    mat.flags.writeable = False
-    return DensityMatrix(matrix=mat, blocks=blocks)
 
 
 def lower_eigenvalue(a, b, re, im):
@@ -123,11 +41,6 @@ def lower_eigenvalue(a, b, re, im):
     upper = 0.5 * (weight + np.sqrt((a - b) ** 2 + 4.0 * (re**2 + im**2)))
     det = a * b - (re**2 + im**2)
     return np.divide(det, upper, out=np.asarray(weight - upper, dtype=float), where=upper > 0.0)
-
-
-def _pair_entries(mat, block):
-    i, j = block
-    return mat[..., i, i].real, mat[..., j, j].real, mat[..., i, j].real, mat[..., i, j].imag
 
 
 def dense(state: BlockState) -> np.ndarray:
@@ -162,15 +75,19 @@ def record(matrix, support=None) -> BlockState:
     blocks (the qubit or X-state blocks by default).
     Raises ValueError for an entry outside the blocks or a non-Hermitian
     input, which the record could not represent."""
-    mat = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
+    mat = np.asarray(matrix, dtype=complex)
     stack = mat.reshape((-1,) + mat.shape[-2:])
     support = (QUBIT_BLOCKS if mat.shape[-1] == 2 else X_BLOCKS) if support is None else support
-    outside = off_block(stack, support)
-    if outside != 0.0:
-        raise ValueError(f"entry of magnitude {outside:.3e} outside the blocks {support}")
+    outside = np.ones(mat.shape[-2:], dtype=bool)
+    for block in support:
+        outside[np.ix_(block, block)] = False
+    if np.count_nonzero(stack[:, outside]):
+        largest = np.abs(stack[:, outside]).max()
+        raise ValueError(f"entry of magnitude {largest:.3e} outside the blocks {support}")
     if np.abs(stack - np.conj(stack).swapaxes(-1, -2)).max() > HERMITICITY_TOL:
-        raise NotHermitian("a record holds Hermitian matrices only")
-    blocks = [_pair_entries(stack, block) for block in support]
+        raise ValueError("a record holds Hermitian matrices only")
+    blocks = [(stack[:, i, i].real, stack[:, j, j].real, stack[:, i, j].real, stack[:, i, j].imag)
+              for i, j in support]
     return block_state(support, np.zeros(len(stack)), blocks)
 
 
@@ -181,7 +98,7 @@ def trace_out_B(state) -> np.ndarray:
     With the A-major basis order, rho^A_ee = rho_11 + rho_22,
     rho^A_gg = rho_33 + rho_44 and rho^A_eg = rho_13 + rho_24.
     """
-    mat = _as_matrix(state)
+    mat = np.asarray(state, dtype=complex)
     if mat.shape[-2:] != (4, 4):
         raise ValueError(f"partial trace expects a 4x4 matrix, got shape {mat.shape}")
     return np.trace(mat.reshape(mat.shape[:-2] + (2, 2, 2, 2)), axis1=-3, axis2=-1)
@@ -190,7 +107,7 @@ def trace_out_B(state) -> np.ndarray:
 def bloch_vector(state) -> BlochVector:
     """Bloch components of a dense qubit state (or a stack) under the
     package convention; components are arrays for stacked input."""
-    mat = _as_matrix(state)
+    mat = np.asarray(state, dtype=complex)
     if mat.shape[-2:] != (2, 2):
         raise ValueError(f"Bloch vector expects a 2x2 matrix, got shape {mat.shape}")
     return BlochVector(
@@ -200,17 +117,10 @@ def bloch_vector(state) -> BlochVector:
     )
 
 
-def state_at(channel, t) -> DensityMatrix:
-    """One validated dense state of a channel at its nominal value: a grid
-    of length 1."""
-    return validate_density(dense(channel.states(channel.value, [t]))[0], channel.support)
-
-
-def density_from_bloch(vec: BlochVector):
-    """Inverse of bloch_vector: (identity + a.sigma) / 2."""
-    return 0.5 * (
-        np.eye(2, dtype=complex) + vec.ax * PAULI_X + vec.ay * PAULI_Y + vec.az * PAULI_Z
-    )
+def state_at(channel, t) -> np.ndarray:
+    """The dense matrix of a channel's validated state at its nominal value
+    and time t: a grid of length 1."""
+    return dense(validate_blocks(channel.states(channel.value, [t])))[0]
 
 
 def fidelity_uhlmann_oracle(state0, state1):
@@ -219,7 +129,7 @@ def fidelity_uhlmann_oracle(state0, state1):
     Independent of the Bloch-vector route; the two must agree to 1e-10
     on every valid qubit pair.
     """
-    m0, m1 = _as_matrix(state0), _as_matrix(state1)
+    m0, m1 = np.asarray(state0, dtype=complex), np.asarray(state1, dtype=complex)
     if m0.shape != (2, 2) or m1.shape != (2, 2):
         raise ValueError("Uhlmann oracle expects two 2x2 matrices")
     overlap = float(np.trace(m0 @ m1).real)
@@ -254,7 +164,7 @@ def qfi_spectral(rho, drho):
     contribution. discarded_pairs counts every ordered pair at or below
     the floor over the whole stack, across blocks too.
     """
-    mat = _as_matrix(rho)
+    mat = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
     if drho.shape != mat.shape:
         raise ValueError(f"drho shape {drho.shape} does not match state shape {mat.shape}")
@@ -279,7 +189,7 @@ def qfi_sld_oracle(rho, drho):
     spectral route and its validated eigen-decomposition; the two agree to
     1e-8 whenever nothing is discarded.
     """
-    mat = _as_matrix(rho)
+    mat = np.asarray(rho, dtype=complex)
     values, vectors = np.linalg.eigh(mat)
     elements = vectors.conj().T @ np.asarray(drho, dtype=complex) @ vectors
     pair_sums = values[:, None] + values[None, :]
@@ -302,12 +212,12 @@ def qfi_pure_oracle(psi, dpsi):
 
 
 def reduce_A(state):
-    """Validated reduced state of qubit A; asserts that it is diagonal for
-    the block-structured two-qubit states the package produces."""
-    mat = _as_matrix(state)
-    reduced = validate_density(trace_out_B(mat))
+    """Reduced state of qubit A; asserts that it is diagonal for the
+    block-structured two-qubit states the package produces."""
+    mat = np.asarray(state, dtype=complex)
+    reduced = trace_out_B(mat)
     block = np.maximum(np.abs(mat[..., 0, 2]), np.abs(mat[..., 1, 3])) <= 5e-11
-    if np.any(block & (np.abs(reduced.matrix[..., 0, 1]) > 1e-10)):
+    if np.any(block & (np.abs(reduced[..., 0, 1]) > 1e-10)):
         raise AssertionError("reduced state of a block-structured input is not diagonal")
     return reduced
 
@@ -368,13 +278,13 @@ def find_max_sequential(dataset):
     return (best_t, best_q), steps
 
 
-def random_qubit_state(rng, pure=False):
-    """Uniformly random valid qubit state via a random Bloch vector."""
+def random_qubit_state(rng):
+    """Uniformly random qubit state (identity + a.sigma) / 2 from a random
+    Bloch vector a in the unit ball, under the bloch_vector convention."""
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    radius = 1.0 if pure else rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
-    vec = BlochVector(*(radius * direction))
-    return validate_density(density_from_bloch(vec))
+    ax, ay, az = rng.uniform(0.0, 1.0) ** (1.0 / 3.0) * direction
+    return 0.5 * np.array([[1.0 + az, ax - 1j * ay], [ax + 1j * ay, 1.0 - az]])
 
 
 def random_density(rng, dim):
@@ -395,16 +305,6 @@ def random_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def ptrace_b_bruteforce(mat):
-    """Index-sum partial trace over qubit B (A-major basis order)."""
-    out = np.zeros((2, 2), dtype=complex)
-    for ia in range(2):
-        for ja in range(2):
-            for b in range(2):
-                out[ia, ja] += mat[2 * ia + b, 2 * ja + b]
-    return out
 
 
 def backflow_intervals_loop(dataset):

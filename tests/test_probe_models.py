@@ -11,7 +11,6 @@ from helpers import (
     dense,
     fock1_amplitudes,
     fock2_amplitudes,
-    ptrace_b_bruteforce,
     reduce_A,
     state_at,
 )
@@ -45,7 +44,7 @@ class TestFockOneQubit:
         config = ScanConfig("fock1", alpha=np.pi / 4)
         state = state_at(build_channel(config), 1.3)
         b1, b2 = fock1_amplitudes(config, 1.3)
-        purity = np.trace(state.matrix @ state.matrix).real
+        purity = np.trace(state @ state).real
         assert purity == pytest.approx(abs(b1) ** 4 + abs(b2) ** 4, abs=1e-12)
 
     def test_parameter_validation(self):
@@ -71,7 +70,7 @@ class TestFockOneQubit:
 ])
 def test_states_equal_exact(config, t):
     # steady states at t = 50, and the squeezed vacuum's decay exp(-t)
-    state = state_at(build_channel(config), t).matrix
+    state = state_at(build_channel(config), t)
     np.testing.assert_allclose(state, exact(config, t).rho, rtol=0, atol=1e-14)
 
 
@@ -94,7 +93,7 @@ class TestThermalOneQubit:
                 ScanConfig("thermal1", mean_occupation=0.0, alpha=alpha)), t)
             squeezed = state_at(build_channel(
                 ScanConfig("squeezed1", squeezing=0.0, alpha=alpha)), t)
-            assert np.abs(thermal.matrix - squeezed.matrix).max() <= 1e-12
+            assert np.abs(thermal - squeezed).max() <= 1e-12
 
 
 class TestSqueezedOneQubit:
@@ -106,8 +105,8 @@ class TestSqueezedOneQubit:
         thermal_channel = build_channel(
             ScanConfig("thermal1", mean_occupation=occ, alpha=np.pi / 4))
         for t in (0.5, 1.0, 2.0):
-            squeezed = state_at(channel, t).matrix
-            thermal = state_at(thermal_channel, t).matrix
+            squeezed = state_at(channel, t)
+            thermal = state_at(thermal_channel, t)
             assert abs(squeezed[0, 0] - thermal[0, 0]) <= 1e-12
             assert abs(squeezed[1, 1] - thermal[1, 1]) <= 1e-12
             ratio = squeezed[0, 1].real / thermal[0, 1].real
@@ -142,9 +141,9 @@ class TestReservoirPair:
         # |e> and |g>, averaged by the Bell state
         t = 0.7
         pair = build_channel(ScanConfig("squeezed2", squeezing=0.3, gamma=1.2))
-        reduced = reduce_A(dense(pair.states(0.3, [t]))[0]).matrix
+        reduced = reduce_A(dense(pair.states(0.3, [t]))[0])
         one = lambda a: state_at(build_channel(
-            ScanConfig("squeezed1", squeezing=0.3, gamma=1.2, alpha=a)), t).matrix
+            ScanConfig("squeezed1", squeezing=0.3, gamma=1.2, alpha=a)), t)
         np.testing.assert_allclose(reduced, 0.5 * (one(0.0) + one(np.pi / 2)), atol=1e-14)
 
     def test_lindblad_module_reexports_params_only(self):
@@ -188,13 +187,16 @@ def test_nonfinite_parameter_rejected(build, bad):
 class TestReduceA:
     def test_initial_bell_reduces_to_mixed(self):
         state = state_at(build_channel(ScanConfig("fock2")), 0.0)
-        np.testing.assert_allclose(reduce_A(state).matrix, np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(reduce_A(state), np.eye(2) / 2, atol=1e-14)
 
-    def test_matches_bruteforce(self):
-        state = state_at(build_channel(ScanConfig("fock2")), 0.5)
-        np.testing.assert_allclose(
-            reduce_A(state).matrix, ptrace_b_bruteforce(state.matrix), atol=1e-14
-        )
+    def test_matches_amplitudes(self):
+        # qubit A is excited only in C_eg; the photon of C_gg leaves A
+        # incoherent, so the reduced state is diagonal
+        config = ScanConfig("fock2", alpha=np.pi / 4)
+        c_eg, c_ge, c_gg = fock2_amplitudes(config, 0.5)
+        expected = np.diag([abs(c_eg) ** 2, abs(c_ge) ** 2 + abs(c_gg) ** 2])
+        np.testing.assert_allclose(reduce_A(state_at(build_channel(config), 0.5)), expected,
+                                   rtol=0.0, atol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

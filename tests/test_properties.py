@@ -1,8 +1,9 @@
 """Property-based tests of the batched evaluation path over the valid
 parameter domain of every probe model: state invariants, the ranges of
 QFI and fidelity, agreement of the block QFI with the spectral and SLD
-oracles on dense matrices built from the records, and the stencil choice
-at the domain floor."""
+oracles on dense matrices built from the records, the stencil choice at
+the domain floor, and the reservoirs' dependence on gamma t alone for
+gamma from 1e-200 to 1e200."""
 
 from dataclasses import replace
 
@@ -23,7 +24,15 @@ from qfi_probe.qfi_engine import (
     stencil,
 )
 from qfi_probe.qstate import validate_blocks
-from qfi_probe.scan_repro import MODEL_IDS, MODELS, ScanConfig, build_channel, scan
+from qfi_probe.scan_repro import (
+    MODEL_IDS,
+    MODELS,
+    ScanConfig,
+    build_channel,
+    point_fidelity,
+    point_qfi,
+    scan,
+)
 from symbolic import exact
 
 # Derandomized so the suite gives the same verdict on every run; no example
@@ -130,3 +139,23 @@ def test_two_qubit_reservoirs_differentiate_at_zero_strength(model, strength, ga
     key = "mean_occupation" if model == "thermal2" else "squeezing"
     dataset = scan(ScanConfig(model, points=5, gamma=gamma, **{key: strength}))
     assert np.all(np.isfinite(dataset.qfi)) and np.all(dataset.qfi >= 0.0)
+
+
+# the worst relative QFI error over 20,000 draws per model of the test's
+# distribution, rounded up by less than 2x; the fidelity's worst absolute
+# error was 4.4e-16
+SCALING_QFI_RTOL = {"thermal1": 5e-10, "squeezed1": 5e-10, "thermal2": 1.5e-10,
+                    "squeezed2": 6e-9}
+
+
+@pytest.mark.parametrize("model", list(SCALING_QFI_RTOL))
+@PROPERTY
+@given(exponent=st.floats(-200.0, 200.0), scaled_t=st.floats(0.01, 20.0))
+def test_reservoir_numbers_depend_on_gamma_t_only(model, exponent, scaled_t):
+    # every reservoir rate is gamma times a function of the strength, so
+    # the QFI and the fidelity at (gamma, t) are those at (1, gamma t)
+    gamma, unit = 10.0**exponent, ScanConfig(model)
+    config, t = ScanConfig(model, gamma=gamma), scaled_t / gamma
+    qfi, expected = point_qfi(config, t), point_qfi(unit, scaled_t)
+    assert abs(qfi - expected) <= SCALING_QFI_RTOL[model] * expected
+    assert abs(point_fidelity(config, t) - point_fidelity(unit, scaled_t)) <= 8e-16

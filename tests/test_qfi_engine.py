@@ -1,5 +1,4 @@
-"""Tests for derivative stencils, the block QFI and its oracles, and the
-Cramer-Rao bound."""
+"""Tests for derivative stencils, the block QFI and its oracles."""
 
 from dataclasses import replace
 
@@ -19,7 +18,6 @@ from helpers import (
     random_hermitian_traceless,
     random_unitary,
     record,
-    validate_density,
 )
 from qfi_probe.probe_models import ChannelModel
 from qfi_probe.qfi_engine import fd_step, qfi_blocks
@@ -195,21 +193,21 @@ class TestQfiSpectral:
     """The eigendecomposition oracle in tests/helpers."""
 
     def test_zero_derivative(self):
-        rho = validate_density(np.diag([0.3, 0.7]).astype(complex))
+        rho = np.diag([0.3, 0.7])
         result = qfi_spectral(rho, np.zeros((2, 2), dtype=complex))
         assert result.value == 0.0
         assert result.discarded_pairs == 0
 
     def test_classical_binomial_family(self):
         # rho = diag(phi, 1 - phi) at phi = 1/2 gives F = 1 / (phi (1 - phi))
-        rho = validate_density(np.eye(2, dtype=complex) / 2)
+        rho = np.eye(2) / 2
         drho = np.diag([1.0, -1.0]).astype(complex)
         assert qfi_spectral(rho, drho).value == pytest.approx(4.0, abs=1e-12)
 
     def test_thermal_steady_state_benchmark(self):
         m = 0.1
         width = 2.0 * m + 1.0
-        rho = validate_density(np.diag([m / width, (m + 1.0) / width]).astype(complex))
+        rho = np.diag([m / width, (m + 1.0) / width])
         drho = np.diag([1.0 / width**2, -1.0 / width**2]).astype(complex)
         expected = 1.0 / (width**2 * m * (m + 1.0))
         result = qfi_spectral(rho, drho)
@@ -217,12 +215,12 @@ class TestQfiSpectral:
         assert result.value == pytest.approx(6.3131, abs=1e-3)
 
     def test_discarded_pairs_counted_for_pure_state(self):
-        rho = validate_density(np.diag([1.0, 0.0]).astype(complex))
+        rho = np.diag([1.0, 0.0])
         result = qfi_spectral(rho, np.zeros((2, 2), dtype=complex))
         assert result.discarded_pairs == 1
 
     def test_dimension_mismatch(self):
-        rho = validate_density(np.eye(2, dtype=complex) / 2)
+        rho = np.eye(2) / 2
         with pytest.raises(ValueError, match="does not match"):
             qfi_spectral(rho, np.zeros((4, 4), dtype=complex))
 
@@ -241,7 +239,7 @@ class TestQfiSpectral:
 
 class TestSldOracle:
     def test_zero_derivative(self):
-        rho = validate_density(np.diag([0.3, 0.7]).astype(complex))
+        rho = np.diag([0.3, 0.7])
         assert qfi_sld_oracle(rho, np.zeros((2, 2), dtype=complex)) == 0.0
 
     def test_agreement_on_full_rank_states(self):
@@ -275,7 +273,7 @@ class TestPureOracle:
         up = np.array(fock1_amplitudes(replace(config, detuning=5.0 + h), t))
         down = np.array(fock1_amplitudes(replace(config, detuning=5.0 - h), t))
         dpsi = (up - down) / (2.0 * h)
-        rho = validate_density(np.outer(psi, psi.conj()))
+        rho = np.outer(psi, psi.conj())
         drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
         pure = qfi_pure_oracle(psi, dpsi)
         assert abs(pure - qfi_spectral(rho, drho).value) <= 1e-8

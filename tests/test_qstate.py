@@ -1,26 +1,23 @@
 """Tests for the block-state record, its validation and the Bloch-vector
-fidelity, and for the dense validator and partial trace that the oracles
-use."""
+fidelity, and for the dense helpers that serve them as oracles: the
+record builder, the lower eigenvalue, the partial trace and the Bloch
+vector."""
 
 import numpy as np
 import pytest
 
 from helpers import (
-    NotHermitian,
     bloch_vector,
     block_state,
     d_rho_grid,
     dense,
-    density_from_bloch,
     fidelity_uhlmann_oracle,
     lower_eigenvalue,
-    ptrace_b_bruteforce,
     random_density,
     random_qubit_state,
     record,
     state_at,
     trace_out_B,
-    validate_density,
 )
 from qfi_probe import qfi_engine
 from qfi_probe.qstate import (
@@ -38,12 +35,8 @@ from qfi_probe.scan_repro import MODEL_IDS, ScanConfig, build_channel
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
+BELL = np.diag([0.0, 0.5, 0.5, 0.0]) + np.diag([0.0, 0.5, 0.0], 1) + np.diag([0.0, 0.5, 0.0], -1)
 THERMAL_CHANNEL = build_channel(ScanConfig("thermal1", alpha=np.pi / 4))
-
-
-def qubit_eigenvalues(mat):
-    """(upper, lower) eigenvalues of a qubit state or stack."""
-    return np.linalg.eigvalsh(np.asarray(mat))[..., ::-1]
 
 
 def qubit(a, b, re, im=0.0):
@@ -135,6 +128,21 @@ class TestValidateBlocks:
         with pytest.raises(StateValidationError, match="NaN"):
             validate_blocks(qubit(np.nan, -0.2, 0.0))
 
+    def test_known_spectra(self):
+        # (w, det) of the maximally mixed, excited and ground qubits, and of
+        # the Bell state's {|eg>, |ge>} and {|ee>, |gg>} blocks
+        weight, det = validate_blocks(record([np.eye(2) / 2, EXCITED, GROUND])).spectra
+        np.testing.assert_array_equal(weight, [[1.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(det, [[0.25, 0.0, 0.0]])
+        weight, det = validate_blocks(record(BELL)).spectra
+        np.testing.assert_array_equal(weight, [[1.0], [0.0]])
+        np.testing.assert_array_equal(det, [[0.0], [0.0]])
+
+    def test_one_nan_state_in_a_record_rejected(self):
+        populations = np.array([0.5, 0.5, 0.5, np.nan, 0.5])
+        with pytest.raises(StateValidationError, match="NaN"):
+            validate_blocks(block_state(QUBIT_BLOCKS, np.zeros(5), [(populations, 0.5, 0.0, 0.0)]))
+
     def test_one_bad_state_in_a_record_is_named(self):
         states = np.array([EXCITED, np.diag([1.1, -0.1]), GROUND])
         with pytest.raises(NegativeEigenvalue, match="-1.0"):
@@ -176,97 +184,28 @@ class TestValidateBlocks:
         np.testing.assert_array_equal(qfi_engine.qfi_blocks(state, derivs).value, expected)
 
 
-class TestValidateDensity:
-    """The dense validator in tests/helpers, which checks oracle inputs."""
+class TestRecord:
+    """The dense-to-record helper that feeds oracle inputs to the validator."""
 
-    def test_maximally_mixed(self):
-        state = validate_density(np.eye(2, dtype=complex) / 2)
-        np.testing.assert_allclose(qubit_eigenvalues(state.matrix), [0.5, 0.5], atol=1e-14)
-
-    def test_pure_excited(self):
-        state = validate_density(EXCITED)
-        assert state.dim == 2
-        np.testing.assert_allclose(qubit_eigenvalues(state.matrix), [1.0, 0.0], atol=1e-14)
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(NegativeEigenvalue, match="-1.0"):
-            validate_density(np.diag([1.1, -0.1]).astype(complex))
-
-    def test_negative_block_eigenvalue_rejected(self):
-        # unit trace and nonnegative diagonal, but the coherence is too
-        # large: eigenvalues 1.1 and -0.1, in a 2-block and in a 1-block
-        qubit = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
-        with pytest.raises(NegativeEigenvalue, match="-1.0"):
-            validate_density(qubit)
-        pair = np.zeros((4, 4), dtype=complex)
-        pair[1:3, 1:3] = qubit
-        with pytest.raises(NegativeEigenvalue, match="-1.0"):
-            validate_density(pair)
-        fock = np.diag([-0.1, 0.55, 0.55, 0.0]).astype(complex)
-        with pytest.raises(NegativeEigenvalue, match="-1.0"):
-            validate_density(fock, ((1, 2), (3,), (0,)))
-
-    def test_entry_outside_blocks_rejected(self):
-        bell = np.zeros((4, 4), dtype=complex)
-        bell[1:3, 1:3] = 0.5
-        validate_density(bell, X_BLOCKS)
-        stray = bell.copy()
-        stray[0, 1] = stray[1, 0] = 1e-13
-        with pytest.raises(StateValidationError, match="outside the blocks"):
-            validate_density(stray, X_BLOCKS)
-        # an {|ee>, |gg>} coherence is inside the X-state blocks but outside
-        # the two-qubit cavity blocks
-        coherent = bell * 0.5
-        coherent[0, 0] = coherent[3, 3] = 0.25
-        coherent[0, 3] = coherent[3, 0] = 0.1
-        validate_density(coherent, X_BLOCKS)
-        with pytest.raises(StateValidationError, match="outside the blocks"):
-            validate_density(coherent, ((1, 2), (3,), (0,)))
-
-    def test_blocks_must_partition_the_basis(self):
-        bell = np.zeros((4, 4), dtype=complex)
-        bell[1:3, 1:3] = 0.5
-        for blocks in (((1, 2), (0,)), ((1, 2), (0, 3), (3,)), ((0, 1, 2), (3,))):
-            with pytest.raises(ValueError, match="partition"):
-                validate_density(bell, blocks)
+    def test_dense_inverts_record(self):
+        rng = np.random.default_rng(5)
+        qubits = np.array([random_density(rng, 2) for _ in range(20)])
+        np.testing.assert_allclose(dense(record(qubits)), qubits, rtol=0.0, atol=1e-16)
+        np.testing.assert_array_equal(dense(record(BELL))[0], BELL)
 
     def test_non_hermitian_rejected(self):
-        mat = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
-        with pytest.raises(NotHermitian):
-            validate_density(mat)
+        with pytest.raises(ValueError, match="Hermitian"):
+            record(np.array([[0.5, 0.1], [0.3, 0.5]]))
 
-    def test_bad_trace_rejected(self):
-        with pytest.raises(TraceNotOne):
-            validate_density(np.diag([0.7, 0.5]).astype(complex))
+    def test_entry_outside_blocks_rejected(self):
+        stray = BELL.copy()
+        stray[0, 1] = stray[1, 0] = 1e-13
+        with pytest.raises(ValueError, match="outside the blocks"):
+            record(stray)
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError, match="dimension"):
-            validate_density(np.eye(3, dtype=complex) / 3)
 
-    def test_nan_matrix_rejected(self):
-        with pytest.raises(StateValidationError):
-            validate_density(np.full((2, 2), np.nan, dtype=complex))
-
-    def test_infinite_entry_rejected(self):
-        mat = np.diag([np.inf, 0.0]).astype(complex)
-        with pytest.raises(StateValidationError):
-            validate_density(mat)
-
-    def test_stack_rejected_by_one_bad_matrix(self):
-        stack = np.repeat((np.eye(2, dtype=complex) / 2)[None], 5, axis=0)
-        stack[3] = np.nan
-        with pytest.raises(StateValidationError):
-            validate_density(stack)
-
-    def test_stack_keeps_per_matrix_spectra(self):
-        stack = np.array([EXCITED, np.eye(2, dtype=complex) / 2, GROUND])
-        state = validate_density(stack)
-        np.testing.assert_allclose(
-            qubit_eigenvalues(state.matrix), [[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]], atol=1e-14
-        )
-        # one bad matrix in a stack is named by its eigenvalue
-        with pytest.raises(NegativeEigenvalue, match="-1.0"):
-            validate_density(np.array([EXCITED, np.diag([1.1, -0.1]), GROUND]))
+class TestLowerEigenvalue:
+    """The oracle of the eigenvalue bound in TestValidateBlocks."""
 
     def test_tiny_block_eigenvalue_keeps_relative_accuracy(self):
         # a population of 6e-9, as fock1 reaches at alpha = 0: det / upper
@@ -283,40 +222,26 @@ class TestValidateDensity:
         np.testing.assert_allclose(lower_eigenvalue(*entries), np.linalg.eigvalsh(mats)[:, 0],
                                    rtol=0.0, atol=1e-14)
 
-    def test_matrix_immutable(self):
-        state = validate_density(EXCITED)
-        with pytest.raises(ValueError):
-            state.matrix[0, 0] = 0.0
-
 
 class TestPartialTrace:
     def test_product_state(self):
         product = np.kron(EXCITED, GROUND)
-        reduced = validate_density(trace_out_B(product))
-        np.testing.assert_allclose(reduced.matrix, EXCITED, atol=1e-14)
+        np.testing.assert_allclose(trace_out_B(product), EXCITED, atol=1e-14)
 
     def test_bell_state(self):
-        bell = np.zeros((4, 4), dtype=complex)
-        bell[1:3, 1:3] = 0.5
-        reduced = validate_density(trace_out_B(bell))
-        np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
-
-    def test_two_qubit_cavity_state_vs_bruteforce(self):
-        state = state_at(build_channel(ScanConfig("fock2", alpha=np.pi / 4)), 0.5)
-        expected = ptrace_b_bruteforce(state.matrix)
-        reduced = validate_density(trace_out_B(state))
-        np.testing.assert_allclose(reduced.matrix, expected, atol=1e-14)
-        assert abs(expected[0, 1]) < 1e-14  # block structure leaves A diagonal
+        np.testing.assert_allclose(trace_out_B(BELL), np.eye(2) / 2, atol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="4x4"):
             trace_out_B(EXCITED)
 
     def test_reduction_of_random_states_is_valid(self):
+        # tr_B (rho_A x rho_B) = rho_A, and every reduced state passes the
+        # library validator
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            reduced = validate_density(trace_out_B(random_density(rng, 4)))
-            assert reduced.dim == 2  # validate_density already ran
+        a, b = random_density(rng, 2), random_density(rng, 2)
+        np.testing.assert_allclose(trace_out_B(np.kron(a, b)), a, atol=1e-14)
+        validate_blocks(record(trace_out_B([random_density(rng, 4) for _ in range(50)])))
 
 
 class TestBlochVector:
@@ -326,23 +251,24 @@ class TestBlochVector:
     def test_pure_excited(self):
         assert bloch_vector(EXCITED) == (0.0, 0.0, 1.0)
 
+    def test_inverse_map(self):
+        # random_qubit_state builds (1 + a.sigma) / 2 from a in the unit ball
+        rng = np.random.default_rng(3)
+        states = np.array([random_qubit_state(rng) for _ in range(200)])
+        ax, ay, az = bloch_vector(states)
+        rebuilt = 0.5 * np.array([[1.0 + az, ax - 1j * ay], [ax + 1j * ay, 1.0 - az]])
+        np.testing.assert_allclose(np.moveaxis(rebuilt, -1, 0), states, rtol=0.0, atol=1e-15)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="2x2"):
+            bloch_vector(np.eye(4, dtype=complex) / 4)
+
     def test_thermal_state_components(self):
         state = state_at(THERMAL_CHANNEL, 1.0)
         vec = bloch_vector(state)
         assert vec.ax == pytest.approx(0.54882, abs=1e-5)
         assert vec.ay == pytest.approx(0.0, abs=1e-12)
         assert vec.az == pytest.approx(-0.58234, abs=1e-5)
-
-    def test_inverse_map(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            state = random_qubit_state(rng)
-            rebuilt = density_from_bloch(bloch_vector(state))
-            assert np.abs(rebuilt - state.matrix).max() <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="2x2"):
-            bloch_vector(np.eye(4, dtype=complex) / 4)
 
 
 class TestReducedBloch:

@@ -1,5 +1,6 @@
 """Pins of the numbers the scan path produces: the evaluator equals the
-public composition of the layers bit for bit, and find_max returns the
+public composition of the layers bit for bit, no kernel row depends on
+the length of the grid it is computed on, and find_max returns the
 recorded float.hex values on the figure series and on seeded two-qubit
 reservoir scans, and the CLI writes the recorded CSV bytes for every
 figure tag and every model's default scan. A refactor of the hot path that
@@ -116,9 +117,10 @@ def hexes(maximum):
 
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_evaluator_rows_equal_the_public_composition(model, monkeypatch):
-    # 3000 points in blocks of 64 KiB: the evaluator splits the grid into
-    # blocks and folds the t = 0 reference into the first; the composition
-    # takes the grid whole and the reference from a call of its own
+    # 3000 points in blocks of 64 KiB, set small so that every model's grid
+    # takes several blocks: the evaluator folds the t = 0 reference into
+    # the first; the composition takes the grid whole and the reference
+    # from a call of its own
     monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 64 * 1024)
     config = ScanConfig(model, points=3000)
     times = time_grid(config)
@@ -133,6 +135,19 @@ def test_evaluator_rows_equal_the_public_composition(model, monkeypatch):
     reference = reduced_bloch(validate_blocks(BlockState(channel.support, kernel(np.zeros(1))[0])))
     np.testing.assert_array_equal(qfi, expected)
     np.testing.assert_array_equal(fidelity, fidelity_bloch(reference, reduced_bloch(states)))
+
+
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_kernel_rows_do_not_depend_on_the_call_size(model):
+    # one 20,000-row call against its 700-row slices, bit for bit. At this
+    # size numpy computes an operator product `a * b` with a temporary b in
+    # place, as b * a, and complex products do not commute bit for bit; the
+    # cavity kernels call np.multiply, which numpy never rewrites
+    channel = build_channel(ScanConfig(model))
+    kernel = channel.kernel(stencil_points(channel.value, channel.floor)[0])
+    times = np.linspace(0.0, 100.0, 20_000)
+    slices = [kernel(times[start:start + 700]) for start in range(0, times.size, 700)]
+    np.testing.assert_array_equal(kernel(times), np.concatenate(slices, axis=-1))
 
 
 @pytest.mark.parametrize("tag", FIGURE_TAGS)
