@@ -136,8 +136,8 @@ class ScanDataset:
     """Rows of (t, qfi, fidelity) plus string metadata identifying the scan.
 
     qfi_fn, when present, maps times[N] to qfi[N] through the scan's own
-    evaluator, one kernel call per block with every row independent, and
-    backs the golden-section refinement in find_max (one call per round).
+    evaluator, one kernel call per block with every row independent; it
+    backs find_max's refinement of a peak it does not skip (one call a round).
     """
 
     t: np.ndarray
@@ -265,6 +265,7 @@ def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[st
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+FLAT = 1e-9  # QFI spread, relative to the largest |qfi|, that counts as flat
 # width of the time bracket at which golden-section refinement stops
 T_TOL = 1e-6
 # golden-section steps per evaluator call: the new points of both outcomes
@@ -292,23 +293,28 @@ def _speculate(bracket) -> list[tuple[float, float, float, float] | None]:
 def find_max(dataset: ScanDataset) -> tuple[float, float]:
     """Grid argmax refined by golden-section search in the bracketing interval.
 
-    The refinement uses the dataset's attached evaluator, qfi_fn; without
-    one the grid maximum is returned. Each evaluator call takes the new
-    points of the next REFINE_STEPS steps for both outcomes of every
-    comparison, and the search walks the path its comparisons take, so the
-    result is that of one evaluation per step. The refined value is never
-    below the grid value.
+    The refinement uses the dataset's attached evaluator, qfi_fn. With none,
+    or at a flat peak or a rising end, the grid maximum is returned with no
+    call. A peak is flat when its window of 3 to 5 grid values, two steps
+    each side at most, lies within FLAT times the largest |qfi| of it:
+    refining a quadratic peak would gain at most FLAT/4 (FLAT/8 at a grid
+    end), and on a plateau t is the first grid argmax. A rising end is a
+    peak at a grid end where the parabola through the 3 end values does not
+    fall: refining would gain nothing. Each evaluator call takes the points
+    of the next REFINE_STEPS steps for both outcomes of every comparison, so
+    the result, never below the grid value, is that of one call per step.
     """
     if dataset.t.size == 0:
         raise ValueError("empty dataset")
-    peak = int(np.argmax(dataset.qfi))
-    best_t = float(dataset.t[peak])
-    best_q = float(dataset.qfi[peak])
-    fn = dataset.qfi_fn
-    if fn is None or dataset.t.size < 2:
+    peak, fn = int(np.argmax(dataset.qfi)), dataset.qfi_fn
+    best_t, best_q = float(dataset.t[peak]), float(dataset.qfi[peak])
+    window = dataset.qfi[max(peak - 2, 0):peak + 3]
+    flat = window.size >= 3 and best_q - window.min() <= FLAT * np.abs(dataset.qfi).max()
+    end = window[::-1] if peak == dataset.t.size - 1 else window if peak == 0 else window[:0]
+    rising = end.size == 3 and 3 * end[0] - 4 * end[1] + end[2] >= 0
+    if fn is None or dataset.t.size < 2 or flat or rising:
         return best_t, best_q
-    lo = float(dataset.t[peak - 1]) if peak > 0 else best_t
-    hi = float(dataset.t[peak + 1]) if peak + 1 < dataset.t.size else best_t
+    lo, hi = (float(dataset.t[k]) for k in (max(peak - 1, 0), min(peak + 1, dataset.t.size - 1)))
     bracket = (lo, hi, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
     f1 = f2 = None
     while f1 is None or bracket[1] - bracket[0] > T_TOL:
@@ -334,13 +340,13 @@ def backflow_intervals(dataset: ScanDataset) -> list[tuple[float, float]]:
     """Maximal time intervals where the QFI strictly rises after a strictly
     falling stretch (information backflow); empty for monotone datasets.
 
-    Forward differences within 1e-9 of the dataset's peak QFI (relative)
+    Forward differences within FLAT of the dataset's peak QFI (relative)
     count as flat, so plateau round-off does not register as revivals. A
     run of rising steps counts when the last nonflat step before it falls;
     it ends at the point where the rise stops.
     """
     diffs = np.diff(dataset.qfi)
-    floor = 1e-9 * float(np.abs(dataset.qfi).max(initial=0.0))
+    floor = FLAT * float(np.abs(dataset.qfi).max(initial=0.0))
     rising = diffs > floor
     falling = diffs < -floor
     starts = np.flatnonzero(rising & ~np.concatenate(([False], rising[:-1])))

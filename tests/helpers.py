@@ -28,7 +28,7 @@ from qfi_probe.qstate import (
     _diagonal_rows,
     validate_blocks,
 )
-from qfi_probe.scan_repro import T_TOL, ScanConfig
+from qfi_probe.scan_repro import FLAT, T_TOL, ScanConfig
 
 HERMITICITY_TOL = 1e-10
 
@@ -249,11 +249,20 @@ def d_rho_grid(channel, value, times) -> BlockState:
     return derivative(channel.support, record[1:], weights, scale)
 
 
-def find_max_sequential(dataset):
+def find_max_sequential(dataset, skip=True):
     """Golden-section refinement with one evaluator call per step: the
-    loop find_max ran before it evaluated the steps in batches."""
+    loop find_max ran before it evaluated the steps in batches. Like
+    find_max it returns the grid point of a flat peak, or of a peak at a
+    grid end that the QFI still rises into, with no call and 0 steps,
+    unless skip is False."""
     peak = int(np.argmax(dataset.qfi))
     best_t, best_q = float(dataset.t[peak]), float(dataset.qfi[peak])
+    window = dataset.qfi[max(peak - 2, 0):peak + 3]
+    flat = window.size >= 3 and best_q - window.min() <= FLAT * np.abs(dataset.qfi).max()
+    end = window[::-1] if peak == dataset.t.size - 1 else window if peak == 0 else window[:0]
+    rising = end.size == 3 and 3 * end[0] - 4 * end[1] + end[2] >= 0
+    if skip and (flat or rising):
+        return (best_t, best_q), 0
     fn = lambda t: float(dataset.qfi_fn(np.array([t]))[0])
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
     lo = float(dataset.t[peak - 1]) if peak > 0 else best_t

@@ -13,7 +13,9 @@ evaluates them at 50 digits: the tests' one oracle for the state, its
 derivative, the QFI and the fidelity of all six models. A squeezed vacuum
 of strength r has N = sinh(r)^2 and M = cosh(r) sinh(r); a thermal
 reservoir has M = 0. block_qfi_forms writes the 2-block QFI in its
-eigenvalue-pair and determinant forms, which the tests prove equal. Basis
+eigenvalue-pair and determinant forms, which the tests prove equal.
+equilibrium_qfi gives the QFI of a qubit's steady state in its reservoir,
+the plateau of the reservoir scans. Basis
 orders follow qfi_probe.qstate: (|e>, |g>) for one qubit, A-major products
 for two.
 """
@@ -274,6 +276,34 @@ def occupation_slope(m, s):
     with mpmath.workdps(DIGITS):
         return mpmath.diff(lambda temperature: 1 / (mpmath.exp(s / temperature) - 1),
                            s / mpmath.log(1 + 1 / mpmath.mpf(m)))
+
+
+@functools.cache
+def equilibrium_forms():
+    """The QFI of the qubit steady state diag(p, 1 - p), p = N / (2 N + 1)
+    (the t -> oo limit of the relaxation), in the occupation N, and in the
+    squeezing r of a squeezed vacuum (N = sinh(r)^2)."""
+    steady = sp.limit(_relaxation(0), T, sp.oo)
+    per_occupation = sp.factor(sp.diff(steady, N) ** 2 / (steady * (1 - steady)))
+    occupation = SQUEEZED_VACUUM[N]
+    per_squeezing = sp.simplify(per_occupation.subs(N, occupation) * sp.diff(occupation, R) ** 2)
+    return per_occupation, per_squeezing
+
+
+def equilibrium_qfi(kind, strength):
+    """The QFI of one qubit's steady state in a "thermal" or "squeezed"
+    reservoir at 50 digits: F_N = 1 / ((2N + 1)^2 N (N + 1)) times
+    (dN/d theta)^2, which is (dm/dT)^2 at freq_scale 1 for the temperature
+    (N = m) and gives 4 / cosh(2r)^2 for the squeezing r. Two qubits in
+    their own reservoirs relax to the product of two such states, so their
+    QFI is twice this."""
+    per_occupation, per_squeezing = equilibrium_forms()
+    with mpmath.workdps(DIGITS):
+        value = mpmath.mpf(strength)
+        if kind == "squeezed":
+            return sp.lambdify(R, per_squeezing, "mpmath")(value)
+        slope = occupation_slope(strength, 1.0)
+        return sp.lambdify(N, per_occupation, "mpmath")(value) * slope**2
 
 
 def _eigh(a, b, c):

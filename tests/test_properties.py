@@ -2,9 +2,11 @@
 parameter domain of every probe model: state invariants, the ranges of
 QFI and fidelity, agreement of the block QFI with the spectral and SLD
 oracles on dense matrices built from the records, the stencil choice at
-the domain floor, and the reservoirs' dependence on gamma t alone for
-gamma from 1e-200 to 1e200."""
+the domain floor, the reservoirs' dependence on gamma t alone for gamma
+from 1e-200 to 1e200, and the exact symmetries of the cavity models in
+the detuning and the angle and of the temperature QFI in freq_scale."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -159,3 +161,66 @@ def test_reservoir_numbers_depend_on_gamma_t_only(model, exponent, scaled_t):
     qfi, expected = point_qfi(config, t), point_qfi(unit, scaled_t)
     assert abs(qfi - expected) <= SCALING_QFI_RTOL[model] * expected
     assert abs(point_fidelity(config, t) - point_fidelity(unit, scaled_t)) <= 8e-16
+
+
+# cavity draws: a detuning of either sign and a coupling, both log-uniform
+# in magnitude (1e-3 to 1e3 and 1e-2 to 1e2); times up to 100
+SIGNED_DETUNING = st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                            st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
+LOG_COUPLING = st.floats(-2.0, 2.0).map(lambda exponent: 10.0**exponent)
+TIME = st.floats(0.01, 100.0)
+# The stencil's rounding error in the derivative of the Bloch vector moves
+# F = |dr|^2 / w by an amount proportional to sqrt(F), at every scale of F,
+# so the cavity symmetries are held on |F - F'| / sqrt(F). The worst over
+# 10,000 draws of each test was 1.45e-10 (fock1) and 1.2e-10 (fock2's
+# swap), rounded up by less than 2x. fock1's fidelity moves by up to
+# 1.02e-14 because pi/2 - alpha rounds.
+SYMMETRY_SQRT_QFI_TOL = {"fock1": 2.5e-10, "fock2": 2e-10}
+FOCK1_FIDELITY_TOL = 2e-14
+
+
+@PROPERTY
+@given(SIGNED_DETUNING, LOG_COUPLING, st.integers(0, 4), ALPHA, TIME)
+def test_fock1_is_even_under_detuning_with_the_angle_mirrored(detuning, coupling, photons,
+                                                              alpha, t):
+    # (detuning, alpha) -> (-detuning, pi/2 - alpha) maps the closed form
+    # onto its complex conjugate with |e> and |g> exchanged
+    config = ScanConfig("fock1", detuning=detuning, coupling=coupling, photons=photons,
+                        alpha=alpha)
+    mirror = replace(config, detuning=-detuning, alpha=math.pi / 2 - alpha)
+    qfi, mirrored = point_qfi(config, t), point_qfi(mirror, t)
+    assert abs(qfi - mirrored) <= SYMMETRY_SQRT_QFI_TOL["fock1"] * math.sqrt(max(qfi, mirrored))
+    assert abs(point_fidelity(config, t) - point_fidelity(mirror, t)) <= FOCK1_FIDELITY_TOL
+
+
+@PROPERTY
+@given(SIGNED_DETUNING, LOG_COUPLING, ALPHA, TIME)
+def test_fock2_is_even_in_detuning_and_under_the_swap(detuning, coupling, alpha, t):
+    # detuning -> -detuning conjugates every amplitude: bit for bit the
+    # same numbers. alpha -> pi/2 - alpha exchanges the qubits, which
+    # leaves the two-qubit QFI unchanged (qubit A's fidelity is not)
+    config = ScanConfig("fock2", detuning=detuning, coupling=coupling, alpha=alpha)
+    qfi = point_qfi(config, t)
+    mirror = replace(config, detuning=-detuning)
+    assert point_qfi(mirror, t) == qfi
+    assert point_fidelity(mirror, t) == point_fidelity(config, t)
+    swapped = point_qfi(replace(config, alpha=math.pi / 2 - alpha), t)
+    assert abs(qfi - swapped) <= SYMMETRY_SQRT_QFI_TOL["fock2"] * math.sqrt(max(qfi, swapped))
+
+
+@pytest.mark.parametrize("model", ["thermal1", "thermal2"])
+@PROPERTY
+@given(occupation=st.floats(0.01, 2.0), alpha=ALPHA, gamma=GAMMA,
+       exponent=st.floats(-100.0, 100.0), t=TIME)
+def test_temperature_qfi_scales_as_inverse_freq_scale_squared(model, occupation, alpha, gamma,
+                                                              exponent, t):
+    # dm/dT = g(m) / s at fixed m, so the QFI times s^2 does not depend on
+    # s; the worst relative error over 10,000 draws was 6.1e-16. The
+    # fidelity does not read s.
+    angle = {"alpha": alpha} if model == "thermal1" else {}
+    unit = ScanConfig(model, mean_occupation=occupation, gamma=gamma, **angle)
+    scale = 10.0**exponent
+    config = replace(unit, freq_scale=scale)
+    expected = point_qfi(unit, t)
+    assert abs(point_qfi(config, t) * scale * scale - expected) <= 1e-15 * expected
+    assert point_fidelity(config, t) == point_fidelity(unit, t)
