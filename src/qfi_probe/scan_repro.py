@@ -3,7 +3,9 @@ detection, and regeneration of the standard figure datasets (tags 1a-5c)."""
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -52,6 +54,18 @@ FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b",
 # doubles per row, so 4096 to 5461 or 2048 to 2730 rows; a 2000-point scan
 # and its t = 0 reference take one block.
 BLOCK_BYTES = 512 * 1024
+# Fixed glibc malloc thresholds: left dynamic, the trim threshold follows
+# the largest block freed so far, below one block's transient arrays, so
+# every scan gave the heap top back to the kernel and faulted it in again
+# page by page. A no-op off glibc or without mallopt.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt if os.confstr("CS_GNU_LIBC_VERSION") else None
+except (AttributeError, ValueError, OSError):  # no confstr, no such name, not glibc, no mallopt
+    _mallopt = None
+if _mallopt is not None:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 8 * BLOCK_BYTES)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 16 * BLOCK_BYTES)  # M_TRIM_THRESHOLD
 # 500 times the 2000-point figure grid; a larger count is rejected before
 # the grid is allocated.
 MAX_POINTS = 1_000_000

@@ -9,8 +9,8 @@ and the dense stencil that pins the record stencil's bits) deliberately
 avoid the package code paths they check. They take and return plain
 complex arrays; qstate.validate_blocks is the one state validator. The
 models' states, derivatives, QFI and fidelity have one exact oracle,
-symbolic.exact. The record builder block_state and the grid wrapper
-d_rho_grid serve only the tests.
+symbolic.exact. The record builder block_state, the grid wrapper
+d_rho_grid and without_floored_fill serve only the tests.
 """
 
 import math
@@ -247,6 +247,32 @@ def d_rho_grid(channel, value, times) -> BlockState:
     points, weights, scale = stencil_points(value, channel.floor)
     record = channel.kernel(points)(np.atleast_1d(np.asarray(times, dtype=float)))
     return derivative(channel.support, record[1:], weights, scale)
+
+
+def without_floored_fill(rho: BlockState, drho: BlockState) -> BlockState:
+    """drho less its component <v|drho|v> |v><v| along the lower eigenvector
+    v of each block whose determinant term qfi_blocks floors (w above half
+    EIGENSUM_FLOOR, det at or below that times w): the weight that drho moves
+    into a level that the floors count as empty. There the determinant form
+    keeps it in |dr|^2 / w, the eigenvalue floor of qfi_spectral drops it,
+    and the exact QFI grows as its square over the tiny level (ROADMAP item
+    9). Every other block of drho is returned unchanged."""
+    weight, det = validate_blocks(rho).spectra
+    a, b, re, im = rho.pairs()
+    c, (da, db, dre, dim) = re + 1j * im, drho.pairs()
+    h = 0.5 * (a - b)
+    r = np.hypot(h, np.abs(c))
+    # (A - p_-) v = 0 from the row that cancels less
+    x, y = np.where(h >= 0.0, c, r - h), np.where(h >= 0.0, -(h + r), -np.conj(c))
+    norm2 = np.abs(x) ** 2 + np.abs(y) ** 2
+    floor = 0.5 * EIGENSUM_FLOOR
+    floored = (weight > floor) & (det <= floor * weight) & (norm2 > 0.0)
+    dc = dre + 1j * dim
+    fill = np.abs(x) ** 2 * da + np.abs(y) ** 2 * db + 2.0 * (np.conj(x) * dc * y).real
+    fill = np.where(floored, fill / np.where(floored, norm2, 1.0) ** 2, 0.0)
+    dc = dc - fill * x * np.conj(y)
+    parts = (da - fill * np.abs(x) ** 2, db - fill * np.abs(y) ** 2, dc.real, dc.imag)
+    return BlockState(drho.support, np.concatenate(parts))
 
 
 def find_max_sequential(dataset, skip=True):

@@ -318,15 +318,16 @@ def _eigh(a, b, c):
     return ((a + b) / 2 + r, (a + b) / 2 - r), ((x, y), (-mpmath.conj(y), mpmath.conj(x)))
 
 
-def exact(config, t):
+def exact(config, t, chain=True):
     """rho, its derivative in the channel value (detuning, m or r), the
     estimand QFI and the fidelity of qubit A against t = 0 for a ScanConfig
     at time t >= 0: the forms above, differentiated symbolically (one-sided
     at m = 0 or r = 0, where they are analytic), at 50 digits. The QFI sums
     2 |<i|drho|j>|^2 / (p_i + p_j) over each 2-block's eigenvalue pairs with
-    p_i + p_j >= 1e-40, times (dm/dT)^2 for the temperature. The fidelity,
-    tr(rho0 rho) + 2 sqrt(det rho0 det rho), is exact to 25 digits where
-    rho0 is pure (det rho0 = 0 to 50). No qfi_probe code runs."""
+    p_i + p_j >= 1e-40, times (dm/dT)^2 for the temperature unless chain is
+    False, which gives the occupation QFI. The fidelity, tr(rho0 rho) +
+    2 sqrt(det rho0 det rho), is exact to 25 digits where rho0 is pure
+    (det rho0 = 0 to 50). No qfi_probe code runs."""
     _, blocks, _, arguments = _FORMS[config.model_id]
     evaluate, initial = _lambdified(config.model_id)
     dim = 2 * len(blocks)
@@ -343,7 +344,7 @@ def exact(config, t):
                                     for k in range(2) for n in range(2))) ** 2 / (p[x] + p[y])
                 for x in range(2) for y in range(2) if p[x] + p[y] >= EMPTY_PAIR)
             eigenvalues += p
-        if config.model_id.startswith("thermal"):
+        if chain and config.model_id.startswith("thermal"):
             qfi *= occupation_slope(config.mean_occupation, config.freq_scale) ** 2
         (a0, c0, d0, b0), (a, c, d, b) = initial(*fields), values[2 * dim * dim:]
         root = mpmath.sqrt((a0 * b0 - c0 * d0) * (a * b - c * d))

@@ -19,6 +19,7 @@ from helpers import (
     dense,
     qfi_sld_oracle,
     qfi_spectral,
+    without_floored_fill,
 )
 from qfi_probe.qfi_engine import (
     fd_step,
@@ -91,11 +92,14 @@ def test_qfi_nonnegative_and_fidelity_in_unit_interval(config, t_min, span):
 @given(configs(), TIMES)
 def test_batched_spectral_qfi_matches_sld_oracle_per_row(config, times):
     # the closed-form block QFI against a full eigendecomposition and the
-    # SLD solve, row by row; t = 0 and short times give near-pure states
+    # SLD solve, row by row; t = 0 and short times give near-pure states.
+    # The weight that the derivative moves into a floored level is left out:
+    # the two floors treat it differently, and neither gives the QFI there
+    # (test_known_occupation_qfi_defect_at_zero_temperature)
     times = np.concatenate([times, [0.0, 1e-9, 1e-5]])
     channel = build_channel(config)
     states = validate_blocks(channel.states(channel.value, times))
-    derivs = d_rho_grid(channel, channel.value, times)
+    derivs = without_floored_fill(states, d_rho_grid(channel, channel.value, times))
     batched = qfi_blocks(states, derivs).value
     mats, dmats = dense(states), dense(derivs)
     spectral = qfi_spectral(mats, dmats).value

@@ -3,7 +3,11 @@ dataset builders. Grids are kept small here; the full-resolution runs live
 in the acceptance suite."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +370,96 @@ def test_one_kernel_call_per_evaluation_block(model, monkeypatch):
     qfi_fn = lambda times: rounds.append(len(times)) or dataset.qfi_fn(times)
     find_max(replace(dataset, qfi_fn=qfi_fn))
     assert rounds and calls == rounds
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with args; it imports the package from src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Minor page faults over 20 seeded 2000-point thermal2/squeezed2 scans with
+# find_max, and over 4 figure tags (all six models) with emit_csv, after a
+# warm-up; the CSV goes to sys.argv[1]. Left to glibc's dynamic thresholds,
+# malloc returned the heap top to the kernel after each scan and faulted it
+# in again.
+FAULT_COUNT = """
+import resource, sys
+import numpy as np
+from qfi_probe import cli, scan_repro as sr
+rng = np.random.default_rng(31)
+scans = [sr.ScanConfig(model, **{key: float(rng.uniform(0.02, 0.5))},
+                       gamma=float(rng.uniform(0.5, 2.0)), t_max=float(rng.uniform(10.0, 50.0)))
+         for model, key in [("thermal2", "mean_occupation"), ("squeezed2", "squeezing")] * 10]
+tags = ("1a", "3b", "4a", "5b")
+def figure(tag):
+    for dataset in sr.reproduce_figure(tag):
+        cli.emit_csv(dataset, sys.argv[1])
+        sr.find_max(dataset)
+def faults(op, inputs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for item in inputs:
+        op(item)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(inputs)
+def scan(config):
+    sr.find_max(sr.scan(config))
+faults(scan, scans[:2]), faults(figure, tags)
+print(faults(scan, scans), faults(figure, tags))
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are fixed on glibc only")
+def test_scans_and_figure_tags_keep_the_heap_resident(tmp_path):
+    done = _python("-c", FAULT_COUNT, str(tmp_path / "fig.csv"))
+    per_scan, per_tag = map(float, done.stdout.split())
+    assert per_scan <= 1.0
+    assert per_tag <= 25.0
+
+
+# The import-time malloc policy under stand-ins for os.confstr and libc. It
+# prints the mallopt calls that importing the package made.
+MALLOPT_CALLS = """
+import ctypes, os
+calls = []
+class Mallopt:
+    def __call__(self, param, value):
+        calls.append((param, value))
+        return 1
+class Libc:
+    mallopt = Mallopt()
+def refuse(error):
+    def confstr(name):
+        raise error
+    return confstr
+ctypes.CDLL = lambda name: Libc()
+{stand_in}
+import qfi_probe
+print(calls)
+"""
+GLIBC = 'os.confstr = lambda name: "glibc 2.36"'
+MALLOPT = [(-3, 8 * scan_repro.BLOCK_BYTES), (-1, 16 * scan_repro.BLOCK_BYTES)]
+
+
+@pytest.mark.parametrize("stand_in, calls", [
+    (GLIBC, MALLOPT),
+    (GLIBC + "; del Libc.mallopt", []),
+    ('os.confstr = refuse(OSError(22, "Invalid argument"))', []),
+    ('os.confstr = refuse(ValueError("unrecognized configuration name"))', []),
+    ("del os.confstr", []),
+], ids=["glibc", "glibc_without_mallopt", "musl", "macos", "windows"])
+def test_import_sets_malloc_thresholds_on_glibc_only(stand_in, calls):
+    # elsewhere, or without mallopt, the import calls nothing and warns of nothing
+    done = _python("-W", "error", "-c", MALLOPT_CALLS.format(stand_in=stand_in))
+    assert done.stdout == f"{calls}\n"
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("squeezing", [5.0, 10.0, 20.0])

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from helpers import dense, fock1_amplitudes, fock2_amplitudes
+from helpers import d_rho_grid, dense, fock1_amplitudes, fock2_amplitudes
+from qfi_probe.qfi_engine import qfi_blocks
+from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     FIGURE_TAGS,
     MODEL_IDS,
@@ -443,6 +445,20 @@ def test_grid_only_figure_maxima_are_the_equilibrium_qfi():
 def test_known_qfi_defects_against_exact(queries):
     for config, t in queries:
         assert point_qfi(config, t) == pytest.approx(float(exact(config, t).qfi), rel=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="the determinant floor drops the occupation QFI of a level"
+                                       " the derivative fills (ROADMAP items 9 and 21)")
+@pytest.mark.parametrize("gamma, t", [(2.0, 15.0), (3.0, 10.0)])
+def test_known_occupation_qfi_defect_at_zero_temperature(gamma, t):
+    # thermal1 at m = 0 and alpha = 0, where e^{-gamma t} = 9.4e-14 is below
+    # the floor: qfi_blocks reads 4.0 and helpers.qfi_spectral 1.0, against
+    # 1.07e13 from exact (the temperature QFI is 0: dm/dT vanishes at m = 0)
+    config = ScanConfig("thermal1", mean_occupation=0.0, gamma=gamma, alpha=0.0)
+    channel = build_channel(config)
+    states = validate_blocks(channel.states(channel.value, [t]))
+    qfi = qfi_blocks(states, d_rho_grid(channel, channel.value, [t])).value[0]
+    assert qfi == pytest.approx(float(exact(config, t, chain=False).qfi), rel=1e-3)
 
 
 @pytest.mark.xfail(strict=True, reason="the stencil step never goes below 6.1e-6, which swamps a"
