@@ -151,7 +151,8 @@ class ScanDataset:
 
     qfi_fn, when present, maps times[N] to qfi[N] through the scan's own
     evaluator, one kernel call per block with every row independent; it
-    backs find_max's refinement of a peak it does not skip (one call a round).
+    backs find_max's refinement of a peak it does not skip, one call per
+    REFINE_STEPS golden-section steps until the bracket is flat.
     """
 
     t: np.ndarray
@@ -284,7 +285,7 @@ FLAT = 1e-9  # QFI spread, relative to the largest |qfi|, that counts as flat
 T_TOL = 1e-6
 # golden-section steps per evaluator call: the new points of both outcomes
 # of each of the next REFINE_STEPS comparisons, 2^(REFINE_STEPS + 1) - 2
-REFINE_STEPS = 4
+REFINE_STEPS = 5
 
 
 def _speculate(bracket) -> list[tuple[float, float, float, float] | None]:
@@ -314,21 +315,26 @@ def find_max(dataset: ScanDataset) -> tuple[float, float]:
     refining a quadratic peak would gain at most FLAT/4 (FLAT/8 at a grid
     end), and on a plateau t is the first grid argmax. A rising end is a
     peak at a grid end where the parabola through the 3 end values does not
-    fall: refining would gain nothing. Each evaluator call takes the points
-    of the next REFINE_STEPS steps for both outcomes of every comparison, so
-    the result, never below the grid value, is that of one call per step.
+    fall: refining would gain nothing. The search stops by the flat rule
+    at its own scale, once the best value is within FLAT times the largest
+    grid |qfi| of both bracket-end values, or at a bracket of width T_TOL.
+    Each evaluator call takes the points of the next REFINE_STEPS steps for
+    both outcomes of every comparison, so the result, never below the grid
+    value, is that of one call per step.
     """
     if dataset.t.size == 0:
         raise ValueError("empty dataset")
     peak, fn = int(np.argmax(dataset.qfi)), dataset.qfi_fn
     best_t, best_q = float(dataset.t[peak]), float(dataset.qfi[peak])
+    tol = FLAT * np.abs(dataset.qfi).max()
     window = dataset.qfi[max(peak - 2, 0):peak + 3]
-    flat = window.size >= 3 and best_q - window.min() <= FLAT * np.abs(dataset.qfi).max()
+    flat = window.size >= 3 and best_q - window.min() <= tol
     end = window[::-1] if peak == dataset.t.size - 1 else window if peak == 0 else window[:0]
     rising = end.size == 3 and 3 * end[0] - 4 * end[1] + end[2] >= 0
     if fn is None or dataset.t.size < 2 or flat or rising:
         return best_t, best_q
-    lo, hi = (float(dataset.t[k]) for k in (max(peak - 1, 0), min(peak + 1, dataset.t.size - 1)))
+    ends = [max(peak - 1, 0), min(peak + 1, dataset.t.size - 1)]
+    (lo, hi), (f_lo, f_hi) = dataset.t[ends].tolist(), dataset.qfi[ends].tolist()
     bracket = (lo, hi, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
     f1 = f2 = None
     while f1 is None or bracket[1] - bracket[0] > T_TOL:
@@ -342,10 +348,14 @@ def find_max(dataset: ScanDataset) -> tuple[float, float]:
         k = 1 if f1 < f2 else 2
         while k < len(tree) and tree[k] is not None:
             bracket = tree[k]
-            f1, f2 = (f2, new_value[k]) if k % 2 else (new_value[k], f1)
+            # a rise moves the lower end up to x1, a fall the upper end down to x2
+            f_lo, f_hi, f1, f2 = ((f1, f_hi, f2, new_value[k]) if k % 2
+                                  else (f_lo, f2, new_value[k], f1))
             for xc, fc in ((bracket[2], f1), (bracket[3], f2)):
                 if fc > best_q:
                     best_t, best_q = xc, fc
+            if best_q - min(f_lo, f_hi) <= tol:
+                return best_t, best_q
             k = 2 * k + (1 if f1 < f2 else 2)
     return best_t, best_q
 

@@ -275,24 +275,28 @@ def without_floored_fill(rho: BlockState, drho: BlockState) -> BlockState:
     return BlockState(drho.support, np.concatenate(parts))
 
 
-def find_max_sequential(dataset, skip=True):
+def find_max_sequential(dataset, stop=True):
     """Golden-section refinement with one evaluator call per step: the
     loop find_max ran before it evaluated the steps in batches. Like
     find_max it returns the grid point of a flat peak, or of a peak at a
-    grid end that the QFI still rises into, with no call and 0 steps,
-    unless skip is False."""
+    grid end that the QFI still rises into, with no call and 0 steps, and
+    it stops once the best value is within FLAT times the largest grid |qfi|
+    of both bracket-end values; with stop False it runs the full search to
+    a bracket of T_TOL."""
     peak = int(np.argmax(dataset.qfi))
     best_t, best_q = float(dataset.t[peak]), float(dataset.qfi[peak])
+    tol = FLAT * np.abs(dataset.qfi).max()
     window = dataset.qfi[max(peak - 2, 0):peak + 3]
-    flat = window.size >= 3 and best_q - window.min() <= FLAT * np.abs(dataset.qfi).max()
+    flat = window.size >= 3 and best_q - window.min() <= tol
     end = window[::-1] if peak == dataset.t.size - 1 else window if peak == 0 else window[:0]
     rising = end.size == 3 and 3 * end[0] - 4 * end[1] + end[2] >= 0
-    if skip and (flat or rising):
+    if stop and (flat or rising):
         return (best_t, best_q), 0
     fn = lambda t: float(dataset.qfi_fn(np.array([t]))[0])
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = float(dataset.t[peak - 1]) if peak > 0 else best_t
-    hi = float(dataset.t[peak + 1]) if peak + 1 < dataset.t.size else best_t
+    lo_k, hi_k = max(peak - 1, 0), min(peak + 1, dataset.t.size - 1)
+    lo, hi = float(dataset.t[lo_k]), float(dataset.t[hi_k])
+    f_lo, f_hi = float(dataset.qfi[lo_k]), float(dataset.qfi[hi_k])
     x1 = hi - inv_golden * (hi - lo)
     x2 = lo + inv_golden * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
@@ -300,16 +304,18 @@ def find_max_sequential(dataset, skip=True):
     while hi - lo > T_TOL:
         steps += 1
         if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
+            lo, f_lo, x1, f1 = x1, f1, x2, f2
             x2 = lo + inv_golden * (hi - lo)
             f2 = fn(x2)
         else:
-            hi, x2, f2 = x2, x1, f1
+            hi, f_hi, x2, f2 = x2, f2, x1, f1
             x1 = hi - inv_golden * (hi - lo)
             f1 = fn(x1)
         for xc, fc in ((x1, f1), (x2, f2)):
             if fc > best_q:
                 best_t, best_q = xc, fc
+        if stop and best_q - min(f_lo, f_hi) <= tol:
+            break
     return (best_t, best_q), steps
 
 

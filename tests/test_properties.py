@@ -91,12 +91,25 @@ def test_qfi_nonnegative_and_fidelity_in_unit_interval(config, t_min, span):
 @PROPERTY
 @given(configs(), TIMES)
 def test_batched_spectral_qfi_matches_sld_oracle_per_row(config, times):
+    # t = 0 and short times give near-pure states
+    assert_block_qfi_matches_the_oracles(config, np.concatenate([times, [0.0, 1e-9, 1e-5]]))
+
+
+@pytest.mark.xfail(strict=True, reason="det = ab - |c|^2 cancels in a block whose lower eigenvalue"
+                                       " sits just above the floor (ROADMAP items 3 and 9)")
+def test_known_block_qfi_defect_above_the_floor():
+    # squeezed2 at r = 1e-5, t = 1 (block eigenvalues 1.8e-12 and 3.2e-12):
+    # qfi_blocks reads 1.0569659, helpers.qfi_spectral 1.0569638 and the SLD
+    # oracle 1.0569616, and symbolic.exact gives 1.0569645
+    assert_block_qfi_matches_the_oracles(ScanConfig("squeezed2", squeezing=1e-5), np.array([1.0]))
+
+
+def assert_block_qfi_matches_the_oracles(config, times):
     # the closed-form block QFI against a full eigendecomposition and the
-    # SLD solve, row by row; t = 0 and short times give near-pure states.
-    # The weight that the derivative moves into a floored level is left out:
-    # the two floors treat it differently, and neither gives the QFI there
+    # SLD solve, row by row. The weight that the derivative moves into a
+    # floored level is left out: the two floors treat it differently, and
+    # neither gives the QFI there
     # (test_known_occupation_qfi_defect_at_zero_temperature)
-    times = np.concatenate([times, [0.0, 1e-9, 1e-5]])
     channel = build_channel(config)
     states = validate_blocks(channel.states(channel.value, times))
     derivs = without_floored_fill(states, d_rho_grid(channel, channel.value, times))
@@ -158,6 +171,19 @@ SCALING_QFI_RTOL = {"thermal1": 5e-10, "squeezed1": 5e-10, "thermal2": 1.5e-10,
 @PROPERTY
 @given(exponent=st.floats(-200.0, 200.0), scaled_t=st.floats(0.01, 20.0))
 def test_reservoir_numbers_depend_on_gamma_t_only(model, exponent, scaled_t):
+    assert_numbers_depend_on_gamma_t_only(model, exponent, scaled_t)
+
+
+@pytest.mark.xfail(strict=True, reason="the stencil's rounding moves the thermal1 QFI by more than"
+                                       " its bound under a 1-ulp change of gamma t (ROADMAP item 3)")
+def test_known_reservoir_scaling_defect():
+    # thermal1 at gamma = 1e136 and gamma t = 0.03125: the QFI is 5.97e-10
+    # relative from the one at (1, gamma t), against the bound of 5e-10. At
+    # gamma = 1, t one ulp above 0.03125 moves it by the same 5.97e-10
+    assert_numbers_depend_on_gamma_t_only("thermal1", 136.0, 0.03125)
+
+
+def assert_numbers_depend_on_gamma_t_only(model, exponent, scaled_t):
     # every reservoir rate is gamma times a function of the strength, so
     # the QFI and the fidelity at (gamma, t) are those at (1, gamma t)
     gamma, unit = 10.0**exponent, ScanConfig(model)
