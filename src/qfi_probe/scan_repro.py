@@ -152,7 +152,7 @@ class ScanDataset:
     qfi_fn, when present, maps times[N] to qfi[N] through the scan's own
     evaluator, one kernel call per block with every row independent; it
     backs find_max's refinement of a peak it does not skip, one call per
-    REFINE_STEPS golden-section steps until the bracket is flat.
+    nested grid of ZOOM_POINTS points.
     """
 
     t: np.ndarray
@@ -279,85 +279,48 @@ def _metadata(config: ScanConfig, times: np.ndarray, qfi: np.ndarray) -> dict[st
     return md
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FLAT = 1e-9  # QFI spread, relative to the largest |qfi|, that counts as flat
-# width of the time bracket at which golden-section refinement stops
+# width of the bracket around the argmax at which refinement stops
 T_TOL = 1e-6
-# golden-section steps per evaluator call: the new points of both outcomes
-# of each of the next REFINE_STEPS comparisons, 2^(REFINE_STEPS + 1) - 2
-REFINE_STEPS = 5
-
-
-def _speculate(bracket) -> list[tuple[float, float, float, float] | None]:
-    """The brackets (lo, hi, x1, x2) that every outcome path of up to
-    REFINE_STEPS golden-section steps reaches, as a heap: node k steps to
-    node 2 k + 1 when f(x1) < f(x2) and to 2 k + 2 otherwise. A converged
-    bracket is not stepped, and its children are None."""
-    tree = [bracket] + [None] * (2 ** (REFINE_STEPS + 1) - 2)
-    for k in range(2 ** REFINE_STEPS - 1):
-        if tree[k] is None or tree[k][1] - tree[k][0] <= T_TOL:
-            continue
-        lo, hi, x1, x2 = tree[k]
-        # a rise moves the lower end up to x1, and x2 is new; a fall moves
-        # the upper end down to x2, and x1 is new
-        tree[2 * k + 1] = (x1, hi, x2, x1 + _INV_GOLDEN * (hi - x1))
-        tree[2 * k + 2] = (lo, x2, x2 - _INV_GOLDEN * (x2 - lo), x1)
-    return tree
+# points of each nested grid: the argmax's two-step bracket in 62 steps
+ZOOM_POINTS = 63
 
 
 def find_max(dataset: ScanDataset) -> tuple[float, float]:
-    """Grid argmax refined by golden-section search in the bracketing interval.
+    """Grid argmax refined by nested grids over the bracketing interval.
 
-    The refinement uses the dataset's attached evaluator, qfi_fn. With none,
-    or at a flat peak or a rising end, the grid maximum is returned with no
-    call. A peak is flat when its window of 3 to 5 grid values, two steps
-    each side at most, lies within FLAT times the largest |qfi| of it:
-    refining a quadratic peak would gain at most FLAT/4 (FLAT/8 at a grid
-    end), and on a plateau t is the first grid argmax. A rising end is a
-    peak at a grid end where the parabola through the 3 end values does not
-    fall: refining would gain nothing. The search stops by the flat rule
-    at its own scale, once the best value is within FLAT times the largest
-    grid |qfi| of both bracket-end values, or at a bracket of width T_TOL.
-    Each evaluator call takes the points of the next REFINE_STEPS steps for
-    both outcomes of every comparison, so the result, never below the grid
-    value, is that of one call per step.
+    The refinement uses the dataset's attached evaluator, qfi_fn: one call
+    per level on ZOOM_POINTS points spanning the neighbours [t[p - 1],
+    t[p + 1]] of the last level's argmax p. Every level stops by the same
+    rules, and with no qfi_fn the grid maximum is returned with no call. A
+    peak is flat when its window of 3 to 5 values, two steps each side at
+    most, lies within FLAT times the largest |qfi| of the dataset: refining
+    a quadratic peak would gain at most FLAT/4 (FLAT/8 at a grid end), and
+    on a plateau t is the first argmax. A rising end is a peak at a grid
+    end where the parabola through the 3 end values does not fall:
+    refining would gain nothing. A sharp peak stops at a bracket no wider
+    than T_TOL. A level that reads below the last one's maximum (its
+    midpoint can miss t[p] by an ulp) returns the last argmax, so the result
+    is never below the grid value.
     """
     if dataset.t.size == 0:
         raise ValueError("empty dataset")
-    peak, fn = int(np.argmax(dataset.qfi)), dataset.qfi_fn
-    best_t, best_q = float(dataset.t[peak]), float(dataset.qfi[peak])
-    tol = FLAT * np.abs(dataset.qfi).max()
-    window = dataset.qfi[max(peak - 2, 0):peak + 3]
-    flat = window.size >= 3 and best_q - window.min() <= tol
-    end = window[::-1] if peak == dataset.t.size - 1 else window if peak == 0 else window[:0]
-    rising = end.size == 3 and 3 * end[0] - 4 * end[1] + end[2] >= 0
-    if fn is None or dataset.t.size < 2 or flat or rising:
-        return best_t, best_q
-    ends = [max(peak - 1, 0), min(peak + 1, dataset.t.size - 1)]
-    (lo, hi), (f_lo, f_hi) = dataset.t[ends].tolist(), dataset.qfi[ends].tolist()
-    bracket = (lo, hi, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
-    f1 = f2 = None
-    while f1 is None or bracket[1] - bracket[0] > T_TOL:
-        tree = _speculate(bracket)
-        nodes = [k for k in range(1, len(tree)) if tree[k] is not None]
-        first = [] if f1 is not None else [bracket[2], bracket[3]]
-        values = fn(np.array(first + [tree[k][3 if k % 2 else 2] for k in nodes])).tolist()
-        if f1 is None:
-            f1, f2 = values[0], values[1]
-        new_value = dict(zip(nodes, values[len(first):]))
-        k = 1 if f1 < f2 else 2
-        while k < len(tree) and tree[k] is not None:
-            bracket = tree[k]
-            # a rise moves the lower end up to x1, a fall the upper end down to x2
-            f_lo, f_hi, f1, f2 = ((f1, f_hi, f2, new_value[k]) if k % 2
-                                  else (f_lo, f2, new_value[k], f1))
-            for xc, fc in ((bracket[2], f1), (bracket[3], f2)):
-                if fc > best_q:
-                    best_t, best_q = xc, fc
-            if best_q - min(f_lo, f_hi) <= tol:
-                return best_t, best_q
-            k = 2 * k + (1 if f1 < f2 else 2)
-    return best_t, best_q
+    t, qfi, fn = dataset.t, dataset.qfi, dataset.qfi_fn
+    tol = FLAT * np.abs(qfi).max()
+    while True:
+        peak = int(np.argmax(qfi))
+        window = qfi[max(peak - 2, 0):peak + 3]
+        flat = window.size >= 3 and qfi[peak] - window.min() <= tol
+        end = window[::-1] if peak == t.size - 1 else window if peak == 0 else window[:0]
+        rising = end.size == 3 and 3 * end[0] - 4 * end[1] + end[2] >= 0
+        lo, hi = t[max(peak - 1, 0)], t[min(peak + 1, t.size - 1)]
+        if fn is None or flat or rising or hi - lo <= T_TOL:
+            return float(t[peak]), float(qfi[peak])
+        zoom = np.linspace(lo, hi, ZOOM_POINTS)
+        values = fn(zoom)
+        if values.max() < qfi[peak]:
+            return float(t[peak]), float(qfi[peak])
+        t, qfi = zoom, values
 
 
 def backflow_intervals(dataset: ScanDataset) -> list[tuple[float, float]]:

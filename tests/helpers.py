@@ -3,7 +3,7 @@ from block records, and independent oracles.
 
 The oracles here (the 2x2 lower eigenvalue, the dense partial trace and
 Bloch vector, the spectral, SLD and pure-state QFI of arbitrary states,
-the Uhlmann fidelity, the sequential golden-section search,
+the Uhlmann fidelity, the full golden-section search,
 the loop form of the backflow detector, per-row f-string CSV formatting,
 and the dense stencil that pins the record stencil's bits) deliberately
 avoid the package code paths they check. They take and return plain
@@ -28,7 +28,7 @@ from qfi_probe.qstate import (
     _diagonal_rows,
     validate_blocks,
 )
-from qfi_probe.scan_repro import FLAT, T_TOL, ScanConfig
+from qfi_probe.scan_repro import T_TOL, ScanConfig
 
 HERMITICITY_TOL = 1e-10
 
@@ -275,48 +275,34 @@ def without_floored_fill(rho: BlockState, drho: BlockState) -> BlockState:
     return BlockState(drho.support, np.concatenate(parts))
 
 
-def find_max_sequential(dataset, stop=True):
-    """Golden-section refinement with one evaluator call per step: the
-    loop find_max ran before it evaluated the steps in batches. Like
-    find_max it returns the grid point of a flat peak, or of a peak at a
-    grid end that the QFI still rises into, with no call and 0 steps, and
-    it stops once the best value is within FLAT times the largest grid |qfi|
-    of both bracket-end values; with stop False it runs the full search to
-    a bracket of T_TOL."""
+def golden_section_max(dataset):
+    """The grid maximum raised by a full golden-section search, one
+    evaluator call per point, in [t[p - 1], t[p + 1]] around the grid argmax
+    p, down to a bracket of T_TOL: the (t, qfi) of the best value seen. It
+    assumes one peak in the bracket."""
     peak = int(np.argmax(dataset.qfi))
     best_t, best_q = float(dataset.t[peak]), float(dataset.qfi[peak])
-    tol = FLAT * np.abs(dataset.qfi).max()
-    window = dataset.qfi[max(peak - 2, 0):peak + 3]
-    flat = window.size >= 3 and best_q - window.min() <= tol
-    end = window[::-1] if peak == dataset.t.size - 1 else window if peak == 0 else window[:0]
-    rising = end.size == 3 and 3 * end[0] - 4 * end[1] + end[2] >= 0
-    if stop and (flat or rising):
-        return (best_t, best_q), 0
     fn = lambda t: float(dataset.qfi_fn(np.array([t]))[0])
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    lo_k, hi_k = max(peak - 1, 0), min(peak + 1, dataset.t.size - 1)
-    lo, hi = float(dataset.t[lo_k]), float(dataset.t[hi_k])
-    f_lo, f_hi = float(dataset.qfi[lo_k]), float(dataset.qfi[hi_k])
+    lo = float(dataset.t[max(peak - 1, 0)])
+    hi = float(dataset.t[min(peak + 1, dataset.t.size - 1)])
     x1 = hi - inv_golden * (hi - lo)
     x2 = lo + inv_golden * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    steps = 0
-    while hi - lo > T_TOL:
-        steps += 1
-        if f1 < f2:
-            lo, f_lo, x1, f1 = x1, f1, x2, f2
-            x2 = lo + inv_golden * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, f_hi, x2, f2 = x2, f2, x1, f1
-            x1 = hi - inv_golden * (hi - lo)
-            f1 = fn(x1)
+    while True:
         for xc, fc in ((x1, f1), (x2, f2)):
             if fc > best_q:
                 best_t, best_q = xc, fc
-        if stop and best_q - min(f_lo, f_hi) <= tol:
-            break
-    return (best_t, best_q), steps
+        if hi - lo <= T_TOL:
+            return best_t, best_q
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_golden * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_golden * (hi - lo)
+            f1 = fn(x1)
 
 
 def random_qubit_state(rng):

@@ -27,27 +27,27 @@ from qfi_probe.scan_repro import (
 
 # find_max (t, qfi) of every figure series at 2000 points, as float.hex
 FIGURE_MAXIMA = {
-    "1a/alpha0": ("0x1.8cb2a277aea8dp+6", "0x1.2617aba738e88p+10"),
+    "1a/alpha0": ("0x1.8cb2a27fff5d0p+6", "0x1.2662ea17d7998p+10"),
     "1a/alpha45": ("0x1.9000000000000p+6", "0x1.278bf8a2167bep+10"),
-    "1b/alpha0": ("0x1.8cb2a277aea8dp+6", "0x1.2617aba738e88p+10"),
+    "1b/alpha0": ("0x1.8cb2a27fff5d0p+6", "0x1.2662ea17d7998p+10"),
     "1b/alpha45": ("0x1.9000000000000p+6", "0x1.278bf8a2167bep+10"),
     "2a/alpha0": ("0x1.f0b580a9d2ba2p+4", "0x1.4344485b36da1p+1"),
-    "2a/alpha45": ("0x1.63344624fcff0p+3", "0x1.43448b41af1c4p+1"),
+    "2a/alpha45": ("0x1.634a80dc09412p+3", "0x1.43448b41c7750p+1"),
     "2b/alpha0": ("0x1.f0b580a9d2ba2p+4", "0x1.4344485b36da1p+1"),
-    "2b/alpha45": ("0x1.63344624fcff0p+3", "0x1.43448b41af1c4p+1"),
+    "2b/alpha45": ("0x1.634a80dc09412p+3", "0x1.43448b41c7750p+1"),
     "3a/alpha0": ("0x1.322bfe182b121p+5", "0x1.ec0dd369dc9d5p+1"),
     "3a/alpha45": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d6p+1"),
     "3b/alpha0": ("0x1.322bfe182b121p+5", "0x1.ec0dd369dc9d5p+1"),
     "3b/alpha45": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d6p+1"),
     "4a/one_qubit": ("0x1.9000000000000p+6", "0x1.278bf8a2167bep+10"),
-    "4a/two_qubit": ("0x1.8e21ce1afb04bp+6", "0x1.c6d9113be1d2ap+10"),
-    "4b/one_qubit": ("0x1.63344624fcff0p+3", "0x1.43448b41af1c4p+1"),
+    "4a/two_qubit": ("0x1.8e21222ec8d28p+6", "0x1.c9e0e5776e248p+10"),
+    "4b/one_qubit": ("0x1.634a80dc09412p+3", "0x1.43448b41c7750p+1"),
     "4b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a945p+2"),
     "4c/one_qubit": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d6p+1"),
     "4c/two_qubit": ("0x1.1529c3a55f243p+5", "0x1.ec0dd369e15abp+2"),
     "5a/one_qubit": ("0x1.9000000000000p+6", "0x1.278bf8a2167bep+10"),
-    "5a/two_qubit": ("0x1.8e21ce1afb04bp+6", "0x1.c6d9113be1d2ap+10"),
-    "5b/one_qubit": ("0x1.63344624fcff0p+3", "0x1.43448b41af1c4p+1"),
+    "5a/two_qubit": ("0x1.8e21222ec8d28p+6", "0x1.c9e0e5776e248p+10"),
+    "5b/one_qubit": ("0x1.634a80dc09412p+3", "0x1.43448b41c7750p+1"),
     "5b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a945p+2"),
     "5c/one_qubit": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d6p+1"),
     "5c/two_qubit": ("0x1.1529c3a55f243p+5", "0x1.ec0dd369e15abp+2"),
@@ -57,7 +57,7 @@ SEEDED_MAXIMA = {
     0: ("0x1.5cf714ef77928p+4", "0x1.26fb5a2bbc37ep+2"),  # thermal2
     1: ("0x1.e8ddf5130a019p+4", "0x1.fdd8d39a1ce67p+2"),  # thermal2
     2: ("0x1.44930918d8fd1p+4", "0x1.fc873c91a60d9p+2"),  # squeezed2, a flat peak
-    3: ("0x1.3dac4ccb52105p+2", "0x1.422cdd31fb092p+2"),  # squeezed2
+    3: ("0x1.3dae625349b4cp+2", "0x1.422cdd3205a0ap+2"),  # squeezed2
 }
 # sha256 of the CSVs of `figure --tag <tag>`, at the default 2000 points, by file name
 FIGURE_CSV_SHA256 = {

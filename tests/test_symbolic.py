@@ -336,11 +336,26 @@ def test_fock2_near_pure_rows_against_exact(alpha):
 
 
 def test_fig1a_alpha0_maximum_against_exact():
-    # within 1% of exact at the returned t (0.59% high); a floor that keeps
+    # within 1% of exact at the returned t (0.69% high); a floor that keeps
     # a dust determinant reads it 21% high
     (_, config), = [pair for pair in _figure_configs("1a", 2000) if pair[0] == "alpha0"]
     t, qfi = find_max(scan(config))
     assert qfi == pytest.approx(float(exact(config, t).qfi), rel=1e-2)
+
+
+@pytest.mark.xfail(strict=True, reason="the stencil reads a cavity QFI high next to a rank drop"
+                                       " (ROADMAP items 3 and 9)")
+def test_known_refined_cavity_maxima_defect():
+    # the refined 1a alpha0 and 4a two_qubit maxima read 0.69% and 0.67%
+    # above exact at the returned t. The exact fock2 QFI peaks at the rank
+    # drop t = 99.53235 (1819.4105); within about 5e-5 of it the stencil
+    # reads up to 1831, and to its right a dip makes a local maximum at
+    # 99.53301, where a golden-section search stopped 7.7e-6 below exact
+    for tag, series in (("1a", "alpha0"), ("4a", "two_qubit")):
+        config = dict(_figure_configs(tag, 2000))[series]
+        t, qfi = find_max(scan(config))
+        with mpmath.workdps(DIGITS):
+            assert abs(mpmath.mpf(qfi) / exact(config, t).qfi - 1) <= 1e-6, (tag, series)
 
 
 def test_exact_at_closed_form_values():
