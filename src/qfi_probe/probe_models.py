@@ -3,10 +3,10 @@
 Each *_kernel function works out the parameter-only constants of each of
 K estimand points once and returns a Kernel, whose one call gives the
 records of all K points at times[N] (the qubit block, or the X-state
-blocks of two qubits). A ChannelModel maps points to a kernel;
-scan_repro.build_channel makes one from a validated ScanConfig. The five
-parameter classes repeat the ScanConfig checks and stay only for the benchmark tests (ROADMAP item
-8). Time is dimensionless: coupling units for the cavity models (coupling
+blocks of two qubits); scan_repro.MODELS maps each model to its kernel
+and the ScanConfig fields it reads. The five parameter classes repeat the
+ScanConfig checks and stay only for the benchmark tests (ROADMAP item 8).
+Time is dimensionless: coupling units for the cavity models (coupling
 defaults to 1), decay-rate units for the reservoir models.
 """
 
@@ -18,11 +18,9 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-from .qstate import BlockState
 
 _HALF_PI = 0.5 * np.pi
 # times[N] -> a fresh (K, 4 P, N) array: the BlockState values at K points
@@ -337,25 +335,3 @@ def reservoir_pair_kernel(kind, points, gamma) -> Kernel:
 
     return states
 
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """A map from estimand values to the Kernel of their raw states.
-
-    Attributes:
-        value: nominal parameter value.
-        floor: stencil domain edge, the FIELD_DOMAINS ">=" bound or None.
-        support: QUBIT_BLOCKS or X_BLOCKS, the blocks that carry every
-            state and derivative of the model (see qstate.BlockState).
-        kernel: points[K] -> Kernel of the states at the K estimand
-            values. Every kernel call returns a fresh record, whose
-            stencil taps the derivative scales in place.
-    """
-
-    value: float
-    floor: float | None
-    support: tuple[tuple[int, int], ...]
-    kernel: Callable[[Sequence[float]], Kernel]
-
-    def states(self, value: float, times) -> BlockState:
-        return BlockState(self.support, self.kernel((value,))(np.ravel(times).astype(float))[0])

@@ -30,31 +30,18 @@ class QfiResult:
     floored: int
 
 
-def fd_step(value: float) -> float:
-    """Central-difference step cbrt(machine epsilon) * max(1, |value|)."""
-    return _FD_SCALE * max(1.0, abs(value))
-
-
-def stencil(value: float, floor: float | None) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """Step h and (offset in steps, weight) taps of the second-order
-    derivative stencil at value; the derivative is sum(weight * rho(value +
-    offset h)) / (2 h).
-
-    Central, or one-sided forward when value - h would cross the domain
-    floor.
-    """
-    h = fd_step(value)
-    if floor is not None and value - h < floor:
-        return h, ((0.0, -3.0), (1.0, 4.0), (2.0, -1.0))
-    return h, ((1.0, 1.0), (-1.0, -1.0))
-
-
 def stencil_points(value: float, floor: float | None) -> tuple[tuple, tuple, float]:
-    """The kernel points (value, then value + offset h for each stencil
-    tap), the tap weights and 1 / (2 h) of the derivative at value."""
-    h, taps = stencil(value, floor)
-    points = (value,) + tuple(value + offset * h for offset, _ in taps)
-    return points, tuple(weight for _, weight in taps), 1.0 / (2.0 * h)
+    """The kernel points (value, then value + offset h for each tap), the
+    tap weights and 1 / (2 h) of the second-order derivative stencil at
+    value, with step h = cbrt(machine epsilon) * max(1, |value|): the
+    derivative is sum(weight * rho(value + offset h)) / (2 h). Central, or
+    one-sided forward when value - h would cross the domain floor."""
+    h = _FD_SCALE * max(1.0, abs(value))
+    if floor is not None and value - h < floor:
+        offsets, weights = (0.0, 1.0, 2.0), (-3.0, 4.0, -1.0)
+    else:
+        offsets, weights = (1.0, -1.0), (1.0, -1.0)
+    return (value,) + tuple(value + offset * h for offset in offsets), weights, 1.0 / (2.0 * h)
 
 
 def derivative(support, taps: np.ndarray, weights, scale: float) -> BlockState:

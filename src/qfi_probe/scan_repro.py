@@ -13,7 +13,6 @@ import numpy as np
 
 from .probe_models import (
     FIELD_DOMAINS,
-    ChannelModel,
     fock1_kernel,
     fock2_kernel,
     require_count,
@@ -168,13 +167,6 @@ def time_grid(config: ScanConfig) -> np.ndarray:
     return np.linspace(config.t_min, config.t_max, config.points)
 
 
-def build_channel(config: ScanConfig) -> ChannelModel:
-    """The channel of the configured model at the config's estimand value."""
-    estimand, _, blocks, kernel = MODELS[config.model_id]
-    name, floor = _ESTIMAND_FIELDS[estimand]
-    return ChannelModel(getattr(config, name), floor, blocks, lambda points: kernel(points, config))
-
-
 def _chain_factor(config: ScanConfig) -> float:
     """(dm/dT)^2 for temperature estimation, where the occupation at
     temperature T is m = 1 / (exp(s/T) - 1) and s is freq_scale. Taken
@@ -203,15 +195,17 @@ def _evaluator(config: ScanConfig):
     a function of (times, qfi=True, fidelity=True) giving the QFI of the
     configured estimand over a time grid and the fidelity of the (reduced)
     atomic states against their t = 0 counterpart, each None when not
-    asked for. The channel, the chain factor and the kernel at the stencil
-    points are built once per evaluator. A block of times is one kernel
-    call: the states in record[0], the stencil taps in record[1:]. The
-    first fidelity evaluation puts t = 0 in row 0 for the reference. Rows
-    are independent, so blocks of BLOCK_BYTES leave every value unchanged."""
-    channel = build_channel(config)
+    asked for. The chain factor and the model's kernel at the stencil
+    points of the estimand's value are built once per evaluator. A block of
+    times is one kernel call: the states in record[0], the stencil taps in
+    record[1:]. The first fidelity evaluation puts t = 0 in row 0 for the
+    reference. Rows are independent, so blocks of BLOCK_BYTES leave every
+    value unchanged."""
+    estimand, _, support, model_kernel = MODELS[config.model_id]
+    name, floor = _ESTIMAND_FIELDS[estimand]
     chain = _chain_factor(config)
-    points, weights, scale = stencil_points(channel.value, channel.floor)
-    kernel, support, reference = channel.kernel(points), channel.support, None
+    points, weights, scale = stencil_points(getattr(config, name), floor)
+    kernel, reference = model_kernel(points, config), None
     rows = BLOCK_BYTES // (8 * len(points) * 4 * len(support))
 
     def evaluate(times, qfi: bool = True, fidelity: bool = True):

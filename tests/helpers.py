@@ -5,12 +5,13 @@ The oracles here (the 2x2 lower eigenvalue, the dense partial trace and
 Bloch vector, the spectral, SLD and pure-state QFI of arbitrary states,
 the Uhlmann fidelity, the full golden-section search,
 the loop form of the backflow detector, per-row f-string CSV formatting,
-and the dense stencil that pins the record stencil's bits) deliberately
-avoid the package code paths they check. They take and return plain
-complex arrays; qstate.validate_blocks is the one state validator. The
-models' states, derivatives, QFI and fidelity have one exact oracle,
-symbolic.exact. The record builder block_state, the grid wrapper
-d_rho_grid and without_floored_fill serve only the tests.
+and the stencil table and dense stencil that pin the record stencil's
+bits) deliberately avoid the package code paths they check. They take and
+return plain complex arrays; qstate.validate_blocks is the one state
+validator. The models' states, derivatives, QFI and fidelity have one
+exact oracle, symbolic.exact. The record builder block_state, the
+scan_repro.MODELS wrappers states and d_rho_grid and without_floored_fill
+serve only the tests.
 """
 
 import math
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qfi_probe.probe_models import _fock1_amplitudes, _fock2_amplitudes
-from qfi_probe.qfi_engine import EIGENSUM_FLOOR, derivative, stencil, stencil_points
+from qfi_probe.qfi_engine import EIGENSUM_FLOOR, derivative, stencil_points
 from qfi_probe.qstate import (
     QUBIT_BLOCKS,
     X_BLOCKS,
@@ -28,9 +29,11 @@ from qfi_probe.qstate import (
     _diagonal_rows,
     validate_blocks,
 )
-from qfi_probe.scan_repro import T_TOL, ScanConfig
+from qfi_probe.scan_repro import _ESTIMAND_FIELDS, MODELS, T_TOL, ScanConfig
 
 HERMITICITY_TOL = 1e-10
+# the stencil step at |value| <= 1, cbrt(machine epsilon)
+FD_SCALE = float(np.cbrt(np.finfo(float).eps))
 
 
 def lower_eigenvalue(a, b, re, im):
@@ -117,10 +120,22 @@ def bloch_vector(state) -> BlochVector:
     )
 
 
-def state_at(channel, t) -> np.ndarray:
-    """The dense matrix of a channel's validated state at its nominal value
-    and time t: a grid of length 1."""
-    return dense(validate_blocks(channel.states(channel.value, [t])))[0]
+def nominal(config: ScanConfig) -> float:
+    """The value of the config's estimand field."""
+    return getattr(config, _ESTIMAND_FIELDS[config.estimand][0])
+
+
+def states(config: ScanConfig, value, times) -> BlockState:
+    """The raw states of the config's model with its estimand at value over
+    a time grid: one kernel call at that one point."""
+    _, _, support, kernel = MODELS[config.model_id]
+    return BlockState(support, kernel((value,), config)(np.ravel(times).astype(float))[0])
+
+
+def state_at(config: ScanConfig, t) -> np.ndarray:
+    """The dense matrix of a config's validated state at time t: a grid of
+    length 1."""
+    return dense(validate_blocks(states(config, nominal(config), [t])))[0]
 
 
 def fidelity_uhlmann_oracle(state0, state1):
@@ -240,13 +255,14 @@ def fock2_amplitudes(c: ScanConfig, times):
     return _one_point(_fock2_amplitudes((c.detuning,), c.coupling, c.alpha), times)
 
 
-def d_rho_grid(channel, value, times) -> BlockState:
-    """The stencil derivative of a channel's states at value over a time
+def d_rho_grid(config: ScanConfig, value, times) -> BlockState:
+    """The stencil derivative of a config's states at value over a time
     grid, as the evaluator composes it: one kernel call at stencil_points,
     then derivative of the taps."""
-    points, weights, scale = stencil_points(value, channel.floor)
-    record = channel.kernel(points)(np.atleast_1d(np.asarray(times, dtype=float)))
-    return derivative(channel.support, record[1:], weights, scale)
+    estimand, _, support, kernel = MODELS[config.model_id]
+    points, weights, scale = stencil_points(value, _ESTIMAND_FIELDS[estimand][1])
+    record = kernel(points, config)(np.atleast_1d(np.asarray(times, dtype=float)))
+    return derivative(support, record[1:], weights, scale)
 
 
 def without_floored_fill(rho: BlockState, drho: BlockState) -> BlockState:
@@ -371,14 +387,25 @@ def csv_fstring(dataset, header="t,qfi,fidelity"):
     return "\n".join(lines) + "\n"
 
 
-def d_rho_dense(channel, value, times):
+def stencil(value, floor):
+    """The step h = FD_SCALE max(1, |value|) and the (offset in steps,
+    weight) taps of the second-order derivative stencil at value: one-sided
+    forward where value - h crosses the floor, central elsewhere. The
+    tests' own table of what stencil_points computes."""
+    h = FD_SCALE * max(1.0, abs(value))
+    if floor is not None and value - h < floor:
+        return h, ((0.0, -3.0), (1.0, 4.0), (2.0, -1.0))
+    return h, ((1.0, 1.0), (-1.0, -1.0))
+
+
+def d_rho_dense(config: ScanConfig, value, times):
     """The stencil derivative on dense complex matrices, the way it ran
     before the models emitted records: each stencil state divided by its
     trace, weighted, summed, divided by 2 h and symmetrized."""
-    h, taps = stencil(value, channel.floor)
+    h, taps = stencil(value, _ESTIMAND_FIELDS[config.estimand][1])
     diff = 0.0
     for offset, weight in taps:
-        term = dense(channel.states(value + offset * h, times))
+        term = dense(states(config, value + offset * h, times))
         term /= np.einsum("kii->k", term).real[:, None, None]
         diff = diff + term * weight
     diff /= 2.0 * h

@@ -270,12 +270,16 @@ def _lambdified(model_id):
 @functools.cache
 def occupation_slope(m, s):
     """dm/dT of m(T) = 1 / (exp(s/T) - 1) at T = s / ln(1 + 1/m), by
-    mpmath.diff. At m = 0 (T = 0) every derivative of m(T) vanishes."""
+    mpmath.diff with a step of mpmath.eps at DIGITS (2.7e-51) times T: the
+    default step, 1.3e-54 whatever T is, crosses T = 0 where T is tiny
+    (2e-193 at m = 1e-200, s = 1e-190). At m = 0 (T = 0) every derivative of
+    m(T) vanishes."""
     if m == 0.0:
         return mpmath.mpf(0)
     with mpmath.workdps(DIGITS):
-        return mpmath.diff(lambda temperature: 1 / (mpmath.exp(s / temperature) - 1),
-                           s / mpmath.log(1 + 1 / mpmath.mpf(m)))
+        temperature = s / mpmath.log(1 + 1 / mpmath.mpf(m))
+        return mpmath.diff(lambda x: 1 / (mpmath.exp(s / x) - 1), temperature,
+                           h=temperature * mpmath.eps)
 
 
 @functools.cache

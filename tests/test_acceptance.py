@@ -29,13 +29,13 @@ from helpers import (
     random_density,
     random_hermitian_traceless,
     record,
+    states,
 )
 from qfi_probe.qfi_engine import qfi_blocks
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     ScanConfig,
     backflow_intervals,
-    build_channel,
     discrepancy_report,
     find_max,
     point_qfi,
@@ -140,7 +140,7 @@ def test_criterion2_analytic_vs_ode():
             (ScanConfig("squeezed2", squeezing=strength, gamma=gamma), two, occupation,
              correlation),
         ):
-            rows = dense(build_channel(config).states(strength, times))
+            rows = dense(states(config, strength, times))
             worst = max(worst, float(np.abs(rows - form(n, m, gamma, alpha, times)).max()))
     assert worst <= 1e-13
     elapsed = time.perf_counter() - start
@@ -151,9 +151,9 @@ def test_criterion2_analytic_vs_ode():
 
 def test_criterion3_thermal_steady_state_benchmark():
     # full engine pipeline at gamma t = 50, deep in the steady state
-    channel = build_channel(ScanConfig("thermal1", alpha=np.pi / 4))
-    state = validate_blocks(channel.states(0.1, [50.0]))
-    fq_m = qfi_blocks(state, d_rho_grid(channel, 0.1, [50.0])).value[0]
+    config = ScanConfig("thermal1", alpha=np.pi / 4)
+    state = validate_blocks(states(config, 0.1, [50.0]))
+    fq_m = qfi_blocks(state, d_rho_grid(config, 0.1, [50.0])).value[0]
     assert fq_m == pytest.approx(6.3131, abs=1e-3)
     fq_t = point_qfi(ScanConfig("thermal1"), 50.0)  # times the library's (dm/dT)^2
     assert fq_t == pytest.approx(2.5256, abs=1e-3)

@@ -13,6 +13,7 @@ from helpers import (
     fock2_amplitudes,
     reduce_A,
     state_at,
+    states,
 )
 from qfi_probe.probe_models import (
     FIELD_DOMAINS,
@@ -22,7 +23,7 @@ from qfi_probe.probe_models import (
     TwoQubitFockParams,
     TwoQubitReservoirParams,
 )
-from qfi_probe.scan_repro import MODEL_IDS, ScanConfig, build_channel
+from qfi_probe.scan_repro import _ESTIMAND_FIELDS, MODEL_IDS, ScanConfig
 from symbolic import exact
 
 
@@ -42,7 +43,7 @@ class TestFockOneQubit:
 
     def test_purity_identity(self):
         config = ScanConfig("fock1", alpha=np.pi / 4)
-        state = state_at(build_channel(config), 1.3)
+        state = state_at(config, 1.3)
         b1, b2 = fock1_amplitudes(config, 1.3)
         purity = np.trace(state @ state).real
         assert purity == pytest.approx(abs(b1) ** 4 + abs(b2) ** 4, abs=1e-12)
@@ -70,7 +71,7 @@ class TestFockOneQubit:
 ])
 def test_states_equal_exact(config, t):
     # steady states at t = 50, and the squeezed vacuum's decay exp(-t)
-    state = state_at(build_channel(config), t)
+    state = state_at(config, t)
     np.testing.assert_allclose(state, exact(config, t).rho, rtol=0, atol=1e-14)
 
 
@@ -89,10 +90,8 @@ class TestThermalOneQubit:
         for _ in range(50):
             alpha = rng.uniform(0.0, np.pi / 2)
             t = rng.uniform(0.0, 5.0)
-            thermal = state_at(build_channel(
-                ScanConfig("thermal1", mean_occupation=0.0, alpha=alpha)), t)
-            squeezed = state_at(build_channel(
-                ScanConfig("squeezed1", squeezing=0.0, alpha=alpha)), t)
+            thermal = state_at(ScanConfig("thermal1", mean_occupation=0.0, alpha=alpha), t)
+            squeezed = state_at(ScanConfig("squeezed1", squeezing=0.0, alpha=alpha), t)
             assert np.abs(thermal - squeezed).max() <= 1e-12
 
 
@@ -100,13 +99,12 @@ class TestSqueezedOneQubit:
     def test_populations_match_thermal_coherences_do_not(self):
         # same populations under occupation matching; coherence decay rates
         # differ by the pair correlation
-        channel = build_channel(ScanConfig("squeezed1", squeezing=0.4, alpha=np.pi / 4))
+        squeezed_config = ScanConfig("squeezed1", squeezing=0.4, alpha=np.pi / 4)
         occ, pair = np.sinh(0.4) ** 2, np.cosh(0.4) * np.sinh(0.4)
-        thermal_channel = build_channel(
-            ScanConfig("thermal1", mean_occupation=occ, alpha=np.pi / 4))
+        thermal_config = ScanConfig("thermal1", mean_occupation=occ, alpha=np.pi / 4)
         for t in (0.5, 1.0, 2.0):
-            squeezed = state_at(channel, t)
-            thermal = state_at(thermal_channel, t)
+            squeezed = state_at(squeezed_config, t)
+            thermal = state_at(thermal_config, t)
             assert abs(squeezed[0, 0] - thermal[0, 0]) <= 1e-12
             assert abs(squeezed[1, 1] - thermal[1, 1]) <= 1e-12
             ratio = squeezed[0, 1].real / thermal[0, 1].real
@@ -140,10 +138,9 @@ class TestReservoirPair:
         # marginals of the closed form follow the one-qubit solutions from
         # |e> and |g>, averaged by the Bell state
         t = 0.7
-        pair = build_channel(ScanConfig("squeezed2", squeezing=0.3, gamma=1.2))
-        reduced = reduce_A(dense(pair.states(0.3, [t]))[0])
-        one = lambda a: state_at(build_channel(
-            ScanConfig("squeezed1", squeezing=0.3, gamma=1.2, alpha=a)), t)
+        pair = ScanConfig("squeezed2", squeezing=0.3, gamma=1.2)
+        reduced = reduce_A(dense(states(pair, 0.3, [t]))[0])
+        one = lambda a: state_at(ScanConfig("squeezed1", squeezing=0.3, gamma=1.2, alpha=a), t)
         np.testing.assert_allclose(reduced, 0.5 * (one(0.0) + one(np.pi / 2)), atol=1e-14)
 
     def test_lindblad_module_reexports_params_only(self):
@@ -186,7 +183,7 @@ def test_nonfinite_parameter_rejected(build, bad):
 
 class TestReduceA:
     def test_initial_bell_reduces_to_mixed(self):
-        state = state_at(build_channel(ScanConfig("fock2")), 0.0)
+        state = state_at(ScanConfig("fock2"), 0.0)
         np.testing.assert_allclose(reduce_A(state), np.eye(2) / 2, atol=1e-14)
 
     def test_matches_amplitudes(self):
@@ -195,7 +192,7 @@ class TestReduceA:
         config = ScanConfig("fock2", alpha=np.pi / 4)
         c_eg, c_ge, c_gg = fock2_amplitudes(config, 0.5)
         expected = np.diag([abs(c_eg) ** 2, abs(c_ge) ** 2 + abs(c_gg) ** 2])
-        np.testing.assert_allclose(reduce_A(state_at(build_channel(config), 0.5)), expected,
+        np.testing.assert_allclose(reduce_A(state_at(config, 0.5)), expected,
                                    rtol=0.0, atol=1e-14)
 
     def test_dimension_mismatch(self):
@@ -205,9 +202,9 @@ class TestReduceA:
 
 class TestChannels:
     def test_fock_channel_matches_state(self):
-        # the stencil calls the closed form with a raw value; that equals
-        # the channel of the validated config at that value, bit for bit,
-        # for every model
+        # the stencil calls the kernel with a raw value; that equals the
+        # kernel of the validated config at that value, bit for bit, for
+        # every model
         times = np.linspace(0.0, 30.0, 11)
         for config, field in (
             (ScanConfig("fock1", coupling=1.3, photons=2, alpha=np.pi / 4), "detuning"),
@@ -217,29 +214,27 @@ class TestChannels:
             (ScanConfig("thermal2", gamma=1.5), "mean_occupation"),
             (ScanConfig("squeezed2", squeezing=0.2, gamma=0.9), "squeezing"),
         ):
-            channel = build_channel(config)
             for value in (getattr(config, field), 0.37):
-                shifted = build_channel(replace(config, **{field: value}))
-                assert shifted.support == channel.support
-                np.testing.assert_array_equal(channel.states(value, times).values,
-                                              shifted.states(value, times).values)
+                shifted = replace(config, **{field: value})
+                np.testing.assert_array_equal(states(config, value, times).values,
+                                              states(shifted, value, times).values)
 
     def test_grid_matches_length_one_grids(self):
-        channel = build_channel(ScanConfig("thermal1", alpha=np.pi / 4))
+        config = ScanConfig("thermal1", alpha=np.pi / 4)
         times = np.linspace(0.1, 2.0, 7)
-        stack = dense(channel.states(0.1, times))
+        stack = dense(states(config, 0.1, times))
         for k, t in enumerate(times):
-            np.testing.assert_allclose(stack[k], dense(channel.states(0.1, [t]))[0], atol=1e-15)
+            np.testing.assert_allclose(stack[k], dense(states(config, 0.1, [t]))[0], atol=1e-15)
 
     @pytest.mark.parametrize("model", MODEL_IDS)
     def test_floor_is_the_domain_bound(self, model):
-        # the channel perturbs the estimand's field, and the stencil stops
-        # at that field's ">=" bound; detuning is unbounded
+        # the stencil perturbs the estimand's field and stops at that
+        # field's ">=" bound; detuning is unbounded
         config = ScanConfig(model)
         name = {"detuning": "detuning", "temperature": "mean_occupation",
                 "squeezing": "squeezing"}[config.estimand]
         bounds = [bound for comparison, bound in FIELD_DOMAINS.get(name, ()) if comparison == ">="]
-        channel = build_channel(config)
-        assert channel.value == getattr(config, name)
-        assert channel.floor == (bounds[0] if bounds else None)
-        assert channel.floor == (None if model.startswith("fock") else 0.0)
+        field, floor = _ESTIMAND_FIELDS[config.estimand]
+        assert field == name
+        assert floor == (bounds[0] if bounds else None)
+        assert floor == (None if model.startswith("fock") else 0.0)

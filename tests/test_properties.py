@@ -15,23 +15,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FD_SCALE,
     d_rho_grid,
     dense,
+    nominal,
     qfi_sld_oracle,
     qfi_spectral,
+    states,
+    stencil,
     without_floored_fill,
 )
-from qfi_probe.qfi_engine import (
-    fd_step,
-    qfi_blocks,
-    stencil,
-)
+from qfi_probe.qfi_engine import qfi_blocks, stencil_points
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     MODEL_IDS,
     MODELS,
     ScanConfig,
-    build_channel,
     point_fidelity,
     point_qfi,
     scan,
@@ -70,14 +69,13 @@ def configs(draw):
 @PROPERTY
 @given(configs(), TIMES)
 def test_stacked_states_are_density_matrices(config, times):
-    channel = build_channel(config)
-    states = channel.states(channel.value, times)
-    mats = dense(states)
-    assert states.support == channel.support
-    assert mats.shape == (times.size, states.dim, states.dim)
+    rows = states(config, nominal(config), times)
+    mats = dense(rows)
+    assert rows.support == MODELS[config.model_id][2]
+    assert mats.shape == (times.size, rows.dim, rows.dim)
     assert np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0).max() <= 1e-10
     assert np.linalg.eigvalsh(mats).min() >= -1e-10
-    validate_blocks(states)
+    validate_blocks(rows)
 
 
 @PROPERTY
@@ -110,11 +108,10 @@ def assert_block_qfi_matches_the_oracles(config, times):
     # floored level is left out: the two floors treat it differently, and
     # neither gives the QFI there
     # (test_known_occupation_qfi_defect_at_zero_temperature)
-    channel = build_channel(config)
-    states = validate_blocks(channel.states(channel.value, times))
-    derivs = without_floored_fill(states, d_rho_grid(channel, channel.value, times))
-    batched = qfi_blocks(states, derivs).value
-    mats, dmats = dense(states), dense(derivs)
+    rows = validate_blocks(states(config, nominal(config), times))
+    derivs = without_floored_fill(rows, d_rho_grid(config, nominal(config), times))
+    batched = qfi_blocks(rows, derivs).value
+    mats, dmats = dense(rows), dense(derivs)
     spectral = qfi_spectral(mats, dmats).value
     assert batched.shape == times.shape
     for k in range(times.size):
@@ -126,10 +123,15 @@ def assert_block_qfi_matches_the_oracles(config, times):
 @PROPERTY
 @given(st.floats(0.0, 1e-4), st.one_of(st.none(), st.just(0.0)))
 def test_one_sided_stencil_exactly_below_the_floor(value, floor):
+    # stencil_points bit for bit against the tests' own table
     h, taps = stencil(value, floor)
-    assert h == fd_step(value)
+    points, weights, scale = stencil_points(value, floor)
+    assert points == (value,) + tuple(value + offset * h for offset, _ in taps)
+    assert weights == tuple(weight for _, weight in taps)
+    assert scale == 1.0 / (2.0 * h)
     one_sided = floor is not None and value - h < floor
     assert all(offset >= 0.0 for offset, _ in taps) == one_sided
+    assert floor is None or min(points) >= floor
     assert sum(weight for _, weight in taps) == 0.0
     assert sum(offset * weight for offset, weight in taps) == 2.0
 
@@ -140,12 +142,12 @@ def test_stencil_near_zero_stays_in_domain_and_matches_analytic(kind, steps, alp
                                                                 times):
     # m and r near 0: value - h < 0, so a central stencil would ask the
     # parameter classes for a negative occupation or squeezing and raise
-    value = steps * fd_step(0.0)
+    value = steps * FD_SCALE
     if kind == "thermal":
         config = ScanConfig("thermal1", mean_occupation=value, gamma=gamma, alpha=alpha)
     else:
         config = ScanConfig("squeezed1", squeezing=value, gamma=gamma, alpha=alpha)
-    stencil_deriv = dense(d_rho_grid(build_channel(config), value, times))
+    stencil_deriv = dense(d_rho_grid(config, value, times))
     analytic = np.array([exact(config, t).drho for t in times])
     assert np.abs(stencil_deriv - analytic).max() <= 1e-6
 

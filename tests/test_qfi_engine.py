@@ -1,4 +1,5 @@
-"""Tests for derivative stencils, the block QFI and its oracles."""
+"""Tests for the derivative stencil on the models' kernels, the block QFI
+and its oracles."""
 
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from helpers import (
     d_rho_grid,
     dense,
     fock1_amplitudes,
+    nominal,
     qfi_pure_oracle,
     qfi_sld_oracle,
     qfi_spectral,
@@ -18,54 +20,52 @@ from helpers import (
     random_hermitian_traceless,
     random_unitary,
     record,
+    states,
+    stencil,
 )
-from qfi_probe.probe_models import ChannelModel
-from qfi_probe.qfi_engine import fd_step, qfi_blocks
+from qfi_probe.qfi_engine import qfi_blocks
 from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, validate_blocks
-from qfi_probe.scan_repro import MODELS, ScanConfig, build_channel, time_grid
+from qfi_probe.scan_repro import MODELS, ScanConfig, time_grid
 from symbolic import exact
 
-THERMAL_CHANNEL = build_channel(ScanConfig("thermal1", alpha=np.pi / 4))
-SQUEEZED_CHANNEL = build_channel(ScanConfig("squeezed1", alpha=np.pi / 4))
-FOCK2_CHANNEL = build_channel(ScanConfig("fock2", alpha=np.pi / 4))
+THERMAL = ScanConfig("thermal1", alpha=np.pi / 4)
+SQUEEZED = ScanConfig("squeezed1", alpha=np.pi / 4)
+FOCK2 = ScanConfig("fock2", alpha=np.pi / 4)
 
 
-def constant_channel():
-    state = lambda times: block_state(QUBIT_BLOCKS, times, [(0.5, 0.5, 0.5, 0.0)]).values
-    return ChannelModel(1.0, None, QUBIT_BLOCKS,
-                        lambda points: lambda times: np.array([state(times) for _ in points]))
-
-
-def derivative(channel, value, times):
+def derivative(config, value, times):
     """The stencil derivative as dense matrices."""
-    return dense(d_rho_grid(channel, value, times))
+    return dense(d_rho_grid(config, value, times))
 
 
 class TestDerivativeStencil:
-    def test_constant_model_gives_zero(self):
-        deriv = derivative(constant_channel(), 1.0, [2.0])[0]
+    def test_constant_model_gives_zero(self, monkeypatch):
+        state = lambda times: block_state(QUBIT_BLOCKS, times, [(0.5, 0.5, 0.5, 0.0)]).values
+        constant = lambda points, _: lambda times: np.array([state(times) for _ in points])
+        monkeypatch.setitem(MODELS, "fock1", MODELS["fock1"][:3] + (constant,))
+        deriv = derivative(ScanConfig("fock1"), 1.0, [2.0])[0]
         assert np.abs(deriv).max() <= 1e-10
 
     def test_thermal_coherence_derivative(self):
         # d(rho_12)/dm = -gamma t cos(a) sin(a) exp(-gamma (m + 1/2) t)
-        deriv = derivative(THERMAL_CHANNEL, 0.1, [1.0])[0]
+        deriv = derivative(THERMAL, 0.1, [1.0])[0]
         assert deriv[0, 1].real == pytest.approx(-0.27441, abs=1e-5)
         assert np.abs(deriv - exact(ScanConfig("thermal1"), 1.0).drho).max() <= 1e-6
 
     def test_squeezed_dual_path(self):
         for t in (0.3, 1.0, 2.5):
-            stencil = derivative(SQUEEZED_CHANNEL, 0.1, [t])[0]
+            stencil = derivative(SQUEEZED, 0.1, [t])[0]
             assert np.abs(stencil - exact(ScanConfig("squeezed1"), t).drho).max() <= 1e-6
 
     def test_one_sided_stencil_at_domain_edge(self):
         config = ScanConfig("thermal1", mean_occupation=0.0, alpha=np.pi / 4)
-        stencil = derivative(build_channel(config), 0.0, [1.0])[0]
+        stencil = derivative(config, 0.0, [1.0])[0]
         analytic = exact(config, 1.0).drho
         assert np.abs(stencil - analytic).max() <= 1e-6
 
     def test_traceless_and_hermitian(self):
         for t in (0.5, 1.0, 3.0):
-            deriv = derivative(THERMAL_CHANNEL, 0.1, [t])[0]
+            deriv = derivative(THERMAL, 0.1, [t])[0]
             assert abs(np.trace(deriv)) <= 1e-9
             assert np.abs(deriv - deriv.conj().T).max() == 0.0
 
@@ -79,17 +79,15 @@ class TestDerivativeStencil:
         strengths = {"mean_occupation", "squeezing"}.intersection(MODELS[model][1])
         for value in (0.1, 0.0):
             config = ScanConfig(model, **dict.fromkeys(strengths, value))
-            channel = build_channel(config)
             times = np.linspace(0.0, 40.0, 101)
-            np.testing.assert_array_equal(
-                dense(d_rho_grid(channel, channel.value, times)),
-                d_rho_dense(channel, channel.value, times))
+            np.testing.assert_array_equal(dense(d_rho_grid(config, nominal(config), times)),
+                                          d_rho_dense(config, nominal(config), times))
 
     def test_grid_matches_pointwise(self):
         times = np.linspace(0.2, 2.0, 5)
-        stack = derivative(THERMAL_CHANNEL, 0.1, times)
+        stack = derivative(THERMAL, 0.1, times)
         for k, t in enumerate(times):
-            pointwise = derivative(THERMAL_CHANNEL, 0.1, [t])[0]
+            pointwise = derivative(THERMAL, 0.1, [t])[0]
             np.testing.assert_allclose(stack[k], pointwise, atol=1e-14)
 
 
@@ -119,7 +117,7 @@ class TestQfiBlocks:
         # and an empty {|ee>, |gg>} block, one row each
         rho = record(np.diag([1.0, 0.0]))
         assert qfi_blocks(rho, record(np.zeros((2, 2)))).floored == 1
-        state = validate_blocks(FOCK2_CHANNEL.states(5.0, [0.0]))
+        state = validate_blocks(states(FOCK2, 5.0, [0.0]))
         zero = record(np.zeros((1, 4, 4)), X_BLOCKS)
         assert qfi_blocks(state, zero).floored == 2
         # counted over the grid: the mixed qubit rows keep theirs
@@ -152,8 +150,8 @@ class TestQfiBlocks:
         # X-state blocks: it has no record on them, and a record of its
         # {|eg>, |ge>} block alone, on the qubit blocks, does not match the
         # state
-        state = validate_blocks(FOCK2_CHANNEL.states(5.0, [1.0]))
-        drho = derivative(FOCK2_CHANNEL, 5.0, [1.0])
+        state = validate_blocks(states(FOCK2, 5.0, [1.0]))
+        drho = derivative(FOCK2, 5.0, [1.0])
         drho[0, 0, 1] = drho[0, 1, 0] = 1e-3
         with pytest.raises(ValueError, match="outside the blocks"):
             record(drho, X_BLOCKS)
@@ -164,27 +162,25 @@ class TestQfiBlocks:
         # figure 1a, alpha = 0: a population dips to about 6e-9, where the
         # lower eigenvalue as (w - |r|) / 2 is off by 4.5e-9 of the peak
         config = ScanConfig("fock1", alpha=0.0, t_min=0.01, t_max=100.0, points=2000)
-        channel = build_channel(config)
         times = time_grid(config)
-        states = channel.states(channel.value, times)
-        mats = dense(states)
+        rows = states(config, nominal(config), times)
+        mats = dense(rows)
         assert np.abs(mats[:, 1, 1]).min() < 1e-8
-        derivs = d_rho_grid(channel, channel.value, times)
-        block = qfi_blocks(validate_blocks(states), derivs).value
+        derivs = d_rho_grid(config, nominal(config), times)
+        block = qfi_blocks(validate_blocks(rows), derivs).value
         spectral = qfi_spectral(mats, dense(derivs)).value
         assert np.abs(block - spectral).max() <= 1e-12 * spectral.max()
 
     def test_matches_spectral_oracle_across_fock2_rank_drop(self):
         # the |gg> population of fock2 passes through zero at
         # t = 2 pi k / sqrt(8 + detuning^2); k = 45 sits near t = 49.22
-        channel = FOCK2_CHANNEL
         t_drop = 2.0 * np.pi * 45 / np.sqrt(33.0)
         times = t_drop + np.linspace(-1e-3, 1e-3, 20001)
-        states = channel.states(5.0, times)
-        mats = dense(states)
+        rows = states(FOCK2, 5.0, times)
+        mats = dense(rows)
         assert mats[:, 3, 3].real.min() < 1e-20
-        derivs = d_rho_grid(channel, 5.0, times)
-        block = qfi_blocks(validate_blocks(states), derivs).value
+        derivs = d_rho_grid(FOCK2, 5.0, times)
+        block = qfi_blocks(validate_blocks(rows), derivs).value
         spectral = qfi_spectral(mats, dense(derivs)).value
         assert np.abs(block - spectral).max() <= 1e-12 * spectral.max()
 
@@ -268,7 +264,7 @@ class TestPureOracle:
         # system-state amplitudes before tracing, differentiated in the detuning
         config = ScanConfig("fock1", detuning=5.0, coupling=1.0, alpha=np.pi / 4)
         t = 0.8
-        h = fd_step(5.0)
+        h = stencil(5.0, None)[0]
         psi = np.array(fock1_amplitudes(config, t))
         up = np.array(fock1_amplitudes(replace(config, detuning=5.0 + h), t))
         down = np.array(fock1_amplitudes(replace(config, detuning=5.0 - h), t))
@@ -297,17 +293,12 @@ class TestPureOracle:
 
 class TestQfiVanishesAtTimeZero:
     @pytest.mark.parametrize(
-        "channel",
-        [
-            build_channel(ScanConfig("fock1", alpha=np.pi / 4)),
-            THERMAL_CHANNEL,
-            SQUEEZED_CHANNEL,
-            FOCK2_CHANNEL,
-        ],
+        "config",
+        [ScanConfig("fock1", alpha=np.pi / 4), THERMAL, SQUEEZED, FOCK2],
         ids=["fock1", "thermal1", "squeezed1", "fock2"],
     )
-    def test_zero_at_t0(self, channel):
-        rho = validate_blocks(channel.states(channel.value, [0.0]))
-        drho = d_rho_grid(channel, channel.value, [0.0])
+    def test_zero_at_t0(self, config):
+        rho = validate_blocks(states(config, nominal(config), [0.0]))
+        drho = d_rho_grid(config, nominal(config), [0.0])
         assert qfi_blocks(rho, drho).value[0] <= 1e-9
 

@@ -13,10 +13,12 @@ from helpers import (
     dense,
     fidelity_uhlmann_oracle,
     lower_eigenvalue,
+    nominal,
     random_density,
     random_qubit_state,
     record,
     state_at,
+    states,
     trace_out_B,
 )
 from qfi_probe import qfi_engine
@@ -31,12 +33,12 @@ from qfi_probe.qstate import (
     reduced_bloch,
     validate_blocks,
 )
-from qfi_probe.scan_repro import MODEL_IDS, ScanConfig, build_channel
+from qfi_probe.scan_repro import MODEL_IDS, ScanConfig
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
 BELL = np.diag([0.0, 0.5, 0.5, 0.0]) + np.diag([0.0, 0.5, 0.0], 1) + np.diag([0.0, 0.5, 0.0], -1)
-THERMAL_CHANNEL = build_channel(ScanConfig("thermal1", alpha=np.pi / 4))
+THERMAL = ScanConfig("thermal1", alpha=np.pi / 4)
 
 
 def qubit(a, b, re, im=0.0):
@@ -53,8 +55,8 @@ class TestValidateBlocks:
 
     @pytest.mark.parametrize("model", MODEL_IDS)
     def test_model_records_pass_with_spectra(self, model):
-        channel = build_channel(ScanConfig(model))
-        state = validate_blocks(channel.states(channel.value, [0.0, 0.3, 7.0, 49.0]))
+        config = ScanConfig(model)
+        state = validate_blocks(states(config, nominal(config), [0.0, 0.3, 7.0, 49.0]))
         # each block's weight and determinant are the sum and product of
         # its eigenvalues
         weight, det = state.spectra
@@ -173,8 +175,8 @@ class TestValidateBlocks:
             validate_blocks(type(state)(X_BLOCKS, state.values))
 
     def test_qfi_reuses_the_spectra(self, monkeypatch):
-        state = validate_blocks(THERMAL_CHANNEL.states(0.1, [1.0, 2.0]))
-        derivs = d_rho_grid(THERMAL_CHANNEL, 0.1, [1.0, 2.0])
+        state = validate_blocks(states(THERMAL, 0.1, [1.0, 2.0]))
+        derivs = d_rho_grid(THERMAL, 0.1, [1.0, 2.0])
         expected = qfi_engine.qfi_blocks(state, derivs).value
 
         def forbidden(*args, **kwargs):
@@ -264,7 +266,7 @@ class TestBlochVector:
             bloch_vector(np.eye(4, dtype=complex) / 4)
 
     def test_thermal_state_components(self):
-        state = state_at(THERMAL_CHANNEL, 1.0)
+        state = state_at(THERMAL, 1.0)
         vec = bloch_vector(state)
         assert vec.ax == pytest.approx(0.54882, abs=1e-5)
         assert vec.ay == pytest.approx(0.0, abs=1e-12)
@@ -274,21 +276,21 @@ class TestBlochVector:
 class TestReducedBloch:
     """The qubit-A Bloch vector of a record, a linear map of its entries."""
 
-    @pytest.mark.parametrize("channel", [
-        build_channel(ScanConfig("fock1", alpha=0.6)),
-        build_channel(ScanConfig("thermal1", alpha=0.6)),
-        build_channel(ScanConfig("squeezed1", alpha=0.6)),
+    @pytest.mark.parametrize("config", [
+        ScanConfig("fock1", alpha=0.6),
+        ScanConfig("thermal1", alpha=0.6),
+        ScanConfig("squeezed1", alpha=0.6),
         # away from alpha = pi/4, |eg> and |ge> carry different weights
-        build_channel(ScanConfig("fock2", alpha=0.4)),
-        build_channel(ScanConfig("thermal2")),
-        build_channel(ScanConfig("squeezed2")),
+        ScanConfig("fock2", alpha=0.4),
+        ScanConfig("thermal2"),
+        ScanConfig("squeezed2"),
     ], ids=MODEL_IDS)
-    def test_matches_dense_partial_trace(self, channel):
-        states = channel.states(channel.value, np.linspace(0.0, 20.0, 41))
-        mats = dense(states)
-        reduced = trace_out_B(mats) if states.dim == 4 else mats
+    def test_matches_dense_partial_trace(self, config):
+        rows = states(config, nominal(config), np.linspace(0.0, 20.0, 41))
+        mats = dense(rows)
+        reduced = trace_out_B(mats) if rows.dim == 4 else mats
         expected = bloch_vector(reduced)
-        got = reduced_bloch(states)
+        got = reduced_bloch(rows)
         for g, e in zip(got, expected):
             assert np.abs(np.asarray(g) - e).max() <= 1e-15
 
@@ -346,11 +348,10 @@ class TestFidelity:
 
     def test_two_qubit_records_against_uhlmann(self):
         # the fidelity of qubit A, from records, against the dense oracle
-        for channel in (build_channel(ScanConfig("fock2", alpha=0.4)),
-                        build_channel(ScanConfig("squeezed2", squeezing=0.3))):
-            initial = channel.states(channel.value, [0.0])
-            states = channel.states(channel.value, np.linspace(0.1, 30.0, 25))
-            got = fidelity_bloch(reduced_bloch(initial), reduced_bloch(states))
+        for config in (ScanConfig("fock2", alpha=0.4), ScanConfig("squeezed2", squeezing=0.3)):
+            initial = states(config, nominal(config), [0.0])
+            rows = states(config, nominal(config), np.linspace(0.1, 30.0, 25))
+            got = fidelity_bloch(reduced_bloch(initial), reduced_bloch(rows))
             reference = trace_out_B(dense(initial))[0]
-            for value, mat in zip(got, trace_out_B(dense(states))):
+            for value, mat in zip(got, trace_out_B(dense(rows))):
                 assert abs(value - fidelity_uhlmann_oracle(reference, mat)) <= 1e-10

@@ -15,10 +15,11 @@ from qfi_probe import cli, scan_repro
 from qfi_probe.qfi_engine import derivative, qfi_blocks, stencil_points
 from qfi_probe.qstate import BlockState, fidelity_bloch, reduced_bloch, validate_blocks
 from qfi_probe.scan_repro import (
+    _ESTIMAND_FIELDS,
     FIGURE_TAGS,
     MODEL_IDS,
+    MODELS,
     ScanConfig,
-    build_channel,
     find_max,
     reproduce_figure,
     scan,
@@ -125,14 +126,15 @@ def test_evaluator_rows_equal_the_public_composition(model, monkeypatch):
     config = ScanConfig(model, points=3000)
     times = time_grid(config)
     qfi, fidelity = scan_repro._evaluator(config)(times)
-    channel = build_channel(config)
-    points, weights, scale = stencil_points(channel.value, channel.floor)
-    kernel = channel.kernel(points)
+    estimand, _, support, build = MODELS[model]
+    name, floor = _ESTIMAND_FIELDS[estimand]
+    points, weights, scale = stencil_points(getattr(config, name), floor)
+    kernel = build(points, config)
     record = kernel(times)
-    states = validate_blocks(BlockState(channel.support, record[0]))
-    derivs = derivative(channel.support, record[1:], weights, scale)
+    states = validate_blocks(BlockState(support, record[0]))
+    derivs = derivative(support, record[1:], weights, scale)
     expected = qfi_blocks(states, derivs).value * scan_repro._chain_factor(config)
-    reference = reduced_bloch(validate_blocks(BlockState(channel.support, kernel(np.zeros(1))[0])))
+    reference = reduced_bloch(validate_blocks(BlockState(support, kernel(np.zeros(1))[0])))
     np.testing.assert_array_equal(qfi, expected)
     np.testing.assert_array_equal(fidelity, fidelity_bloch(reference, reduced_bloch(states)))
 
@@ -143,8 +145,10 @@ def test_kernel_rows_do_not_depend_on_the_call_size(model):
     # size numpy computes an operator product `a * b` with a temporary b in
     # place, as b * a, and complex products do not commute bit for bit; the
     # cavity kernels call np.multiply, which numpy never rewrites
-    channel = build_channel(ScanConfig(model))
-    kernel = channel.kernel(stencil_points(channel.value, channel.floor)[0])
+    config = ScanConfig(model)
+    estimand, _, _, build = MODELS[model]
+    name, floor = _ESTIMAND_FIELDS[estimand]
+    kernel = build(stencil_points(getattr(config, name), floor)[0], config)
     times = np.linspace(0.0, 100.0, 20_000)
     slices = [kernel(times[start:start + 700]) for start in range(0, times.size, 700)]
     np.testing.assert_array_equal(kernel(times), np.concatenate(slices, axis=-1))

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import backflow_intervals_loop, golden_section_max
+from helpers import backflow_intervals_loop, golden_section_max, nominal, states
 from qfi_probe import cli, probe_models, scan_repro
-from qfi_probe.probe_models import FIELD_DOMAINS, ChannelModel, fock2_kernel
-from qfi_probe.qstate import X_BLOCKS, validate_blocks
+from qfi_probe.probe_models import FIELD_DOMAINS, fock2_kernel
+from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     FIGURE_TAGS,
     FLAT,
@@ -31,6 +31,7 @@ from qfi_probe.scan_repro import (
     point_qfi,
     reproduce_figure,
     scan,
+    time_grid,
 )
 from symbolic import exact, occupation_slope
 
@@ -213,11 +214,8 @@ class TestScan:
 
     def test_rows_are_valid_states(self):
         config = ScanConfig("squeezed1", alpha=np.pi / 4, points=20, t_max=5.0)
-        from qfi_probe.scan_repro import build_channel, time_grid
-
-        channel = build_channel(config)
         for t in time_grid(config):
-            validate_blocks(channel.states(channel.value, [t]))
+            validate_blocks(states(config, nominal(config), [t]))
 
     def test_temperature_chain_rule_applied(self):
         config = ScanConfig("thermal1", alpha=0.0, t_min=40.0, t_max=50.0, points=3)
@@ -293,8 +291,8 @@ class TestScan:
         config = ScanConfig("fock2", t_max=20.0, points=200, alpha=0.4)
         honoured = scan(config)
         bell = scan(replace(config, alpha=math.pi / 4))
-        channel = ChannelModel(5.0, None, X_BLOCKS, lambda points: fock2_kernel(points, 1.0, 0.4))
-        monkeypatch.setattr(scan_repro, "build_channel", lambda _: channel)
+        direct_kernel = lambda points, _: fock2_kernel(points, 1.0, 0.4)
+        monkeypatch.setitem(MODELS, "fock2", MODELS["fock2"][:3] + (direct_kernel,))
         direct = scan(replace(config, alpha=math.pi / 4))
         for name in ("qfi", "fidelity"):
             np.testing.assert_array_equal(getattr(honoured, name), getattr(direct, name))
@@ -322,16 +320,16 @@ class TestScan:
 
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_point_queries_equal_scan_rows(model):
-    # a point query is a grid of length 1 through the scan's own path
-    alpha = {"alpha": 0.6} if "alpha" in MODELS[model][1] else {}
-    config = ScanConfig(model, t_min=0.5, t_max=40.0, points=50, **alpha)
-    dataset = scan(config)
-    for k in (0, 7, 23, 49):
-        t = float(dataset.t[k])
-        assert point_qfi(config, t) == pytest.approx(float(dataset.qfi[k]), rel=1e-12)
-        assert point_fidelity(config, t) == pytest.approx(
-            float(dataset.fidelity[k]), rel=1e-12
-        )
+    # a point query is a grid of length 1 through the scan's own path, which
+    # validates its row: every row of the scan, bit for bit, at the default
+    # alpha and (where the model reads it) at 0.6
+    base = ScanConfig(model, t_min=0.5, t_max=40.0, points=50)
+    alphas = (base.alpha, 0.6) if "alpha" in MODELS[model][1] else (base.alpha,)
+    for config in (replace(base, alpha=alpha) for alpha in alphas):
+        dataset = scan(config)
+        for t, qfi, fidelity in zip(dataset.t.tolist(), dataset.qfi, dataset.fidelity):
+            assert point_qfi(config, t) == qfi
+            assert point_fidelity(config, t) == fidelity
 
 
 # per model, a window whose QFI peak lies inside the grid and is not flat,
