@@ -1,18 +1,17 @@
 """Closed-form evolved probe states for the cavity-field and reservoir models.
 
-Each *_kernel function works out the parameter-only constants of each of
-K estimand points once and returns a Kernel, whose one call gives the
-records of all K points at times[N] (the qubit block, or the X-state
-blocks of two qubits); scan_repro.MODELS maps each model to its kernel
-and the ScanConfig fields it reads. The five parameter classes repeat the
-ScanConfig checks and stay only for the benchmark tests (ROADMAP item 8).
-Time is dimensionless: coupling units for the cavity models (coupling
-defaults to 1), decay-rate units for the reservoir models.
+Each *_kernel function works out the parameter-only constants of its K
+estimand points once, as (K, 1) columns, and returns a Kernel, whose one
+call gives the records of all K points at times[N] (the qubit block, or
+the X-state blocks of two qubits); scan_repro.MODELS maps each model to
+its kernel and the ScanConfig fields it reads. The five parameter
+classes repeat the ScanConfig checks and stay only for the benchmark tests
+(ROADMAP item 8). Time is dimensionless: coupling units for the cavity
+models (coupling defaults to 1), decay-rate units for the reservoir models.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import operator
@@ -175,41 +174,38 @@ class TwoQubitReservoirParams:
         require_domains(self)
 
 
-def _reservoir_rates(kind, strength, gamma) -> tuple[float, float, float, float]:
+def _reservoir_rates(kind, points, gamma) -> tuple[np.ndarray, ...]:
     """(steady, pop_rate, x_rate, y_rate) of one qubit in a reservoir of
-    occupation N: the excited population relaxes toward steady =
-    N/(2N + 1) at pop_rate = gamma (2N + 1), and x_rate and y_rate are
-    twice the sigma_x and sigma_y Bloch decay rates, 2 gamma (N +- M + 1/2).
-    A thermal reservoir has N = m and M = 0. A squeezed vacuum has
-    N = sinh^2(r), M = cosh(r) sinh(r) and the exact rates gamma exp(+-2r);
-    N - M + 1/2 itself loses every digit to cancellation at large r.
-    ValueError where a rate overflows."""
-    strength, gamma = float(strength), float(gamma)  # Python floats overflow silently
-    if kind == "thermal":
-        occupation, name = strength, "mean_occupation"
-        x_rate = y_rate = 2.0 * gamma * (strength + 0.5)
-    else:
-        with np.errstate(over="ignore"):
-            occupation = float(np.sinh(strength) ** 2)
-            x_rate = gamma * float(np.exp(2.0 * strength))
-        name, y_rate = "squeezing", gamma * float(np.exp(-2.0 * strength))
-    pop_rate = gamma * (2.0 * occupation + 1.0)
-    if not (math.isfinite(pop_rate) and math.isfinite(x_rate) and math.isfinite(y_rate)):
-        raise ValueError(f"{name} = {strength!r} at gamma = {gamma!r} overflows the decay rate")
-    return occupation / (2.0 * occupation + 1.0), pop_rate, x_rate, y_rate
+    occupation N, as (K, 1) columns over the K points: the excited
+    population relaxes toward steady = N/(2N + 1) at pop_rate =
+    gamma (2N + 1), and x_rate and y_rate are twice the sigma_x and sigma_y
+    Bloch decay rates, 2 gamma (N +- M + 1/2). A thermal reservoir has
+    N = m and M = 0. A squeezed vacuum has N = sinh^2(r), M = cosh(r)
+    sinh(r) and the exact rates gamma exp(+-2r); N - M + 1/2 itself loses
+    every digit to cancellation at large r. ValueError naming the first
+    point where a rate overflows."""
+    strength, gamma = np.array(points, dtype=float)[:, None], float(gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "thermal":
+            occupation, name = strength, "mean_occupation"
+            x_rate = y_rate = 2.0 * gamma * (strength + 0.5)
+        else:  # float_power squares by libm's pow, as Python floats do; x * x moves last bits
+            occupation, name = np.float_power(np.sinh(strength), 2), "squeezing"
+            x_rate, y_rate = gamma * np.exp(2.0 * strength), gamma * np.exp(-2.0 * strength)
+        pop_rate = gamma * (2.0 * occupation + 1.0)
+        steady = occupation / (2.0 * occupation + 1.0)
+    if not (finite := np.isfinite(pop_rate) & np.isfinite(x_rate) & np.isfinite(y_rate)).all():
+        raise ValueError(f"{name} = {float(strength[~finite][0])!r} at gamma = {gamma!r}"
+                         " overflows the decay rate")
+    return steady, pop_rate, x_rate, y_rate
 
 
-def _dressed_rate(rate, detuning, coupling) -> float:
-    """rate(), the dressed rate of a cavity kernel, or ValueError where it overflows."""
-    with contextlib.suppress(OverflowError):  # from a Python float's **; x * x moves last bits
-        if math.isfinite(value := float(rate())):
-            return value
-    raise ValueError(f"detuning = {detuning!r} at coupling = {coupling!r} overflows the rate")
-
-
-def _columns(rows) -> list[np.ndarray]:
-    """One tuple of constants per point -> one (K, 1) column per constant."""
-    return [np.array(column)[:, None] for column in zip(*rows)]
+def _require_rate(wd, detuning, coupling) -> None:
+    """ValueError naming the first point where the dressed rate of a cavity
+    kernel overflows, or underflows to 0 (fock2's 8 coupling^2 at detuning 0)."""
+    if not (good := np.isfinite(wd) & (wd > 0.0)).all():
+        raise ValueError(f"detuning = {float(detuning[~good][0])!r} at coupling = {coupling!r}"
+                         f" {'overflows' if wd[~good][0] else 'underflows'} the rate")
 
 
 def _fock1_amplitudes(points, coupling, photons, alpha):
@@ -218,12 +214,12 @@ def _fock1_amplitudes(points, coupling, photons, alpha):
     sqrt((2 coupling sqrt(photons + 1))^2 + detuning^2)."""
     exchange = 2.0 * coupling * math.sqrt(photons + 1.0)  # Python floats overflow silently
     ca, sa = np.cos(alpha), np.sin(alpha)
-    rows = []
-    for detuning in points:
-        wd = _dressed_rate(lambda: np.hypot(exchange, detuning), detuning, coupling)
-        rows.append((wd, 1j * (detuning / wd), 0.5j * detuning,
-                     1j * sa * (exchange / wd), 1j * ca * (exchange / wd)))
-    wd, i_ratio_d, half_detuning, i_sa_ratio_x, i_ca_ratio_x = _columns(rows)
+    detuning = np.array(points, dtype=float)[:, None]
+    with np.errstate(over="ignore"):
+        wd = np.hypot(exchange, detuning)
+    _require_rate(wd, detuning, coupling)
+    i_ratio_d, half_detuning = 1j * (detuning / wd), 0.5j * detuning
+    i_sa_ratio_x, i_ca_ratio_x = 1j * sa * (exchange / wd), 1j * ca * (exchange / wd)
 
     def amplitudes(t):
         with np.errstate(over="ignore", invalid="ignore"):  # a phase past the double range: NaN
@@ -253,7 +249,7 @@ def reservoir_qubit_kernel(kind, points, gamma, alpha) -> Kernel:
     """Qubit states in a reservoir (see _reservoir_rates): populations
     relax toward the steady state, and the real coherences of the initial
     state decay at the sigma_x rate, half of x_rate."""
-    steady, pop_rate, x_rate, _ = _columns(_reservoir_rates(kind, s, gamma) for s in points)
+    steady, pop_rate, x_rate, _ = _reservoir_rates(kind, points, gamma)
     pop_decay, coherence_decay = -pop_rate, -0.5 * x_rate
     excess, coherence = np.cos(alpha) ** 2 - steady, np.cos(alpha) * np.sin(alpha)
 
@@ -274,12 +270,12 @@ def _fock2_amplitudes(points, coupling, alpha):
     sqrt(8 coupling^2 + detuning^2)."""
     ca, sa = np.cos(alpha), np.sin(alpha)
     sym, antisym = 0.5 * (ca + sa), 0.5 * (ca - sa)  # the |eg> +- |ge> weights
-    rows = []
-    for detuning in points:
-        wd = _dressed_rate(lambda: np.sqrt(8.0 * coupling**2 + detuning**2), detuning, coupling)
-        rows.append((wd, 1j * (detuning / wd), 0.5j * detuning,
-                     -(ca + sa) * (2.0j * coupling / wd), -0.5j * detuning))
-    wd, i_ratio_d, half_detuning, gg_weight, gg_detuning = _columns(rows)
+    detuning = np.array(points, dtype=float)[:, None]
+    with np.errstate(over="ignore"):  # float_power squares by libm's pow, as in _reservoir_rates
+        wd = np.sqrt(8.0 * np.float_power(coupling, 2) + np.float_power(detuning, 2))
+    _require_rate(wd, detuning, coupling)
+    i_ratio_d, half_detuning = 1j * (detuning / wd), 0.5j * detuning
+    gg_weight, gg_detuning = -(ca + sa) * (2.0j * (coupling / wd)), -0.5j * detuning
 
     def amplitudes(t):
         with np.errstate(over="ignore", invalid="ignore"):  # a phase past the double range: NaN
@@ -318,7 +314,7 @@ def reservoir_pair_kernel(kind, points, gamma) -> Kernel:
     sigma_y sigma_y parts therefore decay at x_rate and y_rate; they set
     the |eg><ge| and |ee><gg| coherences.
     """
-    steady, pop_rate, x_rate, y_rate = _columns(_reservoir_rates(kind, s, gamma) for s in points)
+    steady, pop_rate, x_rate, y_rate = _reservoir_rates(kind, points, gamma)
     pop_decay, excited = -pop_rate, 1.0 - steady
 
     def states(times):

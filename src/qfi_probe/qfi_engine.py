@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import BlockState, validate_blocks
+from .qstate import BlockState, _diagonal_rows, validate_blocks
 
 EIGENSUM_FLOOR = 1e-12
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
@@ -51,18 +51,13 @@ def derivative(support, taps: np.ndarray, weights, scale: float) -> BlockState:
     stencil_points.
 
     Each tap record is divided by its trace, summed in basis order, which
-    keeps the result traceless. The divisions by the trace and by 2 h are
-    multiplications by the reciprocal, in place on the taps.
+    keeps the result traceless; then the taps are weighted and summed in
+    order. The divisions by the trace and by 2 h are multiplications by the
+    reciprocal, in place on the taps.
     """
-    diff = None
-    for values, weight in zip(taps, weights):
-        values *= 1.0 / BlockState(support, values).trace()
-        if weight != 1.0:
-            values *= weight
-        if diff is None:
-            diff = values
-        else:
-            diff += values
+    taps *= (1.0 / taps[:, _diagonal_rows(support)].sum(axis=1))[:, None]
+    taps *= np.array(weights)[:, None, None]
+    diff = taps.sum(axis=0, initial=-0.0)  # -0.0 + x is x, also for x = -0.0
     diff *= scale
     return BlockState(support, diff)
 

@@ -198,22 +198,21 @@ def _evaluator(config: ScanConfig):
     asked for. The chain factor and the model's kernel at the stencil
     points of the estimand's value are built once per evaluator. A block of
     times is one kernel call: the states in record[0], the stencil taps in
-    record[1:]. The first fidelity evaluation puts t = 0 in row 0 for the
-    reference. Rows are independent, so blocks of BLOCK_BYTES leave every
-    value unchanged."""
+    record[1:]. A fidelity evaluation puts t = 0 in row 0 of its first block
+    for the reference, and nothing is kept between calls. Rows are
+    independent, so blocks of BLOCK_BYTES leave every value unchanged."""
     estimand, _, support, model_kernel = MODELS[config.model_id]
     name, floor = _ESTIMAND_FIELDS[estimand]
     chain = _chain_factor(config)
     points, weights, scale = stencil_points(getattr(config, name), floor)
-    kernel, reference = model_kernel(points, config), None
+    kernel = model_kernel(points, config)
     rows = BLOCK_BYTES // (8 * len(points) * 4 * len(support))
 
     def evaluate(times, qfi: bool = True, fidelity: bool = True):
-        nonlocal reference
         times = np.asarray(times, dtype=float)
         if not (np.isfinite(times) & (times >= 0.0)).all():
             raise ValueError("times must be finite and nonnegative")
-        skip = int(fidelity and reference is None)
+        skip = int(fidelity)
         times = np.concatenate((np.zeros(skip), times)) if skip else times
         qfi_parts, fidelity_parts = [], []
         for k in range(0, times.size, rows):
@@ -221,18 +220,15 @@ def _evaluator(config: ScanConfig):
             states = validate_blocks(BlockState(support, record[0]))
             if qfi:
                 value = qfi_blocks(states, derivative(support, record[1:], weights, scale)).value
-                qfi_parts.append(value if chain == 1.0 else value * chain)
+                qfi_parts.append(value * chain)
             if fidelity:
-                reference = reference or reduced_bloch(BlockState(support, states.values[:, :1]))
+                if k == 0:
+                    reference = reduced_bloch(BlockState(support, states.values[:, :1]))
                 fidelity_parts.append(fidelity_bloch(reference, reduced_bloch(states)))
-        return (_joined(qfi_parts)[skip:] if qfi else None,
-                _joined(fidelity_parts)[skip:] if fidelity else None)
+        return (np.concatenate(qfi_parts)[skip:] if qfi else None,
+                np.concatenate(fidelity_parts)[skip:] if fidelity else None)
 
     return evaluate
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def scan(config: ScanConfig) -> ScanDataset:

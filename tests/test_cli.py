@@ -305,6 +305,14 @@ class TestScanCommand:
         (["--model", "fock1", "--coupling", "1e308"], "coupling = 1e+308"),
         (["--model", "fock2", "--coupling", "1e160"], "coupling = 1e+160"),
         (["--model", "fock2", "--delta", "1e308", "--t", "10"], "detuning = 1e+308"),
+        (["--model", "fock1", "--delta", "1e308", "--coupling", "8.9e307"], "detuning = 1e+308"),
+        # value + h, the first stencil point whose rates overflow
+        (["--model", "squeezed2", "--r", "354.89"], "squeezing = 354.8921490202306 at"),
+        (["--model", "fock2", "--delta", "1.3407807929942e154", "--coupling", "1e-10"],
+         "detuning = 1.3407889120312227e+154 at"),
+        # 8 coupling^2 underflows to 0, and the value point's rate with it
+        (["--model", "fock2", "--delta", "0", "--coupling", "1e-170"],
+         "detuning = 0.0 at coupling = 1e-170 underflows the rate"),
         (["--model", "fock1", "--delta", "1e308", "--t", "10"], "NaN"),
         (["--model", "fock1", "--delta", "1e200", "--t", "1e200"], "NaN"),
         (["--model", "fock2", "--delta", "1e100", "--t", "1e300"], "NaN"),
@@ -488,6 +496,44 @@ class TestParserReuse:
             assert capsys.readouterr().out == out
         assert run(self.VALID) == 0
         assert capsys.readouterr() == first and first.err == ""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--help"],
+        ["bogus"],
+        ["qfi", "--model", "fock1", "--t", "1", "stray"],
+        ["qfi", "--model", "fock1", "--t", "1", "--bogus"],
+        ["--model", "fock1", "qfi", "--t", "1"],
+    ], ids=["no-arguments", "help", "unknown-command", "stray-positional", "unknown-flag",
+            "option-before-command"])
+    def test_top_level_messages_as_a_fresh_parser_gives_them(self, capsys, argv):
+        # the messages of argv that names no command, or leaves arguments
+        # over: the process's parser gives a fresh parser's exit code,
+        # stdout and stderr
+        assert run(self.VALID) == 0
+        first = capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(argv)
+        expected = (exit_.value.code, *capsys.readouterr())
+        assert (run(argv), *capsys.readouterr()) == expected
+        assert run(self.VALID) == 0
+        assert capsys.readouterr() == first
+
+    def test_run_reads_sys_argv_and_entrypoint_exits_with_its_code(self, capsys, monkeypatch):
+        assert run(self.VALID) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["qfi-probe", *self.VALID])
+        assert run() == 0
+        assert capsys.readouterr() == expected
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint()
+        assert exit_.value.code == 0 and capsys.readouterr() == expected
+        monkeypatch.setattr(sys, "argv", ["qfi-probe", "qfi", "--model", "fock1", "--t", "0"])
+        assert run() == 2
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint()
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.count("--t must be positive and finite") == 2
 
     def test_point_functions_looked_up_per_call(self, capsys, monkeypatch):
         # the parser holds no library function, so a rebinding after the

@@ -2,6 +2,8 @@
 values and each other; tests/test_symbolic.py proves the closed forms and
 holds the kernels to them."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,9 @@ from qfi_probe.probe_models import (
     ThermalParams,
     TwoQubitFockParams,
     TwoQubitReservoirParams,
+    _fock1_amplitudes,
+    _fock2_amplitudes,
+    _reservoir_rates,
 )
 from qfi_probe.scan_repro import _ESTIMAND_FIELDS, MODEL_IDS, ScanConfig
 from symbolic import exact
@@ -179,6 +184,70 @@ def test_numpy_integer_photons_accepted():
 def test_nonfinite_parameter_rejected(build, bad):
     with pytest.raises(ValueError, match="not finite"):
         build(bad)
+
+
+def scalar_rates(kind, strength, gamma):
+    """(steady, pop_rate, x_rate, y_rate) of one point in Python floats: the
+    reference that _reservoir_rates' columns must equal bit for bit."""
+    if kind == "thermal":
+        occupation = strength
+        x_rate = y_rate = 2.0 * gamma * (strength + 0.5)
+    else:
+        occupation = float(np.sinh(strength)) ** 2
+        x_rate = gamma * float(np.exp(2.0 * strength))
+        y_rate = gamma * float(np.exp(-2.0 * strength))
+    return occupation / (2.0 * occupation + 1.0), gamma * (2.0 * occupation + 1.0), x_rate, y_rate
+
+
+@pytest.mark.parametrize("kind, top", [("thermal", 6), ("squeezed", 2)])
+def test_reservoir_rates_equal_the_per_point_scalar_rates(kind, top):
+    # a float's ** 2 is libm's pow, an array's is x * x: for r from 1e-8 to
+    # 100 the two squares of sinh(r) differ in the last bit at about 1 in 1000
+    strengths, gamma = np.logspace(-8, top, 20_000).tolist(), float(np.pi / 3)
+    got = np.concatenate(_reservoir_rates(kind, strengths, gamma), axis=1)
+    expected = np.array([scalar_rates(kind, s, gamma) for s in strengths])
+    assert got.tobytes() == expected.tobytes()
+
+
+def scalar_cavity_constants(model, detuning, coupling, photons, alpha):
+    """The constants of one point in Python scalars, in the order of
+    CAVITY_CONSTANTS: the reference for the cavity kernels' columns."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    if model == "fock1":
+        exchange = 2.0 * coupling * math.sqrt(photons + 1.0)
+        wd = float(np.hypot(exchange, detuning))
+        tail = 1j * sa * (exchange / wd), 1j * ca * (exchange / wd)
+    else:
+        wd = float(np.sqrt(8.0 * coupling**2 + detuning**2))
+        tail = -(ca + sa) * (2.0j * coupling / wd), -0.5j * detuning
+    return (wd, 1j * (detuning / wd), 0.5j * detuning, *tail)
+
+
+CAVITY_CONSTANTS = {
+    "fock1": (_fock1_amplitudes,
+              ("wd", "i_ratio_d", "half_detuning", "i_sa_ratio_x", "i_ca_ratio_x")),
+    "fock2": (lambda d, c, n, a: _fock2_amplitudes(d, c, a),
+              ("wd", "i_ratio_d", "half_detuning", "gg_weight", "gg_detuning")),
+}
+
+
+@pytest.mark.parametrize("model", CAVITY_CONSTANTS)
+def test_cavity_constants_equal_the_per_point_scalar_constants(model):
+    # the columns the amplitudes closure holds equal, bit for bit, the
+    # constants formed point by point; there a float's ** 2 is libm's pow,
+    # and x * x differs from it at about 1 in 1000 x: the couplings drawn
+    # are such x
+    rng = np.random.default_rng(36)
+    build, names = CAVITY_CONSTANTS[model]
+    for coupling in [c for c in rng.uniform(0, 3, 20_000).tolist() if c**2 != c * c][:3]:
+        detunings = (rng.uniform(-10, 10, 10_000) * np.logspace(-6, 6, 10_000)).tolist()
+        photons, alpha = int(rng.integers(0, 5)), rng.uniform(0, 1)
+        amplitudes = build(detunings, coupling, photons, alpha)
+        cells = dict(zip(amplitudes.__code__.co_freevars, amplitudes.__closure__))
+        got = np.concatenate([cells[name].cell_contents for name in names], axis=1)
+        expected = np.array([scalar_cavity_constants(model, d, coupling, photons, alpha)
+                             for d in detunings])
+        assert got.astype(complex).tobytes() == expected.astype(complex).tobytes()
 
 
 class TestReduceA:
