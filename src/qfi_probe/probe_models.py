@@ -4,174 +4,54 @@ Each *_kernel function works out the parameter-only constants of its K
 estimand points once, as (K, 1) columns, and returns a Kernel, whose one
 call gives the records of all K points at times[N] (the qubit block, or
 the X-state blocks of two qubits); scan_repro.MODELS maps each model to
-its kernel and the ScanConfig fields it reads. The five parameter
-classes repeat the ScanConfig checks and stay only for the benchmark tests
-(ROADMAP item 8). Time is dimensionless: coupling units for the cavity
-models (coupling defaults to 1), decay-rate units for the reservoir models.
+its kernel and the ScanConfig fields it reads; ScanConfig checks them, and
+the five *Params builders make one for the benchmark tests (ROADMAP item
+8). Time is dimensionless: coupling units for the cavity models (coupling
+defaults to 1), decay-rate units for the reservoir models.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import operator
-import sys
-from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-_HALF_PI = 0.5 * np.pi
 # times[N] -> a fresh (K, 4 P, N) array: the BlockState values at K points
 Kernel = Callable[[np.ndarray], np.ndarray]
-# the domain of each model parameter as (comparison, bound) pairs, checked
-# by scan_repro.ScanConfig (and the parameter classes); detuning takes any
-# finite value
-FIELD_DOMAINS = {
-    "alpha": ((">=", 0.0), ("<=", _HALF_PI)),
-    "coupling": ((">", 0.0),),
-    "photons": ((">=", 0),),
-    "mean_occupation": ((">=", 0.0),),
-    "gamma": ((">", 0.0),),
-    "squeezing": ((">=", 0.0),),
-    "freq_scale": ((">", 0.0),),
-}
-_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
-def require_finite(params) -> None:
-    """Reject a dataclass instance carrying a NaN, an infinity or an int past the doubles."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, numbers.Real) and not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{f.name} = {value} is not finite")
+def _config(model_id, **fields):
+    from .scan_repro import ScanConfig  # at call time: scan_repro imports this module
+    return ScanConfig(model_id, **fields)
 
 
-def require_domains(params) -> None:
-    """Reject a dataclass instance with a field outside its FIELD_DOMAINS
-    entry."""
-    for f in fields(params):
-        for comparison, bound in FIELD_DOMAINS.get(f.name, ()):
-            value = getattr(params, f.name)
-            if not _COMPARISONS[comparison](value, bound):
-                raise ValueError(f"{f.name} = {value!r} is not {comparison} {bound!r}")
+def FockParams(detuning, coupling=1.0, photons=0, alpha=0.0):
+    """The fock1 ScanConfig, with the benchmark tests' argument order and defaults."""
+    return _config("fock1", detuning=detuning, coupling=coupling, photons=photons, alpha=alpha)
 
 
-def require_count(name: str, value) -> None:
-    """Reject anything but a nonnegative integer (a bool is no count)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} = {value!r} is not an integer")
-    if value < 0:
-        raise ValueError(f"{name} = {value} is negative")
+def ThermalParams(mean_occupation, gamma=1.0, alpha=0.0):
+    """The thermal1 ScanConfig, with the benchmark tests' argument order and defaults."""
+    return _config("thermal1", mean_occupation=mean_occupation, gamma=gamma, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class FockParams:
-    """One qubit exchanging a single excitation with a photon-number cavity mode.
-    Kept only for the benchmark tests; ROADMAP item 8 deletes it.
-
-    Attributes:
-        detuning: qubit-cavity frequency difference.
-        coupling: exchange rate, > 0 (sets the time unit).
-        photons: cavity photon number, >= 0.
-        alpha: initial-state mixing angle in radians, [0, pi/2].
-    """
-
-    detuning: float
-    coupling: float = 1.0
-    photons: int = 0
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        require_finite(self)
-        require_count("photons", self.photons)
-        require_domains(self)
+def SqueezedParams(squeezing, gamma=1.0, alpha=0.0):
+    """The squeezed1 ScanConfig, with the benchmark tests' argument order and defaults."""
+    return _config("squeezed1", squeezing=squeezing, gamma=gamma, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class ThermalParams:
-    """One qubit immersed in a thermal reservoir.
-    Kept only for the benchmark tests; ROADMAP item 8 deletes it.
-
-    Attributes:
-        mean_occupation: mean boson number of the reservoir, >= 0.
-        gamma: qubit decay rate, > 0.
-        alpha: initial-state mixing angle in radians.
-    """
-
-    mean_occupation: float
-    gamma: float = 1.0
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        require_finite(self)
-        require_domains(self)
+def TwoQubitFockParams(detuning, coupling=1.0, alpha=math.pi / 4.0):
+    """The fock2 ScanConfig, with the benchmark tests' argument order and defaults."""
+    return _config("fock2", detuning=detuning, coupling=coupling, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class SqueezedParams:
-    """One qubit immersed in a squeezed vacuum reservoir (reference phase 0).
-    Kept only for the benchmark tests; ROADMAP item 8 deletes it.
-
-    Attributes:
-        squeezing: squeezing strength r, >= 0.
-        gamma: qubit decay rate, > 0.
-        alpha: initial-state mixing angle in radians.
-    """
-
-    squeezing: float
-    gamma: float = 1.0
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        require_finite(self)
-        require_domains(self)
-
-
-@dataclass(frozen=True)
-class TwoQubitFockParams:
-    """Two qubits sharing one excitation with an empty cavity mode.
-    Kept only for the benchmark tests; ROADMAP item 8 deletes it.
-
-    The closed form holds for zero cavity photons and no direct
-    qubit-qubit coupling; the initial qubit state is
-    cos(alpha)|eg> + sin(alpha)|ge>, a Bell state at alpha = pi/4.
-    """
-
-    detuning: float
-    coupling: float = 1.0
-    alpha: float = _HALF_PI / 2.0
-
-    def __post_init__(self):
-        require_finite(self)
-        require_domains(self)
-
-
-@dataclass(frozen=True)
-class TwoQubitReservoirParams:
-    """Two identical, uncoupled qubits, each coupled to its own reservoir
-    (squeezing at reference phase 0), starting in the Bell state
-    (|eg> + |ge>) / sqrt(2).
-    Kept only for the benchmark tests; ROADMAP item 8 deletes it.
-
-    Attributes:
-        kind: "thermal" or "squeezed".
-        strength: mean occupation (thermal) or squeezing strength (squeezed),
-            shared by both reservoirs.
-        gamma: common decay rate of both qubits.
-    """
-
-    kind: str
-    strength: float
-    gamma: float
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.kind not in ("thermal", "squeezed"):
-            raise ValueError(f"unsupported reservoir kind {self.kind!r}")
-        if self.strength < 0.0:
-            raise ValueError("reservoir strength must be nonnegative")
-        require_domains(self)
+def TwoQubitReservoirParams(kind, strength, gamma):
+    """The thermal2 or squeezed2 ScanConfig of kind "thermal" or "squeezed"."""
+    if kind not in ("thermal", "squeezed"):
+        raise ValueError(f"unsupported reservoir kind {kind!r}")
+    field = "mean_occupation" if kind == "thermal" else "squeezing"
+    return _config(kind + "2", **{field: strength}, gamma=gamma)
 
 
 def _reservoir_rates(kind, points, gamma) -> tuple[np.ndarray, ...]:

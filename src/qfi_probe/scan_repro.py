@@ -5,22 +5,16 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
+import operator
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .probe_models import (
-    FIELD_DOMAINS,
-    fock1_kernel,
-    fock2_kernel,
-    require_count,
-    require_domains,
-    require_finite,
-    reservoir_pair_kernel,
-    reservoir_qubit_kernel,
-)
+from .probe_models import fock1_kernel, fock2_kernel, reservoir_pair_kernel, reservoir_qubit_kernel
 from .qfi_engine import derivative, qfi_blocks, stencil_points
 from .qstate import QUBIT_BLOCKS, X_BLOCKS, BlockState, fidelity_bloch, reduced_bloch
 from .qstate import validate_blocks
@@ -43,6 +37,18 @@ MODELS = {
 }
 MODEL_IDS = tuple(MODELS)
 _MODEL_FIELDS = {name for _, names, _, _ in MODELS.values() for name in names}
+# the domain of each model parameter as (comparison, bound) pairs, checked
+# by ScanConfig; detuning takes any finite value
+FIELD_DOMAINS = {
+    "alpha": ((">=", 0.0), ("<=", 0.5 * math.pi)),
+    "coupling": ((">", 0.0),),
+    "photons": ((">=", 0),),
+    "mean_occupation": ((">=", 0.0),),
+    "gamma": ((">", 0.0),),
+    "squeezing": ((">=", 0.0),),
+    "freq_scale": ((">", 0.0),),
+}
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 # estimand: (its ScanConfig field, and the stencil floor: its ">=" bound or None)
 _ESTIMAND_FIELDS = {estimand: (name, dict(FIELD_DOMAINS.get(name, ())).get(">="))
                     for estimand, name in (("detuning", "detuning"), ("squeezing", "squeezing"),
@@ -86,6 +92,34 @@ def _typed_degrees(alpha: float) -> float:
     return degrees
 
 
+def require_finite(config) -> None:
+    """Reject a field, model_id aside, that is not a real number, or is a
+    NaN, an infinity or an int past the doubles."""
+    for f in fields(config)[1:]:
+        value = getattr(config, f.name)
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{f.name} = {value!r} is not a real number")
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{f.name} = {value} is not finite")
+
+
+def require_domains(config) -> None:
+    """Reject a field outside its FIELD_DOMAINS entry."""
+    for f in fields(config):
+        for comparison, bound in FIELD_DOMAINS.get(f.name, ()):
+            value = getattr(config, f.name)
+            if not _COMPARISONS[comparison](value, bound):
+                raise ValueError(f"{f.name} = {value!r} is not {comparison} {bound!r}")
+
+
+def require_count(name: str, value) -> None:
+    """Reject anything but a nonnegative integer (a bool is no count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    if value < 0:
+        raise ValueError(f"{name} = {value} is negative")
+
+
 class UnreadField(ValueError):
     """A model field set away from its default that the model does not read."""
 
@@ -99,11 +133,11 @@ class ScanConfig:
     """One sweep configuration.
 
     The time grid starts strictly after zero because the QFI of every
-    estimand vanishes at t = 0. Every number must be finite. alpha is
-    given in radians. The model fixes the estimand, and MODELS lists the
-    model fields it reads; a model field it does not read must keep its
-    default (UnreadField), and the metadata names only the fields read.
-    Every model field must lie in its probe_models.FIELD_DOMAINS entry.
+    estimand vanishes at t = 0. Every field but model_id must be a finite
+    real number. alpha is given in radians. The model fixes the estimand,
+    and MODELS lists the model fields it reads; a model field it does not
+    read must keep its default (UnreadField), and the metadata names only
+    the fields read. Every model field must lie in its FIELD_DOMAINS entry.
     """
 
     model_id: str

@@ -18,7 +18,6 @@ from helpers import (
     states,
 )
 from qfi_probe.probe_models import (
-    FIELD_DOMAINS,
     FockParams,
     SqueezedParams,
     ThermalParams,
@@ -28,7 +27,7 @@ from qfi_probe.probe_models import (
     _fock2_amplitudes,
     _reservoir_rates,
 )
-from qfi_probe.scan_repro import _ESTIMAND_FIELDS, MODEL_IDS, ScanConfig
+from qfi_probe.scan_repro import _ESTIMAND_FIELDS, FIELD_DOMAINS, MODEL_IDS, ScanConfig
 from symbolic import exact
 
 
@@ -153,6 +152,27 @@ class TestReservoirPair:
 
         assert lindblad.__all__ == ["TwoQubitReservoirParams"]
         assert lindblad.TwoQubitReservoirParams is TwoQubitReservoirParams
+
+
+@pytest.mark.parametrize("builder, args, model, fields", [
+    (FockParams, (0.7, 1.2, 2, 0.3), "fock1", dict(detuning=0.7, coupling=1.2, photons=2,
+                                                    alpha=0.3)),
+    (FockParams, (0.7,), "fock1", dict(detuning=0.7, alpha=0.0)),
+    (ThermalParams, (0.3, 1.2, 0.4), "thermal1", dict(mean_occupation=0.3, gamma=1.2, alpha=0.4)),
+    (ThermalParams, (0.3,), "thermal1", dict(mean_occupation=0.3, alpha=0.0)),
+    (SqueezedParams, (0.3, 1.2, 0.4), "squeezed1", dict(squeezing=0.3, gamma=1.2, alpha=0.4)),
+    (SqueezedParams, (0.3,), "squeezed1", dict(squeezing=0.3, alpha=0.0)),
+    (TwoQubitFockParams, (0.7, 1.2), "fock2", dict(detuning=0.7, coupling=1.2)),
+    (TwoQubitFockParams, (0.7, 1.2, 0.3), "fock2", dict(detuning=0.7, coupling=1.2, alpha=0.3)),
+    (TwoQubitReservoirParams, ("thermal", 0.3, 1.2), "thermal2",
+     dict(mean_occupation=0.3, gamma=1.2)),
+    (TwoQubitReservoirParams, ("squeezed", 0.3, 1.2), "squeezed2", dict(squeezing=0.3, gamma=1.2)),
+])
+def test_builders_return_the_scan_config(builder, args, model, fields):
+    # the benchmark tests call the builders positionally; the one-qubit
+    # builders keep the old classes' alpha default of 0, where ScanConfig
+    # defaults to pi / 4
+    assert builder(*args) == ScanConfig(model, **fields)
 
 
 @pytest.mark.parametrize("bad", [2.5, 0.5, True, 0.0])

@@ -91,26 +91,49 @@ class TestDerivativeStencil:
             np.testing.assert_allclose(stack[k], pointwise, atol=1e-14)
 
 
-class TestQfiBlocks:
-    def test_zero_derivative(self):
-        rho = validate_blocks(record(np.diag([0.3, 0.7])))
-        result = qfi_blocks(rho, record(np.zeros((2, 2))))
-        assert result.value == 0.0
-        assert result.floored == 0
+def block_form(rho, drho):
+    """(value, floored rows) of the block QFI of dense matrices."""
+    result = qfi_blocks(record(rho), record(drho))
+    return result.value, result.floored
 
-    def test_classical_binomial_family(self):
-        rho = record(np.eye(2) / 2)
-        drho = record(np.diag([1.0, -1.0]))
-        assert qfi_blocks(rho, drho).value == pytest.approx(4.0, abs=1e-12)
 
-    def test_thermal_steady_state_benchmark(self):
+def spectral_form(rho, drho):
+    """(value, discarded pairs) of the eigendecomposition oracle."""
+    result = qfi_spectral(rho, drho)
+    return result.value, result.discarded_pairs
+
+
+@pytest.mark.parametrize("form", [block_form, spectral_form], ids=["blocks", "spectral"])
+class TestQfiForms:
+    """The block QFI and the eigendecomposition oracle in tests/helpers, on
+    the same inputs."""
+
+    def test_zero_derivative(self, form):
+        value, left_out = form(np.diag([0.3, 0.7]), np.zeros((2, 2)))
+        assert value == 0.0
+        assert left_out == 0
+
+    def test_classical_binomial_family(self, form):
+        # rho = diag(phi, 1 - phi) at phi = 1/2 gives F = 1 / (phi (1 - phi))
+        value, _ = form(np.eye(2) / 2, np.diag([1.0, -1.0]))
+        assert value == pytest.approx(4.0, abs=1e-12)
+
+    def test_thermal_steady_state_benchmark(self, form):
         m = 0.1
         width = 2.0 * m + 1.0
-        rho = record(np.diag([m / width, (m + 1.0) / width]))
-        drho = record(np.diag([1.0 / width**2, -1.0 / width**2]))
-        result = qfi_blocks(rho, drho)
-        assert result.value == pytest.approx(1.0 / (width**2 * m * (m + 1.0)), rel=1e-12)
+        rho = np.diag([m / width, (m + 1.0) / width])
+        drho = np.diag([1.0 / width**2, -1.0 / width**2])
+        value, _ = form(rho, drho)
+        assert value == pytest.approx(1.0 / (width**2 * m * (m + 1.0)), rel=1e-12)
+        assert value == pytest.approx(6.3131, abs=1e-3)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 2, 2)], ids=["two_qubit", "stack"])
+    def test_dimension_mismatch(self, form, shape):
+        with pytest.raises(ValueError, match="does not match"):
+            form(np.eye(2) / 2, np.zeros(shape))
+
+
+class TestQfiBlocks:
     def test_floored_counts_block_rows(self):
         # a block row is floored when its determinant term is left out:
         # |e> is one pure block; fock2 at t = 0 has a pure {|eg>, |ge>} block
@@ -137,13 +160,6 @@ class TestQfiBlocks:
         result = qfi_blocks(validate_blocks(rho), drho)
         assert result.value == qfi_blocks(rest, drest).value
         assert result.floored == 1
-
-    def test_dimension_mismatch(self):
-        rho = record(np.eye(2) / 2)
-        with pytest.raises(ValueError, match="does not match"):
-            qfi_blocks(rho, record(np.zeros((4, 4))))
-        with pytest.raises(ValueError, match="does not match"):
-            qfi_blocks(rho, record(np.zeros((3, 2, 2))))
 
     def test_derivative_outside_blocks_rejected(self):
         # a derivative with an {|ee>, |eg>} coherence lies outside the
@@ -188,37 +204,10 @@ class TestQfiBlocks:
 class TestQfiSpectral:
     """The eigendecomposition oracle in tests/helpers."""
 
-    def test_zero_derivative(self):
-        rho = np.diag([0.3, 0.7])
-        result = qfi_spectral(rho, np.zeros((2, 2), dtype=complex))
-        assert result.value == 0.0
-        assert result.discarded_pairs == 0
-
-    def test_classical_binomial_family(self):
-        # rho = diag(phi, 1 - phi) at phi = 1/2 gives F = 1 / (phi (1 - phi))
-        rho = np.eye(2) / 2
-        drho = np.diag([1.0, -1.0]).astype(complex)
-        assert qfi_spectral(rho, drho).value == pytest.approx(4.0, abs=1e-12)
-
-    def test_thermal_steady_state_benchmark(self):
-        m = 0.1
-        width = 2.0 * m + 1.0
-        rho = np.diag([m / width, (m + 1.0) / width])
-        drho = np.diag([1.0 / width**2, -1.0 / width**2]).astype(complex)
-        expected = 1.0 / (width**2 * m * (m + 1.0))
-        result = qfi_spectral(rho, drho)
-        assert result.value == pytest.approx(expected, rel=1e-12)
-        assert result.value == pytest.approx(6.3131, abs=1e-3)
-
     def test_discarded_pairs_counted_for_pure_state(self):
         rho = np.diag([1.0, 0.0])
         result = qfi_spectral(rho, np.zeros((2, 2), dtype=complex))
         assert result.discarded_pairs == 1
-
-    def test_dimension_mismatch(self):
-        rho = np.eye(2) / 2
-        with pytest.raises(ValueError, match="does not match"):
-            qfi_spectral(rho, np.zeros((4, 4), dtype=complex))
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(61)

@@ -4,6 +4,7 @@ in the acceptance suite."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -14,9 +15,10 @@ import pytest
 
 from helpers import backflow_intervals_loop, golden_section_max, nominal, states
 from qfi_probe import cli, probe_models, scan_repro
-from qfi_probe.probe_models import FIELD_DOMAINS, fock2_kernel
+from qfi_probe.probe_models import fock2_kernel
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
+    FIELD_DOMAINS,
     FIGURE_TAGS,
     FLAT,
     MODEL_IDS,
@@ -123,6 +125,15 @@ class TestScanConfig:
         # photons=2.5 used to scan fock1 and write photons=2.5 to the CSV
         with pytest.raises(ValueError, match="not an integer"):
             ScanConfig("fock1", photons=bad)
+
+    @pytest.mark.parametrize("name", ["t_max", "points", "alpha", "detuning", "gamma"])
+    @pytest.mark.parametrize("bad", ["5", None, 1 + 0j])
+    def test_non_numbers_rejected_at_construction(self, name, bad):
+        # a string, None or a complex number used to construct a config that
+        # point_qfi then failed on, or failed a comparison with a TypeError
+        model = "thermal1" if name == "gamma" else "fock1"
+        with pytest.raises(ValueError, match=re.escape(f"{name} = {bad!r} is not a real number")):
+            ScanConfig(model, **{name: bad})
 
     def test_numpy_integer_photons_accepted(self):
         dataset = scan(ScanConfig("fock1", photons=np.int64(2), points=5))
@@ -766,16 +777,16 @@ def test_no_eigensolver_in_the_hot_path(model, monkeypatch):
 
 @pytest.fixture
 def no_parameter_classes(monkeypatch):
-    # ScanConfig validates every field once; the five parameter classes of
+    # ScanConfig validates every field once; the five *Params builders of
     # probe_models stay only for the benchmark tests, and no library path
-    # may build one
-    def refuse(self):
-        raise AssertionError(f"{type(self).__name__} was constructed")
+    # may call one
+    def refuse(*args, **kwargs):
+        raise AssertionError("a *Params builder was called")
 
     for name in ("FockParams", "ThermalParams", "SqueezedParams", "TwoQubitFockParams",
                  "TwoQubitReservoirParams"):
-        monkeypatch.setattr(getattr(probe_models, name), "__post_init__", refuse)
-    with pytest.raises(AssertionError, match="FockParams"):
+        monkeypatch.setattr(probe_models, name, refuse)
+    with pytest.raises(AssertionError, match="builder was called"):
         probe_models.FockParams(5.0)
 
 
