@@ -200,7 +200,7 @@ def _handle_point(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="qfi-probe",
         description="QFI and fidelity scans for qubit probes of cavity and reservoir parameters",
@@ -225,14 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
         point_p = sub.add_parser(name, help=f"single-point {text} evaluation")
         _add_model_flags(point_p)
         point_p.add_argument("--t", type=float, required=True)
-        point_p.set_defaults(handler=_handle_point)
+        point_p.set_defaults(handler=_handle_point, command=name)
 
-    return parser
+    return parser, sub.choices
 
 
-# one parser per process, built on the first run, not at import; it holds
-# only private handlers, so _handle_point finds the point functions per call
-_parser = functools.cache(build_parser)
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+# one parser per process, built on the first run, not at import; it holds no library function
+_parser = functools.cache(_build)
 
 
 def run(argv=None) -> int:
@@ -241,8 +244,13 @@ def run(argv=None) -> int:
     Unknown flags or invalid parameters exit 2 with a one-line diagnostic
     on stderr; I/O failures exit 1.
     """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser, commands = _parser()
     try:
-        args = _parser().parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        args, extra = command.parse_known_args(argv[1:]) if command else (None, None)
+        if command is None or extra:  # the top-level parser gives the message
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

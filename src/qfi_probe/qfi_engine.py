@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import BlockState, _diagonal_rows, validate_blocks
+from .qstate import BlockState, validate_blocks
 
 EIGENSUM_FLOOR = 1e-12
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
@@ -55,7 +55,7 @@ def derivative(support, taps: np.ndarray, weights, scale: float) -> BlockState:
     order. The divisions by the trace and by 2 h are multiplications by the
     reciprocal, in place on the taps.
     """
-    taps *= (1.0 / taps[:, _diagonal_rows(support)].sum(axis=1))[:, None]
+    taps *= (1.0 / BlockState(support, taps).trace())[:, None]
     taps *= np.array(weights)[:, None, None]
     diff = taps.sum(axis=0, initial=-0.0)  # -0.0 + x is x, also for x = -0.0
     diff *= scale

@@ -83,11 +83,11 @@ class BlockState:
         return self.values.reshape(4, len(self.support), -1)
 
     def trace(self) -> np.ndarray:
-        """The trace of each state, summed in basis order."""
+        """The trace of each state (or stacked record), summed in basis order."""
         values, rows = self.values, _diagonal_rows(self.support)
-        total = values[rows[0]] + values[rows[1]]
+        total = values[..., rows[0], :] + values[..., rows[1], :]
         for row in rows[2:]:
-            total += values[row]
+            total += values[..., row, :]
         return total
 
 
@@ -167,10 +167,10 @@ def fidelity_bloch(a0: BlochVector, a1: BlochVector) -> np.ndarray:
     """
     norms = [vec.dot(vec) for vec in (a0, a1)]
     for norm_sq in norms:
-        if not np.all(norm_sq <= 1.0 + 1e-10):
+        if not np.less_equal(norm_sq, 1.0 + 1e-10).all():
             raise ValueError(f"Bloch vector norm^2 = {np.max(norm_sq):.12f} exceeds 1")
     radicand = (1.0 - norms[0]) * (1.0 - norms[1])
-    if not np.all(radicand >= -1e-12):
+    if not np.greater_equal(radicand, -1e-12).all():
         raise ValueError(f"radicand {np.min(radicand):.3e} below -1e-12; inputs invalid")
     value = 0.5 * (1.0 + a0.dot(a1) + np.sqrt(np.maximum(radicand, 0.0)))
-    return np.clip(value, 0.0, 1.0)
+    return np.minimum(np.maximum(value, 0.0), 1.0)

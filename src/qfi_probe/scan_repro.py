@@ -74,6 +74,7 @@ if _mallopt is not None:
 # 500 times the 2000-point figure grid; a larger count is rejected before
 # the grid is allocated.
 MAX_POINTS = 1_000_000
+_DBL_MAX = np.float64(sys.float_info.max)  # np.float32 compares with it in double precision
 
 
 def _fmt(x: float) -> str:
@@ -95,21 +96,22 @@ def _typed_degrees(alpha: float) -> float:
 def require_finite(config) -> None:
     """Reject a field, model_id aside, that is not a real number, or is a
     NaN, an infinity or an int past the doubles."""
-    for f in fields(config)[1:]:
+    for f in _FIELDS[1:]:
         value = getattr(config, f.name)
-        if not isinstance(value, numbers.Real):
+        # float and int are tested in C before the ABC, with its verdict
+        if not isinstance(value, (float, int, numbers.Real)):
             raise ValueError(f"{f.name} = {value!r} is not a real number")
-        if not abs(value) <= sys.float_info.max:
+        if not abs(value) <= (sys.float_info.max if isinstance(value, (float, int)) else _DBL_MAX):
             raise ValueError(f"{f.name} = {value} is not finite")
 
 
 def require_domains(config) -> None:
     """Reject a field outside its FIELD_DOMAINS entry."""
-    for f in fields(config):
-        for comparison, bound in FIELD_DOMAINS.get(f.name, ()):
-            value = getattr(config, f.name)
+    for name, domain in FIELD_DOMAINS.items():
+        value = getattr(config, name)
+        for comparison, bound in domain:
             if not _COMPARISONS[comparison](value, bound):
-                raise ValueError(f"{f.name} = {value!r} is not {comparison} {bound!r}")
+                raise ValueError(f"{name} = {value!r} is not {comparison} {bound!r}")
 
 
 def require_count(name: str, value) -> None:
@@ -157,10 +159,9 @@ class ScanConfig:
         if self.model_id not in MODELS:
             raise ValueError(f"unknown model {self.model_id!r}")
         require_finite(self)
-        unread = _MODEL_FIELDS.difference(MODELS[self.model_id][1])
-        for f in fields(self):
-            if f.name in unread and getattr(self, f.name) != f.default:
-                raise UnreadField(self.model_id, f.name)
+        for name, default in _UNREAD[self.model_id]:
+            if getattr(self, name) != default:
+                raise UnreadField(self.model_id, name)
         if self.t_min <= 0.0:
             raise ValueError("t_min must be positive (QFI vanishes at t = 0)")
         if self.t_max <= self.t_min:
@@ -176,6 +177,12 @@ class ScanConfig:
     @property
     def estimand(self) -> str:
         return MODELS[self.model_id][0]
+
+
+# per model, the (name, default) of each model field it does not read, in field order
+_FIELDS = fields(ScanConfig)
+_UNREAD = {model: tuple((f.name, f.default) for f in _FIELDS if f.name in _MODEL_FIELDS
+                        and f.name not in read) for model, (_, read, _, _) in MODELS.items()}
 
 
 @dataclass(frozen=True)

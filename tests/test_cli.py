@@ -1,5 +1,6 @@
 """Tests for the command-line interface and CSV serialization."""
 
+import argparse
 import contextlib
 import decimal
 import io
@@ -518,6 +519,39 @@ class TestParserReuse:
         assert (run(argv), *capsys.readouterr()) == expected
         assert run(self.VALID) == 0
         assert capsys.readouterr() == first
+
+    @pytest.mark.parametrize("argv", [
+        ["qfi", "--", "--model", "fock1", "--t", "1"],
+        ["qfi", "--model", "fock1", "--t", "1", "--"],
+        ["qfi", "--mod", "fock1", "--t", "1"],
+        ["fidelity", "--model", "thermal1", "--t", "1", "--t", "2"],
+        ["qfi", "--model", "fock2", "--t", "1", "-h"],
+        ["qfi", "--model", "fock1", "--t", "x"],
+        ["fidelity", "--model", "fock3", "--t", "1"],
+        ["qfi", "--model", "fock1"],
+        ["fidelity", "--t", "1"],
+        ["scan", "--model", "fock1", "--points", "2", "stray"],
+        ["figure", "--tag", "1a", "--out", "{tmp}/f.csv", "stray"],
+    ], ids=["dashes-first", "dashes-last", "abbreviated-flag", "repeated-flag", "help-last",
+            "bad-float", "bad-model", "missing-t", "missing-model", "scan-stray",
+            "figure-stray"])
+    def test_one_pass_answers_as_the_top_level_parser(self, capsys, monkeypatch, tmp_path,
+                                                      argv):
+        # exit code, stdout and stderr of the one-pass parse are those of
+        # the top-level parser, which run uses when argv names no command
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        one_pass = (run(argv), *capsys.readouterr())
+        monkeypatch.setattr(cli, "_parser", lambda: (build_parser(), {}))
+        assert (run(argv), *capsys.readouterr()) == one_pass
+        assert not any(tmp_path.iterdir())
+
+    def test_a_point_query_is_parsed_once(self, capsys, monkeypatch):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *args: calls.append(self.prog) or parse(self, *args))
+        assert run(self.VALID) == 0
+        assert calls == ["qfi-probe qfi"]
 
     def test_run_reads_sys_argv_and_entrypoint_exits_with_its_code(self, capsys, monkeypatch):
         assert run(self.VALID) == 0

@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 from dataclasses import fields, replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from qfi_probe.scan_repro import (
     ZOOM_POINTS,
     ScanConfig,
     ScanDataset,
+    UnreadField,
     backflow_intervals,
     discrepancy_report,
     find_max,
@@ -127,13 +130,29 @@ class TestScanConfig:
             ScanConfig("fock1", photons=bad)
 
     @pytest.mark.parametrize("name", ["t_max", "points", "alpha", "detuning", "gamma"])
-    @pytest.mark.parametrize("bad", ["5", None, 1 + 0j])
+    @pytest.mark.parametrize("bad", ["5", None, 1 + 0j, Decimal("1")])
     def test_non_numbers_rejected_at_construction(self, name, bad):
         # a string, None or a complex number used to construct a config that
         # point_qfi then failed on, or failed a comparison with a TypeError
         model = "thermal1" if name == "gamma" else "fock1"
         with pytest.raises(ValueError, match=re.escape(f"{name} = {bad!r} is not a real number")):
             ScanConfig(model, **{name: bad})
+
+    @pytest.mark.parametrize("model, name, value", [
+        ("fock1", "detuning", np.float64(5)), ("thermal1", "gamma", np.float32(2)),
+        ("fock1", "coupling", np.int64(2)), ("fock1", "alpha", Fraction(1, 2)),
+        ("thermal1", "mean_occupation", Fraction(1, 2)), ("fock1", "coupling", True)])
+    def test_real_number_types_accepted(self, model, name, value):
+        # numpy scalars, fractions and bools are numbers.Real, as int and float are
+        assert getattr(ScanConfig(model, **{name: value}), name) is value
+
+    @pytest.mark.parametrize("model, given, first", [
+        ("fock1", {"squeezing": 1, "gamma": 2}, "gamma"),
+        ("squeezed2", {"freq_scale": 2, "alpha": 1}, "alpha")])
+    def test_unread_field_named_in_field_order(self, model, given, first):
+        with pytest.raises(UnreadField) as error:
+            ScanConfig(model, **given)
+        assert error.value.name == first
 
     def test_numpy_integer_photons_accepted(self):
         dataset = scan(ScanConfig("fock1", photons=np.int64(2), points=5))
@@ -154,7 +173,7 @@ class TestScanConfig:
         "field", ["t_min", "t_max", "alpha", "detuning", "coupling",
                   "mean_occupation", "gamma", "squeezing", "freq_scale"],
     )
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, np.float32(np.inf)])
     def test_nonfinite_field_rejected(self, field, bad):
         with pytest.raises(ValueError, match="not finite"):
             ScanConfig("thermal1", points=3, **{field: bad})
