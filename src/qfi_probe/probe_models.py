@@ -60,21 +60,24 @@ def _reservoir_rates(kind, points, gamma) -> tuple[np.ndarray, ...]:
     population relaxes toward steady = N/(2N + 1) at pop_rate =
     gamma (2N + 1), and x_rate and y_rate are twice the sigma_x and sigma_y
     Bloch decay rates, 2 gamma (N +- M + 1/2). A thermal reservoir has
-    N = m and M = 0. A squeezed vacuum has N = sinh^2(r), M = cosh(r)
-    sinh(r) and the exact rates gamma exp(+-2r); N - M + 1/2 itself loses
-    every digit to cancellation at large r. ValueError naming the first
-    point where a rate overflows."""
+    N = m and M = 0, so its three rates are one array. A squeezed vacuum
+    has N = sinh^2(r), M = cosh(r) sinh(r) and the exact rates
+    gamma exp(+-2r); N - M + 1/2 itself loses every digit to cancellation
+    at large r. ValueError naming the first point where a rate overflows,
+    or, for a thermal reservoir, where 2 gamma does."""
     strength, gamma = np.array(points, dtype=float)[:, None], float(gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "thermal":
+        if kind == "thermal":  # 2 gamma (m + 1/2) rounds as gamma (2m + 1): doubling is exact
             occupation, name = strength, "mean_occupation"
-            x_rate = y_rate = 2.0 * gamma * (strength + 0.5)
+            pop_rate = x_rate = y_rate = gamma * (2.0 * strength + 1.0)
+            finite = np.isfinite(pop_rate) & math.isfinite(2.0 * gamma)  # as 2 gamma (m + 1/2) was
         else:  # float_power squares by libm's pow, as Python floats do; x * x moves last bits
             occupation, name = np.float_power(np.sinh(strength), 2), "squeezing"
+            pop_rate = gamma * (2.0 * occupation + 1.0)
             x_rate, y_rate = gamma * np.exp(2.0 * strength), gamma * np.exp(-2.0 * strength)
-        pop_rate = gamma * (2.0 * occupation + 1.0)
+            finite = np.isfinite(pop_rate) & np.isfinite(x_rate) & np.isfinite(y_rate)
         steady = occupation / (2.0 * occupation + 1.0)
-    if not (finite := np.isfinite(pop_rate) & np.isfinite(x_rate) & np.isfinite(y_rate)).all():
+    if not finite.all():
         raise ValueError(f"{name} = {float(strength[~finite][0])!r} at gamma = {gamma!r}"
                          " overflows the decay rate")
     return steady, pop_rate, x_rate, y_rate
@@ -118,8 +121,9 @@ def fock1_kernel(points, coupling, photons, alpha) -> Kernel:
     amplitudes = _fock1_amplitudes(points, coupling, photons, alpha)
 
     def states(times):
-        values = np.zeros((len(points), 4, len(times)))
+        values = np.empty((len(points), 4, len(times)))
         values[:, 0], values[:, 1] = (np.abs(b) ** 2 for b in amplitudes(times))
+        values[:, 2:] = 0.0
         return values
 
     return states
@@ -134,11 +138,11 @@ def reservoir_qubit_kernel(kind, points, gamma, alpha) -> Kernel:
     excess, coherence = np.cos(alpha) ** 2 - steady, np.cos(alpha) * np.sin(alpha)
 
     def states(times):
-        values = np.zeros((len(points), 4, len(times)))
+        values = np.empty((len(points), 4, len(times)))
         with np.errstate(over="ignore"):  # rate * t past the double range: exp(-inf) = 0
             values[:, 0] = steady + excess * np.exp(pop_decay * times)
             values[:, 2] = coherence * np.exp(coherence_decay * times)
-        values[:, 1] = 1.0 - values[:, 0]
+        values[:, 1], values[:, 3] = 1.0 - values[:, 0], 0.0
         return values
 
     return states
@@ -176,9 +180,10 @@ def fock2_kernel(points, coupling, alpha) -> Kernel:
     def states(times):
         c_eg, c_ge, c_gg = amplitudes(times)
         coherence = np.multiply(c_eg, np.conj(c_ge))
-        values = np.zeros((len(points), 8, len(times)))
+        values = np.empty((len(points), 8, len(times)))
         values[:, 0], values[:, 2], values[:, 3] = (np.abs(c) ** 2 for c in (c_eg, c_ge, c_gg))
         values[:, 4], values[:, 6] = coherence.real, coherence.imag
+        values[:, 1] = values[:, 5] = values[:, 7] = 0.0  # |ee> and its coherence are empty
         return values
 
     return states
@@ -195,15 +200,17 @@ def reservoir_pair_kernel(kind, points, gamma) -> Kernel:
     the |eg><ge| and |ee><gg| coherences.
     """
     steady, pop_rate, x_rate, y_rate = _reservoir_rates(kind, points, gamma)
-    pop_decay, excited = -pop_rate, 1.0 - steady
+    excited = 1.0 - steady
 
     def states(times):
         with np.errstate(over="ignore"):  # rate * t past the double range: exp(-inf) = 0
-            pop_env = np.exp(pop_decay * times)
-            x_decay, y_decay = np.exp(-x_rate * times), np.exp(-y_rate * times)
+            pop_env = np.exp(-pop_rate * times)  # one exponential per distinct rate array
+            x_decay = pop_env if x_rate is pop_rate else np.exp(-x_rate * times)
+            y_decay = x_decay if y_rate is x_rate else np.exp(-y_rate * times)
         up_from_e, up_from_g = steady + excited * pop_env, steady * (1.0 - pop_env)
         down_from_e, down_from_g = 1.0 - up_from_e, 1.0 - up_from_g
-        values = np.zeros((len(points), 8, len(times)))
+        values = np.empty((len(points), 8, len(times)))
+        values[:, 6:] = 0.0  # both coherences are real
         values[:, 0] = values[:, 2] = 0.5 * (up_from_e * down_from_g + up_from_g * down_from_e)
         values[:, 1], values[:, 3] = up_from_e * up_from_g, down_from_e * down_from_g
         values[:, 4], values[:, 5] = 0.25 * (x_decay + y_decay), 0.25 * (x_decay - y_decay)

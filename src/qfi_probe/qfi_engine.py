@@ -51,13 +51,18 @@ def derivative(support, taps: np.ndarray, weights, scale: float) -> BlockState:
     stencil_points.
 
     Each tap record is divided by its trace, summed in basis order, which
-    keeps the result traceless; then the taps are weighted and summed in
-    order. The divisions by the trace and by 2 h are multiplications by the
-    reciprocal, in place on the taps.
+    keeps the result traceless; then the taps are weighted and combined
+    left to right, with x 1.0 = x and x + (-1) y = x - y written out. The
+    divisions by the trace and by 2 h are multiplications by the
+    reciprocal, all in place on the taps.
     """
     taps *= (1.0 / BlockState(support, taps).trace())[:, None]
-    taps *= np.array(weights)[:, None, None]
-    diff = taps.sum(axis=0, initial=-0.0)  # -0.0 + x is x, also for x = -0.0
+    diff = taps[0] if weights[0] == 1.0 else np.multiply(taps[0], weights[0], out=taps[0])
+    for tap, weight in zip(taps[1:], weights[1:]):
+        if weight == -1.0:
+            diff -= tap
+        else:
+            diff += np.multiply(tap, weight, out=tap)
     diff *= scale
     return BlockState(support, diff)
 

@@ -118,9 +118,8 @@ def validate_blocks(state: BlockState) -> BlockState:
     a, b, re, im = state.pairs()
     weight = a + b
     det = a * b - (re * re + im * im)
-    bad = ~((weight >= 0.0) & (det >= 0.0))
-    if bad.any():
-        a, b, re, im, w, d = (row[bad] for row in (a, b, re, im, weight, det))
+    if not (ok := np.minimum(weight, det) >= 0.0).all():  # np.minimum passes a NaN on
+        a, b, re, im, w, d = (row[~ok] for row in (a, b, re, im, weight, det))
         upper = 0.5 * (w + np.sqrt((a - b) ** 2 + (2.0 * re) ** 2 + (2.0 * im) ** 2))
         lower = np.divide(d, upper, out=w - upper, where=upper > 0.0)
         smallest = float(lower.min())

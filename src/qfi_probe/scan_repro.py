@@ -241,7 +241,8 @@ def _evaluator(config: ScanConfig):
     times is one kernel call: the states in record[0], the stencil taps in
     record[1:]. A fidelity evaluation puts t = 0 in row 0 of its first block
     for the reference, and nothing is kept between calls. Rows are
-    independent, so blocks of BLOCK_BYTES leave every value unchanged."""
+    independent, so blocks of BLOCK_BYTES, each written into its slice of
+    one output array per quantity, leave every value unchanged."""
     estimand, _, support, model_kernel = MODELS[config.model_id]
     name, floor = _ESTIMAND_FIELDS[estimand]
     chain = _chain_factor(config)
@@ -255,19 +256,19 @@ def _evaluator(config: ScanConfig):
             raise ValueError("times must be finite and nonnegative")
         skip = int(fidelity)
         times = np.concatenate((np.zeros(skip), times)) if skip else times
-        qfi_parts, fidelity_parts = [], []
+        qfi_out = np.empty(times.size) if qfi else None
+        fidelity_out = np.empty(times.size) if fidelity else None
         for k in range(0, times.size, rows):
             record = kernel(times[k:k + rows])
             states = validate_blocks(BlockState(support, record[0]))
             if qfi:
                 value = qfi_blocks(states, derivative(support, record[1:], weights, scale)).value
-                qfi_parts.append(value * chain)
+                np.multiply(value, chain, out=qfi_out[k:k + rows])
             if fidelity:
                 if k == 0:
                     reference = reduced_bloch(BlockState(support, states.values[:, :1]))
-                fidelity_parts.append(fidelity_bloch(reference, reduced_bloch(states)))
-        return (np.concatenate(qfi_parts)[skip:] if qfi else None,
-                np.concatenate(fidelity_parts)[skip:] if fidelity else None)
+                fidelity_out[k:k + rows] = fidelity_bloch(reference, reduced_bloch(states))
+        return (qfi_out[skip:] if qfi else None, fidelity_out[skip:] if fidelity else None)
 
     return evaluate
 
@@ -363,12 +364,12 @@ def backflow_intervals(dataset: ScanDataset) -> list[tuple[float, float]]:
     run of rising steps counts when the last nonflat step before it falls;
     it ends at the point where the rise stops.
     """
-    diffs = np.diff(dataset.qfi)
+    diffs = dataset.qfi[1:] - dataset.qfi[:-1]
     floor = FLAT * float(np.abs(dataset.qfi).max(initial=0.0))
     rising = diffs > floor
     falling = diffs < -floor
-    starts = np.flatnonzero(rising & ~np.concatenate(([False], rising[:-1])))
-    ends = np.flatnonzero(rising & ~np.concatenate((rising[1:], [False]))) + 1
+    padded = np.concatenate(([False], rising, [False]))  # changes where a run starts and ends
+    starts, ends = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).T
     nonflat = np.flatnonzero(rising | falling)
     before = np.searchsorted(nonflat, starts) - 1
     counted = (before >= 0) & falling[nonflat[np.maximum(before, 0)]]

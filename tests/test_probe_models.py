@@ -13,10 +13,12 @@ from helpers import (
     dense,
     fock1_amplitudes,
     fock2_amplitudes,
+    nominal,
     reduce_A,
     state_at,
     states,
 )
+from qfi_probe import probe_models
 from qfi_probe.probe_models import (
     FockParams,
     SqueezedParams,
@@ -27,7 +29,8 @@ from qfi_probe.probe_models import (
     _fock2_amplitudes,
     _reservoir_rates,
 )
-from qfi_probe.scan_repro import _ESTIMAND_FIELDS, FIELD_DOMAINS, MODEL_IDS, ScanConfig
+from qfi_probe.qfi_engine import stencil_points
+from qfi_probe.scan_repro import _ESTIMAND_FIELDS, FIELD_DOMAINS, MODEL_IDS, MODELS, ScanConfig
 from symbolic import exact
 
 
@@ -229,6 +232,31 @@ def test_reservoir_rates_equal_the_per_point_scalar_rates(kind, top):
     assert got.tobytes() == expected.tobytes()
 
 
+def test_thermal_reservoir_has_one_rate_array():
+    # gamma (2m + 1) and 2 gamma (m + 1/2) round to one double: doubling is
+    # exact and commutes with rounding
+    strengths, gamma = np.logspace(-8, 6, 20_000).tolist(), float(np.pi / 3)
+    _, pop_rate, x_rate, y_rate = _reservoir_rates("thermal", strengths, gamma)
+    assert pop_rate is x_rate is y_rate
+    for rates in ([2.0 * gamma * (m + 0.5) for m in strengths],
+                  [gamma * (2.0 * m + 1.0) for m in strengths]):
+        assert pop_rate.tobytes() == np.array(rates).tobytes()
+
+
+@pytest.mark.parametrize("points, gamma, named", [
+    # 2 gamma overflows, though every gamma (2m + 1) fits in a double
+    ((0.1, 0.0), np.nextafter(np.finfo(float).max / 2, np.inf), 0.1),
+    # 2m + 1 overflows, though 2 gamma (m + 1/2) fits
+    ((0.1, np.finfo(float).max), 0.5, np.finfo(float).max),
+])
+def test_thermal_rate_overflow_verdicts(points, gamma, named):
+    # the verdicts of the separate rates 2 gamma (m + 1/2) and gamma (2m + 1)
+    with pytest.raises(ValueError) as raised:
+        _reservoir_rates("thermal", points, gamma)
+    assert str(raised.value) == (f"mean_occupation = {float(named)!r} at gamma = {float(gamma)!r}"
+                                 " overflows the decay rate")
+
+
 def scalar_cavity_constants(model, detuning, coupling, photons, alpha):
     """The constants of one point in Python scalars, in the order of
     CAVITY_CONSTANTS: the reference for the cavity kernels' columns."""
@@ -287,6 +315,32 @@ class TestReduceA:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             reduce_A(np.eye(2, dtype=complex) / 2)
+
+
+class _NanEmpty:
+    """numpy, with np.empty filling its arrays with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape):
+        return np.full(shape, np.nan)
+
+
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_kernels_write_every_row(model, monkeypatch):
+    # the kernels allocate with np.empty and zero only their empty rows, so
+    # a NaN-filled allocation must give the same record
+    config, kernel = ScanConfig(model), MODELS[model][3]
+    times, value = np.linspace(0.0, 30.0, 11), nominal(config)
+    for floor in (None, value):  # the central and the one-sided stencil
+        points = stencil_points(value, floor)[0]
+        expected = kernel(points, config)(times)
+        with monkeypatch.context() as patch:
+            patch.setattr(probe_models, "np", _NanEmpty())
+            got = kernel(points, config)(times)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestChannels:
