@@ -30,7 +30,7 @@ CSV_HEADER = "t,qfi,fidelity"
 # digit in byte 7, the 16 other digits from byte 8 on (one byte later past
 # the dot) and the separator in byte 31. NUL bytes print nothing.
 _U64 = np.dtype("<u8")
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 2048
 
 
 def _veltkamp(a):  # split doubles into 26-bit halves, whose products are exact

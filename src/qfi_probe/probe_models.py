@@ -63,14 +63,13 @@ def _reservoir_rates(kind, points, gamma) -> tuple[np.ndarray, ...]:
     N = m and M = 0, so its three rates are one array. A squeezed vacuum
     has N = sinh^2(r), M = cosh(r) sinh(r) and the exact rates
     gamma exp(+-2r); N - M + 1/2 itself loses every digit to cancellation
-    at large r. ValueError naming the first point where a rate overflows,
-    or, for a thermal reservoir, where 2 gamma does."""
+    at large r. ValueError naming the first point where a rate overflows."""
     strength, gamma = np.array(points, dtype=float)[:, None], float(gamma)
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "thermal":  # 2 gamma (m + 1/2) rounds as gamma (2m + 1): doubling is exact
             occupation, name = strength, "mean_occupation"
             pop_rate = x_rate = y_rate = gamma * (2.0 * strength + 1.0)
-            finite = np.isfinite(pop_rate) & math.isfinite(2.0 * gamma)  # as 2 gamma (m + 1/2) was
+            finite = np.isfinite(pop_rate)
         else:  # float_power squares by libm's pow, as Python floats do; x * x moves last bits
             occupation, name = np.float_power(np.sinh(strength), 2), "squeezing"
             pop_rate = gamma * (2.0 * occupation + 1.0)

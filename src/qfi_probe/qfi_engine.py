@@ -1,5 +1,5 @@
-"""Quantum Fisher information: the parameter-derivative stencil and the
-closed-form QFI over the 2-blocks of a state."""
+"""Quantum Fisher information: the states and their parameter derivative
+by a stencil, and the closed-form QFI over the 2-blocks of a state."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from .qstate import BlockState, validate_blocks
 
 EIGENSUM_FLOOR = 1e-12
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
+RECORD_POINTS = 4  # the most kernel points of stencil_points: the state and 3 taps
 
 
 @dataclass(frozen=True)
@@ -41,30 +42,37 @@ def stencil_points(value: float, floor: float | None) -> tuple[tuple, tuple, flo
         offsets, weights = (0.0, 1.0, 2.0), (-3.0, 4.0, -1.0)
     else:
         offsets, weights = (1.0, -1.0), (1.0, -1.0)
-    return (value,) + tuple(value + offset * h for offset in offsets), weights, 1.0 / (2.0 * h)
+    return (value, *[value + offset * h for offset in offsets]), weights, 1.0 / (2.0 * h)
 
 
-def derivative(support, taps: np.ndarray, weights, scale: float) -> BlockState:
-    """Derivative of the model states with respect to the estimand over a
-    time grid, as a record on the model's blocks, from the taps[K - 1]
-    that follow the state in a kernel record and the weights and scale of
-    stencil_points.
+def stencil_kernel(build, config, support, value: float, floor: float | None):
+    """A function of (times[N], derive=True) making one call of the model's
+    kernel build(points, config) at the stencil_points of value and floor:
+    a view of its record, the states in row 0 and, if derive, their
+    estimand derivative on the same blocks in row 1. The taps are divided
+    by their traces, summed in basis order, which keeps the derivative
+    traceless, then weighted and combined left to right in place, with
+    1.0 x as x and x + (-1) y as x - y. The divisions by the trace and by
+    2 h are multiplications by the reciprocal."""
+    points, weights, scale = stencil_points(value, floor)
+    kernel = build(points, config)
 
-    Each tap record is divided by its trace, summed in basis order, which
-    keeps the result traceless; then the taps are weighted and combined
-    left to right, with x 1.0 = x and x + (-1) y = x - y written out. The
-    divisions by the trace and by 2 h are multiplications by the
-    reciprocal, all in place on the taps.
-    """
-    taps *= (1.0 / BlockState(support, taps).trace())[:, None]
-    diff = taps[0] if weights[0] == 1.0 else np.multiply(taps[0], weights[0], out=taps[0])
-    for tap, weight in zip(taps[1:], weights[1:]):
-        if weight == -1.0:
-            diff -= tap
-        else:
-            diff += np.multiply(tap, weight, out=tap)
-    diff *= scale
-    return BlockState(support, diff)
+    def tangent(times, derive=True):
+        record = kernel(times)
+        if not derive:
+            return record[:1]
+        taps = record[1:]
+        taps *= (1.0 / BlockState(support, taps).trace())[:, None]
+        diff = taps[0] if weights[0] == 1.0 else np.multiply(taps[0], weights[0], out=taps[0])
+        for tap, weight in zip(taps[1:], weights[1:]):
+            if weight == -1.0:
+                diff -= tap
+            else:
+                diff += np.multiply(tap, weight, out=tap)
+        diff *= scale
+        return record[:2]
+
+    return tangent
 
 
 def qfi_blocks(rho: BlockState, drho: BlockState) -> QfiResult:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .probe_models import fock1_kernel, fock2_kernel, reservoir_pair_kernel, reservoir_qubit_kernel
-from .qfi_engine import derivative, qfi_blocks, stencil_points
+from .qfi_engine import RECORD_POINTS, qfi_blocks, stencil_kernel
 from .qstate import QUBIT_BLOCKS, X_BLOCKS, BlockState, fidelity_bloch, reduced_bloch
 from .qstate import validate_blocks
 
@@ -54,10 +54,9 @@ _ESTIMAND_FIELDS = {estimand: (name, dict(FIELD_DOMAINS.get(name, ())).get(">=")
                     for estimand, name in (("detuning", "detuning"), ("squeezing", "squeezing"),
                                            ("temperature", "mean_occupation"))}
 FIGURE_TAGS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "5a", "5b", "5c")
-# Bound on the kernel record of one evaluation block: K = 3 or 4 points
-# (the state and the stencil taps) of 4 (one qubit) or 8 (two qubits)
-# doubles per row, so 4096 to 5461 or 2048 to 2730 rows; a 2000-point scan
-# and its t = 0 reference take one block.
+# Bound on the kernel record of one evaluation block: RECORD_POINTS points
+# of 4 (one qubit) or 8 (two qubits) doubles per row; a 2000-point scan and
+# its t = 0 reference take one block.
 BLOCK_BYTES = 512 * 1024
 # Fixed glibc malloc thresholds: left dynamic, the trim threshold follows
 # the largest block freed so far, below one block's transient arrays, so
@@ -236,19 +235,18 @@ def _evaluator(config: ScanConfig):
     a function of (times, qfi=True, fidelity=True) giving the QFI of the
     configured estimand over a time grid and the fidelity of the (reduced)
     atomic states against their t = 0 counterpart, each None when not
-    asked for. The chain factor and the model's kernel at the stencil
-    points of the estimand's value are built once per evaluator. A block of
-    times is one kernel call: the states in record[0], the stencil taps in
-    record[1:]. A fidelity evaluation puts t = 0 in row 0 of its first block
-    for the reference, and nothing is kept between calls. Rows are
-    independent, so blocks of BLOCK_BYTES, each written into its slice of
-    one output array per quantity, leave every value unchanged."""
+    asked for. The chain factor and the kernel are built once per
+    evaluator. A block of times is one kernel call: the states in record[0]
+    and, for the QFI, their estimand derivative in record[1]. A fidelity
+    evaluation puts t = 0 in row 0 of its first block for the reference,
+    and nothing is kept between calls. Rows are independent, so blocks of
+    BLOCK_BYTES, each written into its slice of one output array per
+    quantity, leave every value unchanged."""
     estimand, _, support, model_kernel = MODELS[config.model_id]
     name, floor = _ESTIMAND_FIELDS[estimand]
     chain = _chain_factor(config)
-    points, weights, scale = stencil_points(getattr(config, name), floor)
-    kernel = model_kernel(points, config)
-    rows = BLOCK_BYTES // (8 * len(points) * 4 * len(support))
+    kernel = stencil_kernel(model_kernel, config, support, getattr(config, name), floor)
+    rows = BLOCK_BYTES // (8 * RECORD_POINTS * 4 * len(support))
 
     def evaluate(times, qfi: bool = True, fidelity: bool = True):
         times = np.asarray(times, dtype=float)
@@ -259,10 +257,10 @@ def _evaluator(config: ScanConfig):
         qfi_out = np.empty(times.size) if qfi else None
         fidelity_out = np.empty(times.size) if fidelity else None
         for k in range(0, times.size, rows):
-            record = kernel(times[k:k + rows])
+            record = kernel(times[k:k + rows], qfi)
             states = validate_blocks(BlockState(support, record[0]))
             if qfi:
-                value = qfi_blocks(states, derivative(support, record[1:], weights, scale)).value
+                value = qfi_blocks(states, BlockState(support, record[1])).value
                 np.multiply(value, chain, out=qfi_out[k:k + rows])
             if fidelity:
                 if k == 0:

@@ -10,8 +10,8 @@ bits) deliberately avoid the package code paths they check. They take and
 return plain complex arrays; qstate.validate_blocks is the one state
 validator. The models' states, derivatives, QFI and fidelity have one
 exact oracle, symbolic.exact. The record builder block_state, the
-scan_repro.MODELS wrappers states and d_rho_grid and without_floored_fill
-serve only the tests.
+scan_repro.MODELS wrappers states, evaluator_kernel and d_rho_grid and
+without_floored_fill serve only the tests.
 """
 
 import math
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qfi_probe.probe_models import _fock1_amplitudes, _fock2_amplitudes
-from qfi_probe.qfi_engine import EIGENSUM_FLOOR, derivative, stencil_points
+from qfi_probe.qfi_engine import EIGENSUM_FLOOR, stencil_kernel
 from qfi_probe.qstate import (
     QUBIT_BLOCKS,
     X_BLOCKS,
@@ -255,14 +255,18 @@ def fock2_amplitudes(c: ScanConfig, times):
     return _one_point(_fock2_amplitudes((c.detuning,), c.coupling, c.alpha), times)
 
 
+def evaluator_kernel(config: ScanConfig, value):
+    """The kernel that the evaluator of config calls, with the estimand at
+    value: qfi_engine.stencil_kernel on the model's MODELS row."""
+    estimand, _, support, build = MODELS[config.model_id]
+    return stencil_kernel(build, config, support, value, _ESTIMAND_FIELDS[estimand][1])
+
+
 def d_rho_grid(config: ScanConfig, value, times) -> BlockState:
     """The stencil derivative of a config's states at value over a time
-    grid, as the evaluator composes it: one kernel call at stencil_points,
-    then derivative of the taps."""
-    estimand, _, support, kernel = MODELS[config.model_id]
-    points, weights, scale = stencil_points(value, _ESTIMAND_FIELDS[estimand][1])
-    record = kernel(points, config)(np.atleast_1d(np.asarray(times, dtype=float)))
-    return derivative(support, record[1:], weights, scale)
+    grid, from evaluator_kernel."""
+    record = evaluator_kernel(config, value)(np.atleast_1d(np.asarray(times, dtype=float)))
+    return BlockState(MODELS[config.model_id][2], record[1])
 
 
 def without_floored_fill(rho: BlockState, drho: BlockState) -> BlockState:

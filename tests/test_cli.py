@@ -140,6 +140,19 @@ class TestEmitParse:
         assert np.array_equal(back.fidelity, dataset.fidelity)
         assert back.metadata == dataset.metadata
 
+    def test_parse_skips_blank_lines_and_needs_the_header(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("# model=x\n\nt,qfi,fidelity\n\n1,2,0.5\n")
+        back = parse_csv(path)
+        assert (back.t.tolist(), back.qfi.tolist(), back.fidelity.tolist()) == ([1], [2], [0.5])
+        assert back.metadata == {"model": "x"}
+        path.write_text("# model=x\nt,q,f\n1,2,3\n")
+        with pytest.raises(ValueError, match="unexpected CSV header 't,q,f'"):
+            parse_csv(path)
+        path.write_text("# model=x\n\n")
+        with pytest.raises(ValueError, match="missing CSV header"):
+            parse_csv(path)
+
     @pytest.mark.parametrize("model", MODEL_IDS)
     def test_bytes_equal_per_row_fstrings(self, tmp_path, model):
         dataset = scan(ScanConfig(model, points=200, t_max=30.0))

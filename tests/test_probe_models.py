@@ -31,6 +31,7 @@ from qfi_probe.probe_models import (
 )
 from qfi_probe.qfi_engine import stencil_points
 from qfi_probe.scan_repro import _ESTIMAND_FIELDS, FIELD_DOMAINS, MODEL_IDS, MODELS, ScanConfig
+from qfi_probe.scan_repro import point_fidelity, point_qfi
 from symbolic import exact
 
 
@@ -225,36 +226,34 @@ def scalar_rates(kind, strength, gamma):
 @pytest.mark.parametrize("kind, top", [("thermal", 6), ("squeezed", 2)])
 def test_reservoir_rates_equal_the_per_point_scalar_rates(kind, top):
     # a float's ** 2 is libm's pow, an array's is x * x: for r from 1e-8 to
-    # 100 the two squares of sinh(r) differ in the last bit at about 1 in 1000
+    # 100 the two squares of sinh(r) differ in the last bit at about 1 in
+    # 1000. A thermal reservoir's three rates are one array: gamma (2m + 1)
+    # and 2 gamma (m + 1/2) round to one double, as doubling is exact and
+    # commutes with rounding
     strengths, gamma = np.logspace(-8, top, 20_000).tolist(), float(np.pi / 3)
-    got = np.concatenate(_reservoir_rates(kind, strengths, gamma), axis=1)
+    rates = _reservoir_rates(kind, strengths, gamma)
     expected = np.array([scalar_rates(kind, s, gamma) for s in strengths])
-    assert got.tobytes() == expected.tobytes()
+    assert np.concatenate(rates, axis=1).tobytes() == expected.tobytes()
+    assert (rates[1] is rates[2] is rates[3]) == (kind == "thermal")
 
 
-def test_thermal_reservoir_has_one_rate_array():
-    # gamma (2m + 1) and 2 gamma (m + 1/2) round to one double: doubling is
-    # exact and commutes with rounding
-    strengths, gamma = np.logspace(-8, 6, 20_000).tolist(), float(np.pi / 3)
-    _, pop_rate, x_rate, y_rate = _reservoir_rates("thermal", strengths, gamma)
-    assert pop_rate is x_rate is y_rate
-    for rates in ([2.0 * gamma * (m + 0.5) for m in strengths],
-                  [gamma * (2.0 * m + 1.0) for m in strengths]):
-        assert pop_rate.tobytes() == np.array(rates).tobytes()
-
-
-@pytest.mark.parametrize("points, gamma, named", [
-    # 2 gamma overflows, though every gamma (2m + 1) fits in a double
-    ((0.1, 0.0), np.nextafter(np.finfo(float).max / 2, np.inf), 0.1),
+def test_thermal_rate_overflow_verdicts():
     # 2m + 1 overflows, though 2 gamma (m + 1/2) fits
-    ((0.1, np.finfo(float).max), 0.5, np.finfo(float).max),
-])
-def test_thermal_rate_overflow_verdicts(points, gamma, named):
-    # the verdicts of the separate rates 2 gamma (m + 1/2) and gamma (2m + 1)
+    named = float(np.finfo(float).max)
     with pytest.raises(ValueError) as raised:
-        _reservoir_rates("thermal", points, gamma)
-    assert str(raised.value) == (f"mean_occupation = {float(named)!r} at gamma = {float(gamma)!r}"
+        _reservoir_rates("thermal", (0.1, named), 0.5)
+    assert str(raised.value) == (f"mean_occupation = {named!r} at gamma = 0.5"
                                  " overflows the decay rate")
+
+
+@pytest.mark.parametrize("model", ["thermal1", "thermal2"])
+def test_thermal_rate_past_half_the_double_range(model):
+    # at gamma = 2^1023, 2 gamma overflows but every rate gamma (2m + 1)
+    # fits; products with gamma and t = 1 / gamma are exact, so the numbers
+    # at (gamma, t) are those at (1, 1) bit for bit
+    config, unit, t = ScanConfig(model, gamma=2.0**1023), ScanConfig(model), 2.0**-1023
+    assert point_qfi(config, t) == point_qfi(unit, 1.0)
+    assert point_fidelity(config, t) == point_fidelity(unit, 1.0)
 
 
 def scalar_cavity_constants(model, detuning, coupling, photons, alpha):

@@ -23,10 +23,9 @@ from helpers import (
     states,
     stencil,
 )
-from qfi_probe import qfi_engine
-from qfi_probe.qfi_engine import qfi_blocks, stencil_points
-from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, BlockState, validate_blocks
-from qfi_probe.scan_repro import MODEL_IDS, MODELS, ScanConfig, time_grid
+from qfi_probe.qfi_engine import qfi_blocks
+from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, validate_blocks
+from qfi_probe.scan_repro import _ESTIMAND_FIELDS, MODELS, ScanConfig, time_grid
 from symbolic import exact
 
 THERMAL = ScanConfig("thermal1", alpha=np.pi / 4)
@@ -72,33 +71,21 @@ class TestDerivativeStencil:
 
     @pytest.mark.parametrize("model", ["fock1", "thermal1", "squeezed1", "fock2", "thermal2",
                                        "squeezed2"])
-    def test_bit_identical_to_dense_stencil(self, model):
+    def test_bit_identical_to_dense_stencil(self, model, monkeypatch):
         # dividing by the trace and by 2 h as multiplications by the
-        # reciprocal, with the trace summed in basis order, is what the
-        # dense complex path did; plain division moves reservoir rows by
-        # up to 1e-10 of the peak
+        # reciprocal, with the trace summed in basis order, and combining
+        # the weighted taps left to right is what the dense complex path
+        # did; plain division moves reservoir rows by up to 1e-10 of the
+        # peak. A floor at the value gives every model the one-sided stencil
         strengths = {"mean_occupation", "squeezing"}.intersection(MODELS[model][1])
+        estimand, times = ScanConfig(model).estimand, np.linspace(0.0, 40.0, 101)
+        name, domain_floor = _ESTIMAND_FIELDS[estimand]
         for value in (0.1, 0.0):
             config = ScanConfig(model, **dict.fromkeys(strengths, value))
-            times = np.linspace(0.0, 40.0, 101)
-            np.testing.assert_array_equal(dense(d_rho_grid(config, nominal(config), times)),
-                                          d_rho_dense(config, nominal(config), times))
-
-    @pytest.mark.parametrize("model", MODEL_IDS)
-    def test_taps_combined_in_order(self, model):
-        # the weighted taps summed left to right from -0.0, as a reduction
-        # over the stack does: bit for bit, signs of zero too, at the
-        # central and the one-sided stencil of every model
-        config = ScanConfig(model)
-        value, (_, _, support, kernel) = nominal(config), MODELS[model]
-        for floor in (None, value):
-            points, weights, scale = stencil_points(value, floor)
-            taps = kernel(points, config)(np.linspace(0.0, 40.0, 101))[1:]
-            taps_over_trace = taps * (1.0 / BlockState(support, taps).trace())[:, None]
-            weighted = taps_over_trace * np.array(weights)[:, None, None]
-            expected = weighted.sum(axis=0, initial=-0.0) * scale
-            got = qfi_engine.derivative(support, taps, weights, scale).values
-            assert got.tobytes() == expected.tobytes()
+            for floor in (domain_floor, nominal(config)):
+                monkeypatch.setitem(_ESTIMAND_FIELDS, estimand, (name, floor))
+                np.testing.assert_array_equal(dense(d_rho_grid(config, nominal(config), times)),
+                                              d_rho_dense(config, nominal(config), times))
 
     def test_grid_matches_pointwise(self):
         times = np.linspace(0.2, 2.0, 5)

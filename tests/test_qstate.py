@@ -26,6 +26,7 @@ from qfi_probe.qstate import (
     PSD_TOL,
     QUBIT_BLOCKS,
     X_BLOCKS,
+    BlochVector,
     NegativeEigenvalue,
     StateValidationError,
     TraceNotOne,
@@ -345,6 +346,13 @@ class TestFidelity:
         too_long = (0.0, 0.0, 1.0 + 1e-9)
         with pytest.raises(ValueError, match="exceeds 1"):
             fidelity_bloch(bloch_vector(EXCITED), type(bloch_vector(EXCITED))(*too_long))
+
+    def test_rejects_a_negative_radicand(self):
+        # |a0|^2 = 1 + 1e-10 passes the norm check, but against a1 = 0 the
+        # radicand (1 - |a0|^2)(1 - |a1|^2) = -1e-10 is below -1e-12
+        over = BlochVector(0.0, 0.0, np.sqrt(1.0 + 1e-10))
+        with pytest.raises(ValueError, match="radicand -1.000e-10 below"):
+            fidelity_bloch(over, BlochVector(0.0, 0.0, 0.0))
 
     def test_two_qubit_records_against_uhlmann(self):
         # the fidelity of qubit A, from records, against the dense oracle

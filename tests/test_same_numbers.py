@@ -3,7 +3,8 @@ public composition of the layers bit for bit, no kernel row depends on
 the length of the grid it is computed on, and find_max returns the
 recorded float.hex values on the figure series and on seeded two-qubit
 reservoir scans, and the CLI writes the recorded CSV bytes for every
-figure tag and every model's default scan. A refactor of the hot path that
+figure tag and every model's default scan, and for the one-sided stencil
+and grids of several evaluation blocks. A refactor of the hot path that
 moves any of these bits fails here."""
 
 import hashlib
@@ -11,11 +12,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import evaluator_kernel, nominal
 from qfi_probe import cli, scan_repro
-from qfi_probe.qfi_engine import derivative, qfi_blocks, stencil_points
+from qfi_probe.qfi_engine import qfi_blocks
 from qfi_probe.qstate import BlockState, fidelity_bloch, reduced_bloch, validate_blocks
 from qfi_probe.scan_repro import (
-    _ESTIMAND_FIELDS,
     FIGURE_TAGS,
     MODEL_IDS,
     MODELS,
@@ -87,7 +88,9 @@ FIGURE_CSV_SHA256 = {
     "fig5c_one_qubit.csv": "52dee43861d8017fc6b95b07fd79875c228c512c90213cdced21c4e9a130568d",
     "fig5c_two_qubit.csv": "67323c862baa9d8b5c9276911f34302a7e5121c190b53b3fe688202141744eea",
 }
-# sha256 of the CSV of `scan --model <model>` at the defaults (2000 points)
+# sha256 of the CSV of `scan --model <flags>`: each model at the defaults
+# (2000 points), the reservoir models at strength 0, which takes the
+# one-sided stencil, and grids of 6000 points, which take several blocks
 SCAN_CSV_SHA256 = {
     "fock1": "99536d1ddd043f641f4a98ef964d8b631b5d54f8f317f736270a1553e8ea3283",
     "fock2": "9788024c7c82f19c807e33abf55b84fe1db8032c5ef78eb60fbd07dea1d4fc1f",
@@ -95,6 +98,16 @@ SCAN_CSV_SHA256 = {
     "squeezed2": "e95aad1b958edde64b501a10d4ccdc60fcd2039bba2e4027b06f8fe9a93456df",
     "thermal1": "7fc2b03eb3fb04c84ab1761ddc30275905332703126640b7a53bef6baa42be02",
     "thermal2": "a680396787d5be5149eebf80d322354e07c9da71107c06daa0004a1827918a59",
+    "thermal1 --m 0": "970b5d29a20a7f90f3f89daa4bd8629c102f7ad632d755473a2e85223da39ceb",
+    "thermal2 --m 0": "241fadf71d9f54c6c0c043ed24a9544676861a6dcf891c30ae7074b134a8104f",
+    "squeezed1 --r 0": "3934c7a008733939e13f2b7a7217071804cc93c5fb1d8f69dc501b2d1736736b",
+    "squeezed2 --r 0": "f9289185faa949b47da97d0cf50c1af962b7d44777394f6ead371d2433694601",
+    "fock1 --points 6000": "d7dd2c8e73cb406d93789632686a74493a0a0f6ab28c8e5043071ff67e44031b",
+    "thermal1 --points 6000": "caba6e184007be15d0414838cfcc4e901fabdb7cf40eabe18e927baf6bab66eb",
+    "squeezed1 --points 6000": "6d865940625cc423becb115372608cf8cf936dcc1ee6e23220b814189e4a993e",
+    "fock2 --points 6000": "cb3a321bd6515109d1387b39ba71476743a7f7782ed1c1ac623d780a2bb8ba3a",
+    "thermal2 --points 6000": "56caa6ab34588be4833d1c8d0bb707ae69be40e2dd29cddb01976e5835c52365",
+    "squeezed2 --points 6000": "c14843a792b72651b80af152d3fc2cbe46bbe718fac2380ac6eaaa6d68e71cef",
 }
 
 
@@ -126,14 +139,11 @@ def test_evaluator_rows_equal_the_public_composition(model, monkeypatch):
     config = ScanConfig(model, points=3000)
     times = time_grid(config)
     qfi, fidelity = scan_repro._evaluator(config)(times)
-    estimand, _, support, build = MODELS[model]
-    name, floor = _ESTIMAND_FIELDS[estimand]
-    points, weights, scale = stencil_points(getattr(config, name), floor)
-    kernel = build(points, config)
+    kernel, support = evaluator_kernel(config, nominal(config)), MODELS[model][2]
     record = kernel(times)
     states = validate_blocks(BlockState(support, record[0]))
-    derivs = derivative(support, record[1:], weights, scale)
-    expected = qfi_blocks(states, derivs).value * scan_repro._chain_factor(config)
+    expected = (qfi_blocks(states, BlockState(support, record[1])).value
+                * scan_repro._chain_factor(config))
     reference = reduced_bloch(validate_blocks(BlockState(support, kernel(np.zeros(1))[0])))
     np.testing.assert_array_equal(qfi, expected)
     np.testing.assert_array_equal(fidelity, fidelity_bloch(reference, reduced_bloch(states)))
@@ -141,14 +151,13 @@ def test_evaluator_rows_equal_the_public_composition(model, monkeypatch):
 
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_kernel_rows_do_not_depend_on_the_call_size(model):
-    # one 20,000-row call against its 700-row slices, bit for bit. At this
-    # size numpy computes an operator product `a * b` with a temporary b in
-    # place, as b * a, and complex products do not commute bit for bit; the
-    # cavity kernels call np.multiply, which numpy never rewrites
+    # the states and derivative of one 20,000-row call against its 700-row
+    # slices, bit for bit. At this size numpy computes an operator product
+    # `a * b` with a temporary b in place, as b * a, and complex products do
+    # not commute bit for bit; the cavity kernels call np.multiply, which
+    # numpy never rewrites
     config = ScanConfig(model)
-    estimand, _, _, build = MODELS[model]
-    name, floor = _ESTIMAND_FIELDS[estimand]
-    kernel = build(stencil_points(getattr(config, name), floor)[0], config)
+    kernel = evaluator_kernel(config, nominal(config))
     times = np.linspace(0.0, 100.0, 20_000)
     slices = [kernel(times[start:start + 700]) for start in range(0, times.size, 700)]
     np.testing.assert_array_equal(kernel(times), np.concatenate(slices, axis=-1))
@@ -179,8 +188,8 @@ def test_figure_csv_bytes_pinned(tag, tmp_path):
                        if name.startswith(f"fig{tag}_")}
 
 
-@pytest.mark.parametrize("model", MODEL_IDS)
-def test_scan_csv_bytes_pinned(model, tmp_path):
+@pytest.mark.parametrize("flags", list(SCAN_CSV_SHA256))
+def test_scan_csv_bytes_pinned(flags, tmp_path):
     out = tmp_path / "scan.csv"
-    assert cli.run(["scan", "--model", model, "--out", str(out)]) == 0
-    assert sha256(out) == SCAN_CSV_SHA256[model]
+    assert cli.run(["scan", "--model", *flags.split(), "--out", str(out)]) == 0
+    assert sha256(out) == SCAN_CSV_SHA256[flags]

@@ -271,7 +271,7 @@ class TestScan:
         fidelity_rows = np.concatenate([fidelity for _, fidelity in rows])
         monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 10**9)
         whole = scan(config)
-        # 7 to 18 rows per block: 299 rows, and 300 with the t = 0
+        # 7 or 14 rows per block: 299 rows, and 300 with the t = 0
         # reference, end in a ragged block
         monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 7 * 16 * 16)
         both = scan_repro._evaluator(config)(times)
@@ -328,6 +328,7 @@ class TestScan:
             np.testing.assert_array_equal(getattr(honoured, name), getattr(direct, name))
             assert not np.array_equal(getattr(honoured, name), getattr(bell, name))
 
+
     def test_deterministic(self):
         a = scan(fock_config(points=50))
         b = scan(fock_config(points=50))
@@ -346,7 +347,6 @@ class TestScan:
         assert point_fidelity(config, float(dataset.t[k])) == pytest.approx(
             float(dataset.fidelity[k]), rel=1e-12
         )
-
 
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_point_queries_equal_scan_rows(model):
