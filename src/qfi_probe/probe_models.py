@@ -1,14 +1,11 @@
 """Closed-form evolved probe states for the cavity-field and reservoir models.
 
-Each *_kernel function works out the parameter-only constants of its K
-estimand points once, as (K, 1) columns, and returns a Kernel, whose one
-call gives the records of all K points at times[N] (the qubit block, or
-the X-state blocks of two qubits); scan_repro.MODELS maps each model to
-its kernel and the ScanConfig fields it reads; ScanConfig checks them, and
-the five *Params builders make one for the benchmark tests (ROADMAP item
-8). Time is dimensionless: coupling units for the cavity models (coupling
-defaults to 1), decay-rate units for the reservoir models.
-"""
+Each *_kernel function works out the parameter-only constants once and
+returns a function of times[N]: the records of K estimand points (a Kernel),
+or for the two-qubit reservoirs the states at one value and their exact
+derivative. scan_repro.MODELS maps each model to its kernel; the five
+*Params builders make ScanConfigs for the benchmark tests (ROADMAP item 8).
+Time is in coupling units (cavity models) or decay-rate units (reservoirs)."""
 
 from __future__ import annotations
 
@@ -17,8 +14,11 @@ from typing import Callable
 
 import numpy as np
 
+from .qfi_engine import stencil_points
+
 # times[N] -> a fresh (K, 4 P, N) array: the BlockState values at K points
 Kernel = Callable[[np.ndarray], np.ndarray]
+_LOWEST, _HALVES = -np.finfo(float).max, np.array([[0.5], [-0.5]])  # for reservoir_pair_kernel
 
 
 def _config(model_id, **fields):
@@ -188,32 +188,49 @@ def fock2_kernel(points, coupling, alpha) -> Kernel:
     return states
 
 
-def reservoir_pair_kernel(kind, points, gamma) -> Kernel:
-    """Exact two-qubit states (Lambda_t x Lambda_t)(Bell) for independent,
-    identical reservoirs, with Lambda_t the one-qubit closed form.
+def reservoir_pair_kernel(kind, value, gamma):
+    """(times[N], derive=True) -> a fresh (2, 8, N) record: the states
+    (Lambda_t x Lambda_t)(Bell) for independent, identical reservoirs and, if
+    derive, their exact derivative in the strength at value. Lambda_t relaxes
+    the populations and damps the Bloch sigma_x and sigma_y at half of x_rate
+    and y_rate: the |eg><ge| and |ee><gg| coherences decay at x_rate, y_rate.
+    d exp(-rate t) = slope (-rate t) exp(-rate t), slope = d ln(rate)/d
+    strength, -rate t clipped to the doubles: 0 where the exponential is. The
+    rates must also fit at the stencil points of value, as the stencil's do."""
+    thermal, points = kind == "thermal", stencil_points(value, 0.0)[0]
+    steady, pop_rate, x_rate, y_rate = (r.item(0) for r in _reservoir_rates(kind, points, gamma))
+    spread = pop_rate / gamma  # 2N + 1: d steady = tilt / spread, d ln(pop_rate) = 2 tilt
+    tilt = 1.0 / spread if thermal else math.tanh(2.0 * value)
+    rates = -pop_rate if thermal else np.array([[-pop_rate], [-x_rate], [-y_rate]])
+    slopes = 2.0 * tilt if thermal else np.array([[2.0 * tilt], [2.0], [-2.0]])
+    excited, d_steady = 1.0 - steady, tilt / spread
 
-    Each Lambda_t relaxes the excited population toward the steady state
-    and damps the sigma_x and sigma_y Bloch components at half of x_rate
-    and y_rate (see _reservoir_rates). The Bell state's sigma_x sigma_x and
-    sigma_y sigma_y parts therefore decay at x_rate and y_rate; they set
-    the |eg><ge| and |ee><gg| coherences.
-    """
-    steady, pop_rate, x_rate, y_rate = _reservoir_rates(kind, points, gamma)
-    excited = 1.0 - steady
-
-    def states(times):
+    def tangent(times, derive=True):
         with np.errstate(over="ignore"):  # rate * t past the double range: exp(-inf) = 0
-            pop_env = np.exp(-pop_rate * times)  # one exponential per distinct rate array
-            x_decay = pop_env if x_rate is pop_rate else np.exp(-x_rate * times)
-            y_decay = x_decay if y_rate is x_rate else np.exp(-y_rate * times)
-        up_from_e, up_from_g = steady + excited * pop_env, steady * (1.0 - pop_env)
+            exponent = rates * times
+        values = np.empty((1 + derive, 8, len(times)))
+        decays = np.empty((1 + derive, *exponent.shape))  # exp(-rate t) and its derivative
+        pop_env = np.exp(exponent, out=decays[0])[() if thermal else 0]
+        up_from_e, up_from_g = steady + excited * pop_env, steady * (rest := 1.0 - pop_env)
         down_from_e, down_from_g = 1.0 - up_from_e, 1.0 - up_from_g
-        values = np.empty((len(points), 8, len(times)))
-        values[:, 6:] = 0.0  # both coherences are real
-        values[:, 0] = values[:, 2] = 0.5 * (up_from_e * down_from_g + up_from_g * down_from_e)
-        values[:, 1], values[:, 3] = up_from_e * up_from_g, down_from_e * down_from_g
-        values[:, 4], values[:, 5] = 0.25 * (x_decay + y_decay), 0.25 * (x_decay - y_decay)
+        np.multiply(up_from_e, up_from_g, out=values[0, 1])
+        np.multiply(down_from_e, down_from_g, out=values[0, 3])
+        np.add(up_from_e * down_from_g, up_from_g * down_from_e, out=values[0, 0])
+        if derive:  # the product rule, and the trace for row 0: 2 d0 + d1 + d3 = 0
+            np.maximum(exponent, _LOWEST, out=exponent)
+            d_pop = np.multiply(exponent * decays[0], slopes, out=decays[1])[() if thermal else 0]
+            d_up_e, d_up_g = excited * d_pop + (base := d_steady * rest), base - steady * d_pop
+            d_ee = np.add(d_up_e * up_from_g, up_from_e * d_up_g, out=values[1, 1])
+            np.add(d_ee, np.subtract(d_ee, d_up_e + d_up_g, out=values[1, 3]), out=values[1, 0])
+        values[:, 0] *= _HALVES[:len(values)]
+        values[:, 2] = values[:, 0]
+        if thermal:  # x = y: 0.25 (x + y) = 0.5 x, and 0.25 (x - y) = 0
+            np.multiply(decays, 0.5, out=values[:, 4])
+        else:
+            np.add(decays[:, 1], decays[:, 2], out=values[:, 4])
+            np.subtract(decays[:, 1], decays[:, 2], out=values[:, 5])
+            values[:, 4:6] *= 0.25
+        values[:, 5 if thermal else 6:] = 0.0  # the imaginary parts, and row 5 at x = y
         return values
 
-    return states
-
+    return tangent

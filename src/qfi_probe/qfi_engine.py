@@ -98,12 +98,18 @@ def qfi_blocks(rho: BlockState, drho: BlockState) -> QfiResult:
                          f" with shape {state.values.shape}")
     weight, det = state.spectra
     a, b, re, im = state.pairs()
-    da, db, dre, dim = drho.pairs()
-    ddet = a * db + b * da - 2.0 * (re * dre + im * dim)
+    da, db, dre, dim = drho.pairs()  # the forms above, in place
+    ddet, overlap, dr2, coherent = a * db, re * dre, da - db, dre * dre
+    ddet += b * da
+    overlap += im * dim
+    ddet -= np.multiply(overlap, 2.0, out=overlap)
+    dr2 *= dr2
+    coherent += dim * dim
+    dr2 += np.multiply(coherent, 4.0, out=coherent)
     floor = 0.5 * EIGENSUM_FLOOR
     heavy = weight > floor
-    kept = heavy & (det > floor * weight)
-    terms = np.divide((da - db) ** 2 + 4.0 * (dre * dre + dim * dim), weight,
-                      out=np.zeros(weight.shape), where=heavy)
-    terms += np.divide(ddet * ddet, weight * det, out=np.zeros(weight.shape), where=kept)
+    kept = np.logical_and(heavy, det > floor * weight)
+    terms = np.divide(dr2, weight, out=np.zeros(weight.shape), where=heavy)
+    terms += np.divide(np.square(ddet, out=ddet), np.multiply(weight, det, out=dr2),
+                       out=np.zeros(weight.shape), where=kept)
     return QfiResult(terms.sum(axis=0), kept.size - int(np.count_nonzero(kept)))

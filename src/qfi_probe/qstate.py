@@ -99,9 +99,9 @@ def validate_blocks(state: BlockState) -> BlockState:
     is at least -PSD_TOL; the trace is 1 to within TRACE_TOL. A 2-block is
     PSD exactly when its weight w and det are >= 0; only the others get a
     lower eigenvalue, det / upper with upper = (w + |r|) / 2 (w - upper
-    where upper <= 0). Every comparison is written so that a NaN fails it.
-    The values array is made read-only in place, so the spectra cannot go
-    stale.
+    where upper <= 0). Every comparison is written so that a NaN fails it,
+    and an infinity fails one; finiteness is tested first when one fails.
+    The values array is made read-only in place: the spectra cannot go stale.
 
     Raises:
         StateValidationError: for a NaN or infinite value.
@@ -113,19 +113,23 @@ def validate_blocks(state: BlockState) -> BlockState:
     values = state.values
     if values.ndim != 2 or values.shape[0] != 2 * len(_diagonal_rows(state.support)):
         raise ValueError(f"values of shape {values.shape} do not fit the blocks {state.support}")
-    if not np.isfinite(values).all():
-        raise StateValidationError("a block entry is NaN or infinite")
     a, b, re, im = state.pairs()
-    weight = a + b
-    det = a * b - (re * re + im * im)
-    if not (ok := np.minimum(weight, det) >= 0.0).all():  # np.minimum passes a NaN on
+    with np.errstate(invalid="ignore"):  # inf * 0, inf - inf: a NaN, which min and max pass on
+        weight = a + b
+        det = a * b - (re * re + im * im)
+        trace = state.trace()  # max |tr - 1| from its extremes, below
+    psd = weight.min(initial=0.0) >= 0.0 and det.min(initial=0.0) >= 0.0
+    trace_dev = float(max(trace.max(initial=1.0) - 1.0, 1.0 - trace.min(initial=1.0)))
+    if not (psd and trace_dev <= TRACE_TOL) and not np.isfinite(values).all():
+        raise StateValidationError("a block entry is NaN or infinite")
+    if not psd:
+        ok = np.minimum(weight, det) >= 0.0
         a, b, re, im, w, d = (row[~ok] for row in (a, b, re, im, weight, det))
         upper = 0.5 * (w + np.sqrt((a - b) ** 2 + (2.0 * re) ** 2 + (2.0 * im) ** 2))
         lower = np.divide(d, upper, out=w - upper, where=upper > 0.0)
         smallest = float(lower.min())
         if not smallest >= -PSD_TOL:
             raise NegativeEigenvalue(f"smallest eigenvalue {smallest:.3e} below -{PSD_TOL:.0e}")
-    trace_dev = float(np.abs(state.trace() - 1.0).max(initial=0.0))
     if not trace_dev <= TRACE_TOL:
         raise TraceNotOne(f"|tr(rho) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
     values.flags.writeable = False
@@ -164,12 +168,14 @@ def fidelity_bloch(a0: BlochVector, a1: BlochVector) -> np.ndarray:
     pair. The radicand is clamped at zero when floating-point dust pushes
     it within -1e-12.
     """
-    norms = [vec.dot(vec) for vec in (a0, a1)]
-    for norm_sq in norms:
-        if not np.less_equal(norm_sq, 1.0 + 1e-10).all():
-            raise ValueError(f"Bloch vector norm^2 = {np.max(norm_sq):.12f} exceeds 1")
-    radicand = (1.0 - norms[0]) * (1.0 - norms[1])
-    if not np.greater_equal(radicand, -1e-12).all():
+    norms = a0.dot(a0), a1.dot(a1)
+    m0, m1 = (np.maximum.reduce(norm_sq, axis=None) for norm_sq in norms)  # a NaN passes on
+    if not (m0 <= 1.0 + 1e-10 and m1 <= 1.0 + 1e-10):  # both maxima at once; a0's named first
+        raise ValueError(f"Bloch vector norm^2 = {m1 if m0 <= 1.0 + 1e-10 else m0:.12f} exceeds 1")
+    radicand = np.asarray((1.0 - norms[0]) * (1.0 - norms[1]))  # fresh: worked in place
+    if not np.minimum.reduce(radicand, axis=None) >= -1e-12:
         raise ValueError(f"radicand {np.min(radicand):.3e} below -1e-12; inputs invalid")
-    value = 0.5 * (1.0 + a0.dot(a1) + np.sqrt(np.maximum(radicand, 0.0)))
-    return np.minimum(np.maximum(value, 0.0), 1.0)
+    value = np.sqrt(np.maximum(radicand, 0.0, out=radicand), out=radicand)
+    value += 1.0 + a0.dot(a1)
+    value *= 0.5
+    return np.minimum(np.maximum(value, 0.0, out=value), 1.0, out=value)[()]

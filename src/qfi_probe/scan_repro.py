@@ -19,17 +19,24 @@ from .qfi_engine import RECORD_POINTS, qfi_blocks, stencil_kernel
 from .qstate import QUBIT_BLOCKS, X_BLOCKS, BlockState, fidelity_bloch, reduced_bloch
 from .qstate import validate_blocks
 
-# model id: (estimand, the ScanConfig fields the model reads in metadata
-# order, its blocks, its kernel(points, config)). A scan reads nothing else.
+
+def _stencil(build):  # the entry of a model without a tangent kernel (ROADMAP item 29)
+    return lambda v, c: stencil_kernel(build, c, MODELS[c.model_id][2], v,
+                                       _ESTIMAND_FIELDS[c.estimand][1])
+
+
+# model id: (estimand, the ScanConfig fields the model reads in metadata order,
+# its blocks, its entry (value, config) -> (times, derive=True) -> (2, 4P, N)
+# record: the states, then their estimand derivative). A scan reads nothing else.
 MODELS = {
     "fock1": ("detuning", ("alpha", "detuning", "coupling", "photons"), QUBIT_BLOCKS,
-              lambda v, c: fock1_kernel(v, c.coupling, c.photons, c.alpha)),
+              _stencil(lambda v, c: fock1_kernel(v, c.coupling, c.photons, c.alpha))),
     "thermal1": ("temperature", ("alpha", "mean_occupation", "gamma", "freq_scale"), QUBIT_BLOCKS,
-                 lambda v, c: reservoir_qubit_kernel("thermal", v, c.gamma, c.alpha)),
+                 _stencil(lambda v, c: reservoir_qubit_kernel("thermal", v, c.gamma, c.alpha))),
     "squeezed1": ("squeezing", ("alpha", "squeezing", "gamma"), QUBIT_BLOCKS,
-                  lambda v, c: reservoir_qubit_kernel("squeezed", v, c.gamma, c.alpha)),
+                  _stencil(lambda v, c: reservoir_qubit_kernel("squeezed", v, c.gamma, c.alpha))),
     "fock2": ("detuning", ("alpha", "detuning", "coupling"), X_BLOCKS,
-              lambda v, c: fock2_kernel(v, c.coupling, c.alpha)),
+              _stencil(lambda v, c: fock2_kernel(v, c.coupling, c.alpha))),
     "thermal2": ("temperature", ("mean_occupation", "gamma", "freq_scale"), X_BLOCKS,
                  lambda v, c: reservoir_pair_kernel("thermal", v, c.gamma)),
     "squeezed2": ("squeezing", ("squeezing", "gamma"), X_BLOCKS,
@@ -242,15 +249,14 @@ def _evaluator(config: ScanConfig):
     and nothing is kept between calls. Rows are independent, so blocks of
     BLOCK_BYTES, each written into its slice of one output array per
     quantity, leave every value unchanged."""
-    estimand, _, support, model_kernel = MODELS[config.model_id]
-    name, floor = _ESTIMAND_FIELDS[estimand]
+    estimand, _, support, entry = MODELS[config.model_id]
     chain = _chain_factor(config)
-    kernel = stencil_kernel(model_kernel, config, support, getattr(config, name), floor)
+    kernel = entry(getattr(config, _ESTIMAND_FIELDS[estimand][0]), config)
     rows = BLOCK_BYTES // (8 * RECORD_POINTS * 4 * len(support))
 
     def evaluate(times, qfi: bool = True, fidelity: bool = True):
         times = np.asarray(times, dtype=float)
-        if not (np.isfinite(times) & (times >= 0.0)).all():
+        if not (times.min(initial=0.0) >= 0.0 and times.max(initial=0.0) < math.inf):
             raise ValueError("times must be finite and nonnegative")
         skip = int(fidelity)
         times = np.concatenate((np.zeros(skip), times)) if skip else times

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qfi_probe.probe_models import _fock1_amplitudes, _fock2_amplitudes
-from qfi_probe.qfi_engine import EIGENSUM_FLOOR, stencil_kernel
+from qfi_probe.qfi_engine import EIGENSUM_FLOOR
 from qfi_probe.qstate import (
     QUBIT_BLOCKS,
     X_BLOCKS,
@@ -127,9 +127,10 @@ def nominal(config: ScanConfig) -> float:
 
 def states(config: ScanConfig, value, times) -> BlockState:
     """The raw states of the config's model with its estimand at value over
-    a time grid: one kernel call at that one point."""
-    _, _, support, kernel = MODELS[config.model_id]
-    return BlockState(support, kernel((value,), config)(np.ravel(times).astype(float))[0])
+    a time grid: row 0 of one call of evaluator_kernel, without the
+    derivative."""
+    record = evaluator_kernel(config, value)(np.ravel(times).astype(float), derive=False)
+    return BlockState(MODELS[config.model_id][2], record[0])
 
 
 def state_at(config: ScanConfig, t) -> np.ndarray:
@@ -257,14 +258,15 @@ def fock2_amplitudes(c: ScanConfig, times):
 
 def evaluator_kernel(config: ScanConfig, value):
     """The kernel that the evaluator of config calls, with the estimand at
-    value: qfi_engine.stencil_kernel on the model's MODELS row."""
-    estimand, _, support, build = MODELS[config.model_id]
-    return stencil_kernel(build, config, support, value, _ESTIMAND_FIELDS[estimand][1])
+    value: the entry of the model's MODELS row, a tangent kernel or
+    qfi_engine.stencil_kernel."""
+    return MODELS[config.model_id][3](value, config)
 
 
 def d_rho_grid(config: ScanConfig, value, times) -> BlockState:
-    """The stencil derivative of a config's states at value over a time
-    grid, from evaluator_kernel."""
+    """The estimand derivative of a config's states at value over a time
+    grid, from evaluator_kernel: exact for a tangent kernel, the stencil's
+    otherwise."""
     record = evaluator_kernel(config, value)(np.atleast_1d(np.asarray(times, dtype=float)))
     return BlockState(MODELS[config.model_id][2], record[1])
 

@@ -29,7 +29,6 @@ from qfi_probe.probe_models import (
     _fock2_amplitudes,
     _reservoir_rates,
 )
-from qfi_probe.qfi_engine import stencil_points
 from qfi_probe.scan_repro import _ESTIMAND_FIELDS, FIELD_DOMAINS, MODEL_IDS, MODELS, ScanConfig
 from qfi_probe.scan_repro import point_fidelity, point_qfi
 from symbolic import exact
@@ -330,16 +329,19 @@ class _NanEmpty:
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_kernels_write_every_row(model, monkeypatch):
     # the kernels allocate with np.empty and zero only their empty rows, so
-    # a NaN-filled allocation must give the same record
-    config, kernel = ScanConfig(model), MODELS[model][3]
+    # a NaN-filled allocation must give the same record, with and without
+    # the derivative
+    config, entry = ScanConfig(model), MODELS[model][3]
     times, value = np.linspace(0.0, 30.0, 11), nominal(config)
-    for floor in (None, value):  # the central and the one-sided stencil
-        points = stencil_points(value, floor)[0]
-        expected = kernel(points, config)(times)
-        with monkeypatch.context() as patch:
-            patch.setattr(probe_models, "np", _NanEmpty())
-            got = kernel(points, config)(times)
-        assert got.tobytes() == expected.tobytes()
+    name, domain_floor = _ESTIMAND_FIELDS[config.estimand]
+    for floor in (domain_floor, value):  # the central and the one-sided stencil
+        monkeypatch.setitem(_ESTIMAND_FIELDS, config.estimand, (name, floor))
+        for derive in (True, False):
+            expected = entry(value, config)(times, derive)
+            with monkeypatch.context() as patch:
+                patch.setattr(probe_models, "np", _NanEmpty())
+                got = entry(value, config)(times, derive)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestChannels:

@@ -1,5 +1,5 @@
-"""Tests for the derivative stencil on the models' kernels, the block QFI
-and its oracles."""
+"""Tests for the derivative stencil on the models' kernels, the tangent
+kernels' exact derivative, the block QFI and its oracles."""
 
 from dataclasses import replace
 
@@ -23,6 +23,7 @@ from helpers import (
     states,
     stencil,
 )
+from qfi_probe import scan_repro
 from qfi_probe.qfi_engine import qfi_blocks
 from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, validate_blocks
 from qfi_probe.scan_repro import _ESTIMAND_FIELDS, MODELS, ScanConfig, time_grid
@@ -31,6 +32,9 @@ from symbolic import exact
 THERMAL = ScanConfig("thermal1", alpha=np.pi / 4)
 SQUEEZED = ScanConfig("squeezed1", alpha=np.pi / 4)
 FOCK2 = ScanConfig("fock2", alpha=np.pi / 4)
+# the models whose MODELS entry is the stencil; thermal2 and squeezed2 have
+# tangent kernels (ROADMAP item 29)
+STENCIL_MODELS = ("fock1", "thermal1", "squeezed1", "fock2")
 
 
 def derivative(config, value, times):
@@ -42,7 +46,7 @@ class TestDerivativeStencil:
     def test_constant_model_gives_zero(self, monkeypatch):
         state = lambda times: block_state(QUBIT_BLOCKS, times, [(0.5, 0.5, 0.5, 0.0)]).values
         constant = lambda points, _: lambda times: np.array([state(times) for _ in points])
-        monkeypatch.setitem(MODELS, "fock1", MODELS["fock1"][:3] + (constant,))
+        monkeypatch.setitem(MODELS, "fock1", MODELS["fock1"][:3] + (scan_repro._stencil(constant),))
         deriv = derivative(ScanConfig("fock1"), 1.0, [2.0])[0]
         assert np.abs(deriv).max() <= 1e-10
 
@@ -69,8 +73,7 @@ class TestDerivativeStencil:
             assert abs(np.trace(deriv)) <= 1e-9
             assert np.abs(deriv - deriv.conj().T).max() == 0.0
 
-    @pytest.mark.parametrize("model", ["fock1", "thermal1", "squeezed1", "fock2", "thermal2",
-                                       "squeezed2"])
+    @pytest.mark.parametrize("model", STENCIL_MODELS)
     def test_bit_identical_to_dense_stencil(self, model, monkeypatch):
         # dividing by the trace and by 2 h as multiplications by the
         # reciprocal, with the trace summed in basis order, and combining
@@ -93,6 +96,21 @@ class TestDerivativeStencil:
         for k, t in enumerate(times):
             pointwise = derivative(THERMAL, 0.1, [t])[0]
             np.testing.assert_allclose(stack[k], pointwise, atol=1e-14)
+
+
+@pytest.mark.parametrize("config", [
+    ScanConfig("thermal2"), ScanConfig("thermal2", mean_occupation=0.0, gamma=0.7),
+    ScanConfig("thermal2", mean_occupation=30.0), ScanConfig("squeezed2"),
+    ScanConfig("squeezed2", squeezing=0.0, gamma=1.3), ScanConfig("squeezed2", squeezing=2.0),
+], ids=str)
+def test_tangent_derivative_equals_exact(config):
+    # the tangent kernels' derivative row is the exact one to rounding, at
+    # the domain floor and at large strength too; the worst measured was
+    # 3.5e-16 of the largest entry
+    times = np.linspace(0.0, 40.0, 41)
+    got = dense(d_rho_grid(config, nominal(config), times))
+    expected = np.array([exact(config, t).drho for t in times], dtype=complex)
+    assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def block_form(rho, drho):

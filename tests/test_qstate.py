@@ -27,6 +27,7 @@ from qfi_probe.qstate import (
     QUBIT_BLOCKS,
     X_BLOCKS,
     BlochVector,
+    BlockState,
     NegativeEigenvalue,
     StateValidationError,
     TraceNotOne,
@@ -130,6 +131,23 @@ class TestValidateBlocks:
             validate_blocks(qubit(0.9, -0.2, 0.0))
         with pytest.raises(StateValidationError, match="NaN"):
             validate_blocks(qubit(np.nan, -0.2, 0.0))
+
+    @pytest.mark.parametrize("config", [ScanConfig("thermal1"), ScanConfig("thermal2")],
+                             ids=["qubit", "X-state"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_nonfinite_entry_in_every_row_named_first(self, config, bad):
+        # finiteness is tested only when the PSD or the trace check fails;
+        # a NaN or an infinity in any row, of a mixed state or of the pure
+        # t = 0 state (whose empty entries meet it as inf * 0), must still
+        # fail first and as itself, with no floating-point warning
+        for t in (0.0, 3.0):
+            good = states(config, nominal(config), [t])
+            for row in range(len(good.values)):
+                values = good.values.copy()
+                values[row] = bad
+                with pytest.raises(StateValidationError, match="NaN or infinite") as info:
+                    validate_blocks(BlockState(good.support, values))
+                assert type(info.value) is StateValidationError, (t, row)
 
     def test_known_spectra(self):
         # (w, det) of the maximally mixed, excited and ground qubits, and of
@@ -353,6 +371,17 @@ class TestFidelity:
         over = BlochVector(0.0, 0.0, np.sqrt(1.0 + 1e-10))
         with pytest.raises(ValueError, match="radicand -1.000e-10 below"):
             fidelity_bloch(over, BlochVector(0.0, 0.0, 0.0))
+
+    def test_norm_errors_come_before_the_radicand_error(self):
+        # the two norms are checked together, and on a failure one by one,
+        # a0 first, before the radicand; a0 = (0, 0, 1.5) against a1 = 0
+        # fails both, and a NaN fails the norm check
+        long0, long1 = BlochVector(0.0, 0.0, 1.5), BlochVector(0.0, 0.0, np.array([0.5, 2.0]))
+        zero, nan = BlochVector(0.0, 0.0, 0.0), BlochVector(0.0, 0.0, np.nan)
+        for a0, a1, norm in ((long0, zero, "2.25"), (zero, long1, "4.0"), (long0, long1, "2.25"),
+                             (nan, zero, "nan"), (zero, nan, "nan")):
+            with pytest.raises(ValueError, match=rf"^Bloch vector norm\^2 = {norm}0* exceeds 1$"):
+                fidelity_bloch(a0, a1)
 
     def test_two_qubit_records_against_uhlmann(self):
         # the fidelity of qubit A, from records, against the dense oracle

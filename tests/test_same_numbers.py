@@ -44,22 +44,22 @@ FIGURE_MAXIMA = {
     "4a/one_qubit": ("0x1.9000000000000p+6", "0x1.278bf8a2167bep+10"),
     "4a/two_qubit": ("0x1.8e21222ec8d28p+6", "0x1.c9e0e5776e248p+10"),
     "4b/one_qubit": ("0x1.634a80dc09412p+3", "0x1.43448b41c7750p+1"),
-    "4b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a945p+2"),
+    "4b/two_qubit": ("0x1.0a5c226732f98p+5", "0x1.4344485a1a465p+2"),
     "4c/one_qubit": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d6p+1"),
-    "4c/two_qubit": ("0x1.1529c3a55f243p+5", "0x1.ec0dd369e15abp+2"),
+    "4c/two_qubit": ("0x1.4660bea428587p+5", "0x1.ec0dd36bc78e2p+2"),
     "5a/one_qubit": ("0x1.9000000000000p+6", "0x1.278bf8a2167bep+10"),
     "5a/two_qubit": ("0x1.8e21222ec8d28p+6", "0x1.c9e0e5776e248p+10"),
     "5b/one_qubit": ("0x1.634a80dc09412p+3", "0x1.43448b41c7750p+1"),
-    "5b/two_qubit": ("0x1.b2b0bd157fd81p+4", "0x1.4344485b3a945p+2"),
+    "5b/two_qubit": ("0x1.0a5c226732f98p+5", "0x1.4344485a1a465p+2"),
     "5c/one_qubit": ("0x1.2c91f656bed60p+5", "0x1.ec0dd369dc9d6p+1"),
-    "5c/two_qubit": ("0x1.1529c3a55f243p+5", "0x1.ec0dd369e15abp+2"),
+    "5c/two_qubit": ("0x1.4660bea428587p+5", "0x1.ec0dd36bc78e2p+2"),
 }
 # find_max (t, qfi) of the scans of seeded_reservoir_configs, as float.hex
 SEEDED_MAXIMA = {
-    0: ("0x1.5cf714ef77928p+4", "0x1.26fb5a2bbc37ep+2"),  # thermal2
-    1: ("0x1.e8ddf5130a019p+4", "0x1.fdd8d39a1ce67p+2"),  # thermal2
-    2: ("0x1.44930918d8fd1p+4", "0x1.fc873c91a60d9p+2"),  # squeezed2, a flat peak
-    3: ("0x1.3dae625349b4cp+2", "0x1.422cdd3205a0ap+2"),  # squeezed2
+    0: ("0x1.921fee08b31b8p+4", "0x1.26fb5a2ab70a0p+2"),  # thermal2
+    1: ("0x1.169a9c763bc07p+5", "0x1.fdd8d397f46cbp+2"),  # thermal2
+    2: ("0x1.6f55b919e727cp+4", "0x1.fc873c93b6b77p+2"),  # squeezed2, a flat peak
+    3: ("0x1.3dae625349b4cp+2", "0x1.422cdd32c6b21p+2"),  # squeezed2
 }
 # sha256 of the CSVs of `figure --tag <tag>`, at the default 2000 points, by file name
 FIGURE_CSV_SHA256 = {
@@ -78,15 +78,15 @@ FIGURE_CSV_SHA256 = {
     "fig4a_one_qubit.csv": "8a2e2b65435e0808fe7c33a9c2530db759037298b7c4fe63eeede6272779fad8",
     "fig4a_two_qubit.csv": "71846843c85f85986fc512d834e6376493fdf6a3ea8670e5b7c04955b6788012",
     "fig4b_one_qubit.csv": "ecf4735b27bc7701a26f7f9eb779a736461efdbafa7b14e31e8ef9b15d323a7a",
-    "fig4b_two_qubit.csv": "859550812c7910fe3a3843df607bef749798ee9222978f3a18b4d4ecfca8f66f",
+    "fig4b_two_qubit.csv": "e777914fd81bc07d401c8327fd5c05b90a450e57547896a14757d98fde5a4e5b",
     "fig4c_one_qubit.csv": "679b34fcc0f45882ecab0332904af5a7e10501845490eac15958f3bb845e2ba0",
-    "fig4c_two_qubit.csv": "4b7dbba5895bf362352ea80382643396ae92335d883530b6506e279db2ed2939",
+    "fig4c_two_qubit.csv": "15e6e798f565d16b9a0f9b110ac753f29018d7f062f396c4a169f8cd774dcdca",
     "fig5a_one_qubit.csv": "44d40e02ff80f80a69dec54d18541df93a37036b665fc2db6051fa79d68cb3ef",
     "fig5a_two_qubit.csv": "f6ae66e057ce0071ee60d7db6ae833b8aab6feed24d1542295f7d132e227aba0",
     "fig5b_one_qubit.csv": "2a1b4fbaf4b5f7ebfb561cc7e4455760f7d0ba1bb94f5524e9193df5d961f4ac",
-    "fig5b_two_qubit.csv": "2347414707483069f72a5c103c439f47ca9d9eb9f954c6ca64833f08d00d605a",
+    "fig5b_two_qubit.csv": "c4a04d07bf706c365055ad7ea44c792b3ce2303efd659d79f1ee52a647efbcc4",
     "fig5c_one_qubit.csv": "52dee43861d8017fc6b95b07fd79875c228c512c90213cdced21c4e9a130568d",
-    "fig5c_two_qubit.csv": "67323c862baa9d8b5c9276911f34302a7e5121c190b53b3fe688202141744eea",
+    "fig5c_two_qubit.csv": "7424ce6c02f33f01bb351551a88d0c4f1db132594dd99a3ade0101ec80ca143e",
 }
 # sha256 of the CSV of `scan --model <flags>`: each model at the defaults
 # (2000 points), the reservoir models at strength 0, which takes the
@@ -95,19 +95,19 @@ SCAN_CSV_SHA256 = {
     "fock1": "99536d1ddd043f641f4a98ef964d8b631b5d54f8f317f736270a1553e8ea3283",
     "fock2": "9788024c7c82f19c807e33abf55b84fe1db8032c5ef78eb60fbd07dea1d4fc1f",
     "squeezed1": "8234e69a656cf5b5b6533219925a0411cb1bc26e929205b9c6e9b680af73b08f",
-    "squeezed2": "e95aad1b958edde64b501a10d4ccdc60fcd2039bba2e4027b06f8fe9a93456df",
+    "squeezed2": "5d1e38c82a7e6222f36ee8e62fecc61edbebdbc87cde4a85b4f3918f286bb433",
     "thermal1": "7fc2b03eb3fb04c84ab1761ddc30275905332703126640b7a53bef6baa42be02",
-    "thermal2": "a680396787d5be5149eebf80d322354e07c9da71107c06daa0004a1827918a59",
+    "thermal2": "b54626d04ee868899191e61938e45b469402707598d6d67cf41935245d27591e",
     "thermal1 --m 0": "970b5d29a20a7f90f3f89daa4bd8629c102f7ad632d755473a2e85223da39ceb",
     "thermal2 --m 0": "241fadf71d9f54c6c0c043ed24a9544676861a6dcf891c30ae7074b134a8104f",
     "squeezed1 --r 0": "3934c7a008733939e13f2b7a7217071804cc93c5fb1d8f69dc501b2d1736736b",
-    "squeezed2 --r 0": "f9289185faa949b47da97d0cf50c1af962b7d44777394f6ead371d2433694601",
+    "squeezed2 --r 0": "36dbbb5f5049cd28c1958338bc659478d0975573b7493b71c420e58bb631a054",
     "fock1 --points 6000": "d7dd2c8e73cb406d93789632686a74493a0a0f6ab28c8e5043071ff67e44031b",
     "thermal1 --points 6000": "caba6e184007be15d0414838cfcc4e901fabdb7cf40eabe18e927baf6bab66eb",
     "squeezed1 --points 6000": "6d865940625cc423becb115372608cf8cf936dcc1ee6e23220b814189e4a993e",
     "fock2 --points 6000": "cb3a321bd6515109d1387b39ba71476743a7f7782ed1c1ac623d780a2bb8ba3a",
-    "thermal2 --points 6000": "56caa6ab34588be4833d1c8d0bb707ae69be40e2dd29cddb01976e5835c52365",
-    "squeezed2 --points 6000": "c14843a792b72651b80af152d3fc2cbe46bbe718fac2380ac6eaaa6d68e71cef",
+    "thermal2 --points 6000": "f00d669f74fd80f7197a037f702f61b8935f9a2f6f8b5ff1769f32a2952c4551",
+    "squeezed2 --points 6000": "4359efbef8f50ce541480f586e1c005e3b5739eb21c2e11f9d8a0d582eb5db9a",
 }
 
 

@@ -321,7 +321,7 @@ class TestScan:
         config = ScanConfig("fock2", t_max=20.0, points=200, alpha=0.4)
         honoured = scan(config)
         bell = scan(replace(config, alpha=math.pi / 4))
-        direct_kernel = lambda points, _: fock2_kernel(points, 1.0, 0.4)
+        direct_kernel = scan_repro._stencil(lambda points, _: fock2_kernel(points, 1.0, 0.4))
         monkeypatch.setitem(MODELS, "fock2", MODELS["fock2"][:3] + (direct_kernel,))
         direct = scan(replace(config, alpha=math.pi / 4))
         for name in ("qfi", "fidelity"):
@@ -376,13 +376,13 @@ REFINED_WINDOWS = {
 
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_one_kernel_call_per_evaluation_block(model, monkeypatch):
-    # count the calls of the kernel that the model's MODELS row builds
+    # count the calls of the kernel that the model's MODELS entry returns
     calls = []
-    estimand, read, blocks, build = MODELS[model]
+    estimand, read, blocks, entry = MODELS[model]
 
-    def counting(points, config):
-        kernel = build(points, config)
-        return lambda times: calls.append(len(times)) or kernel(times)
+    def counting(value, config):
+        kernel = entry(value, config)
+        return lambda times, derive=True: calls.append(len(times)) or kernel(times, derive)
 
     monkeypatch.setitem(MODELS, model, (estimand, read, blocks, counting))
     config = ScanConfig(model, **REFINED_WINDOWS[model])
