@@ -2,7 +2,7 @@
 from block records, and independent oracles.
 
 The oracles here (the 2x2 lower eigenvalue, the dense partial trace and
-Bloch vector, the spectral, SLD and pure-state QFI of arbitrary states,
+Bloch vector, the spectral and pure-state QFI of arbitrary states,
 the Uhlmann fidelity, the full golden-section search,
 the loop form of the backflow detector, per-row f-string CSV formatting,
 and the stencil table and dense stencil that pin the record stencil's
@@ -11,7 +11,10 @@ return plain complex arrays; qstate.validate_blocks is the one state
 validator. The models' states, derivatives, QFI and fidelity have one
 exact oracle, symbolic.exact. The record builder block_state, the
 scan_repro.MODELS wrappers states, evaluator_kernel and d_rho_grid and
-without_floored_fill serve only the tests.
+without_floored_fill serve only the tests. The assertions
+assert_block_qfi_matches_the_spectral_oracle and
+assert_numbers_depend_on_gamma_t_only are shared by the property tests and
+the known-defect table.
 """
 
 import math
@@ -20,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qfi_probe.probe_models import _fock1_amplitudes, _fock2_amplitudes
-from qfi_probe.qfi_engine import EIGENSUM_FLOOR
+from qfi_probe.qfi_engine import EIGENSUM_FLOOR, qfi_blocks
 from qfi_probe.qstate import (
     QUBIT_BLOCKS,
     X_BLOCKS,
@@ -29,7 +32,14 @@ from qfi_probe.qstate import (
     _diagonal_rows,
     validate_blocks,
 )
-from qfi_probe.scan_repro import _ESTIMAND_FIELDS, MODELS, T_TOL, ScanConfig
+from qfi_probe.scan_repro import (
+    _ESTIMAND_FIELDS,
+    MODELS,
+    T_TOL,
+    ScanConfig,
+    point_fidelity,
+    point_qfi,
+)
 
 HERMITICITY_TOL = 1e-10
 # the stencil step at |value| <= 1, cbrt(machine epsilon)
@@ -196,25 +206,6 @@ def qfi_spectral(rho, drho):
     )
 
 
-def qfi_sld_oracle(rho, drho):
-    """QFI via the symmetric logarithmic derivative.
-
-    Solves drho = (L rho + rho L) / 2 in the eigenbasis of rho
-    (L_ij = 2 drho_ij / (p_i + p_j) on the supported subspace), rebuilds L
-    in the original basis and returns tr(rho L^2). Independent of the
-    spectral route and its validated eigen-decomposition; the two agree to
-    1e-8 whenever nothing is discarded.
-    """
-    mat = np.asarray(rho, dtype=complex)
-    values, vectors = np.linalg.eigh(mat)
-    elements = vectors.conj().T @ np.asarray(drho, dtype=complex) @ vectors
-    pair_sums = values[:, None] + values[None, :]
-    supported = pair_sums > EIGENSUM_FLOOR
-    sld_eigen = np.where(supported, 2.0 * elements / np.where(supported, pair_sums, 1.0), 0.0)
-    sld = vectors @ sld_eigen @ vectors.conj().T
-    return float(np.trace(mat @ sld @ sld).real)
-
-
 def qfi_pure_oracle(psi, dpsi):
     """Pure-state QFI, F = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2).
 
@@ -225,17 +216,6 @@ def qfi_pure_oracle(psi, dpsi):
     dpsi = np.asarray(dpsi, dtype=complex)
     value = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
     return float(max(value, 0.0))
-
-
-def reduce_A(state):
-    """Reduced state of qubit A; asserts that it is diagonal for the
-    block-structured two-qubit states the package produces."""
-    mat = np.asarray(state, dtype=complex)
-    reduced = trace_out_B(mat)
-    block = np.maximum(np.abs(mat[..., 0, 2]), np.abs(mat[..., 1, 3])) <= 5e-11
-    if np.any(block & (np.abs(reduced[..., 0, 1]) > 1e-10)):
-        raise AssertionError("reduced state of a block-structured input is not diagonal")
-    return reduced
 
 
 def _one_point(amplitudes, times):
@@ -295,6 +275,37 @@ def without_floored_fill(rho: BlockState, drho: BlockState) -> BlockState:
     dc = dc - fill * x * np.conj(y)
     parts = (da - fill * np.abs(x) ** 2, db - fill * np.abs(y) ** 2, dc.real, dc.imag)
     return BlockState(drho.support, np.concatenate(parts))
+
+
+def assert_block_qfi_matches_the_spectral_oracle(config, times):
+    # the closed-form block QFI against a full eigendecomposition, row by
+    # row. The weight that the derivative moves into a floored level is
+    # left out: the two floors treat it differently, and neither gives the
+    # QFI there (the zero_temperature_occupation rows of
+    # test_symbolic.py::test_known_defects)
+    rows = validate_blocks(states(config, nominal(config), times))
+    derivs = without_floored_fill(rows, d_rho_grid(config, nominal(config), times))
+    batched = qfi_blocks(rows, derivs).value
+    spectral = qfi_spectral(dense(rows), dense(derivs)).value
+    assert batched.shape == times.shape
+    assert np.all(np.abs(batched - spectral) <= 1e-8 * np.maximum(1.0, np.abs(spectral)))
+
+
+# the worst relative QFI error over 20,000 draws per model of the test's
+# distribution, rounded up by less than 2x; the fidelity's worst absolute
+# error was 4.4e-16
+SCALING_QFI_RTOL = {"thermal1": 5e-10, "squeezed1": 5e-10, "thermal2": 1.5e-10,
+                    "squeezed2": 6e-9}
+
+
+def assert_numbers_depend_on_gamma_t_only(model, exponent, scaled_t):
+    # every reservoir rate is gamma times a function of the strength, so
+    # the QFI and the fidelity at (gamma, t) are those at (1, gamma t)
+    gamma, unit = 10.0**exponent, ScanConfig(model)
+    config, t = ScanConfig(model, gamma=gamma), scaled_t / gamma
+    qfi, expected = point_qfi(config, t), point_qfi(unit, scaled_t)
+    assert abs(qfi - expected) <= SCALING_QFI_RTOL[model] * expected
+    assert abs(point_fidelity(config, t) - point_fidelity(unit, scaled_t)) <= 8e-16
 
 
 def golden_section_max(dataset):

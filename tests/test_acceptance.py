@@ -24,7 +24,6 @@ from helpers import (
     fock1_amplitudes,
     fock2_amplitudes,
     qfi_pure_oracle,
-    qfi_sld_oracle,
     qfi_spectral,
     random_density,
     random_hermitian_traceless,
@@ -32,7 +31,7 @@ from helpers import (
     states,
 )
 from qfi_probe.qfi_engine import qfi_blocks
-from qfi_probe.qstate import validate_blocks
+from qfi_probe.qstate import X_BLOCKS, validate_blocks
 from qfi_probe.scan_repro import (
     ScanConfig,
     backflow_intervals,
@@ -71,19 +70,23 @@ def figures():
 def test_criterion1_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
-    # full-rank states: spectral formula against the SLD route, and the
-    # closed-form block QFI where the state is one block (a qubit)
+    # full-rank states: spectral formula against the closed-form block QFI,
+    # on qubits and on two-qubit X states (a random state and derivative
+    # with every entry outside the X-state blocks set to 0)
+    outside = np.ones((4, 4), dtype=bool)
+    for block in X_BLOCKS:
+        outside[np.ix_(block, block)] = False
     for dim, count in ((2, 600), (4, 400)):
         for _ in range(count):
             rho = random_density(rng, dim)
             drho = random_hermitian_traceless(rng, dim)
+            if dim == 4:
+                rho[outside] = drho[outside] = 0.0
             spectral = qfi_spectral(rho, drho)
             assert spectral.discarded_pairs == 0
-            assert abs(spectral.value - qfi_sld_oracle(rho, drho)) <= 1e-8
-            if dim == 2:
-                block = qfi_blocks(record(rho), record(drho))
-                assert block.floored == 0
-                assert abs(block.value - spectral.value) <= 1e-8
+            block = qfi_blocks(record(rho), record(drho))
+            assert block.floored == 0
+            assert abs(block.value - spectral.value) <= 1e-8
     # rank-1 states: spectral formula against the pure-state limit
     for dim, count in ((2, 300), (4, 200)):
         for _ in range(count):
@@ -271,6 +274,6 @@ def test_criterion7_discrepancy_report():
     report = discrepancy_report()
     for quoted in ("80", "541", "1210"):
         assert quoted in report
-    assert "no tuning" in report
+    assert "computed" in report and "no tuning" in report
     print("criterion 7 PASS (report emitted, values not gated):")
     print(report)

@@ -1,7 +1,7 @@
 """Property-based tests of the batched evaluation path over the valid
 parameter domain of every probe model: state invariants, the ranges of
-QFI and fidelity, agreement of the block QFI with the spectral and SLD
-oracles on dense matrices built from the records, the stencil choice at
+QFI and fidelity, agreement of the block QFI with the spectral oracle on
+dense matrices built from the records, the stencil choice at
 the domain floor, the reservoirs' dependence on gamma t alone for gamma
 from 1e-200 to 1e200, and the exact symmetries of the cavity models in
 the detuning and the angle and of the temperature QFI in freq_scale."""
@@ -16,16 +16,16 @@ from hypothesis import strategies as st
 
 from helpers import (
     FD_SCALE,
+    SCALING_QFI_RTOL,
+    assert_block_qfi_matches_the_spectral_oracle,
+    assert_numbers_depend_on_gamma_t_only,
     d_rho_grid,
     dense,
     nominal,
-    qfi_sld_oracle,
-    qfi_spectral,
     states,
     stencil,
-    without_floored_fill,
 )
-from qfi_probe.qfi_engine import qfi_blocks, stencil_points
+from qfi_probe.qfi_engine import stencil_points
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     MODEL_IDS,
@@ -88,36 +88,10 @@ def test_qfi_nonnegative_and_fidelity_in_unit_interval(config, t_min, span):
 
 @PROPERTY
 @given(configs(), TIMES)
-def test_batched_spectral_qfi_matches_sld_oracle_per_row(config, times):
+def test_batched_qfi_matches_the_spectral_oracle_per_row(config, times):
     # t = 0 and short times give near-pure states
-    assert_block_qfi_matches_the_oracles(config, np.concatenate([times, [0.0, 1e-9, 1e-5]]))
-
-
-@pytest.mark.xfail(strict=True, reason="det = ab - |c|^2 cancels in a block whose lower eigenvalue"
-                                       " sits just above the floor (ROADMAP items 3 and 9)")
-def test_known_block_qfi_defect_above_the_floor():
-    # squeezed2 at r = 1e-5, t = 1 (block eigenvalues 1.8e-12 and 3.2e-12):
-    # qfi_blocks reads 1.0569659, helpers.qfi_spectral 1.0569638 and the SLD
-    # oracle 1.0569616, and symbolic.exact gives 1.0569645
-    assert_block_qfi_matches_the_oracles(ScanConfig("squeezed2", squeezing=1e-5), np.array([1.0]))
-
-
-def assert_block_qfi_matches_the_oracles(config, times):
-    # the closed-form block QFI against a full eigendecomposition and the
-    # SLD solve, row by row. The weight that the derivative moves into a
-    # floored level is left out: the two floors treat it differently, and
-    # neither gives the QFI there
-    # (test_known_occupation_qfi_defect_at_zero_temperature)
-    rows = validate_blocks(states(config, nominal(config), times))
-    derivs = without_floored_fill(rows, d_rho_grid(config, nominal(config), times))
-    batched = qfi_blocks(rows, derivs).value
-    mats, dmats = dense(rows), dense(derivs)
-    spectral = qfi_spectral(mats, dmats).value
-    assert batched.shape == times.shape
-    for k in range(times.size):
-        oracle = qfi_sld_oracle(mats[k], dmats[k])
-        assert abs(batched[k] - spectral[k]) <= 1e-8 * max(1.0, abs(spectral[k]))
-        assert abs(batched[k] - oracle) <= 1e-8 * max(1.0, abs(oracle))
+    assert_block_qfi_matches_the_spectral_oracle(config,
+                                                 np.concatenate([times, [0.0, 1e-9, 1e-5]]))
 
 
 @PROPERTY
@@ -162,37 +136,11 @@ def test_two_qubit_reservoirs_differentiate_at_zero_strength(model, strength, ga
     assert np.all(np.isfinite(dataset.qfi)) and np.all(dataset.qfi >= 0.0)
 
 
-# the worst relative QFI error over 20,000 draws per model of the test's
-# distribution, rounded up by less than 2x; the fidelity's worst absolute
-# error was 4.4e-16
-SCALING_QFI_RTOL = {"thermal1": 5e-10, "squeezed1": 5e-10, "thermal2": 1.5e-10,
-                    "squeezed2": 6e-9}
-
-
 @pytest.mark.parametrize("model", list(SCALING_QFI_RTOL))
 @PROPERTY
 @given(exponent=st.floats(-200.0, 200.0), scaled_t=st.floats(0.01, 20.0))
 def test_reservoir_numbers_depend_on_gamma_t_only(model, exponent, scaled_t):
     assert_numbers_depend_on_gamma_t_only(model, exponent, scaled_t)
-
-
-@pytest.mark.xfail(strict=True, reason="the stencil's rounding moves the thermal1 QFI by more than"
-                                       " its bound under a 1-ulp change of gamma t (ROADMAP item 3)")
-def test_known_reservoir_scaling_defect():
-    # thermal1 at gamma = 1e136 and gamma t = 0.03125: the QFI is 5.97e-10
-    # relative from the one at (1, gamma t), against the bound of 5e-10. At
-    # gamma = 1, t one ulp above 0.03125 moves it by the same 5.97e-10
-    assert_numbers_depend_on_gamma_t_only("thermal1", 136.0, 0.03125)
-
-
-def assert_numbers_depend_on_gamma_t_only(model, exponent, scaled_t):
-    # every reservoir rate is gamma times a function of the strength, so
-    # the QFI and the fidelity at (gamma, t) are those at (1, gamma t)
-    gamma, unit = 10.0**exponent, ScanConfig(model)
-    config, t = ScanConfig(model, gamma=gamma), scaled_t / gamma
-    qfi, expected = point_qfi(config, t), point_qfi(unit, scaled_t)
-    assert abs(qfi - expected) <= SCALING_QFI_RTOL[model] * expected
-    assert abs(point_fidelity(config, t) - point_fidelity(unit, scaled_t)) <= 8e-16
 
 
 # cavity draws: a detuning of either sign and a coupling, both log-uniform

@@ -3,6 +3,8 @@ fidelity, and for the dense helpers that serve them as oracles: the
 record builder, the lower eigenvalue, the partial trace and the Bloch
 vector."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from helpers import (
     random_density,
     random_qubit_state,
     record,
-    state_at,
     states,
     trace_out_B,
 )
@@ -40,6 +41,7 @@ from qfi_probe.scan_repro import MODEL_IDS, ScanConfig
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
 BELL = np.diag([0.0, 0.5, 0.5, 0.0]) + np.diag([0.0, 0.5, 0.0], 1) + np.diag([0.0, 0.5, 0.0], -1)
+MIXED = np.eye(2, dtype=complex) / 2
 THERMAL = ScanConfig("thermal1", alpha=np.pi / 4)
 
 
@@ -52,8 +54,67 @@ def fidelity(m0, m1):
     return fidelity_bloch(bloch_vector(m0), bloch_vector(m1))
 
 
+# records that validate_blocks rejects, (case, record builder, exception
+# type, a pattern of its message), in the order of its checks: NaN and infinity
+# first, then a negative eigenvalue, then the trace
+REJECTED_RECORDS = [
+    ("nan", partial(qubit, np.nan, 1.0, 0.0), StateValidationError, "NaN"),
+    ("inf", partial(qubit, 0.5, 0.5, 0.0, np.inf), StateValidationError, "NaN"),
+    ("nan_before_negative", partial(qubit, np.nan, -0.2, 0.0), StateValidationError, "NaN"),
+    ("one_nan_state", partial(block_state, QUBIT_BLOCKS, np.zeros(5),
+                              [(np.array([0.5, 0.5, 0.5, np.nan, 0.5]), 0.5, 0.0, 0.0)]),
+     StateValidationError, "NaN"),
+    # unit trace, a valid {|eg>, |ge>} block, and an {|ee>, |gg>} block
+    # holding a lone |ee> weight of -0.1
+    ("negative_single_weight", partial(block_state, X_BLOCKS, np.zeros(1),
+                                       [(0.55, 0.55, 0.0, 0.0), (-0.1, 0.0, 0.0, 0.0)]),
+     NegativeEigenvalue, "-1.0"),
+    # nonnegative diagonal, but the coherence is too large: eigenvalues 1.1
+    # and -0.1, both as a qubit and as an X-state block
+    ("negative_pair_eigenvalue", partial(qubit, 0.5, 0.5, 0.6), NegativeEigenvalue, "-1.0"),
+    ("negative_x_pair_eigenvalue", partial(block_state, X_BLOCKS, np.zeros(1),
+                                           [(0.5, 0.5, 0.0, 0.6), (0.0, 0.0, 0.0, 0.0)]),
+     NegativeEigenvalue, "-1.0"),
+    ("one_bad_state", partial(record, np.array([EXCITED, np.diag([1.1, -0.1]), GROUND])),
+     NegativeEigenvalue, "-1.0"),
+    # the lower eigenvalue det / upper of a diagonal block is its entry:
+    # -2e-10 is past PSD_TOL (-0.5e-10 passes)
+    ("past_psd_tol", partial(qubit, 1.0 + 2e-10, -2e-10, 0.0), NegativeEigenvalue, None),
+    ("negative_before_trace", partial(qubit, 0.9, -0.2, 0.0), NegativeEigenvalue, None),
+    # 2e-10 off (0.5e-10 passes)
+    ("trace_off", partial(qubit, 0.3 + 2e-10, 0.7, 0.0), TraceNotOne, "exceeds"),
+    ("x_trace_off", partial(block_state, X_BLOCKS, np.zeros(1),
+                            [(0.25, 0.25, 0.1, 0.0), (0.25, 0.3, 0.0, 0.0)]), TraceNotOne, None),
+    # the qubit and X-state blocks are the only supports
+    *((f"support_{support}", partial(block_state, support, np.zeros(1), []), ValueError,
+       "partition")
+      for support in (((1, 2), (0,)), ((1, 2), (0, 3), (3,)), ((0,), (1, 2), (3,)),
+                      ((0, 1, 2), (3,)), ((1, 2),), ((0, 3), (1, 2)), ((1, 0),),
+                      # would give qubit A a coherence, which the diagonal
+                      # map of reduced_bloch does not cover
+                      ((0, 2), (1, 3)))),
+    ("values_do_not_fit", lambda: BlockState(X_BLOCKS, qubit(0.5, 0.5, 0.0).values), ValueError,
+     "do not fit"),
+]
+
+
+@pytest.mark.parametrize("build, error, message",
+                         [pytest.param(*row[1:], id=row[0]) for row in REJECTED_RECORDS])
+def test_rejected_records(build, error, message):
+    with pytest.raises(error, match=message) as info:
+        validate_blocks(build())
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("state", [qubit(1.0 + 0.5e-10, -0.5e-10, 0.0),
+                                   qubit(0.3 + 0.5e-10, 0.7, 0.0)],
+                         ids=["within_psd_tol", "trace_within_tol"])
+def test_accepted_records(state):
+    validate_blocks(state)
+
+
 class TestValidateBlocks:
-    """The record validator, one check at a time, in its order."""
+    """The record validator on model records and at its bounds."""
 
     @pytest.mark.parametrize("model", MODEL_IDS)
     def test_model_records_pass_with_spectra(self, model):
@@ -67,35 +128,6 @@ class TestValidateBlocks:
             pairs = np.linalg.eigvalsh(mats[:, [i, j]][:, :, [i, j]])
             np.testing.assert_allclose(weight[k], pairs.sum(axis=-1), rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(det[k], pairs.prod(axis=-1), rtol=0.0, atol=1e-15)
-
-    def test_nan_rejected(self):
-        with pytest.raises(StateValidationError, match="NaN") as info:
-            validate_blocks(qubit(np.nan, 1.0, 0.0))
-        assert type(info.value) is StateValidationError
-        with pytest.raises(StateValidationError, match="NaN"):
-            validate_blocks(qubit(0.5, 0.5, 0.0, np.inf))
-
-    def test_negative_single_weight_rejected(self):
-        # unit trace, a valid {|eg>, |ge>} block, and an {|ee>, |gg>} block
-        # holding a lone |ee> weight of -0.1
-        bad = block_state(X_BLOCKS, np.zeros(1), [(0.55, 0.55, 0.0, 0.0), (-0.1, 0.0, 0.0, 0.0)])
-        with pytest.raises(NegativeEigenvalue, match="-1.0"):
-            validate_blocks(bad)
-
-    def test_negative_pair_eigenvalue_rejected(self):
-        # nonnegative diagonal, but the coherence is too large: eigenvalues
-        # 1.1 and -0.1, both as a qubit and as an X-state block
-        with pytest.raises(NegativeEigenvalue, match="-1.0"):
-            validate_blocks(qubit(0.5, 0.5, 0.6))
-        pair = block_state(X_BLOCKS, np.zeros(1), [(0.5, 0.5, 0.0, 0.6), (0.0, 0.0, 0.0, 0.0)])
-        with pytest.raises(NegativeEigenvalue, match="-1.0"):
-            validate_blocks(pair)
-
-    def test_psd_tolerance_is_the_bound(self):
-        # lower eigenvalue det / upper of a diagonal block is its entry
-        validate_blocks(qubit(1.0 + 0.5e-10, -0.5e-10, 0.0))
-        with pytest.raises(NegativeEigenvalue):
-            validate_blocks(qubit(1.0 + 2e-10, -2e-10, 0.0))
 
     def test_determinant_gate_accepts_what_the_eigenvalue_bound_accepts(self):
         # unit-trace blocks whose lower eigenvalue lies within 3e-10 of 0,
@@ -115,22 +147,6 @@ class TestValidateBlocks:
                 assert not accepted, entries
             else:
                 assert accepted, entries
-
-    def test_trace_off_rejected(self):
-        validate_blocks(qubit(0.3 + 0.5e-10, 0.7, 0.0))
-        with pytest.raises(TraceNotOne, match="exceeds"):
-            validate_blocks(qubit(0.3 + 2e-10, 0.7, 0.0))
-        with pytest.raises(TraceNotOne):
-            validate_blocks(block_state(X_BLOCKS, np.zeros(1),
-                                        [(0.25, 0.25, 0.1, 0.0), (0.25, 0.3, 0.0, 0.0)]))
-
-    def test_checks_run_in_order(self):
-        # a negative eigenvalue is reported before a bad trace, and a NaN
-        # before either
-        with pytest.raises(NegativeEigenvalue):
-            validate_blocks(qubit(0.9, -0.2, 0.0))
-        with pytest.raises(StateValidationError, match="NaN"):
-            validate_blocks(qubit(np.nan, -0.2, 0.0))
 
     @pytest.mark.parametrize("config", [ScanConfig("thermal1"), ScanConfig("thermal2")],
                              ids=["qubit", "X-state"])
@@ -159,39 +175,10 @@ class TestValidateBlocks:
         np.testing.assert_array_equal(weight, [[1.0], [0.0]])
         np.testing.assert_array_equal(det, [[0.0], [0.0]])
 
-    def test_one_nan_state_in_a_record_rejected(self):
-        populations = np.array([0.5, 0.5, 0.5, np.nan, 0.5])
-        with pytest.raises(StateValidationError, match="NaN"):
-            validate_blocks(block_state(QUBIT_BLOCKS, np.zeros(5), [(populations, 0.5, 0.0, 0.0)]))
-
-    def test_one_bad_state_in_a_record_is_named(self):
-        states = np.array([EXCITED, np.diag([1.1, -0.1]), GROUND])
-        with pytest.raises(NegativeEigenvalue, match="-1.0"):
-            validate_blocks(record(states))
-
-    def test_support_must_partition_the_basis(self):
-        # the qubit and X-state blocks are the only supports
-        for support in (((1, 2), (0,)), ((1, 2), (0, 3), (3,)), ((0,), (1, 2), (3,)),
-                        ((0, 1, 2), (3,)), ((1, 2),), ((0, 3), (1, 2)), ((1, 0),)):
-            with pytest.raises(ValueError, match="partition"):
-                validate_blocks(block_state(support, np.zeros(1), []))
-
     def test_validated_record_is_read_only(self):
         state = validate_blocks(qubit(0.5, 0.5, 0.0))
         with pytest.raises(ValueError, match="read-only"):
             state.values[2] = 0.6
-
-    def test_entries_must_fit_the_blocks(self):
-        for support, blocks in ((QUBIT_BLOCKS, [(1.0,)]), (X_BLOCKS, [(0.5, 0.5, 0.0, 0.0), (0.0,)]),
-                                (X_BLOCKS, [(0.5, 0.5, 0.0, 0.0)]),
-                                (X_BLOCKS, [(0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), ()])):
-            with pytest.raises(ValueError):
-                block_state(support, np.zeros(1), blocks)
-
-    def test_values_must_fit_the_blocks(self):
-        state = qubit(0.5, 0.5, 0.0)
-        with pytest.raises(ValueError, match="do not fit"):
-            validate_blocks(type(state)(X_BLOCKS, state.values))
 
     def test_qfi_reuses_the_spectra(self, monkeypatch):
         state = validate_blocks(states(THERMAL, 0.1, [1.0, 2.0]))
@@ -205,24 +192,11 @@ class TestValidateBlocks:
         np.testing.assert_array_equal(qfi_engine.qfi_blocks(state, derivs).value, expected)
 
 
-class TestRecord:
-    """The dense-to-record helper that feeds oracle inputs to the validator."""
-
-    def test_dense_inverts_record(self):
-        rng = np.random.default_rng(5)
-        qubits = np.array([random_density(rng, 2) for _ in range(20)])
-        np.testing.assert_allclose(dense(record(qubits)), qubits, rtol=0.0, atol=1e-16)
-        np.testing.assert_array_equal(dense(record(BELL))[0], BELL)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            record(np.array([[0.5, 0.1], [0.3, 0.5]]))
-
-    def test_entry_outside_blocks_rejected(self):
-        stray = BELL.copy()
-        stray[0, 1] = stray[1, 0] = 1e-13
-        with pytest.raises(ValueError, match="outside the blocks"):
-            record(stray)
+def test_dense_inverts_record():
+    rng = np.random.default_rng(5)
+    qubits = np.array([random_density(rng, 2) for _ in range(20)])
+    np.testing.assert_allclose(dense(record(qubits)), qubits, rtol=0.0, atol=1e-16)
+    np.testing.assert_array_equal(dense(record(BELL))[0], BELL)
 
 
 class TestLowerEigenvalue:
@@ -244,144 +218,116 @@ class TestLowerEigenvalue:
                                    rtol=0.0, atol=1e-14)
 
 
-class TestPartialTrace:
-    def test_product_state(self):
-        product = np.kron(EXCITED, GROUND)
-        np.testing.assert_allclose(trace_out_B(product), EXCITED, atol=1e-14)
-
-    def test_bell_state(self):
-        np.testing.assert_allclose(trace_out_B(BELL), np.eye(2) / 2, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="4x4"):
-            trace_out_B(EXCITED)
-
-    def test_reduction_of_random_states_is_valid(self):
-        # tr_B (rho_A x rho_B) = rho_A, and every reduced state passes the
-        # library validator
-        rng = np.random.default_rng(11)
-        a, b = random_density(rng, 2), random_density(rng, 2)
-        np.testing.assert_allclose(trace_out_B(np.kron(a, b)), a, atol=1e-14)
-        validate_blocks(record(trace_out_B([random_density(rng, 4) for _ in range(50)])))
+@pytest.mark.parametrize("function, args, expected", [
+    (trace_out_B, (np.kron(EXCITED, GROUND),), EXCITED),
+    (trace_out_B, (BELL,), MIXED),
+    (bloch_vector, (MIXED,), (0.0, 0.0, 0.0)),
+    (bloch_vector, (EXCITED,), (0.0, 0.0, 1.0)),
+    (fidelity, (EXCITED, EXCITED), 1.0),
+    (fidelity, (EXCITED, GROUND), 0.0),
+    (fidelity, (MIXED, EXCITED), 0.5),
+    (fidelity_uhlmann_oracle, (MIXED, MIXED), 1.0),
+    (fidelity_uhlmann_oracle, (EXCITED, GROUND), 0.0),
+], ids=["trace_out_B-product", "trace_out_B-bell", "bloch_vector-mixed", "bloch_vector-excited",
+        "fidelity-identical", "fidelity-orthogonal", "fidelity-mixed_pure", "uhlmann-mixed",
+        "uhlmann-orthogonal"])
+def test_known_values(function, args, expected):
+    # the Bloch-vector fidelity and the dense oracles on pure and maximally
+    # mixed states
+    np.testing.assert_array_equal(function(*args), expected)
 
 
-class TestBlochVector:
-    def test_maximally_mixed(self):
-        assert bloch_vector(np.eye(2, dtype=complex) / 2) == (0.0, 0.0, 0.0)
-
-    def test_pure_excited(self):
-        assert bloch_vector(EXCITED) == (0.0, 0.0, 1.0)
-
-    def test_inverse_map(self):
-        # random_qubit_state builds (1 + a.sigma) / 2 from a in the unit ball
-        rng = np.random.default_rng(3)
-        states = np.array([random_qubit_state(rng) for _ in range(200)])
-        ax, ay, az = bloch_vector(states)
-        rebuilt = 0.5 * np.array([[1.0 + az, ax - 1j * ay], [ax + 1j * ay, 1.0 - az]])
-        np.testing.assert_allclose(np.moveaxis(rebuilt, -1, 0), states, rtol=0.0, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="2x2"):
-            bloch_vector(np.eye(4, dtype=complex) / 4)
-
-    def test_thermal_state_components(self):
-        state = state_at(THERMAL, 1.0)
-        vec = bloch_vector(state)
-        assert vec.ax == pytest.approx(0.54882, abs=1e-5)
-        assert vec.ay == pytest.approx(0.0, abs=1e-12)
-        assert vec.az == pytest.approx(-0.58234, abs=1e-5)
+def stray_bell():
+    stray = BELL.copy()
+    stray[0, 1] = stray[1, 0] = 1e-13
+    return stray
 
 
-class TestReducedBloch:
-    """The qubit-A Bloch vector of a record, a linear map of its entries."""
+ZERO = BlochVector(0.0, 0.0, 0.0)
+LONG0, LONG1 = BlochVector(0.0, 0.0, 1.5), BlochVector(0.0, 0.0, np.array([0.5, 2.0]))
+NAN = BlochVector(0.0, 0.0, np.nan)
 
-    @pytest.mark.parametrize("config", [
-        ScanConfig("fock1", alpha=0.6),
-        ScanConfig("thermal1", alpha=0.6),
-        ScanConfig("squeezed1", alpha=0.6),
-        # away from alpha = pi/4, |eg> and |ge> carry different weights
-        ScanConfig("fock2", alpha=0.4),
-        ScanConfig("thermal2"),
-        ScanConfig("squeezed2"),
-    ], ids=MODEL_IDS)
-    def test_matches_dense_partial_trace(self, config):
-        rows = states(config, nominal(config), np.linspace(0.0, 20.0, 41))
-        mats = dense(rows)
-        reduced = trace_out_B(mats) if rows.dim == 4 else mats
-        expected = bloch_vector(reduced)
-        got = reduced_bloch(rows)
-        for g, e in zip(got, expected):
-            assert np.abs(np.asarray(g) - e).max() <= 1e-15
 
-    def test_two_qubit_coherence_on_qubit_a_rejected(self):
-        # blocks pairing |ee> with |ge> would give qubit A a coherence, which
-        # the diagonal map does not cover; no record holds them
-        with pytest.raises(ValueError, match="partition"):
-            block_state(((0, 2), (1, 3)), np.zeros(1),
-                        [(0.5, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0)])
+@pytest.mark.parametrize("call, message", [
+    (lambda: record(np.array([[0.5, 0.1], [0.3, 0.5]])), "Hermitian"),
+    (lambda: record(stray_bell()), "outside the blocks"),
+    (lambda: trace_out_B(EXCITED), "4x4"),
+    (lambda: bloch_vector(np.eye(4, dtype=complex) / 4), "2x2"),
+    # entries that do not give four per block of the support
+    *((partial(block_state, support, np.zeros(1), blocks), None) for support, blocks in (
+        (QUBIT_BLOCKS, [(1.0,)]), (X_BLOCKS, [(0.5, 0.5, 0.0, 0.0), (0.0,)]),
+        (X_BLOCKS, [(0.5, 0.5, 0.0, 0.0)]),
+        (X_BLOCKS, [(0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), ()]))),
+    # only Bloch vectors of qubits, |a| <= 1, have a fidelity: a 4x4 matrix
+    # has none, and a vector longer than 1 is refused
+    (lambda: fidelity(np.eye(4) / 4, np.eye(4) / 4), None),
+    (lambda: fidelity_bloch(bloch_vector(EXCITED), BlochVector(0.0, 0.0, 1.0 + 1e-9)),
+     "exceeds 1"),
+    # |a0|^2 = 1 + 1e-10 passes the norm check, but against a1 = 0 the
+    # radicand (1 - |a0|^2)(1 - |a1|^2) = -1e-10 is below -1e-12
+    (lambda: fidelity_bloch(BlochVector(0.0, 0.0, np.sqrt(1.0 + 1e-10)), ZERO),
+     "radicand -1.000e-10 below"),
+    # the two norms are checked together, and on a failure one by one, a0
+    # first, before the radicand: a0 = (0, 0, 1.5) against a1 = 0 fails
+    # both, and a NaN fails the norm check
+    *((partial(fidelity_bloch, a0, a1), rf"^Bloch vector norm\^2 = {norm}0* exceeds 1$")
+      for a0, a1, norm in ((LONG0, ZERO, "2.25"), (ZERO, LONG1, "4.0"), (LONG0, LONG1, "2.25"),
+                           (NAN, ZERO, "nan"), (ZERO, NAN, "nan"))),
+])
+def test_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_reduction_of_random_states_is_valid():
+    # tr_B (rho_A x rho_B) = rho_A, and every reduced state passes the
+    # library validator
+    rng = np.random.default_rng(11)
+    a, b = random_density(rng, 2), random_density(rng, 2)
+    np.testing.assert_allclose(trace_out_B(np.kron(a, b)), a, atol=1e-14)
+    validate_blocks(record(trace_out_B([random_density(rng, 4) for _ in range(50)])))
+
+
+def test_bloch_vector_inverse_map():
+    # random_qubit_state builds (1 + a.sigma) / 2 from a in the unit ball
+    rng = np.random.default_rng(3)
+    states = np.array([random_qubit_state(rng) for _ in range(200)])
+    ax, ay, az = bloch_vector(states)
+    rebuilt = 0.5 * np.array([[1.0 + az, ax - 1j * ay], [ax + 1j * ay, 1.0 - az]])
+    np.testing.assert_allclose(np.moveaxis(rebuilt, -1, 0), states, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("config", [
+    ScanConfig("fock1", alpha=0.6),
+    ScanConfig("thermal1", alpha=0.6),
+    ScanConfig("squeezed1", alpha=0.6),
+    # away from alpha = pi/4, |eg> and |ge> carry different weights
+    ScanConfig("fock2", alpha=0.4),
+    ScanConfig("thermal2"),
+    ScanConfig("squeezed2"),
+], ids=MODEL_IDS)
+def test_reduced_bloch_matches_dense_partial_trace(config):
+    # the qubit-A Bloch vector of a record, a linear map of its entries
+    rows = states(config, nominal(config), np.linspace(0.0, 20.0, 41))
+    mats = dense(rows)
+    reduced = trace_out_B(mats) if rows.dim == 4 else mats
+    expected = bloch_vector(reduced)
+    got = reduced_bloch(rows)
+    for g, e in zip(got, expected):
+        assert np.abs(np.asarray(g) - e).max() <= 1e-15
 
 
 class TestFidelity:
-    def test_identical_pure_states(self):
-        assert fidelity(EXCITED, EXCITED) == pytest.approx(1.0, abs=1e-14)
-
-    def test_orthogonal_pure_states(self):
-        assert fidelity(EXCITED, GROUND) == pytest.approx(0.0, abs=1e-14)
-
-    def test_mixed_against_pure(self):
-        assert fidelity(np.eye(2, dtype=complex) / 2, EXCITED) == pytest.approx(0.5)
-
-    def test_uhlmann_trivial_cases(self):
-        eye2 = np.eye(2, dtype=complex) / 2
-        assert fidelity_uhlmann_oracle(eye2, eye2) == pytest.approx(1.0, abs=1e-14)
-        assert fidelity_uhlmann_oracle(EXCITED, GROUND) == pytest.approx(0.0, abs=1e-14)
-
-    def test_bloch_equals_uhlmann_on_random_pairs(self):
+    def test_bloch_equals_uhlmann_and_is_symmetric_on_random_pairs(self):
         # continuous ensemble over the Bloch ball; exactly-pure boundary
-        # states are covered by the trivial cases above (the square root of
-        # a radicand that is zero only up to round-off is ill-conditioned)
+        # states are covered by test_known_values (the square root of a
+        # radicand that is zero only up to round-off is ill-conditioned)
         rng = np.random.default_rng(42)
         for _ in range(1000):
             rho0 = random_qubit_state(rng)
             rho1 = random_qubit_state(rng)
-            assert abs(
-                fidelity(rho0, rho1) - fidelity_uhlmann_oracle(rho0, rho1)
-            ) <= 1e-10
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            rho0 = random_qubit_state(rng)
-            rho1 = random_qubit_state(rng)
+            assert abs(fidelity(rho0, rho1) - fidelity_uhlmann_oracle(rho0, rho1)) <= 1e-10
             assert abs(fidelity(rho0, rho1) - fidelity(rho1, rho0)) <= 1e-12
-
-    def test_rejects_two_qubit_input(self):
-        # only Bloch vectors of qubits, |a| <= 1, have a fidelity: a 4x4
-        # matrix has none, and a vector longer than 1 is refused
-        eye4 = np.eye(4, dtype=complex) / 4
-        with pytest.raises(ValueError):
-            fidelity(eye4, eye4)
-        too_long = (0.0, 0.0, 1.0 + 1e-9)
-        with pytest.raises(ValueError, match="exceeds 1"):
-            fidelity_bloch(bloch_vector(EXCITED), type(bloch_vector(EXCITED))(*too_long))
-
-    def test_rejects_a_negative_radicand(self):
-        # |a0|^2 = 1 + 1e-10 passes the norm check, but against a1 = 0 the
-        # radicand (1 - |a0|^2)(1 - |a1|^2) = -1e-10 is below -1e-12
-        over = BlochVector(0.0, 0.0, np.sqrt(1.0 + 1e-10))
-        with pytest.raises(ValueError, match="radicand -1.000e-10 below"):
-            fidelity_bloch(over, BlochVector(0.0, 0.0, 0.0))
-
-    def test_norm_errors_come_before_the_radicand_error(self):
-        # the two norms are checked together, and on a failure one by one,
-        # a0 first, before the radicand; a0 = (0, 0, 1.5) against a1 = 0
-        # fails both, and a NaN fails the norm check
-        long0, long1 = BlochVector(0.0, 0.0, 1.5), BlochVector(0.0, 0.0, np.array([0.5, 2.0]))
-        zero, nan = BlochVector(0.0, 0.0, 0.0), BlochVector(0.0, 0.0, np.nan)
-        for a0, a1, norm in ((long0, zero, "2.25"), (zero, long1, "4.0"), (long0, long1, "2.25"),
-                             (nan, zero, "nan"), (zero, nan, "nan")):
-            with pytest.raises(ValueError, match=rf"^Bloch vector norm\^2 = {norm}0* exceeds 1$"):
-                fidelity_bloch(a0, a1)
 
     def test_two_qubit_records_against_uhlmann(self):
         # the fidelity of qubit A, from records, against the dense oracle

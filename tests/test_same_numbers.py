@@ -129,24 +129,51 @@ def hexes(maximum):
     return tuple(float(x).hex() for x in maximum)
 
 
-@pytest.mark.parametrize("model", MODEL_IDS)
-def test_evaluator_rows_equal_the_public_composition(model, monkeypatch):
-    # 3000 points in blocks of 64 KiB, set small so that every model's grid
-    # takes several blocks: the evaluator folds the t = 0 reference into
-    # the first; the composition takes the grid whole and the reference
-    # from a call of its own
-    monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 64 * 1024)
-    config = ScanConfig(model, points=3000)
+# every model at its defaults, and the reservoirs at strength 0, whose
+# one-sided stencil taps include the state's own point, on 299 rows to
+# t = 20 in blocks of 7 or 14 rows; and every model's grid to t = 50 on
+# 3000 rows in blocks of 64 KiB. Both end in a ragged block, with 300 rows
+# when the t = 0 reference is folded into the first
+BLOCK_CASES = [(ScanConfig(model, points=299, t_max=20.0), 7 * 16 * 16) for model in MODEL_IDS] + [
+    (ScanConfig(model, points=299, t_max=20.0, **{key: 0.0}), 7 * 16 * 16)
+    for model, key in (("thermal1", "mean_occupation"), ("squeezed1", "squeezing"),
+                       ("thermal2", "mean_occupation"), ("squeezed2", "squeezing"))] + [
+    (ScanConfig(model, points=3000), 64 * 1024) for model in MODEL_IDS]
+BLOCK_CASE_IDS = (list(MODEL_IDS) + ["thermal1-0", "squeezed1-0", "thermal2-0", "squeezed2-0"]
+                  + [f"{model}-3000" for model in MODEL_IDS])
+
+
+@pytest.mark.parametrize("config, block_bytes", BLOCK_CASES, ids=BLOCK_CASE_IDS)
+def test_evaluator_rows_equal_the_public_composition(config, block_bytes, monkeypatch):
+    # the composition takes the grid whole and the t = 0 reference from a
+    # call of its own. The evaluator takes one row per call, the grid in
+    # one block, or the grid in small blocks: for qfi and fidelity
+    # together, for fidelity alone, and a qfi-only call first, which
+    # leaves the reference to the later fidelity call
     times = time_grid(config)
-    qfi, fidelity = scan_repro._evaluator(config)(times)
-    kernel, support = evaluator_kernel(config, nominal(config)), MODELS[model][2]
+    kernel, support = evaluator_kernel(config, nominal(config)), MODELS[config.model_id][2]
     record = kernel(times)
     states = validate_blocks(BlockState(support, record[0]))
-    expected = (qfi_blocks(states, BlockState(support, record[1])).value
-                * scan_repro._chain_factor(config))
+    qfi = (qfi_blocks(states, BlockState(support, record[1])).value
+           * scan_repro._chain_factor(config))
     reference = reduced_bloch(validate_blocks(BlockState(support, kernel(np.zeros(1))[0])))
-    np.testing.assert_array_equal(qfi, expected)
-    np.testing.assert_array_equal(fidelity, fidelity_bloch(reference, reduced_bloch(states)))
+    fidelity = fidelity_bloch(reference, reduced_bloch(states))
+    one_row = scan_repro._evaluator(config)
+    rows = [one_row(times[k:k + 1]) for k in range(times.size)]
+    monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 10**9)
+    whole = scan(config)
+    monkeypatch.setattr(scan_repro, "BLOCK_BYTES", block_bytes)
+    both = scan_repro._evaluator(config)(times)
+    fidelity_only = scan_repro._evaluator(config)(times, qfi=False)
+    later = scan_repro._evaluator(config)
+    qfi_first = later(times, fidelity=False)
+    fidelity_later = later(times, qfi=False)
+    assert fidelity_only[0] is None and qfi_first[1] is None and fidelity_later[0] is None
+    for got in (np.concatenate([row[0] for row in rows]), whole.qfi, both[0], qfi_first[0]):
+        np.testing.assert_array_equal(got, qfi)
+    for got in (np.concatenate([row[1] for row in rows]), whole.fidelity, both[1],
+                fidelity_only[1], fidelity_later[1]):
+        np.testing.assert_array_equal(got, fidelity)
 
 
 @pytest.mark.parametrize("model", MODEL_IDS)

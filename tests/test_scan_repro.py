@@ -15,10 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import backflow_intervals_loop, golden_section_max, nominal, states
+from helpers import backflow_intervals_loop, golden_section_max
 from qfi_probe import cli, probe_models, scan_repro
 from qfi_probe.probe_models import fock2_kernel
-from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
     FIELD_DOMAINS,
     FIGURE_TAGS,
@@ -30,15 +29,13 @@ from qfi_probe.scan_repro import (
     ScanDataset,
     UnreadField,
     backflow_intervals,
-    discrepancy_report,
     find_max,
     point_fidelity,
     point_qfi,
     reproduce_figure,
     scan,
-    time_grid,
 )
-from symbolic import exact, occupation_slope
+from symbolic import occupation_slope
 
 
 # every ScanConfig field that some model reads
@@ -47,6 +44,9 @@ MODEL_FIELDS = {name for _, names, *_ in MODELS.values() for name in names}
 OUT_OF_DOMAIN = {"alpha": (-1e-9, np.pi / 2 + 1e-9, 2.0), "coupling": (0.0, -1.0),
                  "photons": (-1,), "mean_occupation": (-1e-9, -1.0), "gamma": (0.0, -1.0),
                  "squeezing": (-1e-9,), "freq_scale": (0.0, -1.0)}
+# (model, a field that some other model reads and this one does not)
+UNREAD = [(model, name) for model in MODEL_IDS
+          for name in sorted(MODEL_FIELDS.difference(MODELS[model][1]))]
 
 
 def fock_config(alpha=np.pi / 4, points=400):
@@ -55,40 +55,79 @@ def fock_config(alpha=np.pi / 4, points=400):
     )
 
 
+# the ScanConfig calls that fail: (model, fields, exception, a pattern of
+# its message)
+REJECTED = [
+    ("nosuch", {}, ValueError, "unknown model"),
+    # the model fixes the estimand, so no estimand argument is taken
+    *(("fock1", {"estimand": estimand}, TypeError, "estimand")
+      for estimand in ("temperature", "detuning")),
+    *((model, {name: 1 if name == "photons" else getattr(ScanConfig, name) / 2}, ValueError,
+       rf"does not read {name}$") for model, name in UNREAD),
+    *((model, {name: math.nan}, ValueError, f"{name} = nan is not finite")
+      for model, name in UNREAD),
+    *((model, {name: bad}, ValueError, name) for model in MODEL_IDS
+      for name in MODELS[model][1] for bad in OUT_OF_DOMAIN.get(name, ())),
+    ("fock1", {"photons": -1}, ValueError, "negative"),
+    ("fock1", {"t_min": 0.0}, ValueError, "positive"),
+    ("fock1", {"t_min": 1.0, "t_max": 1.0}, ValueError, "exceed"),
+    ("fock1", {"points": 1}, ValueError, "points"),
+    ("fock1", {"points": 10**12}, ValueError, "points"),
+    # a float used to pass and fail later inside np.linspace, and True was
+    # caught only as "below 2"; photons = 2.5 used to scan fock1 and write
+    # photons=2.5 to the CSV
+    *(("fock1", {name: bad}, ValueError, "not an integer")
+      for name, values in (("points", (2.5, True, 50.0)), ("photons", (2.5, 0.5, True, 0.0)))
+      for bad in values),
+    # a string, None or a complex number used to construct a config that
+    # point_qfi then failed on, or failed a comparison with a TypeError
+    *(("thermal1" if name == "gamma" else "fock1", {name: bad}, ValueError,
+       re.escape(f"{name} = {bad!r} is not a real number"))
+      for name in ("t_max", "points", "alpha", "detuning", "gamma")
+      for bad in ("5", None, 1 + 0j, Decimal("1"))),
+    *(("thermal1", {"points": 3, name: bad}, ValueError, "not finite")
+      for name in ("t_min", "t_max", "alpha", "detuning", "coupling", "mean_occupation", "gamma",
+                   "squeezing", "freq_scale")
+      for bad in (np.nan, np.inf, np.float32(np.inf))),
+    # every field a model reads, at -inf too
+    *((model, {name: bad}, ValueError, "not finite") for model, name in (
+        ("fock1", "detuning"), ("fock1", "coupling"), ("thermal1", "mean_occupation"),
+        ("thermal1", "gamma"), ("squeezed1", "squeezing"), ("squeezed1", "alpha"),
+        ("fock2", "detuning"), ("thermal2", "mean_occupation"), ("squeezed2", "gamma"))
+      for bad in (np.nan, np.inf, -np.inf)),
+    *(("fock1", {name: 10**400}, ValueError, f"{name} = 1000+ is not finite")
+      for name in ("points", "photons")),
+]
+
+
+@pytest.mark.parametrize("model, fields, error, message", [
+    pytest.param(*row, id=f"{row[0]}-" + "-".join(f"{name}={value!r}"[:24]
+                                                    for name, value in row[1].items()))
+    for row in REJECTED])
+def test_rejected_at_construction(model, fields, error, message):
+    with pytest.raises(error, match=message):
+        ScanConfig(model, **fields)
+
+
+@pytest.mark.parametrize("model, name, value", [
+    # numpy scalars, fractions and bools are numbers.Real, as int and float are
+    ("fock1", "detuning", np.float64(5)), ("thermal1", "gamma", np.float32(2)),
+    ("fock1", "coupling", np.int64(2)), ("fock1", "alpha", Fraction(1, 2)),
+    ("thermal1", "mean_occupation", Fraction(1, 2)), ("fock1", "coupling", True),
+    # a field the model does not read, left at its default
+    *((model, name, getattr(ScanConfig, name)) for model, name in UNREAD)])
+def test_accepted_at_construction(model, name, value):
+    assert getattr(ScanConfig(model, **{name: value}), name) is value
+
+
 class TestScanConfig:
     def test_estimand_defaulted_from_model(self):
         assert ScanConfig("thermal1").estimand == "temperature"
 
-    def test_incompatible_estimand_rejected(self):
-        # the model fixes the estimand, so no estimand argument is taken
-        for estimand in ("temperature", "detuning"):
-            with pytest.raises(TypeError, match="estimand"):
-                ScanConfig("fock1", estimand=estimand)
-
-    def test_model_fields_are_the_scan_config_parameters(self):
+    def test_model_fields_are_the_scan_config_parameters_with_domains(self):
         grid = {"model_id", "t_min", "t_max", "points"}
         assert MODEL_FIELDS == {f.name for f in fields(ScanConfig)} - grid
-
-    @pytest.mark.parametrize("model, name", [
-        (model, name) for model in MODEL_IDS
-        for name in sorted(MODEL_FIELDS.difference(MODELS[model][1]))])
-    def test_unread_field_rejected(self, model, name):
-        default = getattr(ScanConfig, name)
-        assert ScanConfig(model, **{name: default}).model_id == model
-        with pytest.raises(ValueError, match=rf"does not read {name}$"):
-            ScanConfig(model, **{name: 1 if name == "photons" else default / 2})
-        with pytest.raises(ValueError, match=f"{name} = nan is not finite"):
-            ScanConfig(model, **{name: math.nan})
-
-    def test_every_field_but_detuning_has_a_domain(self):
         assert set(FIELD_DOMAINS) == MODEL_FIELDS - {"detuning"} == set(OUT_OF_DOMAIN)
-
-    @pytest.mark.parametrize("model, name, bad", [
-        (model, name, bad) for model in MODEL_IDS for name in MODELS[model][1]
-        for bad in OUT_OF_DOMAIN.get(name, ())])
-    def test_out_of_domain_field_rejected_at_construction(self, model, name, bad):
-        with pytest.raises(ValueError, match=name):
-            ScanConfig(model, **{name: bad})
 
     @pytest.mark.parametrize("name, edge", [("alpha", 0.0), ("alpha", np.pi / 2),
                                             ("mean_occupation", 0.0), ("squeezing", 0.0),
@@ -106,46 +145,6 @@ class TestScanConfig:
         with pytest.raises(ValueError, match="chain factor"):
             point_qfi(config, 1.0)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            ScanConfig("fock1", t_min=0.0)
-        with pytest.raises(ValueError, match="exceed"):
-            ScanConfig("fock1", t_min=1.0, t_max=1.0)
-        with pytest.raises(ValueError, match="points"):
-            ScanConfig("fock1", points=1)
-        with pytest.raises(ValueError, match="points"):
-            ScanConfig("fock1", points=10**12)
-
-    @pytest.mark.parametrize("bad", [2.5, True, 50.0])
-    def test_points_must_be_an_integer(self, bad):
-        # a float used to pass and fail later inside np.linspace; True
-        # passed the type and was caught only as "below 2"
-        with pytest.raises(ValueError, match="not an integer"):
-            ScanConfig("fock1", points=bad)
-
-    @pytest.mark.parametrize("bad", [2.5, 0.5, True])
-    def test_photons_must_be_an_integer(self, bad):
-        # photons=2.5 used to scan fock1 and write photons=2.5 to the CSV
-        with pytest.raises(ValueError, match="not an integer"):
-            ScanConfig("fock1", photons=bad)
-
-    @pytest.mark.parametrize("name", ["t_max", "points", "alpha", "detuning", "gamma"])
-    @pytest.mark.parametrize("bad", ["5", None, 1 + 0j, Decimal("1")])
-    def test_non_numbers_rejected_at_construction(self, name, bad):
-        # a string, None or a complex number used to construct a config that
-        # point_qfi then failed on, or failed a comparison with a TypeError
-        model = "thermal1" if name == "gamma" else "fock1"
-        with pytest.raises(ValueError, match=re.escape(f"{name} = {bad!r} is not a real number")):
-            ScanConfig(model, **{name: bad})
-
-    @pytest.mark.parametrize("model, name, value", [
-        ("fock1", "detuning", np.float64(5)), ("thermal1", "gamma", np.float32(2)),
-        ("fock1", "coupling", np.int64(2)), ("fock1", "alpha", Fraction(1, 2)),
-        ("thermal1", "mean_occupation", Fraction(1, 2)), ("fock1", "coupling", True)])
-    def test_real_number_types_accepted(self, model, name, value):
-        # numpy scalars, fractions and bools are numbers.Real, as int and float are
-        assert getattr(ScanConfig(model, **{name: value}), name) is value
-
     @pytest.mark.parametrize("model, given, first", [
         ("fock1", {"squeezing": 1, "gamma": 2}, "gamma"),
         ("squeezed2", {"freq_scale": 2, "alpha": 1}, "alpha")])
@@ -154,34 +153,10 @@ class TestScanConfig:
             ScanConfig(model, **given)
         assert error.value.name == first
 
-    def test_numpy_integer_photons_accepted(self):
-        dataset = scan(ScanConfig("fock1", photons=np.int64(2), points=5))
-        assert dataset.metadata["photons"] == "2"
-        with pytest.raises(ValueError, match="negative"):
-            ScanConfig("fock1", photons=-1)
-
-    def test_numpy_integer_points_accepted(self):
-        dataset = scan(ScanConfig("fock1", points=np.int64(50)))
+    def test_numpy_integers_accepted(self):
+        dataset = scan(ScanConfig("fock1", photons=np.int64(2), points=np.int64(50)))
         assert dataset.t.size == 50
-        assert dataset.metadata["points"] == "50"
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError, match="unknown model"):
-            ScanConfig("nosuch")
-
-    @pytest.mark.parametrize(
-        "field", ["t_min", "t_max", "alpha", "detuning", "coupling",
-                  "mean_occupation", "gamma", "squeezing", "freq_scale"],
-    )
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, np.float32(np.inf)])
-    def test_nonfinite_field_rejected(self, field, bad):
-        with pytest.raises(ValueError, match="not finite"):
-            ScanConfig("thermal1", points=3, **{field: bad})
-
-    @pytest.mark.parametrize("field", ["points", "photons"])
-    def test_integer_past_the_double_range_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} = 1000+ is not finite"):
-            ScanConfig("fock1", **{field: 10**400})
+        assert (dataset.metadata["photons"], dataset.metadata["points"]) == ("2", "50")
 
     def test_nonfinite_point_time_raises(self):
         with pytest.raises(ValueError):
@@ -225,13 +200,24 @@ class TestChainFactor:
         assert 0.0 <= point_qfi(config, 1.0) < 1e-300
 
 
-# every model at its defaults, and the reservoirs at strength 0, whose
-# one-sided stencil taps include the state's own point
-BLOCK_CASES = [ScanConfig(model, points=299, t_max=20.0) for model in MODEL_IDS] + [
-    ScanConfig(model, points=299, t_max=20.0, **{key: 0.0})
-    for model, key in (("thermal1", "mean_occupation"), ("squeezed1", "squeezing"),
-                       ("thermal2", "mean_occupation"), ("squeezed2", "squeezing"))]
-BLOCK_CASE_IDS = list(MODEL_IDS) + ["thermal1-0", "squeezed1-0", "thermal2-0", "squeezed2-0"]
+def figure_scans(model):
+    """The distinct scans behind the figure series of a model."""
+    return sorted({config for tag in FIGURE_TAGS
+                   for _, config in scan_repro._figure_configs(tag, 2000)
+                   if config.model_id == model}, key=repr)
+
+
+def seeded_reservoir_scans(model, thermal_seed, squeezed_seed, top):
+    """8 seeded 500-point scans of thermal2 (occupation up to top) or
+    squeezed2 (squeezing up to 0.5) over the benchmark's gamma and t_max;
+    none for the other models."""
+    if model not in ("thermal2", "squeezed2"):
+        return []
+    rng = np.random.default_rng(thermal_seed if model == "thermal2" else squeezed_seed)
+    key, top = ("mean_occupation", top) if model == "thermal2" else ("squeezing", 0.5)
+    return [ScanConfig(model, points=500, gamma=rng.uniform(0.5, 2.0),
+                       t_max=rng.uniform(10.0, 50.0), **{key: rng.uniform(0.02, top)})
+            for _ in range(8)]
 
 
 class TestScan:
@@ -242,17 +228,6 @@ class TestScan:
         assert np.all(dataset.qfi >= 0.0)
         assert np.all((dataset.fidelity >= 0.0) & (dataset.fidelity <= 1.0))
 
-    def test_rows_are_valid_states(self):
-        config = ScanConfig("squeezed1", alpha=np.pi / 4, points=20, t_max=5.0)
-        for t in time_grid(config):
-            validate_blocks(states(config, nominal(config), [t]))
-
-    def test_temperature_chain_rule_applied(self):
-        config = ScanConfig("thermal1", alpha=0.0, t_min=40.0, t_max=50.0, points=3)
-        dataset = scan(config)
-        expected = [float(exact(config, t).qfi) for t in dataset.t]
-        np.testing.assert_allclose(dataset.qfi, expected, rtol=1e-6)
-
     def test_metadata_echo(self):
         dataset = scan(ScanConfig("thermal1", points=4, t_max=2.0))
         md = dataset.metadata
@@ -262,38 +237,13 @@ class TestScan:
         assert md["mean_occupation"] == "0.10000000000000001"
         assert int(md["max_index"]) == int(np.argmax(dataset.qfi))
 
-    @pytest.mark.parametrize("config", BLOCK_CASES, ids=BLOCK_CASE_IDS)
-    def test_rows_independent_of_block_size(self, config, monkeypatch):
-        times = scan_repro.time_grid(config)
-        one_row = scan_repro._evaluator(config)
-        rows = [one_row(times[k:k + 1]) for k in range(times.size)]
-        qfi_rows = np.concatenate([qfi for qfi, _ in rows])
-        fidelity_rows = np.concatenate([fidelity for _, fidelity in rows])
-        monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 10**9)
-        whole = scan(config)
-        # 7 or 14 rows per block: 299 rows, and 300 with the t = 0
-        # reference, end in a ragged block
-        monkeypatch.setattr(scan_repro, "BLOCK_BYTES", 7 * 16 * 16)
-        both = scan_repro._evaluator(config)(times)
-        fidelity_only = scan_repro._evaluator(config)(times, qfi=False)
-        # a qfi-only call first: the reference comes with the later call
-        later = scan_repro._evaluator(config)
-        qfi_first = later(times, fidelity=False)
-        fidelity_later = later(times, qfi=False)
-        assert fidelity_only[0] is None and qfi_first[1] is None and fidelity_later[0] is None
-        for qfi in (whole.qfi, both[0], qfi_first[0]):
-            np.testing.assert_array_equal(qfi, qfi_rows)
-        for fidelity in (whole.fidelity, both[1], fidelity_only[1], fidelity_later[1]):
-            np.testing.assert_array_equal(fidelity, fidelity_rows)
-
-    @pytest.mark.parametrize("model", ["thermal2", "squeezed2"])
-    def test_two_qubit_metadata_omits_alpha(self, model):
+    @pytest.mark.parametrize("model", MODEL_IDS)
+    def test_metadata_echoes_alpha_where_read(self, model):
         md = scan(ScanConfig(model, points=3, t_max=1.0)).metadata
-        assert "alpha_deg" not in md
         assert md["model"] == model
-
-    @pytest.mark.parametrize("model", ["fock1", "thermal1", "squeezed1", "fock2"])
-    def test_metadata_keeps_alpha_where_read(self, model):
+        if "alpha" not in MODELS[model][1]:
+            assert "alpha_deg" not in md
+            return
         md = scan(ScanConfig(model, points=3, t_max=1.0, alpha=0.3)).metadata
         assert md["alpha_deg"] == format(np.degrees(0.3), ".17g")
         # an angle given in degrees (as --alpha takes it) is echoed as given,
@@ -302,20 +252,17 @@ class TestScan:
             config = ScanConfig(model, points=3, t_max=1.0, alpha=math.radians(float(given)))
             assert scan(config).metadata["alpha_deg"] == echoed
 
-    @pytest.mark.parametrize("alpha, degrees", [
-        (math.radians(30), 30.0), (math.radians(12.5), 12.5), (math.radians(89.99), 89.99),
-        (math.radians(1e-3), 1e-3), (0.0, 0.0), (math.pi / 4, 45.0), (math.pi / 2, 90.0),
-        # no shorter degree value maps to 0.3 rad
-        (0.3, math.degrees(0.3))])
-    def test_typed_degrees(self, alpha, degrees):
-        assert scan_repro._typed_degrees(alpha) == degrees
-
-    def test_typed_degrees_round_trips_two_decimals(self):
+    def test_typed_degrees(self):
         # every angle in [0, 90] typed with at most two decimals comes back
-        # as typed, where math.degrees would give 29.999999999999996 for 30
+        # as typed, where math.degrees would give 29.999999999999996 for 30,
+        # and so do 1e-3, pi / 4 and pi / 2; no shorter degree value maps
+        # to 0.3 rad
         for hundredths in range(9001):
             typed = float(f"{hundredths / 100:.2f}")
             assert scan_repro._typed_degrees(math.radians(typed)) == typed
+        for alpha, degrees in ((math.radians(1e-3), 1e-3), (math.pi / 4, 45.0),
+                               (math.pi / 2, 90.0), (0.3, math.degrees(0.3))):
+            assert scan_repro._typed_degrees(alpha) == degrees
 
     def test_fock2_honours_alpha(self, monkeypatch):
         config = ScanConfig("fock2", t_max=20.0, points=200, alpha=0.4)
@@ -329,31 +276,16 @@ class TestScan:
             assert not np.array_equal(getattr(honoured, name), getattr(bell, name))
 
 
-    def test_deterministic(self):
-        a = scan(fock_config(points=50))
-        b = scan(fock_config(points=50))
-        assert np.array_equal(a.t, b.t)
-        assert np.array_equal(a.qfi, b.qfi)
-        assert np.array_equal(a.fidelity, b.fidelity)
-        assert a.metadata == b.metadata
-
-    def test_point_helpers_match_scan(self):
-        config = ScanConfig("squeezed1", alpha=np.pi / 4, t_min=0.5, t_max=2.0, points=4)
-        dataset = scan(config)
-        k = 2
-        assert point_qfi(config, float(dataset.t[k])) == pytest.approx(
-            float(dataset.qfi[k]), rel=1e-12
-        )
-        assert point_fidelity(config, float(dataset.t[k])) == pytest.approx(
-            float(dataset.fidelity[k]), rel=1e-12
-        )
-
-@pytest.mark.parametrize("model", MODEL_IDS)
-def test_point_queries_equal_scan_rows(model):
+@pytest.mark.parametrize("model, strength", [(model, {}) for model in MODEL_IDS] + [
+    ("thermal1", {"mean_occupation": 0.0}), ("squeezed1", {"squeezing": 0.0}),
+    ("thermal2", {"mean_occupation": 0.0}), ("squeezed2", {"squeezing": 0.0})],
+    ids=list(MODEL_IDS) + ["thermal1-0", "squeezed1-0", "thermal2-0", "squeezed2-0"])
+def test_point_queries_equal_scan_rows(model, strength):
     # a point query is a grid of length 1 through the scan's own path, which
     # validates its row: every row of the scan, bit for bit, at the default
-    # alpha and (where the model reads it) at 0.6
-    base = ScanConfig(model, t_min=0.5, t_max=40.0, points=50)
+    # alpha and (where the model reads it) at 0.6, and for the reservoirs at
+    # strength 0, whose one-sided stencil repeats the state's own point
+    base = ScanConfig(model, t_min=0.5, t_max=40.0, points=50, **strength)
     alphas = (base.alpha, 0.6) if "alpha" in MODELS[model][1] else (base.alpha,)
     for config in (replace(base, alpha=alpha) for alpha in alphas):
         dataset = scan(config)
@@ -376,7 +308,9 @@ REFINED_WINDOWS = {
 
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_one_kernel_call_per_evaluation_block(model, monkeypatch):
-    # count the calls of the kernel that the model's MODELS entry returns
+    # count the calls of the kernel that the model's MODELS entry returns;
+    # every model's peak is refined, at or above the grid maximum, to a
+    # value its point query gives
     calls = []
     estimand, read, blocks, entry = MODELS[model]
 
@@ -396,8 +330,10 @@ def test_one_kernel_call_per_evaluation_block(model, monkeypatch):
     calls.clear()
     rounds = []
     qfi_fn = lambda times: rounds.append(len(times)) or dataset.qfi_fn(times)
-    find_max(replace(dataset, qfi_fn=qfi_fn))
+    t_star, q_star = find_max(replace(dataset, qfi_fn=qfi_fn))
     assert rounds and calls == rounds
+    assert q_star >= dataset.qfi.max()
+    assert q_star == pytest.approx(point_qfi(config, t_star), rel=1e-12)
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -521,19 +457,10 @@ class TestFindMax:
         assert q_star == pytest.approx(9.0, abs=1e-9)
         assert q_star >= dataset.qfi.max()
 
-    def test_refined_value_at_least_grid_value(self):
-        dataset = scan(fock_config(points=300))
-        _, refined = find_max(dataset)
-        assert refined >= dataset.qfi.max()
-
     def test_empty_dataset(self):
         empty = ScanDataset(np.array([]), np.array([]), np.array([]), {})
         with pytest.raises(ValueError, match="empty"):
             find_max(empty)
-
-    def test_reproducible(self):
-        dataset = scan(fock_config(points=200))
-        assert find_max(dataset) == find_max(dataset)
 
     @staticmethod
     def assert_levels_span_neighbours(dataset):
@@ -556,28 +483,18 @@ class TestFindMax:
         assert result == (grid[np.argmax(qfi)], qfi.max())
         return result
 
-    def test_each_level_spans_the_neighbours_of_the_previous_argmax_on_figure_series(self):
-        for tag in FIGURE_TAGS:
-            for dataset in reproduce_figure(tag):
-                self.assert_levels_span_neighbours(dataset)
-
-    def test_each_level_spans_the_neighbours_of_the_previous_argmax_on_a_plateau(self):
-        # the zoom follows the edge of the plateau onto it
-        t = np.linspace(0.0, 1.0, 11)
-        plateau = lambda times: np.where(np.abs(np.asarray(times) - 0.5) < 0.08, 2.0, 1.0)
-        t_star, q_star = self.assert_levels_span_neighbours(
-            ScanDataset(t, plateau(t) - 0.5, np.ones_like(t), {}, qfi_fn=plateau))
-        assert q_star == 2.0 and abs(t_star - 0.5) < 0.08
-
-    @pytest.mark.parametrize("model", ["thermal2", "squeezed2"])
-    def test_each_level_spans_the_neighbours_of_the_previous_argmax_on_seeded_scans(self, model):
-        rng = np.random.default_rng(31 if model == "thermal2" else 37)
-        key, top = ("mean_occupation", 1.0) if model == "thermal2" else ("squeezing", 0.5)
-        for _ in range(8):
-            config = ScanConfig(
-                model, points=500, gamma=rng.uniform(0.5, 2.0), t_max=rng.uniform(10.0, 50.0),
-                **{key: rng.uniform(0.02, top)},
-            )
+    @pytest.mark.parametrize("source", [*MODEL_IDS, "plateau"])
+    def test_each_level_spans_the_neighbours_of_the_previous_argmax(self, source):
+        # a model's figure scans and, for the two-qubit reservoirs, 8 seeded
+        # scans; on a plateau the zoom follows its edge onto it
+        if source == "plateau":
+            t = np.linspace(0.0, 1.0, 11)
+            plateau = lambda times: np.where(np.abs(np.asarray(times) - 0.5) < 0.08, 2.0, 1.0)
+            t_star, q_star = self.assert_levels_span_neighbours(
+                ScanDataset(t, plateau(t) - 0.5, np.ones_like(t), {}, qfi_fn=plateau))
+            assert q_star == 2.0 and abs(t_star - 0.5) < 0.08
+            return
+        for config in figure_scans(source) + seeded_reservoir_scans(source, 31, 37, 1.0):
             self.assert_levels_span_neighbours(scan(config))
 
     def test_a_level_that_reads_lower_ends_at_the_last_argmax(self):
@@ -610,15 +527,6 @@ class TestFindMax:
         if not refined:
             assert result == (t[peak], qfi[peak])
 
-    @pytest.mark.parametrize("model", ["thermal2", "squeezed2"])
-    def test_plateau_of_a_default_scan_is_its_first_grid_argmax(self, model):
-        def no_call(times):
-            raise AssertionError("qfi_fn called on a flat peak")
-
-        dataset = scan(ScanConfig(model))
-        peak = int(np.argmax(dataset.qfi))
-        assert find_max(replace(dataset, qfi_fn=no_call)) == (dataset.t[peak], dataset.qfi[peak])
-
     def test_skipped_refinement_gains_at_most_a_quarter_of_flat(self):
         # 240 seeded two-qubit reservoir scans over the benchmark's ranges.
         # On every peak, the full golden-section search ends at most FLAT/4
@@ -646,52 +554,12 @@ class TestFindMax:
             skipped += not calls
         assert skipped >= 100
 
-    @pytest.mark.parametrize("model", MODEL_IDS)
-    def test_every_model_refines(self, model):
-        config = ScanConfig(model, points=60, **REFINED_WINDOWS[model])
-        dataset = scan(config)
-        assert dataset.qfi_fn is not None
-        calls = []
-        counted = lambda times, fn=dataset.qfi_fn: calls.append(len(times)) or fn(times)
-        t_star, q_star = find_max(replace(dataset, qfi_fn=counted))
-        assert calls and q_star >= dataset.qfi.max()
-        assert q_star == pytest.approx(point_qfi(config, t_star), rel=1e-12)
-
 
 class TestBackflowIntervals:
-    def test_monotone_is_empty(self):
-        t = np.linspace(1.0, 2.0, 20)
-        assert backflow_intervals(ScanDataset(t, t, np.ones_like(t), {})) == []
-
-    def test_single_revival(self):
-        t = np.arange(6.0)
-        qfi = np.array([0.0, 2.0, 1.0, 0.5, 1.5, 2.5])
-        intervals = backflow_intervals(ScanDataset(t, qfi, np.ones_like(t), {}))
-        assert intervals == [(3.0, 5.0)]
-
-    def test_initial_rise_not_counted(self):
-        t = np.arange(4.0)
-        qfi = np.array([0.0, 1.0, 2.0, 3.0])
-        assert backflow_intervals(ScanDataset(t, qfi, np.ones_like(t), {})) == []
-
-    def test_oscillatory_cavity_scan(self):
-        dataset = scan(fock_config(alpha=0.0, points=600))
-        assert len(backflow_intervals(dataset)) >= 5
-
-    def test_thermal_nonsuperposed_single_revival(self):
-        # the population sensitivity to the occupation crosses zero near
-        # gamma t = 1.17, so the QFI dips to zero once and then climbs to
-        # its plateau: exactly one revival interval
-        dataset = scan(ScanConfig("thermal1", alpha=0.0, points=400))
-        intervals = backflow_intervals(dataset)
-        assert len(intervals) == 1
-        assert 0.9 < intervals[0][0] < 1.4
-
-    def test_squeezed_nonsuperposed_early_revival(self):
-        dataset = scan(ScanConfig("squeezed1", alpha=0.0, t_max=5.0, points=400))
-        assert len(backflow_intervals(dataset)) >= 1
-
     @pytest.mark.parametrize("qfi, expected", [
+        (list(range(20)), []),  # monotone
+        ([0.0, 2.0, 1.0, 0.5, 1.5, 2.5], [(3.0, 5.0)]),  # a single revival
+        ([0.0, 1.0, 2.0, 3.0], []),  # an initial rise is no revival
         ([1.0, 1.0, 1.0, 1.0], []),  # all flat
         ([0.0, 1.0, 0.5, 0.7], [(2.0, 3.0)]),  # a rise at index 0 is no revival
         ([2.0, 1.0, 1.0, 1.5], [(2.0, 3.0)]),  # fall, flat, rise counts
@@ -699,36 +567,36 @@ class TestBackflowIntervals:
         ([2.0, 1.0, 1.5, 2.5, 3.0], [(1.0, 4.0)]),  # a rise to the last point
         ([3.0, 2.0, 2.5, 1.0, 1.5, 1.2, 1.2, 1.9], [(1.0, 2.0), (3.0, 4.0), (6.0, 7.0)]),
         ([1.0], []),
+        # steps within 1e-9 of the peak count as flat, beyond it they count
+        ([1.0, 1.0 - 0.5e-9, 1.0 - 0.5e-9, 1.0, 1.0], []),
+        ([1.0, 1.0 - 2e-9, 1.0 - 2e-9, 1.0, 1.0], [(2.0, 3.0)]),
     ])
     def test_edge_cases_match_the_loop(self, qfi, expected):
         t = np.arange(float(len(qfi)))
-        dataset = ScanDataset(t, np.array(qfi), np.ones_like(t), {})
+        dataset = ScanDataset(t, np.array(qfi, dtype=float), np.ones_like(t), {})
         assert backflow_intervals(dataset) == expected
         assert backflow_intervals_loop(dataset) == expected
 
-    def test_flat_floor_matches_the_loop(self):
-        # steps within 1e-9 of the peak count as flat, beyond it they count
-        t = np.arange(5.0)
-        for step in (0.5e-9, 2e-9):
-            qfi = np.array([1.0, 1.0 - step, 1.0 - step, 1.0, 1.0])
-            dataset = ScanDataset(t, qfi, np.ones_like(t), {})
-            assert backflow_intervals(dataset) == backflow_intervals_loop(dataset)
-        assert backflow_intervals(dataset) == [(2.0, 3.0)]
-
-    def test_figure_series_match_the_loop(self):
-        for tag in FIGURE_TAGS:
-            for dataset in reproduce_figure(tag):
-                assert backflow_intervals(dataset) == backflow_intervals_loop(dataset)
-
-    @pytest.mark.parametrize("model", ["thermal2", "squeezed2"])
-    def test_seeded_scans_match_the_loop(self, model):
-        rng = np.random.default_rng(41 if model == "thermal2" else 43)
-        key = "mean_occupation" if model == "thermal2" else "squeezing"
-        for _ in range(8):
-            config = ScanConfig(model, points=500, gamma=rng.uniform(0.5, 2.0),
-                                t_max=rng.uniform(10.0, 50.0), **{key: rng.uniform(0.02, 0.5)})
+    @pytest.mark.parametrize("model", MODEL_IDS)
+    def test_scans_match_the_loop(self, model):
+        # the model's figure scans and, for the two-qubit reservoirs, 8
+        # seeded scans
+        for config in figure_scans(model) + seeded_reservoir_scans(model, 41, 43, 0.5):
             dataset = scan(config)
             assert backflow_intervals(dataset) == backflow_intervals_loop(dataset)
+
+    @pytest.mark.parametrize("config, least, most, first_start", [
+        (fock_config(alpha=0.0, points=600), 5, math.inf, None),
+        # the population sensitivity to the occupation crosses zero near
+        # gamma t = 1.17, so the QFI dips to zero once and then climbs to
+        # its plateau: exactly one revival interval
+        (ScanConfig("thermal1", alpha=0.0, points=400), 1, 1, (0.9, 1.4)),
+        (ScanConfig("squeezed1", alpha=0.0, t_max=5.0, points=400), 1, math.inf, None),
+    ], ids=["oscillatory_cavity", "thermal_nonsuperposed", "squeezed_nonsuperposed"])
+    def test_revivals(self, config, least, most, first_start):
+        intervals = backflow_intervals(scan(config))
+        assert least <= len(intervals) <= most
+        assert first_start is None or first_start[0] < intervals[0][0] < first_start[1]
 
 
 class TestReproduceFigure:
@@ -736,33 +604,27 @@ class TestReproduceFigure:
         with pytest.raises(ValueError, match="unknown figure tag"):
             reproduce_figure("9z")
 
-    def test_two_series_structure(self):
-        datasets = reproduce_figure("2a", points=40)
-        assert [d.metadata["series"] for d in datasets] == ["alpha0", "alpha45"]
-        assert all(d.t.size == 40 for d in datasets)
-        assert all(d.metadata["figure"] == "2a" for d in datasets)
+    @pytest.mark.parametrize("tag, points, series, models", [
+        ("2a", 40, ["alpha0", "alpha45"], ["thermal1", "thermal1"]),
+        ("5b", 30, ["one_qubit", "two_qubit"], ["thermal1", "thermal2"]),
+    ])
+    def test_series_structure(self, tag, points, series, models):
+        datasets = reproduce_figure(tag, points=points)
+        assert [d.metadata["series"] for d in datasets] == series
+        assert [d.metadata["model"] for d in datasets] == models
+        assert all(d.metadata["figure"] == tag for d in datasets)
+        assert all(d.t.size == points for d in datasets)
+        np.testing.assert_array_equal(datasets[0].t, datasets[1].t)
         # the labels sit where the CSV has always had them, before the maximum
         assert [list(d.metadata)[-5:] for d in datasets] == 2 * [
             ["figure", "series", "max_index", "max_t", "max_qfi"]]
 
-    def test_probe_comparison_structure(self):
-        datasets = reproduce_figure("5b", points=30)
-        assert [d.metadata["series"] for d in datasets] == ["one_qubit", "two_qubit"]
-        assert [d.metadata["model"] for d in datasets] == ["thermal1", "thermal2"]
-        np.testing.assert_array_equal(datasets[0].t, datasets[1].t)
-
-    def test_thermal_fidelity_ordering(self):
-        # the superposed initial state keeps the atom closer to where it started
-        alpha0, alpha45 = reproduce_figure("2b", points=120)
-        assert np.all(alpha45.fidelity >= alpha0.fidelity)
-
-    def test_squeezed_fidelity_collapses_for_excited_start(self):
-        alpha0, _ = reproduce_figure("3b", points=120)
-        assert alpha0.fidelity[-1] < 0.05
-
-    def test_two_qubit_reservoir_fidelity_dominates(self):
-        one, two = reproduce_figure("5b", points=60)
-        assert np.all(two.fidelity >= one.fidelity)
+    @pytest.mark.parametrize("tag, points", [("2b", 120), ("5b", 60)])
+    def test_second_series_keeps_the_higher_fidelity(self, tag, points):
+        # the superposed initial state keeps the atom closer to where it
+        # started (2b), and the two-qubit reservoir probe its qubit A (5b)
+        first, second = reproduce_figure(tag, points=points)
+        assert np.all(second.fidelity >= first.fidelity)
 
     def test_series_that_share_data(self):
         # the 24 series hold 9 distinct scans: 1a = 1b, 2a = 2b, 3a = 3b,
@@ -781,19 +643,6 @@ class TestReproduceFigure:
                 assert np.array_equal(getattr(first, name), getattr(second, name)), (a, b, name)
 
 
-@pytest.mark.parametrize("model", MODEL_IDS)
-def test_no_eigensolver_in_the_hot_path(model, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an eigensolver ran")
-
-    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-        monkeypatch.setattr(np.linalg, name, forbidden)
-    config = ScanConfig(model, points=200, t_max=20.0)
-    find_max(scan(config))
-    point_qfi(config, 3.0)
-    point_fidelity(config, 3.0)
-
-
 @pytest.fixture
 def no_parameter_classes(monkeypatch):
     # ScanConfig validates every field once; the five *Params builders of
@@ -810,7 +659,13 @@ def no_parameter_classes(monkeypatch):
 
 
 @pytest.mark.parametrize("model", MODEL_IDS)
-def test_scans_build_no_parameter_class(model, no_parameter_classes):
+def test_hot_path_calls_no_eigensolver_and_no_parameter_class(model, no_parameter_classes,
+                                                              monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
     config = ScanConfig(model, points=200, t_max=20.0)
     t, qfi = find_max(scan(config))
     assert qfi > 0.0
@@ -825,10 +680,3 @@ def test_figures_build_no_parameter_class(tag, no_parameter_classes, tmp_path):
                     "--out", str(tmp_path / "fig.csv")]) == 0
     assert len(list(tmp_path.iterdir())) == 2
 
-
-def test_discrepancy_report_mentions_targets():
-    report = discrepancy_report(points=200)
-    assert "80" in report
-    assert "541" in report
-    assert "1210" in report
-    assert "computed" in report

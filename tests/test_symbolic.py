@@ -9,13 +9,22 @@ the library's QFI and fidelity against the exact oracle of every model."""
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-from helpers import d_rho_grid, dense, fock1_amplitudes, fock2_amplitudes, states
+from helpers import (
+    assert_block_qfi_matches_the_spectral_oracle,
+    assert_numbers_depend_on_gamma_t_only,
+    d_rho_grid,
+    dense,
+    fock1_amplitudes,
+    fock2_amplitudes,
+    states,
+)
 from qfi_probe.qfi_engine import qfi_blocks
 from qfi_probe.qstate import validate_blocks
 from qfi_probe.scan_repro import (
@@ -68,17 +77,9 @@ HALF = sp.S.Half
 X_PATTERN = {(i, i) for i in range(4)} | {(1, 2), (2, 1), (0, 3), (3, 0)}
 
 
-def thermal_rhs(rho):
-    """Hand-written element-wise right-hand side of the thermal master
-    equation at occupation N."""
-    down, up, coherence = GAMMA * (N + 1), GAMMA * N, -GAMMA * (N + HALF)
-    return sp.Matrix([[-down * rho[0, 0] + up * rho[1, 1], coherence * rho[0, 1]],
-                      [coherence * rho[1, 0], down * rho[0, 0] - up * rho[1, 1]]])
-
-
 def squeezed_rhs(rho):
     """Hand-written element-wise right-hand side for the squeezed reservoir
-    with occupation N and pair correlation M."""
+    with occupation N and pair correlation M; the thermal one at M = 0."""
     down, up, coherence = GAMMA * (N + 1), GAMMA * N, -GAMMA * (N + HALF)
     return sp.Matrix([
         [-down * rho[0, 0] + up * rho[1, 1], coherence * rho[0, 1] - GAMMA * M * rho[1, 0]],
@@ -86,13 +87,9 @@ def squeezed_rhs(rho):
     ])
 
 
-@pytest.mark.parametrize("kind", ["thermal", "squeezed"])
-def test_generator_matches_elementwise_rhs(kind):
+def test_generator_matches_elementwise_rhs():
     rho = generic_matrix("r")
-    if kind == "thermal":
-        assert vanishes(qubit_generator(rho).subs(M, 0) - thermal_rhs(rho))
-    else:
-        assert vanishes(qubit_generator(rho) - squeezed_rhs(rho))
+    assert vanishes(qubit_generator(rho) - squeezed_rhs(rho))
 
 
 @pytest.mark.parametrize("generator, dim", [(qubit_generator, 2), (pair_generator, 4)])
@@ -142,15 +139,11 @@ def _steady_qubit():
     return sp.diag(N / (2 * N + 1), (N + 1) / (2 * N + 1))
 
 
-def test_vacuum_has_single_downward_term():
-    rho = generic_matrix("x")
-    assert vanishes(qubit_generator(rho).subs({N: 0, M: 0}) - GAMMA * _decay(SIGMA_MINUS, rho))
-
-
 def test_squeezed_vacuum_has_one_jump_operator():
     # with N = sinh(r)^2 and M = cosh(r) sinh(r), as the squeezed kernels
     # take them, M^2 = N (N + 1) and the two rates and the two-photon terms
-    # merge into the one jump operator cosh(r) sigma_- - sinh(r) sigma_+
+    # merge into the one jump operator cosh(r) sigma_- - sinh(r) sigma_+;
+    # at r = 0, the vacuum, it is sigma_- alone
     r = sp.Symbol("r", nonnegative=True)
     rho = generic_matrix("x")
     jump = sp.cosh(r) * SIGMA_MINUS - sp.sinh(r) * SIGMA_PLUS
@@ -342,24 +335,10 @@ def test_fig1a_alpha0_maximum_against_exact():
     assert qfi == pytest.approx(float(exact(config, t).qfi), rel=1e-2)
 
 
-@pytest.mark.xfail(strict=True, reason="the stencil reads a cavity QFI high next to a rank drop"
-                                       " (ROADMAP items 3 and 9)")
-def test_known_refined_cavity_maxima_defect():
-    # the refined 1a alpha0 and 4a two_qubit maxima read 0.69% and 0.67%
-    # above exact at the returned t. The exact fock2 QFI peaks at the rank
-    # drop t = 99.53235 (1819.4105); within about 5e-5 of it the stencil
-    # reads up to 1831, and to its right a dip makes a local maximum at
-    # 99.53301, where a golden-section search stopped 7.7e-6 below exact
-    for tag, series in (("1a", "alpha0"), ("4a", "two_qubit")):
-        config = dict(_figure_configs(tag, 2000))[series]
-        t, qfi = find_max(scan(config))
-        with mpmath.workdps(DIGITS):
-            assert abs(mpmath.mpf(qfi) / exact(config, t).qfi - 1) <= 1e-6, (tag, series)
-
-
 def test_exact_at_closed_form_values():
     # thermal1 deep in its steady state: F_m = 1 / ((2m + 1)^2 m (m + 1)),
-    # and dm/dT = m (m + 1) ln^2(1 + 1/m) at s = 1
+    # and dm/dT = m (m + 1) ln^2(1 + 1/m) at s = 1, against the symbolic
+    # equilibrium_qfi too (test_equilibrium_qfi_closed_form)
     with mpmath.workdps(DIGITS):
         m = mpmath.mpf(0.1)
         slope = m * (m + 1) * mpmath.log1p(1 / m) ** 2
@@ -448,51 +427,76 @@ def test_grid_only_figure_maxima_are_the_equilibrium_qfi():
     assert plateau == PLATEAU_SERIES and rising_end == RISING_END_SERIES
 
 
-@pytest.mark.xfail(strict=True, reason="the stencil step grows with |detuning| (ROADMAP item 3)"
-                                       " and the determinant floor zeroes a rank drop (item 9)")
-@pytest.mark.parametrize("queries", [
-    # 4.0213e-9 against 4.5509e-9, and 9.3e-31 against 3.45e-18
-    [(ScanConfig("fock1", detuning=1e4), 10.0), (ScanConfig("fock1", detuning=1e10), 10.0)],
-    # 2.9e-14 against 4733.23
-    [(ScanConfig("fock1", alpha=0.0, t_max=200.0), 199.5156557)],
-], ids=["large_detuning", "rank_drop"])
-def test_known_qfi_defects_against_exact(queries):
+def refined_maxima_against_exact(*series):
+    # find_max's (t, qfi) on figure series against exact at the returned t
+    for tag, name in series:
+        config = dict(_figure_configs(tag, 2000))[name]
+        t, qfi = find_max(scan(config))
+        with mpmath.workdps(DIGITS):
+            assert abs(mpmath.mpf(qfi) / exact(config, t).qfi - 1) <= 1e-6, (tag, name)
+
+
+def point_qfi_against_exact(queries, rel):
     for config, t in queries:
-        assert point_qfi(config, t) == pytest.approx(float(exact(config, t).qfi), rel=1e-3)
+        assert point_qfi(config, t) == pytest.approx(float(exact(config, t).qfi), rel=rel)
 
 
-@pytest.mark.xfail(strict=True, reason="the determinant floor drops the occupation QFI of a level"
-                                       " the derivative fills (ROADMAP items 9 and 21)")
-@pytest.mark.parametrize("gamma, t", [(2.0, 15.0), (3.0, 10.0)])
-def test_known_occupation_qfi_defect_at_zero_temperature(gamma, t):
-    # thermal1 at m = 0 and alpha = 0, where e^{-gamma t} = 9.4e-14 is below
-    # the floor: qfi_blocks reads 4.0 and helpers.qfi_spectral 1.0, against
-    # 1.07e13 from exact (the temperature QFI is 0: dm/dT vanishes at m = 0)
+def occupation_qfi_against_exact(gamma, t):
+    # thermal1 at m = 0 and alpha = 0: the occupation QFI of one block
+    # call, against exact without the chain factor (dm/dT vanishes at m = 0)
     config = ScanConfig("thermal1", mean_occupation=0.0, gamma=gamma, alpha=0.0)
     rho = validate_blocks(states(config, config.mean_occupation, [t]))
     qfi = qfi_blocks(rho, d_rho_grid(config, config.mean_occupation, [t])).value[0]
     assert qfi == pytest.approx(float(exact(config, t, chain=False).qfi), rel=1e-3)
 
 
-@pytest.mark.xfail(strict=True, reason="the chain factor reads 0.0 where g * g underflows, even"
-                                       " where g / s is an ordinary number (ROADMAP item 25)")
-def test_known_chain_factor_underflow_defect():
-    # thermal1 at m = 1e-200: g = m (m + 1) ln^2(1 + 1/m) is 2.1e-195, so
-    # g * g underflows to 0.0, but g / s is 2.1e-5 at s = 1e-190; the library
-    # reads 0.0, against 0.87284 from exact
-    config = ScanConfig("thermal1", mean_occupation=1e-200, freq_scale=1e-190)
-    assert point_qfi(config, 20.0) == pytest.approx(float(exact(config, 20.0).qfi), rel=1e-6)
-
-
-@pytest.mark.xfail(strict=True, reason="the stencil step never goes below 6.1e-6, which swamps a"
-                                       " detuning set by a small coupling (ROADMAP items 3, 18)")
-@pytest.mark.parametrize("model", ["fock1", "fock2"])
-@pytest.mark.parametrize("scale", [1e-4, 1e-8])
-def test_known_cavity_scaling_defect(model, scale):
+def cavity_scaling(model, scale):
     # F(l Delta, l g, t / l) l^2 = F(Delta, g, t), which exact honours
-    # (test_exact_honours_the_symmetries): fock1 at l = 1e-4 reads 5.650
-    # against 5.985, and 6.2e-11 at l = 1e-8
+    # (test_exact_honours_the_symmetries)
     config = ScanConfig(model)
     scaled = replace(config, detuning=config.detuning * scale, coupling=config.coupling * scale)
     assert point_qfi(scaled, 7.3 / scale) * scale**2 == pytest.approx(point_qfi(config, 7.3),
                                                                       rel=1e-3)
+
+
+# The known defects: (case, the open ROADMAP item that fixes it, what the
+# library reads against the exact value, assertion). Item 3 is the
+# stencil's error, item 9 the determinant floor at a rank drop, item 25
+# the chain factor's underflow. Each assertion fails today; the PR of an
+# item moves its rows into a passing test.
+KNOWN_DEFECTS = [
+    ("refined_cavity_maxima", 9, "1a alpha0 reads 1177.5455 against 1169.5091 at t = 99.174448,"
+     " next to a rank drop", partial(refined_maxima_against_exact, ("1a", "alpha0"),
+                                     ("4a", "two_qubit"))),
+    ("large_detuning", 3, "fock1 at detuning 1e4 and t = 10 reads 4.0213e-9 against 4.5509e-9",
+     partial(point_qfi_against_exact, [(ScanConfig("fock1", detuning=1e4), 10.0),
+                                       (ScanConfig("fock1", detuning=1e10), 10.0)], 1e-3)),
+    ("rank_drop", 9, "fock1 at alpha 0 and t = 199.5156557 reads 2.88e-14 against 4733.2339",
+     partial(point_qfi_against_exact,
+             [(ScanConfig("fock1", alpha=0.0, t_max=200.0), 199.5156557)], 1e-3)),
+    *((f"zero_temperature_occupation-{gamma}-{t}", 9,
+       "thermal1 at m = 0 reads 4.0 against 1.0686e13 where the derivative fills a floored level",
+       partial(occupation_qfi_against_exact, gamma, t)) for gamma, t in ((2.0, 15.0), (3.0, 10.0))),
+    ("chain_factor_underflow", 25, "thermal1 at m = 1e-200, freq_scale = 1e-190 and t = 20 reads"
+     " 0.0 against 0.87284", partial(point_qfi_against_exact, [(ScanConfig(
+         "thermal1", mean_occupation=1e-200, freq_scale=1e-190), 20.0)], 1e-6)),
+    *((f"cavity_scaling-{model}-{scale}", 3, f"{model} scaled by {scale} reads {values}",
+       partial(cavity_scaling, model, scale)) for model, scale, values in (
+        ("fock1", 1e-4, "5.6503 against 5.9851"), ("fock1", 1e-8, "6.19e-11 against 5.9851"),
+        ("fock2", 1e-4, "3.5660 against 3.7431"), ("fock2", 1e-8, "1.52e-16 against 3.7431"))),
+    ("block_qfi_above_the_floor", 9, "squeezed2 at r = 1e-5 and t = 1 reads 1.0569658 against"
+     " 1.0569645, qfi_spectral 1.0569637", partial(
+         assert_block_qfi_matches_the_spectral_oracle, ScanConfig("squeezed2", squeezing=1e-5),
+         np.array([1.0]))),
+    ("reservoir_scaling", 3, "thermal1 at gamma = 1e136 and gamma t = 0.03125 moves the QFI by"
+     " 5.97e-10 of 0.0105019, against a bound of 5e-10",
+     partial(assert_numbers_depend_on_gamma_t_only, "thermal1", 136.0, 0.03125)),
+]
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(check, id=case, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=f"{values} (ROADMAP item {item})"))
+    for case, item, values, check in KNOWN_DEFECTS])
+def test_known_defects(check):
+    check()
