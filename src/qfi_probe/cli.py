@@ -158,6 +158,7 @@ _GRID_FLAGS = (
     ("--tmax", "t_max", float, "last grid time"),
     ("--points", "points", int, "grid points"),
 )
+_CONFIG_FIELDS = frozenset(name for _, name, _, _ in MODEL_FLAGS + _GRID_FLAGS)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser, flags=MODEL_FLAGS) -> None:
@@ -167,8 +168,7 @@ def _add_model_flags(parser: argparse.ArgumentParser, flags=MODEL_FLAGS) -> None
 
 
 def _config_from_args(args) -> ScanConfig:
-    given = {name: getattr(args, name)
-             for _, name, _, _ in MODEL_FLAGS + _GRID_FLAGS if name in args}
+    given = {name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS}
     try:
         return ScanConfig(args.model, **given)
     except UnreadField as exc:

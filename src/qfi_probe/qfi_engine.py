@@ -3,7 +3,7 @@ by a stencil, and the closed-form QFI over the 2-blocks of a state."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,10 +12,10 @@ from .qstate import BlockState, validate_blocks
 EIGENSUM_FLOOR = 1e-12
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
 RECORD_POINTS = 4  # the most kernel points of stencil_points: the state and 3 taps
+_ONE, _TWO, _FOUR, _HALF_FLOOR = map(np.array, (1.0, 2.0, 4.0, 0.5 * EIGENSUM_FLOOR))  # cf. qstate
 
 
-@dataclass(frozen=True)
-class QfiResult:
+class QfiResult(NamedTuple):
     """QFI value with diagnostics.
 
     Attributes:
@@ -51,24 +51,22 @@ def stencil_kernel(build, config, support, value: float, floor: float | None):
     a view of its record, the states in row 0 and, if derive, their
     estimand derivative on the same blocks in row 1. The taps are divided
     by their traces, summed in basis order, which keeps the derivative
-    traceless, then weighted and combined left to right in place, with
-    1.0 x as x and x + (-1) y as x - y. The divisions by the trace and by
-    2 h are multiplications by the reciprocal."""
+    traceless, then weighted and combined left to right in place: x - y
+    for the central taps, -3 x + 4 y - z for the one-sided ones. The
+    divisions by the trace and by 2 h are multiplications by the reciprocal."""
     points, weights, scale = stencil_points(value, floor)
-    kernel = build(points, config)
+    kernel, scale, central = build(points, config), np.array(scale), len(weights) == 2
 
     def tangent(times, derive=True):
         record = kernel(times)
         if not derive:
             return record[:1]
         taps = record[1:]
-        taps *= (1.0 / BlockState(support, taps).trace())[:, None]
-        diff = taps[0] if weights[0] == 1.0 else np.multiply(taps[0], weights[0], out=taps[0])
-        for tap, weight in zip(taps[1:], weights[1:]):
-            if weight == -1.0:
-                diff -= tap
-            else:
-                diff += np.multiply(tap, weight, out=tap)
+        taps *= (_ONE / BlockState(support, taps).trace())[:, None]
+        diff = taps[0] if central else np.multiply(taps[0], weights[0], out=taps[0])
+        if not central:  # -3 x + 4 y - z
+            diff += np.multiply(taps[1], weights[1], out=taps[1])
+        diff -= taps[-1]
         diff *= scale
         return record[:2]
 
@@ -92,24 +90,21 @@ def qfi_blocks(rho: BlockState, drho: BlockState) -> QfiResult:
     first. Raises ValueError if drho is not on the blocks and grid of rho.
     """
     state = rho if rho.spectra is not None else validate_blocks(rho)
-    if drho.support != state.support or drho.values.shape != state.values.shape:
+    support, values, (weight, det) = state.support, state.values, state.spectra
+    if drho.support != support or drho.values.shape != values.shape:
         raise ValueError(f"drho on blocks {drho.support} with shape {drho.values.shape}"
-                         f" does not match the state on {state.support}"
-                         f" with shape {state.values.shape}")
-    weight, det = state.spectra
-    a, b, re, im = state.pairs()
-    da, db, dre, dim = drho.pairs()  # the forms above, in place
-    ddet, overlap, dr2, coherent = a * db, re * dre, da - db, dre * dre
-    ddet += b * da
-    overlap += im * dim
-    ddet -= np.multiply(overlap, 2.0, out=overlap)
-    dr2 *= dr2
-    coherent += dim * dim
-    dr2 += np.multiply(coherent, 4.0, out=coherent)
-    floor = 0.5 * EIGENSUM_FLOOR
-    heavy = weight > floor
-    kept = np.logical_and(heavy, det > floor * weight)
-    terms = np.divide(dr2, weight, out=np.zeros(weight.shape), where=heavy)
-    terms += np.divide(np.square(ddet, out=ddet), np.multiply(weight, det, out=dr2),
-                       out=np.zeros(weight.shape), where=kept)
-    return QfiResult(terms.sum(axis=0), kept.size - int(np.count_nonzero(kept)))
+                         f" does not match the state on {support} with shape {values.shape}")
+    x, d = state.pairs(), drho.pairs()
+    a, b, re, im, da, db, dre, dim = x[0], x[1], x[2], x[3], d[0], d[1], d[2], d[3]
+    ddet = (a * db + b * da) - _TWO * (re * dre + im * dim)
+    dr2 = da - db
+    dr2 = dr2 * dr2 + _FOUR * (dre * dre + dim * dim)
+    heavy = weight > _HALF_FLOOR
+    kept = heavy & (det > _HALF_FLOOR * weight)
+    floored = kept.size - int(np.count_nonzero(kept))
+    if floored:  # a quotient left out is 0
+        terms = np.divide(dr2, weight, out=np.zeros(weight.shape), where=heavy)
+        terms += np.divide(ddet * ddet, weight * det, out=np.zeros(weight.shape), where=kept)
+    else:  # every block heavy and kept: the same quotients, unmasked
+        terms = dr2 / weight + ddet * ddet / (weight * det)
+    return QfiResult(terms[0] if len(terms) == 1 else terms[0] + terms[1], floored)

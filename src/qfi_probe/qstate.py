@@ -18,13 +18,15 @@ functions over the N states at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+# 0-d arrays, not Python floats, which numpy converts on every call; then the check bounds
+_ZERO, _HALF, _ONE, _TWO, _MINUS_TWO, _SLACK, _TRACE_TOL, _NORM_BOUND, _RADICAND_FLOOR = map(
+    np.array, (0.0, 0.5, 1.0, 2.0, -2.0, 0.25 * PSD_TOL, TRACE_TOL, 1.0 + 1e-10, -1e-12))
 
 
 class StateValidationError(ValueError):
@@ -55,7 +57,6 @@ def _diagonal_rows(support) -> tuple[int, ...]:
                          " the qubit or X-state 2-blocks") from None
 
 
-@dataclass(frozen=True)
 class BlockState:
     """N states (or parameter derivatives of states) that are direct sums
     of 2-blocks on fixed basis indices, as real rows.
@@ -70,9 +71,10 @@ class BlockState:
             as validate_blocks computed them.
     """
 
-    support: tuple[tuple[int, int], ...]
-    values: np.ndarray
-    spectra: tuple | None = None
+    __slots__ = ("support", "values", "spectra")
+
+    def __init__(self, support, values, spectra=None):
+        self.support, self.values, self.spectra = support, values, spectra
 
     @property
     def dim(self) -> int:
@@ -87,21 +89,23 @@ class BlockState:
         values, rows = self.values, _diagonal_rows(self.support)
         total = values[..., rows[0], :] + values[..., rows[1], :]
         for row in rows[2:]:
-            total += values[..., row, :]
+            total = total + values[..., row, :]
         return total
 
 
+@np.errstate(invalid="ignore")  # inf * 0, inf - inf: a NaN, which the counting pass fails
 def validate_blocks(state: BlockState) -> BlockState:
     """Check the invariants of N block states and return them, read-only,
     with the weight and determinant of their blocks, without an eigensolver.
 
     In order: every value is finite; the lower eigenvalue of every block
     is at least -PSD_TOL; the trace is 1 to within TRACE_TOL. A 2-block is
-    PSD exactly when its weight w and det are >= 0; only the others get a
-    lower eigenvalue, det / upper with upper = (w + |r|) / 2 (w - upper
-    where upper <= 0). Every comparison is written so that a NaN fails it,
-    and an infinity fails one; finiteness is tested first when one fails.
-    The values array is made read-only in place: the spectra cannot go stale.
+    PSD exactly when its weight w and det are >= 0; the others get a lower eigenvalue,
+    det / upper with upper = (w + |r|) / 2 (w - upper where upper <= 0). One pass
+    counts the blocks with w >= 0 and det >= -PSD_TOL w / 4 (as upper >= w / 2, det /
+    upper >= -PSD_TOL / 2) and the states within TRACE_TOL; a NaN fails both counts,
+    an infinity one. The checks run in order only on a shortfall. The values
+    array is made read-only in place: the spectra cannot go stale.
 
     Raises:
         StateValidationError: for a NaN or infinite value.
@@ -110,30 +114,28 @@ def validate_blocks(state: BlockState) -> BlockState:
         ValueError: for a support other than QUBIT_BLOCKS and X_BLOCKS, or
             values of the wrong shape.
     """
-    values = state.values
-    if values.ndim != 2 or values.shape[0] != 2 * len(_diagonal_rows(state.support)):
-        raise ValueError(f"values of shape {values.shape} do not fit the blocks {state.support}")
-    a, b, re, im = state.pairs()
-    with np.errstate(invalid="ignore"):  # inf * 0, inf - inf: a NaN, which min and max pass on
-        weight = a + b
-        det = a * b - (re * re + im * im)
-        trace = state.trace()  # max |tr - 1| from its extremes, below
-    psd = weight.min(initial=0.0) >= 0.0 and det.min(initial=0.0) >= 0.0
-    trace_dev = float(max(trace.max(initial=1.0) - 1.0, 1.0 - trace.min(initial=1.0)))
-    if not (psd and trace_dev <= TRACE_TOL) and not np.isfinite(values).all():
-        raise StateValidationError("a block entry is NaN or infinite")
-    if not psd:
-        ok = np.minimum(weight, det) >= 0.0
-        a, b, re, im, w, d = (row[~ok] for row in (a, b, re, im, weight, det))
+    support, values = state.support, state.values
+    if values.ndim != 2 or values.shape[0] != 2 * len(_diagonal_rows(support)):
+        raise ValueError(f"values of shape {values.shape} do not fit the blocks {support}")
+    a, b, re, im = (pairs := state.pairs())[0], pairs[1], pairs[2], pairs[3]
+    weight, det = a + b, a * b - (re * re + im * im)
+    trace = weight if len(support) == 1 else state.trace()  # a qubit's trace is its weight
+    if (np.count_nonzero(np.minimum(weight, det + _SLACK * weight) >= _ZERO) != weight.size
+            or np.count_nonzero(np.abs(trace - _ONE) <= _TRACE_TOL) != trace.size):
+        if not np.isfinite(values).all():
+            raise StateValidationError("a block entry is NaN or infinite")
+        bad = ~(np.minimum(weight, det) >= 0.0)  # the blocks that need their lower eigenvalue
+        (a, b, re, im), w, d = pairs[:, bad], weight[bad], det[bad]
         upper = 0.5 * (w + np.sqrt((a - b) ** 2 + (2.0 * re) ** 2 + (2.0 * im) ** 2))
         lower = np.divide(d, upper, out=w - upper, where=upper > 0.0)
-        smallest = float(lower.min())
+        smallest = float(np.minimum.reduce(lower, initial=0.0))
         if not smallest >= -PSD_TOL:
             raise NegativeEigenvalue(f"smallest eigenvalue {smallest:.3e} below -{PSD_TOL:.0e}")
-    if not trace_dev <= TRACE_TOL:
-        raise TraceNotOne(f"|tr(rho) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
-    values.flags.writeable = False
-    return BlockState(state.support, values, (weight, det))
+        trace_dev = float(np.maximum.reduce(np.abs(trace - 1.0), axis=None, initial=0.0))
+        if not trace_dev <= TRACE_TOL:
+            raise TraceNotOne(f"|tr(rho) - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}")
+    values.setflags(write=False)
+    return BlockState(support, values, (weight, det))
 
 
 class BlochVector(NamedTuple):
@@ -143,8 +145,9 @@ class BlochVector(NamedTuple):
     ay: float
     az: float
 
-    def dot(self, other: "BlochVector") -> float:
-        return self.ax * other.ax + self.ay * other.ay + self.az * other.az
+    def dot(self, other: "BlochVector") -> float:  # float 0.0 ax, ay terms add nothing
+        xy, z = self.ax * other.ax + self.ay * other.ay, self.az * other.az
+        return z if xy.__class__ is float and xy == 0.0 else xy + z
 
 
 def reduced_bloch(state: BlockState) -> BlochVector:
@@ -153,11 +156,11 @@ def reduced_bloch(state: BlockState) -> BlochVector:
     For two qubits rho^A_ee = rho_00 + rho_11 and rho^A_gg = rho_22 + rho_33;
     rho^A_eg = rho_02 + rho_13 lies outside the X-state blocks and vanishes.
     """
-    if state.dim == 2:
-        a, b, re, im = state.pairs()[:, 0]
-        return BlochVector(2.0 * re, -2.0 * im, a - b)
-    d00, d11, d22, d33 = (state.values[row] for row in _diagonal_rows(state.support))
-    return BlochVector(0.0, 0.0, (d00 + d11) - (d22 + d33))
+    values, rows = state.values, _diagonal_rows(state.support)
+    if len(rows) == 2:
+        return BlochVector(_TWO * values[2], _MINUS_TWO * values[3], values[0] - values[1])
+    return BlochVector(0.0, 0.0, (values[rows[0]] + values[rows[1]])
+                       - (values[rows[2]] + values[rows[3]]))
 
 
 def fidelity_bloch(a0: BlochVector, a1: BlochVector) -> np.ndarray:
@@ -169,13 +172,12 @@ def fidelity_bloch(a0: BlochVector, a1: BlochVector) -> np.ndarray:
     it within -1e-12.
     """
     norms = a0.dot(a0), a1.dot(a1)
-    m0, m1 = (np.maximum.reduce(norm_sq, axis=None) for norm_sq in norms)  # a NaN passes on
-    if not (m0 <= 1.0 + 1e-10 and m1 <= 1.0 + 1e-10):  # both maxima at once; a0's named first
+    within = np.maximum(*norms) <= _NORM_BOUND  # a NaN fails
+    if np.count_nonzero(within) != within.size:
+        m0, m1 = (np.maximum.reduce(norm_sq, axis=None) for norm_sq in norms)  # a0 named first
         raise ValueError(f"Bloch vector norm^2 = {m1 if m0 <= 1.0 + 1e-10 else m0:.12f} exceeds 1")
-    radicand = np.asarray((1.0 - norms[0]) * (1.0 - norms[1]))  # fresh: worked in place
-    if not np.minimum.reduce(radicand, axis=None) >= -1e-12:
+    radicand = (_ONE - norms[0]) * (_ONE - norms[1])
+    if np.count_nonzero(radicand >= _RADICAND_FLOOR) != radicand.size:
         raise ValueError(f"radicand {np.min(radicand):.3e} below -1e-12; inputs invalid")
-    value = np.sqrt(np.maximum(radicand, 0.0, out=radicand), out=radicand)
-    value += 1.0 + a0.dot(a1)
-    value *= 0.5
-    return np.minimum(np.maximum(value, 0.0, out=value), 1.0, out=value)[()]
+    value = (np.sqrt(np.maximum(radicand, _ZERO)) + (_ONE + a0.dot(a1))) * _HALF
+    return np.minimum(np.maximum(value, _ZERO), _ONE)[()]

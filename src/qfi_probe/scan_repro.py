@@ -16,7 +16,7 @@ import numpy as np
 
 from .probe_models import fock1_kernel, fock2_kernel, reservoir_pair_kernel, reservoir_qubit_kernel
 from .qfi_engine import RECORD_POINTS, qfi_blocks, stencil_kernel
-from .qstate import QUBIT_BLOCKS, X_BLOCKS, BlockState, fidelity_bloch, reduced_bloch
+from .qstate import QUBIT_BLOCKS, X_BLOCKS, BlochVector, BlockState, fidelity_bloch, reduced_bloch
 from .qstate import validate_blocks
 
 
@@ -56,6 +56,8 @@ FIELD_DOMAINS = {
     "freq_scale": ((">", 0.0),),
 }
 _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+_DOMAIN_CHECKS = tuple((name, _COMPARISONS[comparison], comparison, bound)
+                       for name, domain in FIELD_DOMAINS.items() for comparison, bound in domain)
 # estimand: (its ScanConfig field, and the stencil floor: its ">=" bound or None)
 _ESTIMAND_FIELDS = {estimand: (name, dict(FIELD_DOMAINS.get(name, ())).get(">="))
                     for estimand, name in (("detuning", "detuning"), ("squeezing", "squeezing"),
@@ -80,6 +82,8 @@ if _mallopt is not None:
 # 500 times the 2000-point figure grid; a larger count is rejected before
 # the grid is allocated.
 MAX_POINTS = 1_000_000
+# the t = 0 row a fidelity call puts first, and the bounds of the times check
+_REFERENCE_TIME, _ZERO, _INF = np.zeros(1), np.array(0.0), np.array(math.inf)
 _DBL_MAX = np.float64(sys.float_info.max)  # np.float32 compares with it in double precision
 
 
@@ -103,7 +107,8 @@ def require_finite(config) -> None:
     """Reject a field, model_id aside, that is not a real number, or is a
     NaN, an infinity or an int past the doubles."""
     for f in _FIELDS[1:]:
-        value = getattr(config, f.name)
+        if (value := getattr(config, f.name)).__class__ is float and value - value == 0.0:
+            continue  # a finite float
         # float and int are tested in C before the ABC, with its verdict
         if not isinstance(value, (float, int, numbers.Real)):
             raise ValueError(f"{f.name} = {value!r} is not a real number")
@@ -113,11 +118,9 @@ def require_finite(config) -> None:
 
 def require_domains(config) -> None:
     """Reject a field outside its FIELD_DOMAINS entry."""
-    for name, domain in FIELD_DOMAINS.items():
-        value = getattr(config, name)
-        for comparison, bound in domain:
-            if not _COMPARISONS[comparison](value, bound):
-                raise ValueError(f"{name} = {value!r} is not {comparison} {bound!r}")
+    for name, compare, comparison, bound in _DOMAIN_CHECKS:
+        if not compare(value := getattr(config, name), bound):
+            raise ValueError(f"{name} = {value!r} is not {comparison} {bound!r}")
 
 
 def require_count(name: str, value) -> None:
@@ -250,16 +253,16 @@ def _evaluator(config: ScanConfig):
     BLOCK_BYTES, each written into its slice of one output array per
     quantity, leave every value unchanged."""
     estimand, _, support, entry = MODELS[config.model_id]
-    chain = _chain_factor(config)
+    chain = np.array(_chain_factor(config))
     kernel = entry(getattr(config, _ESTIMAND_FIELDS[estimand][0]), config)
     rows = BLOCK_BYTES // (8 * RECORD_POINTS * 4 * len(support))
 
     def evaluate(times, qfi: bool = True, fidelity: bool = True):
         times = np.asarray(times, dtype=float)
-        if not (times.min(initial=0.0) >= 0.0 and times.max(initial=0.0) < math.inf):
+        if np.count_nonzero((times >= _ZERO) & (times < _INF)) != times.size:  # NaN fails
             raise ValueError("times must be finite and nonnegative")
         skip = int(fidelity)
-        times = np.concatenate((np.zeros(skip), times)) if skip else times
+        times = np.concatenate((_REFERENCE_TIME, times)) if skip else times
         qfi_out = np.empty(times.size) if qfi else None
         fidelity_out = np.empty(times.size) if fidelity else None
         for k in range(0, times.size, rows):
@@ -269,9 +272,10 @@ def _evaluator(config: ScanConfig):
                 value = qfi_blocks(states, BlockState(support, record[1])).value
                 np.multiply(value, chain, out=qfi_out[k:k + rows])
             if fidelity:
-                if k == 0:
-                    reference = reduced_bloch(BlockState(support, states.values[:, :1]))
-                fidelity_out[k:k + rows] = fidelity_bloch(reference, reduced_bloch(states))
+                bloch = reduced_bloch(states)
+                if k == 0:  # row 0, t = 0, of each array component: one state, as scalars
+                    reference = BlochVector._make(c if type(c) is float else c[0] for c in bloch)
+                fidelity_out[k:k + rows] = fidelity_bloch(reference, bloch)
         return (qfi_out[skip:] if qfi else None, fidelity_out[skip:] if fidelity else None)
 
     return evaluate

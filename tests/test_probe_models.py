@@ -145,7 +145,7 @@ def test_builders_take_no_other_field(builder, args, kwargs, error, message):
 
 def scalar_rates(kind, strength, gamma):
     """(steady, pop_rate, x_rate, y_rate) of one point in Python floats: the
-    reference that _reservoir_rates' columns must equal bit for bit."""
+    reference that _reservoir_rates' rows must equal bit for bit."""
     if kind == "thermal":
         occupation = strength
         x_rate = y_rate = 2.0 * gamma * (strength + 0.5)
@@ -160,14 +160,14 @@ def scalar_rates(kind, strength, gamma):
 def test_reservoir_rates_equal_the_per_point_scalar_rates(kind, top):
     # a float's ** 2 is libm's pow, an array's is x * x: for r from 1e-8 to
     # 100 the two squares of sinh(r) differ in the last bit at about 1 in
-    # 1000. A thermal reservoir's three rates are one array: gamma (2m + 1)
+    # 1000. A thermal reservoir's three rates are one float: gamma (2m + 1)
     # and 2 gamma (m + 1/2) round to one double, as doubling is exact and
     # commutes with rounding
     strengths, gamma = np.logspace(-8, top, 20_000).tolist(), float(np.pi / 3)
     rates = _reservoir_rates(kind, strengths, gamma)
     expected = np.array([scalar_rates(kind, s, gamma) for s in strengths])
-    assert np.concatenate(rates, axis=1).tobytes() == expected.tobytes()
-    assert (rates[1] is rates[2] is rates[3]) == (kind == "thermal")
+    assert np.array(rates).tobytes() == expected.tobytes()
+    assert all((row[1] is row[2] is row[3]) == (kind == "thermal") for row in rates)
 
 
 def test_thermal_rate_overflow_verdicts():
@@ -196,18 +196,18 @@ def scalar_cavity_constants(model, detuning, coupling, photons, alpha):
     if model == "fock1":
         exchange = 2.0 * coupling * math.sqrt(photons + 1.0)
         wd = float(np.hypot(exchange, detuning))
-        tail = 1j * sa * (exchange / wd), 1j * ca * (exchange / wd)
+        tail = 0.5j * detuning, 1j * sa * (exchange / wd), 1j * ca * (exchange / wd)
     else:
         wd = float(np.sqrt(8.0 * coupling**2 + detuning**2))
-        tail = -(ca + sa) * (2.0j * coupling / wd), -0.5j * detuning
-    return (wd, 1j * (detuning / wd), 0.5j * detuning, *tail)
+        tail = -(ca + sa) * (2.0j * coupling / wd), 0.5j * detuning, -0.5j * detuning
+    return (0.5 * wd, 1j * (detuning / wd), *tail)
 
 
+# each model's closure constants: (K, 1) columns, or (2, K, 1) pairs of them
 CAVITY_CONSTANTS = {
-    "fock1": (_fock1_amplitudes,
-              ("wd", "i_ratio_d", "half_detuning", "i_sa_ratio_x", "i_ca_ratio_x")),
+    "fock1": (_fock1_amplitudes, ("half_wd", "i_ratio_d", "half_detuning", "i_ratio_x")),
     "fock2": (lambda d, c, n, a: _fock2_amplitudes(d, c, a),
-              ("wd", "i_ratio_d", "half_detuning", "gg_weight", "gg_detuning")),
+              ("half_wd", "i_ratio_d", "gg_weight", "phase_rates")),
 }
 
 
@@ -224,7 +224,8 @@ def test_cavity_constants_equal_the_per_point_scalar_constants(model):
         photons, alpha = int(rng.integers(0, 5)), rng.uniform(0, 1)
         amplitudes = build(detunings, coupling, photons, alpha)
         cells = dict(zip(amplitudes.__code__.co_freevars, amplitudes.__closure__))
-        got = np.concatenate([cells[name].cell_contents for name in names], axis=1)
+        got = np.concatenate([cells[name].cell_contents.reshape(-1, len(detunings)).T
+                              for name in names], axis=1)
         expected = np.array([scalar_cavity_constants(model, d, coupling, photons, alpha)
                              for d in detunings])
         assert got.astype(complex).tobytes() == expected.astype(complex).tobytes()
@@ -237,8 +238,8 @@ class _NanEmpty:
         return getattr(np, name)
 
     @staticmethod
-    def empty(shape):
-        return np.full(shape, np.nan)
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
 
 
 @pytest.mark.parametrize("model", MODEL_IDS)

@@ -294,6 +294,36 @@ def test_point_queries_equal_scan_rows(model, strength):
             assert point_fidelity(config, t) == fidelity
 
 
+@pytest.mark.parametrize("caller", ["default", "ignore_all"])
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_the_callers_error_state_survives_every_call(model, caller):
+    # the library enters numpy error states of its own; the caller's comes
+    # back after each call, also after one that raises. The inputs: the
+    # defaults, strength 0 (the one-sided stencil of the reservoirs), and
+    # t = 1e308, where rate * t overflows: a reservoir state then sits at its
+    # steady state, and a cavity phase past the double range is NaN, which
+    # validate_blocks rejects. A temperature model also fails its chain
+    # factor at freq_scale = 1e300.
+    base = ScanConfig(model)
+    zero = replace(base, **{scan_repro._ESTIMAND_FIELDS[base.estimand][0]: 0.0})
+    calls = [(lambda: scan(replace(base, points=50)), None)]
+    for config, t in ((base, 7.3), (zero, 7.3), (base, 1e308)):
+        fails = t > 1e300 and model.startswith("fock")
+        calls += [(lambda c=config, t=t, query=query: query(c, t),
+                   "NaN or infinite" if fails else None) for query in (point_qfi, point_fidelity)]
+    if base.estimand == "temperature":
+        calls.append((lambda: point_qfi(replace(base, freq_scale=1e300), 1.0), "chain factor"))
+    with np.errstate(all="ignore") if caller == "ignore_all" else np.errstate():
+        state = np.geterr()
+        for call, error in calls:
+            if error is None:
+                call()
+            else:
+                with pytest.raises(ValueError, match=error):
+                    call()
+            assert np.geterr() == state
+
+
 # per model, a window whose QFI peak lies inside the grid and is not flat,
 # so that find_max refines it
 REFINED_WINDOWS = {

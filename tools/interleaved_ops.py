@@ -14,7 +14,9 @@ for the seed (only those of the given models, if any) and times one
 the median, interquartile range and mean of all its operation times, and
 the ratio CHANGE / PARENT of the medians, of the means (the inverse of
 perfbench's points_per_s ratio) and of the per-item medians; it also
-prints the rounds in which CHANGE's median was the lower. Give the same
+prints the rounds in which CHANGE's median was the lower, the interquartile
+range of PARENT's per-round medians, and whether the median gain over the
+rounds exceeds it: the two conditions a claimed gain must meet. Give the same
 checkout twice for the A/A spread. Only perfbench/ is imported; nothing is
 written to either checkout.
 """
@@ -101,12 +103,21 @@ def main(argv=None) -> int:
               f" mean {means[-1] * 1e6:.1f} us")
     per_item = [statistics.median(change) / statistics.median(parent)
                 for parent, change in zip(zip(*times[0]), zip(*times[1]))]
-    won = sum(statistics.median(c) < statistics.median(p) for p, c in zip(*times))
+    rounds = [[statistics.median(one) for one in side] for side in times]  # [checkout][round]
+    won = sum(c < p for p, c in zip(*rounds))
     print(f"ratio change/parent: median {medians[1] / medians[0]:.4f};"
           f" mean {means[1] / means[0]:.4f};"
           f" per-item median {statistics.median(per_item):.4f}"
           f" (IQR {quartiles(per_item)[0]:.4f} - {quartiles(per_item)[2]:.4f});"
           f" change lower in {won} of {args.rounds} rounds")
+    # the two conditions a claimed gain must meet: lower in at least 9 of 10
+    # rounds, and a median gain over the rounds above the parent's IQR
+    q1, parent, q3 = quartiles(rounds[0])
+    gain = parent - statistics.median(rounds[1])
+    print(f"per-round medians: parent {parent * 1e6:.1f} us, IQR {(q3 - q1) * 1e6:.1f} us;"
+          f" median gain {gain * 1e6:.1f} us {'exceeds' if gain > q3 - q1 else 'does not exceed'}"
+          f" the IQR; lower in {won / args.rounds:.0%} of rounds"
+          f" ({'meets' if won >= 0.9 * args.rounds else 'misses'} 9 in 10)")
     return 0
 
 
