@@ -91,48 +91,34 @@ def _require_rate(wd, detuning, coupling) -> None:
                              f" {'overflows' if rate else 'underflows'} the rate")
 
 
-@np.errstate(over="ignore")  # a rate past the double range: inf, named by _require_rate
-def _fock1_amplitudes(points, coupling, photons, alpha):
-    """times -> the excited/ground amplitudes (b1, b2), one (2, K, N) array,
-    of the single-excitation sector, from constants formed point by point. They
-    oscillate at the dressed rate sqrt((2 coupling sqrt(photons + 1))^2 + detuning^2)."""
-    exchange = 2.0 * coupling * math.sqrt(photons + 1.0)  # Python floats overflow silently
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    detunings = [float(d) for d in points]
-    rates = np.hypot(exchange, detunings).tolist()
-    _require_rate(rates, detunings, coupling)
-    half_wd, weights = _HALF * np.array(rates)[:, None], np.array([ca, sa])[:, None, None]
-    columns = np.array([(1j * (d / w), 0.5j * d, 1j * sa * (x := exchange / w), 1j * ca * x)
-                        for d, w in zip(detunings, rates)]).T[..., None]  # (4, K, 1)
-    i_ratio_d, half_detuning, i_ratio_x = columns[0], columns[1], columns[2:]
-
-    def amplitudes(t):
-        half = half_wd * t
-        c, s = np.cos(half), np.sin(half)
-        b, phases = np.empty((2, *half.shape), complex), np.empty((2, *half.shape), complex)
-        np.subtract(c, i_d_s := i_ratio_d * s, out=b[0])
-        np.add(c, i_d_s, out=b[1])
-        np.multiply(weights, b, out=b)  # ca (c - i d s), sa (c + i d s)
-        b -= i_ratio_x * s
-        np.exp(half_detuning * t, out=phases[0])
-        np.conjugate(phases[0], out=phases[1])
-        return np.multiply(phases, b, out=b)
-
-    return amplitudes
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a phase past the double range: NaN
-def _fock1_states(amplitudes, times):
-    b = amplitudes(times)
-    values = np.empty((b.shape[1], 4, len(times)))
-    np.square(np.abs(b), out=values[:, :2].transpose(1, 0, 2))
+def _fock1_states(half_wd, weights, times):
+    half, values = half_wd * times, np.empty((len(half_wd), 4, len(times)))
+    c, s = np.cos(half)[:, None], np.sin(half)[:, None]  # squared in place
+    np.multiply(weights[0], np.multiply(c, c, out=c), out=values[:, :2])
+    values[:, :2] += weights[1] * np.multiply(s, s, out=s)
     values[:, 2:] = 0.0
     return values
 
 
+@np.errstate(over="ignore")  # a rate past the double range: inf, named by _require_rate
 def fock1_kernel(points, coupling, photons, alpha) -> Kernel:
-    """Reduced qubit states diag(|b1|^2, |b2|^2) after tracing the cavity."""
-    return functools.partial(_fock1_states, _fock1_amplitudes(points, coupling, photons, alpha))
+    """Reduced qubit states diag(p_e, p_g) after tracing the cavity, from
+    cos(alpha)|e,n> + sin(alpha)|g,n+1>. With c, s = cos, sin(w t / 2) at the
+    dressed rate w = sqrt(x^2 + detuning^2), x = 2 coupling sqrt(photons + 1):
+    p_e = cos^2(alpha) c^2 + u^2 s^2 and p_g = sin^2(alpha) c^2 + v^2 s^2, with
+    (u, v) = (detuning cos(alpha) + x sin(alpha), detuning sin(alpha) - x cos(alpha)) / w
+    formed point by point."""
+    exchange = 2.0 * coupling * math.sqrt(photons + 1.0)  # Python floats overflow silently
+    ca, sa = float(np.cos(alpha)), float(np.sin(alpha))
+    detunings = [float(d) for d in points]
+    rates = np.hypot(exchange, detunings).tolist()
+    _require_rate(rates, detunings, coupling)
+    ratios = [(d / w, exchange / w) for d, w in zip(detunings, rates)]
+    uv = [(ca * r + sa * x, sa * r - ca * x) for r, x in ratios]
+    weights = np.array([((ca * ca, sa * sa), (u * u, v * v)) for u, v in uv])  # (K, 2, 2)
+    return functools.partial(_fock1_states, _HALF * np.array(rates)[:, None],
+                             weights.transpose(1, 0, 2)[..., None])
 
 
 @np.errstate(over="ignore")  # rate * t past the double range: exp(-inf) = 0
@@ -155,50 +141,40 @@ def reservoir_qubit_kernel(kind, points, gamma, alpha) -> Kernel:
     return functools.partial(_qubit_states, table[:, 0], table[:, 1], table[:, 2])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a phase past the double range: NaN
+def _fock2_states(halves, ratio_d, gg_weight, sigma2, delta2, two_delta_sigma, times):
+    (c, c_phase), (s, s_phase) = np.cos(angles := halves * times), np.sin(angles)
+    q, values = ratio_d * s, np.empty((len(ratio_d), 8, len(times)))  # A / sigma = c - i q
+    modulus = np.multiply(sigma2, c * c + q * q, out=values[:, 4])  # |A|^2
+    real = (c * c_phase + q * s_phase) * two_delta_sigma  # 2 delta Re A
+    np.add(populations := modulus + delta2, real, out=values[:, 0])
+    np.subtract(populations, real, out=values[:, 2])
+    np.square(gg_weight * s, out=values[:, 3])
+    modulus -= delta2  # Re(C_eg C_ge*) = |A|^2 - delta^2
+    np.multiply(q * c_phase - c * s_phase, two_delta_sigma, out=values[:, 6])  # -2 delta Im A
+    values[:, 1], values[:, 5::2] = 0.0, 0.0  # the empty |ee> and its coherence
+    return values
+
+
 @np.errstate(over="ignore")  # a rate past the double range: inf, named by _require_rate
-def _fock2_amplitudes(points, coupling, alpha):
-    """times -> the amplitudes (C_eg, C_ge, C_gg), rows 0, 2 and 3 of one (4, K, N) array
-    with row 1, the empty |ee>, at 0, of the two-qubit single-excitation sector, from
-    constants formed point by point. They oscillate at sqrt(8 coupling^2 + detuning^2)."""
+def fock2_kernel(points, coupling, alpha) -> Kernel:
+    """Two-qubit states after tracing the cavity, from cos(alpha)|eg> +
+    sin(alpha)|ge>: {|eg>, |ge>} carries the excitation, {|ee>, |gg>} holds
+    |gg> and an empty |ee>. The symmetric part exchanges with |gg,1> at the
+    rate w = sqrt(8 coupling^2 + detuning^2): with c, s = cos, sin(w t / 2)
+    and sigma, delta = (cos(alpha) +- sin(alpha)) / 2, C_eg, C_ge = A +- delta,
+    A = sigma (c - i (detuning / w) s) exp(i detuning t / 2), and
+    |C_gg|^2 = (4 sigma (coupling / w) s)^2."""
     ca, sa = np.cos(alpha), np.sin(alpha)
-    sym, antisym = np.array(0.5 * (ca + sa)), np.array(0.5 * (ca - sa))  # |eg> +- |ge>
+    sigma, delta = float(0.5 * (ca + sa)), float(0.5 * (ca - sa))
     detunings = [float(d) for d in points]
     squares = np.float_power([coupling, *detunings], 2)  # libm's pow, as in _reservoir_rates
     rates = np.sqrt(8.0 * squares[0] + squares[1:]).tolist()
     _require_rate(rates, detunings, coupling)
-    half_wd, gg = _HALF * np.array(rates)[:, None], -float(ca + sa)
-    columns = np.array([(1j * (d / w), gg * (2.0j * (coupling / w)), 0.5j * d, -0.5j * d)
-                        for d, w in zip(detunings, rates)]).T[..., None]  # (4, K, 1)
-    i_ratio_d, gg_weight, phase_rates = columns[0], columns[1], columns[2:]  # C_eg + C_ge, C_gg
-
-    def amplitudes(t):
-        half = half_wd * t
-        c, s, amps = np.cos(half), np.sin(half), np.empty((4, *half.shape), complex)
-        np.multiply(sym, c - i_ratio_d * s, out=amps[0])
-        np.multiply(gg_weight, s, out=amps[3])
-        np.multiply(amps[::3], np.exp(phase_rates * t), out=amps[::3])
-        np.subtract(amps[0], antisym, out=amps[2])
-        np.add(amps[0], antisym, out=amps[0])
-        amps[1] = 0.0
-        return amps[0], amps[2], amps[3]
-
-    return amplitudes
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a phase past the double range: NaN
-def _fock2_states(amplitudes, times):
-    c_eg, c_ge, _ = amplitudes(times)
-    values = np.empty((len(c_eg), 8, len(times)))  # rows 0 to 3: |C_eg, 0, C_ge, C_gg|^2
-    np.square(np.abs(c_eg.base), out=values[:, :4].transpose(1, 0, 2))
-    values[:, 4], values[:, 6] = (eg_ge := np.multiply(c_eg, np.conj(c_ge))).real, eg_ge.imag
-    values[:, 5::2] = 0.0  # the empty |ee>'s coherence
-    return values
-
-
-def fock2_kernel(points, coupling, alpha) -> Kernel:
-    """Two-qubit states after tracing the cavity: {|eg>, |ge>} carries the
-    excitation, {|ee>, |gg>} holds |gg> and an empty |ee>."""
-    return functools.partial(_fock2_states, _fock2_amplitudes(points, coupling, alpha))
+    columns = np.array([(0.5 * w, 0.5 * d, d / w, 4.0 * sigma * (coupling / w))  # (4, K, 1),
+                        for d, w in zip(detunings, rates)]).T.copy()[..., None]  # not strided
+    return functools.partial(_fock2_states, columns[:2], columns[2], columns[3], *map(
+        np.array, (sigma * sigma, delta * delta, 2.0 * delta * sigma)))
 
 
 def reservoir_pair_kernel(kind, value, gamma):

@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qfi_probe.probe_models import _fock1_amplitudes, _fock2_amplitudes
 from qfi_probe.qfi_engine import EIGENSUM_FLOOR, qfi_blocks
 from qfi_probe.qstate import (
     QUBIT_BLOCKS,
@@ -216,24 +215,6 @@ def qfi_pure_oracle(psi, dpsi):
     dpsi = np.asarray(dpsi, dtype=complex)
     value = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
     return float(max(value, 0.0))
-
-
-def _one_point(amplitudes, times):
-    """The amplitudes of a one-point kernel at times, in the shape of times."""
-    times = np.asarray(times, dtype=float)
-    return tuple(column[0].reshape(times.shape) for column in amplitudes(times))
-
-
-def fock1_amplitudes(c: ScanConfig, times):
-    """The package's one-qubit cavity amplitudes (b1, b2) at the fields of
-    a fock1 config."""
-    return _one_point(_fock1_amplitudes((c.detuning,), c.coupling, c.photons, c.alpha), times)
-
-
-def fock2_amplitudes(c: ScanConfig, times):
-    """The package's two-qubit cavity amplitudes (C_eg, C_ge, C_gg) at the
-    fields of a fock2 config."""
-    return _one_point(_fock2_amplitudes((c.detuning,), c.coupling, c.alpha), times)
 
 
 def evaluator_kernel(config: ScanConfig, value):

@@ -104,9 +104,9 @@ def fock1_hamiltonian():
 
 
 def fock1_amplitudes():
-    """The closed form of probe_models._fock1_amplitudes, the column
-    (b1, b2) on (|e,n>, |g,n+1>) from cos(alpha)|e,n> + sin(alpha)|g,n+1>;
-    it oscillates at w = sqrt(x^2 + Delta^2)."""
+    """The column (b1, b2) on (|e,n>, |g,n+1>) from cos(alpha)|e,n> +
+    sin(alpha)|g,n+1>, whose moduli squared probe_models.fock1_kernel
+    evaluates; it oscillates at w = sqrt(x^2 + Delta^2)."""
     w = sp.sqrt(EXCHANGE**2 + DETUNING**2)
     c, s = sp.cos(w * T / 2), sp.sin(w * T / 2)
     ca, sa = sp.cos(ALPHA), sp.sin(ALPHA)
@@ -123,10 +123,10 @@ def fock2_hamiltonian():
 
 
 def fock2_amplitudes():
-    """The closed form of probe_models._fock2_amplitudes, the column
-    (C_eg, C_ge, C_gg) from cos(alpha)|eg,0> + sin(alpha)|ge,0>: the
-    antisymmetric part is dark, and the symmetric part exchanges with
-    |gg,1> at w = sqrt(8 g^2 + Delta^2)."""
+    """The column (C_eg, C_ge, C_gg) from cos(alpha)|eg,0> +
+    sin(alpha)|ge,0>, whose traced state (fock2_state) probe_models.fock2_kernel
+    evaluates: the antisymmetric part is dark, and the symmetric part
+    exchanges with |gg,1> at w = sqrt(8 g^2 + Delta^2)."""
     w = sp.sqrt(8 * COUPLING**2 + DETUNING**2)
     c, s = sp.cos(w * T / 2), sp.sin(w * T / 2)
     ca, sa = sp.cos(ALPHA), sp.sin(ALPHA)
@@ -175,9 +175,9 @@ def lambdified(rho):
 
 
 def lambdified_amplitudes(column, rate):
-    """An amplitude column as a numpy function of (detuning, rate, alpha,
-    times[K]) giving the complex array of shape (K, d); rate is the symbol
-    EXCHANGE (fock1) or COUPLING (fock2)."""
+    """A cavity form's amplitude column or traced state as a numpy function of
+    (detuning, rate, alpha, times[K]) giving the complex array (K, entries),
+    row-major; rate is the symbol EXCHANGE (fock1) or COUPLING (fock2)."""
     entries = sp.lambdify((DETUNING, rate, ALPHA, T), list(column), "numpy")
 
     def amplitudes(detuning, value, alpha, times):

@@ -1,7 +1,8 @@
 """The committed performance records, BENCH_*.json at the repository root,
 against the schema that tools/bench_record.py writes: the keys, the units,
 and one entry per record, workload, end-to-end metric, model, grid size and
-stage. No timing value is read."""
+stage, and from BENCH_51.json on numpy's enabled dispatch targets. No
+timing value is read."""
 
 import json
 from pathlib import Path
@@ -30,8 +31,10 @@ def test_record_schema(path):
     assert set(data) == {"sizes", "records"} and data["sizes"] == [1, 2, 63, 2001]
     assert list(data["records"]) == ["parent", "change", "parent_again"]
     units = {metric["name"]: metric["unit"] for metric in BENCHMARK["end_to_end"]}
+    dispatch = int(path.stem.split("_")[1]) >= 51
     for record in data["records"].values():
-        assert set(record) == RECORD_KEYS
+        assert set(record) == RECORD_KEYS | ({"numpy_dispatch"} if dispatch else set())
+        assert not dispatch or all(isinstance(k, str) for k in record["numpy_dispatch"])
         assert list(record["end_to_end"]) == [w["name"] for w in BENCHMARK["workloads"]]
         for metrics in record["end_to_end"].values():
             assert {name: metric["unit"] for name, metric in metrics.items()} == units

@@ -11,7 +11,6 @@ from dataclasses import replace
 
 from helpers import (
     dense,
-    fock1_amplitudes,
     nominal,
     trace_out_B,
     state_at,
@@ -24,19 +23,21 @@ from qfi_probe.probe_models import (
     ThermalParams,
     TwoQubitFockParams,
     TwoQubitReservoirParams,
-    _fock1_amplitudes,
-    _fock2_amplitudes,
     _reservoir_rates,
+    fock1_kernel,
+    fock2_kernel,
 )
 from qfi_probe.scan_repro import _ESTIMAND_FIELDS, FIELD_DOMAINS, MODEL_IDS, MODELS, ScanConfig
 from qfi_probe.scan_repro import point_fidelity, point_qfi
-from symbolic import exact
+from symbolic import EXCHANGE, exact, fock1_amplitudes, lambdified_amplitudes
 
 
 def test_fock1_purity_identity():
+    # the amplitudes of the exact form, exchange 2 g sqrt(n + 1) = 2
     config = ScanConfig("fock1", alpha=np.pi / 4)
     state = state_at(config, 1.3)
-    b1, b2 = fock1_amplitudes(config, 1.3)
+    amplitudes = lambdified_amplitudes(fock1_amplitudes(), EXCHANGE)
+    (b1, b2), = amplitudes(config.detuning, 2.0, config.alpha, [1.3])
     purity = np.trace(state @ state).real
     assert purity == pytest.approx(abs(b1) ** 4 + abs(b2) ** 4, abs=1e-12)
 
@@ -190,45 +191,44 @@ def test_thermal_rate_past_half_the_double_range(model):
 
 
 def scalar_cavity_constants(model, detuning, coupling, photons, alpha):
-    """The constants of one point in Python scalars, in the order of
-    CAVITY_CONSTANTS: the reference for the cavity kernels' columns."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
+    """The constants of one point in Python scalars, in the order of the
+    cavity kernels' arguments: the reference for their per-point rows."""
+    ca, sa = float(np.cos(alpha)), float(np.sin(alpha))
     if model == "fock1":
         exchange = 2.0 * coupling * math.sqrt(photons + 1.0)
         wd = float(np.hypot(exchange, detuning))
-        tail = 0.5j * detuning, 1j * sa * (exchange / wd), 1j * ca * (exchange / wd)
-    else:
-        wd = float(np.sqrt(8.0 * coupling**2 + detuning**2))
-        tail = -(ca + sa) * (2.0j * coupling / wd), 0.5j * detuning, -0.5j * detuning
-    return (0.5 * wd, 1j * (detuning / wd), *tail)
+        u = ca * (detuning / wd) + sa * (exchange / wd)
+        v = sa * (detuning / wd) - ca * (exchange / wd)
+        return 0.5 * wd, ca * ca, sa * sa, u * u, v * v
+    wd = float(np.sqrt(8.0 * coupling**2 + detuning**2))
+    sigma, delta = 0.5 * (ca + sa), 0.5 * (ca - sa)
+    return (0.5 * wd, 0.5 * detuning, detuning / wd, 4.0 * sigma * (coupling / wd),
+            sigma * sigma, delta * delta, 2.0 * delta * sigma)
 
 
-# each model's closure constants: (K, 1) columns, or (2, K, 1) pairs of them
-CAVITY_CONSTANTS = {
-    "fock1": (_fock1_amplitudes, ("half_wd", "i_ratio_d", "half_detuning", "i_ratio_x")),
-    "fock2": (lambda d, c, n, a: _fock2_amplitudes(d, c, a),
-              ("half_wd", "i_ratio_d", "gg_weight", "phase_rates")),
-}
+def per_point(argument, points):
+    """A kernel argument, one row per point: its axis of length points first."""
+    argument = np.broadcast_to(argument, (points, 1)) if np.ndim(argument) == 0 else argument
+    return np.moveaxis(argument, argument.shape.index(points), 0).reshape(points, -1)
 
 
-@pytest.mark.parametrize("model", CAVITY_CONSTANTS)
+CAVITY_KERNELS = {"fock1": fock1_kernel, "fock2": lambda d, c, n, a: fock2_kernel(d, c, a)}
+
+
+@pytest.mark.parametrize("model", CAVITY_KERNELS)
 def test_cavity_constants_equal_the_per_point_scalar_constants(model):
-    # the columns the amplitudes closure holds equal, bit for bit, the
-    # constants formed point by point; there a float's ** 2 is libm's pow,
-    # and x * x differs from it at about 1 in 1000 x: the couplings drawn
-    # are such x
+    # the constants the kernel holds equal, bit for bit, those formed point
+    # by point; there a float's ** 2 is libm's pow, and x * x differs from
+    # it at about 1 in 1000 x: the couplings drawn are such x
     rng = np.random.default_rng(36)
-    build, names = CAVITY_CONSTANTS[model]
     for coupling in [c for c in rng.uniform(0, 3, 20_000).tolist() if c**2 != c * c][:3]:
         detunings = (rng.uniform(-10, 10, 10_000) * np.logspace(-6, 6, 10_000)).tolist()
         photons, alpha = int(rng.integers(0, 5)), rng.uniform(0, 1)
-        amplitudes = build(detunings, coupling, photons, alpha)
-        cells = dict(zip(amplitudes.__code__.co_freevars, amplitudes.__closure__))
-        got = np.concatenate([cells[name].cell_contents.reshape(-1, len(detunings)).T
-                              for name in names], axis=1)
+        kernel = CAVITY_KERNELS[model](detunings, coupling, photons, alpha)
+        got = np.concatenate([per_point(arg, len(detunings)) for arg in kernel.args], axis=1)
         expected = np.array([scalar_cavity_constants(model, d, coupling, photons, alpha)
                              for d in detunings])
-        assert got.astype(complex).tobytes() == expected.astype(complex).tobytes()
+        assert got.tobytes() == expected.tobytes()
 
 
 class _NanEmpty:
@@ -238,8 +238,8 @@ class _NanEmpty:
         return getattr(np, name)
 
     @staticmethod
-    def empty(shape, dtype=float):
-        return np.full(shape, np.nan, dtype)
+    def empty(shape):
+        return np.full(shape, np.nan)
 
 
 @pytest.mark.parametrize("model", MODEL_IDS)

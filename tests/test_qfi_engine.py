@@ -1,8 +1,6 @@
 """Tests for the derivative stencil on the models' kernels, the tangent
 kernels' exact derivative, the block QFI and its oracles."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from helpers import (
     d_rho_dense,
     d_rho_grid,
     dense,
-    fock1_amplitudes,
     nominal,
     qfi_pure_oracle,
     qfi_spectral,
@@ -19,6 +16,7 @@ from helpers import (
     random_hermitian_traceless,
     random_unitary,
     record,
+    state_at,
     states,
     stencil,
 )
@@ -26,7 +24,7 @@ from qfi_probe import scan_repro
 from qfi_probe.qfi_engine import qfi_blocks
 from qfi_probe.qstate import QUBIT_BLOCKS, X_BLOCKS, validate_blocks
 from qfi_probe.scan_repro import _ESTIMAND_FIELDS, MODELS, ScanConfig
-from symbolic import exact
+from symbolic import EXCHANGE, exact, fock1_amplitudes, lambdified_amplitudes
 
 THERMAL = ScanConfig("thermal1", alpha=np.pi / 4)
 SQUEEZED = ScanConfig("squeezed1", alpha=np.pi / 4)
@@ -208,13 +206,15 @@ class TestPureOracle:
         assert qfi_pure_oracle(np.array([1.0, 0.0]), np.zeros(2, dtype=complex)) == 0.0
 
     def test_cavity_amplitude_family_dual_path(self):
-        # system-state amplitudes before tracing, differentiated in the detuning
+        # the exact form's amplitudes before tracing (exchange 2), differentiated
+        # in the detuning; the library's traced state holds their populations
         config = ScanConfig("fock1", detuning=5.0, coupling=1.0, alpha=np.pi / 4)
         t = 0.8
         h = stencil(5.0, None)[0]
-        psi = np.array(fock1_amplitudes(config, t))
-        up = np.array(fock1_amplitudes(replace(config, detuning=5.0 + h), t))
-        down = np.array(fock1_amplitudes(replace(config, detuning=5.0 - h), t))
+        amplitudes = lambdified_amplitudes(fock1_amplitudes(), EXCHANGE)
+        psi, up, down = (amplitudes(d, 2.0, config.alpha, [t])[0] for d in (5.0, 5.0 + h, 5.0 - h))
+        np.testing.assert_allclose(np.diag(state_at(config, t)).real, np.abs(psi) ** 2,
+                                   rtol=0, atol=1e-15)
         dpsi = (up - down) / (2.0 * h)
         rho = np.outer(psi, psi.conj())
         drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())

@@ -5,7 +5,8 @@
 PARENT and CHANGE are checkouts holding src/ and perfbench/, run read-only.
 The records "parent", "change" and "parent_again" (the A/A spread) hold the
 git SHA ("dirty": src/ or perfbench/ differ from it), nproc, the Python and
-numpy versions and the seeds; per workload, the median and IQR over the
+numpy versions, numpy's enabled SIMD dispatch targets (which pick its exp,
+sin and cos loops; NPY_DISABLE_CPU_FEATURES turns them off) and the seeds; per workload, the median and IQR over the
 seeds of every end-to-end metric of `perfbench/run.py --trace 0`, the trees'
 runs alternating; and the median and IQR in microseconds of 15 rounds of
 direct calls, in one interpreter that imports a copy of each tree's package
@@ -29,6 +30,8 @@ SIZES = (1, 2, 63, 2001)
 # one thread per BLAS/OpenMP pool, as perfbench/run.py sets before numpy loads
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+DISPATCH = ("import json; from numpy._core._multiarray_umath import __cpu_dispatch__ as d,"
+            " __cpu_features__ as f; print(json.dumps([k for k in d if f[k]]))")
 CHILD = """
 import importlib, json, statistics, sys, time
 labels, sizes = json.loads(sys.argv[1])
@@ -136,6 +139,7 @@ def main(argv=None) -> int:
             "git_sha": sha, "dirty": dirty, "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "seeds": args.seeds,
             "numpy": run([sys.executable, "-c", "import numpy; print(numpy.__version__)"], root),
+            "numpy_dispatch": json.loads(run([sys.executable, "-c", DISPATCH], root)),
             "end_to_end": {workload: {name: spread(metrics, name) for name in metrics[0]}
                            for workload, metrics in runs[label].items()},
             **direct[label]}
